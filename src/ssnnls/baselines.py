@@ -14,7 +14,7 @@ from typing import Optional, Union
 import numpy as np
 import scipy.optimize
 
-from .core import GroupedCoeffs, GroupedDictionary, SparsityConfig
+from .core import GroupedCoeffs, GroupedDictionary, SparsityConfig, as_data_vector
 from .errors import ConfigError, NonConvergenceError
 
 
@@ -24,7 +24,12 @@ def nnls(entries: np.ndarray, b: np.ndarray, maxiter: Optional[int] = None) -> n
     b = np.asarray(b, dtype=float).ravel()
     if entries.ndim != 2 or entries.shape[0] != b.size:
         raise ValueError(f"incompatible shapes {entries.shape} and ({b.size},)")
-    x, _ = scipy.optimize.nnls(entries, b, maxiter=maxiter)
+    try:
+        x, _ = scipy.optimize.nnls(entries, b, maxiter=maxiter)
+    except RuntimeError as exc:
+        if "Maximum number of iterations" not in str(exc):
+            raise
+        raise NonConvergenceError(f"nnls: {exc}", iterations=maxiter) from exc
     return x
 
 
@@ -52,7 +57,7 @@ def l1_penalized(entries: np.ndarray, b: np.ndarray, gamma: float,
                  tol: float = 1e-10) -> np.ndarray:
     """Penalized form ``min 0.5 |Ax - b|^2 + gamma |x|_1  s.t.  x >= 0``."""
     entries = np.asarray(entries, dtype=float)
-    b = np.asarray(b, dtype=float).ravel()
+    b = as_data_vector(b, entries.shape[0])
     if gamma < 0:
         raise ValueError(f"gamma must be non-negative, got {gamma}")
     gram = entries.T @ entries
@@ -149,7 +154,7 @@ def l1_bregman(entries: np.ndarray, b: np.ndarray, tau: float,
     also the constrained one.
     """
     entries = np.asarray(entries, dtype=float)
-    b = np.asarray(b, dtype=float).ravel()
+    b = as_data_vector(b, entries.shape[0])
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
     if np.linalg.norm(b) <= tau:
@@ -217,9 +222,7 @@ def penalty_decomposition_l0(dct: GroupedDictionary, b: np.ndarray, cfg: Sparsit
     """
     params = params or PdParams()
     cfg.validate(dct.n_groups)
-    b = np.asarray(b, dtype=float).ravel()
-    if b.size != dct.n_rows:
-        raise ValueError(f"b must have {dct.n_rows} entries, got {b.size}")
+    b = as_data_vector(b, dct.n_rows)
     entries = dct.entries
     n = dct.n_columns
     n_con = cfg.n_constrained(dct.n_groups)

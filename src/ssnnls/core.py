@@ -51,6 +51,8 @@ class GroupedDictionary:
             )
         if np.any(np.diff(offsets) <= 0):
             raise ValueError("group offsets must be strictly increasing")
+        if not np.all(np.isfinite(entries)):
+            raise ValueError("entries must be finite")
 
     @property
     def n_rows(self) -> int:
@@ -179,6 +181,16 @@ class ObjectiveEval:
     grad_d: Optional[np.ndarray] = None
 
 
+def as_data_vector(b, n_rows: int) -> np.ndarray:
+    """``b`` as a flat float vector; ValueError unless it holds n_rows finite values."""
+    b = np.asarray(b, dtype=float).ravel()
+    if b.size != n_rows:
+        raise ValueError(f"data must have {n_rows} entries, got {b.size}")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("data must be finite")
+    return b
+
+
 def normalize_columns(entries: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Scale each column to unit Euclidean norm.
 
@@ -206,9 +218,7 @@ def eval_objective_p2(dct: GroupedDictionary, b: np.ndarray, coeffs: GroupedCoef
     x = coeffs.x
     if x.shape != (dct.n_columns,):
         raise ValueError(f"x must have shape ({dct.n_columns},), got {x.shape}")
-    b = np.asarray(b, dtype=float).ravel()
-    if b.size != dct.n_rows:
-        raise ValueError(f"b must have {dct.n_rows} entries, got {b.size}")
+    b = as_data_vector(b, dct.n_rows)
 
     resid = dct.entries @ x - b
     fit = 0.5 * float(resid @ resid)
@@ -250,9 +260,7 @@ def eval_objective_p1(dct: GroupedDictionary, b: np.ndarray, coeffs: GroupedCoef
     d = coeffs.d
     if d.shape != (n_con,):
         raise ValueError(f"d must have shape ({n_con},), got {d.shape}")
-    b = np.asarray(b, dtype=float).ravel()
-    if b.size != dct.n_rows:
-        raise ValueError(f"b must have {dct.n_rows} entries, got {b.size}")
+    b = as_data_vector(b, dct.n_rows)
 
     resid = dct.entries @ x - b
     fit = 0.5 * float(resid @ resid)

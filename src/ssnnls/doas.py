@@ -22,7 +22,8 @@ import numpy as np
 import scipy.fft
 
 from .baselines import PdParams, l1_bregman, nnls, penalty_decomposition_l0
-from .core import GroupedCoeffs, GroupedDictionary, SparsityConfig, normalize_columns
+from .core import (GroupedCoeffs, GroupedDictionary, SparsityConfig, as_data_vector,
+                   normalize_columns)
 from .errors import ConfigError, DegenerateColumnError
 from .qp import AdmmParams
 from .sgp import SgpParams, SolveReport, solve_problem1, solve_problem2
@@ -496,10 +497,7 @@ def fit_doas(data: np.ndarray, ddict: DeformationDictionary,
     (one column per group, exactly), "lstsq" (averaged random-support
     least-squares gauge, no support estimate).
     """
-    data = np.asarray(data, dtype=float).ravel()
-    w = ddict.wavelengths.size
-    if data.size != w:
-        raise ValueError(f"data must have {w} samples, got {data.size}")
+    data = as_data_vector(data, ddict.wavelengths.size)
     if cfg.solver not in DOAS_SOLVERS:
         raise ConfigError(f"unknown solver {cfg.solver!r}; choose from {DOAS_SOLVERS}")
     if cfg.alpha < 0:

@@ -1,42 +1,12 @@
-"""Hot numeric kernels, in jitted and pure-numpy flavours.
+"""Hot numeric kernels: the simplex projections and the two ADMM loops.
 
-Every kernel exists twice: a vectorized numpy implementation (suffix
-``_np``) and a loop-style numba twin (suffix ``_nb``) compiled with
-``@njit(cache=True)``.  The module-level unsuffixed aliases point at the
-numba versions when numba is importable and the environment variable
-``SSNNLS_PURE_NUMPY`` is unset (or "0"); otherwise they point at the
-numpy versions.  Both backends implement identical semantics and are
-cross-checked in the test suite; ``BACKENDS`` exposes them side by side
-for benchmarking.
+The projections reduce to one threshold search over sorted breakpoints;
+the ADMM loops solve the strongly convex QP subproblems of the outer
+loops (see :mod:`ssnnls.qp`) from a precomputed explicit inverse.  All
+are plain numpy.
 """
 
-import os
-
 import numpy as np
-
-ENV_FLAG = "SSNNLS_PURE_NUMPY"
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(func):
-            return func
-
-        if len(args) == 1 and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-def _pure_numpy_requested() -> bool:
-    return os.environ.get(ENV_FLAG, "0").strip().lower() not in ("", "0", "false", "no", "off")
-
-
-USE_NUMBA = HAVE_NUMBA and not _pure_numpy_requested()
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +19,7 @@ USE_NUMBA = HAVE_NUMBA and not _pure_numpy_requested()
 # ---------------------------------------------------------------------------
 
 
-def _simplex_theta_np(v, w, radius):
+def _simplex_theta(v, w, radius):
     t = v / w
     order = np.argsort(-t, kind="stable")
     ts = t[order]
@@ -66,64 +36,24 @@ def _simplex_theta_np(v, w, radius):
     return (cwv[n - 1] - radius) / cww[n - 1]
 
 
-@njit(cache=True)
-def _simplex_theta_nb(v, w, radius):
-    t = v / w
-    order = np.argsort(-t, kind="mergesort")
-    n = v.size
-    cwv = 0.0
-    cww = 0.0
-    for k in range(n - 1):
-        i = order[k]
-        cwv += w[i] * v[i]
-        cww += w[i] * w[i]
-        g = cwv - t[order[k + 1]] * cww
-        if g >= radius:
-            return (cwv - radius) / cww
-    i = order[n - 1]
-    cwv += w[i] * v[i]
-    cww += w[i] * w[i]
-    return (cwv - radius) / cww
-
-
-def simplex_project_np(v, radius):
+def simplex_project(v, radius):
     """Project v onto {y >= 0, sum(y) = radius}, radius > 0."""
-    theta = _simplex_theta_np(v, np.ones_like(v), radius)
+    theta = _simplex_theta(v, np.ones_like(v), radius)
     return np.maximum(v - theta, 0.0)
 
 
-@njit(cache=True)
-def simplex_project_nb(v, radius):
-    theta = _simplex_theta_nb(v, np.ones_like(v), radius)
-    return np.maximum(v - theta, 0.0)
-
-
-def weighted_simplex_project_np(v, w, radius):
+def weighted_simplex_project(v, w, radius):
     """Project v onto {y >= 0, sum(w*y) = radius}, w > 0, radius > 0."""
-    theta = _simplex_theta_np(v, w, radius)
+    theta = _simplex_theta(v, w, radius)
     return np.maximum(v - theta * w, 0.0)
 
 
-@njit(cache=True)
-def weighted_simplex_project_nb(v, w, radius):
-    theta = _simplex_theta_nb(v, w, radius)
-    return np.maximum(v - theta * w, 0.0)
-
-
-def group_floor_project_np(s, eps):
+def group_floor_project(s, eps):
     """Project a stacked vector s onto {y >= 0, sum(y) >= eps}."""
     y = np.maximum(s, 0.0)
     if y.sum() >= eps:
         return y
-    return simplex_project_np(s, eps)
-
-
-@njit(cache=True)
-def group_floor_project_nb(s, eps):
-    y = np.maximum(s, 0.0)
-    if y.sum() >= eps:
-        return y
-    return simplex_project_nb(s, eps)
+    return simplex_project(s, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -132,11 +62,11 @@ def group_floor_project_nb(s, eps):
 # Both loops minimise q(z) = (z-a)'(G/2 + C)(z-a) + (z-a)'grad over a
 # feasible set, via splitting u/v with penalty delta.  The u-update solves
 # (G + 2C + delta*I) u = ..., precomputed as the explicit inverse `kinv`
-# so a single matvec per iteration serves both backends.
+# so each iteration costs one matvec.
 # ---------------------------------------------------------------------------
 
 
-def admm_nonneg_np(kinv, anchor, grad, v, p, delta, tol_primal, tol_dual, max_iters, n_free):
+def admm_nonneg(kinv, anchor, grad, v, p, delta, tol_primal, tol_dual, max_iters, n_free):
     """ADMM for the orthant-constrained quadratic model.
 
     The trailing ``n_free`` coordinates are sign-unconstrained.  ``v`` and
@@ -167,50 +97,8 @@ def admm_nonneg_np(kinv, anchor, grad, v, p, delta, tol_primal, tol_dual, max_it
     return v, p, u, max_iters, rel_p, rel_d
 
 
-@njit(cache=True)
-def admm_nonneg_nb(kinv, anchor, grad, v, p, delta, tol_primal, tol_dual, max_iters, n_free):
-    n = anchor.size
-    v = v.copy()
-    p = p.copy()
-    u = anchor.copy()
-    rhs = np.empty(n)
-    v_new = np.empty(n)
-    rel_p = np.inf
-    rel_d = np.inf
-    for k in range(max_iters):
-        for i in range(n):
-            rhs[i] = delta * (v[i] - anchor[i]) - p[i] - grad[i]
-        u = anchor + np.dot(kinv, rhs)
-        n_con = n - n_free
-        for i in range(n):
-            z = u[i] + p[i] / delta
-            if i < n_con and z < 0.0:
-                z = 0.0
-            v_new[i] = z
-        s_pr = 0.0
-        s_du = 0.0
-        s_u = 0.0
-        s_v = 0.0
-        s_p = 0.0
-        for i in range(n):
-            p[i] = p[i] + delta * (u[i] - v_new[i])
-            d = u[i] - v_new[i]
-            s_pr += d * d
-            d = v_new[i] - v[i]
-            s_du += d * d
-            s_u += u[i] * u[i]
-            s_v += v_new[i] * v_new[i]
-            s_p += p[i] * p[i]
-            v[i] = v_new[i]
-        rel_p = np.sqrt(s_pr) / max(1.0, max(np.sqrt(s_u), np.sqrt(s_v)))
-        rel_d = delta * np.sqrt(s_du) / max(1.0, np.sqrt(s_p))
-        if rel_p <= tol_primal and rel_d <= tol_dual:
-            return v, p, u, k + 1, rel_p, rel_d
-    return v, p, u, max_iters, rel_p, rel_d
-
-
-def admm_grouped_np(kinv, anchor_x, grad_x, offsets, eps, anchor_d, grad_d, cd2pd,
-                    budget, vx, px, vd, pd, delta, tol_primal, tol_dual, max_iters):
+def admm_grouped(kinv, anchor_x, grad_x, offsets, eps, anchor_d, grad_d, cd2pd,
+                 budget, vx, px, vd, pd, delta, tol_primal, tol_dual, max_iters):
     """ADMM for the grouped quadratic model with dummy variables.
 
     Coordinates ``x[offsets[j]:offsets[j+1]]`` form group j with dummy
@@ -244,7 +132,7 @@ def admm_grouped_np(kinv, anchor_x, grad_x, offsets, eps, anchor_d, grad_d, cd2p
         elif (zc / zdiv).sum() <= budget:
             z = zc
         else:
-            z = weighted_simplex_project_np(z, 1.0 / zdiv, budget)
+            z = weighted_simplex_project(z, 1.0 / zdiv, budget)
         w = z / sqm
         vx_new = np.empty_like(vx)
         vd_new = np.empty_like(vd)
@@ -253,7 +141,7 @@ def admm_grouped_np(kinv, anchor_x, grad_x, offsets, eps, anchor_d, grad_d, cd2p
         for j in range(m):
             a, b = offsets[j], offsets[j + 1]
             stacked = np.concatenate((sx[a:b], sd[j:j + 1]))
-            proj = group_floor_project_np(stacked, eps[j])
+            proj = group_floor_project(stacked, eps[j])
             vx_new[a:b] = proj[:-1]
             vd_new[j] = proj[-1]
         vx_new[n_grouped:] = sx[n_grouped:]
@@ -271,120 +159,3 @@ def admm_grouped_np(kinv, anchor_x, grad_x, offsets, eps, anchor_d, grad_d, cd2p
         if rel_p <= tol_primal and rel_d <= tol_dual:
             return vx, vd, px, pd, u, w, k + 1, rel_p, rel_d
     return vx, vd, px, pd, u, w, max_iters, rel_p, rel_d
-
-
-@njit(cache=True)
-def admm_grouped_nb(kinv, anchor_x, grad_x, offsets, eps, anchor_d, grad_d, cd2pd,
-                    budget, vx, px, vd, pd, delta, tol_primal, tol_dual, max_iters):
-    n = anchor_x.size
-    m = eps.size
-    n_grouped = int(offsets[-1])
-    vx = vx.copy()
-    px = px.copy()
-    vd = vd.copy()
-    pd = pd.copy()
-    u = anchor_x.copy()
-    w = anchor_d.copy()
-    sqm = np.sqrt(cd2pd)
-    zdiv = eps * sqm
-    zw = 1.0 / zdiv
-    rhs = np.empty(n)
-    z = np.empty(m)
-    vx_new = np.empty(n)
-    vd_new = np.empty(m)
-    rel_p = np.inf
-    rel_d = np.inf
-    for k in range(max_iters):
-        for i in range(n):
-            rhs[i] = delta * (vx[i] - anchor_x[i]) - px[i] - grad_x[i]
-        u = anchor_x + np.dot(kinv, rhs)
-        zsum = 0.0
-        for j in range(m):
-            wbar = (delta * vd[j] - pd[j] - grad_d[j] + (cd2pd[j] - delta) * anchor_d[j]) / cd2pd[j]
-            z[j] = sqm[j] * wbar
-            if z[j] > 0.0:
-                zsum += z[j] / zdiv[j]
-        if budget <= 0.0:
-            for j in range(m):
-                z[j] = 0.0
-        elif zsum <= budget:
-            for j in range(m):
-                z[j] = max(z[j], 0.0)
-        else:
-            z = weighted_simplex_project_nb(z, zw, budget)
-        for j in range(m):
-            w[j] = z[j] / sqm[j]
-        for j in range(m):
-            a, b = offsets[j], offsets[j + 1]
-            stacked = np.empty(b - a + 1)
-            for i in range(a, b):
-                stacked[i - a] = u[i] + px[i] / delta
-            stacked[b - a] = w[j] + pd[j] / delta
-            proj = group_floor_project_nb(stacked, eps[j])
-            for i in range(a, b):
-                vx_new[i] = proj[i - a]
-            vd_new[j] = proj[b - a]
-        for i in range(n_grouped, n):
-            vx_new[i] = u[i] + px[i] / delta
-        s_pr = 0.0
-        s_du = 0.0
-        s_u = 0.0
-        s_v = 0.0
-        s_p = 0.0
-        for i in range(n):
-            px[i] = px[i] + delta * (u[i] - vx_new[i])
-            d = u[i] - vx_new[i]
-            s_pr += d * d
-            d = vx_new[i] - vx[i]
-            s_du += d * d
-            s_u += u[i] * u[i]
-            s_v += vx_new[i] * vx_new[i]
-            s_p += px[i] * px[i]
-            vx[i] = vx_new[i]
-        for j in range(m):
-            pd[j] = pd[j] + delta * (w[j] - vd_new[j])
-            d = w[j] - vd_new[j]
-            s_pr += d * d
-            d = vd_new[j] - vd[j]
-            s_du += d * d
-            s_u += w[j] * w[j]
-            s_v += vd_new[j] * vd_new[j]
-            s_p += pd[j] * pd[j]
-            vd[j] = vd_new[j]
-        rel_p = np.sqrt(s_pr) / max(1.0, max(np.sqrt(s_u), np.sqrt(s_v)))
-        rel_d = delta * np.sqrt(s_du) / max(1.0, np.sqrt(s_p))
-        if rel_p <= tol_primal and rel_d <= tol_dual:
-            return vx, vd, px, pd, u, w, k + 1, rel_p, rel_d
-    return vx, vd, px, pd, u, w, max_iters, rel_p, rel_d
-
-
-# ---------------------------------------------------------------------------
-# backend selection
-# ---------------------------------------------------------------------------
-
-_NP_BACKEND = {
-    "simplex_project": simplex_project_np,
-    "weighted_simplex_project": weighted_simplex_project_np,
-    "group_floor_project": group_floor_project_np,
-    "admm_nonneg": admm_nonneg_np,
-    "admm_grouped": admm_grouped_np,
-}
-
-BACKENDS = {"numpy": _NP_BACKEND}
-if HAVE_NUMBA:
-    BACKENDS["numba"] = {
-        "simplex_project": simplex_project_nb,
-        "weighted_simplex_project": weighted_simplex_project_nb,
-        "group_floor_project": group_floor_project_nb,
-        "admm_nonneg": admm_nonneg_nb,
-        "admm_grouped": admm_grouped_nb,
-    }
-
-ACTIVE_BACKEND = "numba" if USE_NUMBA else "numpy"
-_active = BACKENDS[ACTIVE_BACKEND]
-
-simplex_project = _active["simplex_project"]
-weighted_simplex_project = _active["weighted_simplex_project"]
-group_floor_project = _active["group_floor_project"]
-admm_nonneg = _active["admm_nonneg"]
-admm_grouped = _active["admm_grouped"]

@@ -188,6 +188,42 @@ def _balance_factor(hi: float, lo: float) -> float:
     return float(min(_BALANCE_MAX_FACTOR, max(2.0, np.sqrt(hi / lo))))
 
 
+def _solve_balanced(family: str, sub: QpSubproblem, params: AdmmParams, ws: QpWorkspace,
+                    state: tuple, sweep) -> tuple:
+    """Run ``sweep`` in chunks, rebalancing the penalty delta between them.
+
+    ``sweep(kinv, delta, state, max_iters)`` runs one chunk of ADMM sweeps
+    from ``state`` and returns ``(state, iters, rel_primal, rel_dual)``, as
+    does this function once both residuals reach ``params.tol``.  Delta
+    starts from the workspace's ``family`` hint; the converged value is
+    stored back.  Raises :class:`NonConvergenceError` after
+    ``params.max_iters`` sweeps.
+    """
+    if params.delta is None and ws.delta_hint(family) is not None:
+        delta = ws.delta_hint(family)
+    else:
+        delta = _delta_for(sub, params, ws)
+    chunk = max(1, -(-params.max_iters // _BALANCE_CHUNKS))
+    iters = 0
+    rel_p = rel_d = np.inf
+    while iters < params.max_iters:
+        kinv = ws.kinv(2.0 * sub.shift + delta)
+        state, it, rel_p, rel_d = sweep(kinv, delta, state,
+                                        min(chunk, params.max_iters - iters))
+        iters += it
+        if rel_p <= params.tol and rel_d <= params.tol:
+            ws.store_delta(family, delta)
+            return state, iters, rel_p, rel_d
+        if rel_d > _BALANCE_RATIO * rel_p:
+            delta /= _balance_factor(rel_d, rel_p)
+        elif rel_p > _BALANCE_RATIO * rel_d:
+            delta *= _balance_factor(rel_p, rel_d)
+    raise NonConvergenceError(
+        f"inner solver stalled at primal {rel_p:.3e} / dual {rel_d:.3e} "
+        f"after {iters} iterations (tol {params.tol:.1e})",
+        iterations=iters, residuals=(rel_p, rel_d))
+
+
 def solve_qp_p2(sub: QpSubproblem, params: AdmmParams,
                 warm: Optional[QpSolution] = None,
                 workspace: Optional[QpWorkspace] = None) -> QpSolution:
@@ -198,32 +234,17 @@ def solve_qp_p2(sub: QpSubproblem, params: AdmmParams,
     """
     sub.validate(grouped=False)
     ws = workspace if workspace is not None else QpWorkspace(sub.gram)
-    if params.delta is None and ws.delta_hint("p2") is not None:
-        delta = ws.delta_hint("p2")
-    else:
-        delta = _delta_for(sub, params, ws)
     v = np.asarray(warm.x if warm is not None else sub.anchor, dtype=float)
     p = np.asarray(warm.p if warm is not None else np.zeros_like(sub.anchor), dtype=float)
-    chunk = max(1, -(-params.max_iters // _BALANCE_CHUNKS))
-    iters = 0
-    rel_p = rel_d = np.inf
-    while iters < params.max_iters:
-        kinv = ws.kinv(2.0 * sub.shift + delta)
+
+    def sweep(kinv, delta, state, max_iters):
         v, p, _, it, rel_p, rel_d = kernels.admm_nonneg(
-            kinv, sub.anchor, sub.lin, v, p, delta, params.tol, params.tol,
-            min(chunk, params.max_iters - iters), sub.n_free)
-        iters += it
-        if rel_p <= params.tol and rel_d <= params.tol:
-            ws.store_delta("p2", delta)
-            return QpSolution(v, None, iters, rel_p, rel_d, p)
-        if rel_d > _BALANCE_RATIO * rel_p:
-            delta /= _balance_factor(rel_d, rel_p)
-        elif rel_p > _BALANCE_RATIO * rel_d:
-            delta *= _balance_factor(rel_p, rel_d)
-    raise NonConvergenceError(
-        f"inner solver stalled at primal {rel_p:.3e} / dual {rel_d:.3e} "
-        f"after {iters} iterations (tol {params.tol:.1e})",
-        iterations=iters, residuals=(rel_p, rel_d))
+            kinv, sub.anchor, sub.lin, *state, delta, params.tol, params.tol,
+            max_iters, sub.n_free)
+        return (v, p), it, rel_p, rel_d
+
+    (v, p), iters, rel_p, rel_d = _solve_balanced("p2", sub, params, ws, (v, p), sweep)
+    return QpSolution(v, None, iters, rel_p, rel_d, p)
 
 
 def _polish_dummies(x: np.ndarray, d: np.ndarray, sub: QpSubproblem) -> np.ndarray:
@@ -253,10 +274,6 @@ def solve_qp_p1(sub: QpSubproblem, params: AdmmParams,
     """Solve the grouped model with dummies (problem 1 inner step)."""
     sub.validate(grouped=True)
     ws = workspace if workspace is not None else QpWorkspace(sub.gram)
-    if params.delta is None and ws.delta_hint("p1") is not None:
-        delta = ws.delta_hint("p1")
-    else:
-        delta = _delta_for(sub, params, ws)
     vx = np.asarray(warm.x if warm is not None else sub.anchor, dtype=float)
     px = np.asarray(warm.p if warm is not None else np.zeros_like(sub.anchor), dtype=float)
     vd = np.asarray(warm.d if warm is not None and warm.d is not None else sub.anchor_d,
@@ -265,26 +282,15 @@ def solve_qp_p1(sub: QpSubproblem, params: AdmmParams,
                     else np.zeros_like(sub.anchor_d), dtype=float)
     offsets = np.asarray(sub.offsets, dtype=np.int64)
     eps = np.asarray(sub.eps, dtype=float)
-    chunk = max(1, -(-params.max_iters // _BALANCE_CHUNKS))
-    iters = 0
-    rel_p = rel_d = np.inf
-    while iters < params.max_iters:
-        kinv = ws.kinv(2.0 * sub.shift + delta)
-        cd2pd = 2.0 * sub.shift_d + delta
+
+    def sweep(kinv, delta, state, max_iters):
         vx, vd, px, pd, _, _, it, rel_p, rel_d = kernels.admm_grouped(
             kinv, sub.anchor, sub.lin, offsets, eps, sub.anchor_d, sub.lin_d,
-            cd2pd, float(sub.budget), vx, px, vd, pd,
-            delta, params.tol, params.tol, min(chunk, params.max_iters - iters))
-        iters += it
-        if rel_p <= params.tol and rel_d <= params.tol:
-            ws.store_delta("p1", delta)
-            vd = _polish_dummies(vx, vd, sub)
-            return QpSolution(vx, vd, iters, rel_p, rel_d, px, pd)
-        if rel_d > _BALANCE_RATIO * rel_p:
-            delta /= _balance_factor(rel_d, rel_p)
-        elif rel_p > _BALANCE_RATIO * rel_d:
-            delta *= _balance_factor(rel_p, rel_d)
-    raise NonConvergenceError(
-        f"inner solver stalled at primal {rel_p:.3e} / dual {rel_d:.3e} "
-        f"after {iters} iterations (tol {params.tol:.1e})",
-        iterations=iters, residuals=(rel_p, rel_d))
+            2.0 * sub.shift_d + delta, float(sub.budget), *state,
+            delta, params.tol, params.tol, max_iters)
+        return (vx, px, vd, pd), it, rel_p, rel_d
+
+    (vx, px, vd, pd), iters, rel_p, rel_d = _solve_balanced(
+        "p1", sub, params, ws, (vx, px, vd, pd), sweep)
+    vd = _polish_dummies(vx, vd, sub)
+    return QpSolution(vx, vd, iters, rel_p, rel_d, px, pd)

@@ -15,7 +15,7 @@ from typing import List, Optional
 import numpy as np
 
 from .core import (GroupedCoeffs, GroupedDictionary, ObjectiveEval, SparsityConfig,
-                   eval_objective_p1, eval_objective_p2)
+                   as_data_vector, eval_objective_p1, eval_objective_p2)
 from .errors import NonConvergenceError
 from .projections import SimplexMode, SimplexSpec, project_group_floor, project_simplex
 from .qp import AdmmParams, QpSolution, QpSubproblem, QpWorkspace, model_value, solve_qp_p1, solve_qp_p2
@@ -23,6 +23,7 @@ from .qp import AdmmParams, QpSolution, QpSubproblem, QpWorkspace, model_value, 
 TERM_STEP = "step_tol"
 TERM_ENERGY = "energy_tol"
 TERM_MAX_OUTER = "max_outer"
+TERM_INNER_STALL = "inner_stall"
 
 
 @dataclass
@@ -140,10 +141,12 @@ def solve_problem2(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
 
     The diagonal scaling stays fixed at ``c_matrix_scale``; every model
     minimiser decreases the objective up to inner-solver accuracy, and a
-    failed decrease triggers a tighter re-solve before giving up.
+    failed decrease triggers a tighter re-solve before giving up; the run
+    ends as ``inner_stall`` if that re-solve does not converge.
     """
     params = params or SgpParams()
     admm = admm or AdmmParams()
+    b = as_data_vector(b, dct.n_rows)
     cfg.validate(dct.n_groups)
     n = dct.n_columns
     pre = int(dct.offsets[cfg.n_constrained(dct.n_groups)])
@@ -167,6 +170,7 @@ def solve_problem2(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
         sub = QpSubproblem(gram=ws.gram, lin=ev.grad_x, anchor=x, shift=shift, n_free=n_free)
         tol = admm.tol
         accepted = None
+        term = TERM_ENERGY
         for attempt in range(3):
             try:
                 sol = solve_qp_p2(sub, AdmmParams(tol=tol, max_iters=admm.max_iters,
@@ -183,6 +187,7 @@ def solve_problem2(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
                     sol = solve_qp_p2(sub, AdmmParams(tol=tol, max_iters=admm.max_iters,
                                                       delta=admm.delta), None, ws)
                 else:
+                    term = TERM_INNER_STALL
                     break
             ev_y = eval_objective_p2(dct, b, GroupedCoeffs(sol.x), cfg_n)
             if ev_y.value <= ev.value or ramping:
@@ -191,7 +196,7 @@ def solve_problem2(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
             tol *= 0.01
             warm = sol
         if accepted is None:
-            report.termination = TERM_ENERGY
+            report.termination = term
             break
         sol, ev_y = accepted
         step = float(np.max(np.abs(sol.x - x))) if n else 0.0
@@ -228,6 +233,7 @@ def solve_problem1(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
     """
     params = params or SgpParams()
     admm = admm or AdmmParams()
+    b = as_data_vector(b, dct.n_rows)
     cfg.validate(dct.n_groups)
     n = dct.n_columns
     n_con = cfg.n_constrained(dct.n_groups)
@@ -275,7 +281,7 @@ def solve_problem1(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
                                                   max_iters=admm.max_iters,
                                                   delta=admm.delta), sol, ws)
             except NonConvergenceError:
-                report.termination = TERM_ENERGY
+                report.termination = TERM_INNER_STALL
                 break
             report.inner_iters_total += sol.iterations
             model = model_value(sub, sol.x, sol.d)

@@ -59,6 +59,14 @@ def test_nnls_shape_mismatch():
         nnls(np.eye(3), np.ones(4))
 
 
+def test_nnls_iteration_cap_is_non_convergence():
+    rng = default_rng(0)
+    a = rng.normal(size=(30, 20))
+    b = rng.normal(size=30)
+    with pytest.raises(NonConvergenceError):
+        nnls(a, b, maxiter=1)
+
+
 # ---------------------------------------------------------------- l1 penalized
 
 

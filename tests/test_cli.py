@@ -16,20 +16,22 @@ def test_experiment_aliases_and_validation():
     assert ExperimentConfig("DoasAlign").experiment == "doas-align"
     assert ExperimentConfig("doas_background").experiment == "doas-background"
     assert ExperimentConfig("HSI-Structured").experiment == "hsi-structured"
-    assert ExperimentConfig(" bench ").experiment == "bench"
+    assert ExperimentConfig(" hsi_inter ").experiment == "hsi-inter"
     with pytest.raises(ConfigError):
         ExperimentConfig("doas")
     with pytest.raises(ConfigError):
-        ExperimentConfig("bench", scale=0)
+        ExperimentConfig("bench")
     with pytest.raises(ConfigError):
-        ExperimentConfig("bench", seed=-1)
-    cfg = ExperimentConfig("bench", overrides={"reps": 3})
-    assert cfg.knob("reps", 20) == 3
-    assert cfg.knob("n", 512) == 512
+        ExperimentConfig("hsi-inter", scale=0)
+    with pytest.raises(ConfigError):
+        ExperimentConfig("hsi-inter", seed=-1)
+    cfg = ExperimentConfig("hsi-inter", overrides={"noise_sd": 0.0})
+    assert cfg.knob("noise_sd", 0.005) == 0.0
+    assert cfg.knob("eps", 0.01) == 0.01
 
 
 def test_run_record_to_json_cleans_numpy_types():
-    rec = RunRecord("bench", "s", 0, 1, np.float64(0.5),
+    rec = RunRecord("doas-align", "s", 0, 1, np.float64(0.5),
                     metrics={"a": np.float64(1.5), "b": np.int64(3),
                              "c": np.arange(3), "d": {"e": [np.float64(0.25)]}},
                     params={"f": np.int32(7)})
@@ -41,9 +43,9 @@ def test_run_record_to_json_cleans_numpy_types():
 
 
 def test_seeds_deterministic_and_seed_dependent():
-    cfg = ExperimentConfig("bench", seed=5)
+    cfg = ExperimentConfig("hsi-inter", seed=5)
     assert _seeds(cfg, 4) == _seeds(cfg, 4)
-    assert _seeds(cfg, 4) != _seeds(ExperimentConfig("bench", seed=6), 4)
+    assert _seeds(cfg, 4) != _seeds(ExperimentConfig("hsi-inter", seed=6), 4)
 
 
 def test_mixture_counts_scaling_and_override():
@@ -57,8 +59,8 @@ def test_mixture_counts_scaling_and_override():
 
 def test_config_from_args_merging(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"experiment": "bench", "seed": 7, "scale": 2,
-                                "solvers": ["nnls"], "noise_sd": 0.25, "reps": 4}))
+    path.write_text(json.dumps({"experiment": "hsi-inter", "seed": 7, "scale": 2,
+                                "solvers": ["nnls"], "noise_sd": 0.25, "max_outer": 4}))
     parser = build_parser()
     cfg = config_from_args(parser.parse_args(
         ["--experiment", "doas-align", "--config", str(path), "--seed", "11"]))
@@ -66,20 +68,23 @@ def test_config_from_args_merging(tmp_path):
     assert cfg.seed == 11
     assert cfg.scale == 2  # from the file
     assert cfg.solvers == ["nnls"]
-    assert cfg.overrides == {"noise_sd": 0.25, "reps": 4}
+    assert cfg.overrides == {"noise_sd": 0.25, "max_outer": 4}
 
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(ConfigError):
-        config_from_args(parser.parse_args(["--experiment", "bench", "--config", str(bad)]))
+        config_from_args(parser.parse_args(["--experiment", "doas-align",
+                                            "--config", str(bad)]))
     listy = tmp_path / "list.json"
     listy.write_text("[1, 2]")
     with pytest.raises(ConfigError):
-        config_from_args(parser.parse_args(["--experiment", "bench", "--config", str(listy)]))
+        config_from_args(parser.parse_args(["--experiment", "doas-align",
+                                            "--config", str(listy)]))
     scalar = tmp_path / "scalar.json"
     scalar.write_text(json.dumps({"solvers": "nnls"}))
     with pytest.raises(ConfigError):
-        config_from_args(parser.parse_args(["--experiment", "bench", "--config", str(scalar)]))
+        config_from_args(parser.parse_args(["--experiment", "doas-align",
+                                            "--config", str(scalar)]))
 
 
 def test_compare_solvers_table_layout():
@@ -128,24 +133,32 @@ def test_doas_align_runs_are_deterministic():
     assert first[0].params == second[0].params
 
 
-def test_main_success_bench(tmp_path, capsys):
-    cfg = tmp_path / "bench.json"
-    cfg.write_text(json.dumps({"n": 64, "reps": 2}))
-    out = str(tmp_path / "bench_out")
-    code = main(["--experiment", "bench", "--config", str(cfg), "--out", out])
-    assert code == 0
-    table = capsys.readouterr().out
-    assert "simplex_project" in table and "admm_grouped" in table
+def desk_align_argv(tmp_path, out):
+    cfg = tmp_path / "align.json"
+    cfg.write_text(json.dumps({"noise_sd": 0.0}))
+    return ["--experiment", "doas-align", "--scale", "4", "--seed", "0", "--solver", "nnls",
+            "--config", str(cfg), "--out", out]
+
+
+def test_main_success_doas_align(tmp_path, capsys):
+    out = str(tmp_path / "align_out")
+    assert main(desk_align_argv(tmp_path, out)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("solver") and "support_hits" in lines[0]
+    assert len(lines) == 3 and lines[2].startswith("nnls")
     with open(os.path.join(out, "records.json")) as fh:
         stored = json.load(fh)
-    assert len(stored) == 5
-    for entry in stored:
-        assert "numpy_ms" in entry["metrics"]
+    assert len(stored) == 1
+    assert stored[0]["experiment"] == "doas-align" and stored[0]["solver"] == "nnls"
+    assert stored[0]["params"]["noise_sd"] == 0.0
+    assert {"support_hits", "nnz", "residual_norm"} <= set(stored[0]["metrics"])
 
 
 def test_main_config_error(capsys):
     assert main(["--experiment", "warp-drive"]) == 2
     assert "configuration error" in capsys.readouterr().err
+    assert main(["--experiment", "bench"]) == 2
+    assert "unknown experiment" in capsys.readouterr().err
 
 
 def test_main_nonconvergence_exit(tmp_path, capsys):
@@ -160,14 +173,9 @@ def test_main_nonconvergence_exit(tmp_path, capsys):
 def test_main_io_error(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("x")
-    cfg = tmp_path / "bench.json"
-    cfg.write_text(json.dumps({"n": 64, "reps": 1}))
-    code = main(["--experiment", "bench", "--config", str(cfg),
-                 "--out", str(blocker / "sub")])
-    assert code == 4
+    assert main(desk_align_argv(tmp_path, str(blocker / "sub"))) == 4
     assert "i/o error" in capsys.readouterr().err
 
 
 def test_experiment_list_is_stable():
-    assert EXPERIMENTS == ("doas-align", "doas-background", "hsi-inter",
-                           "hsi-structured", "bench")
+    assert EXPERIMENTS == ("doas-align", "doas-background", "hsi-inter", "hsi-structured")

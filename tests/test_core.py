@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
+import time
+
+from ssnnls.baselines import l1_bregman, l1_penalized, penalty_decomposition_l0
 from ssnnls.core import (GroupedCoeffs, GroupedDictionary, SparsityConfig,
                          eval_objective_p1, eval_objective_p2, normalize_columns)
+from ssnnls.doas import (DeformationGrid, DoasFitConfig, build_deformation_dictionary,
+                         fit_doas, synthesize_references, wavelength_grid)
+from ssnnls.sgp import solve_problem1, solve_problem2
 from ssnnls.errors import ConfigError, DegenerateColumnError
 from ssnnls.penalties import diff_l1_l2, hoyer_ratio
 
@@ -161,3 +167,47 @@ def test_eval_objective_shape_checks():
         eval_objective_p2(dct, b, GroupedCoeffs(np.full(5, 0.2)), cfg)
     with pytest.raises(ValueError):
         eval_objective_p2(dct, b[:-1], GroupedCoeffs(np.full(6, 0.2)), cfg)
+
+
+def _nan_call(entry):
+    """A zero-argument call of ``entry`` on a 30x9 problem with one NaN in its data."""
+    rng = np.random.default_rng(4)
+    entries = rng.normal(size=(30, 9))
+    offsets = np.array([0, 3, 6, 9])
+    dct = GroupedDictionary(entries, offsets)
+    cfg = SparsityConfig(gamma=np.full(3, 0.05), gamma0=0.0, eps=np.full(3, 0.05), r=1.0)
+    b = entries @ np.abs(rng.normal(size=9))
+    b[4] = np.nan
+    if entry == "GroupedDictionary":
+        bad = entries.copy()
+        bad[4, 0] = np.nan
+        return lambda: GroupedDictionary(bad, offsets)
+    if entry == "fit_doas":
+        wl = wavelength_grid(256)
+        ddict = build_deformation_dictionary(synthesize_references(wl, seed=7),
+                                             DeformationGrid.desk_grid(), wl)
+        data = np.full(wl.size, 0.1)
+        data[4] = np.nan
+        return lambda: fit_doas(data, ddict, DoasFitConfig(sparsity=cfg))
+    return {
+        "eval_objective_p1": lambda: eval_objective_p1(
+            dct, b, GroupedCoeffs(np.full(9, 0.1), np.zeros(3)), cfg),
+        "eval_objective_p2": lambda: eval_objective_p2(dct, b, GroupedCoeffs(np.full(9, 0.1)),
+                                                       cfg),
+        "solve_problem1": lambda: solve_problem1(dct, b, cfg),
+        "solve_problem2": lambda: solve_problem2(dct, b, cfg),
+        "penalty_decomposition_l0": lambda: penalty_decomposition_l0(dct, b, cfg),
+        "l1_penalized": lambda: l1_penalized(entries, b, 0.1),
+        "l1_bregman": lambda: l1_bregman(entries, b, 0.5),
+    }[entry]
+
+
+@pytest.mark.parametrize("entry", [
+    "GroupedDictionary", "eval_objective_p1", "eval_objective_p2", "solve_problem1",
+    "solve_problem2", "penalty_decomposition_l0", "l1_penalized", "l1_bregman", "fit_doas"])
+def test_entry_points_reject_non_finite_data_fast(entry):
+    call = _nan_call(entry)
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError):
+        call()
+    assert time.perf_counter() - t0 < 1.0

@@ -1,101 +1,6 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
-import pytest
 
 from ssnnls import kernels
-
-needs_numba = pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not installed")
-
-
-def _simplex_case(rng):
-    n = int(rng.integers(1, 12))
-    return (rng.normal(0.0, 1.5, n), float(rng.uniform(0.1, 2.0)))
-
-
-def _weighted_case(rng):
-    n = int(rng.integers(1, 12))
-    return (rng.normal(0.0, 1.5, n), rng.uniform(0.2, 2.0, n), float(rng.uniform(0.1, 2.0)))
-
-
-def _floor_case(rng):
-    n = int(rng.integers(1, 12))
-    return (rng.normal(0.0, 0.4, n), float(rng.uniform(0.05, 1.0)))
-
-
-# ADMM cases use zero tolerances and a fixed sweep count so both backends
-# perform the exact same number of iterations and outputs are comparable.
-def _admm_nonneg_case(rng):
-    n = 8
-    a = rng.normal(size=(12, n))
-    gram = a.T @ a
-    delta = float(np.trace(gram)) / n
-    kinv = np.linalg.inv(gram + delta * np.eye(n))
-    return (kinv, np.abs(rng.normal(size=n)), rng.normal(size=n),
-            np.abs(rng.normal(size=n)), np.zeros(n), delta, 0.0, 0.0, 60,
-            int(rng.integers(0, 3)))
-
-
-def _admm_grouped_case(rng):
-    offsets = np.array([0, 3, 5, 9], dtype=np.int64)
-    n, m = 9, 3
-    a = rng.normal(size=(14, n))
-    gram = a.T @ a
-    delta = float(np.trace(gram)) / n
-    kinv = np.linalg.inv(gram + delta * np.eye(n))
-    eps = rng.uniform(0.02, 0.2, m)
-    cd2pd = np.full(m, delta)
-    return (kinv, np.abs(rng.normal(size=n)), rng.normal(size=n), offsets, eps,
-            np.abs(rng.normal(size=m)) * 0.1, rng.normal(size=m) * 0.1, cd2pd,
-            float(m - 1), np.abs(rng.normal(size=n)), np.zeros(n),
-            np.full(m, 0.05), np.zeros(m), delta, 0.0, 0.0, 60)
-
-
-CASES = {
-    "simplex_project": (_simplex_case, 17),
-    "weighted_simplex_project": (_weighted_case, 18),
-    "group_floor_project": (_floor_case, 19),
-    "admm_nonneg": (_admm_nonneg_case, 20),
-    "admm_grouped": (_admm_grouped_case, 21),
-}
-
-
-@needs_numba
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_backends_agree(name):
-    make, seed = CASES[name]
-    rng = np.random.default_rng(seed)
-    for _ in range(12):
-        args = make(rng)
-        out_np = kernels.BACKENDS["numpy"][name](*[np.copy(a) if isinstance(a, np.ndarray)
-                                                   else a for a in args])
-        out_nb = kernels.BACKENDS["numba"][name](*[np.copy(a) if isinstance(a, np.ndarray)
-                                                   else a for a in args])
-        if isinstance(out_np, tuple):
-            for u, v in zip(out_np, out_nb):
-                np.testing.assert_allclose(u, v, rtol=1e-9, atol=1e-11)
-        else:
-            np.testing.assert_allclose(out_np, out_nb, rtol=1e-12, atol=1e-13)
-
-
-def test_active_backend_matches_flag():
-    expected = "numba" if kernels.HAVE_NUMBA and os.environ.get(
-        kernels.ENV_FLAG, "0").strip().lower() in ("", "0", "false", "no", "off") \
-        else "numpy"
-    assert kernels.ACTIVE_BACKEND == expected
-    assert kernels.simplex_project is kernels.BACKENDS[kernels.ACTIVE_BACKEND][
-        "simplex_project"]
-
-
-def test_env_flag_forces_numpy_backend():
-    env = dict(os.environ, **{kernels.ENV_FLAG: "1"})
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from ssnnls import kernels; print(kernels.ACTIVE_BACKEND)"],
-        env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "numpy"
 
 
 def test_simplex_kernel_handles_edges():

@@ -6,7 +6,8 @@ from numpy.random import default_rng
 
 from ssnnls.core import GroupedCoeffs, GroupedDictionary, SparsityConfig, eval_objective_p1, eval_objective_p2
 from ssnnls.errors import NonConvergenceError
-from ssnnls.qp import AdmmParams, QpWorkspace
+from ssnnls import sgp
+from ssnnls.qp import AdmmParams, QpSolution, QpWorkspace
 from ssnnls.sgp import (TERM_ENERGY, TERM_MAX_OUTER, TERM_STEP, SgpParams,
                         check_descent_estimate, solve_problem1, solve_problem2)
 
@@ -95,6 +96,30 @@ def test_problem2_termination_max_outer():
                             SgpParams(tol_step=0.0, tol_energy=0.0, max_outer=2), TIGHT)
     assert report.termination == TERM_MAX_OUTER
     assert report.outer_iters == 2
+
+
+@pytest.mark.parametrize("problem", ["p1", "p2"])
+def test_stalled_tightened_resolve_reports_inner_stall(problem, monkeypatch):
+    # the first model minimiser does not descend, so the outer loop re-solves
+    # at a tighter tolerance, and that re-solve hits its sweep cap
+    dct, b, cfg = make_problem(5)
+    tols = []
+
+    def fake_solve(sub, params, warm=None, workspace=None):
+        tols.append(params.tol)
+        if len(tols) > 1:
+            raise NonConvergenceError("stalled", iterations=params.max_iters)
+        x = sub.anchor + 10.0
+        d = None if sub.anchor_d is None else sub.anchor_d + 10.0
+        return QpSolution(x, d, 1, 0.0, 0.0, np.zeros_like(x),
+                          None if d is None else np.zeros_like(d))
+
+    monkeypatch.setattr(sgp, f"solve_qp_{problem}", fake_solve)
+    solve = solve_problem1 if problem == "p1" else solve_problem2
+    report = solve(dct, b, cfg, SgpParams(), AdmmParams(tol=1e-4))
+    assert report.termination == "inner_stall"
+    assert report.outer_iters == 0
+    assert tols == pytest.approx([1e-4, 1e-6])
 
 
 def test_problem2_rejects_bad_init_shape():
