@@ -183,25 +183,35 @@ def l1_bregman(entries: np.ndarray, b: np.ndarray, tau: float,
         iterations=max_outer, residuals=resid_trace[-1], trace=resid_trace)
 
 
+# Penalty decomposition constants: an inner pass alternates at most
+# PD_MAX_INNER (x, y) updates and stops once neither moves more than
+# PD_TOL_INNER; the run fails after PD_MAX_OUTER penalty increases or once
+# the penalty passes PD_RHO_CAP.
+PD_TOL_INNER = 1e-4
+PD_MAX_INNER = 200
+PD_MAX_OUTER = 2000
+PD_RHO_CAP = 1e16
+
+
 @dataclass
 class PdParams:
-    """Penalty decomposition settings: initial penalty, growth, tolerances."""
+    """Penalty decomposition settings: initial penalty, growth, tolerance.
+
+    The inner-pass and cap constants are ``PD_TOL_INNER``,
+    ``PD_MAX_INNER``, ``PD_MAX_OUTER`` and ``PD_RHO_CAP``.
+    """
 
     rho0: float = 0.05
     growth: float = 1.2
-    tol_inner: float = 1e-4
     tol_outer: float = 1e-5
-    max_inner: int = 200
-    max_outer: int = 2000
-    rho_cap: float = 1e16
 
     def __post_init__(self):
         if self.rho0 <= 0:
             raise ConfigError(f"initial penalty must be positive, got {self.rho0}")
         if self.growth <= 1:
             raise ConfigError(f"penalty growth factor must exceed 1, got {self.growth}")
-        if self.tol_inner <= 0 or self.tol_outer <= 0:
-            raise ConfigError("tolerances must be positive")
+        if self.tol_outer <= 0:
+            raise ConfigError(f"outer tolerance must be positive, got {self.tol_outer}")
 
 
 def penalty_decomposition_l0(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
@@ -253,8 +263,8 @@ def penalty_decomposition_l0(dct: GroupedDictionary, b: np.ndarray, cfg: Sparsit
 
     rho = params.rho0
     x = y.copy()
-    for _ in range(params.max_outer):
-        for _ in range(params.max_inner):
+    for _ in range(PD_MAX_OUTER):
+        for _ in range(PD_MAX_INNER):
             x_new = evecs @ ((qtb + rho * (evecs.T @ y)) / (evals + rho))
             y_new = x_new.copy()
             for j in range(n_con):
@@ -265,15 +275,15 @@ def penalty_decomposition_l0(dct: GroupedDictionary, b: np.ndarray, cfg: Sparsit
                 y_new[sl][best] = max(float(seg[best]), 0.0)
             moved = max(float(np.max(np.abs(x_new - x))), float(np.max(np.abs(y_new - y))))
             x, y = x_new, y_new
-            if moved <= params.tol_inner:
+            if moved <= PD_TOL_INNER:
                 break
         if float(np.max(np.abs(x - y))) <= params.tol_outer:
             return GroupedCoeffs(y)
         rho *= params.growth
-        if rho > params.rho_cap:
+        if rho > PD_RHO_CAP:
             raise NonConvergenceError(
-                f"penalty grew past {params.rho_cap:.1e} with x-y gap "
+                f"penalty grew past {PD_RHO_CAP:.1e} with x-y gap "
                 f"{float(np.max(np.abs(x - y))):.3e}",
                 residuals=float(np.max(np.abs(x - y))))
     raise NonConvergenceError("penalty decomposition hit the outer iteration cap",
-                              iterations=params.max_outer)
+                              iterations=PD_MAX_OUTER)

@@ -9,8 +9,9 @@ Experiments (``--experiment``):
 
 ``--scale k`` shrinks the protocol sizes by roughly k for quick runs;
 ``--config`` merges a JSON file of knob overrides (CLI flags win).  Exit
-codes: 0 success, 2 bad configuration, 3 solver non-convergence, 4 I/O
-failure.
+codes: 0 success, 2 bad configuration (including knob values the
+protocols reject, such as a negative noise level), 3 solver
+non-convergence, 4 I/O failure.
 """
 
 import argparse
@@ -58,7 +59,7 @@ class ExperimentConfig:
     scale: int = 1
     out: Optional[str] = None
     solvers: Optional[List[str]] = None
-    threads: int = 0
+    threads: int = 1
     overrides: Dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -161,6 +162,8 @@ def run_doas_align(cfg: ExperimentConfig) -> List[RunRecord]:
     # structure period, keeping the planted atom the best correlate.
     jitter = float(cfg.knob("jitter", 0.25))
     if jitter > 0.0:
+        if noise_sd < 0:
+            raise ValueError(f"noise_sd must be non-negative, got {noise_sd}")
         rng = np.random.default_rng(np.random.SeedSequence(seed_jitter))
         step_q = float(ddict.grid.offsets[1] - ddict.grid.offsets[0]) \
             if ddict.grid.offsets.size > 1 else 0.1
@@ -447,9 +450,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--scale", type=int, default=None,
                         help="shrink protocol sizes by this factor (default 1)")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads for per-pixel solves (0 = all cores; "
-                             "capped by SSNNLS_MAX_THREADS)")
+                        help="worker threads for per-pixel solves (default 1; "
+                             "0 = all cores; capped by SSNNLS_MAX_THREADS)")
     return parser
+
+
+def _reject_constant(name: str):
+    raise ConfigError(f"non-finite value {name} in the config file")
 
 
 def config_from_args(args) -> ExperimentConfig:
@@ -457,7 +464,7 @@ def config_from_args(args) -> ExperimentConfig:
     if args.config:
         try:
             with open(args.config) as fh:
-                file_cfg = json.load(fh)
+                file_cfg = json.load(fh, parse_constant=_reject_constant)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{args.config}: invalid JSON ({exc})") from exc
         if not isinstance(file_cfg, dict):
@@ -471,7 +478,7 @@ def config_from_args(args) -> ExperimentConfig:
         "out": args.out or file_cfg.get("out"),
         "solvers": args.solvers or file_cfg.get("solvers"),
         "threads": args.threads if args.threads is not None
-        else int(file_cfg.get("threads", 0)),
+        else int(file_cfg.get("threads", 1)),
         "overrides": overrides,
     }
     if merged["solvers"] is not None and not isinstance(merged["solvers"], list):
@@ -487,7 +494,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         records = run_experiment(cfg)
         print(compare_solvers(records))
         return 0
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except NonConvergenceError as exc:

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .baselines import PdParams, l1_bregman, l1_penalized, nnls, penalty_decomposition_l0
+from .baselines import l1_penalized, nnls, penalty_decomposition_l0
 from .core import GroupedCoeffs, GroupedDictionary, SparsityConfig, normalize_columns
 from .errors import ConfigError, NonConvergenceError
 from .qp import AdmmParams, QpWorkspace
@@ -208,17 +208,20 @@ def synthesize_mixed_scene(library: GroupedDictionary, scales: np.ndarray,
 
 def demix_scene(scene: HsiScene, cfg: SparsityConfig, solver: str = "diff_p2",
                 sgp: Optional[SgpParams] = None, admm: Optional[AdmmParams] = None,
-                pd: Optional[PdParams] = None, l1_gamma: Optional[float] = None,
-                l1_tau: Optional[float] = None,
-                threads: Optional[int] = None) -> AbundanceMatrix:
+                l1_gamma: Optional[float] = None,
+                threads: Optional[int] = 1) -> AbundanceMatrix:
     """Solve one problem per pixel with the chosen solver.
 
-    "l1" uses the penalized form when ``l1_gamma`` is given, else the
-    Bregman form at radius ``l1_tau``.  Pixels whose solver raises a
-    non-convergence error get a zero column and an entry in
-    ``failed_pixels``.  Pixels run on up to ``threads`` workers (0/None =
-    all cores, capped by the SSNNLS_MAX_THREADS environment variable);
-    results do not depend on the worker count.
+    "l1" is the penalized form at weight ``l1_gamma``; "pd" runs with
+    the default :class:`PdParams` and the ``PD_TOL_INNER``,
+    ``PD_MAX_INNER``, ``PD_MAX_OUTER`` and ``PD_RHO_CAP`` constants; the
+    structured solvers take ``sgp`` and ``admm`` plus the constants of
+    :mod:`ssnnls.sgp` (``C0``, ``SIGMA``, ``XI1``, ``XI2``, ``RHO``,
+    ``MAX_REJECTIONS``, ``TOL_STEP``) and ``qp.KINV_CACHE_SIZE``.  Pixels
+    whose solver raises a non-convergence error get a zero column and an
+    entry in ``failed_pixels``.  Pixels run on ``threads`` workers (default 1;
+    0/None = all cores; capped by the SSNNLS_MAX_THREADS environment
+    variable); results do not depend on the worker count.
     """
     if solver not in HSI_SOLVERS:
         raise ConfigError(f"unknown solver {solver!r}; choose from {HSI_SOLVERS}")
@@ -226,24 +229,21 @@ def demix_scene(scene: HsiScene, cfg: SparsityConfig, solver: str = "diff_p2",
     cfg.validate(dct.n_groups)
     sgp = sgp or SgpParams()
     admm = admm or AdmmParams()
-    pd = pd or PdParams()
     n_threads = resolve_threads(threads)
 
     workspace = QpWorkspace(dct.entries.T @ dct.entries) \
         if solver in ("hoyer_p1", "diff_p2") else None
-    if solver == "l1" and l1_gamma is None and l1_tau is None:
-        raise ConfigError("the l1 solver needs l1_gamma or l1_tau")
+    if solver == "l1" and l1_gamma is None:
+        raise ConfigError("the l1 solver needs l1_gamma")
 
     def solve_pixel(p: int) -> Tuple[np.ndarray, int]:
         y = scene.pixels[:, p]
         if solver == "nnls":
             return nnls(dct.entries, y), 0
         if solver == "l1":
-            if l1_gamma is not None:
-                return l1_penalized(dct.entries, y, l1_gamma), 0
-            return l1_bregman(dct.entries, y, l1_tau), 0
+            return l1_penalized(dct.entries, y, l1_gamma), 0
         if solver == "pd":
-            return penalty_decomposition_l0(dct, y, cfg, pd).x, 0
+            return penalty_decomposition_l0(dct, y, cfg).x, 0
         if solver == "hoyer_p1":
             rep = solve_problem1(dct, y, cfg, sgp, admm, workspace=workspace)
         else:

@@ -28,17 +28,18 @@ from .errors import NonConvergenceError
 
 @dataclass
 class AdmmParams:
-    """Inner-solver settings: penalty delta, relative tolerances, caps.
+    """Inner-solver settings: relative tolerance and sweep cap.
 
-    ``delta=None`` picks trace(gram)/n, the mean eigenvalue of the Gram
-    matrix.  ``tol`` bounds both the relative primal residual
+    ``tol`` bounds both the relative primal residual
     ``|u - v| / max(1, |u|, |v|)`` and the relative dual residual
-    ``delta |v_k - v_{k-1}| / max(1, |p|)``.
+    ``delta |v_k - v_{k-1}| / max(1, |p|)``.  The penalty delta is not a
+    setting: it starts from the workspace's hint for the subproblem family,
+    else from trace(gram)/n (the mean eigenvalue of the Gram matrix), and
+    is rebalanced between chunks of sweeps (see ``_solve_balanced``).
     """
 
     tol: float = 1e-4
     max_iters: int = 50000
-    delta: Optional[float] = None
 
 
 @dataclass
@@ -107,8 +108,12 @@ class QpSolution:
     p_d: Optional[np.ndarray] = None
 
 
+KINV_CACHE_SIZE = 8
+
+
 class QpWorkspace:
-    """Caches (gram + diag_add)^(-1) factors keyed by the diagonal addition.
+    """Caches the ``KINV_CACHE_SIZE`` most recently used (gram + diag_add)^(-1)
+    inverses, keyed by the diagonal addition.
 
     The per-family delta hints seed later solves with the last converged
     penalty; ``freeze_hints`` stops further updates so concurrent solves
@@ -116,10 +121,9 @@ class QpWorkspace:
     independent of scheduling order.
     """
 
-    def __init__(self, gram: np.ndarray, capacity: int = 8):
+    def __init__(self, gram: np.ndarray):
         self.gram = np.ascontiguousarray(gram, dtype=float)
         self.mean_eig = float(np.trace(self.gram)) / max(1, self.gram.shape[0])
-        self.capacity = capacity
         self._cache: "OrderedDict[bytes, np.ndarray]" = OrderedDict()
         self._lock = threading.Lock()
         self._delta_hint: dict = {}
@@ -149,7 +153,7 @@ class QpWorkspace:
         inv = scipy.linalg.cho_solve((c, low), np.eye(k_matrix.shape[0]))
         with self._lock:
             self._cache[key] = inv
-            while len(self._cache) > self.capacity:
+            while len(self._cache) > KINV_CACHE_SIZE:
                 self._cache.popitem(last=False)
         return inv
 
@@ -162,14 +166,6 @@ def model_value(sub: QpSubproblem, x: np.ndarray, d: Optional[np.ndarray] = None
         dd = d - sub.anchor_d
         val += float((sub.shift_d * dd) @ dd) + float(sub.lin_d @ dd)
     return val
-
-
-def _delta_for(sub: QpSubproblem, params: AdmmParams, ws: QpWorkspace) -> float:
-    if params.delta is not None:
-        if params.delta <= 0:
-            raise ValueError(f"delta must be positive, got {params.delta}")
-        return float(params.delta)
-    return max(ws.mean_eig, 1e-12)
 
 
 # Residual balancing: between chunks of sweeps, rescale delta toward the
@@ -195,14 +191,13 @@ def _solve_balanced(family: str, sub: QpSubproblem, params: AdmmParams, ws: QpWo
     ``sweep(kinv, delta, state, max_iters)`` runs one chunk of ADMM sweeps
     from ``state`` and returns ``(state, iters, rel_primal, rel_dual)``, as
     does this function once both residuals reach ``params.tol``.  Delta
-    starts from the workspace's ``family`` hint; the converged value is
-    stored back.  Raises :class:`NonConvergenceError` after
+    starts from the workspace's ``family`` hint, else from the Gram
+    matrix's mean eigenvalue; the converged value is stored back.  Raises :class:`NonConvergenceError` after
     ``params.max_iters`` sweeps.
     """
-    if params.delta is None and ws.delta_hint(family) is not None:
-        delta = ws.delta_hint(family)
-    else:
-        delta = _delta_for(sub, params, ws)
+    delta = ws.delta_hint(family)
+    if delta is None:
+        delta = max(ws.mean_eig, 1e-12)
     chunk = max(1, -(-params.max_iters // _BALANCE_CHUNKS))
     iters = 0
     rel_p = rel_d = np.inf

@@ -8,7 +8,6 @@ through a sufficient-decrease test that adapts the scaling (problem 1,
 where the Hoyer ratio's curvature is unbounded near the floors).
 """
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -26,39 +25,38 @@ TERM_MAX_OUTER = "max_outer"
 TERM_INNER_STALL = "inner_stall"
 
 
+# Algorithm constants of the outer loops, read at call time.  Problem 1
+# scales its diagonal shift by a dynamic factor c_n starting at C0: a
+# candidate failing the sufficient-decrease test
+# F(y) - F(x) <= SIGMA * model(y) is rejected and c_n grows by XI2 (more
+# than MAX_REJECTIONS in a row raise NonConvergenceError); after an
+# acceptance c_n shrinks by XI1 while the scaled diagonal stays above the
+# eigenvalue floor RHO.  Both loops stop when the sup-norm step falls to
+# TOL_STEP.
+C0 = 1.0
+SIGMA = 0.1
+XI1 = 2.0
+XI2 = 10.0
+RHO = 1e-12
+MAX_REJECTIONS = 60
+TOL_STEP = 0.0
+
+
 @dataclass
 class SgpParams:
     """Outer-loop settings.
 
-    ``c_matrix_scale`` is the diagonal magnitude of the model shift C.
-    Problem 1 multiplies it by a dynamic factor ``c_n`` starting at
-    ``c0``: a candidate failing the sufficient-decrease test
-    ``F(y) - F(x) <= sigma * model(y)`` is rejected and ``c_n`` grows by
-    ``xi2``; after acceptance ``c_n`` shrinks by ``xi1`` while the scaled
-    diagonal stays above the eigenvalue floor ``rho``.  Problem 2 keeps C
-    fixed.
-
-    The loop stops when the sup-norm step falls to ``tol_step``, when the
-    objective decrease falls below ``tol_energy``, or at ``max_outer``.
-    ``gamma_ramp_steps > 0`` enables geometric continuation of the
-    penalty weights (weights are scaled by ``gamma_ramp_base**k`` with k
-    counting down to 0); while ramping, the objective trace is recorded
-    under the weight in effect at acceptance and is not comparable across
-    iterations, and stopping tests are suspended.
+    ``c_matrix_scale`` is the diagonal magnitude of the model shift C;
+    problem 2 keeps C fixed, problem 1 multiplies it by the dynamic factor
+    described at ``C0``, ``SIGMA``, ``XI1``, ``XI2``, ``RHO`` and
+    ``MAX_REJECTIONS``.  The loop stops when the sup-norm step falls to
+    ``TOL_STEP``, when the objective decrease falls below ``tol_energy``,
+    or at ``max_outer``.
     """
 
     c_matrix_scale: float = 1e-9
-    c0: float = 1.0
-    sigma: float = 0.1
-    xi1: float = 2.0
-    xi2: float = 10.0
-    rho: float = 1e-12
-    tol_step: float = 0.0
     tol_energy: float = 1e-8
     max_outer: int = 500
-    max_rejections: int = 60
-    gamma_ramp_steps: int = 0
-    gamma_ramp_base: float = 0.5
 
 
 @dataclass
@@ -72,16 +70,6 @@ class SolveReport:
     outer_iters: int = 0
     inner_iters_total: int = 0
     termination: str = TERM_MAX_OUTER
-
-
-def _effective_cfg(cfg: SparsityConfig, params: SgpParams, outer: int) -> SparsityConfig:
-    if params.gamma_ramp_steps <= 0:
-        return cfg
-    k = max(0, params.gamma_ramp_steps - outer)
-    if k == 0:
-        return cfg
-    f = params.gamma_ramp_base ** k
-    return dataclasses.replace(cfg, gamma=cfg.gamma * f, gamma0=cfg.gamma0 * f)
 
 
 def _default_x0(n: int) -> np.ndarray:
@@ -162,20 +150,18 @@ def solve_problem2(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
     report = SolveReport(final=GroupedCoeffs(x))
     warm: Optional[QpSolution] = None
 
-    ev = eval_objective_p2(dct, b, GroupedCoeffs(x), _effective_cfg(cfg, params, 0))
+    ev = eval_objective_p2(dct, b, GroupedCoeffs(x), cfg)
     report.objective_trace.append(ev.value)
-    for outer in range(params.max_outer):
-        cfg_n = _effective_cfg(cfg, params, outer)
-        ramping = params.gamma_ramp_steps > outer
+    for _ in range(params.max_outer):
         sub = QpSubproblem(gram=ws.gram, lin=ev.grad_x, anchor=x, shift=shift, n_free=n_free)
         tol = admm.tol
         accepted = None
         term = TERM_ENERGY
         for attempt in range(3):
             try:
-                sol = solve_qp_p2(sub, AdmmParams(tol=tol, max_iters=admm.max_iters,
-                                                  delta=admm.delta), warm, ws)
-            except NonConvergenceError:
+                sol = solve_qp_p2(sub, AdmmParams(tol, admm.max_iters), warm, ws)
+            except NonConvergenceError as exc:
+                report.inner_iters_total += exc.iterations or 0
                 # Inner solver hit its noise floor: a carried dual variable
                 # can cycle near the solution, so retry cold once; on a
                 # tightened re-solve the current iterate is already
@@ -184,13 +170,13 @@ def solve_problem2(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
                     if warm is None:
                         raise
                     warm = None
-                    sol = solve_qp_p2(sub, AdmmParams(tol=tol, max_iters=admm.max_iters,
-                                                      delta=admm.delta), None, ws)
+                    sol = solve_qp_p2(sub, AdmmParams(tol, admm.max_iters), None, ws)
                 else:
                     term = TERM_INNER_STALL
                     break
-            ev_y = eval_objective_p2(dct, b, GroupedCoeffs(sol.x), cfg_n)
-            if ev_y.value <= ev.value or ramping:
+            report.inner_iters_total += sol.iterations
+            ev_y = eval_objective_p2(dct, b, GroupedCoeffs(sol.x), cfg)
+            if ev_y.value <= ev.value:
                 accepted = (sol, ev_y)
                 break
             tol *= 0.01
@@ -202,21 +188,18 @@ def solve_problem2(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
         step = float(np.max(np.abs(sol.x - x))) if n else 0.0
         x = sol.x
         warm = sol
-        report.inner_iters_total += sol.iterations
         report.objective_trace.append(ev_y.value)
         report.c_trace.append(params.c_matrix_scale)
         report.step_trace.append(step)
         report.outer_iters += 1
         decrease = ev.value - ev_y.value
-        ev = ev_y if not ramping else eval_objective_p2(
-            dct, b, GroupedCoeffs(x), _effective_cfg(cfg, params, outer + 1))
-        if not ramping:
-            if step <= params.tol_step:
-                report.termination = TERM_STEP
-                break
-            if abs(decrease) < params.tol_energy:
-                report.termination = TERM_ENERGY
-                break
+        ev = ev_y
+        if step <= TOL_STEP:
+            report.termination = TERM_STEP
+            break
+        if abs(decrease) < params.tol_energy:
+            report.termination = TERM_ENERGY
+            break
     report.final = GroupedCoeffs(x)
     return report
 
@@ -229,7 +212,7 @@ def solve_problem1(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
     """Minimise the Hoyer-ratio objective with dummy variables (problem 1).
 
     Candidates must pass the sufficient-decrease test; rejections inflate
-    the diagonal scaling by ``xi2`` and re-solve from the same anchor.
+    the diagonal scaling by ``XI2`` and re-solve from the same anchor.
     """
     params = params or SgpParams()
     admm = admm or AdmmParams()
@@ -249,15 +232,12 @@ def solve_problem1(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
     ws = workspace if workspace is not None else QpWorkspace(dct.entries.T @ dct.entries)
     report = SolveReport(final=GroupedCoeffs(x, d))
     warm: Optional[QpSolution] = None
-    c = params.c0
+    c = C0
     rejections = 0
 
-    ev = eval_objective_p1(dct, b, GroupedCoeffs(x, d), _effective_cfg(cfg, params, 0))
+    ev = eval_objective_p1(dct, b, GroupedCoeffs(x, d), cfg)
     report.objective_trace.append(ev.value)
-    outer = 0
-    while outer < params.max_outer:
-        cfg_n = _effective_cfg(cfg, params, outer)
-        ramping = params.gamma_ramp_steps > outer
+    while report.outer_iters < params.max_outer:
         diag = c * params.c_matrix_scale
         sub = QpSubproblem(gram=ws.gram, lin=ev.grad_x, anchor=x,
                            shift=np.full(n, diag), n_free=n_free,
@@ -265,11 +245,12 @@ def solve_problem1(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
                            shift_d=np.full(n_con, diag), budget=budget)
         try:
             sol = solve_qp_p1(sub, admm, warm, ws)
-        except NonConvergenceError:
+        except NonConvergenceError as exc:
             # a carried dual variable can cycle near the solution; a cold
             # start contracts cleanly on the same subproblem
             if warm is None:
                 raise
+            report.inner_iters_total += exc.iterations or 0
             sol = solve_qp_p1(sub, admm, None, ws)
         warm = sol
         report.inner_iters_total += sol.iterations
@@ -277,10 +258,9 @@ def solve_problem1(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
         if model > 0.0:
             # anchor is the model minimiser up to inner accuracy: stationary
             try:
-                sol = solve_qp_p1(sub, AdmmParams(tol=admm.tol * 1e-2,
-                                                  max_iters=admm.max_iters,
-                                                  delta=admm.delta), sol, ws)
-            except NonConvergenceError:
+                sol = solve_qp_p1(sub, AdmmParams(admm.tol * 1e-2, admm.max_iters), sol, ws)
+            except NonConvergenceError as exc:
+                report.inner_iters_total += exc.iterations or 0
                 report.termination = TERM_INNER_STALL
                 break
             report.inner_iters_total += sol.iterations
@@ -288,14 +268,14 @@ def solve_problem1(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
             if model > 0.0:
                 report.termination = TERM_ENERGY
                 break
-        ev_y = eval_objective_p1(dct, b, GroupedCoeffs(sol.x, sol.d), cfg_n)
-        if ev_y.value - ev.value > params.sigma * model and not ramping:
-            c *= params.xi2
+        ev_y = eval_objective_p1(dct, b, GroupedCoeffs(sol.x, sol.d), cfg)
+        if ev_y.value - ev.value > SIGMA * model:
+            c *= XI2
             rejections += 1
-            if rejections > params.max_rejections:
+            if rejections > MAX_REJECTIONS:
                 raise NonConvergenceError(
                     f"no sufficient decrease after {rejections} scaling increases",
-                    iterations=outer, trace=report.objective_trace)
+                    iterations=report.outer_iters, trace=report.objective_trace)
             continue
         step = max(float(np.max(np.abs(sol.x - x))),
                    float(np.max(np.abs(sol.d - d))) if n_con else 0.0)
@@ -305,19 +285,16 @@ def solve_problem1(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
         report.c_trace.append(diag)
         report.step_trace.append(step)
         report.outer_iters += 1
-        outer += 1
         decrease = ev.value - ev_y.value
-        ev = ev_y if not ramping else eval_objective_p1(
-            dct, b, GroupedCoeffs(x, d), _effective_cfg(cfg, params, outer))
-        if (c / params.xi1) * params.c_matrix_scale >= params.rho:
-            c /= params.xi1
-        if not ramping:
-            if step <= params.tol_step:
-                report.termination = TERM_STEP
-                break
-            if abs(decrease) < params.tol_energy:
-                report.termination = TERM_ENERGY
-                break
+        ev = ev_y
+        if (c / XI1) * params.c_matrix_scale >= RHO:
+            c /= XI1
+        if step <= TOL_STEP:
+            report.termination = TERM_STEP
+            break
+        if abs(decrease) < params.tol_energy:
+            report.termination = TERM_ENERGY
+            break
     report.final = GroupedCoeffs(x, d)
     return report
 

@@ -1,5 +1,6 @@
 """Experiment driver: config merging, records, the table, and exit codes."""
 
+import inspect
 import json
 import os
 
@@ -10,6 +11,7 @@ from ssnnls.cli import (EXPERIMENTS, ExperimentConfig, RunRecord, _mixture_count
                         build_parser, compare_solvers, config_from_args, main,
                         run_doas_align, run_experiment)
 from ssnnls.errors import ConfigError
+from ssnnls.hsi import demix_scene, resolve_threads
 
 
 def test_experiment_aliases_and_validation():
@@ -159,6 +161,29 @@ def test_main_config_error(capsys):
     assert "configuration error" in capsys.readouterr().err
     assert main(["--experiment", "bench"]) == 2
     assert "unknown experiment" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment, knobs", [
+    ("doas-background", '{"noise_sd": -1}'),
+    ("doas-background", '{"bg_scale": NaN}'),
+    ("doas-align", '{"noise_sd": NaN}'),
+    ("doas-align", '{"noise_sd": -1}'),
+])
+def test_main_bad_knob_value_exits_2(tmp_path, capsys, experiment, knobs):
+    cfg = tmp_path / "knobs.json"
+    cfg.write_text(knobs)
+    code = main(["--experiment", experiment, "--scale", "4", "--solver", "nnls",
+                 "--config", str(cfg)])
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_default_thread_count_is_one(monkeypatch):
+    monkeypatch.delenv("SSNNLS_MAX_THREADS", raising=False)
+    cfg = config_from_args(build_parser().parse_args(["--experiment", "hsi-inter"]))
+    assert cfg.threads == ExperimentConfig("hsi-inter").threads == 1
+    assert resolve_threads(cfg.threads) == 1
+    assert inspect.signature(demix_scene).parameters["threads"].default == 1
 
 
 def test_main_nonconvergence_exit(tmp_path, capsys):

@@ -153,12 +153,6 @@ def test_demix_thread_count_invariance(tiny_scene):
     assert np.array_equal(pooled.values, again.values)
 
 
-def test_demix_l1_bregman_path(tiny_scene):
-    out = demix_scene(tiny_scene, tiny_cfg(), solver="l1", l1_tau=0.05, threads=1)
-    resid = tiny_scene.dictionary.entries @ out.values - tiny_scene.pixels
-    assert np.all(np.linalg.norm(resid, axis=0) <= 0.05 * (1 + 1e-3))
-
-
 def test_demix_config_errors(tiny_scene):
     with pytest.raises(ConfigError):
         demix_scene(tiny_scene, tiny_cfg(), solver="magic")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ssnnls import qp
 from ssnnls.errors import NonConvergenceError
 from ssnnls.qp import AdmmParams, QpSubproblem, QpWorkspace, model_value, solve_qp_p1, \
     solve_qp_p2
@@ -86,10 +87,11 @@ def test_nonconvergence_raises_with_diagnostics():
     assert exc.value.residuals is not None
 
 
-def test_workspace_caches_factorizations():
+def test_workspace_caches_factorizations(monkeypatch):
+    monkeypatch.setattr(qp, "KINV_CACHE_SIZE", 2)
     rng = np.random.default_rng(11)
     a = rng.normal(size=(10, 6))
-    ws = QpWorkspace(a.T @ a, capacity=2)
+    ws = QpWorkspace(a.T @ a)
     diag = np.full(6, 2.0)
     first = ws.kinv(diag)
     assert ws.kinv(diag) is first
@@ -120,10 +122,3 @@ def test_delta_hint_set_after_successful_solves():
     ws = QpWorkspace(sub.gram)
     solve_qp_p2(sub, TIGHT, workspace=ws)
     assert ws.delta_hint("p2") is not None and ws.delta_hint("p2") > 0
-
-
-def test_explicit_delta_validation():
-    rng = np.random.default_rng(13)
-    sub = oracles.random_p2_subproblem(rng)
-    with pytest.raises(ValueError):
-        solve_qp_p2(sub, AdmmParams(tol=1e-6, delta=-1.0))
