@@ -403,7 +403,8 @@ class DoasFitConfig:
 
     ``sparsity`` covers the reference groups only; when ``alpha > 0`` the
     background block is appended internally as a trailing sign-free
-    group, which requires ``sparsity.gamma0 == 0``.
+    group, which requires ``sparsity.gamma0 == 0``.  ``admm`` is used by
+    "hoyer_p1" only; "diff_p2" solves its models exactly.
     """
 
     sparsity: SparsityConfig
@@ -534,7 +535,7 @@ def fit_doas(data: np.ndarray, ddict: DeformationDictionary,
         report = solve_problem1(sdict, b_st, scfg, cfg.sgp, cfg.admm)
         x_full = report.final.x
     else:  # diff_p2
-        report = solve_problem2(sdict, b_st, scfg, cfg.sgp, cfg.admm)
+        report = solve_problem2(sdict, b_st, scfg, cfg.sgp)
         x_full = report.final.x
 
     x = x_full[:n]

@@ -215,9 +215,10 @@ def demix_scene(scene: HsiScene, cfg: SparsityConfig, solver: str = "diff_p2",
     "l1" is the penalized form at weight ``l1_gamma``; "pd" runs with
     the default :class:`PdParams` and the ``PD_TOL_INNER``,
     ``PD_MAX_INNER``, ``PD_MAX_OUTER`` and ``PD_RHO_CAP`` constants; the
-    structured solvers take ``sgp`` and ``admm`` plus the constants of
+    structured solvers take ``sgp`` plus the constants of
     :mod:`ssnnls.sgp` (``C0``, ``SIGMA``, ``XI1``, ``XI2``, ``RHO``,
-    ``MAX_REJECTIONS``, ``TOL_STEP``) and ``qp.KINV_CACHE_SIZE``.  Pixels
+    ``MAX_REJECTIONS``, ``TOL_STEP``), and "hoyer_p1" also ``admm`` and
+    ``qp.KINV_CACHE_SIZE``.  Pixels
     whose solver raises a non-convergence error get a zero column and an
     entry in ``failed_pixels``.  Pixels run on ``threads`` workers (default 1;
     0/None = all cores; capped by the SSNNLS_MAX_THREADS environment
@@ -247,7 +248,7 @@ def demix_scene(scene: HsiScene, cfg: SparsityConfig, solver: str = "diff_p2",
         if solver == "hoyer_p1":
             rep = solve_problem1(dct, y, cfg, sgp, admm, workspace=workspace)
         else:
-            rep = solve_problem2(dct, y, cfg, sgp, admm, workspace=workspace)
+            rep = solve_problem2(dct, y, cfg, sgp, workspace=workspace)
         return rep.final.x, rep.outer_iters
 
     values = np.zeros((dct.n_columns, scene.n_pixels))
@@ -269,11 +270,11 @@ def demix_scene(scene: HsiScene, cfg: SparsityConfig, solver: str = "diff_p2",
         else:
             failed.append((p, err))
 
-    # the first pixel runs alone so the workspace can learn a penalty
-    # hint; updates then freeze, so every later pixel starts from the
-    # same state and results cannot depend on thread scheduling
+    # the first hoyer_p1 pixel runs alone so the workspace can learn an
+    # ADMM penalty hint; updates then freeze, so every later pixel starts
+    # from the same state and results cannot depend on thread scheduling
     start = 0
-    if workspace is not None and scene.n_pixels > 0:
+    if solver == "hoyer_p1" and scene.n_pixels > 0:
         record(run(0))
         workspace.freeze_hints()
         start = 1

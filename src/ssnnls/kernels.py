@@ -1,9 +1,11 @@
 """Hot numeric kernels: the simplex projections and the two ADMM loops.
 
 The projections reduce to one threshold search over sorted breakpoints;
-the ADMM loops solve the strongly convex QP subproblems of the outer
-loops (see :mod:`ssnnls.qp`) from a precomputed explicit inverse.  All
-are plain numpy.
+the ADMM loops solve strongly convex QP subproblems (see :mod:`ssnnls.qp`)
+from a precomputed explicit inverse.  ``admm_grouped`` is problem 1's
+inner solver.  Problem 2 runs no ADMM: its models are solved exactly, and
+no solver calls ``admm_nonneg``; it stays while ``perfbench/tracing.py``
+patches that name.  All are plain numpy.
 """
 
 import numpy as np

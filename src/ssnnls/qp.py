@@ -1,4 +1,4 @@
-"""ADMM solvers for the quadratic subproblems of the outer loops.
+"""Solvers for the quadratic subproblems of the outer loops.
 
 Each outer iteration minimises the model
 
@@ -6,12 +6,14 @@ Each outer iteration minimises the model
 
 over the problem's feasible set, where G is the dictionary Gram matrix
 and C a non-negative diagonal shift.  Problem 2 constrains x to the
-orthant (with an optional sign-free tail); problem 1 additionally carries
-dummy variables with per-group floor sets and a shared budget.
-
-The x-update solves (G + 2C + delta I) u = rhs; that matrix's inverse is
-formed once per (shift, delta) pair and cached in a :class:`QpWorkspace`
-so repeated outer iterations and warm restarts reuse it.
+orthant (with an optional sign-free tail) and is solved exactly: with
+G + 2C = R'R the model is |R z - (R a - R^-T grad F(a))|^2 / 2 plus a
+constant, a non-negative least-squares problem.  Problem 1 additionally
+carries dummy variables with per-group floor sets and a shared budget
+and is solved by ADMM, whose x-update solves (G + 2C + delta I) u = rhs;
+that matrix's inverse is formed once per (shift, delta) pair and cached
+in a :class:`QpWorkspace` so repeated outer iterations and warm restarts
+reuse it.
 """
 
 import threading
@@ -23,19 +25,20 @@ import numpy as np
 import scipy.linalg
 
 from . import kernels
+from .baselines import nnls
 from .errors import NonConvergenceError
 
 
 @dataclass
 class AdmmParams:
-    """Inner-solver settings: relative tolerance and sweep cap.
+    """Problem 1's inner-solver settings: relative tolerance and sweep cap.
 
     ``tol`` bounds both the relative primal residual
     ``|u - v| / max(1, |u|, |v|)`` and the relative dual residual
     ``delta |v_k - v_{k-1}| / max(1, |p|)``.  The penalty delta is not a
-    setting: it starts from the workspace's hint for the subproblem family,
-    else from trace(gram)/n (the mean eigenvalue of the Gram matrix), and
-    is rebalanced between chunks of sweeps (see ``_solve_balanced``).
+    setting: it starts from the workspace's hint, else from trace(gram)/n
+    (the mean eigenvalue of the Gram matrix), and is rebalanced between
+    chunks of sweeps (see :func:`solve_qp_p1`).
     """
 
     tol: float = 1e-4
@@ -95,16 +98,18 @@ class QpSubproblem:
 class QpSolution:
     """Feasible minimiser of one quadratic model plus solver state.
 
-    ``p``/``p_d`` are the ADMM multipliers, kept so the next solve against
-    the same structure can warm-start.
+    The sweep count, residuals and the multipliers ``p``/``p_d`` (kept so
+    the next solve against the same structure can warm-start) are those of
+    problem 1's ADMM; the exact problem-2 solve leaves them at their
+    defaults.
     """
 
     x: np.ndarray
     d: Optional[np.ndarray]
-    iterations: int
-    rel_primal: float
-    rel_dual: float
-    p: np.ndarray
+    iterations: int = 0
+    rel_primal: float = 0.0
+    rel_dual: float = 0.0
+    p: Optional[np.ndarray] = None
     p_d: Optional[np.ndarray] = None
 
 
@@ -112,13 +117,14 @@ KINV_CACHE_SIZE = 8
 
 
 class QpWorkspace:
-    """Caches the ``KINV_CACHE_SIZE`` most recently used (gram + diag_add)^(-1)
-    inverses, keyed by the diagonal addition.
+    """The Gram matrix plus problem 1's solver state shared across solves.
 
-    The per-family delta hints seed later solves with the last converged
-    penalty; ``freeze_hints`` stops further updates so concurrent solves
-    sharing the workspace all start from the same state and results stay
-    independent of scheduling order.
+    Caches the ``KINV_CACHE_SIZE`` most recently used (gram + diag_add)^(-1)
+    inverses, keyed by the diagonal addition.  The delta hint seeds later
+    problem-1 solves with the last converged ADMM penalty; ``freeze_hints``
+    stops further updates so concurrent solves sharing the workspace all
+    start from the same state and results stay independent of scheduling
+    order.
     """
 
     def __init__(self, gram: np.ndarray):
@@ -126,17 +132,17 @@ class QpWorkspace:
         self.mean_eig = float(np.trace(self.gram)) / max(1, self.gram.shape[0])
         self._cache: "OrderedDict[bytes, np.ndarray]" = OrderedDict()
         self._lock = threading.Lock()
-        self._delta_hint: dict = {}
+        self._delta_hint: Optional[float] = None
         self._hints_frozen = False
 
-    def delta_hint(self, family: str) -> Optional[float]:
+    def delta_hint(self) -> Optional[float]:
         with self._lock:
-            return self._delta_hint.get(family)
+            return self._delta_hint
 
-    def store_delta(self, family: str, delta: float) -> None:
+    def store_delta(self, delta: float) -> None:
         with self._lock:
             if not self._hints_frozen:
-                self._delta_hint[family] = float(delta)
+                self._delta_hint = float(delta)
 
     def freeze_hints(self) -> None:
         with self._lock:
@@ -168,78 +174,47 @@ def model_value(sub: QpSubproblem, x: np.ndarray, d: Optional[np.ndarray] = None
     return val
 
 
-# Residual balancing: between chunks of sweeps, rescale delta toward the
-# point where neither residual dominates.  The move size follows the
-# imbalance (sqrt of the residual ratio, clipped), so a badly scaled start
-# travels orders of magnitude in a few chunks; the balanced value is stored
-# on the workspace and reused by later solves against the same gram.
-_BALANCE_CHUNKS = 16
-_BALANCE_RATIO = 10.0
-_BALANCE_MAX_FACTOR = 32.0
+def factorise_p2(gram: np.ndarray, shift: np.ndarray, n_free: int) -> np.ndarray:
+    """Upper Cholesky factor R of G + 2 diag(shift) for :func:`solve_qp_p2`.
 
-
-def _balance_factor(hi: float, lo: float) -> float:
-    if lo <= 0.0:
-        return _BALANCE_MAX_FACTOR
-    return float(min(_BALANCE_MAX_FACTOR, max(2.0, np.sqrt(hi / lo))))
-
-
-def _solve_balanced(family: str, sub: QpSubproblem, params: AdmmParams, ws: QpWorkspace,
-                    state: tuple, sweep) -> tuple:
-    """Run ``sweep`` in chunks, rebalancing the penalty delta between them.
-
-    ``sweep(kinv, delta, state, max_iters)`` runs one chunk of ADMM sweeps
-    from ``state`` and returns ``(state, iters, rel_primal, rel_dual)``, as
-    does this function once both residuals reach ``params.tol``.  Delta
-    starts from the workspace's ``family`` hint, else from the Gram
-    matrix's mean eigenvalue; the converged value is stored back.  Raises :class:`NonConvergenceError` after
-    ``params.max_iters`` sweeps.
+    Rows and columns are rolled so the ``n_free`` sign-free trailing
+    coordinates come first: R'R = Q (G + 2C) Q' with Q z = np.roll(z, n_free).
+    Raises ``ValueError`` when G + 2C is not numerically positive definite
+    (a zero shift with a rank-deficient dictionary).
     """
-    delta = ws.delta_hint(family)
-    if delta is None:
-        delta = max(ws.mean_eig, 1e-12)
-    chunk = max(1, -(-params.max_iters // _BALANCE_CHUNKS))
-    iters = 0
-    rel_p = rel_d = np.inf
-    while iters < params.max_iters:
-        kinv = ws.kinv(2.0 * sub.shift + delta)
-        state, it, rel_p, rel_d = sweep(kinv, delta, state,
-                                        min(chunk, params.max_iters - iters))
-        iters += it
-        if rel_p <= params.tol and rel_d <= params.tol:
-            ws.store_delta(family, delta)
-            return state, iters, rel_p, rel_d
-        if rel_d > _BALANCE_RATIO * rel_p:
-            delta /= _balance_factor(rel_d, rel_p)
-        elif rel_p > _BALANCE_RATIO * rel_d:
-            delta *= _balance_factor(rel_p, rel_d)
-    raise NonConvergenceError(
-        f"inner solver stalled at primal {rel_p:.3e} / dual {rel_d:.3e} "
-        f"after {iters} iterations (tol {params.tol:.1e})",
-        iterations=iters, residuals=(rel_p, rel_d))
+    order = np.roll(np.arange(gram.shape[0]), n_free)
+    h = gram[np.ix_(order, order)]
+    h[np.diag_indices_from(h)] += 2.0 * shift[order]
+    try:
+        c, _ = scipy.linalg.cho_factor(h, overwrite_a=True)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"model Hessian G + 2C is not positive definite ({exc}); "
+                         "increase c_matrix_scale") from exc
+    return np.triu(c)
 
 
-def solve_qp_p2(sub: QpSubproblem, params: AdmmParams,
-                warm: Optional[QpSolution] = None,
-                workspace: Optional[QpWorkspace] = None) -> QpSolution:
-    """Solve the orthant-constrained model (problem 2 inner step).
+def solve_qp_p2(sub: QpSubproblem, r: Optional[np.ndarray] = None) -> QpSolution:
+    """Solve the orthant-constrained model exactly (problem 2 inner step).
 
-    Raises :class:`NonConvergenceError` if the residuals fail to reach
-    ``params.tol`` within ``params.max_iters`` sweeps.
+    ``r`` is :func:`factorise_p2` of the subproblem's Gram matrix, shift
+    and ``n_free``, computed here when not given.  With the f sign-free
+    coordinates first, R = [[R_ff, R_fc], [0, R_cc]] and
+    d = R a - R^-T lin, the constrained block is NNLS(R_cc, d_c) (Lawson
+    & Hanson's active set, :func:`ssnnls.baselines.nnls`) and the free
+    block solves R_ff z_f = d_f - R_fc z_c.  Raises
+    :class:`NonConvergenceError` if the NNLS hits its iteration cap.
     """
     sub.validate(grouped=False)
-    ws = workspace if workspace is not None else QpWorkspace(sub.gram)
-    v = np.asarray(warm.x if warm is not None else sub.anchor, dtype=float)
-    p = np.asarray(warm.p if warm is not None else np.zeros_like(sub.anchor), dtype=float)
-
-    def sweep(kinv, delta, state, max_iters):
-        v, p, _, it, rel_p, rel_d = kernels.admm_nonneg(
-            kinv, sub.anchor, sub.lin, *state, delta, params.tol, params.tol,
-            max_iters, sub.n_free)
-        return (v, p), it, rel_p, rel_d
-
-    (v, p), iters, rel_p, rel_d = _solve_balanced("p2", sub, params, ws, (v, p), sweep)
-    return QpSolution(v, None, iters, rel_p, rel_d, p)
+    f = sub.n_free
+    if r is None:
+        r = factorise_p2(sub.gram, sub.shift, f)
+    rhs = r @ np.roll(sub.anchor, f) - scipy.linalg.solve_triangular(
+        r, np.roll(sub.lin, f), trans="T")
+    z = np.empty_like(rhs)
+    z[f:] = nnls(r[f:, f:], rhs[f:])
+    if f:
+        z[:f] = scipy.linalg.solve_triangular(r[:f, :f], rhs[:f] - r[:f, f:] @ z[f:])
+    return QpSolution(np.roll(z, -f), None)
 
 
 def _polish_dummies(x: np.ndarray, d: np.ndarray, sub: QpSubproblem) -> np.ndarray:
@@ -263,10 +238,33 @@ def _polish_dummies(x: np.ndarray, d: np.ndarray, sub: QpSubproblem) -> np.ndarr
     return floors + e
 
 
+# Residual balancing: between chunks of sweeps, rescale delta toward the
+# point where neither residual dominates.  The move size follows the
+# imbalance (sqrt of the residual ratio, clipped), so a badly scaled start
+# travels orders of magnitude in a few chunks; the balanced value is stored
+# on the workspace and reused by later solves against the same gram.
+_BALANCE_CHUNKS = 16
+_BALANCE_RATIO = 10.0
+_BALANCE_MAX_FACTOR = 32.0
+
+
+def _balance_factor(hi: float, lo: float) -> float:
+    if lo <= 0.0:
+        return _BALANCE_MAX_FACTOR
+    return float(min(_BALANCE_MAX_FACTOR, max(2.0, np.sqrt(hi / lo))))
+
+
 def solve_qp_p1(sub: QpSubproblem, params: AdmmParams,
                 warm: Optional[QpSolution] = None,
                 workspace: Optional[QpWorkspace] = None) -> QpSolution:
-    """Solve the grouped model with dummies (problem 1 inner step)."""
+    """Solve the grouped model with dummies (problem 1 inner step).
+
+    Runs ADMM sweeps in chunks, rebalancing the penalty delta between
+    them, until both residuals reach ``params.tol``.  Delta starts from
+    the workspace's hint, else from the Gram matrix's mean eigenvalue;
+    the converged value is stored back.  Raises
+    :class:`NonConvergenceError` after ``params.max_iters`` sweeps.
+    """
     sub.validate(grouped=True)
     ws = workspace if workspace is not None else QpWorkspace(sub.gram)
     vx = np.asarray(warm.x if warm is not None else sub.anchor, dtype=float)
@@ -278,14 +276,28 @@ def solve_qp_p1(sub: QpSubproblem, params: AdmmParams,
     offsets = np.asarray(sub.offsets, dtype=np.int64)
     eps = np.asarray(sub.eps, dtype=float)
 
-    def sweep(kinv, delta, state, max_iters):
+    delta = ws.delta_hint()
+    if delta is None:
+        delta = max(ws.mean_eig, 1e-12)
+    chunk = max(1, -(-params.max_iters // _BALANCE_CHUNKS))
+    iters = 0
+    rel_p = rel_d = np.inf
+    while iters < params.max_iters:
+        kinv = ws.kinv(2.0 * sub.shift + delta)
         vx, vd, px, pd, _, _, it, rel_p, rel_d = kernels.admm_grouped(
             kinv, sub.anchor, sub.lin, offsets, eps, sub.anchor_d, sub.lin_d,
-            2.0 * sub.shift_d + delta, float(sub.budget), *state,
-            delta, params.tol, params.tol, max_iters)
-        return (vx, px, vd, pd), it, rel_p, rel_d
-
-    (vx, px, vd, pd), iters, rel_p, rel_d = _solve_balanced(
-        "p1", sub, params, ws, (vx, px, vd, pd), sweep)
-    vd = _polish_dummies(vx, vd, sub)
-    return QpSolution(vx, vd, iters, rel_p, rel_d, px, pd)
+            2.0 * sub.shift_d + delta, float(sub.budget), vx, px, vd, pd,
+            delta, params.tol, params.tol, min(chunk, params.max_iters - iters))
+        iters += it
+        if rel_p <= params.tol and rel_d <= params.tol:
+            ws.store_delta(delta)
+            vd = _polish_dummies(vx, vd, sub)
+            return QpSolution(vx, vd, iters, rel_p, rel_d, px, pd)
+        if rel_d > _BALANCE_RATIO * rel_p:
+            delta /= _balance_factor(rel_d, rel_p)
+        elif rel_p > _BALANCE_RATIO * rel_d:
+            delta *= _balance_factor(rel_p, rel_d)
+    raise NonConvergenceError(
+        f"inner solver stalled at primal {rel_p:.3e} / dual {rel_d:.3e} "
+        f"after {iters} iterations (tol {params.tol:.1e})",
+        iterations=iters, residuals=(rel_p, rel_d))

@@ -6,6 +6,10 @@ the result either unconditionally (problem 2, fixed diagonal scaling,
 justified by the concavity of the smoothed penalty on the orthant) or
 through a sufficient-decrease test that adapts the scaling (problem 1,
 where the Hoyer ratio's curvature is unbounded near the floors).
+
+Problem 2's model is minimised exactly, from one Cholesky factor per
+solve and one active-set NNLS per step; no ADMM runs.  Problem 1's
+model is minimised by ADMM to the tolerance in :class:`AdmmParams`.
 """
 
 from dataclasses import dataclass, field
@@ -17,7 +21,8 @@ from .core import (GroupedCoeffs, GroupedDictionary, ObjectiveEval, SparsityConf
                    as_data_vector, eval_objective_p1, eval_objective_p2)
 from .errors import NonConvergenceError
 from .projections import SimplexMode, SimplexSpec, project_group_floor, project_simplex
-from .qp import AdmmParams, QpSolution, QpSubproblem, QpWorkspace, model_value, solve_qp_p1, solve_qp_p2
+from .qp import (AdmmParams, QpSolution, QpSubproblem, QpWorkspace, factorise_p2, model_value,
+                 solve_qp_p1, solve_qp_p2)
 
 TERM_STEP = "step_tol"
 TERM_ENERGY = "energy_tol"
@@ -50,7 +55,8 @@ class SgpParams:
     problem 2 keeps C fixed, problem 1 multiplies it by the dynamic factor
     described at ``C0``, ``SIGMA``, ``XI1``, ``XI2``, ``RHO`` and
     ``MAX_REJECTIONS``.  The loop stops when the sup-norm step falls to
-    ``TOL_STEP``, when the objective decrease falls below ``tol_energy``,
+    ``TOL_STEP``, when the objective changes by at most ``tol_energy``
+    relative to its new value (``|F_old - F_new| <= tol_energy |F_new|``),
     or at ``max_outer``.
     """
 
@@ -61,7 +67,11 @@ class SgpParams:
 
 @dataclass
 class SolveReport:
-    """Outcome of one outer solve: final point, traces, termination reason."""
+    """Outcome of one outer solve: final point, traces, termination reason.
+
+    ``inner_iters_total`` counts problem 1's ADMM sweeps, those of failed
+    attempts included; problem 2 runs no sweeps and reports 0.
+    """
 
     final: GroupedCoeffs
     objective_trace: List[float] = field(default_factory=list)
@@ -122,18 +132,17 @@ def _feasible_p1_init(dct: GroupedDictionary, cfg: SparsityConfig,
 
 def solve_problem2(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
                    params: Optional[SgpParams] = None,
-                   admm: Optional[AdmmParams] = None,
                    init: Optional[GroupedCoeffs] = None,
                    workspace: Optional[QpWorkspace] = None) -> SolveReport:
     """Minimise the smoothed l1 - l2 objective over the orthant (problem 2).
 
-    The diagonal scaling stays fixed at ``c_matrix_scale``; every model
-    minimiser decreases the objective up to inner-solver accuracy, and a
-    failed decrease triggers a tighter re-solve before giving up; the run
-    ends as ``inner_stall`` if that re-solve does not converge.
+    The diagonal scaling stays fixed at ``c_matrix_scale``, so the model
+    Hessian is factored once and every step solves its model exactly.  A
+    model minimiser that does not lower the objective ends the run as
+    ``energy_tol``.  A :class:`NonConvergenceError` from a step's NNLS
+    propagates.
     """
     params = params or SgpParams()
-    admm = admm or AdmmParams()
     b = as_data_vector(b, dct.n_rows)
     cfg.validate(dct.n_groups)
     n = dct.n_columns
@@ -145,49 +154,22 @@ def solve_problem2(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
         raise ValueError(f"init must have {n} coefficients, got {x.shape}")
     x[:pre] = np.maximum(x[:pre], 0.0)
 
-    ws = workspace if workspace is not None else QpWorkspace(dct.entries.T @ dct.entries)
+    gram = workspace.gram if workspace is not None else dct.entries.T @ dct.entries
     shift = np.full(n, params.c_matrix_scale)
+    r = factorise_p2(gram, shift, n_free)
     report = SolveReport(final=GroupedCoeffs(x))
-    warm: Optional[QpSolution] = None
 
     ev = eval_objective_p2(dct, b, GroupedCoeffs(x), cfg)
     report.objective_trace.append(ev.value)
     for _ in range(params.max_outer):
-        sub = QpSubproblem(gram=ws.gram, lin=ev.grad_x, anchor=x, shift=shift, n_free=n_free)
-        tol = admm.tol
-        accepted = None
-        term = TERM_ENERGY
-        for attempt in range(3):
-            try:
-                sol = solve_qp_p2(sub, AdmmParams(tol, admm.max_iters), warm, ws)
-            except NonConvergenceError as exc:
-                report.inner_iters_total += exc.iterations or 0
-                # Inner solver hit its noise floor: a carried dual variable
-                # can cycle near the solution, so retry cold once; on a
-                # tightened re-solve the current iterate is already
-                # converged to that accuracy.
-                if attempt == 0:
-                    if warm is None:
-                        raise
-                    warm = None
-                    sol = solve_qp_p2(sub, AdmmParams(tol, admm.max_iters), None, ws)
-                else:
-                    term = TERM_INNER_STALL
-                    break
-            report.inner_iters_total += sol.iterations
-            ev_y = eval_objective_p2(dct, b, GroupedCoeffs(sol.x), cfg)
-            if ev_y.value <= ev.value:
-                accepted = (sol, ev_y)
-                break
-            tol *= 0.01
-            warm = sol
-        if accepted is None:
-            report.termination = term
+        sub = QpSubproblem(gram=gram, lin=ev.grad_x, anchor=x, shift=shift, n_free=n_free)
+        sol = solve_qp_p2(sub, r)
+        ev_y = eval_objective_p2(dct, b, GroupedCoeffs(sol.x), cfg)
+        if ev_y.value > ev.value:
+            report.termination = TERM_ENERGY
             break
-        sol, ev_y = accepted
         step = float(np.max(np.abs(sol.x - x))) if n else 0.0
         x = sol.x
-        warm = sol
         report.objective_trace.append(ev_y.value)
         report.c_trace.append(params.c_matrix_scale)
         report.step_trace.append(step)
@@ -197,7 +179,7 @@ def solve_problem2(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
         if step <= TOL_STEP:
             report.termination = TERM_STEP
             break
-        if abs(decrease) < params.tol_energy:
+        if abs(decrease) <= params.tol_energy * abs(ev.value):
             report.termination = TERM_ENERGY
             break
     report.final = GroupedCoeffs(x)
@@ -292,7 +274,7 @@ def solve_problem1(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
         if step <= TOL_STEP:
             report.termination = TERM_STEP
             break
-        if abs(decrease) < params.tol_energy:
+        if abs(decrease) <= params.tol_energy * abs(ev.value):
             report.termination = TERM_ENERGY
             break
     report.final = GroupedCoeffs(x, d)

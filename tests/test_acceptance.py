@@ -13,11 +13,13 @@ import pytest
 
 import oracles
 from ssnnls.baselines import PdParams, penalty_decomposition_l0
+from ssnnls import cli
 from ssnnls.cli import (ExperimentConfig, run_doas_align, run_doas_background,
                         run_hsi_structured)
 from ssnnls.core import (GroupedCoeffs, GroupedDictionary, SparsityConfig,
                          eval_objective_p1, eval_objective_p2)
-from ssnnls.doas import build_background_operator
+from ssnnls.doas import (build_background_operator, quartic_background, sample_planted_coeffs,
+                        synthesize_doas_data)
 from ssnnls.projections import (SimplexMode, SimplexSpec, project_dummy_budget,
                                 project_group_floor, project_simplex)
 from ssnnls.qp import AdmmParams, solve_qp_p1, solve_qp_p2
@@ -73,6 +75,28 @@ def doas_background_run():
     t0 = time.perf_counter()
     records = run_doas_background(cfg)
     return records, time.perf_counter() - t0
+
+
+def _true_support_background_error(rec):
+    """Background error of least squares on the planted columns plus the
+    background block, with the run's alpha: what a fit that finds the
+    support can reach.  Rebuilds the doas-background data of ``rec``."""
+    cfg = ExperimentConfig("doas-background", seed=rec.seed, scale=rec.scale)
+    wl, _refs, ddict, seed_plant, seed_noise, _ = cli._doas_protocol(cfg)
+    planted, info = sample_planted_coeffs(  # the protocol's full-grid columns
+        ddict, seed_plant, group_cols=[179, 240, 220],
+        magnitudes=[row["true_magnitude"] for row in rec.metrics["groups"]])
+    background = quartic_background(wl)
+    data = synthesize_doas_data(ddict, planted, rec.params["noise_sd"], seed_noise,
+                                background=background)
+    w = wl.size
+    picked = ddict.dictionary.entries[:, [int(ddict.dictionary.offsets[g]) + local
+                                          for g, local, _ in info]]
+    bg_op = np.sqrt(rec.params["alpha"]) * build_background_operator(w).matrix
+    design = np.vstack([np.hstack([picked, np.eye(w)]),
+                        np.hstack([np.zeros((w - 2, len(info))), bg_op])])
+    sol = np.linalg.lstsq(design, np.concatenate([data, np.zeros(w - 2)]), rcond=None)[0]
+    return float(np.linalg.norm(sol[len(info):] - background) / np.linalg.norm(background))
 
 
 @pytest.fixture(scope="module")
@@ -186,7 +210,7 @@ def test_criterion_3_qp_solvers_match_projected_gradient_oracles():
 
     for _ in range(50):
         sub = oracles.random_p2_subproblem(rng)
-        sol = solve_qp_p2(sub, TIGHT)
+        sol = solve_qp_p2(sub)
         ref = oracles.pg_p2(sub)
         worst = max(worst, float(np.max(np.abs(sol.x - ref))))
 
@@ -227,7 +251,7 @@ def test_criterion_4_monotone_descent_and_sampled_stationarity():
     for seed in range(20):
         dct, b, cfg = _problem(100 + seed)
         rng = np.random.default_rng(500 + seed)
-        report = solve_problem2(dct, b, cfg, SgpParams(tol_energy=1e-12), TIGHT)
+        report = solve_problem2(dct, b, cfg, SgpParams(tol_energy=1e-12))
         trace = np.asarray(report.objective_trace)
         worst_step = max(worst_step, float(np.max(np.diff(trace))))
         assert np.all(np.diff(trace) <= 1e-12)
@@ -286,9 +310,16 @@ def test_criterion_6_doas_background_recovery(doas_background_run):
     i = np.arange(1024, dtype=float)
     assert np.all(op.apply(3.0 + 0.5 * i) == 0.0)
 
+    # the background must separate about as well as with the true support
+    oracle_err = _true_support_background_error(rec)
+    bg_err = rec.metrics["background_rel_err"]
+    assert bg_err <= 2.0 * oracle_err, \
+        f"background error {bg_err:.3f} over twice the true-support {oracle_err:.3f}"
+
     _verdict(6, elapsed, 180.0,
              f"HONO coefficient {hono['magnitude']:.5f} ({100 * rel_err:.2f}% off "
-             f"planted 0.01206), displacement exact, linear background annihilated")
+             f"planted 0.01206), displacement exact, linear background annihilated, "
+             f"background error {bg_err:.3f} (true support {oracle_err:.3f})")
 
 
 def test_criterion_7_hsi_structured_sparsity_pattern(hsi_structured_run):

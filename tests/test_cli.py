@@ -189,7 +189,7 @@ def test_default_thread_count_is_one(monkeypatch):
 def test_main_nonconvergence_exit(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"noise_sd": 0.0, "admm_tol": 1e-14, "admm_max_iters": 3}))
-    code = main(["--experiment", "doas-align", "--scale", "4", "--solver", "diff_p2",
+    code = main(["--experiment", "doas-align", "--scale", "4", "--solver", "hoyer_p1",
                  "--config", str(cfg)])
     assert code == 3
     assert "converge" in capsys.readouterr().err

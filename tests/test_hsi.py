@@ -2,14 +2,15 @@
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from ssnnls.core import GroupedDictionary, SparsityConfig
-from ssnnls.errors import ConfigError
+from ssnnls.errors import ConfigError, NonConvergenceError
 from ssnnls.hsi import (HSI_SOLVERS, GroupCollapser, HsiScene, compute_metrics, demix_scene,
                         load_scene, resolve_threads, save_scene, synthesize_endmember_library,
                         synthesize_mixed_scene)
 from ssnnls.qp import AdmmParams
-from ssnnls.sgp import SgpParams
+from ssnnls.sgp import SgpParams, solve_problem2
 
 
 @pytest.fixture(scope="module")
@@ -162,9 +163,23 @@ def test_demix_config_errors(tiny_scene):
 
 def test_demix_failed_pixels_recorded(tiny_scene):
     # an impossible inner budget makes every pixel fail without crashing
-    out = demix_scene(tiny_scene, tiny_cfg(), solver="diff_p2", sgp=SGP_FAST,
+    out = demix_scene(tiny_scene, tiny_cfg(), solver="hoyer_p1", sgp=SGP_FAST,
                       admm=AdmmParams(tol=1e-14, max_iters=4), threads=2)
     assert len(out.failed_pixels) == 5
+    assert [p for p, _ in out.failed_pixels] == list(range(5))
+    assert np.all(out.values == 0.0)
+
+
+def test_problem2_nnls_cap_fails_the_pixel(tiny_scene, monkeypatch):
+    # a problem-2 step whose NNLS hits its iteration cap is a
+    # non-convergence, and demix_scene records the pixel as failed
+    def capped(a, b, maxiter=None):
+        raise RuntimeError("Maximum number of iterations reached.")
+
+    monkeypatch.setattr(scipy.optimize, "nnls", capped)
+    with pytest.raises(NonConvergenceError, match="nnls"):
+        solve_problem2(tiny_scene.dictionary, tiny_scene.pixels[:, 0], tiny_cfg(), SGP_FAST)
+    out = demix_scene(tiny_scene, tiny_cfg(), solver="diff_p2", sgp=SGP_FAST, threads=2)
     assert [p for p, _ in out.failed_pixels] == list(range(5))
     assert np.all(out.values == 0.0)
 

@@ -42,7 +42,7 @@ def test_solve_qp_p2_matches_projected_gradient_oracle():
     rng = np.random.default_rng(7)
     for _ in range(15):
         sub = oracles.random_p2_subproblem(rng)
-        sol = solve_qp_p2(sub, TIGHT)
+        sol = solve_qp_p2(sub)
         ref = oracles.pg_p2(sub)
         n_con = sub.anchor.size - sub.n_free
         assert np.min(sol.x[:n_con]) >= -1e-10
@@ -68,21 +68,11 @@ def test_solve_qp_p1_matches_pg_dykstra_oracle():
             assert np.sum(sol.x[a:b]) + sol.d[j] >= sub.eps[j] - 1e-8
 
 
-def test_warm_start_cuts_iterations():
-    rng = np.random.default_rng(9)
-    sub = oracles.random_p2_subproblem(rng)
-    ws = QpWorkspace(sub.gram)
-    cold = solve_qp_p2(sub, TIGHT, workspace=ws)
-    warm = solve_qp_p2(sub, TIGHT, warm=cold, workspace=ws)
-    assert warm.iterations <= cold.iterations
-    np.testing.assert_allclose(warm.x, cold.x, atol=1e-6)
-
-
 def test_nonconvergence_raises_with_diagnostics():
     rng = np.random.default_rng(10)
-    sub = oracles.random_p2_subproblem(rng)
+    sub = oracles.random_p1_subproblem(rng)
     with pytest.raises(NonConvergenceError) as exc:
-        solve_qp_p2(sub, AdmmParams(tol=1e-15, max_iters=8))
+        solve_qp_p1(sub, AdmmParams(tol=1e-15, max_iters=8))
     assert exc.value.iterations == 8
     assert exc.value.residuals is not None
 
@@ -105,20 +95,17 @@ def test_workspace_caches_factorizations(monkeypatch):
 
 def test_workspace_delta_hints_round_trip():
     ws = QpWorkspace(np.eye(3))
-    assert ws.delta_hint("p2") is None
-    ws.store_delta("p2", 0.25)
-    assert ws.delta_hint("p2") == 0.25
-    assert ws.delta_hint("p1") is None
+    assert ws.delta_hint() is None
+    ws.store_delta(0.25)
+    assert ws.delta_hint() == 0.25
     ws.freeze_hints()
-    ws.store_delta("p2", 9.0)
-    ws.store_delta("p1", 1.0)
-    assert ws.delta_hint("p2") == 0.25
-    assert ws.delta_hint("p1") is None
+    ws.store_delta(9.0)
+    assert ws.delta_hint() == 0.25
 
 
 def test_delta_hint_set_after_successful_solves():
     rng = np.random.default_rng(12)
-    sub = oracles.random_p2_subproblem(rng)
+    sub = oracles.random_p1_subproblem(rng)
     ws = QpWorkspace(sub.gram)
-    solve_qp_p2(sub, TIGHT, workspace=ws)
-    assert ws.delta_hint("p2") is not None and ws.delta_hint("p2") > 0
+    solve_qp_p1(sub, TIGHT, workspace=ws)
+    assert ws.delta_hint() is not None and ws.delta_hint() > 0

@@ -45,7 +45,7 @@ def assert_p1_feasible(dct, cfg, coeffs, tol=1e-7):
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_problem2_trace_monotone_and_stationary(seed):
     dct, b, cfg = make_problem(seed)
-    report = solve_problem2(dct, b, cfg, SgpParams(tol_energy=1e-12), TIGHT)
+    report = solve_problem2(dct, b, cfg, SgpParams(tol_energy=1e-12))
     trace = np.asarray(report.objective_trace)
     assert trace.size == report.outer_iters + 1
     assert np.all(np.diff(trace) <= 1e-12)
@@ -78,7 +78,7 @@ def test_problem2_zero_weights_matches_nnls():
 
     dct, b, _ = make_problem(11)
     cfg = SparsityConfig(gamma=np.zeros(3), gamma0=0.0, eps=np.full(3, 0.05), r=1.0)
-    report = solve_problem2(dct, b, cfg, SgpParams(tol_energy=1e-14, max_outer=300), TIGHT)
+    report = solve_problem2(dct, b, cfg, SgpParams(tol_energy=1e-14, max_outer=300))
     x_ref = nnls(dct.entries, b)[0]
     assert report.final.x == pytest.approx(x_ref, abs=2e-6)
 
@@ -86,24 +86,41 @@ def test_problem2_zero_weights_matches_nnls():
 def test_problem2_termination_step(monkeypatch):
     monkeypatch.setattr(sgp, "TOL_STEP", 1e30)
     dct, b, cfg = make_problem(5)
-    report = solve_problem2(dct, b, cfg, SgpParams(), TIGHT)
+    report = solve_problem2(dct, b, cfg, SgpParams())
     assert report.termination == TERM_STEP
     assert report.outer_iters == 1
 
 
 def test_problem2_termination_max_outer():
     dct, b, cfg = make_problem(5)
-    report = solve_problem2(dct, b, cfg,
-                            SgpParams(tol_energy=0.0, max_outer=2), TIGHT)
+    report = solve_problem2(dct, b, cfg, SgpParams(tol_energy=0.0, max_outer=2))
     assert report.termination == TERM_MAX_OUTER
     assert report.outer_iters == 2
 
 
-@pytest.mark.parametrize("problem", ["p1", "p2"])
+@pytest.mark.parametrize("problem, tol", [("p1", 1e-10), ("p2", 1e-6)])
+def test_energy_stop_is_relative_to_the_objective(problem, tol):
+    # with the data scaled by 1e3 the objective is ~1e3, so the stop comes
+    # at a change ~1e3 times larger than an absolute test would need
+    dct, b, cfg = make_problem(7)
+    if problem == "p1":
+        report = solve_problem1(dct, 1e3 * b, cfg, SgpParams(tol_energy=tol), TIGHT)
+    else:
+        report = solve_problem2(dct, 1e3 * b, cfg, SgpParams(tol_energy=tol))
+    assert report.termination == TERM_ENERGY
+    trace = np.asarray(report.objective_trace)
+    changes = np.abs(np.diff(trace))
+    assert changes[-1] <= tol * abs(trace[-1])
+    assert np.all(changes[:-1] > tol * np.abs(trace[1:-1]))
+    assert report.outer_iters >= 2
+
+
+@pytest.mark.parametrize("problem", ["p1"])
 def test_stalled_tightened_resolve_reports_inner_stall(problem, monkeypatch):
     # the first model minimiser does not descend, so the outer loop re-solves
     # at a tighter tolerance, and that re-solve hits its sweep cap; the
-    # sweeps of both solves count, though no step is accepted
+    # sweeps of both solves count, though no step is accepted (problem 2
+    # solves its model exactly and has no re-solve)
     dct, b, cfg = make_problem(5)
     tols = []
 
@@ -125,10 +142,27 @@ def test_stalled_tightened_resolve_reports_inner_stall(problem, monkeypatch):
     assert report.inner_iters_total == 1 + AdmmParams().max_iters
 
 
-@pytest.mark.parametrize("problem", ["p1", "p2"])
+def test_problem2_non_descending_step_ends_as_energy_tol(monkeypatch):
+    # an exact model minimiser that raises the objective is not re-solved
+    dct, b, cfg = make_problem(5)
+    calls = []
+
+    def fake_solve(sub, *args):
+        calls.append(args)
+        return QpSolution(sub.anchor + 10.0, None)
+
+    monkeypatch.setattr(sgp, "solve_qp_p2", fake_solve)
+    report = solve_problem2(dct, b, cfg, SgpParams())
+    assert report.termination == TERM_ENERGY
+    assert report.outer_iters == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("problem", ["p1"])
 def test_warm_start_failure_is_retried_cold(problem, monkeypatch):
     # the first warm start raises; the outer loop retries that subproblem
     # once from cold and carries on, counting the failed start's sweeps
+    # (problem 2 has no warm start)
     dct, b, cfg = make_problem(5)
     real = getattr(sgp, f"solve_qp_{problem}")
     warm_flags, sweeps = [], []
@@ -154,17 +188,21 @@ def test_warm_start_failure_is_retried_cold(problem, monkeypatch):
 @pytest.mark.parametrize("problem", ["p1", "p2"])
 def test_failing_cold_first_solve_propagates(problem, monkeypatch):
     dct, b, cfg = make_problem(5)
-    warm_flags = []
+    calls = []
 
-    def fake_solve(sub, params, warm=None, workspace=None):
-        warm_flags.append(warm is not None)
-        raise NonConvergenceError("stalled cold", iterations=params.max_iters)
+    def fake_solve(sub, *args):
+        calls.append(args)
+        raise NonConvergenceError("stalled cold", iterations=7)
 
     monkeypatch.setattr(sgp, f"solve_qp_{problem}", fake_solve)
-    solve = solve_problem1 if problem == "p1" else solve_problem2
     with pytest.raises(NonConvergenceError, match="stalled cold"):
-        solve(dct, b, cfg, SgpParams(), TIGHT)
-    assert warm_flags == [False]
+        if problem == "p1":
+            solve_problem1(dct, b, cfg, SgpParams(), TIGHT)
+        else:
+            solve_problem2(dct, b, cfg, SgpParams())
+    assert len(calls) == 1
+    if problem == "p1":
+        assert calls[0][1] is None  # the first solve starts cold
 
 
 def test_problem2_rejects_bad_init_shape():
@@ -173,12 +211,21 @@ def test_problem2_rejects_bad_init_shape():
         solve_problem2(dct, b, cfg, init=GroupedCoeffs(np.ones(3)))
 
 
+def test_problem2_singular_model_is_a_value_error():
+    # more columns than rows and no shift: G + 2C cannot be factored
+    rng = default_rng(3)
+    dct = GroupedDictionary(rng.normal(size=(5, 8)), np.array([0, 3, 6, 8]))
+    cfg = SparsityConfig(gamma=np.full(3, 0.05), gamma0=0.0, eps=np.full(3, 0.05), r=1.0)
+    with pytest.raises(ValueError, match="c_matrix_scale"):
+        solve_problem2(dct, rng.normal(size=5), cfg, SgpParams(c_matrix_scale=0.0))
+
+
 def test_problem2_trace_bookkeeping():
     dct, b, cfg = make_problem(7)
-    report = solve_problem2(dct, b, cfg, SgpParams(), TIGHT)
+    report = solve_problem2(dct, b, cfg, SgpParams())
     assert len(report.step_trace) == report.outer_iters
     assert len(report.c_trace) == report.outer_iters
-    assert report.inner_iters_total > 0
+    assert report.inner_iters_total == 0  # exact model solves run no sweeps
     assert set(report.c_trace) == {SgpParams().c_matrix_scale}
 
 
@@ -203,9 +250,9 @@ def test_problem1_rejection_storm_raises(monkeypatch):
 def test_determinism_and_shared_workspace():
     dct, b, cfg = make_problem(13)
     ws = QpWorkspace(dct.entries.T @ dct.entries)
-    runs = [solve_problem2(dct, b, cfg, SgpParams(), TIGHT, workspace=ws)
+    runs = [solve_problem2(dct, b, cfg, SgpParams(), workspace=ws)
             for _ in range(2)]
-    fresh = solve_problem2(dct, b, cfg, SgpParams(), TIGHT)
+    fresh = solve_problem2(dct, b, cfg, SgpParams())
     assert np.array_equal(runs[0].final.x, runs[1].final.x)
     assert runs[0].objective_trace == runs[1].objective_trace
     assert fresh.final.x == pytest.approx(runs[0].final.x, abs=1e-9)

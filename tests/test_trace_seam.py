@@ -1,7 +1,7 @@
 """The names the benchmark's tracer patches (perfbench/tracing.py) stay live.
 
-The tracer counts inner sweeps by replacing ``kernels.admm_nonneg`` and
-wraps the other layers by the names their callers look up; a refactor
+The tracer counts factorisations by replacing ``scipy.linalg.cho_factor``
+and wraps the other layers by the names their callers look up; a refactor
 that binds one of them elsewhere would leave a traced run counting zero.
 """
 
@@ -10,34 +10,35 @@ from pathlib import Path
 
 import numpy as np
 
-from ssnnls import kernels
-from ssnnls.qp import AdmmParams, QpSubproblem, solve_qp_p2
+from ssnnls.core import GroupedDictionary, SparsityConfig
+from ssnnls.sgp import SgpParams, solve_problem2
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def test_solve_qp_p2_looks_up_admm_kernel_at_call_time(monkeypatch):
-    calls = []
-    kernel = kernels.admm_nonneg
-
-    def counting(*args):
-        result = kernel(*args)
-        calls.append(result[3])  # the sweep count, which the tracer reads
-        return result
-
-    monkeypatch.setattr(kernels, "admm_nonneg", counting)
-    rng = np.random.default_rng(0)
-    a = rng.normal(size=(12, 5))
-    sub = QpSubproblem(gram=a.T @ a, lin=rng.normal(size=5), anchor=np.full(5, 0.1),
-                       shift=np.full(5, 1e-3))
-    sol = solve_qp_p2(sub, AdmmParams(tol=1e-8))
-    assert calls and sum(calls) == sol.iterations > 0
-
-
-def test_every_traced_name_is_the_function_its_caller_uses():
+def _tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_solve_problem2_factors_once_per_call_at_call_time():
+    rng = np.random.default_rng(0)
+    offsets = np.array([0, 3, 6, 8])
+    dct = GroupedDictionary(rng.normal(size=(24, 8)), offsets)
+    b = dct.entries @ np.array([1.0, 0, 0, 0, 0.7, 0, 0, 1.2]) + 0.01 * rng.normal(size=24)
+    cfg = SparsityConfig(gamma=np.full(3, 0.05), gamma0=0.02, eps=np.full(3, 0.05), r=1.0)
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    with tracing.traced(tracer):
+        reports = [solve_problem2(dct, b, cfg, SgpParams(tol_energy=1e-12)) for _ in range(2)]
+    assert all(rep.outer_iters >= 2 for rep in reports)
+    assert tracer.counts["qp.factorisations"] == 2
+
+
+def test_every_traced_name_is_the_function_its_caller_uses():
+    tracing = _tracing()
     patches = tracing._patches(tracing.Tracer())
     for owner, attr, wrapper in patches:
         assert getattr(owner, attr) is wrapper.__wrapped__, f"{owner.__name__}.{attr}"
