@@ -1,17 +1,21 @@
 """Reference methods: NNLS, constrained/penalized l1, and l0 penalty decomposition.
 
 These are the comparison points for the structured solvers: plain
-non-negative least squares (scipy's active-set solver), the l1
-minimisation ``min |x|_1  s.t.  x >= 0, |Ax - b| <= tau`` via Bregman
-iteration with an accelerated proximal-gradient inner solve, its
-penalized variant, and a penalty decomposition scheme for the exact
-per-group l0 constraint.
+non-negative least squares (scipy's active-set solver), the penalized
+l1 problem ``min 0.5 |Ax - b|^2 + gamma |x|_1  s.t.  x >= 0`` solved
+exactly as one NNLS on a Cholesky factor of the Gram matrix, the
+constrained form ``min |x|_1  s.t.  x >= 0, |Ax - b| <= tau`` as a
+root-find on gamma over such solves (van den Berg & Friedlander's
+Pareto curve), and a penalty decomposition scheme for the exact
+per-group l0 constraint.  The l1 baselines take no settings; their
+constants are ``L1_SHIFT``, ``L1_GAMMA_RTOL`` and ``L1_MAX_SOLVES``.
 """
 
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
+import scipy.linalg
 import scipy.optimize
 
 from .core import GroupedCoeffs, GroupedDictionary, SparsityConfig, as_data_vector
@@ -33,39 +37,57 @@ def nnls(entries: np.ndarray, b: np.ndarray, maxiter: Optional[int] = None) -> n
     return x
 
 
-def _fista_nonneg_l1(gram: np.ndarray, atb: np.ndarray, thresh: float, lip: float,
-                     x0: np.ndarray, max_iters: int, tol: float) -> np.ndarray:
-    """min thresh*|x|_1 + 0.5 x'Gx - x'atb over x >= 0, via accelerated prox gradient."""
-    x = np.maximum(x0, 0.0)
-    y = x.copy()
-    t = 1.0
-    step = 1.0 / lip
-    for _ in range(max_iters):
-        grad = gram @ y - atb
-        x_new = np.maximum(y - step * grad - step * thresh, 0.0)
-        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        y = x_new + ((t - 1.0) / t_new) * (x_new - x)
-        moved = float(np.max(np.abs(x_new - x)))
-        x, t = x_new, t_new
-        if moved <= tol * max(1.0, float(np.max(np.abs(x)))):
-            break
-    return x
+# Ridge that makes the l1 baselines' Gram matrix G positive definite on
+# rank-deficient dictionaries: G + L1_SHIFT * trace(G)/n * I is factored,
+# i.e. a ridge of L1_SHIFT times G's mean eigenvalue.
+L1_SHIFT = 1e-10
+# The constrained form's root-find on the penalty weight stops once the
+# solutions bracketing the tau-sphere share their support (the solution
+# path is affine between them, so interpolating onto the sphere is exact),
+# once the bracketing weights agree to L1_GAMMA_RTOL, or after
+# L1_MAX_SOLVES penalized solves.
+L1_GAMMA_RTOL = 1e-12
+L1_MAX_SOLVES = 100
 
 
-def l1_penalized(entries: np.ndarray, b: np.ndarray, gamma: float,
-                 x0: Optional[np.ndarray] = None, max_iters: int = 20000,
-                 tol: float = 1e-10) -> np.ndarray:
-    """Penalized form ``min 0.5 |Ax - b|^2 + gamma |x|_1  s.t.  x >= 0``."""
+def l1_weight(value: float, name: str, positive: bool = False) -> float:
+    """``value`` as a float; ``ValueError`` unless finite and >= 0 (> 0 if ``positive``)."""
+    value = float(value)
+    if not np.isfinite(value) or value < 0 or (positive and value == 0):
+        kind = "positive" if positive else "non-negative"
+        raise ValueError(f"{name} must be finite and {kind}, got {value}")
+    return value
+
+
+def _l1_factor(entries: np.ndarray) -> Optional[np.ndarray]:
+    """Upper Cholesky factor R of G + shift*I (see ``L1_SHIFT``); None if G is zero."""
+    gram = entries.T @ entries
+    mean_eig = float(np.trace(gram)) / gram.shape[0]
+    if mean_eig <= 0:
+        return None
+    gram[np.diag_indices_from(gram)] += L1_SHIFT * mean_eig
+    return scipy.linalg.cholesky(gram, overwrite_a=True)
+
+
+def _l1_solve(r: np.ndarray, atb: np.ndarray, gamma: float) -> np.ndarray:
+    """Minimiser of 0.5 x'R'Rx - (A'b - gamma)'x over x >= 0, as one NNLS."""
+    return nnls(r, scipy.linalg.solve_triangular(r, atb - gamma, trans="T"))
+
+
+def l1_penalized(entries: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
+    """Penalized form ``min 0.5 |Ax - b|^2 + gamma |x|_1  s.t.  x >= 0``.
+
+    On the orthant |x|_1 = 1'x, so this is the strictly convex QP
+    ``0.5 x'Gx - (A'b - gamma 1)'x``; with G (plus the ``L1_SHIFT`` ridge)
+    = R'R it is exactly NNLS(R, R^-T (A'b - gamma 1)).
+    """
     entries = np.asarray(entries, dtype=float)
     b = as_data_vector(b, entries.shape[0])
-    if gamma < 0:
-        raise ValueError(f"gamma must be non-negative, got {gamma}")
-    gram = entries.T @ entries
-    lip = float(np.linalg.eigvalsh(gram)[-1])
-    if lip <= 0:
+    gamma = l1_weight(gamma, "gamma")
+    r = _l1_factor(entries)
+    if r is None:
         return np.zeros(entries.shape[1])
-    x0 = np.zeros(entries.shape[1]) if x0 is None else np.asarray(x0, dtype=float)
-    return _fista_nonneg_l1(gram, entries.T @ b, gamma, lip, x0, max_iters, tol)
+    return _l1_solve(r, entries.T @ b, gamma)
 
 
 def _sphere_interpolate(entries: np.ndarray, b: np.ndarray, tau: float,
@@ -91,96 +113,62 @@ def _sphere_interpolate(entries: np.ndarray, b: np.ndarray, tau: float,
     return x_out + theta * dx
 
 
-def _pareto_refine(entries: np.ndarray, gram: np.ndarray, b: np.ndarray, tau: float,
-                   gamma0: float, lip: float, x_warm: np.ndarray,
-                   inner_iters: int, inner_tol: float) -> np.ndarray:
-    """Solve the penalized problem at the weight whose residual equals tau.
-
-    A minimiser of ``gamma |x|_1 + 0.5 |Ax - b|^2`` over the orthant with
-    ``|Ax - b| = tau`` minimises ``|x|_1`` over the whole tau-ball, so a
-    bisection on gamma (the residual is monotone in it) lands on the
-    constrained solution; the final bracket is interpolated onto the
-    sphere.
-    """
-    atb = entries.T @ b
-
-    def solve(g, x0):
-        x = _fista_nonneg_l1(gram, atb, g, lip, x0, inner_iters, inner_tol)
-        return x, float(np.linalg.norm(entries @ x - b))
-
-    gamma = max(gamma0, 1e-300)
-    x, r = solve(gamma, x_warm)
-    for _ in range(80):  # bracket the target residual
-        if r >= tau:
-            break
-        gamma *= 2.0
-        x, r = solve(gamma, x)
-    if r < tau:
-        return x
-    out = (gamma, x)
-    inside = None
-    for _ in range(200):
-        gamma *= 0.5
-        x, r = solve(gamma, x)
-        if r <= tau:
-            inside = (gamma, x)
-            break
-        out = (gamma, x)
-    if inside is None:
-        return x
-    for _ in range(60):
-        if out[0] - inside[0] <= 1e-12 * out[0]:
-            break
-        gamma = 0.5 * (out[0] + inside[0])
-        x, r = solve(gamma, inside[1])
-        if r <= tau:
-            inside = (gamma, x)
-        else:
-            out = (gamma, x)
-    return _sphere_interpolate(entries, b, tau, out[1], inside[1])
-
-
-def l1_bregman(entries: np.ndarray, b: np.ndarray, tau: float,
-               mu: Optional[float] = None, max_outer: int = 500,
-               inner_iters: int = 20000, inner_tol: float = 1e-11) -> np.ndarray:
+def l1_bregman(entries: np.ndarray, b: np.ndarray, tau: float) -> np.ndarray:
     """Constrained l1 recovery ``min |x|_1  s.t.  x >= 0, |Ax - b| <= tau``.
 
-    Bregman iteration: repeatedly solve
-    ``min |x|_1 + mu/2 |Ax - b_k|^2`` over the orthant and add the data
-    misfit back into ``b_k``.  Residuals against the original data
-    decrease across outer iterations; the step that crosses into the
-    tau-ball hands the iterate to a penalty-weight bisection that places
-    the residual exactly on the sphere, where the penalized minimiser is
-    also the constrained one.
+    A minimiser of the penalized problem (:func:`l1_penalized`) whose
+    residual equals tau minimises |x|_1 over the whole tau-ball, and the
+    residual grows with the weight, from the NNLS residual at 0 to |b| at
+    max(A'b).  So a bracketed secant search (Illinois) on the weight, each
+    step one exact penalized solve on the same Cholesky factor, lands on
+    the constrained solution: once both ends of the bracket share a
+    support the path between them is affine, and the point where the
+    segment crosses the sphere is the solution.  Raises
+    :class:`NonConvergenceError` when even NNLS leaves a residual above
+    tau.
     """
     entries = np.asarray(entries, dtype=float)
     b = as_data_vector(b, entries.shape[0])
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    if np.linalg.norm(b) <= tau:
+    tau = l1_weight(tau, "tau", positive=True)
+    b_norm = float(np.linalg.norm(b))
+    if b_norm <= tau:
         return np.zeros(entries.shape[1])
-    if mu is None:
-        mu = 10.0 / tau
-    gram = entries.T @ entries
-    lip = mu * float(np.linalg.eigvalsh(gram)[-1])
-    if lip <= 0:
+    r = _l1_factor(entries)
+    if r is None:
         raise ValueError("dictionary is identically zero")
+    atb = entries.T @ b
 
-    x = np.zeros(entries.shape[1])
-    bk = b.copy()
-    resid_trace = []
-    for _ in range(max_outer):
-        x = _fista_nonneg_l1(mu * gram, mu * (entries.T @ bk), 1.0, lip, x, inner_iters, inner_tol)
-        rnorm = float(np.linalg.norm(entries @ x - b))
-        resid_trace.append(rnorm)
-        if rnorm <= tau:
-            return _pareto_refine(entries, gram, b, tau, 1.0 / mu, lip / mu, x,
-                                  inner_iters, inner_tol)
-        bk = bk + (b - entries @ x)
-    raise NonConvergenceError(
-        f"residual {resid_trace[-1]:.3e} did not reach tau={tau:.3e} "
-        f"in {max_outer} outer iterations",
-        iterations=max_outer, residuals=resid_trace[-1], trace=resid_trace)
+    def excess(gamma):
+        x = _l1_solve(r, atb, gamma)
+        return x, float(np.linalg.norm(entries @ x - b)) - tau
+
+    x_in, f_in = excess(0.0)
+    if f_in > 0:
+        raise NonConvergenceError(
+            f"NNLS residual {f_in + tau:.6e} exceeds tau={tau:.6e}: no non-negative "
+            "point reaches the tau-ball", iterations=1, residuals=f_in + tau)
+    g_in, g_out = 0.0, float(np.max(atb))
+    x_out, f_out = np.zeros(entries.shape[1]), b_norm - tau
+    side = 0  # which end the last step replaced: -1 inside, +1 outside
+    for _ in range(L1_MAX_SOLVES):
+        if f_in == 0 or np.array_equal(x_in > 0, x_out > 0) \
+                or g_out - g_in <= L1_GAMMA_RTOL * g_out:
+            break
+        gamma = (g_in * f_out - g_out * f_in) / (f_out - f_in)
+        if not g_in < gamma < g_out:
+            gamma = 0.5 * (g_in + g_out)
+        x, f = excess(gamma)
+        if f <= 0:
+            g_in, x_in, f_in = gamma, x, f
+            if side == -1:
+                f_out *= 0.5
+            side = -1
+        else:
+            g_out, x_out, f_out = gamma, x, f
+            if side == 1:
+                f_in *= 0.5
+            side = 1
+    return _sphere_interpolate(entries, b, tau, x_out, x_in)
 
 
 # Penalty decomposition constants: an inner pass alternates at most

@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 import scipy.fft
 
-from .baselines import PdParams, l1_bregman, nnls, penalty_decomposition_l0
+from .baselines import PdParams, l1_bregman, l1_weight, nnls, penalty_decomposition_l0
 from .core import (GroupedCoeffs, GroupedDictionary, SparsityConfig, as_data_vector,
                    normalize_columns)
 from .errors import ConfigError, DegenerateColumnError
@@ -404,7 +404,10 @@ class DoasFitConfig:
     ``sparsity`` covers the reference groups only; when ``alpha > 0`` the
     background block is appended internally as a trailing sign-free
     group, which requires ``sparsity.gamma0 == 0``.  ``admm`` is used by
-    "hoyer_p1" only; "diff_p2" solves its models exactly.
+    "hoyer_p1" only; "diff_p2" solves its models exactly.  ``l1_tau`` is
+    the residual radius of "l1" (:func:`ssnnls.baselines.l1_bregman`, a
+    search on the penalty weight with one exact NNLS per step and no
+    settings of its own); it must be finite and positive.
     """
 
     sparsity: SparsityConfig
@@ -494,7 +497,7 @@ def fit_doas(data: np.ndarray, ddict: DeformationDictionary,
 
     Solvers: "hoyer_p1" / "diff_p2" (structured-sparse models), "nnls"
     (plain non-negative fit; with ``alpha > 0`` the background is forced
-    non-negative too), "l1" (Bregman recovery at radius ``l1_tau``), "pd"
+    non-negative too), "l1" (least |x|_1 within radius ``l1_tau``), "pd"
     (one column per group, exactly), "lstsq" (averaged random-support
     least-squares gauge, no support estimate).
     """
@@ -503,6 +506,10 @@ def fit_doas(data: np.ndarray, ddict: DeformationDictionary,
         raise ConfigError(f"unknown solver {cfg.solver!r}; choose from {DOAS_SOLVERS}")
     if cfg.alpha < 0:
         raise ConfigError(f"alpha must be non-negative, got {cfg.alpha}")
+    if cfg.solver == "l1":
+        if cfg.l1_tau is None:
+            raise ConfigError("the l1 solver needs l1_tau")
+        l1_tau = l1_weight(cfg.l1_tau, "l1_tau", positive=True)
     dct = ddict.dictionary
     cfg.sparsity.validate(dct.n_groups)
     n = dct.n_columns
@@ -526,9 +533,7 @@ def fit_doas(data: np.ndarray, ddict: DeformationDictionary,
     if cfg.solver == "nnls":
         x_full = nnls(sdict.entries, b_st)
     elif cfg.solver == "l1":
-        if cfg.l1_tau is None:
-            raise ConfigError("the l1 solver needs l1_tau")
-        x_full = l1_bregman(sdict.entries, b_st, cfg.l1_tau)
+        x_full = l1_bregman(sdict.entries, b_st, l1_tau)
     elif cfg.solver == "pd":
         x_full = penalty_decomposition_l0(sdict, b_st, scfg, cfg.pd, cfg.pd_init).x
     elif cfg.solver == "hoyer_p1":

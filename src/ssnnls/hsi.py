@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .baselines import l1_penalized, nnls, penalty_decomposition_l0
+from .baselines import l1_penalized, l1_weight, nnls, penalty_decomposition_l0
 from .core import GroupedCoeffs, GroupedDictionary, SparsityConfig, normalize_columns
 from .errors import ConfigError, NonConvergenceError
 from .qp import AdmmParams, QpWorkspace
@@ -212,7 +212,9 @@ def demix_scene(scene: HsiScene, cfg: SparsityConfig, solver: str = "diff_p2",
                 threads: Optional[int] = 1) -> AbundanceMatrix:
     """Solve one problem per pixel with the chosen solver.
 
-    "l1" is the penalized form at weight ``l1_gamma``; "pd" runs with
+    "l1" is the penalized form at weight ``l1_gamma`` (finite, >= 0;
+    :func:`ssnnls.baselines.l1_penalized`, one exact NNLS per pixel with
+    the ``L1_SHIFT`` ridge and no settings of its own); "pd" runs with
     the default :class:`PdParams` and the ``PD_TOL_INNER``,
     ``PD_MAX_INNER``, ``PD_MAX_OUTER`` and ``PD_RHO_CAP`` constants; the
     structured solvers take ``sgp`` plus the constants of
@@ -234,8 +236,10 @@ def demix_scene(scene: HsiScene, cfg: SparsityConfig, solver: str = "diff_p2",
 
     workspace = QpWorkspace(dct.entries.T @ dct.entries) \
         if solver in ("hoyer_p1", "diff_p2") else None
-    if solver == "l1" and l1_gamma is None:
-        raise ConfigError("the l1 solver needs l1_gamma")
+    if solver == "l1":
+        if l1_gamma is None:
+            raise ConfigError("the l1 solver needs l1_gamma")
+        l1_gamma = l1_weight(l1_gamma, "l1_gamma")
 
     def solve_pixel(p: int) -> Tuple[np.ndarray, int]:
         y = scene.pixels[:, p]

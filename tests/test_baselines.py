@@ -5,6 +5,7 @@ import pytest
 from numpy.random import default_rng
 
 import oracles
+from ssnnls import baselines
 from ssnnls.baselines import PdParams, l1_bregman, l1_penalized, nnls, penalty_decomposition_l0
 from ssnnls.core import GroupedCoeffs, GroupedDictionary, SparsityConfig
 from ssnnls.errors import ConfigError, NonConvergenceError
@@ -126,20 +127,67 @@ def test_l1_bregman_matches_min_l1_oracle(seed):
     assert np.sum(x) <= np.sum(ref) * 1.01 + 1e-9
 
 
-def test_l1_bregman_residual_trace_monotone():
-    rng = default_rng(7)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_l1_bregman_returns_a_point_on_the_tau_sphere(seed):
+    rng = default_rng(seed)
     a = rng.normal(size=(10, 6))
-    b = a @ np.abs(rng.normal(size=6))
-    tau = 0.05 * float(np.linalg.norm(b))
-    # a deliberately weak data weight keeps every iterate outside the
-    # tau-ball so the outer loop runs out and reports its residual trace
+    b = a @ np.abs(rng.normal(size=6)) + 0.1 * rng.normal(size=10)
+    tau = 0.3 * float(np.linalg.norm(b))
+    x = l1_bregman(a, b, tau)
+    assert x.min() >= 0.0
+    assert np.linalg.norm(a @ x - b) == pytest.approx(tau, rel=1e-9)
+
+
+def test_l1_bregman_unreachable_tau_fails_after_one_solve(monkeypatch):
+    calls = []
+    real_nnls = baselines.nnls
+
+    def counting_nnls(*args):
+        calls.append(1)
+        return real_nnls(*args)
+
+    monkeypatch.setattr(baselines, "nnls", counting_nnls)
     with pytest.raises(NonConvergenceError) as info:
-        l1_bregman(a, b, tau, mu=0.01 / tau, max_outer=5)
-    trace = np.asarray(info.value.trace)
-    assert trace.size == 5
-    assert np.all(np.diff(trace) <= 1e-12)
-    assert trace[-1] > tau
-    assert info.value.iterations == 5
+        l1_bregman(np.eye(2), np.array([-1.0, -1.0]), tau=0.5)
+    assert len(calls) == 1
+    message = str(info.value)
+    assert "1.414214e+00" in message and "5.000000e-01" in message
+
+
+def _coherent_dictionary(seed, rows=12, cols=30):
+    """Wide dictionary whose columns come in near-duplicate pairs."""
+    rng = default_rng(seed)
+    base = rng.normal(size=(rows, cols // 2))
+    a = np.hstack([base, base + 1e-6 * rng.normal(size=base.shape)])
+    return a / np.linalg.norm(a, axis=0), rng
+
+
+@pytest.mark.parametrize("seed,gamma", [(0, 0.05), (1, 0.2), (2, 0.01)])
+def test_l1_penalized_rank_deficient_matches_slsqp(seed, gamma):
+    a, rng = _coherent_dictionary(seed)
+    b = rng.normal(size=a.shape[0])
+    x = l1_penalized(a, b, gamma)
+    x_ref = oracles.slsqp_nonneg_l1(a, b, gamma)
+
+    def obj(z):
+        return 0.5 * float(np.sum((a @ z - b) ** 2)) + gamma * float(np.sum(z))
+
+    assert x.min() >= 0.0
+    assert obj(x) <= obj(x_ref) + 1e-7
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_l1_bregman_rank_deficient_matches_min_l1_oracle(seed):
+    a, rng = _coherent_dictionary(seed)
+    x_true = np.zeros(a.shape[1])
+    x_true[rng.choice(a.shape[1], size=3, replace=False)] = rng.uniform(0.5, 2.0, size=3)
+    b = a @ x_true + 0.01 * rng.normal(size=a.shape[0])
+    tau = 0.3 * float(np.linalg.norm(b))
+    x = l1_bregman(a, b, tau)
+    assert x.min() >= 0.0
+    assert np.linalg.norm(a @ x - b) == pytest.approx(tau, rel=1e-9)
+    ref = oracles.slsqp_min_l1_ball(a, b, tau)
+    assert np.sum(x) <= np.sum(ref) * 1.01 + 1e-9
 
 
 # ---------------------------------------------------------------- penalty decomposition

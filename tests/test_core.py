@@ -8,6 +8,7 @@ from ssnnls.core import (GroupedCoeffs, GroupedDictionary, SparsityConfig,
                          eval_objective_p1, eval_objective_p2, normalize_columns)
 from ssnnls.doas import (DeformationGrid, DoasFitConfig, build_deformation_dictionary,
                          fit_doas, synthesize_references, wavelength_grid)
+from ssnnls.hsi import HsiScene, demix_scene
 from ssnnls.sgp import solve_problem1, solve_problem2
 from ssnnls.errors import ConfigError, DegenerateColumnError
 from ssnnls.penalties import diff_l1_l2, hoyer_ratio
@@ -169,6 +170,12 @@ def test_eval_objective_shape_checks():
         eval_objective_p2(dct, b[:-1], GroupedCoeffs(np.full(6, 0.2)), cfg)
 
 
+def _desk_deformation_dictionary():
+    wl = wavelength_grid(256)
+    return build_deformation_dictionary(synthesize_references(wl, seed=7),
+                                        DeformationGrid.desk_grid(), wl)
+
+
 def _nan_call(entry):
     """A zero-argument call of ``entry`` on a 30x9 problem with one NaN in its data."""
     rng = np.random.default_rng(4)
@@ -183,10 +190,8 @@ def _nan_call(entry):
         bad[4, 0] = np.nan
         return lambda: GroupedDictionary(bad, offsets)
     if entry == "fit_doas":
-        wl = wavelength_grid(256)
-        ddict = build_deformation_dictionary(synthesize_references(wl, seed=7),
-                                             DeformationGrid.desk_grid(), wl)
-        data = np.full(wl.size, 0.1)
+        ddict = _desk_deformation_dictionary()
+        data = np.full(ddict.wavelengths.size, 0.1)
         data[4] = np.nan
         return lambda: fit_doas(data, ddict, DoasFitConfig(sparsity=cfg))
     return {
@@ -207,6 +212,40 @@ def _nan_call(entry):
     "solve_problem2", "penalty_decomposition_l0", "l1_penalized", "l1_bregman", "fit_doas"])
 def test_entry_points_reject_non_finite_data_fast(entry):
     call = _nan_call(entry)
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError):
+        call()
+    assert time.perf_counter() - t0 < 1.0
+
+
+def _bad_weight_call(entry, value):
+    """A zero-argument call of an l1 baseline entry point with weight ``value``."""
+    rng = np.random.default_rng(4)
+    entries = rng.normal(size=(30, 9))
+    b = entries @ np.abs(rng.normal(size=9))
+    if entry == "demix_scene":
+        dct = GroupedDictionary(entries, np.array([0, 3, 6, 9]))
+        cfg = SparsityConfig(gamma=np.full(3, 0.05), gamma0=0.0, eps=np.full(3, 0.05), r=1.0)
+        pixels = entries @ np.abs(rng.normal(size=(9, 40)))
+        scene = HsiScene(dct, np.ones(9), pixels)
+        return lambda: demix_scene(scene, cfg, solver="l1", l1_gamma=value)
+    if entry == "fit_doas":
+        ddict = _desk_deformation_dictionary()
+        cfg = SparsityConfig(gamma=np.full(ddict.n_groups, 0.05), gamma0=0.0,
+                             eps=np.full(ddict.n_groups, 0.05), r=1.0)
+        data = ddict.dictionary.entries @ np.full(ddict.dictionary.n_columns, 0.01)
+        return lambda: fit_doas(data, ddict, DoasFitConfig(sparsity=cfg, solver="l1",
+                                                           l1_tau=value))
+    return {
+        "l1_penalized": lambda: l1_penalized(entries, b, value),
+        "l1_bregman": lambda: l1_bregman(entries, b, value),
+    }[entry]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("entry", ["l1_penalized", "l1_bregman", "demix_scene", "fit_doas"])
+def test_l1_entry_points_reject_non_finite_weights_fast(entry, value):
+    call = _bad_weight_call(entry, value)
     t0 = time.perf_counter()
     with pytest.raises(ValueError):
         call()

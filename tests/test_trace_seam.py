@@ -3,6 +3,8 @@
 The tracer counts factorisations by replacing ``scipy.linalg.cho_factor``
 and wraps the other layers by the names their callers look up; a refactor
 that binds one of them elsewhere would leave a traced run counting zero.
+The l1 baseline factors with ``scipy.linalg.cholesky``, so its solves show
+as ``baselines.l1_penalized`` spans and never as problem-2 factorisations.
 """
 
 import importlib.util
@@ -11,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from ssnnls.core import GroupedDictionary, SparsityConfig
+from ssnnls.hsi import HsiScene, demix_scene
 from ssnnls.sgp import SgpParams, solve_problem2
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -35,6 +38,19 @@ def test_solve_problem2_factors_once_per_call_at_call_time():
         reports = [solve_problem2(dct, b, cfg, SgpParams(tol_energy=1e-12)) for _ in range(2)]
     assert all(rep.outer_iters >= 2 for rep in reports)
     assert tracer.counts["qp.factorisations"] == 2
+
+
+def test_demix_l1_records_baseline_spans_and_no_qp_factorisation():
+    rng = np.random.default_rng(1)
+    dct = GroupedDictionary(rng.normal(size=(24, 8)), np.array([0, 3, 6, 8]))
+    scene = HsiScene(dct, np.ones(8), dct.entries @ np.abs(rng.normal(size=(8, 5))))
+    cfg = SparsityConfig(gamma=np.full(3, 0.05), gamma0=0.0, eps=np.full(3, 0.05), r=1.0)
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    with tracing.traced(tracer):
+        demix_scene(scene, cfg, solver="l1", l1_gamma=0.1)
+    assert tracer.totals()["baselines.l1_penalized"][0] == 5
+    assert tracer.counts["qp.factorisations"] == 0
 
 
 def test_every_traced_name_is_the_function_its_caller_uses():
