@@ -15,6 +15,7 @@ Two objectives are evaluated here:
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
@@ -71,6 +72,17 @@ class GroupedDictionary:
 
     def group_sizes(self) -> np.ndarray:
         return np.diff(self.offsets)
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """Read-only Gram matrix A'A, computed on first use and kept.
+
+        The cache takes no lock: code that shares one dictionary between
+        threads reads it once before they start.
+        """
+        gram = self.entries.T @ self.entries
+        gram.flags.writeable = False
+        return gram
 
 
 @dataclass

@@ -3,8 +3,8 @@
 A scene is a band-by-pixel matrix, each pixel a non-negative combination
 of library spectra; the library's columns cluster into groups of variants
 of the same material.  Demixing solves one structured-sparse problem per
-pixel (pixels are independent, so they run on a thread pool sharing one
-Gram workspace) and metrics compare recovered abundances against the
+pixel (pixels are independent, so they run on a thread pool sharing the
+dictionary's Gram matrix) and metrics compare recovered abundances against the
 planted truth, per column and collapsed per group.
 """
 
@@ -219,10 +219,10 @@ def demix_scene(scene: HsiScene, cfg: SparsityConfig, solver: str = "diff_p2",
     ``PD_MAX_INNER``, ``PD_MAX_OUTER`` and ``PD_RHO_CAP`` constants; the
     structured solvers take ``sgp`` plus the constants of
     :mod:`ssnnls.sgp` (``C0``, ``SIGMA``, ``XI1``, ``XI2``, ``RHO``,
-    ``MAX_REJECTIONS``, ``TOL_STEP``), and "hoyer_p1" also ``admm`` and
-    ``qp.KINV_CACHE_SIZE``.  Pixels
-    whose solver raises a non-convergence error get a zero column and an
-    entry in ``failed_pixels``.  Pixels run on ``threads`` workers (default 1;
+    ``MAX_REJECTIONS``, ``TOL_STEP``), "hoyer_p1" also ``admm`` and
+    ``qp.KINV_CACHE_SIZE``, "diff_p2" also ``qp.ACTIVE_SET_ITERS_PER_COLUMN``.
+    Pixels whose solver raises a non-convergence error get a zero column
+    and an entry in ``failed_pixels``.  Pixels run on ``threads`` workers (default 1;
     0/None = all cores; capped by the SSNNLS_MAX_THREADS environment
     variable); results do not depend on the worker count.
     """
@@ -234,8 +234,10 @@ def demix_scene(scene: HsiScene, cfg: SparsityConfig, solver: str = "diff_p2",
     admm = admm or AdmmParams()
     n_threads = resolve_threads(threads)
 
-    workspace = QpWorkspace(dct.entries.T @ dct.entries) \
-        if solver in ("hoyer_p1", "diff_p2") else None
+    # the dictionary caches its Gram matrix without a lock: form it here,
+    # before any worker could race to compute it
+    gram = dct.gram if solver in ("hoyer_p1", "diff_p2") else None
+    workspace = QpWorkspace(gram) if solver == "hoyer_p1" else None
     if solver == "l1":
         if l1_gamma is None:
             raise ConfigError("the l1 solver needs l1_gamma")
@@ -252,7 +254,7 @@ def demix_scene(scene: HsiScene, cfg: SparsityConfig, solver: str = "diff_p2",
         if solver == "hoyer_p1":
             rep = solve_problem1(dct, y, cfg, sgp, admm, workspace=workspace)
         else:
-            rep = solve_problem2(dct, y, cfg, sgp, workspace=workspace)
+            rep = solve_problem2(dct, y, cfg, sgp)
         return rep.final.x, rep.outer_iters
 
     values = np.zeros((dct.n_columns, scene.n_pixels))

@@ -6,9 +6,12 @@ Each outer iteration minimises the model
 
 over the problem's feasible set, where G is the dictionary Gram matrix
 and C a non-negative diagonal shift.  Problem 2 constrains x to the
-orthant (with an optional sign-free tail) and is solved exactly: with
-G + 2C = R'R the model is |R z - (R a - R^-T grad F(a))|^2 / 2 plus a
-constant, a non-negative least-squares problem.  Problem 1 additionally
+orthant (with an optional sign-free tail) and is solved exactly by
+Lawson & Hanson's active set run on G itself (Bro & de Jong's FNNLS):
+each iteration factors only the small block of G + 2C on the current
+support, so the cost follows the support, not the dictionary.  A
+sign-free tail is eliminated once per outer solve through the Schur
+complement of its block.  Problem 1 additionally
 carries dummy variables with per-group floor sets and a shared budget
 and is solved by ADMM, whose x-update solves (G + 2C + delta I) u = rhs;
 that matrix's inverse is formed once per (shift, delta) pair and cached
@@ -19,13 +22,13 @@ reuse it.
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 
 from . import kernels
-from .baselines import nnls
 from .errors import NonConvergenceError
 
 
@@ -72,8 +75,8 @@ class QpSubproblem:
             raise ValueError(f"gram must be ({n},{n}), got {self.gram.shape}")
         if self.lin.shape != (n,) or self.shift.shape != (n,):
             raise ValueError("lin and shift must match the anchor length")
-        if np.any(self.shift < 0):
-            raise ValueError("diagonal shift must be non-negative")
+        if not np.all((self.shift >= 0) & np.isfinite(self.shift)):
+            raise ValueError("diagonal shift must be finite and non-negative")
         if not 0 <= self.n_free <= n:
             raise ValueError(f"n_free out of range 0..{n}")
         if grouped:
@@ -98,10 +101,11 @@ class QpSubproblem:
 class QpSolution:
     """Feasible minimiser of one quadratic model plus solver state.
 
-    The sweep count, residuals and the multipliers ``p``/``p_d`` (kept so
-    the next solve against the same structure can warm-start) are those of
-    problem 1's ADMM; the exact problem-2 solve leaves them at their
-    defaults.
+    ``iterations`` counts problem 1's ADMM sweeps or problem 2's
+    active-set iterations (passive-block solves).  The residuals and the
+    multipliers ``p``/``p_d`` (kept so the next solve against the same
+    structure can warm-start) are those of problem 1's ADMM; the exact
+    problem-2 solve leaves them at their defaults.
     """
 
     x: np.ndarray
@@ -174,47 +178,145 @@ def model_value(sub: QpSubproblem, x: np.ndarray, d: Optional[np.ndarray] = None
     return val
 
 
-def factorise_p2(gram: np.ndarray, shift: np.ndarray, n_free: int) -> np.ndarray:
-    """Upper Cholesky factor R of G + 2 diag(shift) for :func:`solve_qp_p2`.
+# Problem 2's active set stops with NonConvergenceError after this many
+# passive-block solves per constrained coordinate (3 n, as scipy's nnls).
+ACTIVE_SET_ITERS_PER_COLUMN = 3
 
-    Rows and columns are rolled so the ``n_free`` sign-free trailing
-    coordinates come first: R'R = Q (G + 2C) Q' with Q z = np.roll(z, n_free).
-    Raises ``ValueError`` when G + 2C is not numerically positive definite
-    (a zero shift with a rank-deficient dictionary).
+
+def model_cholesky(h: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a block of the model Hessian G + 2C.
+
+    Raises ``ValueError`` naming ``c_matrix_scale`` when the block is not
+    numerically positive definite: the factorisation fails, or a pivot
+    squared is at most ``n * eps`` times the largest diagonal entry (the
+    rank tolerance of LAPACK's pivoted Cholesky).
     """
-    order = np.roll(np.arange(gram.shape[0]), n_free)
-    h = gram[np.ix_(order, order)]
-    h[np.diag_indices_from(h)] += 2.0 * shift[order]
+    low, info = scipy.linalg.lapack.dpotrf(h, lower=1)
+    if info:
+        raise ValueError(f"model Hessian G + 2C is not positive definite (leading minor "
+                         f"{info} of {h.shape[0]}); increase c_matrix_scale")
+    if low.diagonal().min() ** 2 <= h.shape[0] * np.finfo(float).eps * h.diagonal().max():
+        raise ValueError(f"model Hessian G + 2C is numerically singular on {h.shape[0]} "
+                         "columns; increase c_matrix_scale")
+    return low
+
+
+def _solve_passive(h: np.ndarray, diag: np.ndarray, q: np.ndarray,
+                   idx: np.ndarray) -> np.ndarray:
+    """Solve (H + diag(diag))[idx, idx] s = q[idx] by a Cholesky factor of that block."""
+    block = h[idx[:, None], idx]
+    block.flat[::idx.size + 1] += diag[idx]
+    s, _ = scipy.linalg.lapack.dpotrs(model_cholesky(block), q[idx], lower=1)
+    return s
+
+
+def active_set_qp(h: np.ndarray, diag: np.ndarray, q: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Minimise z'(H + diag(diag))z / 2 - q'z over z >= 0 by Lawson & Hanson's active set.
+
+    The Gram-form variant of Bro & de Jong (1997): each iteration adds the
+    index with the largest negative gradient to the passive set P, solves
+    the unconstrained model on P from a Cholesky factor of the |P| x |P|
+    block, and steps back to the feasible set while that solution has a
+    non-positive entry.  Only columns of H in P are read, so the cost
+    follows the support, not the size of H.  Returns the minimiser and
+    the number of passive-block solves; raises :class:`NonConvergenceError`
+    after ``ACTIVE_SET_ITERS_PER_COLUMN * n`` of them and ``ValueError``
+    from a passive block that is not positive definite.
+    """
+    n = q.size
+    cap = ACTIVE_SET_ITERS_PER_COLUMN * n
+    z = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    # negative gradient q - (H + diag) z; at z = 0 it is q exactly
+    w = q.copy()
+    tol = 10.0 * n * np.finfo(float).eps * float(np.max(np.abs(q), initial=0.0))
+    iters = 0
+    while n:
+        cand = np.where(passive, -np.inf, w)
+        j = int(np.argmax(cand))
+        if cand[j] <= tol:
+            break
+        passive[j] = True
+        added = True
+        while True:
+            iters += 1
+            if iters > cap:
+                raise NonConvergenceError(
+                    f"nnls: active set did not converge in {cap} iterations",
+                    iterations=cap)
+            idx = np.flatnonzero(passive)
+            s = _solve_passive(h, diag, q, idx)
+            if added and s[np.searchsorted(idx, j)] <= 0:
+                # rounding left the new index unable to move off zero:
+                # skip it until z changes (Lawson & Hanson's step 6)
+                passive[j] = False
+                w[j] = 0.0
+                break
+            added = False
+            if (s > 0).all():
+                z[idx] = s
+                break
+            zp = z[idx]
+            neg = np.flatnonzero(s <= 0)
+            ratios = zp[neg] / (zp[neg] - s[neg])
+            first = int(np.argmin(ratios))
+            zp += ratios[first] * (s - zp)
+            zp[neg[first]] = 0.0
+            zp = np.maximum(zp, 0.0)
+            z[idx] = zp
+            passive[idx[zp == 0.0]] = False
+        if not added:
+            idx = np.flatnonzero(passive)
+            w = q - h[:, idx] @ z[idx] - diag * z
+    return z, iters
+
+
+FreeElimination = Tuple[Tuple[np.ndarray, bool], np.ndarray, np.ndarray]
+
+
+def eliminate_free(gram: np.ndarray, shift: np.ndarray, n_free: int) -> FreeElimination:
+    """Remove the ``n_free`` trailing sign-free coordinates from H = G + 2 diag(shift).
+
+    Returns the Cholesky factor of H_ff, Y = H_ff^-1 H_fc and the Schur
+    complement S = H_cc - H_cf Y, on which :func:`solve_qp_p2` runs the
+    active set.  Raises ``ValueError`` when H_ff is not positive definite.
+    """
+    c = gram.shape[0] - n_free
+    h_ff = gram[c:, c:] + np.diag(2.0 * shift[c:])
     try:
-        c, _ = scipy.linalg.cho_factor(h, overwrite_a=True)
+        factor = scipy.linalg.cho_factor(h_ff, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
-        raise ValueError(f"model Hessian G + 2C is not positive definite ({exc}); "
-                         "increase c_matrix_scale") from exc
-    return np.triu(c)
+        raise ValueError(f"model Hessian G + 2C is not positive definite on its "
+                         f"sign-free block ({exc}); increase c_matrix_scale") from exc
+    y = scipy.linalg.cho_solve(factor, gram[c:, :c], check_finite=False)
+    schur = gram[:c, :c] - gram[:c, c:] @ y
+    schur[np.diag_indices_from(schur)] += 2.0 * shift[:c]
+    return factor, y, schur
 
 
-def solve_qp_p2(sub: QpSubproblem, r: Optional[np.ndarray] = None) -> QpSolution:
+def solve_qp_p2(sub: QpSubproblem, free: Optional[FreeElimination] = None) -> QpSolution:
     """Solve the orthant-constrained model exactly (problem 2 inner step).
 
-    ``r`` is :func:`factorise_p2` of the subproblem's Gram matrix, shift
-    and ``n_free``, computed here when not given.  With the f sign-free
-    coordinates first, R = [[R_ff, R_fc], [0, R_cc]] and
-    d = R a - R^-T lin, the constrained block is NNLS(R_cc, d_c) (Lawson
-    & Hanson's active set, :func:`ssnnls.baselines.nnls`) and the free
-    block solves R_ff z_f = d_f - R_fc z_c.  Raises
-    :class:`NonConvergenceError` if the NNLS hits its iteration cap.
+    The model is z'(G + 2C)z / 2 - q'z up to a constant, with
+    q = (G + 2C) a - lin, minimised over z_c >= 0 by
+    :func:`active_set_qp`.  A sign-free tail z_f is eliminated first:
+    ``free`` is :func:`eliminate_free` of the subproblem (computed here
+    when not given), the active set runs on the Schur complement with
+    q_c - Y'q_f, and z_f = H_ff^-1 q_f - Y z_c.  ``iterations`` counts the
+    active set's passive-block solves.
     """
     sub.validate(grouped=False)
     f = sub.n_free
-    if r is None:
-        r = factorise_p2(sub.gram, sub.shift, f)
-    rhs = r @ np.roll(sub.anchor, f) - scipy.linalg.solve_triangular(
-        r, np.roll(sub.lin, f), trans="T")
-    z = np.empty_like(rhs)
-    z[f:] = nnls(r[f:, f:], rhs[f:])
-    if f:
-        z[:f] = scipy.linalg.solve_triangular(r[:f, :f], rhs[:f] - r[:f, f:] @ z[f:])
-    return QpSolution(np.roll(z, -f), None)
+    c = sub.anchor.size - f
+    diag = 2.0 * sub.shift
+    q = sub.gram @ sub.anchor + diag * sub.anchor - sub.lin
+    if not f:
+        z, iters = active_set_qp(sub.gram, diag, q)
+        return QpSolution(z, None, iters)
+    factor, y, schur = free if free is not None else eliminate_free(sub.gram, sub.shift, f)
+    zf0 = scipy.linalg.cho_solve(factor, q[c:], check_finite=False)
+    zc, iters = active_set_qp(schur, np.zeros(c), q[:c] - y.T @ q[c:])
+    return QpSolution(np.concatenate([zc, zf0 - y @ zc]), None, iters)
 
 
 def _polish_dummies(x: np.ndarray, d: np.ndarray, sub: QpSubproblem) -> np.ndarray:

@@ -7,9 +7,11 @@ justified by the concavity of the smoothed penalty on the orthant) or
 through a sufficient-decrease test that adapts the scaling (problem 1,
 where the Hoyer ratio's curvature is unbounded near the floors).
 
-Problem 2's model is minimised exactly, from one Cholesky factor per
-solve and one active-set NNLS per step; no ADMM runs.  Problem 1's
-model is minimised by ADMM to the tolerance in :class:`AdmmParams`.
+Problem 2's model is minimised exactly at every step by an active set
+on the dictionary's cached Gram matrix, which factors only the small
+block on the current support; a sign-free tail costs one Cholesky
+factor per solve, and no ADMM runs.  Problem 1's model is minimised by
+ADMM to the tolerance in :class:`AdmmParams`.
 """
 
 from dataclasses import dataclass, field
@@ -21,8 +23,8 @@ from .core import (GroupedCoeffs, GroupedDictionary, ObjectiveEval, SparsityConf
                    as_data_vector, eval_objective_p1, eval_objective_p2)
 from .errors import NonConvergenceError
 from .projections import SimplexMode, SimplexSpec, project_group_floor, project_simplex
-from .qp import (AdmmParams, QpSolution, QpSubproblem, QpWorkspace, factorise_p2, model_value,
-                 solve_qp_p1, solve_qp_p2)
+from .qp import (AdmmParams, QpSolution, QpSubproblem, QpWorkspace, eliminate_free,
+                 model_cholesky, model_value, solve_qp_p1, solve_qp_p2)
 
 TERM_STEP = "step_tol"
 TERM_ENERGY = "energy_tol"
@@ -70,7 +72,8 @@ class SolveReport:
     """Outcome of one outer solve: final point, traces, termination reason.
 
     ``inner_iters_total`` counts problem 1's ADMM sweeps, those of failed
-    attempts included; problem 2 runs no sweeps and reports 0.
+    attempts included, or problem 2's active-set iterations
+    (passive-block solves) over every step, the unaccepted last one too.
     """
 
     final: GroupedCoeffs
@@ -132,15 +135,15 @@ def _feasible_p1_init(dct: GroupedDictionary, cfg: SparsityConfig,
 
 def solve_problem2(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
                    params: Optional[SgpParams] = None,
-                   init: Optional[GroupedCoeffs] = None,
-                   workspace: Optional[QpWorkspace] = None) -> SolveReport:
+                   init: Optional[GroupedCoeffs] = None) -> SolveReport:
     """Minimise the smoothed l1 - l2 objective over the orthant (problem 2).
 
-    The diagonal scaling stays fixed at ``c_matrix_scale``, so the model
-    Hessian is factored once and every step solves its model exactly.  A
-    model minimiser that does not lower the objective ends the run as
-    ``energy_tol``.  A :class:`NonConvergenceError` from a step's NNLS
-    propagates.
+    The diagonal scaling stays fixed at ``c_matrix_scale``, so every step
+    solves its model exactly by an active set on the dictionary's cached
+    Gram matrix (:func:`ssnnls.qp.solve_qp_p2`); a sign-free tail is
+    eliminated once per solve.  A model minimiser that does not lower the
+    objective ends the run as ``energy_tol``.  A
+    :class:`NonConvergenceError` from a step's active set propagates.
     """
     params = params or SgpParams()
     b = as_data_vector(b, dct.n_rows)
@@ -154,16 +157,20 @@ def solve_problem2(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
         raise ValueError(f"init must have {n} coefficients, got {x.shape}")
     x[:pre] = np.maximum(x[:pre], 0.0)
 
-    gram = workspace.gram if workspace is not None else dct.entries.T @ dct.entries
+    gram = dct.gram
+    if not params.c_matrix_scale > 0:
+        # with no shift the model is strongly convex only if A has full column rank
+        model_cholesky(gram)
     shift = np.full(n, params.c_matrix_scale)
-    r = factorise_p2(gram, shift, n_free)
+    free = eliminate_free(gram, shift, n_free) if n_free else None
     report = SolveReport(final=GroupedCoeffs(x))
 
     ev = eval_objective_p2(dct, b, GroupedCoeffs(x), cfg)
     report.objective_trace.append(ev.value)
     for _ in range(params.max_outer):
         sub = QpSubproblem(gram=gram, lin=ev.grad_x, anchor=x, shift=shift, n_free=n_free)
-        sol = solve_qp_p2(sub, r)
+        sol = solve_qp_p2(sub, free)
+        report.inner_iters_total += sol.iterations
         ev_y = eval_objective_p2(dct, b, GroupedCoeffs(sol.x), cfg)
         if ev_y.value > ev.value:
             report.termination = TERM_ENERGY
@@ -211,7 +218,7 @@ def solve_problem1(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
     coeffs = _feasible_p1_init(dct, cfg, init)
     x, d = coeffs.x, coeffs.d
 
-    ws = workspace if workspace is not None else QpWorkspace(dct.entries.T @ dct.entries)
+    ws = workspace if workspace is not None else QpWorkspace(dct.gram)
     report = SolveReport(final=GroupedCoeffs(x, d))
     warm: Optional[QpSolution] = None
     c = C0

@@ -3,7 +3,10 @@
 Projections are solved by support enumeration (exact KKT solve per active
 set, feasible candidate with minimal distance wins); the QP solvers are
 checked against plain projected gradient, with Dykstra alternating
-projections supplying feasibility for the grouped problem; the penalized
+projections supplying feasibility for the grouped problem, and problem
+2's step also against a Cholesky factor of the whole model Hessian with
+scipy's NNLS on it, on models too ill-conditioned for projected
+gradient; the penalized
 and constrained l1 baselines are checked against scipy's SLSQP.  Nothing
 here shares code with the package beyond reading its data containers.
 """
@@ -11,6 +14,7 @@ here shares code with the package beyond reading its data containers.
 import itertools
 
 import numpy as np
+import scipy.linalg
 import scipy.optimize
 
 from ssnnls.qp import QpSubproblem
@@ -228,6 +232,52 @@ def random_p2_subproblem(rng):
     return QpSubproblem(gram=gram, lin=rng.normal(size=n),
                         anchor=0.5 * rng.normal(size=n),
                         shift=rng.uniform(0.05, 0.5, n), n_free=n_free)
+
+
+def rolled_cholesky_p2(sub):
+    """Problem 2's step by a Cholesky factor of the whole model Hessian and scipy's NNLS.
+
+    With the f sign-free coordinates rolled to the front, G + 2C = R'R,
+    R = [[R_ff, R_fc], [0, R_cc]] and d = R a - R^-T lin, the constrained
+    block is NNLS(R_cc, d_c) and the free block solves
+    R_ff z_f = d_f - R_fc z_c.
+    """
+    n, f = sub.anchor.size, sub.n_free
+    order = np.roll(np.arange(n), f)
+    h = sub.gram[np.ix_(order, order)] + 2.0 * np.diag(sub.shift[order])
+    r = scipy.linalg.cholesky(h)
+    rhs = r @ np.roll(sub.anchor, f) - scipy.linalg.solve_triangular(
+        r, np.roll(sub.lin, f), trans="T")
+    z = np.empty(n)
+    z[f:] = scipy.optimize.nnls(r[f:, f:], rhs[f:])[0]
+    if f:
+        z[:f] = scipy.linalg.solve_triangular(r[:f, :f], rhs[:f] - r[:f, f:] @ z[f:])
+    return np.roll(z, -f)
+
+
+def wide_p2_subproblem(rng, n_free):
+    """Problem-2 step on a wide dictionary of near-duplicate column pairs, shift 1e-9.
+
+    12 rows; 12 unit columns, each with a twin perturbed by 1e-6, then
+    ``n_free`` sign-free columns.  The gradient is that of least squares
+    plus a positive penalty-like term at a sparse non-negative anchor, as
+    in the outer loop.
+    """
+    m, half = 12, 12
+    base = rng.normal(size=(m, half))
+    twins = base + 1e-6 * rng.normal(size=(m, half))
+    a = np.hstack([np.column_stack([base, twins]), rng.normal(size=(m, n_free))])
+    a /= np.linalg.norm(a, axis=0)
+    n = a.shape[1]
+    x_true = np.zeros(n)
+    x_true[rng.choice(2 * half, 3, replace=False)] = rng.uniform(0.5, 1.5, 3)
+    b = a @ x_true + 0.01 * rng.normal(size=m)
+    anchor = np.where(rng.uniform(size=n) < 0.3, rng.uniform(0.0, 1.0, n), 0.0)
+    anchor[2 * half:] = rng.normal(size=n_free)
+    lin = a.T @ (a @ anchor - b)
+    lin[:2 * half] += 0.05 * rng.uniform(0.0, 1.0, 2 * half)
+    return QpSubproblem(gram=a.T @ a, lin=lin, anchor=anchor, shift=np.full(n, 1e-9),
+                        n_free=n_free)
 
 
 def random_p1_subproblem(rng):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from ssnnls.core import SparsityConfig
+from ssnnls.core import GroupedDictionary, SparsityConfig
 from ssnnls.doas import (DOAS_SOLVERS, BackgroundOperator, DeformationGrid, DoasFitConfig,
                          ReferenceSpectrum, _sample_with_reflection, build_background_operator,
                          build_deformation_dictionary, deformed_column, fit_doas,
@@ -220,6 +220,27 @@ def test_fit_doas_recovers_planted_atoms(desk):
     l1 = fit_doas(data, ddict, DoasFitConfig(solver="l1", l1_tau=0.02, **base))
     for sel, (j, local, _) in zip(l1.selections, planted):
         assert (sel.slope, sel.offset) == grid.deformation(local)
+
+
+def test_gram_is_formed_on_first_fit_and_kept(desk):
+    # the Gram matrix stays out of the dictionary build (the benchmark's
+    # setup time) and is formed once for every fit against the dictionary
+    wl, refs, grid, _ = desk
+    ddict = build_deformation_dictionary(refs, grid, wl)
+    dct = ddict.dictionary
+    assert "gram" not in dct.__dict__
+    assert "gram" not in GroupedDictionary(dct.entries, dct.offsets).__dict__
+    cfg = DoasFitConfig(solver="diff_p2", sparsity=desk_sparsity(),
+                        sgp=SgpParams(c_matrix_scale=1e-9, tol_energy=1e-8))
+    datas = [synthesize_doas_data(ddict, sample_planted_coeffs(ddict, seed=s)[0], 0.01, s)
+             for s in (12, 13)]
+    fits = [fit_doas(datas[0], ddict, cfg).coeffs.x]
+    gram = dct.__dict__["gram"]
+    fits.append(fit_doas(datas[1], ddict, cfg).coeffs.x)
+    assert dct.__dict__["gram"] is gram
+    for data, x in zip(datas, fits):
+        fresh = build_deformation_dictionary(refs, grid, wl)
+        assert np.array_equal(fit_doas(data, fresh, cfg).coeffs.x, x)
 
 
 def test_fit_doas_raw_units(desk):

@@ -2,8 +2,8 @@
 
 import numpy as np
 import pytest
-import scipy.optimize
 
+from ssnnls import hsi, qp
 from ssnnls.core import GroupedDictionary, SparsityConfig
 from ssnnls.errors import ConfigError, NonConvergenceError
 from ssnnls.hsi import (HSI_SOLVERS, GroupCollapser, HsiScene, compute_metrics, demix_scene,
@@ -154,6 +154,24 @@ def test_demix_thread_count_invariance(tiny_scene):
     assert np.array_equal(pooled.values, again.values)
 
 
+def test_demix_forms_the_gram_before_its_workers(tiny_scene, monkeypatch):
+    # the dictionary caches its Gram matrix without a lock, so every pooled
+    # pixel must find it already formed
+    dct = GroupedDictionary(tiny_scene.dictionary.entries, tiny_scene.dictionary.offsets)
+    scene = HsiScene(dct, tiny_scene.scales, tiny_scene.pixels)
+    seen = []
+    real = hsi.solve_problem2
+
+    def solve(d, *args, **kwargs):
+        seen.append("gram" in d.__dict__)
+        return real(d, *args, **kwargs)
+
+    monkeypatch.setattr(hsi, "solve_problem2", solve)
+    assert "gram" not in dct.__dict__
+    demix_scene(scene, tiny_cfg(), solver="diff_p2", sgp=SGP_FAST, threads=3)
+    assert seen == [True] * scene.n_pixels
+
+
 def test_demix_config_errors(tiny_scene):
     with pytest.raises(ConfigError):
         demix_scene(tiny_scene, tiny_cfg(), solver="magic")
@@ -171,12 +189,9 @@ def test_demix_failed_pixels_recorded(tiny_scene):
 
 
 def test_problem2_nnls_cap_fails_the_pixel(tiny_scene, monkeypatch):
-    # a problem-2 step whose NNLS hits its iteration cap is a
+    # a problem-2 step whose active set hits its iteration cap is a
     # non-convergence, and demix_scene records the pixel as failed
-    def capped(a, b, maxiter=None):
-        raise RuntimeError("Maximum number of iterations reached.")
-
-    monkeypatch.setattr(scipy.optimize, "nnls", capped)
+    monkeypatch.setattr(qp, "ACTIVE_SET_ITERS_PER_COLUMN", 0)
     with pytest.raises(NonConvergenceError, match="nnls"):
         solve_problem2(tiny_scene.dictionary, tiny_scene.pixels[:, 0], tiny_cfg(), SGP_FAST)
     out = demix_scene(tiny_scene, tiny_cfg(), solver="diff_p2", sgp=SGP_FAST, threads=2)

@@ -50,6 +50,20 @@ def test_solve_qp_p2_matches_projected_gradient_oracle():
         assert model_value(sub, sol.x) <= model_value(sub, ref) + 1e-8
 
 
+@pytest.mark.parametrize("n_free", [0, 3])
+def test_solve_qp_p2_matches_full_factor_on_wide_near_duplicate_models(n_free):
+    # shift 1e-9 on a rank-12 Gram matrix of 24 near-duplicate columns:
+    # too ill-conditioned for the projected-gradient oracle
+    rng = np.random.default_rng(40 + n_free)
+    for _ in range(20):
+        sub = oracles.wide_p2_subproblem(rng, n_free)
+        sol = solve_qp_p2(sub)
+        ref = model_value(sub, oracles.rolled_cholesky_p2(sub))
+        assert np.min(sol.x[:sub.anchor.size - n_free]) >= 0.0
+        assert sol.iterations >= 1
+        assert model_value(sub, sol.x) <= ref + 1e-9 * max(1.0, abs(ref))
+
+
 def test_solve_qp_p1_matches_pg_dykstra_oracle():
     rng = np.random.default_rng(8)
     for _ in range(8):

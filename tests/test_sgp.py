@@ -7,7 +7,7 @@ from numpy.random import default_rng
 from ssnnls.core import GroupedCoeffs, GroupedDictionary, SparsityConfig, eval_objective_p1, eval_objective_p2
 from ssnnls.errors import NonConvergenceError
 from ssnnls import sgp
-from ssnnls.qp import AdmmParams, QpSolution, QpWorkspace
+from ssnnls.qp import AdmmParams, QpSolution
 from ssnnls.sgp import (TERM_ENERGY, TERM_MAX_OUTER, TERM_STEP, SgpParams,
                         check_descent_estimate, solve_problem1, solve_problem2)
 
@@ -220,12 +220,23 @@ def test_problem2_singular_model_is_a_value_error():
         solve_problem2(dct, rng.normal(size=5), cfg, SgpParams(c_matrix_scale=0.0))
 
 
-def test_problem2_trace_bookkeeping():
+def test_problem2_trace_bookkeeping(monkeypatch):
     dct, b, cfg = make_problem(7)
+    real = sgp.solve_qp_p2
+    steps = []
+
+    def counting(sub, free=None):
+        sol = real(sub, free)
+        steps.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(sgp, "solve_qp_p2", counting)
     report = solve_problem2(dct, b, cfg, SgpParams())
     assert len(report.step_trace) == report.outer_iters
     assert len(report.c_trace) == report.outer_iters
-    assert report.inner_iters_total == 0  # exact model solves run no sweeps
+    # every step's active-set iterations, the last (unaccepted) step's too
+    assert len(steps) >= report.outer_iters and min(steps) >= 1
+    assert report.inner_iters_total == sum(steps)
     assert set(report.c_trace) == {SgpParams().c_matrix_scale}
 
 
@@ -248,11 +259,10 @@ def test_problem1_rejection_storm_raises(monkeypatch):
 
 
 def test_determinism_and_shared_workspace():
+    # two solves on one dictionary share its cached Gram matrix
     dct, b, cfg = make_problem(13)
-    ws = QpWorkspace(dct.entries.T @ dct.entries)
-    runs = [solve_problem2(dct, b, cfg, SgpParams(), workspace=ws)
-            for _ in range(2)]
-    fresh = solve_problem2(dct, b, cfg, SgpParams())
+    runs = [solve_problem2(dct, b, cfg, SgpParams()) for _ in range(2)]
+    fresh = solve_problem2(GroupedDictionary(dct.entries, dct.offsets), b, cfg, SgpParams())
     assert np.array_equal(runs[0].final.x, runs[1].final.x)
     assert runs[0].objective_trace == runs[1].objective_trace
     assert fresh.final.x == pytest.approx(runs[0].final.x, abs=1e-9)

@@ -3,6 +3,8 @@
 The tracer counts factorisations by replacing ``scipy.linalg.cho_factor``
 and wraps the other layers by the names their callers look up; a refactor
 that binds one of them elsewhere would leave a traced run counting zero.
+Problem 2 calls ``cho_factor`` only to eliminate a sign-free tail; its
+active set factors passive blocks with ``np.linalg.cholesky``.
 The l1 baseline factors with ``scipy.linalg.cholesky``, so its solves show
 as ``baselines.l1_penalized`` spans and never as problem-2 factorisations.
 """
@@ -27,17 +29,23 @@ def _tracing():
 
 
 def test_solve_problem2_factors_once_per_call_at_call_time():
+    # the active set factors only small passive blocks, which the tracer
+    # does not count; a sign-free tail costs one factorisation per solve
     rng = np.random.default_rng(0)
     offsets = np.array([0, 3, 6, 8])
     dct = GroupedDictionary(rng.normal(size=(24, 8)), offsets)
     b = dct.entries @ np.array([1.0, 0, 0, 0, 0.7, 0, 0, 1.2]) + 0.01 * rng.normal(size=24)
-    cfg = SparsityConfig(gamma=np.full(3, 0.05), gamma0=0.02, eps=np.full(3, 0.05), r=1.0)
+    signed = SparsityConfig(gamma=np.full(3, 0.05), gamma0=0.02, eps=np.full(3, 0.05), r=1.0)
+    free_tail = SparsityConfig(gamma=[0.05, 0.05, 0.0], gamma0=0.0, eps=np.full(3, 0.05),
+                               r=1.0, free_groups=(2,))
     tracing = _tracing()
-    tracer = tracing.Tracer()
-    with tracing.traced(tracer):
-        reports = [solve_problem2(dct, b, cfg, SgpParams(tol_energy=1e-12)) for _ in range(2)]
-    assert all(rep.outer_iters >= 2 for rep in reports)
-    assert tracer.counts["qp.factorisations"] == 2
+    for cfg, per_solve in ((signed, 0), (free_tail, 1)):
+        tracer = tracing.Tracer()
+        with tracing.traced(tracer):
+            reports = [solve_problem2(dct, b, cfg, SgpParams(tol_energy=1e-12))
+                       for _ in range(2)]
+        assert all(rep.outer_iters >= 2 for rep in reports)
+        assert tracer.counts["qp.factorisations"] == 2 * per_solve
 
 
 def test_demix_l1_records_baseline_spans_and_no_qp_factorisation():
