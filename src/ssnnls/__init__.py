@@ -18,7 +18,7 @@ from .errors import ConfigError, DegenerateColumnError, NonConvergenceError, Ssn
 from .penalties import PenaltyValue, diff_l1_l2, hoyer_ratio, huber
 from .projections import (SimplexMode, SimplexSpec, project_dummy_budget, project_group_floor,
                           project_nonneg, project_simplex)
-from .qp import AdmmParams, QpSolution, QpSubproblem, QpWorkspace, solve_qp_p1, solve_qp_p2
+from .qp import AdmmParams, QpSolution, QpSubproblem, solve_qp_p1, solve_qp_p2
 from .sgp import SgpParams, SolveReport, check_descent_estimate, solve_problem1, solve_problem2
 
 __version__ = "0.1.0"
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AdmmParams", "ConfigError", "DegenerateColumnError", "GroupedCoeffs",
     "GroupedDictionary", "NonConvergenceError", "ObjectiveEval", "PdParams",
-    "PenaltyValue", "QpSolution", "QpSubproblem", "QpWorkspace", "SgpParams",
+    "PenaltyValue", "QpSolution", "QpSubproblem", "SgpParams",
     "SimplexMode", "SimplexSpec", "SolveReport", "SparsityConfig", "SsnnlsError",
     "check_descent_estimate", "diff_l1_l2", "eval_objective_p1", "eval_objective_p2",
     "hoyer_ratio", "huber", "l1_bregman", "l1_penalized", "nnls", "normalize_columns",

@@ -33,7 +33,6 @@ from .doas import (DOAS_SOLVERS, DeformationGrid, DoasFitConfig, build_deformati
 from .errors import ConfigError, NonConvergenceError
 from .hsi import (HSI_SOLVERS, compute_metrics, demix_scene, resolve_threads,
                   synthesize_endmember_library, synthesize_mixed_scene)
-from .qp import AdmmParams
 from .sgp import SgpParams
 
 EXPERIMENTS = ("doas-align", "doas-background", "hsi-inter", "hsi-structured")
@@ -193,8 +192,6 @@ def run_doas_align(cfg: ExperimentConfig) -> List[RunRecord]:
             sgp=SgpParams(c_matrix_scale=float(cfg.knob("c_scale", 1e-9)),
                           tol_energy=float(cfg.knob("tol_energy", 1e-8)),
                           max_outer=int(cfg.knob("max_outer", 500))),
-            admm=AdmmParams(tol=float(cfg.knob("admm_tol", 1e-4)),
-                            max_iters=int(cfg.knob("admm_max_iters", 50000))),
             pd=PdParams(rho0=float(cfg.knob("pd_rho0", 0.05)),
                         growth=float(cfg.knob("pd_growth", 1.2))),
             pd_init=cfg.knob("pd_init", "nnls"),
@@ -242,8 +239,6 @@ def run_doas_background(cfg: ExperimentConfig) -> List[RunRecord]:
             sgp=SgpParams(c_matrix_scale=c_scale,
                           tol_energy=float(cfg.knob("tol_energy", 5e-9)),
                           max_outer=int(cfg.knob("max_outer", 500))),
-            admm=AdmmParams(tol=float(cfg.knob("admm_tol", 1e-5)),
-                            max_iters=int(cfg.knob("admm_max_iters", 50000))),
             pd=PdParams(rho0=float(cfg.knob("pd_rho0", 1e-6)),
                         growth=float(cfg.knob("pd_growth", 1.1)),
                         tol_outer=float(cfg.knob("pd_tol_outer", 1e-6))),
@@ -342,13 +337,12 @@ def run_hsi_inter(cfg: ExperimentConfig) -> List[RunRecord]:
                               r=float(cfg.knob("r", 1.0)))
     sgp = SgpParams(c_matrix_scale=float(cfg.knob("c_scale", 1e-9)),
                     tol_energy=float(cfg.knob("tol_energy", 1e-3)))
-    admm = AdmmParams(tol=float(cfg.knob("admm_tol", 1e-6)))
     l1_gamma = float(cfg.knob("l1_gamma", 0.1))
     specs = []
     for solver in cfg.solvers or ["nnls", "l1", "hoyer_p1", "diff_p2"]:
         if solver not in HSI_SOLVERS:
             raise ConfigError(f"unknown solver {solver!r}; choose from {HSI_SOLVERS}")
-        kwargs = {"cfg": sparsity, "sgp": sgp, "admm": admm, "l1_gamma": l1_gamma}
+        kwargs = {"cfg": sparsity, "sgp": sgp, "l1_gamma": l1_gamma}
         specs.append((solver, kwargs, {"noise_sd": noise_sd, "gamma0": gamma0,
                                        "eps": eps, "counts": counts}))
     return _hsi_records(cfg, scene, specs)
@@ -370,7 +364,6 @@ def run_hsi_structured(cfg: ExperimentConfig) -> List[RunRecord]:
                               eps=np.full(n_groups, eps), r=float(cfg.knob("r", 1.0)))
     sgp = SgpParams(c_matrix_scale=float(cfg.knob("c_scale", 1e-9)),
                     tol_energy=float(cfg.knob("tol_energy", 1e-5)))
-    admm = AdmmParams(tol=float(cfg.knob("admm_tol", 1e-6)))
     # weight picked so the plain l1 model lands near the structured solvers'
     # sparsity level, which is what makes its fit error comparable
     l1_gamma = float(cfg.knob("l1_gamma", 0.1))
@@ -378,7 +371,7 @@ def run_hsi_structured(cfg: ExperimentConfig) -> List[RunRecord]:
     for solver in cfg.solvers or ["nnls", "l1", "hoyer_p1", "diff_p2"]:
         if solver not in HSI_SOLVERS:
             raise ConfigError(f"unknown solver {solver!r}; choose from {HSI_SOLVERS}")
-        kwargs = {"cfg": sparsity, "sgp": sgp, "admm": admm, "l1_gamma": l1_gamma}
+        kwargs = {"cfg": sparsity, "sgp": sgp, "l1_gamma": l1_gamma}
         specs.append((solver, kwargs, {"noise_sd": noise_sd, "gamma": gamma,
                                        "gamma0": gamma0, "eps": eps, "counts": counts,
                                        "group_size": group_size}))

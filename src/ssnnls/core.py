@@ -14,6 +14,7 @@ Two objectives are evaluated here:
 * problem 2: least squares plus weighted smoothed ``l1 - l2`` differences.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Tuple
@@ -143,6 +144,10 @@ class SparsityConfig:
             raise ValueError(f"gamma must have shape ({n_groups},), got {self.gamma.shape}")
         if self.eps.shape != (n_groups,):
             raise ValueError(f"eps must have shape ({n_groups},), got {self.eps.shape}")
+        scalars = (self.gamma0, self.r, 0.0 if self.eps0 is None else float(self.eps0))
+        if not (np.isfinite(self.gamma).all() and np.isfinite(self.eps).all()
+                and all(map(math.isfinite, scalars))):
+            raise ConfigError("gamma, gamma0, eps, eps0 and r must be finite")
         if np.any(self.gamma < 0) or self.gamma0 < 0:
             raise ConfigError("penalty weights must be non-negative")
         free = set(self.free_groups)

@@ -403,8 +403,9 @@ class DoasFitConfig:
 
     ``sparsity`` covers the reference groups only; when ``alpha > 0`` the
     background block is appended internally as a trailing sign-free
-    group, which requires ``sparsity.gamma0 == 0``.  ``admm`` is used by
-    "hoyer_p1" only; "diff_p2" solves its models exactly.  ``l1_tau`` is
+    group, which requires ``sparsity.gamma0 == 0``.  "hoyer_p1" and
+    "diff_p2" solve their models exactly; ``admm`` is retired and ignored
+    (see :class:`ssnnls.qp.AdmmParams`).  ``l1_tau`` is
     the residual radius of "l1" (:func:`ssnnls.baselines.l1_bregman`, a
     search on the penalty weight with one exact NNLS per step and no
     settings of its own); it must be finite and positive.
@@ -537,7 +538,7 @@ def fit_doas(data: np.ndarray, ddict: DeformationDictionary,
     elif cfg.solver == "pd":
         x_full = penalty_decomposition_l0(sdict, b_st, scfg, cfg.pd, cfg.pd_init).x
     elif cfg.solver == "hoyer_p1":
-        report = solve_problem1(sdict, b_st, scfg, cfg.sgp, cfg.admm)
+        report = solve_problem1(sdict, b_st, scfg, cfg.sgp)
         x_full = report.final.x
     else:  # diff_p2
         report = solve_problem2(sdict, b_st, scfg, cfg.sgp)

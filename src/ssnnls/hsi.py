@@ -19,7 +19,7 @@ import numpy as np
 from .baselines import l1_penalized, l1_weight, nnls, penalty_decomposition_l0
 from .core import GroupedCoeffs, GroupedDictionary, SparsityConfig, normalize_columns
 from .errors import ConfigError, NonConvergenceError
-from .qp import AdmmParams, QpWorkspace
+from .qp import AdmmParams
 from .sgp import SgpParams, solve_problem1, solve_problem2
 
 THREADS_ENV = "SSNNLS_MAX_THREADS"
@@ -219,8 +219,8 @@ def demix_scene(scene: HsiScene, cfg: SparsityConfig, solver: str = "diff_p2",
     ``PD_MAX_INNER``, ``PD_MAX_OUTER`` and ``PD_RHO_CAP`` constants; the
     structured solvers take ``sgp`` plus the constants of
     :mod:`ssnnls.sgp` (``C0``, ``SIGMA``, ``XI1``, ``XI2``, ``RHO``,
-    ``MAX_REJECTIONS``, ``TOL_STEP``), "hoyer_p1" also ``admm`` and
-    ``qp.KINV_CACHE_SIZE``, "diff_p2" also ``qp.ACTIVE_SET_ITERS_PER_COLUMN``.
+    ``MAX_REJECTIONS``, ``TOL_STEP``) and ``qp.ACTIVE_SET_ITERS_PER_COLUMN``.
+    ``admm`` is retired and ignored (see :class:`ssnnls.qp.AdmmParams`).
     Pixels whose solver raises a non-convergence error get a zero column
     and an entry in ``failed_pixels``.  Pixels run on ``threads`` workers (default 1;
     0/None = all cores; capped by the SSNNLS_MAX_THREADS environment
@@ -231,13 +231,12 @@ def demix_scene(scene: HsiScene, cfg: SparsityConfig, solver: str = "diff_p2",
     dct = scene.dictionary
     cfg.validate(dct.n_groups)
     sgp = sgp or SgpParams()
-    admm = admm or AdmmParams()
     n_threads = resolve_threads(threads)
 
     # the dictionary caches its Gram matrix without a lock: form it here,
     # before any worker could race to compute it
-    gram = dct.gram if solver in ("hoyer_p1", "diff_p2") else None
-    workspace = QpWorkspace(gram) if solver == "hoyer_p1" else None
+    if solver in ("hoyer_p1", "diff_p2"):
+        dct.gram
     if solver == "l1":
         if l1_gamma is None:
             raise ConfigError("the l1 solver needs l1_gamma")
@@ -252,7 +251,7 @@ def demix_scene(scene: HsiScene, cfg: SparsityConfig, solver: str = "diff_p2",
         if solver == "pd":
             return penalty_decomposition_l0(dct, y, cfg).x, 0
         if solver == "hoyer_p1":
-            rep = solve_problem1(dct, y, cfg, sgp, admm, workspace=workspace)
+            rep = solve_problem1(dct, y, cfg, sgp)
         else:
             rep = solve_problem2(dct, y, cfg, sgp)
         return rep.final.x, rep.outer_iters
@@ -276,22 +275,13 @@ def demix_scene(scene: HsiScene, cfg: SparsityConfig, solver: str = "diff_p2",
         else:
             failed.append((p, err))
 
-    # the first hoyer_p1 pixel runs alone so the workspace can learn an
-    # ADMM penalty hint; updates then freeze, so every later pixel starts
-    # from the same state and results cannot depend on thread scheduling
-    start = 0
-    if solver == "hoyer_p1" and scene.n_pixels > 0:
-        record(run(0))
-        workspace.freeze_hints()
-        start = 1
-
-    rest = range(start, scene.n_pixels)
+    pixels = range(scene.n_pixels)
     if n_threads == 1:
-        for result in map(run, rest):
+        for result in map(run, pixels):
             record(result)
     else:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            for result in pool.map(run, rest):
+            for result in pool.map(run, pixels):
                 record(result)
     failed.sort(key=lambda t: t[0])
     iters_out = outer if solver in ("hoyer_p1", "diff_p2") else None

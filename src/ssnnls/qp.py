@@ -5,22 +5,18 @@ Each outer iteration minimises the model
     q(z) = (z - a)' (G/2 + C) (z - a) + (z - a)' grad F(a)
 
 over the problem's feasible set, where G is the dictionary Gram matrix
-and C a non-negative diagonal shift.  Problem 2 constrains x to the
-orthant (with an optional sign-free tail) and is solved exactly by
-Lawson & Hanson's active set run on G itself (Bro & de Jong's FNNLS):
-each iteration factors only the small block of G + 2C on the current
-support, so the cost follows the support, not the dictionary.  A
-sign-free tail is eliminated once per outer solve through the Schur
-complement of its block.  Problem 1 additionally
-carries dummy variables with per-group floor sets and a shared budget
-and is solved by ADMM, whose x-update solves (G + 2C + delta I) u = rhs;
-that matrix's inverse is formed once per (shift, delta) pair and cached
-in a :class:`QpWorkspace` so repeated outer iterations and warm restarts
-reuse it.
+and C a non-negative diagonal shift.  Both problems solve it exactly by
+an active set run on G itself, so each iteration factors only the small
+block of G + 2C on the current support and the cost follows the
+support, not the dictionary.  Problem 2 constrains x to the orthant and
+runs Lawson & Hanson's active set (Bro & de Jong's FNNLS).  Problem 1
+also carries one dummy per group, with the group floors and one budget
+on the dummies; a primal active set solves the free dummies and the
+multipliers of the working floors and budget in one small dense system.
+A sign-free tail is eliminated once per solve through the Schur
+complement of its block.
 """
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -34,14 +30,11 @@ from .errors import NonConvergenceError
 
 @dataclass
 class AdmmParams:
-    """Problem 1's inner-solver settings: relative tolerance and sweep cap.
+    """Retired: problem 1's former ADMM settings, accepted and ignored.
 
-    ``tol`` bounds both the relative primal residual
-    ``|u - v| / max(1, |u|, |v|)`` and the relative dual residual
-    ``delta |v_k - v_{k-1}| / max(1, |p|)``.  The penalty delta is not a
-    setting: it starts from the workspace's hint, else from trace(gram)/n
-    (the mean eigenvalue of the Gram matrix), and is rebalanced between
-    chunks of sweeps (see :func:`solve_qp_p1`).
+    Both fields are inert; no solver reads them.  The class stays while
+    the benchmark's workloads still pass it to ``demix_scene(admm=)`` and
+    ``DoasFitConfig(admm=)`` (ROADMAP item 4).
     """
 
     tol: float = 1e-4
@@ -95,77 +88,37 @@ class QpSubproblem:
                 raise ValueError("group floors must be positive")
             if np.any(self.shift_d < 0):
                 raise ValueError("dummy shift must be non-negative")
+            if not 0.0 <= self.budget < np.inf:
+                raise ValueError("budget must be finite and non-negative")
 
 
 @dataclass
 class QpSolution:
-    """Feasible minimiser of one quadratic model plus solver state.
+    """Feasible minimiser of one quadratic model.
 
-    ``iterations`` counts problem 1's ADMM sweeps or problem 2's
-    active-set iterations (passive-block solves).  The residuals and the
-    multipliers ``p``/``p_d`` (kept so the next solve against the same
-    structure can warm-start) are those of problem 1's ADMM; the exact
-    problem-2 solve leaves them at their defaults.
+    ``iterations`` counts the active set's passive-block solves: for
+    problem 1 each solves the free block with the working floors and
+    budget, for problem 2 the free block alone.
     """
 
     x: np.ndarray
     d: Optional[np.ndarray]
     iterations: int = 0
-    rel_primal: float = 0.0
-    rel_dual: float = 0.0
-    p: Optional[np.ndarray] = None
-    p_d: Optional[np.ndarray] = None
-
-
-KINV_CACHE_SIZE = 8
 
 
 class QpWorkspace:
-    """The Gram matrix plus problem 1's solver state shared across solves.
+    """Retired: no solver uses it.
 
-    Caches the ``KINV_CACHE_SIZE`` most recently used (gram + diag_add)^(-1)
-    inverses, keyed by the diagonal addition.  The delta hint seeds later
-    problem-1 solves with the last converged ADMM penalty; ``freeze_hints``
-    stops further updates so concurrent solves sharing the workspace all
-    start from the same state and results stay independent of scheduling
-    order.
+    Kept with :meth:`kinv` while the benchmark's tracer patches that name
+    (ROADMAP item 4).
     """
 
     def __init__(self, gram: np.ndarray):
         self.gram = np.ascontiguousarray(gram, dtype=float)
-        self.mean_eig = float(np.trace(self.gram)) / max(1, self.gram.shape[0])
-        self._cache: "OrderedDict[bytes, np.ndarray]" = OrderedDict()
-        self._lock = threading.Lock()
-        self._delta_hint: Optional[float] = None
-        self._hints_frozen = False
-
-    def delta_hint(self) -> Optional[float]:
-        with self._lock:
-            return self._delta_hint
-
-    def store_delta(self, delta: float) -> None:
-        with self._lock:
-            if not self._hints_frozen:
-                self._delta_hint = float(delta)
-
-    def freeze_hints(self) -> None:
-        with self._lock:
-            self._hints_frozen = True
 
     def kinv(self, diag_add: np.ndarray) -> np.ndarray:
-        key = np.asarray(diag_add, dtype=float).tobytes()
-        with self._lock:
-            if key in self._cache:
-                self._cache.move_to_end(key)
-                return self._cache[key]
-        k_matrix = self.gram + np.diag(diag_add)
-        c, low = scipy.linalg.cho_factor(k_matrix)
-        inv = scipy.linalg.cho_solve((c, low), np.eye(k_matrix.shape[0]))
-        with self._lock:
-            self._cache[key] = inv
-            while len(self._cache) > KINV_CACHE_SIZE:
-                self._cache.popitem(last=False)
-        return inv
+        """Explicit inverse of gram + diag(diag_add)."""
+        return np.linalg.inv(self.gram + np.diag(diag_add))
 
 
 def model_value(sub: QpSubproblem, x: np.ndarray, d: Optional[np.ndarray] = None) -> float:
@@ -178,8 +131,9 @@ def model_value(sub: QpSubproblem, x: np.ndarray, d: Optional[np.ndarray] = None
     return val
 
 
-# Problem 2's active set stops with NonConvergenceError after this many
-# passive-block solves per constrained coordinate (3 n, as scipy's nnls).
+# Both active sets stop with NonConvergenceError after this many
+# passive-block solves per variable (3 n for problem 2, as scipy's nnls;
+# 3 (n + m) for problem 1, whose m dummies count too).
 ACTIVE_SET_ITERS_PER_COLUMN = 3
 
 
@@ -320,8 +274,9 @@ def solve_qp_p2(sub: QpSubproblem, free: Optional[FreeElimination] = None) -> Qp
 
 
 def _polish_dummies(x: np.ndarray, d: np.ndarray, sub: QpSubproblem) -> np.ndarray:
-    # consensus iterates meet the budget only to primal-residual accuracy;
-    # re-project d exactly, keeping each group floor satisfied at fixed x.
+    # the active set meets the floors and the budget only to rounding, and
+    # entries it snaps to zero move them by up to that rounding; re-project
+    # d exactly, keeping each group floor satisfied at fixed x
     m = sub.eps.size
     floors = np.empty(m)
     for j in range(m):
@@ -340,66 +295,171 @@ def _polish_dummies(x: np.ndarray, d: np.ndarray, sub: QpSubproblem) -> np.ndarr
     return floors + e
 
 
-# Residual balancing: between chunks of sweeps, rescale delta toward the
-# point where neither residual dominates.  The move size follows the
-# imbalance (sqrt of the residual ratio, clipped), so a badly scaled start
-# travels orders of magnitude in a few chunks; the balanced value is stored
-# on the workspace and reused by later solves against the same gram.
-_BALANCE_CHUNKS = 16
-_BALANCE_RATIO = 10.0
-_BALANCE_MAX_FACTOR = 32.0
+# Problem 1's active set takes a step entry, or a constraint row's change
+# along the step, for zero below this many rounding units of the terms it
+# is formed from.
+_ROUNDING_ULPS = 64.0
 
 
-def _balance_factor(hi: float, lo: float) -> float:
-    if lo <= 0.0:
-        return _BALANCE_MAX_FACTOR
-    return float(min(_BALANCE_MAX_FACTOR, max(2.0, np.sqrt(hi / lo))))
+def _grouped_active_set(hx: np.ndarray, diag_x: np.ndarray, qx: np.ndarray,
+                        offsets: np.ndarray, eps: np.ndarray, dd: np.ndarray,
+                        qd: np.ndarray, budget: float, cap: int
+                        ) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Minimise the grouped model over x >= 0, d >= 0, the floors and the budget.
+
+    The model is x'(H + diag(diag_x))x / 2 - qx'x + d'diag(dd)d / 2 - qd'd,
+    the floors sum(x_g_j) + d_j >= eps_j and the budget sum(d / eps) <= budget.
+    A primal active set (Nocedal & Wright, section 16.5) from a sparse
+    feasible point: each iteration solves the model on the free variables
+    with the working floors and budget (at most m + 1 rows) as equalities,
+    from a Cholesky factor of the free x block and one small dense system
+    in the free dummies and the rows' multipliers, then steps to the first
+    constraint it meets or, at the working set's minimiser, releases the
+    constraint with the most negative multiplier.  Returns (x, d,
+    iterations).
+    """
+    c, m = qx.size, eps.size
+    nz = c + m
+    group = np.repeat(np.arange(m), np.diff(offsets))
+    rows = np.zeros((m + 1, nz))
+    rows[group, np.arange(c)] = 1.0
+    rows[np.arange(m), c + np.arange(m)] = 1.0
+    rows[m, c:] = -1.0 / eps
+    rhs = np.append(eps, -budget)
+    # a multiplier times its row's largest entry is its pull on the gradient
+    row_scale = np.append(np.ones(m), 1.0 / np.min(eps, initial=np.inf))
+    q = np.concatenate([qx, qd])
+    tol = 10.0 * nz * np.finfo(float).eps * float(np.max(np.abs(q), initial=0.0))
+
+    # start: each group's most attractive column carries r/m of its floor
+    # and its dummy the rest, which spends the budget m - r exactly
+    share = min(max((m - budget) / m, 0.0), 1.0) if m else 0.0
+    z = np.zeros(nz)
+    z[[a + int(np.argmax(qx[a:b])) for a, b in zip(offsets[:-1], offsets[1:])]] = share * eps
+    z[c:] = (1.0 - share) * eps
+    free = z > 0.0
+    working = np.ones(m + 1, dtype=bool)
+    working[m] = budget <= m
+    iters = 0
+    while True:
+        iters += 1
+        if iters > cap:
+            raise NonConvergenceError(
+                f"problem-1 active set did not converge in {cap} iterations",
+                iterations=cap)
+        # a working row that depends on the others on the free variables
+        # goes: a floor with none of them, or a budget whose free dummies
+        # are all pinned by floors of otherwise empty groups
+        has_x = np.bincount(group[free[:c]], minlength=m) > 0
+        free_d = free[c:]
+        working[:m] &= has_x | free_d
+        if working[m] and not np.any(free_d & ~(working[:m] & ~has_x)):
+            working[m] = False
+
+        # the model on the free variables with the working rows as equalities:
+        # x from a factor of its block, then the free dummies and the
+        # multipliers together from a small system that never divides by
+        # the dummies' curvature
+        idx = np.flatnonzero(free)
+        wk = np.flatnonzero(working)
+        ix, jd = idx[idx < c], idx[idx >= c] - c
+        ax, ad = rows[wk][:, ix], rows[wk][:, c + jd]
+        sol = np.zeros((ix.size, wk.size + 1))
+        if ix.size:
+            sol = _solve_passive(hx, diag_x, np.column_stack([qx, rows[wk, :c].T]), ix)
+        s0, ys = sol[:, 0], sol[:, 1:]
+        kd = jd.size
+        small = np.zeros((kd + wk.size, kd + wk.size))
+        small[:kd, :kd] = np.diag(dd[jd])
+        small[:kd, kd:] = -ad.T
+        small[kd:, :kd] = ad
+        small[kd:, kd:] = ax @ ys
+        both = np.linalg.solve(small, np.concatenate([qd[jd], rhs[wk] - ax @ s0]))
+        lam = both[kd:]
+        s = np.concatenate([s0 + ys @ lam, both[:kd]])
+        zf = z[idx]
+        p = s - zf
+        err = _ROUNDING_ULPS * np.finfo(float).eps * (np.abs(s) + np.abs(zf) + np.concatenate(
+            [np.abs(s0) + np.abs(ys) @ np.abs(lam), eps[jd]]))
+
+        # ratio test over the free entries and the rows outside the working
+        # set, blind to changes within rounding
+        out = np.flatnonzero(~working)
+        a_of = rows[out][:, idx]
+        ap = a_of @ p
+        err_row = np.abs(a_of) @ err
+        slack = np.maximum(rows[out] @ z - rhs[out], 0.0)
+        ratios = np.full(idx.size + out.size, np.inf)
+        hit = p < -err
+        ratios[:idx.size][hit] = zf[hit] / -p[hit]
+        hit = ap < -err_row
+        ratios[idx.size:][hit] = slack[hit] / -ap[hit]
+        k = int(np.argmin(ratios)) if ratios.size else 0
+        alpha = min(1.0, float(ratios[k])) if ratios.size else 1.0
+        z[idx] = zf + alpha * p
+        if alpha < 1.0:
+            if k < idx.size:
+                z[idx[k]] = 0.0
+                free[idx[k]] = False
+            else:
+                working[out[k - idx.size]] = True
+        # entries this step moved down onto zero within rounding are bound;
+        # one it moved up (just released) stays free
+        down = (p < 0.0) & (z[idx] <= err)
+        z[idx[down]] = 0.0
+        free[idx[down]] = False
+        if alpha < 1.0 or down.any():
+            continue
+
+        # z minimises the model on the working set: price its constraints
+        g = np.concatenate([hx[:, ix] @ z[ix] - qx, dd * z[c:] - qd]) - rows[wk].T @ lam
+        price = np.full(nz + m + 1, np.inf)
+        price[:nz][~free] = g[~free]
+        price[nz + wk] = lam * row_scale[wk]
+        j = int(np.argmin(price))
+        if price[j] >= -tol:
+            return z[:c], z[c:], iters
+        if j < nz:
+            free[j] = True
+        else:
+            working[j - nz] = False
 
 
-def solve_qp_p1(sub: QpSubproblem, params: AdmmParams,
-                warm: Optional[QpSolution] = None,
-                workspace: Optional[QpWorkspace] = None) -> QpSolution:
-    """Solve the grouped model with dummies (problem 1 inner step).
+def solve_qp_p1(sub: QpSubproblem) -> QpSolution:
+    """Solve the grouped model with dummies exactly (problem 1 inner step).
 
-    Runs ADMM sweeps in chunks, rebalancing the penalty delta between
-    them, until both residuals reach ``params.tol``.  Delta starts from
-    the workspace's hint, else from the Gram matrix's mean eigenvalue;
-    the converged value is stored back.  Raises
-    :class:`NonConvergenceError` after ``params.max_iters`` sweeps.
+    Up to a constant the model is z'(G + 2C)z / 2 - q'z with
+    q = (G + 2C) a - lin, plus d'(2 C_d)d / 2 - q_d'd with
+    q_d = 2 C_d a_d - lin_d, over x >= 0, d >= 0, the group floors
+    sum(x_g_j) + d_j >= eps_j and the budget sum(d / eps) <= budget.  A
+    sign-free tail is eliminated first (:func:`eliminate_free`), and the
+    primal active set runs on the Schur complement.  The dummies are
+    re-projected at fixed x on exit, so the floors and the budget hold to
+    rounding.  ``iterations`` counts the active set's passive-block solves;
+    :class:`NonConvergenceError` after ``ACTIVE_SET_ITERS_PER_COLUMN``
+    times (n + m) of them, ``ValueError`` from a model that is not strictly
+    convex.
     """
     sub.validate(grouped=True)
-    ws = workspace if workspace is not None else QpWorkspace(sub.gram)
-    vx = np.asarray(warm.x if warm is not None else sub.anchor, dtype=float)
-    px = np.asarray(warm.p if warm is not None else np.zeros_like(sub.anchor), dtype=float)
-    vd = np.asarray(warm.d if warm is not None and warm.d is not None else sub.anchor_d,
-                    dtype=float)
-    pd = np.asarray(warm.p_d if warm is not None and warm.p_d is not None
-                    else np.zeros_like(sub.anchor_d), dtype=float)
+    n, m, f = sub.anchor.size, sub.eps.size, sub.n_free
+    c = n - f
+    dd = 2.0 * sub.shift_d
+    if not np.all(dd > 0):
+        raise ValueError("the dummies' model curvature 2 C_d must be positive; "
+                         "increase c_matrix_scale")
+    diag = 2.0 * sub.shift
+    q = sub.gram @ sub.anchor + diag * sub.anchor - sub.lin
+    qd = dd * sub.anchor_d - sub.lin_d
     offsets = np.asarray(sub.offsets, dtype=np.int64)
     eps = np.asarray(sub.eps, dtype=float)
-
-    delta = ws.delta_hint()
-    if delta is None:
-        delta = max(ws.mean_eig, 1e-12)
-    chunk = max(1, -(-params.max_iters // _BALANCE_CHUNKS))
-    iters = 0
-    rel_p = rel_d = np.inf
-    while iters < params.max_iters:
-        kinv = ws.kinv(2.0 * sub.shift + delta)
-        vx, vd, px, pd, _, _, it, rel_p, rel_d = kernels.admm_grouped(
-            kinv, sub.anchor, sub.lin, offsets, eps, sub.anchor_d, sub.lin_d,
-            2.0 * sub.shift_d + delta, float(sub.budget), vx, px, vd, pd,
-            delta, params.tol, params.tol, min(chunk, params.max_iters - iters))
-        iters += it
-        if rel_p <= params.tol and rel_d <= params.tol:
-            ws.store_delta(delta)
-            vd = _polish_dummies(vx, vd, sub)
-            return QpSolution(vx, vd, iters, rel_p, rel_d, px, pd)
-        if rel_d > _BALANCE_RATIO * rel_p:
-            delta /= _balance_factor(rel_d, rel_p)
-        elif rel_p > _BALANCE_RATIO * rel_d:
-            delta *= _balance_factor(rel_p, rel_d)
-    raise NonConvergenceError(
-        f"inner solver stalled at primal {rel_p:.3e} / dual {rel_d:.3e} "
-        f"after {iters} iterations (tol {params.tol:.1e})",
-        iterations=iters, residuals=(rel_p, rel_d))
+    cap = ACTIVE_SET_ITERS_PER_COLUMN * (n + m)
+    hx, diag_x, qx = sub.gram, diag, q
+    if f:
+        factor, y, hx = eliminate_free(sub.gram, sub.shift, f)
+        diag_x, qx = np.zeros(c), q[:c] - y.T @ q[c:]
+    x, d, iters = _grouped_active_set(hx, diag_x, qx, offsets, eps, dd, qd,
+                                      float(sub.budget), cap)
+    if f:
+        x_free = scipy.linalg.cho_solve(factor, q[c:], check_finite=False) - y @ x
+        x = np.concatenate([x, x_free])
+    return QpSolution(x, _polish_dummies(x, d, sub), iters)

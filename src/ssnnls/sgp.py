@@ -7,11 +7,13 @@ justified by the concavity of the smoothed penalty on the orthant) or
 through a sufficient-decrease test that adapts the scaling (problem 1,
 where the Hoyer ratio's curvature is unbounded near the floors).
 
-Problem 2's model is minimised exactly at every step by an active set
-on the dictionary's cached Gram matrix, which factors only the small
-block on the current support; a sign-free tail costs one Cholesky
-factor per solve, and no ADMM runs.  Problem 1's model is minimised by
-ADMM to the tolerance in :class:`AdmmParams`.
+Both problems minimise their model exactly at every step by an active
+set on the dictionary's cached Gram matrix, which factors only the small
+block on the current support; a sign-free tail costs one Cholesky factor
+per outer solve (problem 2) or per model solve (problem 1, whose shift
+changes between them).  A step that cannot descend ends either run as
+``energy_tol``, and an active set's
+:class:`~ssnnls.errors.NonConvergenceError` propagates.
 """
 
 from dataclasses import dataclass, field
@@ -23,13 +25,12 @@ from .core import (GroupedCoeffs, GroupedDictionary, ObjectiveEval, SparsityConf
                    as_data_vector, eval_objective_p1, eval_objective_p2)
 from .errors import NonConvergenceError
 from .projections import SimplexMode, SimplexSpec, project_group_floor, project_simplex
-from .qp import (AdmmParams, QpSolution, QpSubproblem, QpWorkspace, eliminate_free,
-                 model_cholesky, model_value, solve_qp_p1, solve_qp_p2)
+from .qp import (QpSubproblem, eliminate_free, model_cholesky, model_value, solve_qp_p1,
+                 solve_qp_p2)
 
 TERM_STEP = "step_tol"
 TERM_ENERGY = "energy_tol"
 TERM_MAX_OUTER = "max_outer"
-TERM_INNER_STALL = "inner_stall"
 
 
 # Algorithm constants of the outer loops, read at call time.  Problem 1
@@ -71,9 +72,9 @@ class SgpParams:
 class SolveReport:
     """Outcome of one outer solve: final point, traces, termination reason.
 
-    ``inner_iters_total`` counts problem 1's ADMM sweeps, those of failed
-    attempts included, or problem 2's active-set iterations
-    (passive-block solves) over every step, the unaccepted last one too.
+    ``inner_iters_total`` sums the active-set iterations (passive-block
+    solves) of every model solve: for problem 1 those of rejected
+    candidates too, for both problems those of the unaccepted last step.
     """
 
     final: GroupedCoeffs
@@ -195,16 +196,18 @@ def solve_problem2(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
 
 def solve_problem1(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
                    params: Optional[SgpParams] = None,
-                   admm: Optional[AdmmParams] = None,
-                   init: Optional[GroupedCoeffs] = None,
-                   workspace: Optional[QpWorkspace] = None) -> SolveReport:
+                   init: Optional[GroupedCoeffs] = None) -> SolveReport:
     """Minimise the Hoyer-ratio objective with dummy variables (problem 1).
 
+    Every step solves its model exactly by a primal active set on the
+    dictionary's cached Gram matrix (:func:`ssnnls.qp.solve_qp_p1`).
     Candidates must pass the sufficient-decrease test; rejections inflate
-    the diagonal scaling by ``XI2`` and re-solve from the same anchor.
+    the diagonal scaling by ``XI2`` and re-solve from the same anchor.  A
+    model minimiser no better than the anchor (model value >= 0) ends the
+    run as ``energy_tol``.  A :class:`NonConvergenceError` from a step's
+    active set propagates.
     """
     params = params or SgpParams()
-    admm = admm or AdmmParams()
     b = as_data_vector(b, dct.n_rows)
     cfg.validate(dct.n_groups)
     n = dct.n_columns
@@ -218,9 +221,8 @@ def solve_problem1(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
     coeffs = _feasible_p1_init(dct, cfg, init)
     x, d = coeffs.x, coeffs.d
 
-    ws = workspace if workspace is not None else QpWorkspace(dct.gram)
+    gram = dct.gram
     report = SolveReport(final=GroupedCoeffs(x, d))
-    warm: Optional[QpSolution] = None
     c = C0
     rejections = 0
 
@@ -228,35 +230,16 @@ def solve_problem1(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
     report.objective_trace.append(ev.value)
     while report.outer_iters < params.max_outer:
         diag = c * params.c_matrix_scale
-        sub = QpSubproblem(gram=ws.gram, lin=ev.grad_x, anchor=x,
+        sub = QpSubproblem(gram=gram, lin=ev.grad_x, anchor=x,
                            shift=np.full(n, diag), n_free=n_free,
                            offsets=offsets, eps=eps, anchor_d=d, lin_d=ev.grad_d,
                            shift_d=np.full(n_con, diag), budget=budget)
-        try:
-            sol = solve_qp_p1(sub, admm, warm, ws)
-        except NonConvergenceError as exc:
-            # a carried dual variable can cycle near the solution; a cold
-            # start contracts cleanly on the same subproblem
-            if warm is None:
-                raise
-            report.inner_iters_total += exc.iterations or 0
-            sol = solve_qp_p1(sub, admm, None, ws)
-        warm = sol
+        sol = solve_qp_p1(sub)
         report.inner_iters_total += sol.iterations
         model = model_value(sub, sol.x, sol.d)
-        if model > 0.0:
-            # anchor is the model minimiser up to inner accuracy: stationary
-            try:
-                sol = solve_qp_p1(sub, AdmmParams(admm.tol * 1e-2, admm.max_iters), sol, ws)
-            except NonConvergenceError as exc:
-                report.inner_iters_total += exc.iterations or 0
-                report.termination = TERM_INNER_STALL
-                break
-            report.inner_iters_total += sol.iterations
-            model = model_value(sub, sol.x, sol.d)
-            if model > 0.0:
-                report.termination = TERM_ENERGY
-                break
+        if model >= 0.0:
+            report.termination = TERM_ENERGY
+            break
         ev_y = eval_objective_p1(dct, b, GroupedCoeffs(sol.x, sol.d), cfg)
         if ev_y.value - ev.value > SIGMA * model:
             c *= XI2

@@ -6,8 +6,9 @@ checked against plain projected gradient, with Dykstra alternating
 projections supplying feasibility for the grouped problem, and problem
 2's step also against a Cholesky factor of the whole model Hessian with
 scipy's NNLS on it, on models too ill-conditioned for projected
-gradient; the penalized
-and constrained l1 baselines are checked against scipy's SLSQP.  Nothing
+gradient; problem 1's step on degenerate, ill-conditioned one-material
+models and the penalized and constrained l1 baselines are checked
+against scipy's SLSQP.  Nothing
 here shares code with the package beyond reading its data containers.
 """
 
@@ -297,6 +298,94 @@ def random_p1_subproblem(rng):
                         lin_d=0.5 * rng.normal(size=m),
                         shift_d=rng.uniform(0.1, 0.6, m),
                         budget=float(m - rng.uniform(0.0, 1.0)))
+
+
+def slsqp_p1(sub):
+    """The grouped model by SLSQP, started from the anchor (feasible by construction).
+
+    Bounds keep x's grouped prefix and d non-negative; the group floors
+    and the budget are one block of linear inequality rows.
+    """
+    n, m = sub.anchor.size, sub.eps.size
+    c = n - sub.n_free
+    rows = np.zeros((m + 1, n + m))
+    for j in range(m):
+        rows[j, int(sub.offsets[j]):int(sub.offsets[j + 1])] = 1.0
+        rows[j, n + j] = 1.0
+    rows[m, n:] = -1.0 / sub.eps
+    rhs = np.append(sub.eps, -sub.budget)
+
+    def fun(z):
+        return quad_value(sub, z[:n], z[n:])
+
+    def jac(z):
+        return np.concatenate([_grad_x(sub, z[:n]),
+                               2.0 * sub.shift_d * (z[n:] - sub.anchor_d) + sub.lin_d])
+
+    res = scipy.optimize.minimize(
+        fun, np.concatenate([sub.anchor, sub.anchor_d]), jac=jac, method="SLSQP",
+        bounds=[(0.0, None)] * c + [(None, None)] * sub.n_free + [(0.0, None)] * m,
+        constraints=[{"type": "ineq", "fun": lambda z: rows @ z - rhs,
+                      "jac": lambda z: rows}],
+        options={"maxiter": 1000, "ftol": 1e-16})
+    return res.x[:n], res.x[n:]
+
+
+def _hoyer_grad(v):
+    """Gradient of |v|_1 / |v|_2 at a non-negative, nonzero v."""
+    n1, n2 = float(np.sum(v)), float(np.linalg.norm(v))
+    return 1.0 / n2 - n1 * v / n2 ** 3
+
+
+def one_material_p1_subproblem(rng, n_free, singleton=False):
+    """Problem-1 step at a one-material pixel: degenerate and ill-conditioned.
+
+    m groups of near-duplicate variants (or, with ``singleton``, the
+    hsi-inter layout of six one-column groups under an inter-group weight),
+    budget m - 1 and shift = shift_d in 1e-9..1e-6.  The anchor has one
+    non-empty group, whose dummy is 0, and every other dummy at its floor,
+    so the floors of the empty groups and the budget are linearly
+    dependent.  The linear term is the least-squares gradient plus the
+    Hoyer-ratio gradients at the anchor, as in the outer loop.
+    """
+    rows = 24
+    if singleton:
+        m, sizes = 6, np.ones(6, dtype=np.int64)
+    else:
+        m = int(rng.integers(2, 6))
+        sizes = rng.integers(2, 6, m)
+    cols = []
+    for size in sizes:
+        base = np.abs(rng.normal(size=rows)) + 0.5
+        cols += [base * (1.0 + 0.01 * rng.normal(size=rows)) for _ in range(size)]
+    a = np.column_stack(cols + [rng.normal(size=rows) for _ in range(n_free)])
+    a /= np.linalg.norm(a, axis=0)
+    offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+    c, n = int(offsets[-1]), a.shape[1]
+    eps = np.full(m, 0.01)
+    k = int(rng.integers(m))
+    anchor = np.zeros(n)
+    anchor[int(offsets[k]) + int(rng.integers(sizes[k]))] = rng.uniform(0.5, 1.5)
+    anchor[c:] = rng.normal(size=n_free)
+    anchor_d = eps.copy()
+    anchor_d[k] = 0.0
+    truth = anchor.copy()
+    truth[:c] *= rng.uniform(0.9, 1.1)
+    b = a @ truth + 0.005 * rng.normal(size=rows)
+    lin = a.T @ (a @ anchor - b)
+    lin_d = np.zeros(m)
+    gamma = 10.0 ** rng.uniform(-4.0, -2.0)
+    for j in range(m):
+        sl = slice(int(offsets[j]), int(offsets[j + 1]))
+        g = _hoyer_grad(np.append(anchor[sl], anchor_d[j]))
+        lin[sl] += gamma * g[:-1]
+        lin_d[j] = gamma * g[-1]
+    if singleton:
+        lin[:c] += 0.01 * _hoyer_grad(anchor[:c])
+    shift = 10.0 ** rng.uniform(-9.0, -6.0)
+    return QpSubproblem(gram=a.T @ a, lin=lin, anchor=anchor, shift=np.full(n, shift),
+                        n_free=n_free, offsets=offsets, eps=eps, anchor_d=anchor_d,
+                        lin_d=lin_d, shift_d=np.full(m, shift), budget=float(m - 1))
 
 
 def slsqp_nonneg_l1(entries, b, gamma, x0=None):

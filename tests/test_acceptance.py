@@ -22,10 +22,8 @@ from ssnnls.doas import (build_background_operator, quartic_background, sample_p
                         synthesize_doas_data)
 from ssnnls.projections import (SimplexMode, SimplexSpec, project_dummy_budget,
                                 project_group_floor, project_simplex)
-from ssnnls.qp import AdmmParams, solve_qp_p1, solve_qp_p2
+from ssnnls.qp import solve_qp_p1, solve_qp_p2
 from ssnnls.sgp import SgpParams, solve_problem1, solve_problem2
-
-TIGHT = AdmmParams(tol=1e-8, max_iters=200_000)
 
 MODE_TO_REF = {
     SimplexMode.EQUALITY: "eq",
@@ -216,7 +214,7 @@ def test_criterion_3_qp_solvers_match_projected_gradient_oracles():
 
     for _ in range(50):
         sub = oracles.random_p1_subproblem(rng)
-        sol = solve_qp_p1(sub, TIGHT)
+        sol = solve_qp_p1(sub)
         ref_x, ref_d = oracles.pg_p1(sub)
         worst = max(worst, float(np.max(np.abs(sol.x - ref_x))),
                     float(np.max(np.abs(sol.d - ref_d))))
@@ -266,7 +264,7 @@ def test_criterion_4_monotone_descent_and_sampled_stationarity():
     for seed in range(20):
         dct, b, cfg = _problem(200 + seed)
         rng = np.random.default_rng(700 + seed)
-        report = solve_problem1(dct, b, cfg, SgpParams(tol_energy=1e-12), TIGHT)
+        report = solve_problem1(dct, b, cfg, SgpParams(tol_energy=1e-12))
         trace = np.asarray(report.objective_trace)
         worst_step = max(worst_step, float(np.max(np.diff(trace))))
         assert np.all(np.diff(trace) <= 1e-12)

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from ssnnls import qp
 from ssnnls.cli import (EXPERIMENTS, ExperimentConfig, RunRecord, _mixture_counts, _seeds,
                         build_parser, compare_solvers, config_from_args, main,
                         run_doas_align, run_experiment)
@@ -178,6 +179,16 @@ def test_main_bad_knob_value_exits_2(tmp_path, capsys, experiment, knobs):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_main_infinite_weight_exits_2(tmp_path, capsys):
+    # JSON's 1e999 parses to infinity past the guard on NaN and Infinity
+    cfg = tmp_path / "knobs.json"
+    cfg.write_text('{"gamma0": 1e999}')
+    code = main(["--experiment", "hsi-structured", "--scale", "20", "--solver", "diff_p2",
+                 "--config", str(cfg)])
+    assert code == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_default_thread_count_is_one(monkeypatch):
     monkeypatch.delenv("SSNNLS_MAX_THREADS", raising=False)
     cfg = config_from_args(build_parser().parse_args(["--experiment", "hsi-inter"]))
@@ -186,9 +197,10 @@ def test_default_thread_count_is_one(monkeypatch):
     assert inspect.signature(demix_scene).parameters["threads"].default == 1
 
 
-def test_main_nonconvergence_exit(tmp_path, capsys):
+def test_main_nonconvergence_exit(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(qp, "ACTIVE_SET_ITERS_PER_COLUMN", 0)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"noise_sd": 0.0, "admm_tol": 1e-14, "admm_max_iters": 3}))
+    cfg.write_text(json.dumps({"noise_sd": 0.0}))
     code = main(["--experiment", "doas-align", "--scale", "4", "--solver", "hoyer_p1",
                  "--config", str(cfg)])
     assert code == 3

@@ -80,6 +80,18 @@ def test_sparsity_config_validation():
                        eps=np.array([0.05, 0.05]), r=3.0).validate(2)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["gamma", "gamma0", "eps", "eps0", "r"])
+def test_sparsity_config_rejects_non_finite_values(name, value):
+    # NaN passes every sign check, and a NaN or infinite weight would reach
+    # the solvers
+    fields = dict(gamma=np.array([0.1, 0.2]), gamma0=0.01, eps=np.array([0.05, 0.05]),
+                  eps0=0.05, r=1.0)
+    fields[name] = np.array([value, 0.2]) if name in ("gamma", "eps") else value
+    with pytest.raises(ConfigError, match="finite"):
+        SparsityConfig(**fields).validate(2)
+
+
 def test_sparsity_config_free_groups_must_be_trailing_and_unweighted():
     base = dict(gamma=np.array([0.1, 0.0]), gamma0=0.0, eps=np.array([0.05, 1.0]))
     SparsityConfig(**base, free_groups=(1,)).validate(2)

@@ -12,7 +12,6 @@ from ssnnls.doas import (DOAS_SOLVERS, BackgroundOperator, DeformationGrid, Doas
                          sample_planted_coeffs, save_dictionary, synthesize_doas_data,
                          synthesize_references, wavelength_grid, write_reference_csv)
 from ssnnls.errors import ConfigError, DegenerateColumnError
-from ssnnls.qp import AdmmParams
 from ssnnls.sgp import SgpParams
 
 
@@ -200,7 +199,7 @@ def test_fit_doas_recovers_planted_atoms(desk):
     _, _, grid, ddict = desk
     coeffs, planted = sample_planted_coeffs(ddict, seed=3)
     data = synthesize_doas_data(ddict, coeffs, 0.0, 0)
-    base = dict(sparsity=desk_sparsity(), admm=AdmmParams(tol=1e-5, max_iters=50000),
+    base = dict(sparsity=desk_sparsity(),
                 sgp=SgpParams(c_matrix_scale=1e-9, tol_energy=1e-8))
     for solver in ("nnls", "pd", "hoyer_p1", "diff_p2"):
         cfg = DoasFitConfig(solver=solver, pd_init="nnls", **base)

@@ -9,7 +9,6 @@ from ssnnls.errors import ConfigError, NonConvergenceError
 from ssnnls.hsi import (HSI_SOLVERS, GroupCollapser, HsiScene, compute_metrics, demix_scene,
                         load_scene, resolve_threads, save_scene, synthesize_endmember_library,
                         synthesize_mixed_scene)
-from ssnnls.qp import AdmmParams
 from ssnnls.sgp import SgpParams, solve_problem2
 
 
@@ -24,7 +23,6 @@ def tiny_cfg():
 
 
 SGP_FAST = SgpParams(c_matrix_scale=1e-9, tol_energy=1e-5)
-ADMM_FAST = AdmmParams(tol=1e-6)
 
 
 # ---------------------------------------------------------------- threads
@@ -126,7 +124,7 @@ def test_scene_validation():
 def test_demix_each_solver(tiny_scene, solver):
     kwargs = dict(l1_gamma=0.05) if solver == "l1" else {}
     out = demix_scene(tiny_scene, tiny_cfg(), solver=solver, sgp=SGP_FAST,
-                      admm=ADMM_FAST, threads=1, **kwargs)
+                      threads=1, **kwargs)
     assert out.values.shape == (8, 5)
     assert not out.failed_pixels
     assert out.values.min() >= -1e-9
@@ -144,13 +142,13 @@ def test_demix_each_solver(tiny_scene, solver):
 
 def test_demix_thread_count_invariance(tiny_scene):
     serial = demix_scene(tiny_scene, tiny_cfg(), solver="diff_p2", sgp=SGP_FAST,
-                         admm=ADMM_FAST, threads=1)
+                         threads=1)
     pooled = demix_scene(tiny_scene, tiny_cfg(), solver="diff_p2", sgp=SGP_FAST,
-                         admm=ADMM_FAST, threads=3)
+                         threads=3)
     assert np.array_equal(serial.values, pooled.values)
     assert np.array_equal(serial.outer_iters, pooled.outer_iters)
     again = demix_scene(tiny_scene, tiny_cfg(), solver="diff_p2", sgp=SGP_FAST,
-                        admm=ADMM_FAST, threads=3)
+                        threads=3)
     assert np.array_equal(pooled.values, again.values)
 
 
@@ -179,10 +177,11 @@ def test_demix_config_errors(tiny_scene):
         demix_scene(tiny_scene, tiny_cfg(), solver="l1")
 
 
-def test_demix_failed_pixels_recorded(tiny_scene):
-    # an impossible inner budget makes every pixel fail without crashing
-    out = demix_scene(tiny_scene, tiny_cfg(), solver="hoyer_p1", sgp=SGP_FAST,
-                      admm=AdmmParams(tol=1e-14, max_iters=4), threads=2)
+def test_demix_failed_pixels_recorded(tiny_scene, monkeypatch):
+    # an active set capped at zero iterations makes every pixel fail
+    # without crashing
+    monkeypatch.setattr(qp, "ACTIVE_SET_ITERS_PER_COLUMN", 0)
+    out = demix_scene(tiny_scene, tiny_cfg(), solver="hoyer_p1", sgp=SGP_FAST, threads=2)
     assert len(out.failed_pixels) == 5
     assert [p for p, _ in out.failed_pixels] == list(range(5))
     assert np.all(out.values == 0.0)

@@ -3,12 +3,9 @@ import pytest
 
 from ssnnls import qp
 from ssnnls.errors import NonConvergenceError
-from ssnnls.qp import AdmmParams, QpSubproblem, QpWorkspace, model_value, solve_qp_p1, \
-    solve_qp_p2
+from ssnnls.qp import QpSubproblem, model_value, solve_qp_p1, solve_qp_p2
 
 import oracles
-
-TIGHT = AdmmParams(tol=1e-8, max_iters=200000)
 
 
 def test_model_value_zero_at_anchor_and_matches_reference():
@@ -36,6 +33,12 @@ def test_subproblem_validation():
                      n_free=sub.anchor.size + 1).validate(False)
     with pytest.raises(ValueError):
         QpSubproblem(sub.gram, sub.lin, sub.anchor, sub.shift).validate(True)
+    grouped = oracles.random_p1_subproblem(rng)
+    grouped.validate(grouped=True)
+    for budget in (-0.5, np.nan, np.inf):
+        grouped.budget = budget
+        with pytest.raises(ValueError, match="budget"):
+            grouped.validate(grouped=True)
 
 
 def test_solve_qp_p2_matches_projected_gradient_oracle():
@@ -68,7 +71,7 @@ def test_solve_qp_p1_matches_pg_dykstra_oracle():
     rng = np.random.default_rng(8)
     for _ in range(8):
         sub = oracles.random_p1_subproblem(rng)
-        sol = solve_qp_p1(sub, TIGHT)
+        sol = solve_qp_p1(sub)
         ref_x, ref_d = oracles.pg_p1(sub)
         np.testing.assert_allclose(sol.x, ref_x, atol=1e-5)
         np.testing.assert_allclose(sol.d, ref_d, atol=1e-5)
@@ -82,44 +85,42 @@ def test_solve_qp_p1_matches_pg_dykstra_oracle():
             assert np.sum(sol.x[a:b]) + sol.d[j] >= sub.eps[j] - 1e-8
 
 
-def test_nonconvergence_raises_with_diagnostics():
+def test_nonconvergence_raises_with_diagnostics(monkeypatch):
+    # the active set stops at its iteration cap, here zero
+    monkeypatch.setattr(qp, "ACTIVE_SET_ITERS_PER_COLUMN", 0)
     rng = np.random.default_rng(10)
     sub = oracles.random_p1_subproblem(rng)
-    with pytest.raises(NonConvergenceError) as exc:
-        solve_qp_p1(sub, AdmmParams(tol=1e-15, max_iters=8))
-    assert exc.value.iterations == 8
-    assert exc.value.residuals is not None
+    with pytest.raises(NonConvergenceError, match="problem-1 active set") as exc:
+        solve_qp_p1(sub)
+    assert exc.value.iterations == 0
 
 
-def test_workspace_caches_factorizations(monkeypatch):
-    monkeypatch.setattr(qp, "KINV_CACHE_SIZE", 2)
-    rng = np.random.default_rng(11)
-    a = rng.normal(size=(10, 6))
-    ws = QpWorkspace(a.T @ a)
-    diag = np.full(6, 2.0)
-    first = ws.kinv(diag)
-    assert ws.kinv(diag) is first
-    ws.kinv(np.full(6, 3.0))
-    ws.kinv(np.full(6, 4.0))  # evicts the first entry
-    assert ws.kinv(diag) is not first
-    np.testing.assert_allclose(ws.kinv(diag) @ (a.T @ a + np.diag(diag)),
-                               np.eye(6), atol=1e-10)
-    assert ws.mean_eig == pytest.approx(np.trace(a.T @ a) / 6)
+def _assert_exact_and_feasible(sub, sol):
+    ref = model_value(sub, *oracles.slsqp_p1(sub))
+    assert model_value(sub, sol.x, sol.d) <= ref + 1e-9 * max(1.0, abs(ref))
+    c = sub.anchor.size - sub.n_free
+    assert np.min(sol.x[:c]) >= 0.0 and np.min(sol.d) >= 0.0
+    for j in range(sub.eps.size):
+        a, b = int(sub.offsets[j]), int(sub.offsets[j + 1])
+        assert np.sum(sol.x[a:b]) + sol.d[j] >= sub.eps[j] * (1.0 - 1e-12)
+    assert np.sum(sol.d / sub.eps) <= sub.budget * (1.0 + 1e-12)
+    m = sub.eps.size
+    assert 1 <= sol.iterations < qp.ACTIVE_SET_ITERS_PER_COLUMN * (sub.anchor.size + m)
 
 
-def test_workspace_delta_hints_round_trip():
-    ws = QpWorkspace(np.eye(3))
-    assert ws.delta_hint() is None
-    ws.store_delta(0.25)
-    assert ws.delta_hint() == 0.25
-    ws.freeze_hints()
-    ws.store_delta(9.0)
-    assert ws.delta_hint() == 0.25
+@pytest.mark.parametrize("n_free", [0, 1, 2])
+def test_solve_qp_p1_exact_on_one_material_models(n_free):
+    # floors of the empty groups and the budget are linearly dependent, and
+    # the dummies' curvature is at most 2e-6: outside the oracle's reach
+    rng = np.random.default_rng(60 + n_free)
+    for _ in range(20):
+        sub = oracles.one_material_p1_subproblem(rng, n_free)
+        _assert_exact_and_feasible(sub, solve_qp_p1(sub))
 
 
-def test_delta_hint_set_after_successful_solves():
-    rng = np.random.default_rng(12)
-    sub = oracles.random_p1_subproblem(rng)
-    ws = QpWorkspace(sub.gram)
-    solve_qp_p1(sub, TIGHT, workspace=ws)
-    assert ws.delta_hint() is not None and ws.delta_hint() > 0
+def test_solve_qp_p1_exact_on_one_material_inter_group_models():
+    # the hsi-inter layout: six one-column groups, budget 5 of 6
+    rng = np.random.default_rng(63)
+    for _ in range(20):
+        sub = oracles.one_material_p1_subproblem(rng, int(rng.integers(3)), singleton=True)
+        _assert_exact_and_feasible(sub, solve_qp_p1(sub))

@@ -7,7 +7,8 @@ from numpy.random import default_rng
 from ssnnls.core import GroupedCoeffs, GroupedDictionary, SparsityConfig, eval_objective_p1, eval_objective_p2
 from ssnnls.errors import NonConvergenceError
 from ssnnls import sgp
-from ssnnls.qp import AdmmParams, QpSolution
+from ssnnls import qp
+from ssnnls.qp import QpSolution
 from ssnnls.sgp import (TERM_ENERGY, TERM_MAX_OUTER, TERM_STEP, SgpParams,
                         check_descent_estimate, solve_problem1, solve_problem2)
 
@@ -26,9 +27,6 @@ def make_problem(seed, n_rows=24, sizes=(3, 3, 2), noise=0.01):
     cfg = SparsityConfig(gamma=np.full(len(sizes), 0.05), gamma0=0.02,
                          eps=np.full(len(sizes), 0.05), r=1.0)
     return dct, b, cfg
-
-
-TIGHT = AdmmParams(tol=1e-8, max_iters=200000)
 
 
 def assert_p1_feasible(dct, cfg, coeffs, tol=1e-7):
@@ -63,7 +61,7 @@ def test_problem2_trace_monotone_and_stationary(seed):
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_problem1_trace_monotone_and_feasible(seed):
     dct, b, cfg = make_problem(seed)
-    report = solve_problem1(dct, b, cfg, SgpParams(tol_energy=1e-12), TIGHT)
+    report = solve_problem1(dct, b, cfg, SgpParams(tol_energy=1e-12))
     trace = np.asarray(report.objective_trace)
     assert trace.size == report.outer_iters + 1
     assert np.all(np.diff(trace) <= 1e-12)
@@ -104,7 +102,7 @@ def test_energy_stop_is_relative_to_the_objective(problem, tol):
     # at a change ~1e3 times larger than an absolute test would need
     dct, b, cfg = make_problem(7)
     if problem == "p1":
-        report = solve_problem1(dct, 1e3 * b, cfg, SgpParams(tol_energy=tol), TIGHT)
+        report = solve_problem1(dct, 1e3 * b, cfg, SgpParams(tol_energy=tol))
     else:
         report = solve_problem2(dct, 1e3 * b, cfg, SgpParams(tol_energy=tol))
     assert report.termination == TERM_ENERGY
@@ -113,33 +111,6 @@ def test_energy_stop_is_relative_to_the_objective(problem, tol):
     assert changes[-1] <= tol * abs(trace[-1])
     assert np.all(changes[:-1] > tol * np.abs(trace[1:-1]))
     assert report.outer_iters >= 2
-
-
-@pytest.mark.parametrize("problem", ["p1"])
-def test_stalled_tightened_resolve_reports_inner_stall(problem, monkeypatch):
-    # the first model minimiser does not descend, so the outer loop re-solves
-    # at a tighter tolerance, and that re-solve hits its sweep cap; the
-    # sweeps of both solves count, though no step is accepted (problem 2
-    # solves its model exactly and has no re-solve)
-    dct, b, cfg = make_problem(5)
-    tols = []
-
-    def fake_solve(sub, params, warm=None, workspace=None):
-        tols.append(params.tol)
-        if len(tols) > 1:
-            raise NonConvergenceError("stalled", iterations=params.max_iters)
-        x = sub.anchor + 10.0
-        d = None if sub.anchor_d is None else sub.anchor_d + 10.0
-        return QpSolution(x, d, 1, 0.0, 0.0, np.zeros_like(x),
-                          None if d is None else np.zeros_like(d))
-
-    monkeypatch.setattr(sgp, f"solve_qp_{problem}", fake_solve)
-    solve = solve_problem1 if problem == "p1" else solve_problem2
-    report = solve(dct, b, cfg, SgpParams(), AdmmParams(tol=1e-4))
-    assert report.termination == "inner_stall"
-    assert report.outer_iters == 0
-    assert tols == pytest.approx([1e-4, 1e-6])
-    assert report.inner_iters_total == 1 + AdmmParams().max_iters
 
 
 def test_problem2_non_descending_step_ends_as_energy_tol(monkeypatch):
@@ -158,51 +129,40 @@ def test_problem2_non_descending_step_ends_as_energy_tol(monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("problem", ["p1"])
-def test_warm_start_failure_is_retried_cold(problem, monkeypatch):
-    # the first warm start raises; the outer loop retries that subproblem
-    # once from cold and carries on, counting the failed start's sweeps
-    # (problem 2 has no warm start)
+def test_problem1_model_no_better_than_the_anchor_ends_as_energy_tol(monkeypatch):
+    # a model minimiser with a positive model value is not re-solved
     dct, b, cfg = make_problem(5)
-    real = getattr(sgp, f"solve_qp_{problem}")
-    warm_flags, sweeps = [], []
+    calls = []
 
-    def fake_solve(sub, params, warm=None, workspace=None):
-        warm_flags.append(warm is not None)
-        if warm is not None and warm_flags.count(True) == 1:
-            sweeps.append(7)
-            raise NonConvergenceError("cycled", iterations=7)
-        sol = real(sub, params, warm, workspace)
-        sweeps.append(sol.iterations)
-        return sol
+    def fake_solve(sub):
+        calls.append(sub)
+        return QpSolution(sub.anchor + 10.0, sub.anchor_d + 10.0)
 
-    monkeypatch.setattr(sgp, f"solve_qp_{problem}", fake_solve)
-    solve = solve_problem1 if problem == "p1" else solve_problem2
-    report = solve(dct, b, cfg, SgpParams(tol_energy=1e-12), TIGHT)
-    assert warm_flags[:3] == [False, True, False]
-    assert report.outer_iters >= 2
-    assert report.termination in (TERM_STEP, TERM_ENERGY)
-    assert report.inner_iters_total == sum(sweeps)
+    monkeypatch.setattr(sgp, "solve_qp_p1", fake_solve)
+    report = solve_problem1(dct, b, cfg, SgpParams())
+    assert report.termination == TERM_ENERGY
+    assert report.outer_iters == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("problem", ["p1", "p2"])
 def test_failing_cold_first_solve_propagates(problem, monkeypatch):
+    # a step's active set that hits its cap ends the solve: no retry, no
+    # fallback
     dct, b, cfg = make_problem(5)
+    monkeypatch.setattr(qp, "ACTIVE_SET_ITERS_PER_COLUMN", 0)
+    real = getattr(sgp, f"solve_qp_{problem}")
     calls = []
 
-    def fake_solve(sub, *args):
-        calls.append(args)
-        raise NonConvergenceError("stalled cold", iterations=7)
+    def counting(sub, *args):
+        calls.append(sub)
+        return real(sub, *args)
 
-    monkeypatch.setattr(sgp, f"solve_qp_{problem}", fake_solve)
-    with pytest.raises(NonConvergenceError, match="stalled cold"):
-        if problem == "p1":
-            solve_problem1(dct, b, cfg, SgpParams(), TIGHT)
-        else:
-            solve_problem2(dct, b, cfg, SgpParams())
+    monkeypatch.setattr(sgp, f"solve_qp_{problem}", counting)
+    solve = solve_problem1 if problem == "p1" else solve_problem2
+    with pytest.raises(NonConvergenceError, match="did not converge in 0 iterations"):
+        solve(dct, b, cfg, SgpParams())
     assert len(calls) == 1
-    if problem == "p1":
-        assert calls[0][1] is None  # the first solve starts cold
 
 
 def test_problem2_rejects_bad_init_shape():
@@ -240,11 +200,31 @@ def test_problem2_trace_bookkeeping(monkeypatch):
     assert set(report.c_trace) == {SgpParams().c_matrix_scale}
 
 
+def test_problem1_trace_bookkeeping(monkeypatch):
+    # a decrease test asking for more than the model promises rejects
+    # candidates; their active-set iterations count too
+    monkeypatch.setattr(sgp, "SIGMA", 1.5)
+    dct, b, cfg = make_problem(7)
+    real = sgp.solve_qp_p1
+    steps = []
+
+    def counting(sub):
+        sol = real(sub)
+        steps.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(sgp, "solve_qp_p1", counting)
+    report = solve_problem1(dct, b, cfg, SgpParams())
+    assert len(report.step_trace) == report.outer_iters
+    assert len(report.c_trace) == report.outer_iters
+    assert len(steps) > report.outer_iters + 1 and min(steps) >= 1
+    assert report.inner_iters_total == sum(steps)
+
+
 def test_problem1_repairs_infeasible_init():
     dct, b, cfg = make_problem(9)
     init = GroupedCoeffs(np.zeros(dct.n_columns))  # violates every floor, no dummies
-    report = solve_problem1(dct, b, cfg, SgpParams(max_outer=3, tol_energy=0.0),
-                            TIGHT, init=init)
+    report = solve_problem1(dct, b, cfg, SgpParams(max_outer=3, tol_energy=0.0), init=init)
     assert_p1_feasible(dct, cfg, report.final)
     assert np.isfinite(report.objective_trace).all()
 
@@ -254,7 +234,7 @@ def test_problem1_rejection_storm_raises(monkeypatch):
     monkeypatch.setattr(sgp, "MAX_REJECTIONS", 1)
     dct, b, cfg = make_problem(3)
     with pytest.raises(NonConvergenceError) as info:
-        solve_problem1(dct, b, cfg, SgpParams(), TIGHT)
+        solve_problem1(dct, b, cfg, SgpParams())
     assert info.value.iterations is not None
 
 
