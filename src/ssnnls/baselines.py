@@ -8,7 +8,8 @@ constrained form ``min |x|_1  s.t.  x >= 0, |Ax - b| <= tau`` as a
 root-find on gamma over such solves (van den Berg & Friedlander's
 Pareto curve), and a penalty decomposition scheme for the exact
 per-group l0 constraint.  The l1 baselines take no settings; their
-constants are ``L1_SHIFT``, ``L1_GAMMA_RTOL`` and ``L1_MAX_SOLVES``.
+constants are ``L1_GAMMA_RTOL`` and ``L1_MAX_SOLVES`` here and the
+ridge ``ssnnls.core.L1_SHIFT`` of the factor the dictionary keeps.
 """
 
 from dataclasses import dataclass
@@ -37,10 +38,6 @@ def nnls(entries: np.ndarray, b: np.ndarray, maxiter: Optional[int] = None) -> n
     return x
 
 
-# Ridge that makes the l1 baselines' Gram matrix G positive definite on
-# rank-deficient dictionaries: G + L1_SHIFT * trace(G)/n * I is factored,
-# i.e. a ridge of L1_SHIFT times G's mean eigenvalue.
-L1_SHIFT = 1e-10
 # The constrained form's root-find on the penalty weight stops once the
 # solutions bracketing the tau-sphere share their support (the solution
 # path is affine between them, so interpolating onto the sphere is exact),
@@ -59,35 +56,25 @@ def l1_weight(value: float, name: str, positive: bool = False) -> float:
     return value
 
 
-def _l1_factor(entries: np.ndarray) -> Optional[np.ndarray]:
-    """Upper Cholesky factor R of G + shift*I (see ``L1_SHIFT``); None if G is zero."""
-    gram = entries.T @ entries
-    mean_eig = float(np.trace(gram)) / gram.shape[0]
-    if mean_eig <= 0:
-        return None
-    gram[np.diag_indices_from(gram)] += L1_SHIFT * mean_eig
-    return scipy.linalg.cholesky(gram, overwrite_a=True)
-
-
 def _l1_solve(r: np.ndarray, atb: np.ndarray, gamma: float) -> np.ndarray:
     """Minimiser of 0.5 x'R'Rx - (A'b - gamma)'x over x >= 0, as one NNLS."""
     return nnls(r, scipy.linalg.solve_triangular(r, atb - gamma, trans="T"))
 
 
-def l1_penalized(entries: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
+def l1_penalized(dct: GroupedDictionary, b: np.ndarray, gamma: float) -> np.ndarray:
     """Penalized form ``min 0.5 |Ax - b|^2 + gamma |x|_1  s.t.  x >= 0``.
 
     On the orthant |x|_1 = 1'x, so this is the strictly convex QP
     ``0.5 x'Gx - (A'b - gamma 1)'x``; with G (plus the ``L1_SHIFT`` ridge)
-    = R'R it is exactly NNLS(R, R^-T (A'b - gamma 1)).
+    = R'R, the factor ``dct.l1_factor`` kept for every right-hand side,
+    it is exactly NNLS(R, R^-T (A'b - gamma 1)).  The groups play no part.
     """
-    entries = np.asarray(entries, dtype=float)
-    b = as_data_vector(b, entries.shape[0])
+    b = as_data_vector(b, dct.n_rows)
     gamma = l1_weight(gamma, "gamma")
-    r = _l1_factor(entries)
+    r = dct.l1_factor
     if r is None:
-        return np.zeros(entries.shape[1])
-    return _l1_solve(r, entries.T @ b, gamma)
+        return np.zeros(dct.n_columns)
+    return _l1_solve(r, dct.entries.T @ b, gamma)
 
 
 def _sphere_interpolate(entries: np.ndarray, b: np.ndarray, tau: float,
@@ -113,27 +100,27 @@ def _sphere_interpolate(entries: np.ndarray, b: np.ndarray, tau: float,
     return x_out + theta * dx
 
 
-def l1_bregman(entries: np.ndarray, b: np.ndarray, tau: float) -> np.ndarray:
+def l1_bregman(dct: GroupedDictionary, b: np.ndarray, tau: float) -> np.ndarray:
     """Constrained l1 recovery ``min |x|_1  s.t.  x >= 0, |Ax - b| <= tau``.
 
     A minimiser of the penalized problem (:func:`l1_penalized`) whose
     residual equals tau minimises |x|_1 over the whole tau-ball, and the
     residual grows with the weight, from the NNLS residual at 0 to |b| at
     max(A'b).  So a bracketed secant search (Illinois) on the weight, each
-    step one exact penalized solve on the same Cholesky factor, lands on
-    the constrained solution: once both ends of the bracket share a
-    support the path between them is affine, and the point where the
-    segment crosses the sphere is the solution.  Raises
-    :class:`NonConvergenceError` when even NNLS leaves a residual above
-    tau.
+    step one exact penalized solve on the dictionary's Cholesky factor
+    (``dct.l1_factor``), lands on the constrained solution: once both
+    ends of the bracket share a support the path between them is affine,
+    and the point where the segment crosses the sphere is the solution.
+    Raises :class:`NonConvergenceError` when even NNLS leaves a residual
+    above tau.
     """
-    entries = np.asarray(entries, dtype=float)
-    b = as_data_vector(b, entries.shape[0])
+    entries = dct.entries
+    b = as_data_vector(b, dct.n_rows)
     tau = l1_weight(tau, "tau", positive=True)
     b_norm = float(np.linalg.norm(b))
     if b_norm <= tau:
-        return np.zeros(entries.shape[1])
-    r = _l1_factor(entries)
+        return np.zeros(dct.n_columns)
+    r = dct.l1_factor
     if r is None:
         raise ValueError("dictionary is identically zero")
     atb = entries.T @ b

@@ -10,8 +10,8 @@ Experiments (``--experiment``):
 ``--scale k`` shrinks the protocol sizes by roughly k for quick runs;
 ``--config`` merges a JSON file of knob overrides (CLI flags win).  Exit
 codes: 0 success, 2 bad configuration (including knob values the
-protocols reject, such as a negative noise level), 3 solver
-non-convergence, 4 I/O failure.
+protocols reject, such as a negative noise level, and knobs the chosen
+experiment does not read), 3 solver non-convergence, 4 I/O failure.
 """
 
 import argparse
@@ -31,22 +31,26 @@ from .doas import (DOAS_SOLVERS, DeformationGrid, DoasFitConfig, build_deformati
                    deformed_column, quartic_background, sample_planted_coeffs,
                    synthesize_doas_data, synthesize_references, fit_doas, wavelength_grid)
 from .errors import ConfigError, NonConvergenceError
-from .hsi import (HSI_SOLVERS, compute_metrics, demix_scene, resolve_threads,
-                  synthesize_endmember_library, synthesize_mixed_scene)
+from .hsi import (HSI_SOLVERS, compute_metrics, demix_scene, synthesize_endmember_library,
+                  synthesize_mixed_scene)
 from .sgp import SgpParams
 
 EXPERIMENTS = ("doas-align", "doas-background", "hsi-inter", "hsi-structured")
 
-_EXPERIMENT_ALIASES = {
-    "doasalign": "doas-align",
-    "doas_align": "doas-align",
-    "doasbackground": "doas-background",
-    "doas_background": "doas-background",
-    "hsiinter": "hsi-inter",
-    "hsi_inter": "hsi-inter",
-    "hsistructured": "hsi-structured",
-    "hsi_structured": "hsi-structured",
-}
+# spellings are matched with case, "-" and "_" ignored
+_ALIASES = {e.replace("-", ""): e for e in EXPERIMENTS}
+
+# The knobs each protocol reads: a config file may override these and no others.
+_DOAS_KNOBS = ("bands noise_sd tau_over_sqrt_w eps r tol_energy max_outer pd_rho0 pd_growth "
+               "pd_init ")
+_HSI_KNOBS = "bands counts noise_sd eps gamma0 r c_scale tol_energy l1_gamma "
+KNOBS = {experiment: frozenset(knobs.split()) for experiment, knobs in {
+    "doas-align": _DOAS_KNOBS + "magnitude_means jitter gamma_p1 gamma_p2 c_scale",
+    "doas-background": _DOAS_KNOBS + "group_cols magnitudes bg_scale gamma alpha c_scale_p1 "
+                                     "c_scale_p2 pd_tol_outer lstsq_draws",
+    "hsi-inter": _HSI_KNOBS + "endmembers",
+    "hsi-structured": _HSI_KNOBS + "group_size n_groups gamma",
+}.items()}
 
 
 @dataclass
@@ -58,13 +62,10 @@ class ExperimentConfig:
     scale: int = 1
     out: Optional[str] = None
     solvers: Optional[List[str]] = None
-    threads: int = 1
     overrides: Dict = field(default_factory=dict)
 
     def __post_init__(self):
-        key = self.experiment.strip().lower().replace("-", "").replace("_", "")
-        canon = _EXPERIMENT_ALIASES.get(key) or _EXPERIMENT_ALIASES.get(
-            self.experiment.strip().lower())
+        canon = _ALIASES.get(self.experiment.strip().lower().replace("-", "").replace("_", ""))
         if canon is None:
             raise ConfigError(f"unknown experiment {self.experiment!r}; "
                               f"choose from {EXPERIMENTS}")
@@ -73,8 +74,14 @@ class ExperimentConfig:
             raise ConfigError(f"scale must be >= 1, got {self.scale}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        unknown = sorted(set(self.overrides) - KNOBS[canon])
+        if unknown:
+            raise ConfigError(f"{canon} reads no knob {', '.join(map(repr, unknown))}; "
+                              f"its knobs are {', '.join(sorted(KNOBS[canon]))}")
 
     def knob(self, name, default):
+        if name not in KNOBS[self.experiment]:
+            raise KeyError(f"{name!r} is missing from the {self.experiment} knob table")
         return self.overrides.get(name, default)
 
 
@@ -149,6 +156,43 @@ def _selection_metrics(result, planted_info, ddict, zero_tol=1e-6):
     }
 
 
+def _solvers(cfg: ExperimentConfig, default, known) -> List[str]:
+    """``--solver``'s choices (``default`` without any), each checked against ``known``."""
+    solvers = cfg.solvers or list(default)
+    for solver in solvers:
+        if solver not in known:
+            raise ConfigError(f"unknown solver {solver!r}; choose from {known}")
+    return solvers
+
+
+def _doas_records(cfg: ExperimentConfig, data, ddict, info, solvers, fit_config,
+                  background=None) -> List[RunRecord]:
+    """Fit ``data`` once per solver; ``fit_config(solver)`` gives (DoasFitConfig, params)."""
+    records = []
+    for solver in _solvers(cfg, solvers, DOAS_SOLVERS):
+        fit_cfg, params = fit_config(solver)
+        t0 = time.perf_counter()
+        result = fit_doas(data, ddict, fit_cfg)
+        rt = time.perf_counter() - t0
+        metrics = _selection_metrics(result, info, ddict)
+        if background is not None and result.background is not None:
+            err = result.background - background
+            metrics["background_rel_err"] = float(
+                np.linalg.norm(err) / np.linalg.norm(background))
+        records.append(RunRecord(
+            cfg.experiment, solver, cfg.seed, cfg.scale, rt, metrics, params=params,
+            termination=result.report.termination if result.report else None,
+            outer_iters=result.report.outer_iters if result.report else None))
+        if cfg.out:
+            os.makedirs(cfg.out, exist_ok=True)
+            np.savetxt(os.path.join(cfg.out, f"coeffs_{solver}.csv"),
+                       result.coeffs.x, delimiter=",", header="coefficient")
+            if result.background is not None:
+                np.savetxt(os.path.join(cfg.out, f"background_{solver}.csv"),
+                           result.background, delimiter=",", header="background")
+    return records
+
+
 def run_doas_align(cfg: ExperimentConfig) -> List[RunRecord]:
     wl, refs, ddict, seed_plant, seed_noise, seed_jitter = _doas_protocol(cfg)
     noise_sd = float(cfg.knob("noise_sd", 0.005))
@@ -179,10 +223,8 @@ def run_doas_align(cfg: ExperimentConfig) -> List[RunRecord]:
     tau = float(cfg.knob("tau_over_sqrt_w", max(noise_sd, 1e-3))) * np.sqrt(wl.size)
     m = ddict.n_groups
     eps = float(cfg.knob("eps", 0.05))
-    records = []
-    for solver in cfg.solvers or ["nnls", "l1", "pd", "hoyer_p1", "diff_p2"]:
-        if solver not in DOAS_SOLVERS:
-            raise ConfigError(f"unknown solver {solver!r}; choose from {DOAS_SOLVERS}")
+
+    def fit_config(solver):
         gamma = float(cfg.knob("gamma_p1", 0.1)) if solver == "hoyer_p1" \
             else float(cfg.knob("gamma_p2", 0.05))
         sparsity = SparsityConfig(gamma=np.full(m, gamma), gamma0=0.0,
@@ -196,19 +238,12 @@ def run_doas_align(cfg: ExperimentConfig) -> List[RunRecord]:
                         growth=float(cfg.knob("pd_growth", 1.2))),
             pd_init=cfg.knob("pd_init", "nnls"),
             l1_tau=tau, seed=cfg.seed)
-        t0 = time.perf_counter()
-        result = fit_doas(data, ddict, fit_cfg)
-        rt = time.perf_counter() - t0
-        metrics = _selection_metrics(result, info, ddict)
-        records.append(RunRecord(
-            cfg.experiment, solver, cfg.seed, cfg.scale, rt, metrics,
-            params={"noise_sd": noise_sd, "gamma": gamma, "eps": eps, "tau": tau,
-                    "jitter": jitter, "bands": wl.size,
-                    "grid": [ddict.grid.slopes.size, ddict.grid.offsets.size]},
-            termination=result.report.termination if result.report else None,
-            outer_iters=result.report.outer_iters if result.report else None))
-        _write_doas_outputs(cfg, solver, result)
-    return records
+        return fit_cfg, {"noise_sd": noise_sd, "gamma": gamma, "eps": eps, "tau": tau,
+                         "jitter": jitter, "bands": wl.size,
+                         "grid": [ddict.grid.slopes.size, ddict.grid.offsets.size]}
+
+    return _doas_records(cfg, data, ddict, info, ("nnls", "l1", "pd", "hoyer_p1", "diff_p2"),
+                         fit_config)
 
 
 def run_doas_background(cfg: ExperimentConfig) -> List[RunRecord]:
@@ -226,10 +261,8 @@ def run_doas_background(cfg: ExperimentConfig) -> List[RunRecord]:
     eps = float(cfg.knob("eps", 0.001))
     gamma = float(cfg.knob("gamma", 0.001))
     alpha = float(cfg.knob("alpha", 1e-5))
-    records = []
-    for solver in cfg.solvers or ["nnls", "l1", "pd", "lstsq", "hoyer_p1", "diff_p2"]:
-        if solver not in DOAS_SOLVERS:
-            raise ConfigError(f"unknown solver {solver!r}; choose from {DOAS_SOLVERS}")
+
+    def fit_config(solver):
         c_scale = float(cfg.knob("c_scale_p1", 1e-4)) if solver == "hoyer_p1" \
             else float(cfg.knob("c_scale_p2", 1e-7))
         sparsity = SparsityConfig(gamma=np.full(m, gamma), gamma0=0.0,
@@ -244,33 +277,12 @@ def run_doas_background(cfg: ExperimentConfig) -> List[RunRecord]:
                         tol_outer=float(cfg.knob("pd_tol_outer", 1e-6))),
             pd_init=cfg.knob("pd_init", "zero"),
             l1_tau=tau, lstsq_draws=int(cfg.knob("lstsq_draws", 200)), seed=cfg.seed)
-        t0 = time.perf_counter()
-        result = fit_doas(data, ddict, fit_cfg)
-        rt = time.perf_counter() - t0
-        metrics = _selection_metrics(result, info, ddict)
-        if result.background is not None:
-            err = result.background - background
-            metrics["background_rel_err"] = float(
-                np.linalg.norm(err) / np.linalg.norm(background))
-        records.append(RunRecord(
-            cfg.experiment, solver, cfg.seed, cfg.scale, rt, metrics,
-            params={"noise_sd": noise_sd, "gamma": gamma, "eps": eps, "alpha": alpha,
-                    "tau": tau, "bands": wl.size, "c_scale": c_scale},
-            termination=result.report.termination if result.report else None,
-            outer_iters=result.report.outer_iters if result.report else None))
-        _write_doas_outputs(cfg, solver, result)
-    return records
+        return fit_cfg, {"noise_sd": noise_sd, "gamma": gamma, "eps": eps, "alpha": alpha,
+                         "tau": tau, "bands": wl.size, "c_scale": c_scale}
 
-
-def _write_doas_outputs(cfg: ExperimentConfig, solver: str, result) -> None:
-    if not cfg.out:
-        return
-    os.makedirs(cfg.out, exist_ok=True)
-    np.savetxt(os.path.join(cfg.out, f"coeffs_{solver}.csv"),
-               result.coeffs.x, delimiter=",", header="coefficient")
-    if result.background is not None:
-        np.savetxt(os.path.join(cfg.out, f"background_{solver}.csv"),
-                   result.background, delimiter=",", header="background")
+    return _doas_records(cfg, data, ddict, info,
+                         ("nnls", "l1", "pd", "lstsq", "hoyer_p1", "diff_p2"), fit_config,
+                         background)
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +290,13 @@ def _write_doas_outputs(cfg: ExperimentConfig, solver: str, result) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _hsi_records(cfg: ExperimentConfig, scene, solver_specs) -> List[RunRecord]:
+def _hsi_records(cfg: ExperimentConfig, scene, params, sparsity, sgp,
+                 l1_gamma) -> List[RunRecord]:
+    """Demix ``scene`` once per solver, every run with the same settings and ``params``."""
     records = []
-    for solver, kwargs, params in solver_specs:
+    for solver in _solvers(cfg, ("nnls", "l1", "hoyer_p1", "diff_p2"), HSI_SOLVERS):
         t0 = time.perf_counter()
-        result = demix_scene(scene, threads=cfg.threads, solver=solver, **kwargs)
+        result = demix_scene(scene, sparsity, solver=solver, sgp=sgp, l1_gamma=l1_gamma)
         rt = time.perf_counter() - t0
         rep = compute_metrics(result.values, scene.dictionary.offsets, scene.truth)
         misfit = scene.dictionary.entries @ result.values - scene.pixels
@@ -303,7 +317,7 @@ def _hsi_records(cfg: ExperimentConfig, scene, solver_specs) -> List[RunRecord]:
                 metrics["outer_iters_min"] = int(result.outer_iters[ok].min())
                 metrics["outer_iters_max"] = int(result.outer_iters[ok].max())
         records.append(RunRecord(cfg.experiment, solver, cfg.seed, cfg.scale,
-                                 rt, metrics, params=params))
+                                 rt, metrics, params=dict(params)))
         if cfg.out:
             os.makedirs(cfg.out, exist_ok=True)
             np.savetxt(os.path.join(cfg.out, f"abundance_{solver}.csv"),
@@ -338,14 +352,8 @@ def run_hsi_inter(cfg: ExperimentConfig) -> List[RunRecord]:
     sgp = SgpParams(c_matrix_scale=float(cfg.knob("c_scale", 1e-9)),
                     tol_energy=float(cfg.knob("tol_energy", 1e-3)))
     l1_gamma = float(cfg.knob("l1_gamma", 0.1))
-    specs = []
-    for solver in cfg.solvers or ["nnls", "l1", "hoyer_p1", "diff_p2"]:
-        if solver not in HSI_SOLVERS:
-            raise ConfigError(f"unknown solver {solver!r}; choose from {HSI_SOLVERS}")
-        kwargs = {"cfg": sparsity, "sgp": sgp, "l1_gamma": l1_gamma}
-        specs.append((solver, kwargs, {"noise_sd": noise_sd, "gamma0": gamma0,
-                                       "eps": eps, "counts": counts}))
-    return _hsi_records(cfg, scene, specs)
+    return _hsi_records(cfg, scene, {"noise_sd": noise_sd, "gamma0": gamma0, "eps": eps,
+                                     "counts": counts}, sparsity, sgp, l1_gamma)
 
 
 def run_hsi_structured(cfg: ExperimentConfig) -> List[RunRecord]:
@@ -367,15 +375,9 @@ def run_hsi_structured(cfg: ExperimentConfig) -> List[RunRecord]:
     # weight picked so the plain l1 model lands near the structured solvers'
     # sparsity level, which is what makes its fit error comparable
     l1_gamma = float(cfg.knob("l1_gamma", 0.1))
-    specs = []
-    for solver in cfg.solvers or ["nnls", "l1", "hoyer_p1", "diff_p2"]:
-        if solver not in HSI_SOLVERS:
-            raise ConfigError(f"unknown solver {solver!r}; choose from {HSI_SOLVERS}")
-        kwargs = {"cfg": sparsity, "sgp": sgp, "l1_gamma": l1_gamma}
-        specs.append((solver, kwargs, {"noise_sd": noise_sd, "gamma": gamma,
-                                       "gamma0": gamma0, "eps": eps, "counts": counts,
-                                       "group_size": group_size}))
-    return _hsi_records(cfg, scene, specs)
+    return _hsi_records(cfg, scene, {"noise_sd": noise_sd, "gamma": gamma, "gamma0": gamma0,
+                                     "eps": eps, "counts": counts, "group_size": group_size},
+                        sparsity, sgp, l1_gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -442,9 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="directory for records.json and CSV outputs")
     parser.add_argument("--scale", type=int, default=None,
                         help="shrink protocol sizes by this factor (default 1)")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads for per-pixel solves (default 1; "
-                             "0 = all cores; capped by SSNNLS_MAX_THREADS)")
     return parser
 
 
@@ -462,7 +461,7 @@ def config_from_args(args) -> ExperimentConfig:
             raise ConfigError(f"{args.config}: invalid JSON ({exc})") from exc
         if not isinstance(file_cfg, dict):
             raise ConfigError(f"{args.config}: top level must be a JSON object")
-    known = {"experiment", "seed", "scale", "out", "solvers", "threads"}
+    known = {"experiment", "seed", "scale", "out", "solvers"}
     overrides = {k: v for k, v in file_cfg.items() if k not in known}
     merged = {
         "experiment": args.experiment or file_cfg.get("experiment"),
@@ -470,8 +469,6 @@ def config_from_args(args) -> ExperimentConfig:
         "scale": args.scale if args.scale is not None else int(file_cfg.get("scale", 1)),
         "out": args.out or file_cfg.get("out"),
         "solvers": args.solvers or file_cfg.get("solvers"),
-        "threads": args.threads if args.threads is not None
-        else int(file_cfg.get("threads", 1)),
         "overrides": overrides,
     }
     if merged["solvers"] is not None and not isinstance(merged["solvers"], list):
@@ -483,7 +480,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = config_from_args(args)
-        resolve_threads(cfg.threads)  # validate the env cap early
         records = run_experiment(cfg)
         print(compare_solvers(records))
         return 0

@@ -20,9 +20,15 @@ from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
+import scipy.linalg
 
 from .errors import ConfigError, DegenerateColumnError
 from .penalties import diff_l1_l2, hoyer_ratio
+
+# Ridge that makes the l1 baselines' Gram matrix G positive definite on
+# rank-deficient dictionaries: G + L1_SHIFT * trace(G)/n * I is factored,
+# i.e. a ridge of L1_SHIFT times G's mean eigenvalue.
+L1_SHIFT = 1e-10
 
 
 @dataclass(frozen=True)
@@ -76,14 +82,22 @@ class GroupedDictionary:
 
     @cached_property
     def gram(self) -> np.ndarray:
-        """Read-only Gram matrix A'A, computed on first use and kept.
-
-        The cache takes no lock: code that shares one dictionary between
-        threads reads it once before they start.
-        """
+        """Read-only Gram matrix A'A, computed on first use and kept."""
         gram = self.entries.T @ self.entries
         gram.flags.writeable = False
         return gram
+
+    @cached_property
+    def l1_factor(self) -> Optional[np.ndarray]:
+        """Read-only upper Cholesky factor R, R'R = G + ridge (``L1_SHIFT``); None if G = 0."""
+        mean_eig = float(np.trace(self.gram)) / self.n_columns
+        if mean_eig <= 0:
+            return None
+        shifted = self.gram.copy()
+        shifted[np.diag_indices_from(shifted)] += L1_SHIFT * mean_eig
+        factor = scipy.linalg.cholesky(shifted, overwrite_a=True)
+        factor.flags.writeable = False
+        return factor
 
 
 @dataclass

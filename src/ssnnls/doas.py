@@ -534,7 +534,7 @@ def fit_doas(data: np.ndarray, ddict: DeformationDictionary,
     if cfg.solver == "nnls":
         x_full = nnls(sdict.entries, b_st)
     elif cfg.solver == "l1":
-        x_full = l1_bregman(sdict.entries, b_st, l1_tau)
+        x_full = l1_bregman(sdict, b_st, l1_tau)
     elif cfg.solver == "pd":
         x_full = penalty_decomposition_l0(sdict, b_st, scfg, cfg.pd, cfg.pd_init).x
     elif cfg.solver == "hoyer_p1":

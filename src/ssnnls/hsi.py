@@ -3,44 +3,24 @@
 A scene is a band-by-pixel matrix, each pixel a non-negative combination
 of library spectra; the library's columns cluster into groups of variants
 of the same material.  Demixing solves one structured-sparse problem per
-pixel (pixels are independent, so they run on a thread pool sharing the
-dictionary's Gram matrix) and metrics compare recovered abundances against the
-planted truth, per column and collapsed per group.
+pixel, in one loop over pixels that share the dictionary's cached Gram
+matrix and l1 factor, and metrics compare recovered abundances against
+the planted truth, per column and collapsed per group.
 """
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .baselines import l1_penalized, l1_weight, nnls, penalty_decomposition_l0
-from .core import GroupedCoeffs, GroupedDictionary, SparsityConfig, normalize_columns
+from .core import GroupedDictionary, SparsityConfig, normalize_columns
 from .errors import ConfigError, NonConvergenceError
 from .qp import AdmmParams
 from .sgp import SgpParams, solve_problem1, solve_problem2
 
-THREADS_ENV = "SSNNLS_MAX_THREADS"
-
 HSI_SOLVERS = ("nnls", "l1", "pd", "hoyer_p1", "diff_p2")
-
-
-def resolve_threads(requested: Optional[int]) -> int:
-    """Thread count: requested (0/None = all cores), capped by SSNNLS_MAX_THREADS."""
-    cap = os.environ.get(THREADS_ENV, "").strip()
-    try:
-        limit = int(cap) if cap else os.cpu_count() or 1
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV} must be a positive integer, got {cap!r}") from None
-    if limit < 1:
-        raise ConfigError(f"{THREADS_ENV} must be a positive integer, got {cap!r}")
-    if requested is None or requested == 0:
-        return min(os.cpu_count() or 1, limit)
-    if requested < 0:
-        raise ConfigError(f"thread count must be positive, got {requested}")
-    return min(requested, limit)
 
 
 @dataclass(frozen=True)
@@ -209,45 +189,37 @@ def synthesize_mixed_scene(library: GroupedDictionary, scales: np.ndarray,
 def demix_scene(scene: HsiScene, cfg: SparsityConfig, solver: str = "diff_p2",
                 sgp: Optional[SgpParams] = None, admm: Optional[AdmmParams] = None,
                 l1_gamma: Optional[float] = None,
-                threads: Optional[int] = 1) -> AbundanceMatrix:
-    """Solve one problem per pixel with the chosen solver.
+                threads: Optional[int] = None) -> AbundanceMatrix:
+    """Solve one problem per pixel with the chosen solver, pixel by pixel.
 
     "l1" is the penalized form at weight ``l1_gamma`` (finite, >= 0;
-    :func:`ssnnls.baselines.l1_penalized`, one exact NNLS per pixel with
-    the ``L1_SHIFT`` ridge and no settings of its own); "pd" runs with
-    the default :class:`PdParams` and the ``PD_TOL_INNER``,
+    :func:`ssnnls.baselines.l1_penalized`, one exact NNLS per pixel on the
+    dictionary's kept ``l1_factor``, with no settings of its own); "pd"
+    runs with the default :class:`PdParams` and the ``PD_TOL_INNER``,
     ``PD_MAX_INNER``, ``PD_MAX_OUTER`` and ``PD_RHO_CAP`` constants; the
     structured solvers take ``sgp`` plus the constants of
     :mod:`ssnnls.sgp` (``C0``, ``SIGMA``, ``XI1``, ``XI2``, ``RHO``,
     ``MAX_REJECTIONS``, ``TOL_STEP``) and ``qp.ACTIVE_SET_ITERS_PER_COLUMN``.
-    ``admm`` is retired and ignored (see :class:`ssnnls.qp.AdmmParams`).
+    ``admm`` is retired and ignored (see :class:`ssnnls.qp.AdmmParams`),
+    and so is ``threads``: pixels run in one serial loop.
     Pixels whose solver raises a non-convergence error get a zero column
-    and an entry in ``failed_pixels``.  Pixels run on ``threads`` workers (default 1;
-    0/None = all cores; capped by the SSNNLS_MAX_THREADS environment
-    variable); results do not depend on the worker count.
+    and an entry in ``failed_pixels``.
     """
     if solver not in HSI_SOLVERS:
         raise ConfigError(f"unknown solver {solver!r}; choose from {HSI_SOLVERS}")
     dct = scene.dictionary
     cfg.validate(dct.n_groups)
     sgp = sgp or SgpParams()
-    n_threads = resolve_threads(threads)
-
-    # the dictionary caches its Gram matrix without a lock: form it here,
-    # before any worker could race to compute it
-    if solver in ("hoyer_p1", "diff_p2"):
-        dct.gram
     if solver == "l1":
         if l1_gamma is None:
             raise ConfigError("the l1 solver needs l1_gamma")
         l1_gamma = l1_weight(l1_gamma, "l1_gamma")
 
-    def solve_pixel(p: int) -> Tuple[np.ndarray, int]:
-        y = scene.pixels[:, p]
+    def solve_pixel(y: np.ndarray) -> Tuple[np.ndarray, int]:
         if solver == "nnls":
             return nnls(dct.entries, y), 0
         if solver == "l1":
-            return l1_penalized(dct.entries, y, l1_gamma), 0
+            return l1_penalized(dct, y, l1_gamma), 0
         if solver == "pd":
             return penalty_decomposition_l0(dct, y, cfg).x, 0
         if solver == "hoyer_p1":
@@ -259,31 +231,11 @@ def demix_scene(scene: HsiScene, cfg: SparsityConfig, solver: str = "diff_p2",
     values = np.zeros((dct.n_columns, scene.n_pixels))
     outer = np.zeros(scene.n_pixels, dtype=np.int64)
     failed: List[Tuple[int, str]] = []
-
-    def run(p: int):
+    for p in range(scene.n_pixels):
         try:
-            x, iters = solve_pixel(p)
-            return p, x, iters, None
+            values[:, p], outer[p] = solve_pixel(scene.pixels[:, p])
         except NonConvergenceError as exc:
-            return p, None, 0, str(exc)
-
-    def record(result):
-        p, x, iters, err = result
-        if err is None:
-            values[:, p] = x
-            outer[p] = iters
-        else:
-            failed.append((p, err))
-
-    pixels = range(scene.n_pixels)
-    if n_threads == 1:
-        for result in map(run, pixels):
-            record(result)
-    else:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            for result in pool.map(run, pixels):
-                record(result)
-    failed.sort(key=lambda t: t[0])
+            failed.append((p, str(exc)))
     iters_out = outer if solver in ("hoyer_p1", "diff_p2") else None
     return AbundanceMatrix(values, dct.offsets.copy(), failed, iters_out)
 

@@ -21,10 +21,9 @@ from typing import List, Optional
 
 import numpy as np
 
-from .core import (GroupedCoeffs, GroupedDictionary, ObjectiveEval, SparsityConfig,
-                   as_data_vector, eval_objective_p1, eval_objective_p2)
+from .core import (GroupedCoeffs, GroupedDictionary, SparsityConfig, as_data_vector,
+                   eval_objective_p1, eval_objective_p2)
 from .errors import NonConvergenceError
-from .projections import SimplexMode, SimplexSpec, project_group_floor, project_simplex
 from .qp import (QpSubproblem, eliminate_free, model_cholesky, model_value, solve_qp_p1,
                  solve_qp_p2)
 
@@ -92,45 +91,26 @@ def _default_x0(n: int) -> np.ndarray:
 
 def _feasible_p1_init(dct: GroupedDictionary, cfg: SparsityConfig,
                       init: Optional[GroupedCoeffs]) -> GroupedCoeffs:
-    n = dct.n_columns
+    """``init`` (default x = 0.1, d = 0) made feasible for problem 1 in closed form.
+
+    x and d are clipped at 0; each group short of its floor is raised
+    evenly onto it, so x alone meets every floor, and d is scaled down
+    onto the budget when sum(d / eps) exceeds it.
+    """
     n_con = cfg.n_constrained(dct.n_groups)
     pre = int(dct.offsets[n_con])
-    eps = cfg.eps[:n_con]
-    budget = cfg.budget(dct.n_groups)
-    if init is not None:
-        x = init.x.astype(float).copy()
-        d = init.d.astype(float).copy() if init.d is not None else np.zeros(n_con)
-    else:
-        x = _default_x0(n)
-        d = np.zeros(n_con)
+    x = _default_x0(dct.n_columns) if init is None else init.x.astype(float)
+    d = np.zeros(n_con) if init is None or init.d is None else init.d.astype(float)
     x[:pre] = np.maximum(x[:pre], 0.0)
     d = np.maximum(d, 0.0)
-    # alternate between the budget set and the joint group floors until the
-    # init is feasible; the default init usually needs no passes at all
     for j in range(n_con):
         sl = dct.group_slice(j)
-        d[j] = max(d[j], float(cfg.eps[j]) - float(np.sum(x[sl])))
-    d = np.maximum(d, 0.0)
-    for _ in range(200):
-        if float(np.sum(d / eps)) <= budget + 1e-12:
-            ok = True
-            for j in range(n_con):
-                sl = dct.group_slice(j)
-                if float(np.sum(x[sl])) + d[j] < float(cfg.eps[j]) - 1e-12:
-                    ok = False
-                    break
-            if ok:
-                break
-        d = project_simplex(d, SimplexSpec(radius=budget, weights=1.0 / eps,
-                                           mode=SimplexMode.UPPER_BOUND))
-        for j in range(n_con):
-            sl = dct.group_slice(j)
-            stacked = np.append(x[sl], d[j])
-            proj = project_group_floor(stacked, float(cfg.eps[j]))
-            x[sl] = proj[:-1]
-            d[j] = proj[-1]
-    else:
-        raise NonConvergenceError("could not produce a feasible starting point")
+        short = float(cfg.eps[j]) - float(np.sum(x[sl]))
+        if short > 0:
+            x[sl] += short / (sl.stop - sl.start)
+    used, budget = float(np.sum(d / cfg.eps[:n_con])), cfg.budget(dct.n_groups)
+    if used > budget:
+        d *= budget / used
     return GroupedCoeffs(x, d)
 
 

@@ -7,8 +7,13 @@ from numpy.random import default_rng
 import oracles
 from ssnnls import baselines
 from ssnnls.baselines import PdParams, l1_bregman, l1_penalized, nnls, penalty_decomposition_l0
-from ssnnls.core import GroupedCoeffs, GroupedDictionary, SparsityConfig
+from ssnnls.core import L1_SHIFT, GroupedCoeffs, GroupedDictionary, SparsityConfig
 from ssnnls.errors import ConfigError, NonConvergenceError
+
+
+def one_group(a):
+    """``a`` as a dictionary of one group, the form the l1 baselines take."""
+    return GroupedDictionary(a, [0, np.shape(a)[1]])
 
 
 def group_cfg(n_groups, free=()):
@@ -76,7 +81,7 @@ def test_l1_penalized_matches_slsqp(seed, gamma):
     rng = default_rng(seed)
     a = rng.normal(size=(10, 6))
     b = rng.normal(size=10)
-    x = l1_penalized(a, b, gamma)
+    x = l1_penalized(one_group(a), b, gamma)
     x_ref = oracles.slsqp_nonneg_l1(a, b, gamma)
 
     def obj(z):
@@ -88,28 +93,40 @@ def test_l1_penalized_matches_slsqp(seed, gamma):
 
 
 def test_l1_penalized_edge_cases():
-    assert l1_penalized(np.zeros((4, 3)), np.ones(4), 0.1) == pytest.approx(np.zeros(3))
+    zero = one_group(np.zeros((4, 3)))
+    assert l1_penalized(zero, np.ones(4), 0.1) == pytest.approx(np.zeros(3))
+    assert zero.l1_factor is None
     with pytest.raises(ValueError):
-        l1_penalized(np.eye(2), np.ones(2), -0.1)
+        l1_penalized(one_group(np.eye(2)), np.ones(2), -0.1)
+
+
+def test_l1_factor_is_kept_beside_the_gram_matrix():
+    a = default_rng(5).normal(size=(10, 6))
+    dct = one_group(a)
+    r = dct.l1_factor
+    assert r is dct.l1_factor and not r.flags.writeable
+    assert np.allclose(np.tril(r, -1), 0.0)
+    ridge = L1_SHIFT * np.trace(dct.gram) / 6
+    assert r.T @ r == pytest.approx(dct.gram + ridge * np.eye(6), rel=1e-12, abs=1e-12)
 
 
 # ---------------------------------------------------------------- l1 bregman
 
 
 def test_l1_bregman_scalar_example():
-    x = l1_bregman(np.eye(2), np.array([2.0, 0.0]), tau=1.0)
+    x = l1_bregman(one_group(np.eye(2)), np.array([2.0, 0.0]), tau=1.0)
     assert x == pytest.approx([1.0, 0.0], abs=1e-9)
 
 
 def test_l1_bregman_zero_inside_ball():
     b = np.array([0.3, -0.4])
-    assert l1_bregman(np.eye(2), b, tau=0.5) == pytest.approx(np.zeros(2))
-    assert l1_bregman(np.eye(2), b, tau=2.0) == pytest.approx(np.zeros(2))
+    assert l1_bregman(one_group(np.eye(2)), b, tau=0.5) == pytest.approx(np.zeros(2))
+    assert l1_bregman(one_group(np.eye(2)), b, tau=2.0) == pytest.approx(np.zeros(2))
 
 
 def test_l1_bregman_rejects_bad_tau():
     with pytest.raises(ValueError):
-        l1_bregman(np.eye(2), np.ones(2), tau=0.0)
+        l1_bregman(one_group(np.eye(2)), np.ones(2), tau=0.0)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])
@@ -120,7 +137,7 @@ def test_l1_bregman_matches_min_l1_oracle(seed):
     x_true[rng.choice(6, size=2, replace=False)] = rng.uniform(0.5, 2.0, size=2)
     b = a @ x_true
     tau = 0.4 * float(np.linalg.norm(b))
-    x = l1_bregman(a, b, tau)
+    x = l1_bregman(one_group(a), b, tau)
     assert x.min() >= 0.0
     assert np.linalg.norm(a @ x - b) <= tau * (1.0 + 1e-3)
     ref = oracles.slsqp_min_l1_ball(a, b, tau)
@@ -133,7 +150,7 @@ def test_l1_bregman_returns_a_point_on_the_tau_sphere(seed):
     a = rng.normal(size=(10, 6))
     b = a @ np.abs(rng.normal(size=6)) + 0.1 * rng.normal(size=10)
     tau = 0.3 * float(np.linalg.norm(b))
-    x = l1_bregman(a, b, tau)
+    x = l1_bregman(one_group(a), b, tau)
     assert x.min() >= 0.0
     assert np.linalg.norm(a @ x - b) == pytest.approx(tau, rel=1e-9)
 
@@ -148,7 +165,7 @@ def test_l1_bregman_unreachable_tau_fails_after_one_solve(monkeypatch):
 
     monkeypatch.setattr(baselines, "nnls", counting_nnls)
     with pytest.raises(NonConvergenceError) as info:
-        l1_bregman(np.eye(2), np.array([-1.0, -1.0]), tau=0.5)
+        l1_bregman(one_group(np.eye(2)), np.array([-1.0, -1.0]), tau=0.5)
     assert len(calls) == 1
     message = str(info.value)
     assert "1.414214e+00" in message and "5.000000e-01" in message
@@ -166,7 +183,7 @@ def _coherent_dictionary(seed, rows=12, cols=30):
 def test_l1_penalized_rank_deficient_matches_slsqp(seed, gamma):
     a, rng = _coherent_dictionary(seed)
     b = rng.normal(size=a.shape[0])
-    x = l1_penalized(a, b, gamma)
+    x = l1_penalized(one_group(a), b, gamma)
     x_ref = oracles.slsqp_nonneg_l1(a, b, gamma)
 
     def obj(z):
@@ -183,7 +200,7 @@ def test_l1_bregman_rank_deficient_matches_min_l1_oracle(seed):
     x_true[rng.choice(a.shape[1], size=3, replace=False)] = rng.uniform(0.5, 2.0, size=3)
     b = a @ x_true + 0.01 * rng.normal(size=a.shape[0])
     tau = 0.3 * float(np.linalg.norm(b))
-    x = l1_bregman(a, b, tau)
+    x = l1_bregman(one_group(a), b, tau)
     assert x.min() >= 0.0
     assert np.linalg.norm(a @ x - b) == pytest.approx(tau, rel=1e-9)
     ref = oracles.slsqp_min_l1_ball(a, b, tau)

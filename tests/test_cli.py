@@ -1,18 +1,16 @@
 """Experiment driver: config merging, records, the table, and exit codes."""
 
-import inspect
 import json
 import os
 
 import numpy as np
 import pytest
 
-from ssnnls import qp
+from ssnnls import cli, qp
 from ssnnls.cli import (EXPERIMENTS, ExperimentConfig, RunRecord, _mixture_counts, _seeds,
                         build_parser, compare_solvers, config_from_args, main,
                         run_doas_align, run_experiment)
 from ssnnls.errors import ConfigError
-from ssnnls.hsi import demix_scene, resolve_threads
 
 
 def test_experiment_aliases_and_validation():
@@ -31,6 +29,16 @@ def test_experiment_aliases_and_validation():
     cfg = ExperimentConfig("hsi-inter", overrides={"noise_sd": 0.0})
     assert cfg.knob("noise_sd", 0.005) == 0.0
     assert cfg.knob("eps", 0.01) == 0.01
+
+
+def test_knobs_outside_the_experiment_table_are_rejected():
+    # a config key the protocol does not read fails before any solve
+    with pytest.raises(ConfigError, match="'max_outer'"):
+        ExperimentConfig("hsi-inter", overrides={"max_outer": 4})
+    assert ExperimentConfig("doas-align", overrides={"max_outer": 4}).knob("max_outer", 1) == 4
+    # and the code cannot read a knob its table lacks
+    with pytest.raises(KeyError):
+        ExperimentConfig("hsi-inter").knob("max_outer", 500)
 
 
 def test_run_record_to_json_cleans_numpy_types():
@@ -63,7 +71,7 @@ def test_mixture_counts_scaling_and_override():
 def test_config_from_args_merging(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"experiment": "hsi-inter", "seed": 7, "scale": 2,
-                                "solvers": ["nnls"], "noise_sd": 0.25, "max_outer": 4}))
+                                "solvers": ["nnls"], "noise_sd": 0.25, "eps": 0.02}))
     parser = build_parser()
     cfg = config_from_args(parser.parse_args(
         ["--experiment", "doas-align", "--config", str(path), "--seed", "11"]))
@@ -71,7 +79,7 @@ def test_config_from_args_merging(tmp_path):
     assert cfg.seed == 11
     assert cfg.scale == 2  # from the file
     assert cfg.solvers == ["nnls"]
-    assert cfg.overrides == {"noise_sd": 0.25, "max_outer": 4}
+    assert cfg.overrides == {"noise_sd": 0.25, "eps": 0.02}
 
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -189,12 +197,30 @@ def test_main_infinite_weight_exits_2(tmp_path, capsys):
     assert "must be finite" in capsys.readouterr().err
 
 
-def test_default_thread_count_is_one(monkeypatch):
-    monkeypatch.delenv("SSNNLS_MAX_THREADS", raising=False)
-    cfg = config_from_args(build_parser().parse_args(["--experiment", "hsi-inter"]))
-    assert cfg.threads == ExperimentConfig("hsi-inter").threads == 1
-    assert resolve_threads(cfg.threads) == 1
-    assert inspect.signature(demix_scene).parameters["threads"].default == 1
+@pytest.mark.parametrize("knobs", [
+    {"noise_sd": 0.0, "admm_tol": 1e-14, "admm_max_iters": 3, "gama_p1": 5},
+    {"threads": 2},
+])
+def test_main_unread_knob_exits_2(tmp_path, capsys, monkeypatch, knobs):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(cli, "fit_doas", no_solve)
+    cfg = tmp_path / "knobs.json"
+    cfg.write_text(json.dumps(knobs))
+    code = main(["--experiment", "doas-align", "--scale", "4", "--solver", "hoyer_p1",
+                 "--config", str(cfg)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert all(f"'{k}'" in err for k in knobs if k != "noise_sd")
+
+
+def test_threads_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--experiment", "hsi-inter", "--threads", "2"])
+    assert info.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_main_nonconvergence_exit(tmp_path, capsys, monkeypatch):

@@ -214,8 +214,8 @@ def _nan_call(entry):
         "solve_problem1": lambda: solve_problem1(dct, b, cfg),
         "solve_problem2": lambda: solve_problem2(dct, b, cfg),
         "penalty_decomposition_l0": lambda: penalty_decomposition_l0(dct, b, cfg),
-        "l1_penalized": lambda: l1_penalized(entries, b, 0.1),
-        "l1_bregman": lambda: l1_bregman(entries, b, 0.5),
+        "l1_penalized": lambda: l1_penalized(dct, b, 0.1),
+        "l1_bregman": lambda: l1_bregman(dct, b, 0.5),
     }[entry]
 
 
@@ -235,8 +235,8 @@ def _bad_weight_call(entry, value):
     rng = np.random.default_rng(4)
     entries = rng.normal(size=(30, 9))
     b = entries @ np.abs(rng.normal(size=9))
+    dct = GroupedDictionary(entries, np.array([0, 3, 6, 9]))
     if entry == "demix_scene":
-        dct = GroupedDictionary(entries, np.array([0, 3, 6, 9]))
         cfg = SparsityConfig(gamma=np.full(3, 0.05), gamma0=0.0, eps=np.full(3, 0.05), r=1.0)
         pixels = entries @ np.abs(rng.normal(size=(9, 40)))
         scene = HsiScene(dct, np.ones(9), pixels)
@@ -249,8 +249,8 @@ def _bad_weight_call(entry, value):
         return lambda: fit_doas(data, ddict, DoasFitConfig(sparsity=cfg, solver="l1",
                                                            l1_tau=value))
     return {
-        "l1_penalized": lambda: l1_penalized(entries, b, value),
-        "l1_bregman": lambda: l1_bregman(entries, b, value),
+        "l1_penalized": lambda: l1_penalized(dct, b, value),
+        "l1_bregman": lambda: l1_bregman(dct, b, value),
     }[entry]
 
 

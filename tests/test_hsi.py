@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from ssnnls import hsi, qp
+from ssnnls import qp
 from ssnnls.core import GroupedDictionary, SparsityConfig
 from ssnnls.errors import ConfigError, NonConvergenceError
 from ssnnls.hsi import (HSI_SOLVERS, GroupCollapser, HsiScene, compute_metrics, demix_scene,
-                        load_scene, resolve_threads, save_scene, synthesize_endmember_library,
+                        load_scene, save_scene, synthesize_endmember_library,
                         synthesize_mixed_scene)
 from ssnnls.sgp import SgpParams, solve_problem2
 
@@ -23,27 +24,6 @@ def tiny_cfg():
 
 
 SGP_FAST = SgpParams(c_matrix_scale=1e-9, tol_energy=1e-5)
-
-
-# ---------------------------------------------------------------- threads
-
-
-def test_resolve_threads_env_cap(monkeypatch):
-    monkeypatch.setenv("SSNNLS_MAX_THREADS", "2")
-    assert resolve_threads(8) == 2
-    assert resolve_threads(1) == 1
-    assert resolve_threads(0) <= 2
-    assert resolve_threads(None) <= 2
-    monkeypatch.setenv("SSNNLS_MAX_THREADS", "0")
-    with pytest.raises(ConfigError):
-        resolve_threads(1)
-    monkeypatch.setenv("SSNNLS_MAX_THREADS", "lots")
-    with pytest.raises(ConfigError):
-        resolve_threads(1)
-    monkeypatch.delenv("SSNNLS_MAX_THREADS")
-    assert resolve_threads(3) <= 3
-    with pytest.raises(ConfigError):
-        resolve_threads(-2)
 
 
 # ---------------------------------------------------------------- collapser
@@ -123,8 +103,7 @@ def test_scene_validation():
 @pytest.mark.parametrize("solver", HSI_SOLVERS)
 def test_demix_each_solver(tiny_scene, solver):
     kwargs = dict(l1_gamma=0.05) if solver == "l1" else {}
-    out = demix_scene(tiny_scene, tiny_cfg(), solver=solver, sgp=SGP_FAST,
-                      threads=1, **kwargs)
+    out = demix_scene(tiny_scene, tiny_cfg(), solver=solver, sgp=SGP_FAST, **kwargs)
     assert out.values.shape == (8, 5)
     assert not out.failed_pixels
     assert out.values.min() >= -1e-9
@@ -140,34 +119,23 @@ def test_demix_each_solver(tiny_scene, solver):
     assert out.column(2) == pytest.approx(out.values[:, 2])
 
 
-def test_demix_thread_count_invariance(tiny_scene):
-    serial = demix_scene(tiny_scene, tiny_cfg(), solver="diff_p2", sgp=SGP_FAST,
-                         threads=1)
-    pooled = demix_scene(tiny_scene, tiny_cfg(), solver="diff_p2", sgp=SGP_FAST,
-                         threads=3)
-    assert np.array_equal(serial.values, pooled.values)
-    assert np.array_equal(serial.outer_iters, pooled.outer_iters)
-    again = demix_scene(tiny_scene, tiny_cfg(), solver="diff_p2", sgp=SGP_FAST,
-                        threads=3)
-    assert np.array_equal(pooled.values, again.values)
-
-
-def test_demix_forms_the_gram_before_its_workers(tiny_scene, monkeypatch):
-    # the dictionary caches its Gram matrix without a lock, so every pooled
-    # pixel must find it already formed
+def test_demix_l1_factors_the_dictionary_once(tiny_scene, monkeypatch):
+    # every pixel solves on the factor the dictionary keeps beside its Gram matrix
     dct = GroupedDictionary(tiny_scene.dictionary.entries, tiny_scene.dictionary.offsets)
     scene = HsiScene(dct, tiny_scene.scales, tiny_scene.pixels)
-    seen = []
-    real = hsi.solve_problem2
+    calls = []
+    real = scipy.linalg.cholesky
 
-    def solve(d, *args, **kwargs):
-        seen.append("gram" in d.__dict__)
-        return real(d, *args, **kwargs)
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(hsi, "solve_problem2", solve)
-    assert "gram" not in dct.__dict__
-    demix_scene(scene, tiny_cfg(), solver="diff_p2", sgp=SGP_FAST, threads=3)
-    assert seen == [True] * scene.n_pixels
+    monkeypatch.setattr(scipy.linalg, "cholesky", counting)
+    out = demix_scene(scene, tiny_cfg(), solver="l1", l1_gamma=0.05)
+    assert scene.n_pixels == 5 and len(calls) == 1
+    again = demix_scene(scene, tiny_cfg(), solver="l1", l1_gamma=0.05, threads=2)
+    assert len(calls) == 1
+    assert np.array_equal(out.values, again.values)
 
 
 def test_demix_config_errors(tiny_scene):
@@ -181,7 +149,7 @@ def test_demix_failed_pixels_recorded(tiny_scene, monkeypatch):
     # an active set capped at zero iterations makes every pixel fail
     # without crashing
     monkeypatch.setattr(qp, "ACTIVE_SET_ITERS_PER_COLUMN", 0)
-    out = demix_scene(tiny_scene, tiny_cfg(), solver="hoyer_p1", sgp=SGP_FAST, threads=2)
+    out = demix_scene(tiny_scene, tiny_cfg(), solver="hoyer_p1", sgp=SGP_FAST)
     assert len(out.failed_pixels) == 5
     assert [p for p, _ in out.failed_pixels] == list(range(5))
     assert np.all(out.values == 0.0)
@@ -193,7 +161,7 @@ def test_problem2_nnls_cap_fails_the_pixel(tiny_scene, monkeypatch):
     monkeypatch.setattr(qp, "ACTIVE_SET_ITERS_PER_COLUMN", 0)
     with pytest.raises(NonConvergenceError, match="nnls"):
         solve_problem2(tiny_scene.dictionary, tiny_scene.pixels[:, 0], tiny_cfg(), SGP_FAST)
-    out = demix_scene(tiny_scene, tiny_cfg(), solver="diff_p2", sgp=SGP_FAST, threads=2)
+    out = demix_scene(tiny_scene, tiny_cfg(), solver="diff_p2", sgp=SGP_FAST)
     assert [p for p, _ in out.failed_pixels] == list(range(5))
     assert np.all(out.values == 0.0)
 

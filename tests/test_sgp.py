@@ -229,6 +229,23 @@ def test_problem1_repairs_infeasible_init():
     assert np.isfinite(report.objective_trace).all()
 
 
+def test_problem1_init_scales_an_over_budget_d_onto_the_budget():
+    dct, b, cfg = make_problem(9)
+    x0 = np.zeros(dct.n_columns)
+    x0[0] = 0.2  # group 0 meets its floor alone; groups 1 and 2 are short
+    d0 = np.array([2.0, 1.0, 3.0]) * cfg.eps  # sum(d / eps) = 6 against a budget of 2
+    start = sgp._feasible_p1_init(dct, cfg, GroupedCoeffs(x0, d0))
+    assert_p1_feasible(dct, cfg, start, tol=1e-12)
+    assert start.d == pytest.approx(d0 / 3.0, rel=1e-12)
+    assert start.x[:3] == pytest.approx([0.2, 0.0, 0.0])
+    for j in (1, 2):
+        seg = start.x[dct.group_slice(j)]
+        assert seg == pytest.approx(np.full(seg.size, cfg.eps[j] / seg.size), rel=1e-12)
+    report = solve_problem1(dct, b, cfg, SgpParams(max_outer=3, tol_energy=0.0),
+                            init=GroupedCoeffs(x0, d0))
+    assert_p1_feasible(dct, cfg, report.final)
+
+
 def test_problem1_rejection_storm_raises(monkeypatch):
     monkeypatch.setattr(sgp, "SIGMA", 1e8)
     monkeypatch.setattr(sgp, "MAX_REJECTIONS", 1)
