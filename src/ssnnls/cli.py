@@ -11,7 +11,10 @@ Experiments (``--experiment``):
 ``--config`` merges a JSON file of knob overrides (CLI flags win).  Exit
 codes: 0 success, 2 bad configuration (including knob values the
 protocols reject, such as a negative noise level, and knobs the chosen
-experiment does not read), 3 solver non-convergence, 4 I/O failure.
+experiment does not read), 3 when a solver fails to converge, 4 I/O
+failure.  A solver that fails to converge is recorded with the
+termination ``nonconvergence: <message>`` and the run goes on to the next
+solver, so ``records.json`` still holds every solver's record.
 """
 
 import argparse
@@ -36,6 +39,9 @@ from .hsi import (HSI_SOLVERS, compute_metrics, demix_scene, synthesize_endmembe
 from .sgp import SgpParams
 
 EXPERIMENTS = ("doas-align", "doas-background", "hsi-inter", "hsi-structured")
+
+# termination of a solver that raised NonConvergenceError, before its message
+NONCONVERGENCE = "nonconvergence"
 
 # spellings are matched with case, "-" and "_" ignored
 _ALIASES = {e.replace("-", ""): e for e in EXPERIMENTS}
@@ -165,14 +171,27 @@ def _solvers(cfg: ExperimentConfig, default, known) -> List[str]:
     return solvers
 
 
+def _failed_record(cfg: ExperimentConfig, solver: str, runtime_s: float, params: Dict,
+                   exc: NonConvergenceError) -> RunRecord:
+    return RunRecord(cfg.experiment, solver, cfg.seed, cfg.scale, runtime_s, {},
+                     params=dict(params), termination=f"{NONCONVERGENCE}: {exc}")
+
+
 def _doas_records(cfg: ExperimentConfig, data, ddict, info, solvers, fit_config,
                   background=None) -> List[RunRecord]:
-    """Fit ``data`` once per solver; ``fit_config(solver)`` gives (DoasFitConfig, params)."""
+    """Fit ``data`` once per solver; ``fit_config(solver)`` gives (DoasFitConfig, params).
+
+    A solver that raises :class:`NonConvergenceError` gets a failed record.
+    """
     records = []
     for solver in _solvers(cfg, solvers, DOAS_SOLVERS):
         fit_cfg, params = fit_config(solver)
         t0 = time.perf_counter()
-        result = fit_doas(data, ddict, fit_cfg)
+        try:
+            result = fit_doas(data, ddict, fit_cfg)
+        except NonConvergenceError as exc:
+            records.append(_failed_record(cfg, solver, time.perf_counter() - t0, params, exc))
+            continue
         rt = time.perf_counter() - t0
         metrics = _selection_metrics(result, info, ddict)
         if background is not None and result.background is not None:
@@ -292,11 +311,18 @@ def run_doas_background(cfg: ExperimentConfig) -> List[RunRecord]:
 
 def _hsi_records(cfg: ExperimentConfig, scene, params, sparsity, sgp,
                  l1_gamma) -> List[RunRecord]:
-    """Demix ``scene`` once per solver, every run with the same settings and ``params``."""
+    """Demix ``scene`` once per solver, every run with the same settings and ``params``.
+
+    A solver that raises :class:`NonConvergenceError` gets a failed record.
+    """
     records = []
     for solver in _solvers(cfg, ("nnls", "l1", "hoyer_p1", "diff_p2"), HSI_SOLVERS):
         t0 = time.perf_counter()
-        result = demix_scene(scene, sparsity, solver=solver, sgp=sgp, l1_gamma=l1_gamma)
+        try:
+            result = demix_scene(scene, sparsity, solver=solver, sgp=sgp, l1_gamma=l1_gamma)
+        except NonConvergenceError as exc:
+            records.append(_failed_record(cfg, solver, time.perf_counter() - t0, params, exc))
+            continue
         rt = time.perf_counter() - t0
         rep = compute_metrics(result.values, scene.dictionary.offsets, scene.truth)
         misfit = scene.dictionary.entries @ result.values - scene.pixels
@@ -482,13 +508,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         cfg = config_from_args(args)
         records = run_experiment(cfg)
         print(compare_solvers(records))
-        return 0
+        failed = [r for r in records if (r.termination or "").startswith(NONCONVERGENCE)]
+        for rec in failed:
+            message = rec.termination.partition(": ")[2]
+            print(f"solver failed to converge: {rec.solver}: {message}", file=sys.stderr)
+        return 3 if failed else 0
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except NonConvergenceError as exc:
-        print(f"solver failed to converge: {exc}", file=sys.stderr)
-        return 3
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4

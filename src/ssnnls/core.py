@@ -12,6 +12,13 @@ Two objectives are evaluated here:
 * problem 1: least squares plus weighted Hoyer ratios over the stacked
   ``(x_j, d_j)`` groups and optionally over the full constrained block,
 * problem 2: least squares plus weighted smoothed ``l1 - l2`` differences.
+
+Both cost what the support of x costs: the residual is ``A[:, S] x_S - b``
+and the gradient of the fit ``G[S]' x_S - A'b``, read from the
+dictionary's cached Gram matrix (:func:`support_matvec`), and the
+penalties sum over all groups at once.  A solver passes ``atb = A'b``,
+formed once per solve after it has checked the data and the config;
+without ``atb`` an evaluation checks both itself.
 """
 
 import math
@@ -23,12 +30,22 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConfigError, DegenerateColumnError
-from .penalties import diff_l1_l2, hoyer_ratio
+from .penalties import diff_l1_l2, diff_l1_l2_groups, hoyer_ratio, hoyer_ratio_groups
 
 # Ridge that makes the l1 baselines' Gram matrix G positive definite on
 # rank-deficient dictionaries: G + L1_SHIFT * trace(G)/n * I is factored,
 # i.e. a ridge of L1_SHIFT times G's mean eigenvalue.
 L1_SHIFT = 1e-10
+
+# A product with A or G reads only the columns on x's support while that
+# support holds at most this share of x's entries; past it the dense
+# product is faster (the 0.1 start point, a sign-free background tail).
+# A matrix of fewer entries than SUPPORT_MIN_ENTRIES is always multiplied
+# densely: with 3 nonzeros the gather costs more than the whole product
+# below 32k-72k entries (timed on one core; 204 x 40 hyperspectral
+# libraries are far below, 1024 x 1323 spectral dictionaries far above).
+SUPPORT_SHARE = 0.25
+SUPPORT_MIN_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -238,35 +255,66 @@ def normalize_columns(entries: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return entries / scales, scales
 
 
-def _grouped_prefix(dct: GroupedDictionary, cfg: SparsityConfig) -> int:
-    return int(dct.offsets[cfg.n_constrained(dct.n_groups)])
+def support_matvec(mat: np.ndarray, x: np.ndarray, symmetric: bool = False) -> np.ndarray:
+    """``mat @ x`` from the columns of ``mat`` on which x is nonzero.
+
+    With ``symmetric`` (a Gram matrix) it gathers the same rows instead,
+    which a C-ordered matrix stores contiguously.  It is the dense product
+    when x has more than ``SUPPORT_SHARE`` of its entries nonzero or
+    ``mat`` has fewer than ``SUPPORT_MIN_ENTRIES`` entries.
+    """
+    if mat.size >= SUPPORT_MIN_ENTRIES:
+        idx = np.flatnonzero(x)
+        if idx.size <= SUPPORT_SHARE * x.size:
+            return x[idx] @ mat[idx] if symmetric else mat[:, idx] @ x[idx]
+    return mat @ x
+
+
+def _least_squares(dct: GroupedDictionary, b: np.ndarray, x: np.ndarray, atb: np.ndarray):
+    """Residual Ax - b, fit |r|^2 / 2 and gradient A'r = G x - A'b, each on x's support."""
+    resid = support_matvec(dct.entries, x) - b
+    return resid, 0.5 * float(resid @ resid), support_matvec(dct.gram, x, symmetric=True) - atb
+
+
+def checked_data(dct: GroupedDictionary, b,
+                 cfg: SparsityConfig) -> Tuple[np.ndarray, np.ndarray]:
+    """A solve's checks, once: validates ``cfg`` and returns ``(b, A'b)``.
+
+    ``b`` is checked and flattened by :func:`as_data_vector`.
+    """
+    cfg.validate(dct.n_groups)
+    b = as_data_vector(b, dct.n_rows)
+    return b, dct.entries.T @ b
+
+
+def _checked_x(dct: GroupedDictionary, coeffs: GroupedCoeffs) -> np.ndarray:
+    if coeffs.x.shape != (dct.n_columns,):
+        raise ValueError(f"x must have shape ({dct.n_columns},), got {coeffs.x.shape}")
+    return coeffs.x
 
 
 def eval_objective_p2(dct: GroupedDictionary, b: np.ndarray, coeffs: GroupedCoeffs,
-                      cfg: SparsityConfig) -> ObjectiveEval:
-    """Least squares plus weighted smoothed l1 - l2 penalties (problem 2)."""
-    cfg.validate(dct.n_groups)
-    x = coeffs.x
-    if x.shape != (dct.n_columns,):
-        raise ValueError(f"x must have shape ({dct.n_columns},), got {x.shape}")
-    b = as_data_vector(b, dct.n_rows)
+                      cfg: SparsityConfig, atb: Optional[np.ndarray] = None) -> ObjectiveEval:
+    """Least squares plus weighted smoothed l1 - l2 penalties (problem 2).
 
-    resid = dct.entries @ x - b
-    fit = 0.5 * float(resid @ resid)
-    grad = dct.entries.T @ resid
+    ``atb`` is A'b from a caller that has already checked ``b`` and
+    ``cfg`` (:func:`checked_data`), as the solvers do once per solve;
+    without it both are checked here and A'b formed.
+    """
+    if atb is None:
+        b, atb = checked_data(dct, b, cfg)
+    x = _checked_x(dct, coeffs)
+    resid, fit, grad = _least_squares(dct, b, x, atb)
 
-    penalty = 0.0
     n_con = cfg.n_constrained(dct.n_groups)
-    for j in range(n_con):
-        gj = float(cfg.gamma[j])
-        if gj == 0.0:
-            continue
-        sl = dct.group_slice(j)
-        pv = diff_l1_l2(x[sl], float(cfg.eps[j]))
-        penalty += gj * pv.value
-        grad[sl] += gj * pv.grad
+    pre = int(dct.offsets[n_con])
+    penalty = 0.0
+    if n_con:
+        pv = diff_l1_l2_groups(x[:pre], dct.offsets[:n_con + 1], cfg.eps[:n_con],
+                               cfg.gamma[:n_con])
+        penalty += pv.value
+        grad[:pre] += pv.grad
     if cfg.gamma0 > 0.0:
-        pre = _grouped_prefix(dct, cfg)
         pv = diff_l1_l2(x[:pre], cfg.eps0_value(dct.n_groups))
         penalty += cfg.gamma0 * pv.value
         grad[:pre] += cfg.gamma0 * pv.grad
@@ -275,41 +323,32 @@ def eval_objective_p2(dct: GroupedDictionary, b: np.ndarray, coeffs: GroupedCoef
 
 
 def eval_objective_p1(dct: GroupedDictionary, b: np.ndarray, coeffs: GroupedCoeffs,
-                      cfg: SparsityConfig) -> ObjectiveEval:
+                      cfg: SparsityConfig, atb: Optional[np.ndarray] = None) -> ObjectiveEval:
     """Least squares plus weighted Hoyer ratios over stacked groups (problem 1).
 
     Requires dummies on the constrained groups; each stacked vector
-    ``(x_j, d_j)`` must be nonzero for the ratio to be defined.
+    ``(x_j, d_j)`` must be nonzero for the ratio to be defined.  ``atb``
+    is as for :func:`eval_objective_p2`.
     """
-    cfg.validate(dct.n_groups)
-    x = coeffs.x
-    if x.shape != (dct.n_columns,):
-        raise ValueError(f"x must have shape ({dct.n_columns},), got {x.shape}")
+    if atb is None:
+        b, atb = checked_data(dct, b, cfg)
+    x = _checked_x(dct, coeffs)
     n_con = cfg.n_constrained(dct.n_groups)
     if coeffs.d is None:
         raise ValueError("problem 1 requires dummy variables")
     d = coeffs.d
     if d.shape != (n_con,):
         raise ValueError(f"d must have shape ({n_con},), got {d.shape}")
-    b = as_data_vector(b, dct.n_rows)
+    resid, fit, grad_x = _least_squares(dct, b, x, atb)
 
-    resid = dct.entries @ x - b
-    fit = 0.5 * float(resid @ resid)
-    grad_x = dct.entries.T @ resid
-    grad_d = np.zeros(n_con)
-
-    penalty = 0.0
-    for j in range(n_con):
-        sl = dct.group_slice(j)
-        stacked = np.append(x[sl], d[j])
-        pv = hoyer_ratio(stacked)
-        gj = float(cfg.gamma[j])
-        if gj != 0.0:
-            penalty += gj * pv.value
-            grad_x[sl] += gj * pv.grad[:-1]
-            grad_d[j] += gj * pv.grad[-1]
+    pre = int(dct.offsets[n_con])
+    penalty, grad_d = 0.0, np.zeros(n_con)
+    if n_con:
+        pv = hoyer_ratio_groups(x[:pre], d, dct.offsets[:n_con + 1], cfg.gamma[:n_con])
+        penalty += pv.value
+        grad_x[:pre] += pv.grad[:pre]
+        grad_d = pv.grad[pre:]
     if cfg.gamma0 > 0.0:
-        pre = _grouped_prefix(dct, cfg)
         pv = hoyer_ratio(x[:pre])
         penalty += cfg.gamma0 * pv.value
         grad_x[:pre] += cfg.gamma0 * pv.grad

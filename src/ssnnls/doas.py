@@ -23,7 +23,7 @@ import scipy.fft
 
 from .baselines import PdParams, l1_bregman, l1_weight, nnls, penalty_decomposition_l0
 from .core import (GroupedCoeffs, GroupedDictionary, SparsityConfig, as_data_vector,
-                   normalize_columns)
+                   normalize_columns, support_matvec)
 from .errors import ConfigError, DegenerateColumnError
 from .qp import AdmmParams
 from .sgp import SgpParams, SolveReport, solve_problem1, solve_problem2
@@ -560,6 +560,7 @@ def fit_doas(data: np.ndarray, ddict: DeformationDictionary,
         else:
             selections.append(GroupSelection(j, ddict.names[j], 0.0,
                                              float("nan"), float("nan"), 0))
-    resid = data - dct.entries @ x - (background if background is not None else 0.0)
+    fitted = support_matvec(dct.entries, x)
+    resid = data - fitted - (background if background is not None else 0.0)
     return DoasFitResult(GroupedCoeffs(x.copy()), GroupedCoeffs(x / ddict.scales),
                          background, selections, resid, report)

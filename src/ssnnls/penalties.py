@@ -9,7 +9,10 @@ sum and differentiable):
 * ``diff_l1_l2``: the smoothed difference ``||x||_1 - huber(x, eps)``.
 
 Each returns a ``PenaltyValue(value, grad)`` pair.  Penalties are
-unscaled; callers apply their weights exactly once.
+unscaled; callers apply their weights exactly once.  The objectives sum
+the last two over contiguous groups through ``diff_l1_l2_groups`` and
+``hoyer_ratio_groups``, which take the weights and evaluate every group
+at once with ``np.add.reduceat`` on the group offsets.
 """
 
 from typing import NamedTuple
@@ -73,3 +76,45 @@ def diff_l1_l2(x: np.ndarray, eps: float) -> PenaltyValue:
     _check_nonneg(x)
     h = huber(x, eps)
     return PenaltyValue(float(x.sum()) - h.value, 1.0 - h.grad)
+
+
+def diff_l1_l2_groups(x: np.ndarray, offsets: np.ndarray, eps: np.ndarray,
+                      weights: np.ndarray) -> PenaltyValue:
+    """``sum_j weights[j] * diff_l1_l2(x_j, eps[j])`` over the groups, with its gradient.
+
+    Group j is ``x[offsets[j]:offsets[j + 1]]`` and ``offsets[-1] == x.size``.
+    A group of weight 0 adds nothing and may hold negative entries; any
+    other raises ``ValueError`` on one.
+    """
+    starts, sizes = offsets[:-1], np.diff(offsets)
+    if np.min(x) < 0.0 and np.any((weights != 0.0) & (np.minimum.reduceat(x, starts) < 0.0)):
+        raise ValueError("penalty input must be non-negative")
+    sq = np.add.reduceat(x * x, starts)
+    # huber(v, eps) = |v|^2 / (2 rad) + (rad - eps) / 2 with gradient v / rad,
+    # rad = max(|v|, eps): inside the ball and outside it at once
+    rad = np.maximum(np.sqrt(sq), eps)
+    hub = sq / (2.0 * rad) + (rad - eps) / 2.0
+    value = float(weights @ (np.add.reduceat(x, starts) - hub))
+    return PenaltyValue(value, np.repeat(weights, sizes) - np.repeat(weights / rad, sizes) * x)
+
+
+def hoyer_ratio_groups(x: np.ndarray, d: np.ndarray, offsets: np.ndarray,
+                       weights: np.ndarray) -> PenaltyValue:
+    """``sum_j weights[j] * hoyer_ratio((x_j, d_j))`` over the groups, with its gradient.
+
+    Group j stacks ``x[offsets[j]:offsets[j + 1]]`` with the dummy d[j];
+    ``grad`` is the gradient in x followed by the one in d.  Every group
+    must be non-negative and nonzero (``ValueError`` otherwise), whatever
+    its weight.
+    """
+    starts, sizes = offsets[:-1], np.diff(offsets)
+    if np.min(x) < 0.0 or np.min(d) < 0.0:
+        raise ValueError("penalty input must be non-negative")
+    n2 = np.sqrt(np.add.reduceat(x * x, starts) + d * d)
+    if np.any(n2 == 0.0):
+        raise ValueError("hoyer ratio undefined at the zero vector")
+    s = np.add.reduceat(x, starts) + d
+    slope = weights * s / n2 ** 3
+    grad_x = np.repeat(weights / n2, sizes) - np.repeat(slope, sizes) * x
+    grad_d = weights / n2 - slope * d
+    return PenaltyValue(float(weights @ (s / n2)), np.concatenate([grad_x, grad_d]))

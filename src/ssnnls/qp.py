@@ -14,7 +14,11 @@ also carries one dummy per group, with the group floors and one budget
 on the dummies; a primal active set solves the free dummies and the
 multipliers of the working floors and budget in one small dense system.
 A sign-free tail is eliminated once per solve through the Schur
-complement of its block.
+complement of its block.  The model's right-hand side G a and the value
+check's G dx read only the rows of G on the support of a or dx
+(:func:`ssnnls.core.support_matvec`), and the active sets read the rows
+of G (or of the symmetric Schur complement) on their free set, so away
+from the dense start a step never multiplies the whole of a large G.
 """
 
 from dataclasses import dataclass
@@ -25,6 +29,7 @@ import scipy.linalg
 import scipy.linalg.lapack
 
 from . import kernels
+from .core import support_matvec
 from .errors import NonConvergenceError
 
 
@@ -124,7 +129,8 @@ class QpWorkspace:
 def model_value(sub: QpSubproblem, x: np.ndarray, d: Optional[np.ndarray] = None) -> float:
     """Evaluate the quadratic model at (x, d); zero at the anchor."""
     dx = x - sub.anchor
-    val = 0.5 * float(dx @ (sub.gram @ dx)) + float((sub.shift * dx) @ dx) + float(sub.lin @ dx)
+    g_dx = support_matvec(sub.gram, dx, symmetric=True)
+    val = 0.5 * float(dx @ g_dx) + float((sub.shift * dx) @ dx) + float(sub.lin @ dx)
     if sub.anchor_d is not None and d is not None:
         dd = d - sub.anchor_d
         val += float((sub.shift_d * dd) @ dd) + float(sub.lin_d @ dd)
@@ -171,8 +177,9 @@ def active_set_qp(h: np.ndarray, diag: np.ndarray, q: np.ndarray) -> Tuple[np.nd
     index with the largest negative gradient to the passive set P, solves
     the unconstrained model on P from a Cholesky factor of the |P| x |P|
     block, and steps back to the feasible set while that solution has a
-    non-positive entry.  Only columns of H in P are read, so the cost
-    follows the support, not the size of H.  Returns the minimiser and
+    non-positive entry.  Only rows of H in P are read (H is symmetric, so
+    they are its columns, and stored contiguously), so the cost follows
+    the support, not the size of H.  Returns the minimiser and
     the number of passive-block solves; raises :class:`NonConvergenceError`
     after ``ACTIVE_SET_ITERS_PER_COLUMN * n`` of them and ``ValueError``
     from a passive block that is not positive definite.
@@ -221,7 +228,7 @@ def active_set_qp(h: np.ndarray, diag: np.ndarray, q: np.ndarray) -> Tuple[np.nd
             passive[idx[zp == 0.0]] = False
         if not added:
             idx = np.flatnonzero(passive)
-            w = q - h[:, idx] @ z[idx] - diag * z
+            w = q - z[idx] @ h[idx] - diag * z
     return z, iters
 
 
@@ -243,7 +250,9 @@ def eliminate_free(gram: np.ndarray, shift: np.ndarray, n_free: int) -> FreeElim
         raise ValueError(f"model Hessian G + 2C is not positive definite on its "
                          f"sign-free block ({exc}); increase c_matrix_scale") from exc
     y = scipy.linalg.cho_solve(factor, gram[c:, :c], check_finite=False)
-    schur = gram[:c, :c] - gram[:c, c:] @ y
+    coupling = gram[:c, c:] @ y
+    # symmetric to the last bit, as the active sets read its rows for its columns
+    schur = gram[:c, :c] - 0.5 * (coupling + coupling.T)
     schur[np.diag_indices_from(schur)] += 2.0 * shift[:c]
     return factor, y, schur
 
@@ -263,7 +272,7 @@ def solve_qp_p2(sub: QpSubproblem, free: Optional[FreeElimination] = None) -> Qp
     f = sub.n_free
     c = sub.anchor.size - f
     diag = 2.0 * sub.shift
-    q = sub.gram @ sub.anchor + diag * sub.anchor - sub.lin
+    q = support_matvec(sub.gram, sub.anchor, symmetric=True) + diag * sub.anchor - sub.lin
     if not f:
         z, iters = active_set_qp(sub.gram, diag, q)
         return QpSolution(z, None, iters)
@@ -412,7 +421,7 @@ def _grouped_active_set(hx: np.ndarray, diag_x: np.ndarray, qx: np.ndarray,
             continue
 
         # z minimises the model on the working set: price its constraints
-        g = np.concatenate([hx[:, ix] @ z[ix] - qx, dd * z[c:] - qd]) - rows[wk].T @ lam
+        g = np.concatenate([z[ix] @ hx[ix] - qx, dd * z[c:] - qd]) - rows[wk].T @ lam
         price = np.full(nz + m + 1, np.inf)
         price[:nz][~free] = g[~free]
         price[nz + wk] = lam * row_scale[wk]
@@ -448,7 +457,7 @@ def solve_qp_p1(sub: QpSubproblem) -> QpSolution:
         raise ValueError("the dummies' model curvature 2 C_d must be positive; "
                          "increase c_matrix_scale")
     diag = 2.0 * sub.shift
-    q = sub.gram @ sub.anchor + diag * sub.anchor - sub.lin
+    q = support_matvec(sub.gram, sub.anchor, symmetric=True) + diag * sub.anchor - sub.lin
     qd = dd * sub.anchor_d - sub.lin_d
     offsets = np.asarray(sub.offsets, dtype=np.int64)
     eps = np.asarray(sub.eps, dtype=float)

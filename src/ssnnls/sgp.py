@@ -11,8 +11,11 @@ Both problems minimise their model exactly at every step by an active
 set on the dictionary's cached Gram matrix, which factors only the small
 block on the current support; a sign-free tail costs one Cholesky factor
 per outer solve (problem 2) or per model solve (problem 1, whose shift
-changes between them).  A step that cannot descend ends either run as
-``energy_tol``, and an active set's
+changes between them).  Each solve checks its data and configuration
+and forms A'b once, and every objective evaluation reads only the
+iterate's nonzero columns (:mod:`ssnnls.core`), so away from the dense
+start a step costs what its support costs.  A step that cannot descend
+ends either run as ``energy_tol``, and an active set's
 :class:`~ssnnls.errors.NonConvergenceError` propagates.
 """
 
@@ -21,7 +24,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .core import (GroupedCoeffs, GroupedDictionary, SparsityConfig, as_data_vector,
+from .core import (GroupedCoeffs, GroupedDictionary, SparsityConfig, checked_data,
                    eval_objective_p1, eval_objective_p2)
 from .errors import NonConvergenceError
 from .qp import (QpSubproblem, eliminate_free, model_cholesky, model_value, solve_qp_p1,
@@ -127,8 +130,7 @@ def solve_problem2(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
     :class:`NonConvergenceError` from a step's active set propagates.
     """
     params = params or SgpParams()
-    b = as_data_vector(b, dct.n_rows)
-    cfg.validate(dct.n_groups)
+    b, atb = checked_data(dct, b, cfg)
     n = dct.n_columns
     pre = int(dct.offsets[cfg.n_constrained(dct.n_groups)])
     n_free = n - pre
@@ -146,13 +148,13 @@ def solve_problem2(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
     free = eliminate_free(gram, shift, n_free) if n_free else None
     report = SolveReport(final=GroupedCoeffs(x))
 
-    ev = eval_objective_p2(dct, b, GroupedCoeffs(x), cfg)
+    ev = eval_objective_p2(dct, b, GroupedCoeffs(x), cfg, atb=atb)
     report.objective_trace.append(ev.value)
     for _ in range(params.max_outer):
         sub = QpSubproblem(gram=gram, lin=ev.grad_x, anchor=x, shift=shift, n_free=n_free)
         sol = solve_qp_p2(sub, free)
         report.inner_iters_total += sol.iterations
-        ev_y = eval_objective_p2(dct, b, GroupedCoeffs(sol.x), cfg)
+        ev_y = eval_objective_p2(dct, b, GroupedCoeffs(sol.x), cfg, atb=atb)
         if ev_y.value > ev.value:
             report.termination = TERM_ENERGY
             break
@@ -188,8 +190,7 @@ def solve_problem1(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
     active set propagates.
     """
     params = params or SgpParams()
-    b = as_data_vector(b, dct.n_rows)
-    cfg.validate(dct.n_groups)
+    b, atb = checked_data(dct, b, cfg)
     n = dct.n_columns
     n_con = cfg.n_constrained(dct.n_groups)
     pre = int(dct.offsets[n_con])
@@ -206,7 +207,7 @@ def solve_problem1(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
     c = C0
     rejections = 0
 
-    ev = eval_objective_p1(dct, b, GroupedCoeffs(x, d), cfg)
+    ev = eval_objective_p1(dct, b, GroupedCoeffs(x, d), cfg, atb=atb)
     report.objective_trace.append(ev.value)
     while report.outer_iters < params.max_outer:
         diag = c * params.c_matrix_scale
@@ -220,7 +221,7 @@ def solve_problem1(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
         if model >= 0.0:
             report.termination = TERM_ENERGY
             break
-        ev_y = eval_objective_p1(dct, b, GroupedCoeffs(sol.x, sol.d), cfg)
+        ev_y = eval_objective_p1(dct, b, GroupedCoeffs(sol.x, sol.d), cfg, atb=atb)
         if ev_y.value - ev.value > SIGMA * model:
             c *= XI2
             rejections += 1

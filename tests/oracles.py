@@ -8,7 +8,8 @@ projections supplying feasibility for the grouped problem, and problem
 scipy's NNLS on it, on models too ill-conditioned for projected
 gradient; problem 1's step on degenerate, ill-conditioned one-material
 models and the penalized and constrained l1 baselines are checked
-against scipy's SLSQP.  Nothing
+against scipy's SLSQP.  The objectives are evaluated with dense
+products and one group at a time.  Nothing
 here shares code with the package beyond reading its data containers.
 """
 
@@ -30,6 +31,70 @@ def fd_gradient(f, x, step=1e-6):
         e[i] = step
         g[i] = (f(x + e) - f(x - e)) / (2.0 * step)
     return g
+
+
+def _dense_fit(dct, b, x):
+    resid = dct.entries @ x - b
+    return 0.5 * float(resid @ resid), dct.entries.T @ resid
+
+
+def dense_objective_p2(dct, b, cfg, x):
+    """Problem 2 at x: (fit, penalty, gradient), by dense products and a loop over groups.
+
+    The smoothed l1 - l2 penalty of a group v with radius e is
+    sum(v) - |v|^2 / (2e) inside the ball |v| <= e and sum(v) - |v| + e/2
+    outside it.
+    """
+    def diff(v, e):
+        n2 = float(np.sqrt(np.sum(v * v)))
+        if n2 <= e:
+            return float(np.sum(v)) - n2 * n2 / (2.0 * e), 1.0 - v / e
+        return float(np.sum(v)) - n2 + e / 2.0, 1.0 - v / n2
+
+    fit, grad = _dense_fit(dct, b, x)
+    n_con = dct.n_groups - len(cfg.free_groups)
+    penalty = 0.0
+    for j in range(n_con):
+        sl = slice(dct.offsets[j], dct.offsets[j + 1])
+        value, g = diff(x[sl], cfg.eps[j])
+        penalty += cfg.gamma[j] * value
+        grad[sl] += cfg.gamma[j] * g
+    if cfg.gamma0 > 0.0:
+        pre = dct.offsets[n_con]
+        eps0 = cfg.eps0 if cfg.eps0 is not None else float(np.min(cfg.eps[:n_con]))
+        value, g = diff(x[:pre], eps0)
+        penalty += cfg.gamma0 * value
+        grad[:pre] += cfg.gamma0 * g
+    return fit, penalty, grad
+
+
+def dense_objective_p1(dct, b, cfg, x, d):
+    """Problem 1 at (x, d): (fit, penalty, gradient in x, gradient in d), densely.
+
+    The Hoyer ratio of v is sum(v) / |v|, with gradient
+    1 / |v| - sum(v) v / |v|^3; group j's ratio is taken of (x_j, d_j).
+    """
+    def hoyer(v):
+        n2 = float(np.sqrt(np.sum(v * v)))
+        s = float(np.sum(v))
+        return s / n2, 1.0 / n2 - s * v / n2 ** 3
+
+    fit, grad_x = _dense_fit(dct, b, x)
+    n_con = dct.n_groups - len(cfg.free_groups)
+    grad_d = np.zeros(n_con)
+    penalty = 0.0
+    for j in range(n_con):
+        sl = slice(dct.offsets[j], dct.offsets[j + 1])
+        value, g = hoyer(np.append(x[sl], d[j]))
+        penalty += cfg.gamma[j] * value
+        grad_x[sl] += cfg.gamma[j] * g[:-1]
+        grad_d[j] += cfg.gamma[j] * g[-1]
+    if cfg.gamma0 > 0.0:
+        pre = dct.offsets[n_con]
+        value, g = hoyer(x[:pre])
+        penalty += cfg.gamma0 * value
+        grad_x[:pre] += cfg.gamma0 * g
+    return fit, penalty, grad_x, grad_d
 
 
 def project_weighted_simplex(v, weights, radius, mode):

@@ -10,7 +10,7 @@ from ssnnls import cli, qp
 from ssnnls.cli import (EXPERIMENTS, ExperimentConfig, RunRecord, _mixture_counts, _seeds,
                         build_parser, compare_solvers, config_from_args, main,
                         run_doas_align, run_experiment)
-from ssnnls.errors import ConfigError
+from ssnnls.errors import ConfigError, NonConvergenceError
 
 
 def test_experiment_aliases_and_validation():
@@ -242,3 +242,36 @@ def test_main_io_error(tmp_path, capsys):
 
 def test_experiment_list_is_stable():
     assert EXPERIMENTS == ("doas-align", "doas-background", "hsi-inter", "hsi-structured")
+
+
+@pytest.mark.parametrize("experiment, scale, entry, failing, solvers", [
+    ("doas-align", 4, "fit_doas", "pd", ["nnls", "pd", "diff_p2"]),
+    ("hsi-structured", 20, "demix_scene", "l1", ["nnls", "l1", "diff_p2"]),
+])
+def test_one_solver_failing_keeps_the_others_records(tmp_path, capsys, monkeypatch,
+                                                      experiment, scale, entry, failing,
+                                                      solvers):
+    real = getattr(cli, entry)
+
+    def failing_solver(*args, **kwargs):
+        solver = args[2].solver if entry == "fit_doas" else kwargs["solver"]
+        if solver == failing:
+            raise NonConvergenceError("stub: iteration cap", iterations=7)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, entry, failing_solver)
+    out = str(tmp_path / "run")
+    argv = ["--experiment", experiment, "--scale", str(scale), "--out", out]
+    for solver in solvers:
+        argv += ["--solver", solver]
+    assert main(argv) == 3
+    assert f"{failing}: stub: iteration cap" in capsys.readouterr().err
+    with open(os.path.join(out, "records.json")) as fh:
+        stored = {rec["solver"]: rec for rec in json.load(fh)}
+    assert list(stored) == solvers
+    assert stored[failing]["termination"] == "nonconvergence: stub: iteration cap"
+    assert stored[failing]["metrics"] == {}
+    for solver in solvers:
+        if solver != failing:
+            assert stored[solver]["metrics"] and \
+                not (stored[solver]["termination"] or "").startswith("nonconvergence")

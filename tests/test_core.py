@@ -4,8 +4,10 @@ import pytest
 import time
 
 from ssnnls.baselines import l1_bregman, l1_penalized, penalty_decomposition_l0
-from ssnnls.core import (GroupedCoeffs, GroupedDictionary, SparsityConfig,
-                         eval_objective_p1, eval_objective_p2, normalize_columns)
+from ssnnls import core
+from ssnnls.core import (SUPPORT_SHARE, GroupedCoeffs, GroupedDictionary, SparsityConfig,
+                         eval_objective_p1, eval_objective_p2, normalize_columns,
+                         support_matvec)
 from ssnnls.doas import (DeformationGrid, DoasFitConfig, build_deformation_dictionary,
                          fit_doas, synthesize_references, wavelength_grid)
 from ssnnls.hsi import HsiScene, demix_scene
@@ -13,7 +15,7 @@ from ssnnls.sgp import solve_problem1, solve_problem2
 from ssnnls.errors import ConfigError, DegenerateColumnError
 from ssnnls.penalties import diff_l1_l2, hoyer_ratio
 
-from oracles import fd_gradient
+from oracles import dense_objective_p1, dense_objective_p2, fd_gradient
 
 
 def test_normalize_columns_known_column():
@@ -180,6 +182,85 @@ def test_eval_objective_shape_checks():
         eval_objective_p2(dct, b, GroupedCoeffs(np.full(5, 0.2)), cfg)
     with pytest.raises(ValueError):
         eval_objective_p2(dct, b[:-1], GroupedCoeffs(np.full(6, 0.2)), cfg)
+
+
+def _wide_problem(free_tail):
+    """50 x 40 problem in four groups of 10; with ``free_tail`` the last is sign-free."""
+    rng = np.random.default_rng(5)
+    dct = GroupedDictionary(rng.normal(size=(50, 40)), np.array([0, 10, 20, 30, 40]))
+    b = rng.normal(size=50)
+    if free_tail:
+        cfg = SparsityConfig(gamma=[0.3, 0.5, 0.2, 0.0], gamma0=0.0,
+                             eps=[0.05, 0.08, 0.1, 1.0], r=1.0, free_groups=(3,))
+    else:
+        cfg = SparsityConfig(gamma=[0.3, 0.5, 0.2, 0.4], gamma0=0.2,
+                             eps=[0.05, 0.08, 0.1, 0.07], r=1.0)
+    return dct, b, cfg
+
+
+def _point(kind, free_tail):
+    rng = np.random.default_rng(6)
+    if kind == "3-sparse":
+        # one entry inside its group's smoothing ball, one far outside
+        x = np.zeros(40)
+        x[[2, 15, 33]] = [0.7, 0.02, -1.1 if free_tail else 1.1]
+        assert 3 <= SUPPORT_SHARE * x.size
+        return x
+    x = rng.uniform(0.01, 1.0, size=40)
+    if kind == "zero block":
+        x[10:20] = 0.0
+    if free_tail:
+        x[30:] = rng.normal(size=10)
+    return x
+
+
+def _assert_matches(got, ref, tol=1e-12):
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert np.max(np.abs(got - ref)) <= tol * max(np.max(np.abs(ref)), 1e-300)
+
+
+@pytest.fixture(params=["support", "size cutoff"])
+def any_size_on_support(request, monkeypatch):
+    """Runs a test with the support path at any matrix size, then with the default cutoff."""
+    if request.param == "support":
+        monkeypatch.setattr(core, "SUPPORT_MIN_ENTRIES", 0)
+
+
+@pytest.mark.parametrize("kind", ["3-sparse", "dense", "zero block"])
+@pytest.mark.parametrize("free_tail", [False, True])
+def test_objectives_with_atb_match_dense_assembly(any_size_on_support, kind, free_tail):
+    dct, b, cfg = _wide_problem(free_tail)
+    x = _point(kind, free_tail)
+    atb = dct.entries.T @ b
+    fit, penalty, grad = dense_objective_p2(dct, b, cfg, x)
+    for out in (eval_objective_p2(dct, b, GroupedCoeffs(x), cfg, atb=atb),
+                eval_objective_p2(dct, b, GroupedCoeffs(x), cfg)):
+        _assert_matches(out.fit, fit)
+        _assert_matches(out.penalty, penalty)
+        _assert_matches(out.value, fit + penalty)
+        _assert_matches(out.grad_x, grad)
+        _assert_matches(out.resid, dct.entries @ x - b)
+
+    d = np.array([0.03, 0.05, 0.02, 0.04])[:cfg.n_constrained(dct.n_groups)]
+    fit, penalty, grad_x, grad_d = dense_objective_p1(dct, b, cfg, x, d)
+    for out in (eval_objective_p1(dct, b, GroupedCoeffs(x, d), cfg, atb=atb),
+                eval_objective_p1(dct, b, GroupedCoeffs(x, d), cfg)):
+        _assert_matches(out.fit, fit)
+        _assert_matches(out.penalty, penalty)
+        _assert_matches(out.value, fit + penalty)
+        _assert_matches(out.grad_x, grad_x)
+        _assert_matches(out.grad_d, grad_d)
+
+
+@pytest.mark.parametrize("nonzeros", [0, 3, 40])
+def test_support_matvec_is_the_dense_product(any_size_on_support, nonzeros):
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=(30, 40))
+    gram = a.T @ a
+    x = np.zeros(40)
+    x[rng.permutation(40)[:nonzeros]] = rng.normal(size=nonzeros)
+    _assert_matches(support_matvec(a, x), a @ x, 1e-14)
+    _assert_matches(support_matvec(gram, x, symmetric=True), gram @ x, 1e-14)
 
 
 def _desk_deformation_dictionary():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ssnnls.penalties import diff_l1_l2, hoyer_ratio, huber
+from ssnnls.penalties import (diff_l1_l2, diff_l1_l2_groups, hoyer_ratio, hoyer_ratio_groups,
+                              huber)
 
 from oracles import fd_gradient
 
@@ -89,3 +90,42 @@ def test_gradients_match_finite_differences(seed):
         grad = fn(x).grad
         fd = fd_gradient(lambda z: fn(z).value, x)
         assert np.max(np.abs(grad - fd)) < 1e-7 * max(1.0, np.max(np.abs(grad)))
+
+
+def test_group_sums_match_the_per_group_penalties():
+    # groups inside and outside their smoothing ball, one of them zero
+    offsets = np.array([0, 3, 4, 8])
+    x = np.array([0.01, 0.0, 0.02, 0.0, 1.0, 0.2, 0.0, 0.5])
+    eps, weights = np.array([0.05, 0.1, 0.3]), np.array([0.3, 0.7, 0.2])
+    d = np.array([0.0, 0.4, 0.1])
+    pv, ph = diff_l1_l2_groups(x, offsets, eps, weights), hoyer_ratio_groups(x, d, offsets, weights)
+    value, grad, h_value, h_grad_x, h_grad_d = 0.0, np.zeros(8), 0.0, np.zeros(8), np.zeros(3)
+    for j in range(3):
+        sl = slice(offsets[j], offsets[j + 1])
+        one = diff_l1_l2(x[sl], eps[j])
+        value += weights[j] * one.value
+        grad[sl] = weights[j] * one.grad
+        one = hoyer_ratio(np.append(x[sl], d[j]))
+        h_value += weights[j] * one.value
+        h_grad_x[sl], h_grad_d[j] = weights[j] * one.grad[:-1], weights[j] * one.grad[-1]
+    assert pv.value == pytest.approx(value, rel=1e-14)
+    np.testing.assert_allclose(pv.grad, grad, rtol=1e-14, atol=1e-15)
+    assert ph.value == pytest.approx(h_value, rel=1e-14)
+    np.testing.assert_allclose(ph.grad, np.concatenate([h_grad_x, h_grad_d]), rtol=1e-13,
+                               atol=1e-13)
+
+
+def test_group_sums_reject_negative_constrained_entries():
+    offsets = np.array([0, 2, 4])
+    x = np.array([0.5, -0.1, 0.2, 0.3])
+    # a weightless group's sign is not the penalty's concern
+    assert diff_l1_l2_groups(x, offsets, np.full(2, 0.1), np.array([0.0, 1.0])).grad[:2] == \
+        pytest.approx([0.0, 0.0])
+    with pytest.raises(ValueError, match="non-negative"):
+        diff_l1_l2_groups(x, offsets, np.full(2, 0.1), np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match="non-negative"):
+        hoyer_ratio_groups(x, np.ones(2), offsets, np.zeros(2))
+    with pytest.raises(ValueError, match="non-negative"):
+        hoyer_ratio_groups(np.abs(x), np.array([0.1, -0.1]), offsets, np.ones(2))
+    with pytest.raises(ValueError, match="zero vector"):
+        hoyer_ratio_groups(np.array([0.0, 0.0, 0.2, 0.3]), np.zeros(2), offsets, np.ones(2))

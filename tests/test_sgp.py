@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from ssnnls.core import GroupedCoeffs, GroupedDictionary, SparsityConfig, eval_objective_p1, eval_objective_p2
+from ssnnls.core import (SUPPORT_SHARE, GroupedCoeffs, GroupedDictionary, SparsityConfig,
+                         eval_objective_p1, eval_objective_p2)
 from ssnnls.errors import NonConvergenceError
-from ssnnls import sgp
+from ssnnls import core, sgp
 from ssnnls import qp
 from ssnnls.qp import QpSolution
 from ssnnls.sgp import (TERM_ENERGY, TERM_MAX_OUTER, TERM_STEP, SgpParams,
                         check_descent_estimate, solve_problem1, solve_problem2)
 
-from oracles import fd_gradient
+from oracles import dense_objective_p1, dense_objective_p2, fd_gradient
 
 
 def make_problem(seed, n_rows=24, sizes=(3, 3, 2), noise=0.01):
@@ -309,3 +310,36 @@ def test_objective_gradients_match_fd_on_random_points():
     fdd = fd_gradient(lambda z: eval_objective_p1(dct, b, GroupedCoeffs(x, z), cfg).value, d)
     assert ev1.grad_x == pytest.approx(fdx, rel=1e-6, abs=1e-8)
     assert ev1.grad_d == pytest.approx(fdd, rel=1e-6, abs=1e-8)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("sizes", [(3, 3, 2), (25, 25, 25, 25)])
+@pytest.mark.parametrize("problem", ["p1", "p2"])
+def test_objective_trace_matches_dense_evaluation_of_its_iterates(monkeypatch, seed, sizes,
+                                                                 problem):
+    # the loops evaluate on the iterate's support with A'b formed once;
+    # every value they see, and so every traced one, is the dense objective
+    monkeypatch.setattr(core, "SUPPORT_MIN_ENTRIES", 0)
+    dct, b, cfg = make_problem(seed, n_rows=60, sizes=sizes)
+    name = f"eval_objective_{problem}"
+    evaluate = getattr(sgp, name)
+    seen = []
+
+    def recording(*args, **kwargs):
+        ev = evaluate(*args, **kwargs)
+        seen.append((args[2].copy(), ev.value))
+        return ev
+
+    monkeypatch.setattr(sgp, name, recording)
+    solve = solve_problem1 if problem == "p1" else solve_problem2
+    report = solve(dct, b, cfg, SgpParams(tol_energy=1e-12))
+    for coeffs, value in seen:
+        if problem == "p1":
+            fit, penalty = dense_objective_p1(dct, b, cfg, coeffs.x, coeffs.d)[:2]
+        else:
+            fit, penalty = dense_objective_p2(dct, b, cfg, coeffs.x)[:2]
+        assert value == pytest.approx(fit + penalty, rel=1e-12)
+    assert set(report.objective_trace) <= {value for _, value in seen}
+    if len(sizes) == 4:
+        # the wide problems reach iterates on which the support path runs
+        assert any(np.count_nonzero(c.x) <= SUPPORT_SHARE * dct.n_columns for c, _ in seen)

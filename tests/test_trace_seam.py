@@ -13,10 +13,12 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+from ssnnls import qp
 from ssnnls.core import GroupedDictionary, SparsityConfig
 from ssnnls.hsi import HsiScene, demix_scene
-from ssnnls.sgp import SgpParams, solve_problem2
+from ssnnls.sgp import TERM_ENERGY, SgpParams, solve_problem2
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -59,6 +61,39 @@ def test_demix_l1_records_baseline_spans_and_no_qp_factorisation():
         demix_scene(scene, cfg, solver="l1", l1_gamma=0.1)
     assert tracer.totals()["baselines.l1_penalized"][0] == 5
     assert tracer.counts["qp.factorisations"] == 0
+
+
+@pytest.mark.parametrize("params, worse_step", [
+    (SgpParams(tol_energy=1e-8), None),
+    (SgpParams(max_outer=1), None),
+    (SgpParams(tol_energy=0.0), 3),
+])
+def test_traced_problem2_counts_every_objective_evaluation(monkeypatch, params, worse_step):
+    # one evaluation at the start and one per step, the last step's too
+    # when its candidate raised the objective and was not accepted
+    rng = np.random.default_rng(2)
+    dct = GroupedDictionary(rng.normal(size=(24, 8)), np.array([0, 3, 6, 8]))
+    b = dct.entries @ np.array([1.0, 0, 0, 0, 0.7, 0, 0, 1.2]) + 0.01 * rng.normal(size=24)
+    cfg = SparsityConfig(gamma=np.full(3, 0.05), gamma0=0.02, eps=np.full(3, 0.05), r=1.0)
+    solve_qp, steps = qp.solve_qp_p2, []
+
+    def worse(sub, free=None):
+        sol = solve_qp(sub, free)
+        steps.append(sub)
+        if len(steps) == worse_step:
+            sol.x = sub.anchor + 1.0
+        return sol
+
+    # the tracer wraps qp's own name into sgp, so the stand-in goes there
+    monkeypatch.setattr(qp, "solve_qp_p2", worse)
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    with tracing.traced(tracer):
+        report = solve_problem2(dct, b, cfg, params)
+    unaccepted = worse_step is not None
+    if unaccepted:
+        assert report.termination == TERM_ENERGY and report.outer_iters == worse_step - 1
+    assert tracer.totals()["core.eval_objective"][0] == report.outer_iters + 1 + unaccepted
 
 
 def test_every_traced_name_is_the_function_its_caller_uses():
