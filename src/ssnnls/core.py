@@ -14,11 +14,14 @@ Two objectives are evaluated here:
 * problem 2: least squares plus weighted smoothed ``l1 - l2`` differences.
 
 Both cost what the support of x costs: the residual is ``A[:, S] x_S - b``
-and the gradient of the fit ``G[S]' x_S - A'b``, read from the
-dictionary's cached Gram matrix (:func:`support_matvec`), and the
-penalties sum over all groups at once.  A solver passes ``atb = A'b``,
-formed once per solve after it has checked the data and the config;
-without ``atb`` an evaluation checks both itself.
+(:func:`support_matvec`), and the penalties and their gradients sum over
+all groups at once.  The fit's gradient ``G[S]' x_S - A'b`` is formed
+only when a caller reads :attr:`ObjectiveEval.grad_x`: the outer loops
+never do, because their models' linear term
+q = (G + 2C) a - grad F(a) = A'b - grad P(a) + 2Ca needs only A'b and the
+penalty's gradient.  A solver passes ``atb = A'b``, formed once per solve
+after it has checked the data and the config; without ``atb`` an
+evaluation checks both itself.
 """
 
 import math
@@ -44,6 +47,8 @@ L1_SHIFT = 1e-10
 # densely: with 3 nonzeros the gather costs more than the whole product
 # below 32k-72k entries (timed on one core; 204 x 40 hyperspectral
 # libraries are far below, 1024 x 1323 spectral dictionaries far above).
+# The same share decides whether problem 2's active set starts from the
+# anchor's support or from zero (ssnnls.qp.active_set_qp).
 SUPPORT_SHARE = 0.25
 SUPPORT_MIN_ENTRIES = 1 << 16
 
@@ -219,14 +224,29 @@ class SparsityConfig:
 
 @dataclass
 class ObjectiveEval:
-    """Objective value split into fit and penalty, with gradients."""
+    """Objective value split into fit and penalty, with gradients.
+
+    ``penalty_grad`` is the penalty's gradient in x (zero on a sign-free
+    tail) and ``grad_d`` the objective's, all penalty, in the dummies.
+    The full gradient in x, ``grad_x`` = G x - A'b + ``penalty_grad``, is
+    formed from the rows of the cached Gram matrix on x's support when it
+    is first read, and kept.
+    """
 
     value: float
     fit: float
     penalty: float
     resid: np.ndarray
-    grad_x: np.ndarray
+    penalty_grad: np.ndarray
     grad_d: Optional[np.ndarray] = None
+    x: Optional[np.ndarray] = field(default=None, repr=False)
+    dct: Optional[GroupedDictionary] = field(default=None, repr=False)
+    atb: Optional[np.ndarray] = field(default=None, repr=False)
+
+    @cached_property
+    def grad_x(self) -> np.ndarray:
+        fit_grad = support_matvec(self.dct.gram, self.x, symmetric=True) - self.atb
+        return fit_grad + self.penalty_grad
 
 
 def as_data_vector(b, n_rows: int) -> np.ndarray:
@@ -270,10 +290,10 @@ def support_matvec(mat: np.ndarray, x: np.ndarray, symmetric: bool = False) -> n
     return mat @ x
 
 
-def _least_squares(dct: GroupedDictionary, b: np.ndarray, x: np.ndarray, atb: np.ndarray):
-    """Residual Ax - b, fit |r|^2 / 2 and gradient A'r = G x - A'b, each on x's support."""
+def _least_squares(dct: GroupedDictionary, b: np.ndarray, x: np.ndarray):
+    """Residual Ax - b, on x's support, and the fit |r|^2 / 2."""
     resid = support_matvec(dct.entries, x) - b
-    return resid, 0.5 * float(resid @ resid), support_matvec(dct.gram, x, symmetric=True) - atb
+    return resid, 0.5 * float(resid @ resid)
 
 
 def checked_data(dct: GroupedDictionary, b,
@@ -304,11 +324,11 @@ def eval_objective_p2(dct: GroupedDictionary, b: np.ndarray, coeffs: GroupedCoef
     if atb is None:
         b, atb = checked_data(dct, b, cfg)
     x = _checked_x(dct, coeffs)
-    resid, fit, grad = _least_squares(dct, b, x, atb)
+    resid, fit = _least_squares(dct, b, x)
 
     n_con = cfg.n_constrained(dct.n_groups)
     pre = int(dct.offsets[n_con])
-    penalty = 0.0
+    penalty, grad = 0.0, np.zeros(x.size)
     if n_con:
         pv = diff_l1_l2_groups(x[:pre], dct.offsets[:n_con + 1], cfg.eps[:n_con],
                                cfg.gamma[:n_con])
@@ -319,7 +339,7 @@ def eval_objective_p2(dct: GroupedDictionary, b: np.ndarray, coeffs: GroupedCoef
         penalty += cfg.gamma0 * pv.value
         grad[:pre] += cfg.gamma0 * pv.grad
 
-    return ObjectiveEval(fit + penalty, fit, penalty, resid, grad)
+    return ObjectiveEval(fit + penalty, fit, penalty, resid, grad, x=x, dct=dct, atb=atb)
 
 
 def eval_objective_p1(dct: GroupedDictionary, b: np.ndarray, coeffs: GroupedCoeffs,
@@ -339,10 +359,10 @@ def eval_objective_p1(dct: GroupedDictionary, b: np.ndarray, coeffs: GroupedCoef
     d = coeffs.d
     if d.shape != (n_con,):
         raise ValueError(f"d must have shape ({n_con},), got {d.shape}")
-    resid, fit, grad_x = _least_squares(dct, b, x, atb)
+    resid, fit = _least_squares(dct, b, x)
 
     pre = int(dct.offsets[n_con])
-    penalty, grad_d = 0.0, np.zeros(n_con)
+    penalty, grad_x, grad_d = 0.0, np.zeros(x.size), np.zeros(n_con)
     if n_con:
         pv = hoyer_ratio_groups(x[:pre], d, dct.offsets[:n_con + 1], cfg.gamma[:n_con])
         penalty += pv.value
@@ -353,4 +373,5 @@ def eval_objective_p1(dct: GroupedDictionary, b: np.ndarray, coeffs: GroupedCoef
         penalty += cfg.gamma0 * pv.value
         grad_x[:pre] += cfg.gamma0 * pv.grad
 
-    return ObjectiveEval(fit + penalty, fit, penalty, resid, grad_x, grad_d)
+    return ObjectiveEval(fit + penalty, fit, penalty, resid, grad_x, grad_d,
+                         x=x, dct=dct, atb=atb)

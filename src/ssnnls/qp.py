@@ -2,23 +2,31 @@
 
 Each outer iteration minimises the model
 
-    q(z) = (z - a)' (G/2 + C) (z - a) + (z - a)' grad F(a)
+    (z - a)' (G/2 + C) (z - a) + (z - a)' grad F(a)
 
-over the problem's feasible set, where G is the dictionary Gram matrix
-and C a non-negative diagonal shift.  Both problems solve it exactly by
-an active set run on G itself, so each iteration factors only the small
-block of G + 2C on the current support and the cost follows the
-support, not the dictionary.  Problem 2 constrains x to the orthant and
-runs Lawson & Hanson's active set (Bro & de Jong's FNNLS).  Problem 1
+over the problem's feasible set, where G is the dictionary Gram matrix,
+C a non-negative diagonal shift and a the anchor (the current iterate).
+Up to a constant that is the standard form the active sets solve,
+
+    z' (G + 2C) z / 2 - q' z,   q = (G + 2C) a - grad F(a),
+
+and the outer loops hand it over in that form: since grad F(a) is
+G a - A'b plus the penalty's gradient, q = A'b - grad P(a) + 2Ca, and
+neither loop nor model ever multiplies G by the anchor.  Both problems
+solve the model exactly by an active set run on G itself, so each
+iteration factors only the small block of G + 2C on the current support
+and the cost follows the support, not the dictionary.  Problem 2
+constrains x to the orthant and runs Lawson & Hanson's active set (Bro
+& de Jong's FNNLS), started from the anchor's support when that support
+is sparse (Bro & de Jong 1997; Van Benthem & Keenan 2004).  Problem 1
 also carries one dummy per group, with the group floors and one budget
 on the dummies; a primal active set solves the free dummies and the
 multipliers of the working floors and budget in one small dense system.
 A sign-free tail is eliminated once per solve through the Schur
-complement of its block.  The model's right-hand side G a and the value
-check's G dx read only the rows of G on the support of a or dx
-(:func:`ssnnls.core.support_matvec`), and the active sets read the rows
-of G (or of the symmetric Schur complement) on their free set, so away
-from the dense start a step never multiplies the whole of a large G.
+complement of its block.  Problem 1's value check reads G dx from the
+rows of G on dx's support (:func:`ssnnls.core.support_matvec`), and the
+active sets read the rows of G (or of the symmetric Schur complement)
+on their free set, so a step never multiplies the whole of a large G.
 """
 
 from dataclasses import dataclass
@@ -29,7 +37,7 @@ import scipy.linalg
 import scipy.linalg.lapack
 
 from . import kernels
-from .core import support_matvec
+from .core import SUPPORT_SHARE, support_matvec
 from .errors import NonConvergenceError
 
 
@@ -48,22 +56,25 @@ class AdmmParams:
 
 @dataclass
 class QpSubproblem:
-    """One quadratic model: Gram matrix, gradient, anchor, diagonal shift.
+    """One quadratic model in standard form: z'(G + 2C)z / 2 - q'z.
 
-    The feasible set is described by ``n_free`` (trailing sign-free
-    coordinates) and, for problem 1, the group ``offsets``/``eps`` floors,
-    dummy block (``anchor_d``, ``lin_d``, ``shift_d``) and ``budget``.
+    ``gram`` is G, ``shift`` the diagonal of C and ``q`` the linear term
+    (G + 2C) a - grad F(a) at the ``anchor`` a.  The feasible set is
+    described by ``n_free`` (trailing sign-free coordinates) and, for
+    problem 1, the group ``offsets``/``eps`` floors, the dummy block
+    (``anchor_d``, ``q_d`` = 2 C_d a_d - grad_d F(a), ``shift_d``) and
+    ``budget``.
     """
 
     gram: np.ndarray
-    lin: np.ndarray
+    q: np.ndarray
     anchor: np.ndarray
     shift: np.ndarray
     n_free: int = 0
     offsets: Optional[np.ndarray] = None
     eps: Optional[np.ndarray] = None
     anchor_d: Optional[np.ndarray] = None
-    lin_d: Optional[np.ndarray] = None
+    q_d: Optional[np.ndarray] = None
     shift_d: Optional[np.ndarray] = None
     budget: float = 0.0
 
@@ -71,22 +82,22 @@ class QpSubproblem:
         n = self.anchor.size
         if self.gram.shape != (n, n):
             raise ValueError(f"gram must be ({n},{n}), got {self.gram.shape}")
-        if self.lin.shape != (n,) or self.shift.shape != (n,):
-            raise ValueError("lin and shift must match the anchor length")
+        if self.q.shape != (n,) or self.shift.shape != (n,):
+            raise ValueError("q and shift must match the anchor length")
         if not np.all((self.shift >= 0) & np.isfinite(self.shift)):
             raise ValueError("diagonal shift must be finite and non-negative")
         if not 0 <= self.n_free <= n:
             raise ValueError(f"n_free out of range 0..{n}")
         if grouped:
             if self.offsets is None or self.eps is None or self.anchor_d is None \
-                    or self.lin_d is None or self.shift_d is None:
+                    or self.q_d is None or self.shift_d is None:
                 raise ValueError("grouped subproblem requires offsets/eps/dummy fields")
             m = self.eps.size
             if self.offsets.shape != (m + 1,):
                 raise ValueError("offsets must have one more entry than eps")
             if int(self.offsets[-1]) != n - self.n_free:
                 raise ValueError("groups must cover exactly the sign-constrained prefix")
-            for name in ("anchor_d", "lin_d", "shift_d"):
+            for name in ("anchor_d", "q_d", "shift_d"):
                 if getattr(self, name).shape != (m,):
                     raise ValueError(f"{name} must have shape ({m},)")
             if np.any(self.eps <= 0):
@@ -103,7 +114,8 @@ class QpSolution:
 
     ``iterations`` counts the active set's passive-block solves: for
     problem 1 each solves the free block with the working floors and
-    budget, for problem 2 the free block alone.
+    budget, for problem 2 the passive block alone, the solves that start
+    it from the anchor's support included.
     """
 
     x: np.ndarray
@@ -127,13 +139,19 @@ class QpWorkspace:
 
 
 def model_value(sub: QpSubproblem, x: np.ndarray, d: Optional[np.ndarray] = None) -> float:
-    """Evaluate the quadratic model at (x, d); zero at the anchor."""
+    """Evaluate the quadratic model at (x, d), less its value at the anchor.
+
+    With dx = x - a and m = a + dx/2 that is m'(G dx) + 2(C m)'dx - q'dx,
+    so only G dx is formed, from the rows of G on dx's support.
+    """
     dx = x - sub.anchor
+    mid = sub.anchor + 0.5 * dx
     g_dx = support_matvec(sub.gram, dx, symmetric=True)
-    val = 0.5 * float(dx @ g_dx) + float((sub.shift * dx) @ dx) + float(sub.lin @ dx)
+    val = float(mid @ g_dx) + 2.0 * float((sub.shift * mid) @ dx) - float(sub.q @ dx)
     if sub.anchor_d is not None and d is not None:
         dd = d - sub.anchor_d
-        val += float((sub.shift_d * dd) @ dd) + float(sub.lin_d @ dd)
+        mid_d = sub.anchor_d + 0.5 * dd
+        val += 2.0 * float((sub.shift_d * mid_d) @ dd) - float(sub.q_d @ dd)
     return val
 
 
@@ -170,7 +188,8 @@ def _solve_passive(h: np.ndarray, diag: np.ndarray, q: np.ndarray,
     return s
 
 
-def active_set_qp(h: np.ndarray, diag: np.ndarray, q: np.ndarray) -> Tuple[np.ndarray, int]:
+def active_set_qp(h: np.ndarray, diag: np.ndarray, q: np.ndarray,
+                  start: Optional[np.ndarray] = None) -> Tuple[np.ndarray, int]:
     """Minimise z'(H + diag(diag))z / 2 - q'z over z >= 0 by Lawson & Hanson's active set.
 
     The Gram-form variant of Bro & de Jong (1997): each iteration adds the
@@ -179,10 +198,19 @@ def active_set_qp(h: np.ndarray, diag: np.ndarray, q: np.ndarray) -> Tuple[np.nd
     block, and steps back to the feasible set while that solution has a
     non-positive entry.  Only rows of H in P are read (H is symmetric, so
     they are its columns, and stored contiguously), so the cost follows
-    the support, not the size of H.  Returns the minimiser and
-    the number of passive-block solves; raises :class:`NonConvergenceError`
-    after ``ACTIVE_SET_ITERS_PER_COLUMN * n`` of them and ``ValueError``
-    from a passive block that is not positive definite.
+    the support, not the size of H.
+
+    ``start``, a boolean mask, is a guess at the minimiser's support (the
+    anchor's).  When it holds at most ``SUPPORT_SHARE`` of the entries,
+    P starts there instead of empty: the model is solved on P, and the
+    entries that come out non-positive leave P until the solution is
+    positive, which is a feasible point minimising the model on its
+    support, from which the loop above goes on (Van Benthem & Keenan,
+    2004).  A denser guess starts from z = 0.  Returns the minimiser and
+    the number of passive-block solves, the start's included; raises
+    :class:`NonConvergenceError` after ``ACTIVE_SET_ITERS_PER_COLUMN * n``
+    of them and ``ValueError`` from a passive block that is not positive
+    definite.
     """
     n = q.size
     cap = ACTIVE_SET_ITERS_PER_COLUMN * n
@@ -192,6 +220,26 @@ def active_set_qp(h: np.ndarray, diag: np.ndarray, q: np.ndarray) -> Tuple[np.nd
     w = q.copy()
     tol = 10.0 * n * np.finfo(float).eps * float(np.max(np.abs(q), initial=0.0))
     iters = 0
+
+    def solve(idx):
+        nonlocal iters
+        iters += 1
+        if iters > cap:
+            raise NonConvergenceError(
+                f"nnls: active set did not converge in {cap} iterations",
+                iterations=cap)
+        return _solve_passive(h, diag, q, idx)
+
+    if start is not None and np.count_nonzero(start) <= SUPPORT_SHARE * n:
+        passive[start] = True
+        while passive.any():
+            idx = np.flatnonzero(passive)
+            s = solve(idx)
+            if (s > 0).all():
+                z[idx] = s
+                w = q - s @ h[idx] - diag * z
+                break
+            passive[idx[s <= 0]] = False
     while n:
         cand = np.where(passive, -np.inf, w)
         j = int(np.argmax(cand))
@@ -200,13 +248,8 @@ def active_set_qp(h: np.ndarray, diag: np.ndarray, q: np.ndarray) -> Tuple[np.nd
         passive[j] = True
         added = True
         while True:
-            iters += 1
-            if iters > cap:
-                raise NonConvergenceError(
-                    f"nnls: active set did not converge in {cap} iterations",
-                    iterations=cap)
             idx = np.flatnonzero(passive)
-            s = _solve_passive(h, diag, q, idx)
+            s = solve(idx)
             if added and s[np.searchsorted(idx, j)] <= 0:
                 # rounding left the new index unable to move off zero:
                 # skip it until z changes (Lawson & Hanson's step 6)
@@ -260,25 +303,25 @@ def eliminate_free(gram: np.ndarray, shift: np.ndarray, n_free: int) -> FreeElim
 def solve_qp_p2(sub: QpSubproblem, free: Optional[FreeElimination] = None) -> QpSolution:
     """Solve the orthant-constrained model exactly (problem 2 inner step).
 
-    The model is z'(G + 2C)z / 2 - q'z up to a constant, with
-    q = (G + 2C) a - lin, minimised over z_c >= 0 by
-    :func:`active_set_qp`.  A sign-free tail z_f is eliminated first:
-    ``free`` is :func:`eliminate_free` of the subproblem (computed here
-    when not given), the active set runs on the Schur complement with
+    The model z'(G + 2C)z / 2 - sub.q'z is minimised over z_c >= 0 by
+    :func:`active_set_qp`, started from the anchor's support.  A
+    sign-free tail z_f is eliminated first: ``free`` is
+    :func:`eliminate_free` of the subproblem (computed here when not
+    given), the active set runs on the Schur complement with
     q_c - Y'q_f, and z_f = H_ff^-1 q_f - Y z_c.  ``iterations`` counts the
     active set's passive-block solves.
     """
     sub.validate(grouped=False)
     f = sub.n_free
     c = sub.anchor.size - f
-    diag = 2.0 * sub.shift
-    q = support_matvec(sub.gram, sub.anchor, symmetric=True) + diag * sub.anchor - sub.lin
+    q = sub.q
+    start = sub.anchor[:c] > 0.0
     if not f:
-        z, iters = active_set_qp(sub.gram, diag, q)
+        z, iters = active_set_qp(sub.gram, 2.0 * sub.shift, q, start)
         return QpSolution(z, None, iters)
     factor, y, schur = free if free is not None else eliminate_free(sub.gram, sub.shift, f)
     zf0 = scipy.linalg.cho_solve(factor, q[c:], check_finite=False)
-    zc, iters = active_set_qp(schur, np.zeros(c), q[:c] - y.T @ q[c:])
+    zc, iters = active_set_qp(schur, np.zeros(c), q[:c] - y.T @ q[c:], start)
     return QpSolution(np.concatenate([zc, zf0 - y @ zc]), None, iters)
 
 
@@ -437,9 +480,8 @@ def _grouped_active_set(hx: np.ndarray, diag_x: np.ndarray, qx: np.ndarray,
 def solve_qp_p1(sub: QpSubproblem) -> QpSolution:
     """Solve the grouped model with dummies exactly (problem 1 inner step).
 
-    Up to a constant the model is z'(G + 2C)z / 2 - q'z with
-    q = (G + 2C) a - lin, plus d'(2 C_d)d / 2 - q_d'd with
-    q_d = 2 C_d a_d - lin_d, over x >= 0, d >= 0, the group floors
+    The model is z'(G + 2C)z / 2 - sub.q'z plus
+    d'(2 C_d)d / 2 - sub.q_d'd, over x >= 0, d >= 0, the group floors
     sum(x_g_j) + d_j >= eps_j and the budget sum(d / eps) <= budget.  A
     sign-free tail is eliminated first (:func:`eliminate_free`), and the
     primal active set runs on the Schur complement.  The dummies are
@@ -457,8 +499,7 @@ def solve_qp_p1(sub: QpSubproblem) -> QpSolution:
         raise ValueError("the dummies' model curvature 2 C_d must be positive; "
                          "increase c_matrix_scale")
     diag = 2.0 * sub.shift
-    q = support_matvec(sub.gram, sub.anchor, symmetric=True) + diag * sub.anchor - sub.lin
-    qd = dd * sub.anchor_d - sub.lin_d
+    q, qd = sub.q, sub.q_d
     offsets = np.asarray(sub.offsets, dtype=np.int64)
     eps = np.asarray(sub.eps, dtype=float)
     cap = ACTIVE_SET_ITERS_PER_COLUMN * (n + m)

@@ -11,11 +11,17 @@ Both problems minimise their model exactly at every step by an active
 set on the dictionary's cached Gram matrix, which factors only the small
 block on the current support; a sign-free tail costs one Cholesky factor
 per outer solve (problem 2) or per model solve (problem 1, whose shift
-changes between them).  Each solve checks its data and configuration
-and forms A'b once, and every objective evaluation reads only the
-iterate's nonzero columns (:mod:`ssnnls.core`), so away from the dense
-start a step costs what its support costs.  A step that cannot descend
-ends either run as ``energy_tol``, and an active set's
+changes between them).  Each solve checks its data, its configuration
+and its ``init`` and forms A'b once.  The model goes to :mod:`ssnnls.qp`
+in standard form, z'(G + 2C)z / 2 - q'z with
+q = (G + 2C) a - grad F(a) = A'b - grad P(a) + 2Ca (and
+q_d = 2 C_d a_d - grad_d P(a) for problem 1's dummies), so the fit's
+gradient G a - A'b is never formed: an objective evaluation forms only
+the residual, from the iterate's nonzero columns, and the penalty's
+gradient (:mod:`ssnnls.core`).  That leaves two dense passes over A per
+solve, A'b and the residual at the dense start; after it a step costs
+what its support costs.  A step that cannot descend ends either run as
+``energy_tol``, and an active set's
 :class:`~ssnnls.errors.NonConvergenceError` propagates.
 """
 
@@ -75,8 +81,10 @@ class SolveReport:
     """Outcome of one outer solve: final point, traces, termination reason.
 
     ``inner_iters_total`` sums the active-set iterations (passive-block
-    solves) of every model solve: for problem 1 those of rejected
-    candidates too, for both problems those of the unaccepted last step.
+    solves, see :class:`ssnnls.qp.QpSolution`) of every model solve: for
+    problem 2 the solves that start a step from the anchor's support
+    too, for problem 1 those of rejected candidates, for both problems
+    those of the unaccepted last step.
     """
 
     final: GroupedCoeffs
@@ -92,18 +100,44 @@ def _default_x0(n: int) -> np.ndarray:
     return np.full(n, 0.1)
 
 
+def _checked_init(init: Optional[GroupedCoeffs], n: int,
+                  n_con: Optional[int] = None) -> Optional[GroupedCoeffs]:
+    """A copy of ``init``, or None; ValueError naming ``init`` unless it fits the problem.
+
+    x must hold n finite values.  With ``n_con`` (problem 1) a given d
+    must hold n_con finite values; otherwise d is dropped.
+    """
+    if init is None:
+        return None
+    x = init.x.astype(float)
+    if x.shape != (n,):
+        raise ValueError(f"init must have {n} coefficients, got {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("init coefficients must be finite")
+    if n_con is None or init.d is None:
+        return GroupedCoeffs(x)
+    d = init.d.astype(float)
+    if d.shape != (n_con,):
+        raise ValueError(f"init must have {n_con} dummies, got {d.shape}")
+    if not np.all(np.isfinite(d)):
+        raise ValueError("init dummies must be finite")
+    return GroupedCoeffs(x, d)
+
+
 def _feasible_p1_init(dct: GroupedDictionary, cfg: SparsityConfig,
                       init: Optional[GroupedCoeffs]) -> GroupedCoeffs:
     """``init`` (default x = 0.1, d = 0) made feasible for problem 1 in closed form.
 
-    x and d are clipped at 0; each group short of its floor is raised
-    evenly onto it, so x alone meets every floor, and d is scaled down
-    onto the budget when sum(d / eps) exceeds it.
+    ``init`` is checked by :func:`_checked_init`.  x and d are clipped at
+    0; each group short of its floor is raised evenly onto it, so x alone
+    meets every floor, and d is scaled down onto the budget when
+    sum(d / eps) exceeds it.
     """
     n_con = cfg.n_constrained(dct.n_groups)
     pre = int(dct.offsets[n_con])
-    x = _default_x0(dct.n_columns) if init is None else init.x.astype(float)
-    d = np.zeros(n_con) if init is None or init.d is None else init.d.astype(float)
+    init = _checked_init(init, dct.n_columns, n_con)
+    x = _default_x0(dct.n_columns) if init is None else init.x
+    d = np.zeros(n_con) if init is None or init.d is None else init.d
     x[:pre] = np.maximum(x[:pre], 0.0)
     d = np.maximum(d, 0.0)
     for j in range(n_con):
@@ -125,9 +159,12 @@ def solve_problem2(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
     The diagonal scaling stays fixed at ``c_matrix_scale``, so every step
     solves its model exactly by an active set on the dictionary's cached
     Gram matrix (:func:`ssnnls.qp.solve_qp_p2`); a sign-free tail is
-    eliminated once per solve.  A model minimiser that does not lower the
-    objective ends the run as ``energy_tol``.  A
-    :class:`NonConvergenceError` from a step's active set propagates.
+    eliminated once per solve, and each step's active set starts from the
+    anchor's support when it is sparse.  A model minimiser that does not
+    lower the objective ends the run as ``energy_tol``.  A
+    :class:`NonConvergenceError` from a step's active set propagates; an
+    ``init`` of the wrong length or with a NaN or infinite entry is a
+    ``ValueError`` before any evaluation.
     """
     params = params or SgpParams()
     b, atb = checked_data(dct, b, cfg)
@@ -135,9 +172,8 @@ def solve_problem2(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
     pre = int(dct.offsets[cfg.n_constrained(dct.n_groups)])
     n_free = n - pre
 
-    x = init.x.astype(float).copy() if init is not None else _default_x0(n)
-    if x.shape != (n,):
-        raise ValueError(f"init must have {n} coefficients, got {x.shape}")
+    init = _checked_init(init, n)
+    x = _default_x0(n) if init is None else init.x
     x[:pre] = np.maximum(x[:pre], 0.0)
 
     gram = dct.gram
@@ -151,7 +187,9 @@ def solve_problem2(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
     ev = eval_objective_p2(dct, b, GroupedCoeffs(x), cfg, atb=atb)
     report.objective_trace.append(ev.value)
     for _ in range(params.max_outer):
-        sub = QpSubproblem(gram=gram, lin=ev.grad_x, anchor=x, shift=shift, n_free=n_free)
+        # q = (G + 2C) x - grad F(x), in which G x cancels
+        sub = QpSubproblem(gram=gram, q=atb - ev.penalty_grad + 2.0 * shift * x, anchor=x,
+                           shift=shift, n_free=n_free)
         sol = solve_qp_p2(sub, free)
         report.inner_iters_total += sol.iterations
         ev_y = eval_objective_p2(dct, b, GroupedCoeffs(sol.x), cfg, atb=atb)
@@ -187,7 +225,8 @@ def solve_problem1(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
     the diagonal scaling by ``XI2`` and re-solve from the same anchor.  A
     model minimiser no better than the anchor (model value >= 0) ends the
     run as ``energy_tol``.  A :class:`NonConvergenceError` from a step's
-    active set propagates.
+    active set propagates; an ``init`` whose x or d has the wrong length
+    or a NaN or infinite entry is a ``ValueError`` before any evaluation.
     """
     params = params or SgpParams()
     b, atb = checked_data(dct, b, cfg)
@@ -211,9 +250,12 @@ def solve_problem1(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
     report.objective_trace.append(ev.value)
     while report.outer_iters < params.max_outer:
         diag = c * params.c_matrix_scale
-        sub = QpSubproblem(gram=gram, lin=ev.grad_x, anchor=x,
+        # q = (G + 2C) x - grad F(x), in which G x cancels; the dummies
+        # enter F through the penalty alone
+        sub = QpSubproblem(gram=gram, q=atb - ev.penalty_grad + 2.0 * diag * x, anchor=x,
                            shift=np.full(n, diag), n_free=n_free,
-                           offsets=offsets, eps=eps, anchor_d=d, lin_d=ev.grad_d,
+                           offsets=offsets, eps=eps, anchor_d=d,
+                           q_d=2.0 * diag * d - ev.grad_d,
                            shift_d=np.full(n_con, diag), budget=budget)
         sol = solve_qp_p1(sub)
         report.inner_iters_total += sol.iterations

@@ -179,19 +179,50 @@ def project_budget_ref(v, eps, budget, metric_diag=None):
     return best
 
 
-def quad_value(sub, x, d=None):
-    """The quadratic model: 1/2 dx'G dx + dx'diag(shift)dx + lin'dx (+ dummy part)."""
+def subproblem(gram, lin, anchor, shift, lin_d=None, **grouped):
+    """A QpSubproblem from the model's gradient ``lin`` (and ``lin_d``) at the anchor.
+
+    The package takes the model in standard form, z'(G + 2C)z / 2 - q'z,
+    whose linear term is q = (G + 2C) a - lin, and q_d = 2 C_d a_d - lin_d
+    for the dummies.
+    """
+    q = gram @ anchor + 2.0 * shift * anchor - lin
+    if lin_d is not None:
+        grouped["q_d"] = 2.0 * grouped["shift_d"] * grouped["anchor_d"] - lin_d
+    return QpSubproblem(gram=gram, q=q, anchor=anchor, shift=shift, **grouped)
+
+
+def model_gradient(sub):
+    """The model's gradient at the anchor, (lin, lin_d), from its standard form."""
+    lin = sub.gram @ sub.anchor + 2.0 * sub.shift * sub.anchor - sub.q
+    if sub.anchor_d is None:
+        return lin, None
+    return lin, 2.0 * sub.shift_d * sub.anchor_d - sub.q_d
+
+
+def quad_value(sub, x, d=None, lin=None, lin_d=None):
+    """The quadratic model: 1/2 dx'G dx + dx'diag(shift)dx + lin'dx (+ dummy part).
+
+    ``lin`` and ``lin_d``, the gradient at the anchor, default to the
+    subproblem's own (:func:`model_gradient`).
+    """
+    if lin is None:
+        lin, lin_d = model_gradient(sub)
     dx = np.asarray(x, float) - sub.anchor
-    val = 0.5 * float(dx @ sub.gram @ dx) + float(sub.shift @ dx ** 2) + float(sub.lin @ dx)
+    val = 0.5 * float(dx @ sub.gram @ dx) + float(sub.shift @ dx ** 2) + float(lin @ dx)
     if d is not None and sub.anchor_d is not None:
         dd = np.asarray(d, float) - sub.anchor_d
-        val += float(sub.shift_d @ dd ** 2) + float(sub.lin_d @ dd)
+        val += float(sub.shift_d @ dd ** 2) + float(lin_d @ dd)
     return val
 
 
 def _grad_x(sub, x):
     dx = x - sub.anchor
-    return sub.gram @ dx + 2.0 * sub.shift * dx + sub.lin
+    return sub.gram @ dx + 2.0 * sub.shift * dx + model_gradient(sub)[0]
+
+
+def _grad_d(sub, d):
+    return 2.0 * sub.shift_d * (d - sub.anchor_d) + model_gradient(sub)[1]
 
 
 def pg_p2(sub, max_iters=30000, tol=1e-14):
@@ -280,7 +311,7 @@ def pg_p1(sub, max_iters=2500, tol=1e-12):
                       np.maximum(sub.anchor_d.astype(float), 0.0))
     for _ in range(max_iters):
         gx = _grad_x(sub, x)
-        gd = 2.0 * sub.shift_d * (d - sub.anchor_d) + sub.lin_d
+        gd = _grad_d(sub, d)
         xn, dn = dykstra_p1(sub, x - step * gx, d - step * gd)
         move = max(float(np.max(np.abs(xn - x))), float(np.max(np.abs(dn - d))))
         x, d = xn, dn
@@ -295,9 +326,8 @@ def random_p2_subproblem(rng):
     n_free = int(rng.integers(0, min(3, n)))
     a = rng.normal(size=(n + 4, n))
     gram = a.T @ a + float(rng.uniform(0.5, 1.5)) * np.eye(n)
-    return QpSubproblem(gram=gram, lin=rng.normal(size=n),
-                        anchor=0.5 * rng.normal(size=n),
-                        shift=rng.uniform(0.05, 0.5, n), n_free=n_free)
+    return subproblem(gram=gram, lin=rng.normal(size=n), anchor=0.5 * rng.normal(size=n),
+                      shift=rng.uniform(0.05, 0.5, n), n_free=n_free)
 
 
 def rolled_cholesky_p2(sub):
@@ -313,7 +343,7 @@ def rolled_cholesky_p2(sub):
     h = sub.gram[np.ix_(order, order)] + 2.0 * np.diag(sub.shift[order])
     r = scipy.linalg.cholesky(h)
     rhs = r @ np.roll(sub.anchor, f) - scipy.linalg.solve_triangular(
-        r, np.roll(sub.lin, f), trans="T")
+        r, np.roll(model_gradient(sub)[0], f), trans="T")
     z = np.empty(n)
     z[f:] = scipy.optimize.nnls(r[f:, f:], rhs[f:])[0]
     if f:
@@ -342,8 +372,29 @@ def wide_p2_subproblem(rng, n_free):
     anchor[2 * half:] = rng.normal(size=n_free)
     lin = a.T @ (a @ anchor - b)
     lin[:2 * half] += 0.05 * rng.uniform(0.0, 1.0, 2 * half)
-    return QpSubproblem(gram=a.T @ a, lin=lin, anchor=anchor, shift=np.full(n, 1e-9),
-                        n_free=n_free)
+    return subproblem(gram=a.T @ a, lin=lin, anchor=anchor, shift=np.full(n, 1e-9),
+                      n_free=n_free)
+
+
+def sparse_p2_subproblem(rng, n_free=0):
+    """Problem-2 step whose minimiser is sparse: 30 rows, 3 of 40 columns planted, shift 1e-6.
+
+    ``n_free`` sign-free columns follow the 40.  The gradient is that of
+    least squares plus a weighted l1 term at an anchor near the planted
+    point, as late in the outer loop.
+    """
+    a = rng.normal(size=(30, 40 + n_free))
+    a /= np.linalg.norm(a, axis=0)
+    x_true = np.zeros(40 + n_free)
+    x_true[rng.choice(40, 3, replace=False)] = rng.uniform(0.5, 1.5, 3)
+    x_true[40:] = rng.normal(size=n_free)
+    b = a @ x_true + 0.01 * rng.normal(size=30)
+    anchor = x_true + 0.05 * rng.normal(size=x_true.size) * (x_true != 0)
+    anchor[:40] = np.maximum(anchor[:40], 0.0)
+    lin = a.T @ (a @ anchor - b)
+    lin[:40] += 0.05
+    return subproblem(gram=a.T @ a, lin=lin, anchor=anchor, shift=np.full(x_true.size, 1e-6),
+                      n_free=n_free)
 
 
 def random_p1_subproblem(rng):
@@ -355,14 +406,14 @@ def random_p1_subproblem(rng):
     offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
     a = rng.normal(size=(n + 4, n))
     gram = a.T @ a + float(rng.uniform(0.5, 1.5)) * np.eye(n)
-    return QpSubproblem(gram=gram, lin=rng.normal(size=n),
-                        anchor=0.5 * rng.normal(size=n),
-                        shift=rng.uniform(0.05, 0.5, n), n_free=n_free,
-                        offsets=offsets, eps=rng.uniform(0.02, 0.2, m),
-                        anchor_d=rng.uniform(0.0, 0.3, m),
-                        lin_d=0.5 * rng.normal(size=m),
-                        shift_d=rng.uniform(0.1, 0.6, m),
-                        budget=float(m - rng.uniform(0.0, 1.0)))
+    return subproblem(gram=gram, lin=rng.normal(size=n),
+                      anchor=0.5 * rng.normal(size=n),
+                      shift=rng.uniform(0.05, 0.5, n), n_free=n_free,
+                      offsets=offsets, eps=rng.uniform(0.02, 0.2, m),
+                      anchor_d=rng.uniform(0.0, 0.3, m),
+                      lin_d=0.5 * rng.normal(size=m),
+                      shift_d=rng.uniform(0.1, 0.6, m),
+                      budget=float(m - rng.uniform(0.0, 1.0)))
 
 
 def slsqp_p1(sub):
@@ -384,8 +435,7 @@ def slsqp_p1(sub):
         return quad_value(sub, z[:n], z[n:])
 
     def jac(z):
-        return np.concatenate([_grad_x(sub, z[:n]),
-                               2.0 * sub.shift_d * (z[n:] - sub.anchor_d) + sub.lin_d])
+        return np.concatenate([_grad_x(sub, z[:n]), _grad_d(sub, z[n:])])
 
     res = scipy.optimize.minimize(
         fun, np.concatenate([sub.anchor, sub.anchor_d]), jac=jac, method="SLSQP",
@@ -448,9 +498,9 @@ def one_material_p1_subproblem(rng, n_free, singleton=False):
     if singleton:
         lin[:c] += 0.01 * _hoyer_grad(anchor[:c])
     shift = 10.0 ** rng.uniform(-9.0, -6.0)
-    return QpSubproblem(gram=a.T @ a, lin=lin, anchor=anchor, shift=np.full(n, shift),
-                        n_free=n_free, offsets=offsets, eps=eps, anchor_d=anchor_d,
-                        lin_d=lin_d, shift_d=np.full(m, shift), budget=float(m - 1))
+    return subproblem(gram=a.T @ a, lin=lin, anchor=anchor, shift=np.full(n, shift),
+                      n_free=n_free, offsets=offsets, eps=eps, anchor_d=anchor_d,
+                      lin_d=lin_d, shift_d=np.full(m, shift), budget=float(m - 1))
 
 
 def slsqp_nonneg_l1(entries, b, gamma, x0=None):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -25,14 +27,14 @@ def test_subproblem_validation():
     sub = oracles.random_p2_subproblem(rng)
     sub.validate(grouped=False)
     with pytest.raises(ValueError):
-        QpSubproblem(sub.gram, sub.lin, sub.anchor, -np.ones_like(sub.shift)).validate(False)
+        QpSubproblem(sub.gram, sub.q, sub.anchor, -np.ones_like(sub.shift)).validate(False)
     with pytest.raises(ValueError):
-        QpSubproblem(sub.gram, sub.lin[:-1], sub.anchor, sub.shift).validate(False)
+        QpSubproblem(sub.gram, sub.q[:-1], sub.anchor, sub.shift).validate(False)
     with pytest.raises(ValueError):
-        QpSubproblem(sub.gram, sub.lin, sub.anchor, sub.shift,
+        QpSubproblem(sub.gram, sub.q, sub.anchor, sub.shift,
                      n_free=sub.anchor.size + 1).validate(False)
     with pytest.raises(ValueError):
-        QpSubproblem(sub.gram, sub.lin, sub.anchor, sub.shift).validate(True)
+        QpSubproblem(sub.gram, sub.q, sub.anchor, sub.shift).validate(True)
     grouped = oracles.random_p1_subproblem(rng)
     grouped.validate(grouped=True)
     for budget in (-0.5, np.nan, np.inf):
@@ -124,3 +126,66 @@ def test_solve_qp_p1_exact_on_one_material_inter_group_models():
     for _ in range(20):
         sub = oracles.one_material_p1_subproblem(rng, int(rng.integers(3)), singleton=True)
         _assert_exact_and_feasible(sub, solve_qp_p1(sub))
+
+
+def _warm_start_cases(kind):
+    """(h, diag, q, start, cold minimiser, cold iterations) from sparse and near-duplicate models.
+
+    Starts are built from the cold minimiser's support S: ``exact`` is S,
+    ``superset`` adds the zero column of least positive gradient, which
+    must leave, ``disjoint`` takes three columns outside S, ``empty``
+    none, and ``dense`` every column, past ``SUPPORT_SHARE``.
+    """
+    rng = np.random.default_rng(70)
+    cases = []
+    for make in (oracles.sparse_p2_subproblem, lambda r: oracles.wide_p2_subproblem(r, 0)):
+        for _ in range(10):
+            sub = make(rng)
+            h, diag, q = sub.gram, 2.0 * sub.shift, sub.q
+            cold, cold_iters = qp.active_set_qp(h, diag, q)
+            support, zeros = cold > 0, np.flatnonzero(cold == 0)
+            start = np.zeros(q.size, dtype=bool)
+            if kind in ("exact", "superset"):
+                start[support] = True
+            if kind == "superset":
+                grad = h[zeros] @ cold + diag[zeros] * cold[zeros] - q[zeros]
+                start[zeros[np.argmin(grad)]] = True
+            elif kind == "disjoint":
+                start[zeros[:3]] = True
+            elif kind == "dense":
+                start[:] = True
+            if kind != "dense" and np.count_nonzero(start) > qp.SUPPORT_SHARE * q.size:
+                continue  # a start past the share runs cold, as ``dense`` checks
+            cases.append((h, diag, q, start, cold, cold_iters))
+    assert len(cases) >= 15
+    return cases
+
+
+@pytest.mark.parametrize("kind", ["exact", "superset", "disjoint", "empty", "dense"])
+def test_active_set_from_a_start_returns_the_cold_minimiser(kind):
+    for h, diag, q, start, cold, cold_iters in _warm_start_cases(kind):
+        z, iters = qp.active_set_qp(h, diag, q, start)
+        assert np.max(np.abs(z - cold)) <= 1e-12 * np.max(np.abs(cold))
+        # KKT: non-negative, stationary on the support, no descent off it
+        grad = h @ z + diag * z - q
+        scale = 1e-12 * np.max(np.abs(q))
+        assert z.min() >= 0.0
+        assert np.max(np.abs(grad[z > 0])) <= scale and grad[z == 0].min() >= -scale
+        if kind == "exact":
+            assert iters == 1
+        elif kind == "superset":
+            assert not np.any(z[start & (cold == 0)])
+        elif kind in ("empty", "dense"):
+            assert iters == cold_iters and np.array_equal(z, cold)
+
+
+def test_solve_qp_p2_starts_its_schur_complement_from_the_anchor():
+    # with a sign-free tail the active set runs on the Schur complement;
+    # an anchor on the minimiser's support needs one passive solve there too
+    rng = np.random.default_rng(80)
+    for _ in range(10):
+        sub = oracles.sparse_p2_subproblem(rng, 3)
+        cold = solve_qp_p2(dataclasses.replace(sub, anchor=np.zeros(sub.anchor.size)))
+        warm = solve_qp_p2(dataclasses.replace(sub, anchor=cold.x))
+        assert warm.iterations == 1
+        assert np.max(np.abs(warm.x - cold.x)) <= 1e-12 * np.max(np.abs(cold.x))

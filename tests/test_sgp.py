@@ -5,15 +5,15 @@ import pytest
 from numpy.random import default_rng
 
 from ssnnls.core import (SUPPORT_SHARE, GroupedCoeffs, GroupedDictionary, SparsityConfig,
-                         eval_objective_p1, eval_objective_p2)
+                         eval_objective_p1, eval_objective_p2, support_matvec)
 from ssnnls.errors import NonConvergenceError
 from ssnnls import core, sgp
 from ssnnls import qp
-from ssnnls.qp import QpSolution
+from ssnnls.qp import QpSolution, model_value
 from ssnnls.sgp import (TERM_ENERGY, TERM_MAX_OUTER, TERM_STEP, SgpParams,
                         check_descent_estimate, solve_problem1, solve_problem2)
 
-from oracles import dense_objective_p1, dense_objective_p2, fd_gradient
+from oracles import dense_objective_p1, dense_objective_p2, fd_gradient, quad_value
 
 
 def make_problem(seed, n_rows=24, sizes=(3, 3, 2), noise=0.01):
@@ -343,3 +343,102 @@ def test_objective_trace_matches_dense_evaluation_of_its_iterates(monkeypatch, s
     if len(sizes) == 4:
         # the wide problems reach iterates on which the support path runs
         assert any(np.count_nonzero(c.x) <= SUPPORT_SHARE * dct.n_columns for c, _ in seen)
+
+
+BAD_INITS = {
+    "p2 nan x": ("p2", lambda n, m: GroupedCoeffs(np.where(np.arange(n) == 2, np.nan, 0.1))),
+    "p2 inf x": ("p2", lambda n, m: GroupedCoeffs(np.where(np.arange(n) == 2, np.inf, 0.1))),
+    "p1 nan x": ("p1", lambda n, m: GroupedCoeffs(np.where(np.arange(n) == 2, np.nan, 0.1))),
+    "p1 inf x": ("p1", lambda n, m: GroupedCoeffs(np.where(np.arange(n) == 2, -np.inf, 0.1))),
+    "p1 nan dummy": ("p1", lambda n, m: GroupedCoeffs(np.full(n, 0.1),
+                                                      np.array([0.0, np.nan, 0.0][:m]))),
+    "p1 short d": ("p1", lambda n, m: GroupedCoeffs(np.full(n, 0.1), np.zeros(m - 1))),
+    "p1 short x": ("p1", lambda n, m: GroupedCoeffs(np.full(n - 1, 0.1), np.zeros(m))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INITS))
+def test_bad_init_is_a_value_error_naming_init_before_any_evaluation(monkeypatch, case):
+    problem, make = BAD_INITS[case]
+    dct, b, cfg = make_problem(5)
+    calls = []
+    monkeypatch.setattr(sgp, f"eval_objective_{problem}", lambda *a, **k: calls.append(a))
+    solve = solve_problem1 if problem == "p1" else solve_problem2
+    with pytest.raises(ValueError, match="init"):
+        solve(dct, b, cfg, SgpParams(), init=make(dct.n_columns, dct.n_groups))
+    assert calls == []
+
+
+def _free_tail_problem(seed, sizes=(25, 25, 25, 25)):
+    """``make_problem`` on 60 rows with its last group sign-free and unpenalised."""
+    dct, b, _ = make_problem(seed, n_rows=60, sizes=sizes)
+    m = len(sizes)
+    cfg = SparsityConfig(gamma=np.append(np.full(m - 1, 0.05), 0.0), gamma0=0.0,
+                         eps=np.full(m, 0.05), r=1.0, free_groups=(m - 1,))
+    return dct, b, cfg
+
+
+def _recorded_models(monkeypatch, problem, dct, b, cfg):
+    """Run one solve; return every (subproblem, solution) its loop saw."""
+    name = f"solve_qp_{problem}"
+    real, seen = getattr(sgp, name), []
+
+    def recording(sub, *args):
+        sol = real(sub, *args)
+        seen.append((sub, sol))
+        return sol
+
+    monkeypatch.setattr(sgp, name, recording)
+    solve = solve_problem1 if problem == "p1" else solve_problem2
+    solve(dct, b, cfg, SgpParams(tol_energy=1e-12))
+    return seen
+
+
+def _rel_gap(got, ref):
+    return float(np.max(np.abs(np.asarray(got) - ref)) / np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("free_tail", [False, True])
+@pytest.mark.parametrize("problem", ["p1", "p2"])
+def test_models_are_handed_over_in_standard_form(monkeypatch, problem, free_tail):
+    # q = (G + 2C) a - grad F(a) and q_d = 2 C_d a_d - grad_d F(a), against
+    # the dense gradient; the model's value against its gradient form
+    monkeypatch.setattr(core, "SUPPORT_MIN_ENTRIES", 0)
+    dct, b, cfg = _free_tail_problem(3) if free_tail else \
+        make_problem(3, n_rows=60, sizes=(25, 25, 25, 25))
+    seen = _recorded_models(monkeypatch, problem, dct, b, cfg)
+    assert len(seen) >= 3
+    for sub, sol in seen:
+        a, h_a = sub.anchor, dct.gram @ sub.anchor + 2.0 * sub.shift * sub.anchor
+        if problem == "p1":
+            _, _, grad, grad_d = dense_objective_p1(dct, b, cfg, a, sub.anchor_d)
+            assert _rel_gap(sub.q_d, 2.0 * sub.shift_d * sub.anchor_d - grad_d) <= 1e-12
+        else:
+            grad, grad_d = dense_objective_p2(dct, b, cfg, a)[2], None
+        assert _rel_gap(sub.q, h_a - grad) <= 1e-12
+        ref = quad_value(sub, sol.x, sol.d, lin=grad, lin_d=grad_d)
+        assert model_value(sub, sol.x, sol.d) == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("problem", ["p1", "p2"])
+def test_solves_multiply_the_gram_matrix_only_by_a_model_step(monkeypatch, problem):
+    # G a cancels from the models' linear term and the fit's gradient is
+    # never read, so problem 2 never multiplies G and problem 1 only by
+    # the step dx = x - a of its value check
+    dct, b, cfg = make_problem(3, n_rows=60, sizes=(25, 25, 25, 25))
+    products = []
+
+    def recording(mat, x, symmetric=False):
+        products.append((mat, x.copy()))
+        return support_matvec(mat, x, symmetric)
+
+    monkeypatch.setattr(core, "support_matvec", recording)
+    monkeypatch.setattr(qp, "support_matvec", recording)
+    seen = _recorded_models(monkeypatch, problem, dct, b, cfg)
+    with_gram = [x for mat, x in products if mat is dct.gram]
+    assert products and len(seen) >= 3
+    if problem == "p2":
+        assert with_gram == []
+    else:
+        steps = [sol.x - sub.anchor for sub, sol in seen]
+        assert with_gram and all(any(np.array_equal(x, dx) for dx in steps) for x in with_gram)
