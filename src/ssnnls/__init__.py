@@ -16,8 +16,6 @@ from .core import (GroupedCoeffs, GroupedDictionary, ObjectiveEval, SparsityConf
                    eval_objective_p1, eval_objective_p2, normalize_columns)
 from .errors import ConfigError, DegenerateColumnError, NonConvergenceError, SsnnlsError
 from .penalties import PenaltyValue, diff_l1_l2, hoyer_ratio, huber
-from .projections import (SimplexMode, SimplexSpec, project_dummy_budget, project_group_floor,
-                          project_nonneg, project_simplex)
 from .qp import AdmmParams, QpSolution, QpSubproblem, solve_qp_p1, solve_qp_p2
 from .sgp import SgpParams, SolveReport, check_descent_estimate, solve_problem1, solve_problem2
 
@@ -27,10 +25,9 @@ __all__ = [
     "AdmmParams", "ConfigError", "DegenerateColumnError", "GroupedCoeffs",
     "GroupedDictionary", "NonConvergenceError", "ObjectiveEval", "PdParams",
     "PenaltyValue", "QpSolution", "QpSubproblem", "SgpParams",
-    "SimplexMode", "SimplexSpec", "SolveReport", "SparsityConfig", "SsnnlsError",
+    "SolveReport", "SparsityConfig", "SsnnlsError",
     "check_descent_estimate", "diff_l1_l2", "eval_objective_p1", "eval_objective_p2",
     "hoyer_ratio", "huber", "l1_bregman", "l1_penalized", "nnls", "normalize_columns",
-    "penalty_decomposition_l0", "project_dummy_budget", "project_group_floor",
-    "project_nonneg", "project_simplex", "solve_problem1", "solve_problem2",
+    "penalty_decomposition_l0", "solve_problem1", "solve_problem2",
     "solve_qp_p1", "solve_qp_p2",
 ]

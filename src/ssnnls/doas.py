@@ -507,6 +507,8 @@ def fit_doas(data: np.ndarray, ddict: DeformationDictionary,
         raise ConfigError(f"unknown solver {cfg.solver!r}; choose from {DOAS_SOLVERS}")
     if cfg.alpha < 0:
         raise ConfigError(f"alpha must be non-negative, got {cfg.alpha}")
+    if cfg.lstsq_draws < 1:
+        raise ConfigError(f"lstsq_draws must be at least 1, got {cfg.lstsq_draws}")
     if cfg.solver == "l1":
         if cfg.l1_tau is None:
             raise ConfigError("the l1 solver needs l1_tau")

@@ -36,7 +36,6 @@ import numpy as np
 import scipy.linalg
 import scipy.linalg.lapack
 
-from . import kernels
 from .core import SUPPORT_SHARE, support_matvec
 from .errors import NonConvergenceError
 
@@ -327,24 +326,19 @@ def solve_qp_p2(sub: QpSubproblem, free: Optional[FreeElimination] = None) -> Qp
 
 def _polish_dummies(x: np.ndarray, d: np.ndarray, sub: QpSubproblem) -> np.ndarray:
     # the active set meets the floors and the budget only to rounding, and
-    # entries it snaps to zero move them by up to that rounding; re-project
-    # d exactly, keeping each group floor satisfied at fixed x
-    m = sub.eps.size
-    floors = np.empty(m)
-    for j in range(m):
-        a, b = int(sub.offsets[j]), int(sub.offsets[j + 1])
-        floors[j] = max(0.0, float(sub.eps[j]) - float(np.sum(x[a:b])))
+    # entries it snaps to zero move them by up to that rounding; at fixed x,
+    # raise each dummy to its group's floor and scale the excess over the
+    # floors down to the slack the budget leaves (the sign-free tail is in
+    # no group)
+    floors = np.maximum(sub.eps - np.add.reduceat(x[:sub.offsets[-1]], sub.offsets[:-1]), 0.0)
     slack = sub.budget - float(np.sum(floors / sub.eps))
     if slack < 0:
         return d
-    e = d - floors
-    ec = np.maximum(e, 0.0)
-    if float(np.sum(ec / sub.eps)) <= slack:
-        return floors + ec
-    if slack == 0.0:
-        return floors.copy()
-    e = kernels.weighted_simplex_project(e, 1.0 / sub.eps, slack)
-    return floors + e
+    excess = np.maximum(d - floors, 0.0)
+    used = float(np.sum(excess / sub.eps))
+    if used <= slack:
+        return floors + excess
+    return floors + excess * (slack / used)
 
 
 # Problem 1's active set takes a step entry, or a constraint row's change
@@ -485,7 +479,7 @@ def solve_qp_p1(sub: QpSubproblem) -> QpSolution:
     sum(x_g_j) + d_j >= eps_j and the budget sum(d / eps) <= budget.  A
     sign-free tail is eliminated first (:func:`eliminate_free`), and the
     primal active set runs on the Schur complement.  The dummies are
-    re-projected at fixed x on exit, so the floors and the budget hold to
+    repaired at fixed x on exit, so the floors and the budget hold to
     rounding.  ``iterations`` counts the active set's passive-block solves;
     :class:`NonConvergenceError` after ``ACTIVE_SET_ITERS_PER_COLUMN``
     times (n + m) of them, ``ValueError`` from a model that is not strictly

@@ -32,7 +32,7 @@ import numpy as np
 
 from .core import (GroupedCoeffs, GroupedDictionary, SparsityConfig, checked_data,
                    eval_objective_p1, eval_objective_p2)
-from .errors import NonConvergenceError
+from .errors import ConfigError, NonConvergenceError
 from .qp import (QpSubproblem, eliminate_free, model_cholesky, model_value, solve_qp_p1,
                  solve_qp_p2)
 
@@ -74,6 +74,14 @@ class SgpParams:
     c_matrix_scale: float = 1e-9
     tol_energy: float = 1e-8
     max_outer: int = 500
+
+    def __post_init__(self):
+        if self.max_outer < 1:
+            raise ConfigError(f"max_outer must be at least 1, got {self.max_outer}")
+        for name in ("tol_energy", "c_matrix_scale"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and non-negative, got {value}")
 
 
 @dataclass

@@ -1,19 +1,15 @@
 """Slow, independent reference implementations used to check the package.
 
-Projections are solved by support enumeration (exact KKT solve per active
-set, feasible candidate with minimal distance wins); the QP solvers are
-checked against plain projected gradient, with Dykstra alternating
-projections supplying feasibility for the grouped problem, and problem
-2's step also against a Cholesky factor of the whole model Hessian with
-scipy's NNLS on it, on models too ill-conditioned for projected
-gradient; problem 1's step on degenerate, ill-conditioned one-material
-models and the penalized and constrained l1 baselines are checked
-against scipy's SLSQP.  The objectives are evaluated with dense
-products and one group at a time.  Nothing
-here shares code with the package beyond reading its data containers.
+The QP solvers are checked against plain projected gradient, with
+Dykstra alternating projections supplying feasibility for the grouped
+problem, and problem 2's step also against a Cholesky factor of the
+whole model Hessian with scipy's NNLS on it, on models too
+ill-conditioned for projected gradient; problem 1's step on degenerate,
+ill-conditioned one-material models and the penalized and constrained l1
+baselines are checked against scipy's SLSQP.  The objectives are
+evaluated with dense products and one group at a time.  Nothing here
+shares code with the package beyond reading its data containers.
 """
-
-import itertools
 
 import numpy as np
 import scipy.linalg
@@ -95,88 +91,6 @@ def dense_objective_p1(dct, b, cfg, x, d):
         penalty += cfg.gamma0 * value
         grad_x[:pre] += cfg.gamma0 * g
     return fit, penalty, grad_x, grad_d
-
-
-def project_weighted_simplex(v, weights, radius, mode):
-    """Projection onto {y >= 0, sum(w y) (=, <=, >=) radius} by enumeration.
-
-    For each candidate support the equality-constrained projection is
-    closed-form (y_i = v_i - theta w_i); the optimum must appear among the
-    feasible candidates, so the one at minimal distance is the projection.
-    """
-    v = np.asarray(v, dtype=float).ravel()
-    w = np.asarray(weights, dtype=float).ravel()
-    radius = float(radius)
-    clipped = np.maximum(v, 0.0)
-    total = float(w @ clipped)
-    if mode == "le" and total <= radius + 1e-15:
-        return clipped
-    if mode == "ge" and total >= radius - 1e-15:
-        return clipped
-    # constraint active: search the boundary sum(w y) = radius
-    best = None
-    best_dist = np.inf
-    if radius == 0.0:
-        best = np.zeros_like(v)
-        best_dist = float(np.sum(v ** 2))
-    for size in range(1, v.size + 1):
-        for sup in itertools.combinations(range(v.size), size):
-            sup = list(sup)
-            ws = w[sup]
-            theta = (ws @ v[sup] - radius) / (ws @ ws)
-            y_sup = v[sup] - theta * ws
-            if np.min(y_sup) < -1e-12:
-                continue
-            y = np.zeros_like(v)
-            y[sup] = np.maximum(y_sup, 0.0)
-            dist = float(np.sum((y - v) ** 2))
-            if dist < best_dist:
-                best, best_dist = y, dist
-    if best is None:
-        raise AssertionError("no feasible candidate; bad instance")
-    return best
-
-
-def project_group_floor_ref(v, eps):
-    """Projection onto {y >= 0, sum(y) >= eps}."""
-    v = np.asarray(v, dtype=float).ravel()
-    return project_weighted_simplex(v, np.ones_like(v), float(eps), "ge")
-
-
-def project_budget_ref(v, eps, budget, metric_diag=None):
-    """Projection onto {d >= 0, sum(d/eps) <= budget} in a diagonal metric.
-
-    Minimizes sum(m_i (d_i - v_i)^2) directly: on a support S with the
-    budget active, stationarity gives d_i = v_i - theta / (m_i eps_i) with
-    theta fixed by the budget equation over S.
-    """
-    v = np.asarray(v, dtype=float).ravel()
-    eps = np.asarray(eps, dtype=float).ravel()
-    m = np.ones_like(v) if metric_diag is None else np.asarray(metric_diag, float).ravel()
-    budget = float(budget)
-    if budget <= 0.0:
-        return np.zeros_like(v)
-    clipped = np.maximum(v, 0.0)
-    if float(np.sum(clipped / eps)) <= budget + 1e-15:
-        return clipped
-    best = None
-    best_dist = np.inf
-    for size in range(1, v.size + 1):
-        for sup in itertools.combinations(range(v.size), size):
-            sup = list(sup)
-            denom = float(np.sum(1.0 / (m[sup] * eps[sup] ** 2)))
-            theta = (float(np.sum(v[sup] / eps[sup])) - budget) / denom
-            d_sup = v[sup] - theta / (m[sup] * eps[sup])
-            if np.min(d_sup) < -1e-12 or theta < -1e-12:
-                continue
-            d = np.zeros_like(v)
-            d[sup] = np.maximum(d_sup, 0.0)
-            dist = float(np.sum(m * (d - v) ** 2))
-            if dist < best_dist:
-                best, best_dist = d, dist
-    if best is None:
-        best = np.zeros_like(v)
-    return best
 
 
 def subproblem(gram, lin, anchor, shift, lin_d=None, **grouped):

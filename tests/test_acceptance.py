@@ -20,17 +20,8 @@ from ssnnls.core import (GroupedCoeffs, GroupedDictionary, SparsityConfig,
                          eval_objective_p1, eval_objective_p2)
 from ssnnls.doas import (build_background_operator, quartic_background, sample_planted_coeffs,
                         synthesize_doas_data)
-from ssnnls.projections import (SimplexMode, SimplexSpec, project_dummy_budget,
-                                project_group_floor, project_simplex)
 from ssnnls.qp import solve_qp_p1, solve_qp_p2
 from ssnnls.sgp import SgpParams, solve_problem1, solve_problem2
-
-MODE_TO_REF = {
-    SimplexMode.EQUALITY: "eq",
-    SimplexMode.UPPER_BOUND: "le",
-    SimplexMode.LOWER_BOUND: "ge",
-}
-
 
 def _verdict(num, elapsed, limit, detail):
     print(f"[criterion {num}] PASS in {elapsed:.2f}s (limit {limit:.0f}s): {detail}")
@@ -142,63 +133,6 @@ def test_criterion_1_gradients_match_finite_differences():
     assert worst <= 1e-5
     _verdict(1, time.perf_counter() - t0, 5.0,
              f"max relative gradient error {worst:.2e} over 2x20 interior points")
-
-
-def test_criterion_2_projections_match_enumeration_oracles():
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(22)
-    modes = list(SimplexMode)
-    worst = 0.0
-
-    for i in range(200):
-        n = int(rng.integers(1, 11))
-        v = rng.normal(0.0, 2.0, n)
-        w = rng.uniform(0.2, 2.0, n) if i % 2 else None
-        mode = modes[i % 3]
-        radius = float(rng.uniform(0.1, 3.0))
-        spec = SimplexSpec(radius, weights=w, mode=mode)
-        got = project_simplex(v, spec)
-        ref = oracles.project_weighted_simplex(
-            v, np.ones(n) if w is None else w, radius, MODE_TO_REF[mode])
-        worst = max(worst, float(np.max(np.abs(got - ref))))
-        assert float(np.max(np.abs(project_simplex(got, spec) - got))) <= 1e-12
-        u = rng.normal(0.0, 2.0, n)
-        pu = project_simplex(u, spec)
-        assert np.linalg.norm(pu - got) <= np.linalg.norm(u - v) + 1e-10
-
-    for _ in range(200):
-        n = int(rng.integers(1, 11))
-        v = rng.normal(0.0, 1.0, n)
-        eps = float(rng.uniform(0.01, 1.0))
-        got = project_group_floor(v, eps)
-        worst = max(worst, float(np.max(np.abs(
-            got - oracles.project_group_floor_ref(v, eps)))))
-        assert float(np.max(np.abs(project_group_floor(got, eps) - got))) <= 1e-12
-        u = rng.normal(0.0, 1.0, n)
-        pu = project_group_floor(u, eps)
-        assert np.linalg.norm(pu - got) <= np.linalg.norm(u - v) + 1e-10
-
-    for i in range(200):
-        m = int(rng.integers(1, 11))
-        v = rng.normal(0.05, 0.4, m)
-        eps = rng.uniform(0.02, 0.5, m)
-        budget = float(rng.uniform(0.0, m))
-        metric = rng.uniform(0.3, 3.0, m) if i % 2 else None
-        got = project_dummy_budget(v, eps, budget, metric)
-        worst = max(worst, float(np.max(np.abs(
-            got - oracles.project_budget_ref(v, eps, budget, metric)))))
-        assert float(np.max(np.abs(
-            project_dummy_budget(got, eps, budget, metric) - got))) <= 1e-12
-        u = rng.normal(0.05, 0.4, m)
-        pu = project_dummy_budget(u, eps, budget, metric)
-        scale = np.ones(m) if metric is None else np.sqrt(metric)
-        # nonexpansive in the metric the projection minimises
-        assert (np.linalg.norm(scale * (pu - got))
-                <= np.linalg.norm(scale * (u - v)) + 1e-10)
-
-    assert worst <= 1e-7
-    _verdict(2, time.perf_counter() - t0, 30.0,
-             f"max oracle gap {worst:.2e} over 3x200 instances")
 
 
 def test_criterion_3_qp_solvers_match_projected_gradient_oracles():

@@ -197,6 +197,28 @@ def test_main_infinite_weight_exits_2(tmp_path, capsys):
     assert "must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("experiment, solver, knob, value, field", [
+    ("doas-align", "diff_p2", "max_outer", -3, "max_outer"),
+    ("doas-align", "diff_p2", "max_outer", 0, "max_outer"),
+    ("doas-align", "diff_p2", "tol_energy", -1, "tol_energy"),
+    ("doas-align", "hoyer_p1", "c_scale", -1e-9, "c_matrix_scale"),
+    ("doas-background", "lstsq", "lstsq_draws", 0, "lstsq_draws"),
+    ("doas-background", "lstsq", "lstsq_draws", -2, "lstsq_draws"),
+])
+def test_main_bad_solver_setting_exits_2(tmp_path, capsys, experiment, solver, knob, value,
+                                         field):
+    # each is rejected naming its field before a solve; the first five once
+    # exited 0 (no outer step, or NaN or zero magnitudes), and c_scale failed
+    # inside the first model solve
+    cfg = tmp_path / "knobs.json"
+    cfg.write_text(json.dumps({knob: value}))
+    code = main(["--experiment", experiment, "--scale", "4", "--solver", solver,
+                 "--config", str(cfg)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and field in err
+
+
 @pytest.mark.parametrize("knobs", [
     {"noise_sd": 0.0, "admm_tol": 1e-14, "admm_max_iters": 3, "gama_p1": 5},
     {"threads": 2},

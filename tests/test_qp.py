@@ -128,6 +128,29 @@ def test_solve_qp_p1_exact_on_one_material_inter_group_models():
         _assert_exact_and_feasible(sub, solve_qp_p1(sub))
 
 
+def test_dummy_repair_meets_floors_and_budget_beside_a_sign_free_tail():
+    # the active set can leave d over the budget by a few rounding units;
+    # the repair must meet every floor and the budget while moving d by no
+    # more than that, and count no part of the sign-free tail (-0.05 here)
+    # in the last group's floor, which d meets exactly
+    ulp = np.finfo(float).eps
+    offsets, eps = np.array([0, 2, 4]), np.array([0.5, 0.5])
+    x = np.array([0.3, 0.1, 0.2, 0.2, -0.05, 0.0])
+    sums = np.array([x[0:2].sum(), x[2:4].sum()])
+    d = eps - sums + np.array([0.3, 0.0])
+    budget = float(np.sum(d / eps)) * (1.0 - 8.0 * ulp)
+    sub = QpSubproblem(gram=np.eye(6), q=np.zeros(6), anchor=x, shift=np.ones(6), n_free=2,
+                       offsets=offsets, eps=eps, anchor_d=d, q_d=np.zeros(2),
+                       shift_d=np.ones(2), budget=budget)
+    sub.validate(grouped=True)
+    assert np.sum(d / eps) > budget * (1.0 + 2.0 * ulp)
+    got = qp._polish_dummies(x, d, sub)
+    assert np.min(got) >= 0.0
+    assert np.all(sums + got >= eps * (1.0 - 2.0 * ulp))
+    assert np.sum(got / eps) <= budget * (1.0 + 2.0 * ulp)
+    assert np.max(np.abs(got - d)) <= 1e-14 * np.max(np.abs(d))
+
+
 def _warm_start_cases(kind):
     """(h, diag, q, start, cold minimiser, cold iterations) from sparse and near-duplicate models.
 

@@ -6,7 +6,7 @@ from numpy.random import default_rng
 
 from ssnnls.core import (SUPPORT_SHARE, GroupedCoeffs, GroupedDictionary, SparsityConfig,
                          eval_objective_p1, eval_objective_p2, support_matvec)
-from ssnnls.errors import NonConvergenceError
+from ssnnls.errors import ConfigError, NonConvergenceError
 from ssnnls import core, sgp
 from ssnnls import qp
 from ssnnls.qp import QpSolution, model_value
@@ -179,6 +179,15 @@ def test_problem2_singular_model_is_a_value_error():
     cfg = SparsityConfig(gamma=np.full(3, 0.05), gamma0=0.0, eps=np.full(3, 0.05), r=1.0)
     with pytest.raises(ValueError, match="c_matrix_scale"):
         solve_problem2(dct, rng.normal(size=5), cfg, SgpParams(c_matrix_scale=0.0))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_outer", 0), ("max_outer", -3), ("tol_energy", -1.0), ("tol_energy", np.inf),
+    ("tol_energy", np.nan), ("c_matrix_scale", -1e-9), ("c_matrix_scale", np.inf),
+])
+def test_sgp_params_reject_bad_settings(field, value):
+    with pytest.raises(ConfigError, match=field):
+        SgpParams(**{field: value})
 
 
 def test_problem2_trace_bookkeeping(monkeypatch):

@@ -4,7 +4,8 @@ The tracer counts factorisations by replacing ``scipy.linalg.cho_factor``
 and wraps the other layers by the names their callers look up; a refactor
 that binds one of them elsewhere would leave a traced run counting zero.
 Problem 2 calls ``cho_factor`` only to eliminate a sign-free tail; its
-active set factors passive blocks with ``np.linalg.cholesky``.
+active set factors passive blocks with LAPACK ``dpotrf`` through
+``qp.model_cholesky``.
 The l1 baseline factors with ``scipy.linalg.cholesky``, so its solves show
 as ``baselines.l1_penalized`` spans and never as problem-2 factorisations.
 """
