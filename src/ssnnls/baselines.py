@@ -198,7 +198,7 @@ def penalty_decomposition_l0(dct: GroupedDictionary, b: np.ndarray, cfg: Sparsit
     projection of y onto the per-group constraint (keep the largest entry
     of each group, clipped to be non-negative; ties take the lowest
     index), increasing the coupling penalty rho geometrically until x and
-    y agree to ``tol_outer``.  Free groups are copied, not thresholded.
+    y agree to ``tol_outer``.  A sign-free tail is copied, not thresholded.
     Returns the structured side y, which satisfies the group constraint
     exactly.
 
@@ -210,15 +210,14 @@ def penalty_decomposition_l0(dct: GroupedDictionary, b: np.ndarray, cfg: Sparsit
     b = as_data_vector(b, dct.n_rows)
     entries = dct.entries
     n = dct.n_columns
-    n_con = cfg.n_constrained(dct.n_groups)
 
     if isinstance(init, str):
         kind = init.lower()
         if kind == "zero":
             y = np.zeros(n)
         elif kind == "nnls":
-            if cfg.free_groups:
-                raise ConfigError("nnls initialisation is undefined with sign-free groups")
+            if dct.n_free:
+                raise ConfigError("nnls initialisation is undefined with a sign-free tail")
             y = nnls(entries, b)
         elif kind in ("lstsq", "leastsquares"):
             y = np.linalg.lstsq(entries, b, rcond=None)[0]
@@ -231,8 +230,7 @@ def penalty_decomposition_l0(dct: GroupedDictionary, b: np.ndarray, cfg: Sparsit
         y = y.copy()
 
     # one symmetric eigendecomposition serves every rho
-    gram = entries.T @ entries
-    evals, evecs = np.linalg.eigh(gram)
+    evals, evecs = np.linalg.eigh(dct.gram)
     atb = entries.T @ b
     qtb = evecs.T @ atb
 
@@ -242,7 +240,7 @@ def penalty_decomposition_l0(dct: GroupedDictionary, b: np.ndarray, cfg: Sparsit
         for _ in range(PD_MAX_INNER):
             x_new = evecs @ ((qtb + rho * (evecs.T @ y)) / (evals + rho))
             y_new = x_new.copy()
-            for j in range(n_con):
+            for j in range(dct.n_groups):
                 sl = dct.group_slice(j)
                 seg = x_new[sl]
                 best = int(np.argmax(seg))

@@ -30,9 +30,10 @@ import numpy as np
 
 from .baselines import PdParams
 from .core import SparsityConfig
-from .doas import (DOAS_SOLVERS, DeformationGrid, DoasFitConfig, build_deformation_dictionary,
-                   deformed_column, quartic_background, sample_planted_coeffs,
-                   synthesize_doas_data, synthesize_references, fit_doas, wavelength_grid)
+from .doas import (DOAS_SOLVERS, ZERO_TOL, DeformationGrid, DoasFitConfig,
+                   build_deformation_dictionary, deformed_column, quartic_background,
+                   sample_planted_coeffs, synthesize_doas_data, synthesize_references,
+                   fit_doas, wavelength_grid)
 from .errors import ConfigError, NonConvergenceError
 from .hsi import (HSI_SOLVERS, compute_metrics, demix_scene, synthesize_endmember_library,
                   synthesize_mixed_scene)
@@ -140,7 +141,7 @@ def _doas_protocol(cfg: ExperimentConfig):
     return wl, refs, ddict, seed_plant, seed_noise, seed_jitter
 
 
-def _selection_metrics(result, planted_info, ddict, zero_tol=1e-6):
+def _selection_metrics(result, planted_info, ddict):
     hits = 0
     rows = []
     for sel, (g, local, mag) in zip(result.selections, planted_info):
@@ -153,7 +154,7 @@ def _selection_metrics(result, planted_info, ddict, zero_tol=1e-6):
             "true_slope": true_slope, "true_offset": true_offset,
             "support_size": sel.support_size, "hit": bool(hit),
         })
-    nnz = int(np.sum(np.abs(result.coeffs.x) > zero_tol))
+    nnz = int(np.sum(np.abs(result.coeffs.x) > ZERO_TOL))
     return {
         "groups": rows,
         "support_hits": hits,

@@ -1,16 +1,16 @@
 """Grouped dictionaries, coefficient containers, and objective evaluation.
 
 The data model: a dictionary matrix whose columns are partitioned into
-contiguous groups, a coefficient vector (optionally with one dummy
-variable per constrained group), and a sparsity configuration holding the
-per-group weights and floors.  Groups listed in ``free_groups`` are
-sign-unconstrained and unpenalised (used for background blocks); they
-must be trailing.
+contiguous groups followed by ``n_free`` trailing columns that belong to
+no group, a coefficient vector (optionally with one dummy variable per
+group), and a sparsity configuration holding the per-group weights and
+floors.  The trailing columns, a sign-free tail, are sign-unconstrained
+and unpenalised (the background block of a spectral fit).
 
 Two objectives are evaluated here:
 
 * problem 1: least squares plus weighted Hoyer ratios over the stacked
-  ``(x_j, d_j)`` groups and optionally over the full constrained block,
+  ``(x_j, d_j)`` groups and optionally over all grouped columns,
 * problem 2: least squares plus weighted smoothed ``l1 - l2`` differences.
 
 Both cost what the support of x costs: the residual is ``A[:, S] x_S - b``
@@ -55,29 +55,35 @@ SUPPORT_MIN_ENTRIES = 1 << 16
 
 @dataclass(frozen=True)
 class GroupedDictionary:
-    """Dictionary matrix with contiguous column groups.
+    """Dictionary matrix with contiguous column groups and a sign-free tail.
 
     ``offsets`` has length ``n_groups + 1`` with ``offsets[0] == 0`` and
-    ``offsets[-1] == n_columns``; group j owns columns
-    ``offsets[j]:offsets[j+1]``.
+    ``offsets[-1] == n_columns - n_free``; group j owns columns
+    ``offsets[j]:offsets[j+1]``.  The last ``n_free`` columns belong to
+    no group: the solvers leave them sign-free and unpenalised.
     """
 
     entries: np.ndarray
     offsets: np.ndarray
+    n_free: int = 0
 
     def __post_init__(self):
         entries = np.ascontiguousarray(np.asarray(self.entries, dtype=float))
         offsets = np.asarray(self.offsets, dtype=np.int64)
+        n_free = int(self.n_free)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "n_free", n_free)
         if entries.ndim != 2:
             raise ValueError(f"entries must be 2-d, got shape {entries.shape}")
+        if not 0 <= n_free <= entries.shape[1]:
+            raise ValueError(f"n_free must be in 0..{entries.shape[1]}, got {n_free}")
         if offsets.ndim != 1 or offsets.size < 2:
-            raise ValueError("offsets must hold at least [0, n_columns]")
-        if offsets[0] != 0 or offsets[-1] != entries.shape[1]:
+            raise ValueError("offsets must hold at least [0, n_columns - n_free]")
+        if offsets[0] != 0 or offsets[-1] != entries.shape[1] - n_free:
             raise ValueError(
-                f"offsets must run from 0 to n_columns={entries.shape[1]}, got "
-                f"{offsets[0]}..{offsets[-1]}"
+                f"offsets must run from 0 to n_columns - n_free="
+                f"{entries.shape[1] - n_free}, got {offsets[0]}..{offsets[-1]}"
             )
         if np.any(np.diff(offsets) <= 0):
             raise ValueError("group offsets must be strictly increasing")
@@ -124,7 +130,7 @@ class GroupedDictionary:
 
 @dataclass
 class GroupedCoeffs:
-    """Coefficient vector, with one dummy per constrained group when present."""
+    """Coefficient vector, with one dummy per group when present."""
 
     x: np.ndarray
     d: Optional[np.ndarray] = None
@@ -140,86 +146,53 @@ class GroupedCoeffs:
 
 @dataclass
 class SparsityConfig:
-    """Penalty weights, group floors, and structural options.
+    """Penalty weights, group floors and budget slack of a dictionary's groups.
+
+    A dictionary's sign-free tail belongs to no group and has no entry here.
 
     Parameters
     ----------
     gamma : array, shape (n_groups,)
-        Intra-group penalty weights, >= 0.  Must be 0 for free groups.
+        Intra-group penalty weights, >= 0.
     gamma0 : float
-        Inter-group penalty weight, >= 0.  Must be 0 when free groups
-        are present.
+        Inter-group penalty weight, >= 0; problem 2 smooths its term with
+        the radius ``min(eps)``.
     eps : array, shape (n_groups,)
-        Per-group floors (problem 1) and smoothing radii (problem 2),
-        > 0 for constrained groups.
-    eps0 : float, optional
-        Smoothing radius of the inter-group term in problem 2; defaults
-        to ``min(eps)`` over constrained groups.
+        Per-group floors (problem 1) and smoothing radii (problem 2), > 0.
     r : float
-        Dummy budget slack: the budget is ``n_constrained_groups - r``.
-    free_groups : tuple of int
-        Trailing groups that are sign-unconstrained and unpenalised.
+        Dummy budget slack: the budget is ``n_groups - r``.
     """
 
     gamma: np.ndarray
     gamma0: float
     eps: np.ndarray
-    eps0: Optional[float] = None
     r: float = 0.0
-    free_groups: Tuple[int, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
         self.gamma = np.atleast_1d(np.asarray(self.gamma, dtype=float))
         self.eps = np.atleast_1d(np.asarray(self.eps, dtype=float))
         self.gamma0 = float(self.gamma0)
         self.r = float(self.r)
-        self.free_groups = tuple(int(j) for j in self.free_groups)
 
     def validate(self, n_groups: int) -> None:
         if self.gamma.shape != (n_groups,):
             raise ValueError(f"gamma must have shape ({n_groups},), got {self.gamma.shape}")
         if self.eps.shape != (n_groups,):
             raise ValueError(f"eps must have shape ({n_groups},), got {self.eps.shape}")
-        scalars = (self.gamma0, self.r, 0.0 if self.eps0 is None else float(self.eps0))
         if not (np.isfinite(self.gamma).all() and np.isfinite(self.eps).all()
-                and all(map(math.isfinite, scalars))):
-            raise ConfigError("gamma, gamma0, eps, eps0 and r must be finite")
+                and math.isfinite(self.gamma0) and math.isfinite(self.r)):
+            raise ConfigError("gamma, gamma0, eps and r must be finite")
         if np.any(self.gamma < 0) or self.gamma0 < 0:
             raise ConfigError("penalty weights must be non-negative")
-        free = set(self.free_groups)
-        if free:
-            if any(j < 0 or j >= n_groups for j in free):
-                raise ConfigError(f"free group index out of range 0..{n_groups - 1}")
-            n_con = n_groups - len(free)
-            if free != set(range(n_con, n_groups)):
-                raise ConfigError("free groups must be the trailing groups")
-            if np.any(self.gamma[list(free)] != 0.0):
-                raise ConfigError("free groups must carry zero intra-group weight")
-            if self.gamma0 != 0.0:
-                raise ConfigError("inter-group weight must be zero when free groups are present")
-        con = self.constrained_groups(n_groups)
-        if np.any(self.eps[con] <= 0):
-            raise ConfigError("group floors must be positive for constrained groups")
+        if np.any(self.eps <= 0):
+            raise ConfigError("group floors must be positive")
         if self.r < 0:
             raise ConfigError("budget slack r must be non-negative")
-        if self.r > len(con):
-            raise ConfigError("budget slack r exceeds the number of constrained groups")
-
-    def constrained_groups(self, n_groups: int) -> np.ndarray:
-        free = set(self.free_groups)
-        return np.array([j for j in range(n_groups) if j not in free], dtype=np.int64)
-
-    def n_constrained(self, n_groups: int) -> int:
-        return n_groups - len(self.free_groups)
+        if self.r > n_groups:
+            raise ConfigError("budget slack r exceeds the number of groups")
 
     def budget(self, n_groups: int) -> float:
-        return self.n_constrained(n_groups) - self.r
-
-    def eps0_value(self, n_groups: int) -> float:
-        if self.eps0 is not None:
-            return float(self.eps0)
-        con = self.constrained_groups(n_groups)
-        return float(np.min(self.eps[con]))
+        return n_groups - self.r
 
 
 @dataclass
@@ -326,16 +299,12 @@ def eval_objective_p2(dct: GroupedDictionary, b: np.ndarray, coeffs: GroupedCoef
     x = _checked_x(dct, coeffs)
     resid, fit = _least_squares(dct, b, x)
 
-    n_con = cfg.n_constrained(dct.n_groups)
-    pre = int(dct.offsets[n_con])
-    penalty, grad = 0.0, np.zeros(x.size)
-    if n_con:
-        pv = diff_l1_l2_groups(x[:pre], dct.offsets[:n_con + 1], cfg.eps[:n_con],
-                               cfg.gamma[:n_con])
-        penalty += pv.value
-        grad[:pre] += pv.grad
+    pre = int(dct.offsets[-1])
+    pv = diff_l1_l2_groups(x[:pre], dct.offsets, cfg.eps, cfg.gamma)
+    penalty, grad = pv.value, np.zeros(x.size)
+    grad[:pre] += pv.grad
     if cfg.gamma0 > 0.0:
-        pv = diff_l1_l2(x[:pre], cfg.eps0_value(dct.n_groups))
+        pv = diff_l1_l2(x[:pre], float(np.min(cfg.eps)))
         penalty += cfg.gamma0 * pv.value
         grad[:pre] += cfg.gamma0 * pv.grad
 
@@ -346,28 +315,26 @@ def eval_objective_p1(dct: GroupedDictionary, b: np.ndarray, coeffs: GroupedCoef
                       cfg: SparsityConfig, atb: Optional[np.ndarray] = None) -> ObjectiveEval:
     """Least squares plus weighted Hoyer ratios over stacked groups (problem 1).
 
-    Requires dummies on the constrained groups; each stacked vector
+    Requires one dummy per group; each stacked vector
     ``(x_j, d_j)`` must be nonzero for the ratio to be defined.  ``atb``
     is as for :func:`eval_objective_p2`.
     """
     if atb is None:
         b, atb = checked_data(dct, b, cfg)
     x = _checked_x(dct, coeffs)
-    n_con = cfg.n_constrained(dct.n_groups)
+    m = dct.n_groups
     if coeffs.d is None:
         raise ValueError("problem 1 requires dummy variables")
     d = coeffs.d
-    if d.shape != (n_con,):
-        raise ValueError(f"d must have shape ({n_con},), got {d.shape}")
+    if d.shape != (m,):
+        raise ValueError(f"d must have shape ({m},), got {d.shape}")
     resid, fit = _least_squares(dct, b, x)
 
-    pre = int(dct.offsets[n_con])
-    penalty, grad_x, grad_d = 0.0, np.zeros(x.size), np.zeros(n_con)
-    if n_con:
-        pv = hoyer_ratio_groups(x[:pre], d, dct.offsets[:n_con + 1], cfg.gamma[:n_con])
-        penalty += pv.value
-        grad_x[:pre] += pv.grad[:pre]
-        grad_d = pv.grad[pre:]
+    pre = int(dct.offsets[-1])
+    pv = hoyer_ratio_groups(x[:pre], d, dct.offsets, cfg.gamma)
+    penalty, grad_x = pv.value, np.zeros(x.size)
+    grad_x[:pre] += pv.grad[:pre]
+    grad_d = pv.grad[pre:]
     if cfg.gamma0 > 0.0:
         pv = hoyer_ratio(x[:pre])
         penalty += cfg.gamma0 * pv.value

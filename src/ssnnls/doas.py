@@ -9,10 +9,10 @@ Each reference is expanded into a group of columns, one per (slope p,
 offset q) grid point, so misalignment becomes a structured-sparsity
 problem: pick (at most) one deformation per reference.  The background
 is handled by stacking a roughness operator underneath the system and
-leaving the background block sign-free and unpenalised.
+leaving the background block sign-free and unpenalised: it is the
+dictionary's trailing ``n_free`` columns, which belong to no group.
 """
 
-import dataclasses
 import json
 import os
 from dataclasses import dataclass, field
@@ -32,6 +32,9 @@ WAVELENGTH_START = 340.0
 WAVELENGTH_STEP = 0.04038
 
 DOAS_SOLVERS = ("nnls", "l1", "pd", "lstsq", "hoyer_p1", "diff_p2")
+
+# A fitted coefficient counts toward its group's support above this.
+ZERO_TOL = 1e-6
 
 
 def wavelength_grid(n_samples: int) -> np.ndarray:
@@ -402,8 +405,10 @@ class DoasFitConfig:
     """Solver choice and model weights for one fit.
 
     ``sparsity`` covers the reference groups only; when ``alpha > 0`` the
-    background block is appended internally as a trailing sign-free
-    group, which requires ``sparsity.gamma0 == 0``.  "hoyer_p1" and
+    background block, with the roughness operator of
+    :func:`build_background_operator`, is appended internally as the
+    dictionary's sign-free tail (``GroupedDictionary.n_free``), which
+    requires ``sparsity.gamma0 == 0``.  "hoyer_p1" and
     "diff_p2" solve their models exactly; ``admm`` is retired and ignored
     (see :class:`ssnnls.qp.AdmmParams`).  ``l1_tau`` is
     the residual radius of "l1" (:func:`ssnnls.baselines.l1_bregman`, a
@@ -414,7 +419,6 @@ class DoasFitConfig:
     sparsity: SparsityConfig
     solver: str = "diff_p2"
     alpha: float = 0.0
-    background_exponent: float = 2.0
     sgp: SgpParams = field(default_factory=SgpParams)
     admm: AdmmParams = field(default_factory=AdmmParams)
     pd: PdParams = field(default_factory=PdParams)
@@ -422,7 +426,6 @@ class DoasFitConfig:
     l1_tau: Optional[float] = None
     lstsq_draws: int = 1000
     seed: int = 0
-    zero_tol: float = 1e-6
 
 
 @dataclass
@@ -441,55 +444,42 @@ class DoasFitResult:
     report: Optional[SolveReport] = None
 
 
-def _stacked_system(ddict: DeformationDictionary, data: np.ndarray, cfg: DoasFitConfig):
+def _stacked_system(ddict: DeformationDictionary, data: np.ndarray, alpha: float):
+    """The background fit as one system ``[A I; 0 sqrt(alpha) Q] z = [data; 0]``.
+
+    Returns the dictionary of the normalised stacked columns, whose last
+    w columns (the background) are its sign-free tail, the stacked data,
+    and the column scales.
+    """
     a = ddict.dictionary.entries
     w, n = a.shape
-    bg_op = build_background_operator(w, cfg.background_exponent)
     top = np.hstack([a, np.eye(w)])
-    bot = np.hstack([np.zeros((w - 2, n)), np.sqrt(cfg.alpha) * bg_op.matrix])
-    stacked, st_scales = normalize_columns(np.vstack([top, bot]))
-    offsets = np.append(ddict.dictionary.offsets, n + w).astype(np.int64)
-    sdict = GroupedDictionary(stacked, offsets)
-    m = ddict.n_groups
-    scfg = dataclasses.replace(
-        cfg.sparsity,
-        gamma=np.append(cfg.sparsity.gamma, 0.0),
-        eps=np.append(cfg.sparsity.eps, 1.0),
-        free_groups=(m,))
-    b_st = np.concatenate([data, np.zeros(w - 2)])
-    return sdict, scfg, b_st, st_scales
+    bot = np.hstack([np.zeros((w - 2, n)),
+                     np.sqrt(alpha) * build_background_operator(w).matrix])
+    stacked, scales = normalize_columns(np.vstack([top, bot]))
+    return (GroupedDictionary(stacked, ddict.dictionary.offsets, n_free=w),
+            np.concatenate([data, np.zeros(w - 2)]), scales)
 
 
-def _lstsq_oracle(ddict: DeformationDictionary, data: np.ndarray, cfg: DoasFitConfig):
-    """Average plain least-squares estimates over random one-atom-per-group draws."""
+def _lstsq_oracle(dct: GroupedDictionary, b: np.ndarray, scales: np.ndarray,
+                  cfg: DoasFitConfig):
+    """Average plain least-squares estimates over random one-atom-per-group draws.
+
+    Each draw solves on one column of every group of ``dct`` plus its
+    sign-free tail and divides by those columns' ``scales``.  Returns the
+    mean group magnitudes and the mean tail (None without a tail).
+    """
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    a = ddict.dictionary.entries
-    w, _ = a.shape
-    m = ddict.n_groups
-    sizes = ddict.dictionary.group_sizes()
-    if cfg.alpha > 0:
-        bg_op = build_background_operator(w, cfg.background_exponent)
-        bot_bg = np.sqrt(cfg.alpha) * bg_op.matrix
-        rhs = np.concatenate([data, np.zeros(w - 2)])
-    else:
-        rhs = data
-    mags = np.zeros(m)
-    bg = np.zeros(w)
+    offsets, sizes = dct.offsets, dct.group_sizes()
+    tail = np.arange(dct.n_columns - dct.n_free, dct.n_columns)
+    m = dct.n_groups
+    total = np.zeros(m + tail.size)
     for _ in range(cfg.lstsq_draws):
-        picks = [int(ddict.dictionary.offsets[j]) + int(rng.integers(sizes[j])) for j in range(m)]
-        cols = a[:, picks]
-        if cfg.alpha > 0:
-            design = np.vstack([np.hstack([cols, np.eye(w)]),
-                                np.hstack([np.zeros((w - 2, m)), bot_bg])])
-        else:
-            design = cols
-        sol = np.linalg.lstsq(design, rhs, rcond=None)[0]
-        mags += sol[:m]
-        if cfg.alpha > 0:
-            bg += sol[m:]
-    mags /= cfg.lstsq_draws
-    bg = bg / cfg.lstsq_draws if cfg.alpha > 0 else None
-    return mags, bg
+        picks = [int(offsets[j]) + int(rng.integers(sizes[j])) for j in range(m)]
+        cols = np.concatenate([picks, tail])
+        total += np.linalg.lstsq(dct.entries[:, cols], b, rcond=None)[0] / scales[cols]
+    total /= cfg.lstsq_draws
+    return total[:m], (total[m:] if tail.size else None)
 
 
 def fit_doas(data: np.ndarray, ddict: DeformationDictionary,
@@ -517,9 +507,16 @@ def fit_doas(data: np.ndarray, ddict: DeformationDictionary,
     cfg.sparsity.validate(dct.n_groups)
     n = dct.n_columns
     m = ddict.n_groups
+    if cfg.alpha > 0:
+        if cfg.sparsity.gamma0 != 0.0:
+            raise ConfigError("the inter-group weight gamma0 must be zero when alpha > 0 "
+                              "appends the sign-free background")
+        sdict, b_st, st_scales = _stacked_system(ddict, data, cfg.alpha)
+    else:
+        sdict, b_st, st_scales = dct, data, np.ones(n)
 
     if cfg.solver == "lstsq":
-        mags, bg = _lstsq_oracle(ddict, data, cfg)
+        mags, bg = _lstsq_oracle(sdict, b_st, st_scales, cfg)
         x = np.zeros(n)
         selections = [GroupSelection(j, ddict.names[j], float(mags[j]),
                                      float("nan"), float("nan"), 0) for j in range(m)]
@@ -527,23 +524,18 @@ def fit_doas(data: np.ndarray, ddict: DeformationDictionary,
         return DoasFitResult(GroupedCoeffs(x), GroupedCoeffs(x / ddict.scales), bg,
                              selections, resid, None)
 
-    if cfg.alpha > 0:
-        sdict, scfg, b_st, st_scales = _stacked_system(ddict, data, cfg)
-    else:
-        sdict, scfg, b_st, st_scales = dct, cfg.sparsity, data, np.ones(n)
-
     report: Optional[SolveReport] = None
     if cfg.solver == "nnls":
         x_full = nnls(sdict.entries, b_st)
     elif cfg.solver == "l1":
         x_full = l1_bregman(sdict, b_st, l1_tau)
     elif cfg.solver == "pd":
-        x_full = penalty_decomposition_l0(sdict, b_st, scfg, cfg.pd, cfg.pd_init).x
+        x_full = penalty_decomposition_l0(sdict, b_st, cfg.sparsity, cfg.pd, cfg.pd_init).x
     elif cfg.solver == "hoyer_p1":
-        report = solve_problem1(sdict, b_st, scfg, cfg.sgp)
+        report = solve_problem1(sdict, b_st, cfg.sparsity, cfg.sgp)
         x_full = report.final.x
     else:  # diff_p2
-        report = solve_problem2(sdict, b_st, scfg, cfg.sgp)
+        report = solve_problem2(sdict, b_st, cfg.sparsity, cfg.sgp)
         x_full = report.final.x
 
     x = x_full[:n]
@@ -553,7 +545,7 @@ def fit_doas(data: np.ndarray, ddict: DeformationDictionary,
     for j in range(m):
         sl = dct.group_slice(j)
         seg = x[sl]
-        nz = int(np.sum(np.abs(seg) > cfg.zero_tol))
+        nz = int(np.sum(np.abs(seg) > ZERO_TOL))
         if nz:
             local = int(np.argmax(np.abs(seg)))
             slope, offset = ddict.grid.deformation(local)

@@ -46,7 +46,7 @@ class AdmmParams:
 
     Both fields are inert; no solver reads them.  The class stays while
     the benchmark's workloads still pass it to ``demix_scene(admm=)`` and
-    ``DoasFitConfig(admm=)`` (ROADMAP item 4).
+    ``DoasFitConfig(admm=)`` (ROADMAP item 1).
     """
 
     tol: float = 1e-4
@@ -126,7 +126,7 @@ class QpWorkspace:
     """Retired: no solver uses it.
 
     Kept with :meth:`kinv` while the benchmark's tracer patches that name
-    (ROADMAP item 4).
+    (ROADMAP item 1).
     """
 
     def __init__(self, gram: np.ndarray):

@@ -25,6 +25,7 @@ what its support costs.  A step that cannot descend ends either run as
 :class:`~ssnnls.errors.NonConvergenceError` propagates.
 """
 
+import numbers
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -76,8 +77,9 @@ class SgpParams:
     max_outer: int = 500
 
     def __post_init__(self):
-        if self.max_outer < 1:
-            raise ConfigError(f"max_outer must be at least 1, got {self.max_outer}")
+        if not isinstance(self.max_outer, numbers.Integral) or self.max_outer < 1:
+            raise ConfigError(f"max_outer must be a whole number of at least 1, "
+                              f"got {self.max_outer!r}")
         for name in ("tol_energy", "c_matrix_scale"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0):
@@ -109,11 +111,11 @@ def _default_x0(n: int) -> np.ndarray:
 
 
 def _checked_init(init: Optional[GroupedCoeffs], n: int,
-                  n_con: Optional[int] = None) -> Optional[GroupedCoeffs]:
+                  n_groups: Optional[int] = None) -> Optional[GroupedCoeffs]:
     """A copy of ``init``, or None; ValueError naming ``init`` unless it fits the problem.
 
-    x must hold n finite values.  With ``n_con`` (problem 1) a given d
-    must hold n_con finite values; otherwise d is dropped.
+    x must hold n finite values.  With ``n_groups`` (problem 1) a given d
+    must hold n_groups finite values; otherwise d is dropped.
     """
     if init is None:
         return None
@@ -122,11 +124,11 @@ def _checked_init(init: Optional[GroupedCoeffs], n: int,
         raise ValueError(f"init must have {n} coefficients, got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("init coefficients must be finite")
-    if n_con is None or init.d is None:
+    if n_groups is None or init.d is None:
         return GroupedCoeffs(x)
     d = init.d.astype(float)
-    if d.shape != (n_con,):
-        raise ValueError(f"init must have {n_con} dummies, got {d.shape}")
+    if d.shape != (n_groups,):
+        raise ValueError(f"init must have {n_groups} dummies, got {d.shape}")
     if not np.all(np.isfinite(d)):
         raise ValueError("init dummies must be finite")
     return GroupedCoeffs(x, d)
@@ -141,19 +143,19 @@ def _feasible_p1_init(dct: GroupedDictionary, cfg: SparsityConfig,
     meets every floor, and d is scaled down onto the budget when
     sum(d / eps) exceeds it.
     """
-    n_con = cfg.n_constrained(dct.n_groups)
-    pre = int(dct.offsets[n_con])
-    init = _checked_init(init, dct.n_columns, n_con)
+    m = dct.n_groups
+    pre = int(dct.offsets[-1])
+    init = _checked_init(init, dct.n_columns, m)
     x = _default_x0(dct.n_columns) if init is None else init.x
-    d = np.zeros(n_con) if init is None or init.d is None else init.d
+    d = np.zeros(m) if init is None or init.d is None else init.d
     x[:pre] = np.maximum(x[:pre], 0.0)
     d = np.maximum(d, 0.0)
-    for j in range(n_con):
+    for j in range(m):
         sl = dct.group_slice(j)
         short = float(cfg.eps[j]) - float(np.sum(x[sl]))
         if short > 0:
             x[sl] += short / (sl.stop - sl.start)
-    used, budget = float(np.sum(d / cfg.eps[:n_con])), cfg.budget(dct.n_groups)
+    used, budget = float(np.sum(d / cfg.eps)), cfg.budget(m)
     if used > budget:
         d *= budget / used
     return GroupedCoeffs(x, d)
@@ -176,9 +178,8 @@ def solve_problem2(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
     """
     params = params or SgpParams()
     b, atb = checked_data(dct, b, cfg)
-    n = dct.n_columns
-    pre = int(dct.offsets[cfg.n_constrained(dct.n_groups)])
-    n_free = n - pre
+    n, n_free = dct.n_columns, dct.n_free
+    pre = n - n_free
 
     init = _checked_init(init, n)
     x = _default_x0(n) if init is None else init.x
@@ -238,13 +239,8 @@ def solve_problem1(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
     """
     params = params or SgpParams()
     b, atb = checked_data(dct, b, cfg)
-    n = dct.n_columns
-    n_con = cfg.n_constrained(dct.n_groups)
-    pre = int(dct.offsets[n_con])
-    n_free = n - pre
-    offsets = dct.offsets[:n_con + 1]
-    eps = cfg.eps[:n_con].astype(float)
-    budget = cfg.budget(dct.n_groups)
+    n, m = dct.n_columns, dct.n_groups
+    budget = cfg.budget(m)
 
     coeffs = _feasible_p1_init(dct, cfg, init)
     x, d = coeffs.x, coeffs.d
@@ -261,10 +257,10 @@ def solve_problem1(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
         # q = (G + 2C) x - grad F(x), in which G x cancels; the dummies
         # enter F through the penalty alone
         sub = QpSubproblem(gram=gram, q=atb - ev.penalty_grad + 2.0 * diag * x, anchor=x,
-                           shift=np.full(n, diag), n_free=n_free,
-                           offsets=offsets, eps=eps, anchor_d=d,
+                           shift=np.full(n, diag), n_free=dct.n_free,
+                           offsets=dct.offsets, eps=cfg.eps, anchor_d=d,
                            q_d=2.0 * diag * d - ev.grad_d,
-                           shift_d=np.full(n_con, diag), budget=budget)
+                           shift_d=np.full(m, diag), budget=budget)
         sol = solve_qp_p1(sub)
         report.inner_iters_total += sol.iterations
         model = model_value(sub, sol.x, sol.d)
@@ -281,7 +277,7 @@ def solve_problem1(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
                     iterations=report.outer_iters, trace=report.objective_trace)
             continue
         step = max(float(np.max(np.abs(sol.x - x))),
-                   float(np.max(np.abs(sol.d - d))) if n_con else 0.0)
+                   float(np.max(np.abs(sol.d - d))))
         x, d = sol.x, sol.d
         rejections = 0
         report.objective_trace.append(ev_y.value)

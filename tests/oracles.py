@@ -39,7 +39,8 @@ def dense_objective_p2(dct, b, cfg, x):
 
     The smoothed l1 - l2 penalty of a group v with radius e is
     sum(v) - |v|^2 / (2e) inside the ball |v| <= e and sum(v) - |v| + e/2
-    outside it.
+    outside it; the inter-group term takes every grouped column, with
+    radius min(eps).
     """
     def diff(v, e):
         n2 = float(np.sqrt(np.sum(v * v)))
@@ -48,17 +49,15 @@ def dense_objective_p2(dct, b, cfg, x):
         return float(np.sum(v)) - n2 + e / 2.0, 1.0 - v / n2
 
     fit, grad = _dense_fit(dct, b, x)
-    n_con = dct.n_groups - len(cfg.free_groups)
     penalty = 0.0
-    for j in range(n_con):
+    for j in range(dct.n_groups):
         sl = slice(dct.offsets[j], dct.offsets[j + 1])
         value, g = diff(x[sl], cfg.eps[j])
         penalty += cfg.gamma[j] * value
         grad[sl] += cfg.gamma[j] * g
     if cfg.gamma0 > 0.0:
-        pre = dct.offsets[n_con]
-        eps0 = cfg.eps0 if cfg.eps0 is not None else float(np.min(cfg.eps[:n_con]))
-        value, g = diff(x[:pre], eps0)
+        pre = dct.n_columns - dct.n_free
+        value, g = diff(x[:pre], float(np.min(cfg.eps)))
         penalty += cfg.gamma0 * value
         grad[:pre] += cfg.gamma0 * g
     return fit, penalty, grad
@@ -76,17 +75,16 @@ def dense_objective_p1(dct, b, cfg, x, d):
         return s / n2, 1.0 / n2 - s * v / n2 ** 3
 
     fit, grad_x = _dense_fit(dct, b, x)
-    n_con = dct.n_groups - len(cfg.free_groups)
-    grad_d = np.zeros(n_con)
+    grad_d = np.zeros(dct.n_groups)
     penalty = 0.0
-    for j in range(n_con):
+    for j in range(dct.n_groups):
         sl = slice(dct.offsets[j], dct.offsets[j + 1])
         value, g = hoyer(np.append(x[sl], d[j]))
         penalty += cfg.gamma[j] * value
         grad_x[sl] += cfg.gamma[j] * g[:-1]
         grad_d[j] += cfg.gamma[j] * g[-1]
     if cfg.gamma0 > 0.0:
-        pre = dct.offsets[n_con]
+        pre = dct.n_columns - dct.n_free
         value, g = hoyer(x[:pre])
         penalty += cfg.gamma0 * value
         grad_x[:pre] += cfg.gamma0 * g

@@ -16,9 +16,9 @@ def one_group(a):
     return GroupedDictionary(a, [0, np.shape(a)[1]])
 
 
-def group_cfg(n_groups, free=()):
+def group_cfg(n_groups):
     return SparsityConfig(gamma=np.zeros(n_groups), gamma0=0.0,
-                          eps=np.full(n_groups, 0.01), r=0.0, free_groups=free)
+                          eps=np.full(n_groups, 0.01), r=0.0)
 
 
 # ---------------------------------------------------------------- nnls
@@ -266,13 +266,13 @@ def test_pd_output_structure_random(seed):
 def test_pd_free_groups_copied_untouched():
     rng = default_rng(11)
     a = rng.normal(size=(12, 7))
-    dct = GroupedDictionary(a, np.array([0, 2, 4, 7]))
-    cfg = group_cfg(3, free=(2,))
+    dct = GroupedDictionary(a, np.array([0, 2, 4]), n_free=3)
+    cfg = group_cfg(2)
     b = a @ np.array([1.0, 0.0, 0.0, 0.8, 0.3, -0.2, 0.5])
     out = penalty_decomposition_l0(dct, b, cfg)
     for j in range(2):
         assert np.count_nonzero(out.x[dct.group_slice(j)]) <= 1
-    assert np.count_nonzero(out.x[4:7]) > 1  # free block keeps its dense fit
+    assert np.count_nonzero(out.x[4:7]) > 1  # the sign-free tail keeps its dense fit
     with pytest.raises(ConfigError):
         penalty_decomposition_l0(dct, b, cfg, init="nnls")
 

@@ -45,12 +45,40 @@ def test_grouped_dictionary_structure():
     assert dct.n_groups == 2
     assert dct.group_slice(1) == slice(2, 6)
     np.testing.assert_array_equal(dct.group_sizes(), [2, 4])
+    assert dct.n_free == 0
+    tail = GroupedDictionary(np.ones((4, 6)), np.array([0, 1, 4]), n_free=2)
+    assert (tail.n_columns, tail.n_groups, tail.n_free) == (6, 2, 2)
+    np.testing.assert_array_equal(tail.group_sizes(), [1, 3])
 
 
 @pytest.mark.parametrize("offsets", [[1, 6], [0, 5], [0, 3, 3, 6], [0, 4, 2, 6], [0]])
 def test_grouped_dictionary_rejects_bad_offsets(offsets):
     with pytest.raises(ValueError):
         GroupedDictionary(np.ones((4, 6)), np.array(offsets))
+
+
+@pytest.mark.parametrize("n_free", [-1, 7])
+def test_grouped_dictionary_rejects_n_free_out_of_range(n_free):
+    with pytest.raises(ValueError, match="n_free"):
+        GroupedDictionary(np.ones((4, 6)), np.array([0, 6]), n_free=n_free)
+
+
+@pytest.mark.parametrize("offsets", [[0, 6], [0, 2, 6], [0, 3]])
+def test_grouped_dictionary_offsets_must_end_before_the_tail(offsets):
+    # two sign-free columns: the groups must end at column 4
+    with pytest.raises(ValueError, match="n_free"):
+        GroupedDictionary(np.ones((4, 6)), np.array(offsets), n_free=2)
+
+
+@pytest.mark.parametrize("solve", [solve_problem1, solve_problem2])
+def test_config_sized_for_groups_and_tail_is_rejected(solve):
+    # a config that also gives the sign-free tail a weight and a floor, as
+    # trailing free groups once took them, fails instead of penalising it
+    rng = np.random.default_rng(2)
+    dct = GroupedDictionary(rng.normal(size=(8, 6)), np.array([0, 2, 4]), n_free=2)
+    padded = SparsityConfig(gamma=[0.1, 0.1, 0.0], gamma0=0.0, eps=[0.05, 0.05, 1.0])
+    with pytest.raises(ValueError, match=r"gamma must have shape \(2,\)"):
+        solve(dct, rng.normal(size=8), padded)
 
 
 def test_grouped_coeffs_copy_is_independent():
@@ -83,42 +111,21 @@ def test_sparsity_config_validation():
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
-@pytest.mark.parametrize("name", ["gamma", "gamma0", "eps", "eps0", "r"])
+@pytest.mark.parametrize("name", ["gamma", "gamma0", "eps", "r"])
 def test_sparsity_config_rejects_non_finite_values(name, value):
     # NaN passes every sign check, and a NaN or infinite weight would reach
     # the solvers
     fields = dict(gamma=np.array([0.1, 0.2]), gamma0=0.01, eps=np.array([0.05, 0.05]),
-                  eps0=0.05, r=1.0)
+                  r=1.0)
     fields[name] = np.array([value, 0.2]) if name in ("gamma", "eps") else value
     with pytest.raises(ConfigError, match="finite"):
         SparsityConfig(**fields).validate(2)
 
 
-def test_sparsity_config_free_groups_must_be_trailing_and_unweighted():
-    base = dict(gamma=np.array([0.1, 0.0]), gamma0=0.0, eps=np.array([0.05, 1.0]))
-    SparsityConfig(**base, free_groups=(1,)).validate(2)
-    with pytest.raises(ConfigError):
-        SparsityConfig(gamma=np.array([0.0, 0.1]), gamma0=0.0,
-                       eps=np.array([1.0, 0.05]), free_groups=(0,)).validate(2)
-    with pytest.raises(ConfigError):
-        SparsityConfig(gamma=np.array([0.1, 0.2]), gamma0=0.0,
-                       eps=np.array([0.05, 1.0]), free_groups=(1,)).validate(2)
-    with pytest.raises(ConfigError):
-        SparsityConfig(gamma=np.array([0.1, 0.0]), gamma0=0.5,
-                       eps=np.array([0.05, 1.0]), free_groups=(1,)).validate(2)
-    with pytest.raises(ConfigError):
-        SparsityConfig(**base, free_groups=(5,)).validate(2)
-
-
 def test_sparsity_config_derived_quantities():
-    cfg = SparsityConfig(gamma=np.array([0.1, 0.0, 0.0]), gamma0=0.0,
-                         eps=np.array([0.05, 0.02, 1.0]), r=0.5, free_groups=(2,))
-    np.testing.assert_array_equal(cfg.constrained_groups(3), [0, 1])
-    assert cfg.n_constrained(3) == 2
-    assert cfg.budget(3) == pytest.approx(1.5)
-    assert cfg.eps0_value(3) == pytest.approx(0.02)
-    assert SparsityConfig(gamma=np.zeros(2), gamma0=0.0, eps=np.array([0.05, 0.02]),
-                          eps0=0.5).eps0_value(2) == pytest.approx(0.5)
+    cfg = SparsityConfig(gamma=np.array([0.1, 0.0]), gamma0=0.0,
+                         eps=np.array([0.05, 0.02]), r=0.5)
+    assert cfg.budget(2) == pytest.approx(1.5)
 
 
 def _small_problem(seed=0):
@@ -185,14 +192,15 @@ def test_eval_objective_shape_checks():
 
 
 def _wide_problem(free_tail):
-    """50 x 40 problem in four groups of 10; with ``free_tail`` the last is sign-free."""
+    """50 x 40 problem in four groups of 10; with ``free_tail`` the last is a sign-free tail."""
     rng = np.random.default_rng(5)
-    dct = GroupedDictionary(rng.normal(size=(50, 40)), np.array([0, 10, 20, 30, 40]))
+    entries = rng.normal(size=(50, 40))
     b = rng.normal(size=50)
     if free_tail:
-        cfg = SparsityConfig(gamma=[0.3, 0.5, 0.2, 0.0], gamma0=0.0,
-                             eps=[0.05, 0.08, 0.1, 1.0], r=1.0, free_groups=(3,))
+        dct = GroupedDictionary(entries, np.array([0, 10, 20, 30]), n_free=10)
+        cfg = SparsityConfig(gamma=[0.3, 0.5, 0.2], gamma0=0.0, eps=[0.05, 0.08, 0.1], r=1.0)
     else:
+        dct = GroupedDictionary(entries, np.array([0, 10, 20, 30, 40]))
         cfg = SparsityConfig(gamma=[0.3, 0.5, 0.2, 0.4], gamma0=0.2,
                              eps=[0.05, 0.08, 0.1, 0.07], r=1.0)
     return dct, b, cfg
@@ -241,7 +249,7 @@ def test_objectives_with_atb_match_dense_assembly(any_size_on_support, kind, fre
         _assert_matches(out.grad_x, grad)
         _assert_matches(out.resid, dct.entries @ x - b)
 
-    d = np.array([0.03, 0.05, 0.02, 0.04])[:cfg.n_constrained(dct.n_groups)]
+    d = np.array([0.03, 0.05, 0.02, 0.04])[:dct.n_groups]
     fit, penalty, grad_x, grad_d = dense_objective_p1(dct, b, cfg, x, d)
     for out in (eval_objective_p1(dct, b, GroupedCoeffs(x, d), cfg, atb=atb),
                 eval_objective_p1(dct, b, GroupedCoeffs(x, d), cfg)):

@@ -276,8 +276,39 @@ def test_fit_doas_background_block(desk):
     expected = data - ddict.dictionary.entries @ result.coeffs.x - result.background
     assert result.residual == pytest.approx(expected, abs=1e-12)
     bad = SparsityConfig(gamma=np.full(3, 0.05), gamma0=0.01, eps=np.full(3, 0.05), r=1.0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="gamma0"):
         fit_doas(data, ddict, DoasFitConfig(solver="diff_p2", sparsity=bad, alpha=1e-5))
+
+
+def test_fit_doas_lstsq_with_background_matches_a_dense_design_per_draw(desk):
+    # each draw is the least-squares fit of one column per group beside the
+    # unscaled background block [I; sqrt(alpha) Q], from a design of its own
+    wl, _, _, ddict = desk
+    coeffs, _ = sample_planted_coeffs(ddict, seed=9)
+    data = synthesize_doas_data(ddict, coeffs, 1e-4, 3,
+                                background=quartic_background(wl, scale=0.5))
+    alpha, draws = 1e-5, 20
+    result = fit_doas(data, ddict, DoasFitConfig(solver="lstsq", sparsity=desk_sparsity(),
+                                                 alpha=alpha, lstsq_draws=draws, seed=5))
+
+    dct = ddict.dictionary
+    a, sizes = dct.entries, dct.group_sizes()
+    w, m = a.shape[0], dct.n_groups
+    bottom = np.hstack([np.zeros((w - 2, m)),
+                        np.sqrt(alpha) * build_background_operator(w).matrix])
+    rhs = np.concatenate([data, np.zeros(w - 2)])
+    rng = np.random.default_rng(np.random.SeedSequence(5))
+    total = np.zeros(m + w)
+    for _ in range(draws):
+        picks = [int(dct.offsets[j]) + int(rng.integers(sizes[j])) for j in range(m)]
+        design = np.vstack([np.hstack([a[:, picks], np.eye(w)]), bottom])
+        total += np.linalg.lstsq(design, rhs, rcond=None)[0]
+    total /= draws
+
+    mags = np.array([sel.magnitude for sel in result.selections])
+    for got, ref in ((mags, total[:m]), (result.background, total[m:])):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert result.residual == pytest.approx(data - total[m:], abs=1e-12)
 
 
 def test_fit_doas_config_errors(desk):

@@ -31,14 +31,13 @@ def make_problem(seed, n_rows=24, sizes=(3, 3, 2), noise=0.01):
 
 
 def assert_p1_feasible(dct, cfg, coeffs, tol=1e-7):
-    n_con = cfg.n_constrained(dct.n_groups)
-    pre = int(dct.offsets[n_con])
+    pre = int(dct.offsets[-1])
     assert coeffs.x[:pre].min() >= -tol
     assert coeffs.d.min() >= -tol
-    for j in range(n_con):
+    for j in range(dct.n_groups):
         sl = dct.group_slice(j)
         assert np.sum(coeffs.x[sl]) + coeffs.d[j] >= cfg.eps[j] - tol
-    assert np.sum(coeffs.d / cfg.eps[:n_con]) <= cfg.budget(dct.n_groups) + tol
+    assert np.sum(coeffs.d / cfg.eps) <= cfg.budget(dct.n_groups) + tol
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -182,7 +181,8 @@ def test_problem2_singular_model_is_a_value_error():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("max_outer", 0), ("max_outer", -3), ("tol_energy", -1.0), ("tol_energy", np.inf),
+    ("max_outer", 0), ("max_outer", -3), ("max_outer", 2.5), ("tol_energy", -1.0),
+    ("tol_energy", np.inf),
     ("tol_energy", np.nan), ("c_matrix_scale", -1e-9), ("c_matrix_scale", np.inf),
 ])
 def test_sgp_params_reject_bad_settings(field, value):
@@ -284,9 +284,9 @@ def test_descent_estimate_brackets_objective_change():
     assert check_descent_estimate(dct, b, cfg, at, to, 0.0, 1e6, problem="p2")
     assert not check_descent_estimate(dct, b, cfg, at, to, 0.0, -1e6, problem="p2")
 
-    n_con = cfg.n_constrained(dct.n_groups)
-    at1 = GroupedCoeffs(at.x, rng.uniform(0.1, 0.5, size=n_con))
-    to1 = GroupedCoeffs(to.x, at1.d + 0.02 * rng.normal(size=n_con))
+    m = dct.n_groups
+    at1 = GroupedCoeffs(at.x, rng.uniform(0.1, 0.5, size=m))
+    to1 = GroupedCoeffs(to.x, at1.d + 0.02 * rng.normal(size=m))
     assert check_descent_estimate(dct, b, cfg, at1, to1, 0.0, 1e6, problem="p1")
     with pytest.raises(ValueError):
         check_descent_estimate(dct, b, cfg, at, to, 0.0, 1.0, problem="p3")
@@ -307,13 +307,12 @@ def test_objective_gradients_match_fd_on_random_points():
     dct, b, cfg = make_problem(29)
     rng = default_rng(29)
     n = dct.n_columns
-    n_con = cfg.n_constrained(dct.n_groups)
     x = rng.uniform(0.2, 1.0, size=n)
     ev = eval_objective_p2(dct, b, GroupedCoeffs(x), cfg)
     fd = fd_gradient(lambda z: eval_objective_p2(dct, b, GroupedCoeffs(z), cfg).value, x)
     assert ev.grad_x == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
-    d = rng.uniform(0.1, 0.4, size=n_con)
+    d = rng.uniform(0.1, 0.4, size=dct.n_groups)
     ev1 = eval_objective_p1(dct, b, GroupedCoeffs(x, d), cfg)
     fdx = fd_gradient(lambda z: eval_objective_p1(dct, b, GroupedCoeffs(z, d), cfg).value, x)
     fdd = fd_gradient(lambda z: eval_objective_p1(dct, b, GroupedCoeffs(x, z), cfg).value, d)
@@ -379,11 +378,11 @@ def test_bad_init_is_a_value_error_naming_init_before_any_evaluation(monkeypatch
 
 
 def _free_tail_problem(seed, sizes=(25, 25, 25, 25)):
-    """``make_problem`` on 60 rows with its last group sign-free and unpenalised."""
+    """``make_problem`` on 60 rows with its last group's columns a sign-free tail."""
     dct, b, _ = make_problem(seed, n_rows=60, sizes=sizes)
-    m = len(sizes)
-    cfg = SparsityConfig(gamma=np.append(np.full(m - 1, 0.05), 0.0), gamma0=0.0,
-                         eps=np.full(m, 0.05), r=1.0, free_groups=(m - 1,))
+    m = len(sizes) - 1
+    dct = GroupedDictionary(dct.entries, dct.offsets[:-1], n_free=sizes[-1])
+    cfg = SparsityConfig(gamma=np.full(m, 0.05), gamma0=0.0, eps=np.full(m, 0.05), r=1.0)
     return dct, b, cfg
 
 

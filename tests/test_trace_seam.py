@@ -39,13 +39,13 @@ def test_solve_problem2_factors_once_per_call_at_call_time():
     dct = GroupedDictionary(rng.normal(size=(24, 8)), offsets)
     b = dct.entries @ np.array([1.0, 0, 0, 0, 0.7, 0, 0, 1.2]) + 0.01 * rng.normal(size=24)
     signed = SparsityConfig(gamma=np.full(3, 0.05), gamma0=0.02, eps=np.full(3, 0.05), r=1.0)
-    free_tail = SparsityConfig(gamma=[0.05, 0.05, 0.0], gamma0=0.0, eps=np.full(3, 0.05),
-                               r=1.0, free_groups=(2,))
+    free_tail = SparsityConfig(gamma=np.full(2, 0.05), gamma0=0.0, eps=np.full(2, 0.05), r=1.0)
+    tail_dct = GroupedDictionary(dct.entries, offsets[:-1], n_free=2)
     tracing = _tracing()
-    for cfg, per_solve in ((signed, 0), (free_tail, 1)):
+    for solved, cfg, per_solve in ((dct, signed, 0), (tail_dct, free_tail, 1)):
         tracer = tracing.Tracer()
         with tracing.traced(tracer):
-            reports = [solve_problem2(dct, b, cfg, SgpParams(tol_energy=1e-12))
+            reports = [solve_problem2(solved, b, cfg, SgpParams(tol_energy=1e-12))
                        for _ in range(2)]
         assert all(rep.outer_iters >= 2 for rep in reports)
         assert tracer.counts["qp.factorisations"] == 2 * per_solve
