@@ -20,6 +20,7 @@ solver, so ``records.json`` still holds every solver's record.
 import argparse
 import dataclasses
 import json
+import numbers
 import os
 import sys
 import time
@@ -29,8 +30,8 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .baselines import PdParams
-from .core import SparsityConfig
-from .doas import (DOAS_SOLVERS, ZERO_TOL, DeformationGrid, DoasFitConfig,
+from .core import ZERO_TOL, SparsityConfig
+from .doas import (DOAS_SOLVERS, DeformationGrid, DoasFitConfig,
                    build_deformation_dictionary, deformed_column, quartic_background,
                    sample_planted_coeffs, synthesize_doas_data, synthesize_references,
                    fit_doas, wavelength_grid)
@@ -92,9 +93,20 @@ class ExperimentConfig:
         return self.overrides.get(name, default)
 
 
+def _whole(name: str, value) -> int:
+    """``value`` as an int; anything but a whole number is a ConfigError naming ``name``."""
+    if isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise ConfigError(f"{name} must be a whole number, got {value!r}")
+
+
 @dataclass
 class RunRecord:
-    """Outcome of one (experiment, solver) run, JSON-serialisable."""
+    """Outcome of one (experiment, solver) run, JSON-serialisable.
+
+    ``overrides`` echoes the config file's knobs; with ``seed`` and
+    ``scale`` they reproduce the run.
+    """
 
     experiment: str
     solver: str
@@ -103,6 +115,7 @@ class RunRecord:
     runtime_s: float
     metrics: Dict
     params: Dict = field(default_factory=dict)
+    overrides: Dict = field(default_factory=dict)
     termination: Optional[str] = None
     outer_iters: Optional[int] = None
 
@@ -131,7 +144,7 @@ def _seeds(cfg: ExperimentConfig, n: int) -> List[int]:
 
 
 def _doas_protocol(cfg: ExperimentConfig):
-    w = int(cfg.knob("bands", max(64, 1024 // cfg.scale)))
+    w = _whole("bands", cfg.knob("bands", max(64, 1024 // cfg.scale)))
     wl = wavelength_grid(w)
     grid = DeformationGrid.full_grid() if cfg.scale == 1 and w >= 1024 \
         else DeformationGrid.desk_grid()
@@ -172,10 +185,11 @@ def _solvers(cfg: ExperimentConfig, default, known) -> List[str]:
     return solvers
 
 
-def _failed_record(cfg: ExperimentConfig, solver: str, runtime_s: float, params: Dict,
-                   exc: NonConvergenceError) -> RunRecord:
-    return RunRecord(cfg.experiment, solver, cfg.seed, cfg.scale, runtime_s, {},
-                     params=dict(params), termination=f"{NONCONVERGENCE}: {exc}")
+def _record(cfg: ExperimentConfig, solver: str, runtime_s: float, metrics: Dict,
+            params: Dict, **outcome) -> RunRecord:
+    """One solver's record, echoing ``cfg``'s seed, scale and overrides."""
+    return RunRecord(cfg.experiment, solver, cfg.seed, cfg.scale, runtime_s, metrics,
+                     params=dict(params), overrides=dict(cfg.overrides), **outcome)
 
 
 def _doas_records(cfg: ExperimentConfig, data, ddict, info, solvers, fit_config,
@@ -191,7 +205,8 @@ def _doas_records(cfg: ExperimentConfig, data, ddict, info, solvers, fit_config,
         try:
             result = fit_doas(data, ddict, fit_cfg)
         except NonConvergenceError as exc:
-            records.append(_failed_record(cfg, solver, time.perf_counter() - t0, params, exc))
+            records.append(_record(cfg, solver, time.perf_counter() - t0, {}, params,
+                                   termination=f"{NONCONVERGENCE}: {exc}"))
             continue
         rt = time.perf_counter() - t0
         metrics = _selection_metrics(result, info, ddict)
@@ -199,8 +214,8 @@ def _doas_records(cfg: ExperimentConfig, data, ddict, info, solvers, fit_config,
             err = result.background - background
             metrics["background_rel_err"] = float(
                 np.linalg.norm(err) / np.linalg.norm(background))
-        records.append(RunRecord(
-            cfg.experiment, solver, cfg.seed, cfg.scale, rt, metrics, params=params,
+        records.append(_record(
+            cfg, solver, rt, metrics, params,
             termination=result.report.termination if result.report else None,
             outer_iters=result.report.outer_iters if result.report else None))
         if cfg.out:
@@ -241,7 +256,7 @@ def run_doas_align(cfg: ExperimentConfig) -> List[RunRecord]:
     else:
         data = synthesize_doas_data(ddict, planted, noise_sd, seed_noise)
     tau = float(cfg.knob("tau_over_sqrt_w", max(noise_sd, 1e-3))) * np.sqrt(wl.size)
-    m = ddict.n_groups
+    m = ddict.dictionary.n_groups
     eps = float(cfg.knob("eps", 0.05))
 
     def fit_config(solver):
@@ -253,7 +268,7 @@ def run_doas_align(cfg: ExperimentConfig) -> List[RunRecord]:
             sparsity=sparsity, solver=solver,
             sgp=SgpParams(c_matrix_scale=float(cfg.knob("c_scale", 1e-9)),
                           tol_energy=float(cfg.knob("tol_energy", 1e-8)),
-                          max_outer=int(cfg.knob("max_outer", 500))),
+                          max_outer=_whole("max_outer", cfg.knob("max_outer", 500))),
             pd=PdParams(rho0=float(cfg.knob("pd_rho0", 0.05)),
                         growth=float(cfg.knob("pd_growth", 1.2))),
             pd_init=cfg.knob("pd_init", "nnls"),
@@ -277,7 +292,7 @@ def run_doas_background(cfg: ExperimentConfig) -> List[RunRecord]:
     background = quartic_background(wl, scale=float(cfg.knob("bg_scale", 2.0)))
     data = synthesize_doas_data(ddict, planted, noise_sd, seed_noise, background=background)
     tau = float(cfg.knob("tau_over_sqrt_w", max(noise_sd, 1e-6))) * np.sqrt(wl.size)
-    m = ddict.n_groups
+    m = ddict.dictionary.n_groups
     eps = float(cfg.knob("eps", 0.001))
     gamma = float(cfg.knob("gamma", 0.001))
     alpha = float(cfg.knob("alpha", 1e-5))
@@ -291,12 +306,13 @@ def run_doas_background(cfg: ExperimentConfig) -> List[RunRecord]:
             sparsity=sparsity, solver=solver, alpha=alpha,
             sgp=SgpParams(c_matrix_scale=c_scale,
                           tol_energy=float(cfg.knob("tol_energy", 5e-9)),
-                          max_outer=int(cfg.knob("max_outer", 500))),
+                          max_outer=_whole("max_outer", cfg.knob("max_outer", 500))),
             pd=PdParams(rho0=float(cfg.knob("pd_rho0", 1e-6)),
                         growth=float(cfg.knob("pd_growth", 1.1)),
                         tol_outer=float(cfg.knob("pd_tol_outer", 1e-6))),
             pd_init=cfg.knob("pd_init", "zero"),
-            l1_tau=tau, lstsq_draws=int(cfg.knob("lstsq_draws", 200)), seed=cfg.seed)
+            l1_tau=tau, lstsq_draws=_whole("lstsq_draws", cfg.knob("lstsq_draws", 200)),
+            seed=cfg.seed)
         return fit_cfg, {"noise_sd": noise_sd, "gamma": gamma, "eps": eps, "alpha": alpha,
                          "tau": tau, "bands": wl.size, "c_scale": c_scale}
 
@@ -322,7 +338,8 @@ def _hsi_records(cfg: ExperimentConfig, scene, params, sparsity, sgp,
         try:
             result = demix_scene(scene, sparsity, solver=solver, sgp=sgp, l1_gamma=l1_gamma)
         except NonConvergenceError as exc:
-            records.append(_failed_record(cfg, solver, time.perf_counter() - t0, params, exc))
+            records.append(_record(cfg, solver, time.perf_counter() - t0, {}, params,
+                                   termination=f"{NONCONVERGENCE}: {exc}"))
             continue
         rt = time.perf_counter() - t0
         rep = compute_metrics(result.values, scene.dictionary.offsets, scene.truth)
@@ -343,8 +360,7 @@ def _hsi_records(cfg: ExperimentConfig, scene, params, sparsity, sgp,
             if ok.any():
                 metrics["outer_iters_min"] = int(result.outer_iters[ok].min())
                 metrics["outer_iters_max"] = int(result.outer_iters[ok].max())
-        records.append(RunRecord(cfg.experiment, solver, cfg.seed, cfg.scale,
-                                 rt, metrics, params=dict(params)))
+        records.append(_record(cfg, solver, rt, metrics, params))
         if cfg.out:
             os.makedirs(cfg.out, exist_ok=True)
             np.savetxt(os.path.join(cfg.out, f"abundance_{solver}.csv"),
@@ -356,15 +372,15 @@ def _mixture_counts(cfg: ExperimentConfig, full_counts) -> List[int]:
     counts = cfg.knob("counts", None)
     if counts is None:
         counts = [c // cfg.scale for c in full_counts]
-    counts = [int(c) for c in counts]
+    counts = [_whole("counts", c) for c in counts]
     if sum(counts) == 0:
         raise ConfigError(f"scale {cfg.scale} leaves no pixels; pass explicit counts")
     return counts
 
 
 def run_hsi_inter(cfg: ExperimentConfig) -> List[RunRecord]:
-    bands = int(cfg.knob("bands", 204))
-    n_members = int(cfg.knob("endmembers", 6))
+    bands = _whole("bands", cfg.knob("bands", 204))
+    n_members = _whole("endmembers", cfg.knob("endmembers", 6))
     counts = _mixture_counts(cfg, (960, 480))
     seed_lib, seed_scene = _seeds(cfg, 2)
     library, scales = synthesize_endmember_library(bands, [1] * n_members, seed_lib,
@@ -384,9 +400,9 @@ def run_hsi_inter(cfg: ExperimentConfig) -> List[RunRecord]:
 
 
 def run_hsi_structured(cfg: ExperimentConfig) -> List[RunRecord]:
-    bands = int(cfg.knob("bands", 204))
-    group_size = int(cfg.knob("group_size", max(4, 100 // cfg.scale)))
-    n_groups = int(cfg.knob("n_groups", 4))
+    bands = _whole("bands", cfg.knob("bands", 204))
+    group_size = _whole("group_size", cfg.knob("group_size", max(4, 100 // cfg.scale)))
+    n_groups = _whole("n_groups", cfg.knob("n_groups", 4))
     counts = _mixture_counts(cfg, (1000, 500, 50, 10))
     seed_lib, seed_scene = _seeds(cfg, 2)
     library, scales = synthesize_endmember_library(bands, [group_size] * n_groups, seed_lib)
@@ -492,8 +508,9 @@ def config_from_args(args) -> ExperimentConfig:
     overrides = {k: v for k, v in file_cfg.items() if k not in known}
     merged = {
         "experiment": args.experiment or file_cfg.get("experiment"),
-        "seed": args.seed if args.seed is not None else int(file_cfg.get("seed", 0)),
-        "scale": args.scale if args.scale is not None else int(file_cfg.get("scale", 1)),
+        "seed": _whole("seed", args.seed if args.seed is not None else file_cfg.get("seed", 0)),
+        "scale": _whole("scale",
+                        args.scale if args.scale is not None else file_cfg.get("scale", 1)),
         "out": args.out or file_cfg.get("out"),
         "solvers": args.solvers or file_cfg.get("solvers"),
         "overrides": overrides,

@@ -52,6 +52,10 @@ L1_SHIFT = 1e-10
 SUPPORT_SHARE = 0.25
 SUPPORT_MIN_ENTRIES = 1 << 16
 
+# A fitted coefficient counts as nonzero (toward a support, a group's
+# support, or a sparsity metric) above this.
+ZERO_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class GroupedDictionary:

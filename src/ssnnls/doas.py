@@ -13,8 +13,7 @@ leaving the background block sign-free and unpenalised: it is the
 dictionary's trailing ``n_free`` columns, which belong to no group.
 """
 
-import json
-import os
+import numbers
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -22,8 +21,8 @@ import numpy as np
 import scipy.fft
 
 from .baselines import PdParams, l1_bregman, l1_weight, nnls, penalty_decomposition_l0
-from .core import (GroupedCoeffs, GroupedDictionary, SparsityConfig, as_data_vector,
-                   normalize_columns, support_matvec)
+from .core import (ZERO_TOL, GroupedCoeffs, GroupedDictionary, SparsityConfig,
+                   as_data_vector, normalize_columns, support_matvec)
 from .errors import ConfigError, DegenerateColumnError
 from .qp import AdmmParams
 from .sgp import SgpParams, SolveReport, solve_problem1, solve_problem2
@@ -32,9 +31,6 @@ WAVELENGTH_START = 340.0
 WAVELENGTH_STEP = 0.04038
 
 DOAS_SOLVERS = ("nnls", "l1", "pd", "lstsq", "hoyer_p1", "diff_p2")
-
-# A fitted coefficient counts toward its group's support above this.
-ZERO_TOL = 1e-6
 
 
 def wavelength_grid(n_samples: int) -> np.ndarray:
@@ -61,37 +57,6 @@ class ReferenceSpectrum:
             raise ValueError(f"{self.name}: need at least 2 samples")
         if np.any(np.diff(wl) <= 0):
             raise ValueError(f"{self.name}: wavelengths must be strictly increasing")
-
-
-def write_reference_csv(path: str, ref: ReferenceSpectrum) -> None:
-    """Two-column CSV (wavelength, value) with the name in a # comment."""
-    with open(path, "w") as fh:
-        fh.write(f"# name={ref.name}\n")
-        fh.write("# wavelength,value\n")
-        for wl, v in zip(ref.wavelengths, ref.values):
-            fh.write(f"{float(wl)!r},{float(v)!r}\n")
-
-
-def read_reference_csv(path: str) -> ReferenceSpectrum:
-    """Read a two-column CSV; # lines are comments, `# name=` sets the name."""
-    name = os.path.splitext(os.path.basename(path))[0]
-    wl, vals = [], []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if body.startswith("name="):
-                    name = body[len("name="):].strip()
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected two columns, got {len(parts)}")
-            wl.append(float(parts[0]))
-            vals.append(float(parts[1]))
-    return ReferenceSpectrum(name, np.array(wl), np.array(vals))
 
 
 def synthesize_references(wavelengths: np.ndarray,
@@ -196,10 +161,6 @@ class DeformationDictionary:
     names: Tuple[str, ...]
     wavelengths: np.ndarray
 
-    @property
-    def n_groups(self) -> int:
-        return self.dictionary.n_groups
-
 
 def build_deformation_dictionary(refs: Sequence[ReferenceSpectrum], grid: DeformationGrid,
                                  wavelengths: np.ndarray) -> DeformationDictionary:
@@ -256,36 +217,6 @@ def deformed_column(ref: ReferenceSpectrum, slope: float, offset: float,
     return col
 
 
-def save_dictionary(path_csv: str, ddict: DeformationDictionary) -> None:
-    """Write the dictionary matrix as CSV plus a JSON sidecar of metadata."""
-    header = ",".join(
-        f"g{j}_f{i}" for j in range(ddict.n_groups)
-        for i in range(int(ddict.dictionary.offsets[j + 1] - ddict.dictionary.offsets[j])))
-    np.savetxt(path_csv, ddict.dictionary.entries, delimiter=",", header=header)
-    meta = {
-        "offsets": ddict.dictionary.offsets.tolist(),
-        "scales": ddict.scales.tolist(),
-        "slopes": ddict.grid.slopes.tolist(),
-        "grid_offsets": ddict.grid.offsets.tolist(),
-        "names": list(ddict.names),
-        "wavelengths": ddict.wavelengths.tolist(),
-    }
-    with open(path_csv + ".json", "w") as fh:
-        json.dump(meta, fh)
-
-
-def load_dictionary(path_csv: str) -> DeformationDictionary:
-    entries = np.loadtxt(path_csv, delimiter=",", ndmin=2)
-    with open(path_csv + ".json") as fh:
-        meta = json.load(fh)
-    return DeformationDictionary(
-        GroupedDictionary(entries, np.asarray(meta["offsets"], dtype=np.int64)),
-        np.asarray(meta["scales"], dtype=float),
-        DeformationGrid(np.asarray(meta["slopes"]), np.asarray(meta["grid_offsets"])),
-        tuple(meta["names"]),
-        np.asarray(meta["wavelengths"], dtype=float))
-
-
 def sample_planted_coeffs(ddict: DeformationDictionary, seed: int,
                           magnitude_means: Sequence[float] = (1.0, 0.1, 1.5),
                           group_cols: Optional[Sequence[int]] = None,
@@ -337,11 +268,10 @@ def synthesize_doas_data(ddict: DeformationDictionary, planted: GroupedCoeffs,
     return data
 
 
-def quartic_background(wavelengths: np.ndarray, scale: float = 2.0,
-                       pole: float = 334.0) -> np.ndarray:
-    """Smooth decaying background ``scale / (lam - pole)^4``."""
+def quartic_background(wavelengths: np.ndarray, scale: float = 2.0) -> np.ndarray:
+    """Smooth decaying background ``scale / (lam - 334)^4``."""
     wavelengths = np.asarray(wavelengths, dtype=float)
-    return scale / (wavelengths - pole) ** 4
+    return scale / (wavelengths - 334.0) ** 4
 
 
 @dataclass(frozen=True)
@@ -350,11 +280,10 @@ class BackgroundOperator:
 
     L subtracts the line through the endpoints (so affine trends map to
     zero), Gamma is the orthonormal sine transform on the interior
-    samples, and W scales frequency k by ``k**exponent``.
+    samples, and W scales frequency k by ``k**2``.
     """
 
     matrix: np.ndarray
-    exponent: float
     weights: np.ndarray
 
     def apply(self, background: np.ndarray) -> np.ndarray:
@@ -373,7 +302,7 @@ class BackgroundOperator:
         return self.weights * scipy.fft.dst(interior, type=1, norm="ortho")
 
 
-def build_background_operator(n_samples: int, exponent: float = 2.0) -> BackgroundOperator:
+def build_background_operator(n_samples: int) -> BackgroundOperator:
     if n_samples < 4:
         raise ValueError(f"need at least 4 samples, got {n_samples}")
     w = n_samples
@@ -384,8 +313,8 @@ def build_background_operator(n_samples: int, exponent: float = 2.0) -> Backgrou
     line_sub[:, 0] = -(w - 1 - i) / (w - 1)
     line_sub[:, w - 1] = -i / (w - 1)
     sine = scipy.fft.dst(np.eye(m), type=1, norm="ortho", axis=0)
-    weights = np.arange(1, m + 1, dtype=float) ** exponent
-    return BackgroundOperator((weights[:, None] * sine) @ line_sub, exponent, weights)
+    weights = np.arange(1, m + 1, dtype=float) ** 2
+    return BackgroundOperator((weights[:, None] * sine) @ line_sub, weights)
 
 
 @dataclass
@@ -497,8 +426,9 @@ def fit_doas(data: np.ndarray, ddict: DeformationDictionary,
         raise ConfigError(f"unknown solver {cfg.solver!r}; choose from {DOAS_SOLVERS}")
     if cfg.alpha < 0:
         raise ConfigError(f"alpha must be non-negative, got {cfg.alpha}")
-    if cfg.lstsq_draws < 1:
-        raise ConfigError(f"lstsq_draws must be at least 1, got {cfg.lstsq_draws}")
+    if not isinstance(cfg.lstsq_draws, numbers.Integral) or cfg.lstsq_draws < 1:
+        raise ConfigError(f"lstsq_draws must be a whole number of at least 1, "
+                          f"got {cfg.lstsq_draws!r}")
     if cfg.solver == "l1":
         if cfg.l1_tau is None:
             raise ConfigError("the l1 solver needs l1_tau")
@@ -506,7 +436,7 @@ def fit_doas(data: np.ndarray, ddict: DeformationDictionary,
     dct = ddict.dictionary
     cfg.sparsity.validate(dct.n_groups)
     n = dct.n_columns
-    m = ddict.n_groups
+    m = dct.n_groups
     if cfg.alpha > 0:
         if cfg.sparsity.gamma0 != 0.0:
             raise ConfigError("the inter-group weight gamma0 must be zero when alpha > 0 "

@@ -8,46 +8,18 @@ matrix and l1 factor, and metrics compare recovered abundances against
 the planted truth, per column and collapsed per group.
 """
 
-import json
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .baselines import l1_penalized, l1_weight, nnls, penalty_decomposition_l0
-from .core import GroupedDictionary, SparsityConfig, normalize_columns
+from .core import ZERO_TOL, GroupedDictionary, SparsityConfig, normalize_columns
 from .errors import ConfigError, NonConvergenceError
 from .qp import AdmmParams
 from .sgp import SgpParams, solve_problem1, solve_problem2
 
 HSI_SOLVERS = ("nnls", "l1", "pd", "hoyer_p1", "diff_p2")
-
-
-@dataclass(frozen=True)
-class GroupCollapser:
-    """Sums coefficients within each group: S (n_cols, P) -> (n_groups, P)."""
-
-    offsets: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "offsets", np.asarray(self.offsets, dtype=np.int64))
-
-    @property
-    def n_groups(self) -> int:
-        return self.offsets.size - 1
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        values = np.asarray(values, dtype=float)
-        if values.shape[0] != int(self.offsets[-1]):
-            raise ValueError(f"expected {int(self.offsets[-1])} rows, got {values.shape[0]}")
-        return np.add.reduceat(values, self.offsets[:-1], axis=0)
-
-    def matrix(self) -> np.ndarray:
-        n = int(self.offsets[-1])
-        t = np.zeros((self.n_groups, n))
-        for j in range(self.n_groups):
-            t[j, self.offsets[j]:self.offsets[j + 1]] = 1.0
-        return t
 
 
 @dataclass
@@ -58,7 +30,6 @@ class HsiScene:
     scales: np.ndarray
     pixels: np.ndarray
     truth: Optional[np.ndarray] = None
-    names: Tuple[str, ...] = ()
 
     def __post_init__(self):
         self.pixels = np.asarray(self.pixels, dtype=float)
@@ -77,9 +48,6 @@ class HsiScene:
     def n_pixels(self) -> int:
         return self.pixels.shape[1]
 
-    def collapser(self) -> GroupCollapser:
-        return GroupCollapser(self.dictionary.offsets)
-
 
 @dataclass
 class AbundanceMatrix:
@@ -93,9 +61,6 @@ class AbundanceMatrix:
     offsets: np.ndarray
     failed_pixels: List[Tuple[int, str]] = field(default_factory=list)
     outer_iters: Optional[np.ndarray] = None
-
-    def column(self, p: int) -> np.ndarray:
-        return self.values[:, p]
 
 
 def _smooth_noise(rng: np.random.Generator, n: int, width: int) -> np.ndarray:
@@ -139,8 +104,7 @@ def synthesize_endmember_library(n_bands: int, group_sizes: Sequence[int], seed:
 
 
 def synthesize_mixed_scene(library: GroupedDictionary, scales: np.ndarray,
-                           counts: Sequence[int], noise_sd: float, seed: int,
-                           names: Sequence[str] = ()) -> HsiScene:
+                           counts: Sequence[int], noise_sd: float, seed: int) -> HsiScene:
     """Scene with a schedule of mixture sizes and unit-norm clean pixels.
 
     ``counts[k]`` pixels mix k+1 materials: k+1 groups drawn without
@@ -183,7 +147,7 @@ def synthesize_mixed_scene(library: GroupedDictionary, scales: np.ndarray,
     pixels = library.entries @ truth
     if noise_sd > 0:
         pixels = pixels + rng.normal(0.0, noise_sd, pixels.shape)
-    return HsiScene(library, np.asarray(scales, dtype=float), pixels, truth, tuple(names))
+    return HsiScene(library, np.asarray(scales, dtype=float), pixels, truth)
 
 
 def demix_scene(scene: HsiScene, cfg: SparsityConfig, solver: str = "diff_p2",
@@ -252,22 +216,24 @@ class MetricsReport:
 
 
 def compute_metrics(values: np.ndarray, offsets: np.ndarray,
-                    truth: Optional[np.ndarray] = None,
-                    zero_tol: float = 1e-6) -> MetricsReport:
+                    truth: Optional[np.ndarray] = None) -> MetricsReport:
     """Sparsity and recovery metrics for an abundance matrix.
 
-    ``fraction_nonzero``: entries above ``zero_tol`` over all entries.
+    ``fraction_nonzero``: entries above ``ZERO_TOL`` over all entries.
     ``group_one_sparse_fraction``: pixels whose every group has at most
-    one entry above ``zero_tol``.  With truth: squared recovery error,
-    the number of group-support disagreements after collapsing, and the
-    per-group mean absolute error of collapsed abundances.
+    one entry above ``ZERO_TOL``.  With truth: squared recovery error,
+    the number of group-support disagreements after summing each group,
+    and the per-group mean absolute error of those sums.  ``values`` must
+    have one row per column ``offsets`` covers.
     """
     values = np.asarray(values, dtype=float)
     offsets = np.asarray(offsets, dtype=np.int64)
-    collapser = GroupCollapser(offsets)
-    nz = np.abs(values) > zero_tol
+    if values.shape[0] != int(offsets[-1]):
+        raise ValueError(f"offsets cover {int(offsets[-1])} rows, values have {values.shape[0]}")
+    starts = offsets[:-1]
+    nz = np.abs(values) > ZERO_TOL
     fraction = float(nz.mean()) if values.size else 0.0
-    counts = np.add.reduceat(nz.astype(np.int64), offsets[:-1], axis=0)
+    counts = np.add.reduceat(nz.astype(np.int64), starts, axis=0)
     one_sparse = float(np.mean(np.all(counts <= 1, axis=0))) if values.shape[1] else 0.0
     if truth is None:
         return MetricsReport(fraction, one_sparse)
@@ -275,35 +241,8 @@ def compute_metrics(values: np.ndarray, offsets: np.ndarray,
     if truth.shape != values.shape:
         raise ValueError(f"truth shape {truth.shape} does not match values {values.shape}")
     sse = float(np.sum((values - truth) ** 2))
-    tv = collapser.apply(values)
-    tt = collapser.apply(truth)
-    mismatch = int(np.sum((np.abs(tv) > zero_tol) != (np.abs(tt) > zero_tol)))
+    tv = np.add.reduceat(values, starts, axis=0)
+    tt = np.add.reduceat(truth, starts, axis=0)
+    mismatch = int(np.sum((np.abs(tv) > ZERO_TOL) != (np.abs(tt) > ZERO_TOL)))
     group_mae = np.mean(np.abs(tv - tt), axis=1)
     return MetricsReport(fraction, one_sparse, sse, mismatch, group_mae)
-
-
-def save_scene(prefix: str, scene: HsiScene) -> None:
-    """Write pixels and dictionary as CSVs plus a JSON sidecar of metadata."""
-    np.savetxt(prefix + ".csv", scene.pixels, delimiter=",",
-               header=",".join(f"p{i}" for i in range(scene.n_pixels)))
-    np.savetxt(prefix + ".dict.csv", scene.dictionary.entries, delimiter=",",
-               header=",".join(f"c{i}" for i in range(scene.dictionary.n_columns)))
-    meta = {
-        "offsets": scene.dictionary.offsets.tolist(),
-        "scales": scene.scales.tolist(),
-        "names": list(scene.names),
-        "truth": None if scene.truth is None else scene.truth.tolist(),
-    }
-    with open(prefix + ".json", "w") as fh:
-        json.dump(meta, fh)
-
-
-def load_scene(prefix: str) -> HsiScene:
-    pixels = np.loadtxt(prefix + ".csv", delimiter=",", ndmin=2)
-    entries = np.loadtxt(prefix + ".dict.csv", delimiter=",", ndmin=2)
-    with open(prefix + ".json") as fh:
-        meta = json.load(fh)
-    truth = None if meta["truth"] is None else np.asarray(meta["truth"], dtype=float)
-    return HsiScene(GroupedDictionary(entries, np.asarray(meta["offsets"], dtype=np.int64)),
-                    np.asarray(meta["scales"], dtype=float), pixels, truth,
-                    tuple(meta["names"]))

@@ -162,6 +162,7 @@ def test_main_success_doas_align(tmp_path, capsys):
     assert len(stored) == 1
     assert stored[0]["experiment"] == "doas-align" and stored[0]["solver"] == "nnls"
     assert stored[0]["params"]["noise_sd"] == 0.0
+    assert stored[0]["overrides"] == {"noise_sd": 0.0}  # the config file, echoed
     assert {"support_hits", "nnz", "residual_norm"} <= set(stored[0]["metrics"])
 
 
@@ -217,6 +218,36 @@ def test_main_bad_solver_setting_exits_2(tmp_path, capsys, experiment, solver, k
     assert code == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and field in err
+
+
+@pytest.mark.parametrize("experiment, solver, knobs", [
+    ("doas-align", "diff_p2", {"max_outer": 2.5, "noise_sd": 0.0}),
+    ("doas-align", "nnls", {"bands": 100.5}),
+    ("doas-background", "lstsq", {"lstsq_draws": 2.7}),
+    ("hsi-inter", "nnls", {"endmembers": 3.5}),
+    ("hsi-structured", "nnls", {"counts": [4, 2.5]}),
+    ("hsi-structured", "nnls", {"group_size": 4.5}),
+    ("hsi-structured", "nnls", {"n_groups": 2.5}),
+    ("hsi-structured", "nnls", {"seed": 0.5}),
+    ("hsi-structured", "nnls", {"scale": 20.5}),
+])
+def test_main_fractional_whole_number_exits_2(tmp_path, capsys, monkeypatch, experiment,
+                                              solver, knobs):
+    # int() once truncated these: max_outer 2.5 ran 2 steps and exited 0
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(cli, "fit_doas", no_solve)
+    monkeypatch.setattr(cli, "demix_scene", no_solve)
+    cfg = tmp_path / "knobs.json"
+    cfg.write_text(json.dumps(knobs))
+    argv = ["--experiment", experiment, "--solver", solver, "--config", str(cfg)]
+    if "scale" not in knobs:
+        argv += ["--scale", "4" if experiment.startswith("doas") else "20"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    name = next(k for k in knobs if k != "noise_sd")
+    assert "configuration error" in err and f"{name} must be a whole number" in err
 
 
 @pytest.mark.parametrize("knobs", [

@@ -332,8 +332,8 @@ def _bad_weight_call(entry, value):
         return lambda: demix_scene(scene, cfg, solver="l1", l1_gamma=value)
     if entry == "fit_doas":
         ddict = _desk_deformation_dictionary()
-        cfg = SparsityConfig(gamma=np.full(ddict.n_groups, 0.05), gamma0=0.0,
-                             eps=np.full(ddict.n_groups, 0.05), r=1.0)
+        m = ddict.dictionary.n_groups
+        cfg = SparsityConfig(gamma=np.full(m, 0.05), gamma0=0.0, eps=np.full(m, 0.05), r=1.0)
         data = ddict.dictionary.entries @ np.full(ddict.dictionary.n_columns, 0.01)
         return lambda: fit_doas(data, ddict, DoasFitConfig(sparsity=cfg, solver="l1",
                                                            l1_tau=value))

@@ -8,9 +8,8 @@ from ssnnls.core import GroupedDictionary, SparsityConfig
 from ssnnls.doas import (DOAS_SOLVERS, BackgroundOperator, DeformationGrid, DoasFitConfig,
                          ReferenceSpectrum, _sample_with_reflection, build_background_operator,
                          build_deformation_dictionary, deformed_column, fit_doas,
-                         load_dictionary, quartic_background, read_reference_csv,
-                         sample_planted_coeffs, save_dictionary, synthesize_doas_data,
-                         synthesize_references, wavelength_grid, write_reference_csv)
+                         quartic_background, sample_planted_coeffs, synthesize_doas_data,
+                         synthesize_references, wavelength_grid)
 from ssnnls.errors import ConfigError, DegenerateColumnError
 from ssnnls.sgp import SgpParams
 
@@ -42,17 +41,6 @@ def test_reference_spectrum_validation():
         ReferenceSpectrum("x", np.array([340.0, 341.0]), np.array([1.0, 2.0, 3.0]))
 
 
-def test_reference_csv_round_trip(tmp_path):
-    wl = wavelength_grid(32)
-    ref = synthesize_references(wl, names=("HONO",), seed=3)[0]
-    path = str(tmp_path / "hono.csv")
-    write_reference_csv(path, ref)
-    back = read_reference_csv(path)
-    assert back.name == "HONO"
-    assert back.wavelengths == pytest.approx(ref.wavelengths, abs=1e-12)
-    assert back.values == pytest.approx(ref.values, abs=1e-12)
-
-
 def test_synthesize_references_defaults():
     wl = wavelength_grid(64)
     refs = synthesize_references(wl, seed=7)
@@ -62,6 +50,8 @@ def test_synthesize_references_defaults():
         assert np.max(np.abs(ref.values)) == pytest.approx(1.0)
     again = synthesize_references(wl, seed=7)
     assert refs[0].values == pytest.approx(again[0].values, abs=0.0)
+    (hono,) = synthesize_references(wl, names=("HONO",), seed=3)
+    assert hono.name == "HONO" and hono.values.shape == wl.shape
 
 
 def test_deformation_grid_shapes_and_round_trip():
@@ -117,19 +107,6 @@ def test_degenerate_deformation_raises(desk):
         deformed_column(refs[0], 0.0, 1e5, wl)
 
 
-def test_save_load_dictionary_round_trip(desk, tmp_path):
-    _, _, _, ddict = desk
-    path = str(tmp_path / "dict.csv")
-    save_dictionary(path, ddict)
-    back = load_dictionary(path)
-    assert back.dictionary.entries == pytest.approx(ddict.dictionary.entries, abs=1e-12)
-    assert np.array_equal(back.dictionary.offsets, ddict.dictionary.offsets)
-    assert back.scales == pytest.approx(ddict.scales, abs=1e-12)
-    assert back.names == ddict.names
-    assert back.grid.slopes == pytest.approx(ddict.grid.slopes)
-    assert back.wavelengths == pytest.approx(ddict.wavelengths)
-
-
 def test_sample_planted_coeffs(desk):
     _, _, grid, ddict = desk
     coeffs, planted = sample_planted_coeffs(ddict, seed=5)
@@ -166,7 +143,7 @@ def test_synthesize_doas_data(desk):
 
 def test_quartic_background_shape(desk):
     wl = desk[0]
-    bg = quartic_background(wl, scale=2.0, pole=334.0)
+    bg = quartic_background(wl, scale=2.0)
     assert bg.shape == wl.shape
     assert np.all(bg > 0)
     assert np.all(np.diff(bg) < 0)
@@ -182,7 +159,7 @@ def test_background_operator_annihilates_affine_exactly():
 
 def test_background_operator_matches_matrix():
     rng = np.random.default_rng(0)
-    op = build_background_operator(32, exponent=2.0)
+    op = build_background_operator(32)
     assert op.matrix.shape == (30, 32)
     for _ in range(5):
         b = rng.normal(size=32)
@@ -320,6 +297,10 @@ def test_fit_doas_config_errors(desk):
         fit_doas(data, ddict, DoasFitConfig(solver="nnls", sparsity=desk_sparsity(), alpha=-1.0))
     with pytest.raises(ConfigError):
         fit_doas(data, ddict, DoasFitConfig(solver="l1", sparsity=desk_sparsity()))
+    for draws in (0, 2.5):
+        with pytest.raises(ConfigError, match="lstsq_draws"):
+            fit_doas(data, ddict, DoasFitConfig(solver="lstsq", sparsity=desk_sparsity(),
+                                                lstsq_draws=draws))
     with pytest.raises(ValueError):
         fit_doas(data[:-1], ddict, DoasFitConfig(solver="nnls", sparsity=desk_sparsity()))
     assert set(DOAS_SOLVERS) == {"nnls", "l1", "pd", "lstsq", "hoyer_p1", "diff_p2"}

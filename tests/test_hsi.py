@@ -1,4 +1,4 @@
-"""Hyperspectral demixing: scene synthesis, per-pixel solving, metrics, I/O."""
+"""Hyperspectral demixing: scene synthesis, per-pixel solving, metrics."""
 
 import numpy as np
 import pytest
@@ -7,9 +7,8 @@ import scipy.linalg
 from ssnnls import qp
 from ssnnls.core import GroupedDictionary, SparsityConfig
 from ssnnls.errors import ConfigError, NonConvergenceError
-from ssnnls.hsi import (HSI_SOLVERS, GroupCollapser, HsiScene, compute_metrics, demix_scene,
-                        load_scene, save_scene, synthesize_endmember_library,
-                        synthesize_mixed_scene)
+from ssnnls.hsi import (HSI_SOLVERS, HsiScene, compute_metrics, demix_scene,
+                        synthesize_endmember_library, synthesize_mixed_scene)
 from ssnnls.sgp import SgpParams, solve_problem2
 
 
@@ -24,20 +23,6 @@ def tiny_cfg():
 
 
 SGP_FAST = SgpParams(c_matrix_scale=1e-9, tol_energy=1e-5)
-
-
-# ---------------------------------------------------------------- collapser
-
-
-def test_group_collapser():
-    col = GroupCollapser(np.array([0, 2, 5]))
-    vals = np.arange(10, dtype=float).reshape(5, 2)
-    out = col.apply(vals)
-    assert out == pytest.approx(np.array([[0 + 2, 1 + 3], [4 + 6 + 8, 5 + 7 + 9]]))
-    assert col.matrix() == pytest.approx(np.array([[1, 1, 0, 0, 0], [0, 0, 1, 1, 1.0]]))
-    assert col.matrix() @ vals == pytest.approx(out)
-    with pytest.raises(ValueError):
-        col.apply(np.zeros((4, 2)))
 
 
 # ---------------------------------------------------------------- synthesis
@@ -64,8 +49,8 @@ def test_mixed_scene_schedule_and_unit_norm():
     scene = synthesize_mixed_scene(library, scales, counts, noise_sd=0.0, seed=3)
     assert scene.n_pixels == 9
     assert np.linalg.norm(scene.pixels, axis=0) == pytest.approx(np.ones(9))
-    collapser = scene.collapser()
-    active_groups = (np.abs(collapser.apply(scene.truth)) > 0).sum(axis=0)
+    group_sums = np.add.reduceat(scene.truth, library.offsets[:-1], axis=0)
+    active_groups = (np.abs(group_sums) > 0).sum(axis=0)
     assert list(active_groups) == [1] * 4 + [2] * 3 + [3] * 2
     per_group_counts = np.add.reduceat((scene.truth > 0).astype(int),
                                        library.offsets[:-1], axis=0)
@@ -116,7 +101,6 @@ def test_demix_each_solver(tiny_scene, solver):
         counts = np.add.reduceat((np.abs(out.values) > 1e-9).astype(int),
                                  out.offsets[:-1], axis=0)
         assert counts.max() <= 1
-    assert out.column(2) == pytest.approx(out.values[:, 2])
 
 
 def test_demix_l1_factors_the_dictionary_once(tiny_scene, monkeypatch):
@@ -183,28 +167,16 @@ def test_compute_metrics_hand_checked():
     assert full.group_mae == pytest.approx([0.2, 0.15])
     with pytest.raises(ValueError):
         compute_metrics(values, offsets, truth[:-1])
+    # a fifth row that offsets do not cover is an error, with or without truth
+    extra = np.vstack([values, [[0.1, 0.1]]])
+    for with_truth in (None, extra):
+        with pytest.raises(ValueError, match="rows"):
+            compute_metrics(extra, offsets, with_truth)
 
 
 def test_metrics_zero_tolerance_boundary():
     values = np.array([[1e-7], [2e-6]])
-    report = compute_metrics(values, np.array([0, 2]), zero_tol=1e-6)
+    report = compute_metrics(values, np.array([0, 2]))
     assert report.fraction_nonzero == pytest.approx(0.5)
     assert report.group_one_sparse_fraction == 1.0
 
-
-# ---------------------------------------------------------------- io
-
-
-def test_scene_round_trip(tmp_path, tiny_scene):
-    prefix = str(tmp_path / "scene")
-    save_scene(prefix, tiny_scene)
-    back = load_scene(prefix)
-    assert back.pixels == pytest.approx(tiny_scene.pixels, abs=1e-12)
-    assert back.dictionary.entries == pytest.approx(tiny_scene.dictionary.entries, abs=1e-12)
-    assert np.array_equal(back.dictionary.offsets, tiny_scene.dictionary.offsets)
-    assert back.truth == pytest.approx(tiny_scene.truth, abs=1e-12)
-    assert back.scales == pytest.approx(tiny_scene.scales, abs=1e-12)
-
-    bare = HsiScene(tiny_scene.dictionary, tiny_scene.scales, tiny_scene.pixels)
-    save_scene(str(tmp_path / "bare"), bare)
-    assert load_scene(str(tmp_path / "bare")).truth is None
