@@ -17,7 +17,7 @@ from .core import (GroupedCoeffs, GroupedDictionary, ObjectiveEval, SparsityConf
 from .errors import ConfigError, DegenerateColumnError, NonConvergenceError, SsnnlsError
 from .penalties import PenaltyValue, diff_l1_l2, hoyer_ratio, huber
 from .qp import AdmmParams, QpSolution, QpSubproblem, solve_qp_p1, solve_qp_p2
-from .sgp import SgpParams, SolveReport, check_descent_estimate, solve_problem1, solve_problem2
+from .sgp import SgpParams, SolveReport, solve_problem1, solve_problem2
 
 __version__ = "0.1.0"
 
@@ -26,7 +26,7 @@ __all__ = [
     "GroupedDictionary", "NonConvergenceError", "ObjectiveEval", "PdParams",
     "PenaltyValue", "QpSolution", "QpSubproblem", "SgpParams",
     "SolveReport", "SparsityConfig", "SsnnlsError",
-    "check_descent_estimate", "diff_l1_l2", "eval_objective_p1", "eval_objective_p2",
+    "diff_l1_l2", "eval_objective_p1", "eval_objective_p2",
     "hoyer_ratio", "huber", "l1_bregman", "l1_penalized", "nnls", "normalize_columns",
     "penalty_decomposition_l0", "solve_problem1", "solve_problem2",
     "solve_qp_p1", "solve_qp_p2",

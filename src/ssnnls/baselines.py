@@ -198,9 +198,8 @@ def penalty_decomposition_l0(dct: GroupedDictionary, b: np.ndarray, cfg: Sparsit
     projection of y onto the per-group constraint (keep the largest entry
     of each group, clipped to be non-negative; ties take the lowest
     index), increasing the coupling penalty rho geometrically until x and
-    y agree to ``tol_outer``.  A sign-free tail is copied, not thresholded.
-    Returns the structured side y, which satisfies the group constraint
-    exactly.
+    y agree to ``tol_outer``.  Returns the structured side y, which
+    satisfies the group constraint exactly.
 
     ``init`` selects the starting y: "zero", "nnls", "lstsq" (minimum-norm
     least squares), or an explicit vector.
@@ -216,8 +215,6 @@ def penalty_decomposition_l0(dct: GroupedDictionary, b: np.ndarray, cfg: Sparsit
         if kind == "zero":
             y = np.zeros(n)
         elif kind == "nnls":
-            if dct.n_free:
-                raise ConfigError("nnls initialisation is undefined with a sign-free tail")
             y = nnls(entries, b)
         elif kind in ("lstsq", "leastsquares"):
             y = np.linalg.lstsq(entries, b, rcond=None)[0]

@@ -100,6 +100,13 @@ def _whole(name: str, value) -> int:
     raise ConfigError(f"{name} must be a whole number, got {value!r}")
 
 
+def _listed(name: str, value) -> list:
+    """``value`` as a list; anything but a list is a ConfigError naming ``name``."""
+    if isinstance(value, (list, tuple)):
+        return list(value)
+    raise ConfigError(f"{name} must be a list, got {value!r}")
+
+
 @dataclass
 class RunRecord:
     """Outcome of one (experiment, solver) run, JSON-serialisable.
@@ -231,9 +238,8 @@ def _doas_records(cfg: ExperimentConfig, data, ddict, info, solvers, fit_config,
 def run_doas_align(cfg: ExperimentConfig) -> List[RunRecord]:
     wl, refs, ddict, seed_plant, seed_noise, seed_jitter = _doas_protocol(cfg)
     noise_sd = float(cfg.knob("noise_sd", 0.005))
-    planted, info = sample_planted_coeffs(ddict, seed_plant,
-                                          magnitude_means=tuple(cfg.knob(
-                                              "magnitude_means", (1.0, 0.1, 1.5))))
+    means = _listed("magnitude_means", cfg.knob("magnitude_means", (1.0, 0.1, 1.5)))
+    planted, info = sample_planted_coeffs(ddict, seed_plant, magnitude_means=means)
     # Sub-grid misalignment: the true offset sits jitter*step away from the
     # planted atom's, so no exact nonnegative combination of columns
     # reproduces the data even at noise 0.  The shift stays well under the
@@ -286,7 +292,9 @@ def run_doas_background(cfg: ExperimentConfig) -> List[RunRecord]:
     noise_sd = float(cfg.knob("noise_sd", 5.58e-5))
     full_grid = ddict.grid.size == 441
     group_cols = cfg.knob("group_cols", [179, 240, 220] if full_grid else None)
-    magnitudes = tuple(cfg.knob("magnitudes", (0.01206, 0.00112, 0.01589)))
+    if group_cols is not None:
+        group_cols = _listed("group_cols", group_cols)
+    magnitudes = _listed("magnitudes", cfg.knob("magnitudes", (0.01206, 0.00112, 0.01589)))
     planted, info = sample_planted_coeffs(ddict, seed_plant, group_cols=group_cols,
                                           magnitudes=magnitudes)
     background = quartic_background(wl, scale=float(cfg.knob("bg_scale", 2.0)))
@@ -372,7 +380,7 @@ def _mixture_counts(cfg: ExperimentConfig, full_counts) -> List[int]:
     counts = cfg.knob("counts", None)
     if counts is None:
         counts = [c // cfg.scale for c in full_counts]
-    counts = [_whole("counts", c) for c in counts]
+    counts = [_whole("counts", c) for c in _listed("counts", counts)]
     if sum(counts) == 0:
         raise ConfigError(f"scale {cfg.scale} leaves no pixels; pass explicit counts")
     return counts

@@ -1,11 +1,9 @@
 """Grouped dictionaries, coefficient containers, and objective evaluation.
 
 The data model: a dictionary matrix whose columns are partitioned into
-contiguous groups followed by ``n_free`` trailing columns that belong to
-no group, a coefficient vector (optionally with one dummy variable per
-group), and a sparsity configuration holding the per-group weights and
-floors.  The trailing columns, a sign-free tail, are sign-unconstrained
-and unpenalised (the background block of a spectral fit).
+contiguous groups, a coefficient vector (optionally with one dummy
+variable per group), and a sparsity configuration holding the per-group
+weights and floors.
 
 Two objectives are evaluated here:
 
@@ -42,7 +40,7 @@ L1_SHIFT = 1e-10
 
 # A product with A or G reads only the columns on x's support while that
 # support holds at most this share of x's entries; past it the dense
-# product is faster (the 0.1 start point, a sign-free background tail).
+# product is faster (the 0.1 start point).
 # A matrix of fewer entries than SUPPORT_MIN_ENTRIES is always multiplied
 # densely: with 3 nonzeros the gather costs more than the whole product
 # below 32k-72k entries (timed on one core; 204 x 40 hyperspectral
@@ -59,35 +57,29 @@ ZERO_TOL = 1e-6
 
 @dataclass(frozen=True)
 class GroupedDictionary:
-    """Dictionary matrix with contiguous column groups and a sign-free tail.
+    """Dictionary matrix with contiguous column groups.
 
     ``offsets`` has length ``n_groups + 1`` with ``offsets[0] == 0`` and
-    ``offsets[-1] == n_columns - n_free``; group j owns columns
-    ``offsets[j]:offsets[j+1]``.  The last ``n_free`` columns belong to
-    no group: the solvers leave them sign-free and unpenalised.
+    ``offsets[-1] == n_columns``; group j owns columns
+    ``offsets[j]:offsets[j+1]``.
     """
 
     entries: np.ndarray
     offsets: np.ndarray
-    n_free: int = 0
 
     def __post_init__(self):
         entries = np.ascontiguousarray(np.asarray(self.entries, dtype=float))
         offsets = np.asarray(self.offsets, dtype=np.int64)
-        n_free = int(self.n_free)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "n_free", n_free)
         if entries.ndim != 2:
             raise ValueError(f"entries must be 2-d, got shape {entries.shape}")
-        if not 0 <= n_free <= entries.shape[1]:
-            raise ValueError(f"n_free must be in 0..{entries.shape[1]}, got {n_free}")
         if offsets.ndim != 1 or offsets.size < 2:
-            raise ValueError("offsets must hold at least [0, n_columns - n_free]")
-        if offsets[0] != 0 or offsets[-1] != entries.shape[1] - n_free:
+            raise ValueError("offsets must hold at least [0, n_columns]")
+        if offsets[0] != 0 or offsets[-1] != entries.shape[1]:
             raise ValueError(
-                f"offsets must run from 0 to n_columns - n_free="
-                f"{entries.shape[1] - n_free}, got {offsets[0]}..{offsets[-1]}"
+                f"offsets must run from 0 to n_columns={entries.shape[1]}, "
+                f"got {offsets[0]}..{offsets[-1]}"
             )
         if np.any(np.diff(offsets) <= 0):
             raise ValueError("group offsets must be strictly increasing")
@@ -152,8 +144,6 @@ class GroupedCoeffs:
 class SparsityConfig:
     """Penalty weights, group floors and budget slack of a dictionary's groups.
 
-    A dictionary's sign-free tail belongs to no group and has no entry here.
-
     Parameters
     ----------
     gamma : array, shape (n_groups,)
@@ -203,8 +193,8 @@ class SparsityConfig:
 class ObjectiveEval:
     """Objective value split into fit and penalty, with gradients.
 
-    ``penalty_grad`` is the penalty's gradient in x (zero on a sign-free
-    tail) and ``grad_d`` the objective's, all penalty, in the dummies.
+    ``penalty_grad`` is the penalty's gradient in x and ``grad_d`` the
+    objective's, all penalty, in the dummies.
     The full gradient in x, ``grad_x`` = G x - A'b + ``penalty_grad``, is
     formed from the rows of the cached Gram matrix on x's support when it
     is first read, and kept.
@@ -303,14 +293,12 @@ def eval_objective_p2(dct: GroupedDictionary, b: np.ndarray, coeffs: GroupedCoef
     x = _checked_x(dct, coeffs)
     resid, fit = _least_squares(dct, b, x)
 
-    pre = int(dct.offsets[-1])
-    pv = diff_l1_l2_groups(x[:pre], dct.offsets, cfg.eps, cfg.gamma)
-    penalty, grad = pv.value, np.zeros(x.size)
-    grad[:pre] += pv.grad
+    pv = diff_l1_l2_groups(x, dct.offsets, cfg.eps, cfg.gamma)
+    penalty, grad = pv.value, pv.grad
     if cfg.gamma0 > 0.0:
-        pv = diff_l1_l2(x[:pre], float(np.min(cfg.eps)))
+        pv = diff_l1_l2(x, float(np.min(cfg.eps)))
         penalty += cfg.gamma0 * pv.value
-        grad[:pre] += cfg.gamma0 * pv.grad
+        grad += cfg.gamma0 * pv.grad
 
     return ObjectiveEval(fit + penalty, fit, penalty, resid, grad, x=x, dct=dct, atb=atb)
 
@@ -334,15 +322,12 @@ def eval_objective_p1(dct: GroupedDictionary, b: np.ndarray, coeffs: GroupedCoef
         raise ValueError(f"d must have shape ({m},), got {d.shape}")
     resid, fit = _least_squares(dct, b, x)
 
-    pre = int(dct.offsets[-1])
-    pv = hoyer_ratio_groups(x[:pre], d, dct.offsets, cfg.gamma)
-    penalty, grad_x = pv.value, np.zeros(x.size)
-    grad_x[:pre] += pv.grad[:pre]
-    grad_d = pv.grad[pre:]
+    pv = hoyer_ratio_groups(x, d, dct.offsets, cfg.gamma)
+    penalty, grad_x, grad_d = pv.value, pv.grad[:x.size], pv.grad[x.size:]
     if cfg.gamma0 > 0.0:
-        pv = hoyer_ratio(x[:pre])
+        pv = hoyer_ratio(x)
         penalty += cfg.gamma0 * pv.value
-        grad_x[:pre] += cfg.gamma0 * pv.grad
+        grad_x += cfg.gamma0 * pv.grad
 
     return ObjectiveEval(fit + penalty, fit, penalty, resid, grad_x, grad_d,
                          x=x, dct=dct, atb=atb)

@@ -22,18 +22,15 @@ is sparse (Bro & de Jong 1997; Van Benthem & Keenan 2004).  Problem 1
 also carries one dummy per group, with the group floors and one budget
 on the dummies; a primal active set solves the free dummies and the
 multipliers of the working floors and budget in one small dense system.
-A sign-free tail is eliminated once per solve through the Schur
-complement of its block.  Problem 1's value check reads G dx from the
-rows of G on dx's support (:func:`ssnnls.core.support_matvec`), and the
-active sets read the rows of G (or of the symmetric Schur complement)
-on their free set, so a step never multiplies the whole of a large G.
+Problem 1's value check reads G dx from the rows of G on dx's support
+(:func:`ssnnls.core.support_matvec`), and the active sets read the rows
+of G on their free set, so a step never multiplies the whole of a large G.
 """
 
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-import scipy.linalg
 import scipy.linalg.lapack
 
 from .core import SUPPORT_SHARE, support_matvec
@@ -58,18 +55,16 @@ class QpSubproblem:
     """One quadratic model in standard form: z'(G + 2C)z / 2 - q'z.
 
     ``gram`` is G, ``shift`` the diagonal of C and ``q`` the linear term
-    (G + 2C) a - grad F(a) at the ``anchor`` a.  The feasible set is
-    described by ``n_free`` (trailing sign-free coordinates) and, for
-    problem 1, the group ``offsets``/``eps`` floors, the dummy block
-    (``anchor_d``, ``q_d`` = 2 C_d a_d - grad_d F(a), ``shift_d``) and
-    ``budget``.
+    (G + 2C) a - grad F(a) at the ``anchor`` a.  The feasible set is the
+    orthant and, for problem 1, the group ``offsets``/``eps`` floors, the
+    dummy block (``anchor_d``, ``q_d`` = 2 C_d a_d - grad_d F(a),
+    ``shift_d``) and ``budget``.
     """
 
     gram: np.ndarray
     q: np.ndarray
     anchor: np.ndarray
     shift: np.ndarray
-    n_free: int = 0
     offsets: Optional[np.ndarray] = None
     eps: Optional[np.ndarray] = None
     anchor_d: Optional[np.ndarray] = None
@@ -85,8 +80,6 @@ class QpSubproblem:
             raise ValueError("q and shift must match the anchor length")
         if not np.all((self.shift >= 0) & np.isfinite(self.shift)):
             raise ValueError("diagonal shift must be finite and non-negative")
-        if not 0 <= self.n_free <= n:
-            raise ValueError(f"n_free out of range 0..{n}")
         if grouped:
             if self.offsets is None or self.eps is None or self.anchor_d is None \
                     or self.q_d is None or self.shift_d is None:
@@ -94,8 +87,8 @@ class QpSubproblem:
             m = self.eps.size
             if self.offsets.shape != (m + 1,):
                 raise ValueError("offsets must have one more entry than eps")
-            if int(self.offsets[-1]) != n - self.n_free:
-                raise ValueError("groups must cover exactly the sign-constrained prefix")
+            if int(self.offsets[-1]) != n:
+                raise ValueError("groups must cover exactly the coefficients")
             for name in ("anchor_d", "q_d", "shift_d"):
                 if getattr(self, name).shape != (m,):
                     raise ValueError(f"{name} must have shape ({m},)")
@@ -274,63 +267,24 @@ def active_set_qp(h: np.ndarray, diag: np.ndarray, q: np.ndarray,
     return z, iters
 
 
-FreeElimination = Tuple[Tuple[np.ndarray, bool], np.ndarray, np.ndarray]
-
-
-def eliminate_free(gram: np.ndarray, shift: np.ndarray, n_free: int) -> FreeElimination:
-    """Remove the ``n_free`` trailing sign-free coordinates from H = G + 2 diag(shift).
-
-    Returns the Cholesky factor of H_ff, Y = H_ff^-1 H_fc and the Schur
-    complement S = H_cc - H_cf Y, on which :func:`solve_qp_p2` runs the
-    active set.  Raises ``ValueError`` when H_ff is not positive definite.
-    """
-    c = gram.shape[0] - n_free
-    h_ff = gram[c:, c:] + np.diag(2.0 * shift[c:])
-    try:
-        factor = scipy.linalg.cho_factor(h_ff, overwrite_a=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"model Hessian G + 2C is not positive definite on its "
-                         f"sign-free block ({exc}); increase c_matrix_scale") from exc
-    y = scipy.linalg.cho_solve(factor, gram[c:, :c], check_finite=False)
-    coupling = gram[:c, c:] @ y
-    # symmetric to the last bit, as the active sets read its rows for its columns
-    schur = gram[:c, :c] - 0.5 * (coupling + coupling.T)
-    schur[np.diag_indices_from(schur)] += 2.0 * shift[:c]
-    return factor, y, schur
-
-
-def solve_qp_p2(sub: QpSubproblem, free: Optional[FreeElimination] = None) -> QpSolution:
+def solve_qp_p2(sub: QpSubproblem) -> QpSolution:
     """Solve the orthant-constrained model exactly (problem 2 inner step).
 
-    The model z'(G + 2C)z / 2 - sub.q'z is minimised over z_c >= 0 by
-    :func:`active_set_qp`, started from the anchor's support.  A
-    sign-free tail z_f is eliminated first: ``free`` is
-    :func:`eliminate_free` of the subproblem (computed here when not
-    given), the active set runs on the Schur complement with
-    q_c - Y'q_f, and z_f = H_ff^-1 q_f - Y z_c.  ``iterations`` counts the
-    active set's passive-block solves.
+    The model z'(G + 2C)z / 2 - sub.q'z is minimised over z >= 0 by
+    :func:`active_set_qp`, started from the anchor's support.
+    ``iterations`` counts the active set's passive-block solves.
     """
     sub.validate(grouped=False)
-    f = sub.n_free
-    c = sub.anchor.size - f
-    q = sub.q
-    start = sub.anchor[:c] > 0.0
-    if not f:
-        z, iters = active_set_qp(sub.gram, 2.0 * sub.shift, q, start)
-        return QpSolution(z, None, iters)
-    factor, y, schur = free if free is not None else eliminate_free(sub.gram, sub.shift, f)
-    zf0 = scipy.linalg.cho_solve(factor, q[c:], check_finite=False)
-    zc, iters = active_set_qp(schur, np.zeros(c), q[:c] - y.T @ q[c:], start)
-    return QpSolution(np.concatenate([zc, zf0 - y @ zc]), None, iters)
+    z, iters = active_set_qp(sub.gram, 2.0 * sub.shift, sub.q, sub.anchor > 0.0)
+    return QpSolution(z, None, iters)
 
 
 def _polish_dummies(x: np.ndarray, d: np.ndarray, sub: QpSubproblem) -> np.ndarray:
     # the active set meets the floors and the budget only to rounding, and
     # entries it snaps to zero move them by up to that rounding; at fixed x,
     # raise each dummy to its group's floor and scale the excess over the
-    # floors down to the slack the budget leaves (the sign-free tail is in
-    # no group)
-    floors = np.maximum(sub.eps - np.add.reduceat(x[:sub.offsets[-1]], sub.offsets[:-1]), 0.0)
+    # floors down to the slack the budget leaves
+    floors = np.maximum(sub.eps - np.add.reduceat(x, sub.offsets[:-1]), 0.0)
     slack = sub.budget - float(np.sum(floors / sub.eps))
     if slack < 0:
         return d
@@ -476,34 +430,22 @@ def solve_qp_p1(sub: QpSubproblem) -> QpSolution:
 
     The model is z'(G + 2C)z / 2 - sub.q'z plus
     d'(2 C_d)d / 2 - sub.q_d'd, over x >= 0, d >= 0, the group floors
-    sum(x_g_j) + d_j >= eps_j and the budget sum(d / eps) <= budget.  A
-    sign-free tail is eliminated first (:func:`eliminate_free`), and the
-    primal active set runs on the Schur complement.  The dummies are
-    repaired at fixed x on exit, so the floors and the budget hold to
-    rounding.  ``iterations`` counts the active set's passive-block solves;
-    :class:`NonConvergenceError` after ``ACTIVE_SET_ITERS_PER_COLUMN``
-    times (n + m) of them, ``ValueError`` from a model that is not strictly
-    convex.
+    sum(x_g_j) + d_j >= eps_j and the budget sum(d / eps) <= budget, by
+    a primal active set.  The dummies are repaired at fixed x on exit, so
+    the floors and the budget hold to rounding.  ``iterations`` counts the
+    active set's passive-block solves; :class:`NonConvergenceError` after
+    ``ACTIVE_SET_ITERS_PER_COLUMN`` times (n + m) of them, ``ValueError``
+    from a model that is not strictly convex.
     """
     sub.validate(grouped=True)
-    n, m, f = sub.anchor.size, sub.eps.size, sub.n_free
-    c = n - f
+    n, m = sub.anchor.size, sub.eps.size
     dd = 2.0 * sub.shift_d
     if not np.all(dd > 0):
         raise ValueError("the dummies' model curvature 2 C_d must be positive; "
                          "increase c_matrix_scale")
-    diag = 2.0 * sub.shift
-    q, qd = sub.q, sub.q_d
     offsets = np.asarray(sub.offsets, dtype=np.int64)
     eps = np.asarray(sub.eps, dtype=float)
     cap = ACTIVE_SET_ITERS_PER_COLUMN * (n + m)
-    hx, diag_x, qx = sub.gram, diag, q
-    if f:
-        factor, y, hx = eliminate_free(sub.gram, sub.shift, f)
-        diag_x, qx = np.zeros(c), q[:c] - y.T @ q[c:]
-    x, d, iters = _grouped_active_set(hx, diag_x, qx, offsets, eps, dd, qd,
-                                      float(sub.budget), cap)
-    if f:
-        x_free = scipy.linalg.cho_solve(factor, q[c:], check_finite=False) - y @ x
-        x = np.concatenate([x, x_free])
+    x, d, iters = _grouped_active_set(sub.gram, 2.0 * sub.shift, sub.q, offsets, eps, dd,
+                                      sub.q_d, float(sub.budget), cap)
     return QpSolution(x, _polish_dummies(x, d, sub), iters)

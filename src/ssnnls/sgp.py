@@ -9,11 +9,9 @@ where the Hoyer ratio's curvature is unbounded near the floors).
 
 Both problems minimise their model exactly at every step by an active
 set on the dictionary's cached Gram matrix, which factors only the small
-block on the current support; a sign-free tail costs one Cholesky factor
-per outer solve (problem 2) or per model solve (problem 1, whose shift
-changes between them).  Each solve checks its data, its configuration
-and its ``init`` and forms A'b once.  The model goes to :mod:`ssnnls.qp`
-in standard form, z'(G + 2C)z / 2 - q'z with
+block on the current support.  Each solve checks its data, its
+configuration and its ``init`` and forms A'b once.  The model goes to
+:mod:`ssnnls.qp` in standard form, z'(G + 2C)z / 2 - q'z with
 q = (G + 2C) a - grad F(a) = A'b - grad P(a) + 2Ca (and
 q_d = 2 C_d a_d - grad_d P(a) for problem 1's dummies), so the fit's
 gradient G a - A'b is never formed: an objective evaluation forms only
@@ -34,8 +32,7 @@ import numpy as np
 from .core import (GroupedCoeffs, GroupedDictionary, SparsityConfig, checked_data,
                    eval_objective_p1, eval_objective_p2)
 from .errors import ConfigError, NonConvergenceError
-from .qp import (QpSubproblem, eliminate_free, model_cholesky, model_value, solve_qp_p1,
-                 solve_qp_p2)
+from .qp import QpSubproblem, model_cholesky, model_value, solve_qp_p1, solve_qp_p2
 
 TERM_STEP = "step_tol"
 TERM_ENERGY = "energy_tol"
@@ -144,11 +141,10 @@ def _feasible_p1_init(dct: GroupedDictionary, cfg: SparsityConfig,
     sum(d / eps) exceeds it.
     """
     m = dct.n_groups
-    pre = int(dct.offsets[-1])
     init = _checked_init(init, dct.n_columns, m)
     x = _default_x0(dct.n_columns) if init is None else init.x
     d = np.zeros(m) if init is None or init.d is None else init.d
-    x[:pre] = np.maximum(x[:pre], 0.0)
+    x = np.maximum(x, 0.0)
     d = np.maximum(d, 0.0)
     for j in range(m):
         sl = dct.group_slice(j)
@@ -168,29 +164,26 @@ def solve_problem2(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
 
     The diagonal scaling stays fixed at ``c_matrix_scale``, so every step
     solves its model exactly by an active set on the dictionary's cached
-    Gram matrix (:func:`ssnnls.qp.solve_qp_p2`); a sign-free tail is
-    eliminated once per solve, and each step's active set starts from the
-    anchor's support when it is sparse.  A model minimiser that does not
-    lower the objective ends the run as ``energy_tol``.  A
+    Gram matrix (:func:`ssnnls.qp.solve_qp_p2`), each step's active set
+    started from the anchor's support when it is sparse.  A model
+    minimiser that does not lower the objective ends the run as
+    ``energy_tol``.  A
     :class:`NonConvergenceError` from a step's active set propagates; an
     ``init`` of the wrong length or with a NaN or infinite entry is a
     ``ValueError`` before any evaluation.
     """
     params = params or SgpParams()
     b, atb = checked_data(dct, b, cfg)
-    n, n_free = dct.n_columns, dct.n_free
-    pre = n - n_free
+    n = dct.n_columns
 
     init = _checked_init(init, n)
-    x = _default_x0(n) if init is None else init.x
-    x[:pre] = np.maximum(x[:pre], 0.0)
+    x = np.maximum(_default_x0(n) if init is None else init.x, 0.0)
 
     gram = dct.gram
     if not params.c_matrix_scale > 0:
         # with no shift the model is strongly convex only if A has full column rank
         model_cholesky(gram)
     shift = np.full(n, params.c_matrix_scale)
-    free = eliminate_free(gram, shift, n_free) if n_free else None
     report = SolveReport(final=GroupedCoeffs(x))
 
     ev = eval_objective_p2(dct, b, GroupedCoeffs(x), cfg, atb=atb)
@@ -198,8 +191,8 @@ def solve_problem2(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
     for _ in range(params.max_outer):
         # q = (G + 2C) x - grad F(x), in which G x cancels
         sub = QpSubproblem(gram=gram, q=atb - ev.penalty_grad + 2.0 * shift * x, anchor=x,
-                           shift=shift, n_free=n_free)
-        sol = solve_qp_p2(sub, free)
+                           shift=shift)
+        sol = solve_qp_p2(sub)
         report.inner_iters_total += sol.iterations
         ev_y = eval_objective_p2(dct, b, GroupedCoeffs(sol.x), cfg, atb=atb)
         if ev_y.value > ev.value:
@@ -257,8 +250,7 @@ def solve_problem1(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
         # q = (G + 2C) x - grad F(x), in which G x cancels; the dummies
         # enter F through the penalty alone
         sub = QpSubproblem(gram=gram, q=atb - ev.penalty_grad + 2.0 * diag * x, anchor=x,
-                           shift=np.full(n, diag), n_free=dct.n_free,
-                           offsets=dct.offsets, eps=cfg.eps, anchor_d=d,
+                           shift=np.full(n, diag), offsets=dct.offsets, eps=cfg.eps, anchor_d=d,
                            q_d=2.0 * diag * d - ev.grad_d,
                            shift_d=np.full(m, diag), budget=budget)
         sol = solve_qp_p1(sub)
@@ -296,36 +288,3 @@ def solve_problem1(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
             break
     report.final = GroupedCoeffs(x, d)
     return report
-
-
-def check_descent_estimate(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
-                           at: GroupedCoeffs, to: GroupedCoeffs,
-                           lambda_r: float, lambda_big: float,
-                           problem: str = "p2") -> bool:
-    """Check the quadratic upper estimate used to justify the outer step.
-
-    With lambda_r / lambda_big lower and upper eigenvalue bounds of the
-    penalty Hessian between ``at`` and ``to``, the objective change is
-    bounded by
-
-        (lambda_big - lambda_r/2) |dz|^2 + |A dx|^2 / 2 + dz . grad F(at)
-
-    where dz stacks the coefficient (and dummy) differences.  Any
-    diagonal model shift cancels from the two sides, so none is taken.
-    """
-    if problem == "p2":
-        ev = eval_objective_p2(dct, b, at, cfg)
-        fy = eval_objective_p2(dct, b, to, cfg).value
-        dz2 = float(np.sum((to.x - at.x) ** 2))
-        inner = float(ev.grad_x @ (to.x - at.x))
-    elif problem == "p1":
-        ev = eval_objective_p1(dct, b, at, cfg)
-        fy = eval_objective_p1(dct, b, to, cfg).value
-        dz2 = float(np.sum((to.x - at.x) ** 2) + np.sum((to.d - at.d) ** 2))
-        inner = float(ev.grad_x @ (to.x - at.x)) + float(ev.grad_d @ (to.d - at.d))
-    else:
-        raise ValueError(f"problem must be 'p1' or 'p2', got {problem!r}")
-    a_dx = dct.entries @ (to.x - at.x)
-    rhs = (lambda_big - 0.5 * lambda_r) * dz2 + 0.5 * float(a_dx @ a_dx) + inner
-    lhs = fy - ev.value
-    return lhs <= rhs + 1e-10 * (1.0 + abs(lhs))

@@ -7,7 +7,8 @@ whole model Hessian with scipy's NNLS on it, on models too
 ill-conditioned for projected gradient; problem 1's step on degenerate,
 ill-conditioned one-material models and the penalized and constrained l1
 baselines are checked against scipy's SLSQP.  The objectives are
-evaluated with dense products and one group at a time.  Nothing here
+evaluated with dense products and one group at a time, and the outer
+step's quadratic upper estimate is checked on them.  Nothing here
 shares code with the package beyond reading its data containers.
 """
 
@@ -56,10 +57,9 @@ def dense_objective_p2(dct, b, cfg, x):
         penalty += cfg.gamma[j] * value
         grad[sl] += cfg.gamma[j] * g
     if cfg.gamma0 > 0.0:
-        pre = dct.n_columns - dct.n_free
-        value, g = diff(x[:pre], float(np.min(cfg.eps)))
+        value, g = diff(x, float(np.min(cfg.eps)))
         penalty += cfg.gamma0 * value
-        grad[:pre] += cfg.gamma0 * g
+        grad += cfg.gamma0 * g
     return fit, penalty, grad
 
 
@@ -84,11 +84,43 @@ def dense_objective_p1(dct, b, cfg, x, d):
         grad_x[sl] += cfg.gamma[j] * g[:-1]
         grad_d[j] += cfg.gamma[j] * g[-1]
     if cfg.gamma0 > 0.0:
-        pre = dct.n_columns - dct.n_free
-        value, g = hoyer(x[:pre])
+        value, g = hoyer(x)
         penalty += cfg.gamma0 * value
-        grad_x[:pre] += cfg.gamma0 * g
+        grad_x += cfg.gamma0 * g
     return fit, penalty, grad_x, grad_d
+
+
+def check_descent_estimate(dct, b, cfg, at, to, lambda_r, lambda_big, problem="p2"):
+    """Check the quadratic upper estimate used to justify the outer step.
+
+    With lambda_r / lambda_big lower and upper eigenvalue bounds of the
+    penalty Hessian between ``at`` and ``to``, the objective change is
+    bounded by
+
+        (lambda_big - lambda_r/2) |dz|^2 + |A dx|^2 / 2 + dz . grad F(at)
+
+    where dz stacks the coefficient (and dummy) differences.  Any
+    diagonal model shift cancels from the two sides, so none is taken.
+    The objectives are the dense ones above.
+    """
+    dx = to.x - at.x
+    if problem == "p2":
+        fit, penalty, grad = dense_objective_p2(dct, b, cfg, at.x)
+        fy = sum(dense_objective_p2(dct, b, cfg, to.x)[:2])
+        dz2 = float(dx @ dx)
+        inner = float(grad @ dx)
+    elif problem == "p1":
+        fit, penalty, grad, grad_d = dense_objective_p1(dct, b, cfg, at.x, at.d)
+        fy = sum(dense_objective_p1(dct, b, cfg, to.x, to.d)[:2])
+        dd = to.d - at.d
+        dz2 = float(dx @ dx + dd @ dd)
+        inner = float(grad @ dx) + float(grad_d @ dd)
+    else:
+        raise ValueError(f"problem must be 'p1' or 'p2', got {problem!r}")
+    a_dx = dct.entries @ dx
+    rhs = (lambda_big - 0.5 * lambda_r) * dz2 + 0.5 * float(a_dx @ a_dx) + inner
+    lhs = fy - (fit + penalty)
+    return lhs <= rhs + 1e-10 * (1.0 + abs(lhs))
 
 
 def subproblem(gram, lin, anchor, shift, lin_d=None, **grouped):
@@ -141,12 +173,9 @@ def pg_p2(sub, max_iters=30000, tol=1e-14):
     """Long-run projected gradient on the orthant-constrained model."""
     lip = float(np.linalg.eigvalsh(sub.gram + 2.0 * np.diag(sub.shift))[-1])
     step = 1.0 / lip
-    n_con = sub.anchor.size - sub.n_free
-    x = sub.anchor.astype(float).copy()
-    x[:n_con] = np.maximum(x[:n_con], 0.0)
+    x = np.maximum(sub.anchor.astype(float), 0.0)
     for _ in range(max_iters):
-        y = x - step * _grad_x(sub, x)
-        y[:n_con] = np.maximum(y[:n_con], 0.0)
+        y = np.maximum(x - step * _grad_x(sub, x), 0.0)
         if float(np.max(np.abs(y - x))) <= tol * (1.0 + float(np.max(np.abs(x)))):
             return y
         x = y
@@ -182,14 +211,13 @@ def _budget_project_unit(v, eps, budget):
 def dykstra_p1(sub, x0, d0, sweeps=20000, tol=1e-12):
     """Dykstra projection onto the grouped feasible set.
 
-    Alternates between the product set {x prefix >= 0} x {dummy budget}
+    Alternates between the product set {x >= 0} x {dummy budget}
     and the (coordinate-disjoint, hence exactly projectable) per-group
     half-spaces sum(x_j) + d_j >= eps_j.  Stops when the two partial
     projections agree; the iterate alone can stall for many sweeps while
     the dual corrections build up, so its movement is no certificate.
     """
     nx = x0.size
-    n_con = nx - sub.n_free
     m = sub.eps.size
     groups = [list(range(int(sub.offsets[j]), int(sub.offsets[j + 1]))) + [nx + j]
               for j in range(m)]
@@ -199,7 +227,7 @@ def dykstra_p1(sub, x0, d0, sweeps=20000, tol=1e-12):
     for _ in range(sweeps):
         y = u + p
         z = y.copy()
-        z[:n_con] = np.maximum(z[:n_con], 0.0)
+        z[:nx] = np.maximum(z[:nx], 0.0)
         z[nx:] = _budget_project_unit(y[nx:], sub.eps, float(sub.budget))
         p = y - z
         y = z + q
@@ -235,92 +263,70 @@ def pg_p1(sub, max_iters=2500, tol=1e-12):
 def random_p2_subproblem(rng):
     """Well-conditioned orthant-constrained model, N <= 12."""
     n = int(rng.integers(2, 13))
-    n_free = int(rng.integers(0, min(3, n)))
     a = rng.normal(size=(n + 4, n))
     gram = a.T @ a + float(rng.uniform(0.5, 1.5)) * np.eye(n)
     return subproblem(gram=gram, lin=rng.normal(size=n), anchor=0.5 * rng.normal(size=n),
-                      shift=rng.uniform(0.05, 0.5, n), n_free=n_free)
+                      shift=rng.uniform(0.05, 0.5, n))
 
 
-def rolled_cholesky_p2(sub):
+def cholesky_nnls_p2(sub):
     """Problem 2's step by a Cholesky factor of the whole model Hessian and scipy's NNLS.
 
-    With the f sign-free coordinates rolled to the front, G + 2C = R'R,
-    R = [[R_ff, R_fc], [0, R_cc]] and d = R a - R^-T lin, the constrained
-    block is NNLS(R_cc, d_c) and the free block solves
-    R_ff z_f = d_f - R_fc z_c.
+    With G + 2C = R'R and d = R a - R^-T lin, the step is NNLS(R, d).
     """
-    n, f = sub.anchor.size, sub.n_free
-    order = np.roll(np.arange(n), f)
-    h = sub.gram[np.ix_(order, order)] + 2.0 * np.diag(sub.shift[order])
-    r = scipy.linalg.cholesky(h)
-    rhs = r @ np.roll(sub.anchor, f) - scipy.linalg.solve_triangular(
-        r, np.roll(model_gradient(sub)[0], f), trans="T")
-    z = np.empty(n)
-    z[f:] = scipy.optimize.nnls(r[f:, f:], rhs[f:])[0]
-    if f:
-        z[:f] = scipy.linalg.solve_triangular(r[:f, :f], rhs[:f] - r[:f, f:] @ z[f:])
-    return np.roll(z, -f)
+    r = scipy.linalg.cholesky(sub.gram + 2.0 * np.diag(sub.shift))
+    rhs = r @ sub.anchor - scipy.linalg.solve_triangular(r, model_gradient(sub)[0], trans="T")
+    return scipy.optimize.nnls(r, rhs)[0]
 
 
-def wide_p2_subproblem(rng, n_free):
+def wide_p2_subproblem(rng):
     """Problem-2 step on a wide dictionary of near-duplicate column pairs, shift 1e-9.
 
-    12 rows; 12 unit columns, each with a twin perturbed by 1e-6, then
-    ``n_free`` sign-free columns.  The gradient is that of least squares
-    plus a positive penalty-like term at a sparse non-negative anchor, as
-    in the outer loop.
+    12 rows; 12 unit columns, each with a twin perturbed by 1e-6.  The
+    gradient is that of least squares plus a positive penalty-like term
+    at a sparse non-negative anchor, as in the outer loop.
     """
     m, half = 12, 12
     base = rng.normal(size=(m, half))
     twins = base + 1e-6 * rng.normal(size=(m, half))
-    a = np.hstack([np.column_stack([base, twins]), rng.normal(size=(m, n_free))])
+    a = np.column_stack([base, twins])
     a /= np.linalg.norm(a, axis=0)
     n = a.shape[1]
     x_true = np.zeros(n)
-    x_true[rng.choice(2 * half, 3, replace=False)] = rng.uniform(0.5, 1.5, 3)
+    x_true[rng.choice(n, 3, replace=False)] = rng.uniform(0.5, 1.5, 3)
     b = a @ x_true + 0.01 * rng.normal(size=m)
     anchor = np.where(rng.uniform(size=n) < 0.3, rng.uniform(0.0, 1.0, n), 0.0)
-    anchor[2 * half:] = rng.normal(size=n_free)
-    lin = a.T @ (a @ anchor - b)
-    lin[:2 * half] += 0.05 * rng.uniform(0.0, 1.0, 2 * half)
-    return subproblem(gram=a.T @ a, lin=lin, anchor=anchor, shift=np.full(n, 1e-9),
-                      n_free=n_free)
+    lin = a.T @ (a @ anchor - b) + 0.05 * rng.uniform(0.0, 1.0, n)
+    return subproblem(gram=a.T @ a, lin=lin, anchor=anchor, shift=np.full(n, 1e-9))
 
 
-def sparse_p2_subproblem(rng, n_free=0):
+def sparse_p2_subproblem(rng):
     """Problem-2 step whose minimiser is sparse: 30 rows, 3 of 40 columns planted, shift 1e-6.
 
-    ``n_free`` sign-free columns follow the 40.  The gradient is that of
-    least squares plus a weighted l1 term at an anchor near the planted
-    point, as late in the outer loop.
+    The gradient is that of least squares plus a weighted l1 term at an
+    anchor near the planted point, as late in the outer loop.
     """
-    a = rng.normal(size=(30, 40 + n_free))
+    a = rng.normal(size=(30, 40))
     a /= np.linalg.norm(a, axis=0)
-    x_true = np.zeros(40 + n_free)
+    x_true = np.zeros(40)
     x_true[rng.choice(40, 3, replace=False)] = rng.uniform(0.5, 1.5, 3)
-    x_true[40:] = rng.normal(size=n_free)
     b = a @ x_true + 0.01 * rng.normal(size=30)
-    anchor = x_true + 0.05 * rng.normal(size=x_true.size) * (x_true != 0)
-    anchor[:40] = np.maximum(anchor[:40], 0.0)
-    lin = a.T @ (a @ anchor - b)
-    lin[:40] += 0.05
-    return subproblem(gram=a.T @ a, lin=lin, anchor=anchor, shift=np.full(x_true.size, 1e-6),
-                      n_free=n_free)
+    anchor = np.maximum(x_true + 0.05 * rng.normal(size=40) * (x_true != 0), 0.0)
+    lin = a.T @ (a @ anchor - b) + 0.05
+    return subproblem(gram=a.T @ a, lin=lin, anchor=anchor, shift=np.full(40, 1e-6))
 
 
 def random_p1_subproblem(rng):
     """Well-conditioned grouped model with dummies, M <= 3, N <= 11."""
     m = int(rng.integers(1, 4))
     sizes = rng.integers(1, 4, m)
-    n_free = int(rng.integers(0, 3))
-    n = int(sizes.sum()) + n_free
+    n = int(sizes.sum())
     offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
     a = rng.normal(size=(n + 4, n))
     gram = a.T @ a + float(rng.uniform(0.5, 1.5)) * np.eye(n)
     return subproblem(gram=gram, lin=rng.normal(size=n),
                       anchor=0.5 * rng.normal(size=n),
-                      shift=rng.uniform(0.05, 0.5, n), n_free=n_free,
+                      shift=rng.uniform(0.05, 0.5, n),
                       offsets=offsets, eps=rng.uniform(0.02, 0.2, m),
                       anchor_d=rng.uniform(0.0, 0.3, m),
                       lin_d=0.5 * rng.normal(size=m),
@@ -331,11 +337,10 @@ def random_p1_subproblem(rng):
 def slsqp_p1(sub):
     """The grouped model by SLSQP, started from the anchor (feasible by construction).
 
-    Bounds keep x's grouped prefix and d non-negative; the group floors
-    and the budget are one block of linear inequality rows.
+    Bounds keep x and d non-negative; the group floors and the budget
+    are one block of linear inequality rows.
     """
     n, m = sub.anchor.size, sub.eps.size
-    c = n - sub.n_free
     rows = np.zeros((m + 1, n + m))
     for j in range(m):
         rows[j, int(sub.offsets[j]):int(sub.offsets[j + 1])] = 1.0
@@ -351,7 +356,7 @@ def slsqp_p1(sub):
 
     res = scipy.optimize.minimize(
         fun, np.concatenate([sub.anchor, sub.anchor_d]), jac=jac, method="SLSQP",
-        bounds=[(0.0, None)] * c + [(None, None)] * sub.n_free + [(0.0, None)] * m,
+        bounds=[(0.0, None)] * (n + m),
         constraints=[{"type": "ineq", "fun": lambda z: rows @ z - rhs,
                       "jac": lambda z: rows}],
         options={"maxiter": 1000, "ftol": 1e-16})
@@ -364,7 +369,7 @@ def _hoyer_grad(v):
     return 1.0 / n2 - n1 * v / n2 ** 3
 
 
-def one_material_p1_subproblem(rng, n_free, singleton=False):
+def one_material_p1_subproblem(rng, singleton=False):
     """Problem-1 step at a one-material pixel: degenerate and ill-conditioned.
 
     m groups of near-duplicate variants (or, with ``singleton``, the
@@ -385,19 +390,17 @@ def one_material_p1_subproblem(rng, n_free, singleton=False):
     for size in sizes:
         base = np.abs(rng.normal(size=rows)) + 0.5
         cols += [base * (1.0 + 0.01 * rng.normal(size=rows)) for _ in range(size)]
-    a = np.column_stack(cols + [rng.normal(size=rows) for _ in range(n_free)])
+    a = np.column_stack(cols)
     a /= np.linalg.norm(a, axis=0)
     offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
-    c, n = int(offsets[-1]), a.shape[1]
+    n = a.shape[1]
     eps = np.full(m, 0.01)
     k = int(rng.integers(m))
     anchor = np.zeros(n)
     anchor[int(offsets[k]) + int(rng.integers(sizes[k]))] = rng.uniform(0.5, 1.5)
-    anchor[c:] = rng.normal(size=n_free)
     anchor_d = eps.copy()
     anchor_d[k] = 0.0
-    truth = anchor.copy()
-    truth[:c] *= rng.uniform(0.9, 1.1)
+    truth = anchor * rng.uniform(0.9, 1.1)
     b = a @ truth + 0.005 * rng.normal(size=rows)
     lin = a.T @ (a @ anchor - b)
     lin_d = np.zeros(m)
@@ -408,10 +411,10 @@ def one_material_p1_subproblem(rng, n_free, singleton=False):
         lin[sl] += gamma * g[:-1]
         lin_d[j] = gamma * g[-1]
     if singleton:
-        lin[:c] += 0.01 * _hoyer_grad(anchor[:c])
+        lin += 0.01 * _hoyer_grad(anchor)
     shift = 10.0 ** rng.uniform(-9.0, -6.0)
     return subproblem(gram=a.T @ a, lin=lin, anchor=anchor, shift=np.full(n, shift),
-                      n_free=n_free, offsets=offsets, eps=eps, anchor_d=anchor_d,
+                      offsets=offsets, eps=eps, anchor_d=anchor_d,
                       lin_d=lin_d, shift_d=np.full(m, shift), budget=float(m - 1))
 
 

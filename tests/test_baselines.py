@@ -263,20 +263,6 @@ def test_pd_output_structure_random(seed):
         assert np.count_nonzero(out.x[dct.group_slice(j)]) <= 1
 
 
-def test_pd_free_groups_copied_untouched():
-    rng = default_rng(11)
-    a = rng.normal(size=(12, 7))
-    dct = GroupedDictionary(a, np.array([0, 2, 4]), n_free=3)
-    cfg = group_cfg(2)
-    b = a @ np.array([1.0, 0.0, 0.0, 0.8, 0.3, -0.2, 0.5])
-    out = penalty_decomposition_l0(dct, b, cfg)
-    for j in range(2):
-        assert np.count_nonzero(out.x[dct.group_slice(j)]) <= 1
-    assert np.count_nonzero(out.x[4:7]) > 1  # the sign-free tail keeps its dense fit
-    with pytest.raises(ConfigError):
-        penalty_decomposition_l0(dct, b, cfg, init="nnls")
-
-
 def test_pd_init_validation():
     dct = GroupedDictionary(np.eye(4), np.array([0, 2, 4]))
     with pytest.raises(ConfigError):

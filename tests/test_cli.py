@@ -250,6 +250,28 @@ def test_main_fractional_whole_number_exits_2(tmp_path, capsys, monkeypatch, exp
     assert "configuration error" in err and f"{name} must be a whole number" in err
 
 
+@pytest.mark.parametrize("experiment, scale, knob", [
+    ("hsi-structured", 20, "counts"),
+    ("doas-background", 4, "magnitudes"),
+    ("doas-background", 4, "group_cols"),
+    ("doas-align", 4, "magnitude_means"),
+])
+def test_main_list_knob_given_a_number_exits_2(tmp_path, capsys, monkeypatch, experiment,
+                                               scale, knob):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(cli, "fit_doas", no_solve)
+    monkeypatch.setattr(cli, "demix_scene", no_solve)
+    cfg = tmp_path / "knobs.json"
+    cfg.write_text(json.dumps({knob: 5}))
+    code = main(["--experiment", experiment, "--scale", str(scale), "--solver", "nnls",
+                 "--config", str(cfg)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and f"{knob} must be a list" in err
+
+
 @pytest.mark.parametrize("knobs", [
     {"noise_sd": 0.0, "admm_tol": 1e-14, "admm_max_iters": 3, "gama_p1": 5},
     {"threads": 2},

@@ -45,10 +45,6 @@ def test_grouped_dictionary_structure():
     assert dct.n_groups == 2
     assert dct.group_slice(1) == slice(2, 6)
     np.testing.assert_array_equal(dct.group_sizes(), [2, 4])
-    assert dct.n_free == 0
-    tail = GroupedDictionary(np.ones((4, 6)), np.array([0, 1, 4]), n_free=2)
-    assert (tail.n_columns, tail.n_groups, tail.n_free) == (6, 2, 2)
-    np.testing.assert_array_equal(tail.group_sizes(), [1, 3])
 
 
 @pytest.mark.parametrize("offsets", [[1, 6], [0, 5], [0, 3, 3, 6], [0, 4, 2, 6], [0]])
@@ -57,25 +53,12 @@ def test_grouped_dictionary_rejects_bad_offsets(offsets):
         GroupedDictionary(np.ones((4, 6)), np.array(offsets))
 
 
-@pytest.mark.parametrize("n_free", [-1, 7])
-def test_grouped_dictionary_rejects_n_free_out_of_range(n_free):
-    with pytest.raises(ValueError, match="n_free"):
-        GroupedDictionary(np.ones((4, 6)), np.array([0, 6]), n_free=n_free)
-
-
-@pytest.mark.parametrize("offsets", [[0, 6], [0, 2, 6], [0, 3]])
-def test_grouped_dictionary_offsets_must_end_before_the_tail(offsets):
-    # two sign-free columns: the groups must end at column 4
-    with pytest.raises(ValueError, match="n_free"):
-        GroupedDictionary(np.ones((4, 6)), np.array(offsets), n_free=2)
-
-
 @pytest.mark.parametrize("solve", [solve_problem1, solve_problem2])
-def test_config_sized_for_groups_and_tail_is_rejected(solve):
-    # a config that also gives the sign-free tail a weight and a floor, as
-    # trailing free groups once took them, fails instead of penalising it
+def test_config_sized_for_more_groups_is_rejected(solve):
+    # a config that gives one group more than the dictionary has a weight
+    # and a floor fails instead of reaching a solve
     rng = np.random.default_rng(2)
-    dct = GroupedDictionary(rng.normal(size=(8, 6)), np.array([0, 2, 4]), n_free=2)
+    dct = GroupedDictionary(rng.normal(size=(8, 6)), np.array([0, 2, 6]))
     padded = SparsityConfig(gamma=[0.1, 0.1, 0.0], gamma0=0.0, eps=[0.05, 0.05, 1.0])
     with pytest.raises(ValueError, match=r"gamma must have shape \(2,\)"):
         solve(dct, rng.normal(size=8), padded)
@@ -191,34 +174,28 @@ def test_eval_objective_shape_checks():
         eval_objective_p2(dct, b[:-1], GroupedCoeffs(np.full(6, 0.2)), cfg)
 
 
-def _wide_problem(free_tail):
-    """50 x 40 problem in four groups of 10; with ``free_tail`` the last is a sign-free tail."""
+def _wide_problem(intra_only):
+    """50 x 40 problem in four groups of 10; ``intra_only`` drops the inter-group weight."""
     rng = np.random.default_rng(5)
     entries = rng.normal(size=(50, 40))
     b = rng.normal(size=50)
-    if free_tail:
-        dct = GroupedDictionary(entries, np.array([0, 10, 20, 30]), n_free=10)
-        cfg = SparsityConfig(gamma=[0.3, 0.5, 0.2], gamma0=0.0, eps=[0.05, 0.08, 0.1], r=1.0)
-    else:
-        dct = GroupedDictionary(entries, np.array([0, 10, 20, 30, 40]))
-        cfg = SparsityConfig(gamma=[0.3, 0.5, 0.2, 0.4], gamma0=0.2,
-                             eps=[0.05, 0.08, 0.1, 0.07], r=1.0)
+    dct = GroupedDictionary(entries, np.array([0, 10, 20, 30, 40]))
+    cfg = SparsityConfig(gamma=[0.3, 0.5, 0.2, 0.4], gamma0=0.0 if intra_only else 0.2,
+                         eps=[0.05, 0.08, 0.1, 0.07], r=1.0)
     return dct, b, cfg
 
 
-def _point(kind, free_tail):
+def _point(kind):
     rng = np.random.default_rng(6)
     if kind == "3-sparse":
         # one entry inside its group's smoothing ball, one far outside
         x = np.zeros(40)
-        x[[2, 15, 33]] = [0.7, 0.02, -1.1 if free_tail else 1.1]
+        x[[2, 15, 33]] = [0.7, 0.02, 1.1]
         assert 3 <= SUPPORT_SHARE * x.size
         return x
     x = rng.uniform(0.01, 1.0, size=40)
     if kind == "zero block":
         x[10:20] = 0.0
-    if free_tail:
-        x[30:] = rng.normal(size=10)
     return x
 
 
@@ -235,10 +212,10 @@ def any_size_on_support(request, monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["3-sparse", "dense", "zero block"])
-@pytest.mark.parametrize("free_tail", [False, True])
-def test_objectives_with_atb_match_dense_assembly(any_size_on_support, kind, free_tail):
-    dct, b, cfg = _wide_problem(free_tail)
-    x = _point(kind, free_tail)
+@pytest.mark.parametrize("intra_only", [False, True])
+def test_objectives_with_atb_match_dense_assembly(any_size_on_support, kind, intra_only):
+    dct, b, cfg = _wide_problem(intra_only)
+    x = _point(kind)
     atb = dct.entries.T @ b
     fit, penalty, grad = dense_objective_p2(dct, b, cfg, x)
     for out in (eval_objective_p2(dct, b, GroupedCoeffs(x), cfg, atb=atb),
@@ -249,7 +226,7 @@ def test_objectives_with_atb_match_dense_assembly(any_size_on_support, kind, fre
         _assert_matches(out.grad_x, grad)
         _assert_matches(out.resid, dct.entries @ x - b)
 
-    d = np.array([0.03, 0.05, 0.02, 0.04])[:dct.n_groups]
+    d = np.array([0.03, 0.05, 0.02, 0.04])
     fit, penalty, grad_x, grad_d = dense_objective_p1(dct, b, cfg, x, d)
     for out in (eval_objective_p1(dct, b, GroupedCoeffs(x, d), cfg, atb=atb),
                 eval_objective_p1(dct, b, GroupedCoeffs(x, d), cfg)):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
+from ssnnls import doas
 from ssnnls.core import GroupedDictionary, SparsityConfig
 from ssnnls.doas import (DOAS_SOLVERS, BackgroundOperator, DeformationGrid, DoasFitConfig,
                          ReferenceSpectrum, _sample_with_reflection, build_background_operator,
@@ -286,6 +287,88 @@ def test_fit_doas_lstsq_with_background_matches_a_dense_design_per_draw(desk):
     for got, ref in ((mags, total[:m]), (result.background, total[m:])):
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert result.residual == pytest.approx(data - total[m:], abs=1e-12)
+
+
+def _stacked_background(a, data, alpha, x):
+    """(argmin, min) over y of |A x + y - data|^2 / 2 + alpha |Q y|^2 / 2, by dense lstsq."""
+    w = data.size
+    design = np.vstack([np.eye(w), np.sqrt(alpha) * build_background_operator(w).matrix])
+    rhs = np.concatenate([data - a @ x, np.zeros(w - 2)])
+    y = np.linalg.lstsq(design, rhs, rcond=None)[0]
+    resid = design @ y - rhs
+    return y, 0.5 * float(resid @ resid)
+
+
+def test_background_reduction_is_exact(desk):
+    # the reduced fit |R (A x - data)|^2 / 2 is the stacked fit minimised
+    # over the background, at any x >= 0, and fit_doas's background is
+    # that minimiser at its own x
+    wl, _, _, ddict = desk
+    a = ddict.dictionary.entries
+    coeffs, _ = sample_planted_coeffs(ddict, seed=10, magnitude_means=(0.01, 0.002, 0.015))
+    data = synthesize_doas_data(ddict, coeffs, 1e-4, 4,
+                                background=quartic_background(wl, scale=0.5))
+    rng = np.random.default_rng(12)
+    for alpha in (1e-5, 1e-2):
+        reduction = doas._background_reduction(wl.size, alpha)
+        assert reduction.shape == (wl.size - 2, wl.size)
+        for _ in range(5):
+            x = np.where(rng.uniform(size=a.shape[1]) < 0.05,
+                         rng.uniform(0.0, 0.02, a.shape[1]), 0.0)
+            r = reduction @ (a @ x - data)
+            _, ref = _stacked_background(a, data, alpha, x)
+            assert 0.5 * float(r @ r) == pytest.approx(ref, rel=1e-12)
+        for solver in ("nnls", "diff_p2"):
+            result = fit_doas(data, ddict, DoasFitConfig(solver=solver, sparsity=desk_sparsity(),
+                                                         alpha=alpha))
+            y, _ = _stacked_background(a, data, alpha, result.coeffs.x)
+            assert np.max(np.abs(result.background - y)) <= 1e-12 * np.max(np.abs(y))
+
+
+def test_baseline_backgrounds_take_their_sign(desk):
+    # nnls and l1 leave the background free: where the truth is well below
+    # zero, so is the fit
+    wl, _, _, ddict = desk
+    coeffs, _ = sample_planted_coeffs(ddict, seed=0, magnitude_means=(0.01, 0.002, 0.015))
+    background = quartic_background(wl, scale=0.5) - 1e-4
+    data = synthesize_doas_data(ddict, coeffs, 1e-5, 0, background=background)
+    deep = background < 0.5 * background.min()
+    assert 0.25 < np.mean(deep) < 0.75
+    for solver in ("nnls", "l1"):
+        cfg = DoasFitConfig(solver=solver, sparsity=desk_sparsity(), alpha=1e-5,
+                            l1_tau=1.5e-5 * np.sqrt(wl.size))
+        result = fit_doas(data, ddict, cfg)
+        assert np.all(result.background[deep] < 0.0), solver
+
+
+def test_background_reduction_is_formed_only_with_alpha_and_once_per_band_count(
+        desk, monkeypatch):
+    # the benchmark's fits (alpha = 0) and its dictionary build never
+    # factor Q; fits with a background factor it once per band count
+    wl, refs, grid, _ = desk
+
+    def no_svd(w):
+        raise AssertionError("Q was factored")
+
+    monkeypatch.setattr(doas, "_roughness_svd", no_svd)
+    ddict = build_deformation_dictionary(refs, grid, wl)
+    data = synthesize_doas_data(ddict, sample_planted_coeffs(ddict, seed=1)[0], 0.01, 1)
+    assert fit_doas(data, ddict, DoasFitConfig(sparsity=desk_sparsity())).background is None
+    monkeypatch.undo()
+
+    calls = []
+    real = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    doas._roughness_svd.cache_clear()
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    fits = [fit_doas(data, ddict, DoasFitConfig(solver="nnls", sparsity=desk_sparsity(),
+                                                alpha=alpha)) for alpha in (1e-5, 1e-3, 1e-5)]
+    assert len(calls) == 1
+    assert np.array_equal(fits[0].background, fits[2].background)
 
 
 def test_fit_doas_config_errors(desk):

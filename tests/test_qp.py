@@ -31,9 +31,6 @@ def test_subproblem_validation():
     with pytest.raises(ValueError):
         QpSubproblem(sub.gram, sub.q[:-1], sub.anchor, sub.shift).validate(False)
     with pytest.raises(ValueError):
-        QpSubproblem(sub.gram, sub.q, sub.anchor, sub.shift,
-                     n_free=sub.anchor.size + 1).validate(False)
-    with pytest.raises(ValueError):
         QpSubproblem(sub.gram, sub.q, sub.anchor, sub.shift).validate(True)
     grouped = oracles.random_p1_subproblem(rng)
     grouped.validate(grouped=True)
@@ -49,22 +46,21 @@ def test_solve_qp_p2_matches_projected_gradient_oracle():
         sub = oracles.random_p2_subproblem(rng)
         sol = solve_qp_p2(sub)
         ref = oracles.pg_p2(sub)
-        n_con = sub.anchor.size - sub.n_free
-        assert np.min(sol.x[:n_con]) >= -1e-10
+        assert np.min(sol.x) >= -1e-10
         np.testing.assert_allclose(sol.x, ref, atol=1e-5)
         assert model_value(sub, sol.x) <= model_value(sub, ref) + 1e-8
 
 
-@pytest.mark.parametrize("n_free", [0, 3])
-def test_solve_qp_p2_matches_full_factor_on_wide_near_duplicate_models(n_free):
+@pytest.mark.parametrize("draw", [0, 3])
+def test_solve_qp_p2_matches_full_factor_on_wide_near_duplicate_models(draw):
     # shift 1e-9 on a rank-12 Gram matrix of 24 near-duplicate columns:
     # too ill-conditioned for the projected-gradient oracle
-    rng = np.random.default_rng(40 + n_free)
+    rng = np.random.default_rng(40 + draw)
     for _ in range(20):
-        sub = oracles.wide_p2_subproblem(rng, n_free)
+        sub = oracles.wide_p2_subproblem(rng)
         sol = solve_qp_p2(sub)
-        ref = model_value(sub, oracles.rolled_cholesky_p2(sub))
-        assert np.min(sol.x[:sub.anchor.size - n_free]) >= 0.0
+        ref = model_value(sub, oracles.cholesky_nnls_p2(sub))
+        assert np.min(sol.x) >= 0.0
         assert sol.iterations >= 1
         assert model_value(sub, sol.x) <= ref + 1e-9 * max(1.0, abs(ref))
 
@@ -78,8 +74,7 @@ def test_solve_qp_p1_matches_pg_dykstra_oracle():
         np.testing.assert_allclose(sol.x, ref_x, atol=1e-5)
         np.testing.assert_allclose(sol.d, ref_d, atol=1e-5)
         # feasibility of the returned point
-        n_grouped = int(sub.offsets[-1])
-        assert np.min(sol.x[:n_grouped]) >= -1e-8
+        assert np.min(sol.x) >= -1e-8
         assert np.min(sol.d) >= -1e-10
         assert float(np.sum(sol.d / sub.eps)) <= sub.budget + 1e-8
         for j in range(sub.eps.size):
@@ -100,8 +95,7 @@ def test_nonconvergence_raises_with_diagnostics(monkeypatch):
 def _assert_exact_and_feasible(sub, sol):
     ref = model_value(sub, *oracles.slsqp_p1(sub))
     assert model_value(sub, sol.x, sol.d) <= ref + 1e-9 * max(1.0, abs(ref))
-    c = sub.anchor.size - sub.n_free
-    assert np.min(sol.x[:c]) >= 0.0 and np.min(sol.d) >= 0.0
+    assert np.min(sol.x) >= 0.0 and np.min(sol.d) >= 0.0
     for j in range(sub.eps.size):
         a, b = int(sub.offsets[j]), int(sub.offsets[j + 1])
         assert np.sum(sol.x[a:b]) + sol.d[j] >= sub.eps[j] * (1.0 - 1e-12)
@@ -110,13 +104,13 @@ def _assert_exact_and_feasible(sub, sol):
     assert 1 <= sol.iterations < qp.ACTIVE_SET_ITERS_PER_COLUMN * (sub.anchor.size + m)
 
 
-@pytest.mark.parametrize("n_free", [0, 1, 2])
-def test_solve_qp_p1_exact_on_one_material_models(n_free):
+@pytest.mark.parametrize("draw", [0, 1, 2])
+def test_solve_qp_p1_exact_on_one_material_models(draw):
     # floors of the empty groups and the budget are linearly dependent, and
     # the dummies' curvature is at most 2e-6: outside the oracle's reach
-    rng = np.random.default_rng(60 + n_free)
+    rng = np.random.default_rng(60 + draw)
     for _ in range(20):
-        sub = oracles.one_material_p1_subproblem(rng, n_free)
+        sub = oracles.one_material_p1_subproblem(rng)
         _assert_exact_and_feasible(sub, solve_qp_p1(sub))
 
 
@@ -124,22 +118,21 @@ def test_solve_qp_p1_exact_on_one_material_inter_group_models():
     # the hsi-inter layout: six one-column groups, budget 5 of 6
     rng = np.random.default_rng(63)
     for _ in range(20):
-        sub = oracles.one_material_p1_subproblem(rng, int(rng.integers(3)), singleton=True)
+        sub = oracles.one_material_p1_subproblem(rng, singleton=True)
         _assert_exact_and_feasible(sub, solve_qp_p1(sub))
 
 
-def test_dummy_repair_meets_floors_and_budget_beside_a_sign_free_tail():
+def test_dummy_repair_meets_floors_and_budget():
     # the active set can leave d over the budget by a few rounding units;
     # the repair must meet every floor and the budget while moving d by no
-    # more than that, and count no part of the sign-free tail (-0.05 here)
-    # in the last group's floor, which d meets exactly
+    # more than that, the last group's floor exactly
     ulp = np.finfo(float).eps
     offsets, eps = np.array([0, 2, 4]), np.array([0.5, 0.5])
-    x = np.array([0.3, 0.1, 0.2, 0.2, -0.05, 0.0])
+    x = np.array([0.3, 0.1, 0.2, 0.2])
     sums = np.array([x[0:2].sum(), x[2:4].sum()])
     d = eps - sums + np.array([0.3, 0.0])
     budget = float(np.sum(d / eps)) * (1.0 - 8.0 * ulp)
-    sub = QpSubproblem(gram=np.eye(6), q=np.zeros(6), anchor=x, shift=np.ones(6), n_free=2,
+    sub = QpSubproblem(gram=np.eye(4), q=np.zeros(4), anchor=x, shift=np.ones(4),
                        offsets=offsets, eps=eps, anchor_d=d, q_d=np.zeros(2),
                        shift_d=np.ones(2), budget=budget)
     sub.validate(grouped=True)
@@ -161,7 +154,7 @@ def _warm_start_cases(kind):
     """
     rng = np.random.default_rng(70)
     cases = []
-    for make in (oracles.sparse_p2_subproblem, lambda r: oracles.wide_p2_subproblem(r, 0)):
+    for make in (oracles.sparse_p2_subproblem, oracles.wide_p2_subproblem):
         for _ in range(10):
             sub = make(rng)
             h, diag, q = sub.gram, 2.0 * sub.shift, sub.q
@@ -202,12 +195,11 @@ def test_active_set_from_a_start_returns_the_cold_minimiser(kind):
             assert iters == cold_iters and np.array_equal(z, cold)
 
 
-def test_solve_qp_p2_starts_its_schur_complement_from_the_anchor():
-    # with a sign-free tail the active set runs on the Schur complement;
-    # an anchor on the minimiser's support needs one passive solve there too
+def test_solve_qp_p2_starts_from_the_anchor():
+    # an anchor on the minimiser's support needs one passive solve
     rng = np.random.default_rng(80)
     for _ in range(10):
-        sub = oracles.sparse_p2_subproblem(rng, 3)
+        sub = oracles.sparse_p2_subproblem(rng)
         cold = solve_qp_p2(dataclasses.replace(sub, anchor=np.zeros(sub.anchor.size)))
         warm = solve_qp_p2(dataclasses.replace(sub, anchor=cold.x))
         assert warm.iterations == 1

@@ -10,10 +10,11 @@ from ssnnls.errors import ConfigError, NonConvergenceError
 from ssnnls import core, sgp
 from ssnnls import qp
 from ssnnls.qp import QpSolution, model_value
-from ssnnls.sgp import (TERM_ENERGY, TERM_MAX_OUTER, TERM_STEP, SgpParams,
-                        check_descent_estimate, solve_problem1, solve_problem2)
+from ssnnls.sgp import (TERM_ENERGY, TERM_MAX_OUTER, TERM_STEP, SgpParams, solve_problem1,
+                        solve_problem2)
 
-from oracles import dense_objective_p1, dense_objective_p2, fd_gradient, quad_value
+from oracles import (check_descent_estimate, dense_objective_p1, dense_objective_p2,
+                     fd_gradient, quad_value)
 
 
 def make_problem(seed, n_rows=24, sizes=(3, 3, 2), noise=0.01):
@@ -31,8 +32,7 @@ def make_problem(seed, n_rows=24, sizes=(3, 3, 2), noise=0.01):
 
 
 def assert_p1_feasible(dct, cfg, coeffs, tol=1e-7):
-    pre = int(dct.offsets[-1])
-    assert coeffs.x[:pre].min() >= -tol
+    assert coeffs.x.min() >= -tol
     assert coeffs.d.min() >= -tol
     for j in range(dct.n_groups):
         sl = dct.group_slice(j)
@@ -195,8 +195,8 @@ def test_problem2_trace_bookkeeping(monkeypatch):
     real = sgp.solve_qp_p2
     steps = []
 
-    def counting(sub, free=None):
-        sol = real(sub, free)
+    def counting(sub):
+        sol = real(sub)
         steps.append(sol.iterations)
         return sol
 
@@ -377,15 +377,6 @@ def test_bad_init_is_a_value_error_naming_init_before_any_evaluation(monkeypatch
     assert calls == []
 
 
-def _free_tail_problem(seed, sizes=(25, 25, 25, 25)):
-    """``make_problem`` on 60 rows with its last group's columns a sign-free tail."""
-    dct, b, _ = make_problem(seed, n_rows=60, sizes=sizes)
-    m = len(sizes) - 1
-    dct = GroupedDictionary(dct.entries, dct.offsets[:-1], n_free=sizes[-1])
-    cfg = SparsityConfig(gamma=np.full(m, 0.05), gamma0=0.0, eps=np.full(m, 0.05), r=1.0)
-    return dct, b, cfg
-
-
 def _recorded_models(monkeypatch, problem, dct, b, cfg):
     """Run one solve; return every (subproblem, solution) its loop saw."""
     name = f"solve_qp_{problem}"
@@ -406,14 +397,16 @@ def _rel_gap(got, ref):
     return float(np.max(np.abs(np.asarray(got) - ref)) / np.max(np.abs(ref)))
 
 
-@pytest.mark.parametrize("free_tail", [False, True])
+@pytest.mark.parametrize("intra_only", [False, True])
 @pytest.mark.parametrize("problem", ["p1", "p2"])
-def test_models_are_handed_over_in_standard_form(monkeypatch, problem, free_tail):
+def test_models_are_handed_over_in_standard_form(monkeypatch, problem, intra_only):
     # q = (G + 2C) a - grad F(a) and q_d = 2 C_d a_d - grad_d F(a), against
-    # the dense gradient; the model's value against its gradient form
+    # the dense gradient; the model's value against its gradient form, with
+    # and without the inter-group weight
     monkeypatch.setattr(core, "SUPPORT_MIN_ENTRIES", 0)
-    dct, b, cfg = _free_tail_problem(3) if free_tail else \
-        make_problem(3, n_rows=60, sizes=(25, 25, 25, 25))
+    dct, b, cfg = make_problem(3, n_rows=60, sizes=(25, 25, 25, 25))
+    if intra_only:
+        cfg.gamma0 = 0.0
     seen = _recorded_models(monkeypatch, problem, dct, b, cfg)
     assert len(seen) >= 3
     for sub, sol in seen:

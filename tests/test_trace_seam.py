@@ -3,9 +3,8 @@
 The tracer counts factorisations by replacing ``scipy.linalg.cho_factor``
 and wraps the other layers by the names their callers look up; a refactor
 that binds one of them elsewhere would leave a traced run counting zero.
-Problem 2 calls ``cho_factor`` only to eliminate a sign-free tail; its
-active set factors passive blocks with LAPACK ``dpotrf`` through
-``qp.model_cholesky``.
+Problem 2 never calls ``cho_factor``: its active set factors passive
+blocks with LAPACK ``dpotrf`` through ``qp.model_cholesky``.
 The l1 baseline factors with ``scipy.linalg.cholesky``, so its solves show
 as ``baselines.l1_penalized`` spans and never as problem-2 factorisations.
 """
@@ -31,24 +30,19 @@ def _tracing():
     return tracing
 
 
-def test_solve_problem2_factors_once_per_call_at_call_time():
+def test_solve_problem2_makes_no_traced_factorisation():
     # the active set factors only small passive blocks, which the tracer
-    # does not count; a sign-free tail costs one factorisation per solve
+    # does not count
     rng = np.random.default_rng(0)
-    offsets = np.array([0, 3, 6, 8])
-    dct = GroupedDictionary(rng.normal(size=(24, 8)), offsets)
+    dct = GroupedDictionary(rng.normal(size=(24, 8)), np.array([0, 3, 6, 8]))
     b = dct.entries @ np.array([1.0, 0, 0, 0, 0.7, 0, 0, 1.2]) + 0.01 * rng.normal(size=24)
-    signed = SparsityConfig(gamma=np.full(3, 0.05), gamma0=0.02, eps=np.full(3, 0.05), r=1.0)
-    free_tail = SparsityConfig(gamma=np.full(2, 0.05), gamma0=0.0, eps=np.full(2, 0.05), r=1.0)
-    tail_dct = GroupedDictionary(dct.entries, offsets[:-1], n_free=2)
+    cfg = SparsityConfig(gamma=np.full(3, 0.05), gamma0=0.02, eps=np.full(3, 0.05), r=1.0)
     tracing = _tracing()
-    for solved, cfg, per_solve in ((dct, signed, 0), (tail_dct, free_tail, 1)):
-        tracer = tracing.Tracer()
-        with tracing.traced(tracer):
-            reports = [solve_problem2(solved, b, cfg, SgpParams(tol_energy=1e-12))
-                       for _ in range(2)]
-        assert all(rep.outer_iters >= 2 for rep in reports)
-        assert tracer.counts["qp.factorisations"] == 2 * per_solve
+    tracer = tracing.Tracer()
+    with tracing.traced(tracer):
+        reports = [solve_problem2(dct, b, cfg, SgpParams(tol_energy=1e-12)) for _ in range(2)]
+    assert all(rep.outer_iters >= 2 for rep in reports)
+    assert tracer.counts["qp.factorisations"] == 0
 
 
 def test_demix_l1_records_baseline_spans_and_no_qp_factorisation():
@@ -78,8 +72,8 @@ def test_traced_problem2_counts_every_objective_evaluation(monkeypatch, params, 
     cfg = SparsityConfig(gamma=np.full(3, 0.05), gamma0=0.02, eps=np.full(3, 0.05), r=1.0)
     solve_qp, steps = qp.solve_qp_p2, []
 
-    def worse(sub, free=None):
-        sol = solve_qp(sub, free)
+    def worse(sub):
+        sol = solve_qp(sub)
         steps.append(sub)
         if len(steps) == worse_step:
             sol.x = sub.anchor + 1.0
