@@ -16,7 +16,7 @@ from .core import (GroupedCoeffs, GroupedDictionary, ObjectiveEval, SparsityConf
                    eval_objective_p1, eval_objective_p2, normalize_columns)
 from .errors import ConfigError, DegenerateColumnError, NonConvergenceError, SsnnlsError
 from .penalties import PenaltyValue, diff_l1_l2, hoyer_ratio, huber
-from .qp import AdmmParams, QpSolution, QpSubproblem, solve_qp_p1, solve_qp_p2
+from .qp import AdmmParams, solve_qp_p1, solve_qp_p2
 from .sgp import SgpParams, SolveReport, solve_problem1, solve_problem2
 
 __version__ = "0.1.0"
@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AdmmParams", "ConfigError", "DegenerateColumnError", "GroupedCoeffs",
     "GroupedDictionary", "NonConvergenceError", "ObjectiveEval", "PdParams",
-    "PenaltyValue", "QpSolution", "QpSubproblem", "SgpParams",
+    "PenaltyValue", "SgpParams",
     "SolveReport", "SparsityConfig", "SsnnlsError",
     "diff_l1_l2", "eval_objective_p1", "eval_objective_p2",
     "hoyer_ratio", "huber", "l1_bregman", "l1_penalized", "nnls", "normalize_columns",

@@ -245,6 +245,8 @@ def run_doas_align(cfg: ExperimentConfig) -> List[RunRecord]:
     # reproduces the data even at noise 0.  The shift stays well under the
     # structure period, keeping the planted atom the best correlate.
     jitter = float(cfg.knob("jitter", 0.25))
+    if not 0.0 <= jitter < np.inf:
+        raise ConfigError(f"jitter must be finite and non-negative, got {jitter}")
     if jitter > 0.0:
         if noise_sd < 0:
             raise ValueError(f"noise_sd must be non-negative, got {noise_sd}")

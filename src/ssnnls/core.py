@@ -13,9 +13,8 @@ Two objectives are evaluated here:
 
 Both cost what the support of x costs: the residual is ``A[:, S] x_S - b``
 (:func:`support_matvec`), and the penalties and their gradients sum over
-all groups at once.  The fit's gradient ``G[S]' x_S - A'b`` is formed
-only when a caller reads :attr:`ObjectiveEval.grad_x`: the outer loops
-never do, because their models' linear term
+all groups at once.  The fit's gradient ``G[S]' x_S - A'b`` is never
+formed: the outer loops' model term
 q = (G + 2C) a - grad F(a) = A'b - grad P(a) + 2Ca needs only A'b and the
 penalty's gradient.  A solver passes ``atb = A'b``, formed once per solve
 after it has checked the data and the config; without ``atb`` an
@@ -23,7 +22,7 @@ evaluation checks both itself.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Tuple
 
@@ -46,7 +45,7 @@ L1_SHIFT = 1e-10
 # below 32k-72k entries (timed on one core; 204 x 40 hyperspectral
 # libraries are far below, 1024 x 1323 spectral dictionaries far above).
 # The same share decides whether problem 2's active set starts from the
-# anchor's support or from zero (ssnnls.qp.active_set_qp).
+# anchor's support or from zero (ssnnls.qp.solve_qp_p2).
 SUPPORT_SHARE = 0.25
 SUPPORT_MIN_ENTRIES = 1 << 16
 
@@ -191,13 +190,11 @@ class SparsityConfig:
 
 @dataclass
 class ObjectiveEval:
-    """Objective value split into fit and penalty, with gradients.
+    """Objective value split into fit and penalty, with the penalty's gradients.
 
-    ``penalty_grad`` is the penalty's gradient in x and ``grad_d`` the
-    objective's, all penalty, in the dummies.
-    The full gradient in x, ``grad_x`` = G x - A'b + ``penalty_grad``, is
-    formed from the rows of the cached Gram matrix on x's support when it
-    is first read, and kept.
+    ``resid`` is Ax - b, ``penalty_grad`` the penalty's gradient in x and
+    ``grad_d`` the objective's, all penalty, in the dummies.  The full
+    gradient in x is A' ``resid`` + ``penalty_grad``.
     """
 
     value: float
@@ -206,14 +203,6 @@ class ObjectiveEval:
     resid: np.ndarray
     penalty_grad: np.ndarray
     grad_d: Optional[np.ndarray] = None
-    x: Optional[np.ndarray] = field(default=None, repr=False)
-    dct: Optional[GroupedDictionary] = field(default=None, repr=False)
-    atb: Optional[np.ndarray] = field(default=None, repr=False)
-
-    @cached_property
-    def grad_x(self) -> np.ndarray:
-        fit_grad = support_matvec(self.dct.gram, self.x, symmetric=True) - self.atb
-        return fit_grad + self.penalty_grad
 
 
 def as_data_vector(b, n_rows: int) -> np.ndarray:
@@ -300,7 +289,7 @@ def eval_objective_p2(dct: GroupedDictionary, b: np.ndarray, coeffs: GroupedCoef
         penalty += cfg.gamma0 * pv.value
         grad += cfg.gamma0 * pv.grad
 
-    return ObjectiveEval(fit + penalty, fit, penalty, resid, grad, x=x, dct=dct, atb=atb)
+    return ObjectiveEval(fit + penalty, fit, penalty, resid, grad)
 
 
 def eval_objective_p1(dct: GroupedDictionary, b: np.ndarray, coeffs: GroupedCoeffs,
@@ -323,11 +312,10 @@ def eval_objective_p1(dct: GroupedDictionary, b: np.ndarray, coeffs: GroupedCoef
     resid, fit = _least_squares(dct, b, x)
 
     pv = hoyer_ratio_groups(x, d, dct.offsets, cfg.gamma)
-    penalty, grad_x, grad_d = pv.value, pv.grad[:x.size], pv.grad[x.size:]
+    penalty, grad, grad_d = pv.value, pv.grad[:x.size], pv.grad[x.size:]
     if cfg.gamma0 > 0.0:
         pv = hoyer_ratio(x)
         penalty += cfg.gamma0 * pv.value
-        grad_x += cfg.gamma0 * pv.grad
+        grad += cfg.gamma0 * pv.grad
 
-    return ObjectiveEval(fit + penalty, fit, penalty, resid, grad_x, grad_d,
-                         x=x, dct=dct, atb=atb)
+    return ObjectiveEval(fit + penalty, fit, penalty, resid, grad, grad_d)

@@ -249,6 +249,9 @@ def sample_planted_coeffs(ddict: DeformationDictionary, seed: int,
     dct = ddict.dictionary
     if len(magnitude_means) != dct.n_groups and magnitudes is None:
         raise ValueError(f"need {dct.n_groups} magnitude means")
+    for name, values in (("magnitudes", magnitudes), ("group_cols", group_cols)):
+        if values is not None and len(values) != dct.n_groups:
+            raise ValueError(f"need {dct.n_groups} {name}, got {len(values)}")
     x = np.zeros(dct.n_columns)
     planted = []
     for j in range(dct.n_groups):

@@ -115,6 +115,6 @@ def hoyer_ratio_groups(x: np.ndarray, d: np.ndarray, offsets: np.ndarray,
         raise ValueError("hoyer ratio undefined at the zero vector")
     s = np.add.reduceat(x, starts) + d
     slope = weights * s / n2 ** 3
-    grad_x = np.repeat(weights / n2, sizes) - np.repeat(slope, sizes) * x
-    grad_d = weights / n2 - slope * d
-    return PenaltyValue(float(weights @ (s / n2)), np.concatenate([grad_x, grad_d]))
+    in_x = np.repeat(weights / n2, sizes) - np.repeat(slope, sizes) * x
+    in_d = weights / n2 - slope * d
+    return PenaltyValue(float(weights @ (s / n2)), np.concatenate([in_x, in_d]))

@@ -5,14 +5,16 @@ Each outer iteration minimises the model
     (z - a)' (G/2 + C) (z - a) + (z - a)' grad F(a)
 
 over the problem's feasible set, where G is the dictionary Gram matrix,
-C a non-negative diagonal shift and a the anchor (the current iterate).
-Up to a constant that is the standard form the active sets solve,
+C = c I a non-negative multiple of the identity and a the anchor (the
+current iterate).  Up to a constant that is the standard form the active
+sets solve,
 
     z' (G + 2C) z / 2 - q' z,   q = (G + 2C) a - grad F(a),
 
-and the outer loops hand it over in that form: since grad F(a) is
-G a - A'b plus the penalty's gradient, q = A'b - grad P(a) + 2Ca, and
-neither loop nor model ever multiplies G by the anchor.  Both problems
+and the outer loops hand it over in that form, as the arrays G and q
+and the scalar 2c: since grad F(a) is G a - A'b plus the penalty's
+gradient, q = A'b - grad P(a) + 2Ca, and neither loop nor model ever
+multiplies G by the anchor.  Both problems
 solve the model exactly by an active set run on G itself, so each
 iteration factors only the small block of G + 2C on the current support
 and the cost follows the support, not the dictionary.  Problem 2
@@ -28,7 +30,7 @@ of G on their free set, so a step never multiplies the whole of a large G.
 """
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 import scipy.linalg.lapack
@@ -50,71 +52,6 @@ class AdmmParams:
     max_iters: int = 50000
 
 
-@dataclass
-class QpSubproblem:
-    """One quadratic model in standard form: z'(G + 2C)z / 2 - q'z.
-
-    ``gram`` is G, ``shift`` the diagonal of C and ``q`` the linear term
-    (G + 2C) a - grad F(a) at the ``anchor`` a.  The feasible set is the
-    orthant and, for problem 1, the group ``offsets``/``eps`` floors, the
-    dummy block (``anchor_d``, ``q_d`` = 2 C_d a_d - grad_d F(a),
-    ``shift_d``) and ``budget``.
-    """
-
-    gram: np.ndarray
-    q: np.ndarray
-    anchor: np.ndarray
-    shift: np.ndarray
-    offsets: Optional[np.ndarray] = None
-    eps: Optional[np.ndarray] = None
-    anchor_d: Optional[np.ndarray] = None
-    q_d: Optional[np.ndarray] = None
-    shift_d: Optional[np.ndarray] = None
-    budget: float = 0.0
-
-    def validate(self, grouped: bool) -> None:
-        n = self.anchor.size
-        if self.gram.shape != (n, n):
-            raise ValueError(f"gram must be ({n},{n}), got {self.gram.shape}")
-        if self.q.shape != (n,) or self.shift.shape != (n,):
-            raise ValueError("q and shift must match the anchor length")
-        if not np.all((self.shift >= 0) & np.isfinite(self.shift)):
-            raise ValueError("diagonal shift must be finite and non-negative")
-        if grouped:
-            if self.offsets is None or self.eps is None or self.anchor_d is None \
-                    or self.q_d is None or self.shift_d is None:
-                raise ValueError("grouped subproblem requires offsets/eps/dummy fields")
-            m = self.eps.size
-            if self.offsets.shape != (m + 1,):
-                raise ValueError("offsets must have one more entry than eps")
-            if int(self.offsets[-1]) != n:
-                raise ValueError("groups must cover exactly the coefficients")
-            for name in ("anchor_d", "q_d", "shift_d"):
-                if getattr(self, name).shape != (m,):
-                    raise ValueError(f"{name} must have shape ({m},)")
-            if np.any(self.eps <= 0):
-                raise ValueError("group floors must be positive")
-            if np.any(self.shift_d < 0):
-                raise ValueError("dummy shift must be non-negative")
-            if not 0.0 <= self.budget < np.inf:
-                raise ValueError("budget must be finite and non-negative")
-
-
-@dataclass
-class QpSolution:
-    """Feasible minimiser of one quadratic model.
-
-    ``iterations`` counts the active set's passive-block solves: for
-    problem 1 each solves the free block with the working floors and
-    budget, for problem 2 the passive block alone, the solves that start
-    it from the anchor's support included.
-    """
-
-    x: np.ndarray
-    d: Optional[np.ndarray]
-    iterations: int = 0
-
-
 class QpWorkspace:
     """Retired: no solver uses it.
 
@@ -130,20 +67,23 @@ class QpWorkspace:
         return np.linalg.inv(self.gram + np.diag(diag_add))
 
 
-def model_value(sub: QpSubproblem, x: np.ndarray, d: Optional[np.ndarray] = None) -> float:
-    """Evaluate the quadratic model at (x, d), less its value at the anchor.
+def model_value(gram: np.ndarray, shift: float, q: np.ndarray, q_d: np.ndarray,
+                anchor: np.ndarray, anchor_d: np.ndarray, x: np.ndarray,
+                d: np.ndarray) -> float:
+    """Problem 1's model at (x, d), less its value at the anchor (anchor, anchor_d).
 
-    With dx = x - a and m = a + dx/2 that is m'(G dx) + 2(C m)'dx - q'dx,
-    so only G dx is formed, from the rows of G on dx's support.
+    The model is z'(G + 2C)z / 2 - q'z + d'(2C)d / 2 - q_d'd with
+    C = ``shift`` I.  With dx = x - a and m = a + dx/2 that is
+    m'(G dx) + 2c m'dx - q'dx plus the dummies' like terms, so only G dx
+    is formed, from the rows of G on dx's support.
     """
-    dx = x - sub.anchor
-    mid = sub.anchor + 0.5 * dx
-    g_dx = support_matvec(sub.gram, dx, symmetric=True)
-    val = float(mid @ g_dx) + 2.0 * float((sub.shift * mid) @ dx) - float(sub.q @ dx)
-    if sub.anchor_d is not None and d is not None:
-        dd = d - sub.anchor_d
-        mid_d = sub.anchor_d + 0.5 * dd
-        val += 2.0 * float((sub.shift_d * mid_d) @ dd) - float(sub.q_d @ dd)
+    dx = x - anchor
+    mid = anchor + 0.5 * dx
+    g_dx = support_matvec(gram, dx, symmetric=True)
+    val = float(mid @ g_dx) + 2.0 * float((shift * mid) @ dx) - float(q @ dx)
+    dd = d - anchor_d
+    mid_d = anchor_d + 0.5 * dd
+    val += 2.0 * float((shift * mid_d) @ dd) - float(q_d @ dd)
     return val
 
 
@@ -171,26 +111,28 @@ def model_cholesky(h: np.ndarray) -> np.ndarray:
     return low
 
 
-def _solve_passive(h: np.ndarray, diag: np.ndarray, q: np.ndarray,
+def _solve_passive(gram: np.ndarray, diag: float, q: np.ndarray,
                    idx: np.ndarray) -> np.ndarray:
-    """Solve (H + diag(diag))[idx, idx] s = q[idx] by a Cholesky factor of that block."""
-    block = h[idx[:, None], idx]
-    block.flat[::idx.size + 1] += diag[idx]
+    """Solve (G + diag I)[idx, idx] s = q[idx] by a Cholesky factor of that block."""
+    block = gram[idx[:, None], idx]
+    block.flat[::idx.size + 1] += diag
     s, _ = scipy.linalg.lapack.dpotrs(model_cholesky(block), q[idx], lower=1)
     return s
 
 
-def active_set_qp(h: np.ndarray, diag: np.ndarray, q: np.ndarray,
-                  start: Optional[np.ndarray] = None) -> Tuple[np.ndarray, int]:
-    """Minimise z'(H + diag(diag))z / 2 - q'z over z >= 0 by Lawson & Hanson's active set.
+def solve_qp_p2(gram: np.ndarray, diag: float, q: np.ndarray,
+                start: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Solve problem 2's model exactly: z'(G + diag I)z / 2 - q'z over z >= 0.
 
-    The Gram-form variant of Bro & de Jong (1997): each iteration adds the
-    index with the largest negative gradient to the passive set P, solves
+    ``diag`` is 2c, twice the model shift.  The model is minimised by
+    Lawson & Hanson's active set in the Gram-form variant of Bro & de Jong
+    (1997): each iteration adds the index with the largest negative
+    gradient to the passive set P, solves
     the unconstrained model on P from a Cholesky factor of the |P| x |P|
     block, and steps back to the feasible set while that solution has a
-    non-positive entry.  Only rows of H in P are read (H is symmetric, so
+    non-positive entry.  Only rows of G in P are read (G is symmetric, so
     they are its columns, and stored contiguously), so the cost follows
-    the support, not the size of H.
+    the support, not the size of G.
 
     ``start``, a boolean mask, is a guess at the minimiser's support (the
     anchor's).  When it holds at most ``SUPPORT_SHARE`` of the entries,
@@ -208,7 +150,7 @@ def active_set_qp(h: np.ndarray, diag: np.ndarray, q: np.ndarray,
     cap = ACTIVE_SET_ITERS_PER_COLUMN * n
     z = np.zeros(n)
     passive = np.zeros(n, dtype=bool)
-    # negative gradient q - (H + diag) z; at z = 0 it is q exactly
+    # negative gradient q - (G + diag I) z; at z = 0 it is q exactly
     w = q.copy()
     tol = 10.0 * n * np.finfo(float).eps * float(np.max(np.abs(q), initial=0.0))
     iters = 0
@@ -220,16 +162,16 @@ def active_set_qp(h: np.ndarray, diag: np.ndarray, q: np.ndarray,
             raise NonConvergenceError(
                 f"nnls: active set did not converge in {cap} iterations",
                 iterations=cap)
-        return _solve_passive(h, diag, q, idx)
+        return _solve_passive(gram, diag, q, idx)
 
-    if start is not None and np.count_nonzero(start) <= SUPPORT_SHARE * n:
+    if np.count_nonzero(start) <= SUPPORT_SHARE * n:
         passive[start] = True
         while passive.any():
             idx = np.flatnonzero(passive)
             s = solve(idx)
             if (s > 0).all():
                 z[idx] = s
-                w = q - s @ h[idx] - diag * z
+                w = q - s @ gram[idx] - diag * z
                 break
             passive[idx[s <= 0]] = False
     while n:
@@ -263,33 +205,22 @@ def active_set_qp(h: np.ndarray, diag: np.ndarray, q: np.ndarray,
             passive[idx[zp == 0.0]] = False
         if not added:
             idx = np.flatnonzero(passive)
-            w = q - z[idx] @ h[idx] - diag * z
+            w = q - z[idx] @ gram[idx] - diag * z
     return z, iters
 
 
-def solve_qp_p2(sub: QpSubproblem) -> QpSolution:
-    """Solve the orthant-constrained model exactly (problem 2 inner step).
-
-    The model z'(G + 2C)z / 2 - sub.q'z is minimised over z >= 0 by
-    :func:`active_set_qp`, started from the anchor's support.
-    ``iterations`` counts the active set's passive-block solves.
-    """
-    sub.validate(grouped=False)
-    z, iters = active_set_qp(sub.gram, 2.0 * sub.shift, sub.q, sub.anchor > 0.0)
-    return QpSolution(z, None, iters)
-
-
-def _polish_dummies(x: np.ndarray, d: np.ndarray, sub: QpSubproblem) -> np.ndarray:
+def _polish_dummies(x: np.ndarray, d: np.ndarray, offsets: np.ndarray, eps: np.ndarray,
+                    budget: float) -> np.ndarray:
     # the active set meets the floors and the budget only to rounding, and
     # entries it snaps to zero move them by up to that rounding; at fixed x,
     # raise each dummy to its group's floor and scale the excess over the
     # floors down to the slack the budget leaves
-    floors = np.maximum(sub.eps - np.add.reduceat(x, sub.offsets[:-1]), 0.0)
-    slack = sub.budget - float(np.sum(floors / sub.eps))
+    floors = np.maximum(eps - np.add.reduceat(x, offsets[:-1]), 0.0)
+    slack = budget - float(np.sum(floors / eps))
     if slack < 0:
         return d
     excess = np.maximum(d - floors, 0.0)
-    used = float(np.sum(excess / sub.eps))
+    used = float(np.sum(excess / eps))
     if used <= slack:
         return floors + excess
     return floors + excess * (slack / used)
@@ -301,25 +232,30 @@ def _polish_dummies(x: np.ndarray, d: np.ndarray, sub: QpSubproblem) -> np.ndarr
 _ROUNDING_ULPS = 64.0
 
 
-def _grouped_active_set(hx: np.ndarray, diag_x: np.ndarray, qx: np.ndarray,
-                        offsets: np.ndarray, eps: np.ndarray, dd: np.ndarray,
-                        qd: np.ndarray, budget: float, cap: int
-                        ) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Minimise the grouped model over x >= 0, d >= 0, the floors and the budget.
+def solve_qp_p1(gram: np.ndarray, diag: float, q: np.ndarray, offsets: np.ndarray,
+                eps: np.ndarray, q_d: np.ndarray, budget: float
+                ) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Solve problem 1's model with dummies exactly.
 
-    The model is x'(H + diag(diag_x))x / 2 - qx'x + d'diag(dd)d / 2 - qd'd,
-    the floors sum(x_g_j) + d_j >= eps_j and the budget sum(d / eps) <= budget.
-    A primal active set (Nocedal & Wright, section 16.5) from a sparse
-    feasible point: each iteration solves the model on the free variables
-    with the working floors and budget (at most m + 1 rows) as equalities,
-    from a Cholesky factor of the free x block and one small dense system
-    in the free dummies and the rows' multipliers, then steps to the first
-    constraint it meets or, at the working set's minimiser, releases the
-    constraint with the most negative multiplier.  Returns (x, d,
-    iterations).
+    The model is x'(G + diag I)x / 2 - q'x + diag d'd / 2 - q_d'd, over
+    x >= 0, d >= 0, the group floors sum(x_g_j) + d_j >= eps_j and the
+    budget sum(d / eps) <= budget; ``diag`` is 2c, twice the model shift,
+    and must be positive.  A primal active set (Nocedal & Wright, section
+    16.5) from a sparse feasible point: each iteration solves the model
+    on the free variables with the working floors and budget (at most
+    m + 1 rows) as equalities, from a Cholesky factor of the free x block
+    and one small dense system in the free dummies and the rows'
+    multipliers, then steps to the first constraint it meets or, at the
+    working set's minimiser, releases the constraint with the most
+    negative multiplier.  The dummies are repaired at fixed x on exit, so
+    the floors and the budget hold to rounding.  Returns (x, d, the
+    number of passive-block solves); raises :class:`NonConvergenceError`
+    after ``ACTIVE_SET_ITERS_PER_COLUMN`` times (n + m) of them and
+    ``ValueError`` from a free block that is not positive definite.
     """
-    c, m = qx.size, eps.size
+    c, m = q.size, eps.size
     nz = c + m
+    cap = ACTIVE_SET_ITERS_PER_COLUMN * nz
     group = np.repeat(np.arange(m), np.diff(offsets))
     rows = np.zeros((m + 1, nz))
     rows[group, np.arange(c)] = 1.0
@@ -328,14 +264,14 @@ def _grouped_active_set(hx: np.ndarray, diag_x: np.ndarray, qx: np.ndarray,
     rhs = np.append(eps, -budget)
     # a multiplier times its row's largest entry is its pull on the gradient
     row_scale = np.append(np.ones(m), 1.0 / np.min(eps, initial=np.inf))
-    q = np.concatenate([qx, qd])
-    tol = 10.0 * nz * np.finfo(float).eps * float(np.max(np.abs(q), initial=0.0))
+    tol = 10.0 * nz * np.finfo(float).eps * float(
+        np.max(np.abs(np.concatenate([q, q_d])), initial=0.0))
 
     # start: each group's most attractive column carries r/m of its floor
     # and its dummy the rest, which spends the budget m - r exactly
     share = min(max((m - budget) / m, 0.0), 1.0) if m else 0.0
     z = np.zeros(nz)
-    z[[a + int(np.argmax(qx[a:b])) for a, b in zip(offsets[:-1], offsets[1:])]] = share * eps
+    z[[a + int(np.argmax(q[a:b])) for a, b in zip(offsets[:-1], offsets[1:])]] = share * eps
     z[c:] = (1.0 - share) * eps
     free = z > 0.0
     working = np.ones(m + 1, dtype=bool)
@@ -366,15 +302,15 @@ def _grouped_active_set(hx: np.ndarray, diag_x: np.ndarray, qx: np.ndarray,
         ax, ad = rows[wk][:, ix], rows[wk][:, c + jd]
         sol = np.zeros((ix.size, wk.size + 1))
         if ix.size:
-            sol = _solve_passive(hx, diag_x, np.column_stack([qx, rows[wk, :c].T]), ix)
+            sol = _solve_passive(gram, diag, np.column_stack([q, rows[wk, :c].T]), ix)
         s0, ys = sol[:, 0], sol[:, 1:]
         kd = jd.size
         small = np.zeros((kd + wk.size, kd + wk.size))
-        small[:kd, :kd] = np.diag(dd[jd])
+        small[:kd, :kd] = diag * np.eye(kd)
         small[:kd, kd:] = -ad.T
         small[kd:, :kd] = ad
         small[kd:, kd:] = ax @ ys
-        both = np.linalg.solve(small, np.concatenate([qd[jd], rhs[wk] - ax @ s0]))
+        both = np.linalg.solve(small, np.concatenate([q_d[jd], rhs[wk] - ax @ s0]))
         lam = both[kd:]
         s = np.concatenate([s0 + ys @ lam, both[:kd]])
         zf = z[idx]
@@ -412,40 +348,15 @@ def _grouped_active_set(hx: np.ndarray, diag_x: np.ndarray, qx: np.ndarray,
             continue
 
         # z minimises the model on the working set: price its constraints
-        g = np.concatenate([z[ix] @ hx[ix] - qx, dd * z[c:] - qd]) - rows[wk].T @ lam
+        g = np.concatenate([z[ix] @ gram[ix] - q, diag * z[c:] - q_d]) - rows[wk].T @ lam
         price = np.full(nz + m + 1, np.inf)
         price[:nz][~free] = g[~free]
         price[nz + wk] = lam * row_scale[wk]
         j = int(np.argmin(price))
         if price[j] >= -tol:
-            return z[:c], z[c:], iters
+            return z[:c], _polish_dummies(z[:c], z[c:], offsets, eps, budget), iters
         if j < nz:
             free[j] = True
         else:
             working[j - nz] = False
 
-
-def solve_qp_p1(sub: QpSubproblem) -> QpSolution:
-    """Solve the grouped model with dummies exactly (problem 1 inner step).
-
-    The model is z'(G + 2C)z / 2 - sub.q'z plus
-    d'(2 C_d)d / 2 - sub.q_d'd, over x >= 0, d >= 0, the group floors
-    sum(x_g_j) + d_j >= eps_j and the budget sum(d / eps) <= budget, by
-    a primal active set.  The dummies are repaired at fixed x on exit, so
-    the floors and the budget hold to rounding.  ``iterations`` counts the
-    active set's passive-block solves; :class:`NonConvergenceError` after
-    ``ACTIVE_SET_ITERS_PER_COLUMN`` times (n + m) of them, ``ValueError``
-    from a model that is not strictly convex.
-    """
-    sub.validate(grouped=True)
-    n, m = sub.anchor.size, sub.eps.size
-    dd = 2.0 * sub.shift_d
-    if not np.all(dd > 0):
-        raise ValueError("the dummies' model curvature 2 C_d must be positive; "
-                         "increase c_matrix_scale")
-    offsets = np.asarray(sub.offsets, dtype=np.int64)
-    eps = np.asarray(sub.eps, dtype=float)
-    cap = ACTIVE_SET_ITERS_PER_COLUMN * (n + m)
-    x, d, iters = _grouped_active_set(sub.gram, 2.0 * sub.shift, sub.q, offsets, eps, dd,
-                                      sub.q_d, float(sub.budget), cap)
-    return QpSolution(x, _polish_dummies(x, d, sub), iters)

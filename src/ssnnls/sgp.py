@@ -11,9 +11,10 @@ Both problems minimise their model exactly at every step by an active
 set on the dictionary's cached Gram matrix, which factors only the small
 block on the current support.  Each solve checks its data, its
 configuration and its ``init`` and forms A'b once.  The model goes to
-:mod:`ssnnls.qp` in standard form, z'(G + 2C)z / 2 - q'z with
-q = (G + 2C) a - grad F(a) = A'b - grad P(a) + 2Ca (and
-q_d = 2 C_d a_d - grad_d P(a) for problem 1's dummies), so the fit's
+:mod:`ssnnls.qp` in standard form, z'(G + 2C)z / 2 - q'z with C = cI
+and q = (G + 2C) a - grad F(a) = A'b - grad P(a) + 2Ca (and
+q_d = 2c a_d - grad_d P(a) for problem 1's dummies), as the arrays G, q
+and q_d and the scalar 2c, so the fit's
 gradient G a - A'b is never formed: an objective evaluation forms only
 the residual, from the iterate's nonzero columns, and the penalty's
 gradient (:mod:`ssnnls.core`).  That leaves two dense passes over A per
@@ -32,7 +33,7 @@ import numpy as np
 from .core import (GroupedCoeffs, GroupedDictionary, SparsityConfig, checked_data,
                    eval_objective_p1, eval_objective_p2)
 from .errors import ConfigError, NonConvergenceError
-from .qp import QpSubproblem, model_cholesky, model_value, solve_qp_p1, solve_qp_p2
+from .qp import model_cholesky, model_value, solve_qp_p1, solve_qp_p2
 
 TERM_STEP = "step_tol"
 TERM_ENERGY = "energy_tol"
@@ -40,7 +41,7 @@ TERM_MAX_OUTER = "max_outer"
 
 
 # Algorithm constants of the outer loops, read at call time.  Problem 1
-# scales its diagonal shift by a dynamic factor c_n starting at C0: a
+# scales its model shift by a dynamic factor c_n starting at C0: a
 # candidate failing the sufficient-decrease test
 # F(y) - F(x) <= SIGMA * model(y) is rejected and c_n grows by XI2 (more
 # than MAX_REJECTIONS in a row raise NonConvergenceError); after an
@@ -60,13 +61,13 @@ TOL_STEP = 0.0
 class SgpParams:
     """Outer-loop settings.
 
-    ``c_matrix_scale`` is the diagonal magnitude of the model shift C;
-    problem 2 keeps C fixed, problem 1 multiplies it by the dynamic factor
-    described at ``C0``, ``SIGMA``, ``XI1``, ``XI2``, ``RHO`` and
-    ``MAX_REJECTIONS``.  The loop stops when the sup-norm step falls to
-    ``TOL_STEP``, when the objective changes by at most ``tol_energy``
-    relative to its new value (``|F_old - F_new| <= tol_energy |F_new|``),
-    or at ``max_outer``.
+    ``c_matrix_scale`` is c in the model shift C = cI; problem 2 keeps C
+    fixed and allows c = 0 when A has full column rank, problem 1 needs
+    c > 0 and multiplies it by the dynamic factor described at ``C0``,
+    ``SIGMA``, ``XI1``, ``XI2``, ``RHO`` and ``MAX_REJECTIONS``.  The loop
+    stops when the sup-norm step falls to ``TOL_STEP``, when the objective
+    changes by at most ``tol_energy`` relative to its new value
+    (``|F_old - F_new| <= tol_energy |F_new|``), or at ``max_outer``.
     """
 
     c_matrix_scale: float = 1e-9
@@ -88,7 +89,8 @@ class SolveReport:
     """Outcome of one outer solve: final point, traces, termination reason.
 
     ``inner_iters_total`` sums the active-set iterations (passive-block
-    solves, see :class:`ssnnls.qp.QpSolution`) of every model solve: for
+    solves, see :func:`ssnnls.qp.solve_qp_p1` and
+    :func:`ssnnls.qp.solve_qp_p2`) of every model solve: for
     problem 2 the solves that start a step from the anchor's support
     too, for problem 1 those of rejected candidates, for both problems
     those of the unaccepted last step.
@@ -183,23 +185,22 @@ def solve_problem2(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
     if not params.c_matrix_scale > 0:
         # with no shift the model is strongly convex only if A has full column rank
         model_cholesky(gram)
-    shift = np.full(n, params.c_matrix_scale)
+    shift = params.c_matrix_scale
     report = SolveReport(final=GroupedCoeffs(x))
 
     ev = eval_objective_p2(dct, b, GroupedCoeffs(x), cfg, atb=atb)
     report.objective_trace.append(ev.value)
     for _ in range(params.max_outer):
         # q = (G + 2C) x - grad F(x), in which G x cancels
-        sub = QpSubproblem(gram=gram, q=atb - ev.penalty_grad + 2.0 * shift * x, anchor=x,
-                           shift=shift)
-        sol = solve_qp_p2(sub)
-        report.inner_iters_total += sol.iterations
-        ev_y = eval_objective_p2(dct, b, GroupedCoeffs(sol.x), cfg, atb=atb)
+        y, iters = solve_qp_p2(gram, 2.0 * shift, atb - ev.penalty_grad + 2.0 * shift * x,
+                               x > 0.0)
+        report.inner_iters_total += iters
+        ev_y = eval_objective_p2(dct, b, GroupedCoeffs(y), cfg, atb=atb)
         if ev_y.value > ev.value:
             report.termination = TERM_ENERGY
             break
-        step = float(np.max(np.abs(sol.x - x))) if n else 0.0
-        x = sol.x
+        step = float(np.max(np.abs(y - x))) if n else 0.0
+        x = y
         report.objective_trace.append(ev_y.value)
         report.c_trace.append(params.c_matrix_scale)
         report.step_trace.append(step)
@@ -228,12 +229,15 @@ def solve_problem1(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
     model minimiser no better than the anchor (model value >= 0) ends the
     run as ``energy_tol``.  A :class:`NonConvergenceError` from a step's
     active set propagates; an ``init`` whose x or d has the wrong length
-    or a NaN or infinite entry is a ``ValueError`` before any evaluation.
+    or a NaN or infinite entry, and a zero ``c_matrix_scale`` (the
+    dummies' only curvature), are a ``ValueError`` before any evaluation.
     """
     params = params or SgpParams()
+    if not params.c_matrix_scale > 0:
+        raise ValueError("problem 1's model needs a positive shift for the dummies' "
+                         "curvature; increase c_matrix_scale")
     b, atb = checked_data(dct, b, cfg)
-    n, m = dct.n_columns, dct.n_groups
-    budget = cfg.budget(m)
+    budget = cfg.budget(dct.n_groups)
 
     coeffs = _feasible_p1_init(dct, cfg, init)
     x, d = coeffs.x, coeffs.d
@@ -246,20 +250,17 @@ def solve_problem1(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
     ev = eval_objective_p1(dct, b, GroupedCoeffs(x, d), cfg, atb=atb)
     report.objective_trace.append(ev.value)
     while report.outer_iters < params.max_outer:
-        diag = c * params.c_matrix_scale
+        shift = c * params.c_matrix_scale
         # q = (G + 2C) x - grad F(x), in which G x cancels; the dummies
         # enter F through the penalty alone
-        sub = QpSubproblem(gram=gram, q=atb - ev.penalty_grad + 2.0 * diag * x, anchor=x,
-                           shift=np.full(n, diag), offsets=dct.offsets, eps=cfg.eps, anchor_d=d,
-                           q_d=2.0 * diag * d - ev.grad_d,
-                           shift_d=np.full(m, diag), budget=budget)
-        sol = solve_qp_p1(sub)
-        report.inner_iters_total += sol.iterations
-        model = model_value(sub, sol.x, sol.d)
+        q, q_d = atb - ev.penalty_grad + 2.0 * shift * x, 2.0 * shift * d - ev.grad_d
+        y, y_d, iters = solve_qp_p1(gram, 2.0 * shift, q, dct.offsets, cfg.eps, q_d, budget)
+        report.inner_iters_total += iters
+        model = model_value(gram, shift, q, q_d, x, d, y, y_d)
         if model >= 0.0:
             report.termination = TERM_ENERGY
             break
-        ev_y = eval_objective_p1(dct, b, GroupedCoeffs(sol.x, sol.d), cfg, atb=atb)
+        ev_y = eval_objective_p1(dct, b, GroupedCoeffs(y, y_d), cfg, atb=atb)
         if ev_y.value - ev.value > SIGMA * model:
             c *= XI2
             rejections += 1
@@ -268,12 +269,11 @@ def solve_problem1(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
                     f"no sufficient decrease after {rejections} scaling increases",
                     iterations=report.outer_iters, trace=report.objective_trace)
             continue
-        step = max(float(np.max(np.abs(sol.x - x))),
-                   float(np.max(np.abs(sol.d - d))))
-        x, d = sol.x, sol.d
+        step = max(float(np.max(np.abs(y - x))), float(np.max(np.abs(y_d - d))))
+        x, d = y, y_d
         rejections = 0
         report.objective_trace.append(ev_y.value)
-        report.c_trace.append(diag)
+        report.c_trace.append(shift)
         report.step_trace.append(step)
         report.outer_iters += 1
         decrease = ev.value - ev_y.value

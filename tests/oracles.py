@@ -9,14 +9,17 @@ ill-conditioned one-material models and the penalized and constrained l1
 baselines are checked against scipy's SLSQP.  The objectives are
 evaluated with dense products and one group at a time, and the outer
 step's quadratic upper estimate is checked on them.  Nothing here
-shares code with the package beyond reading its data containers.
+shares code with the package beyond reading its data containers; a
+:class:`Model` lays its arrays out as the package's model solvers take
+them.
 """
+
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
 import scipy.optimize
-
-from ssnnls.qp import QpSubproblem
 
 
 def fd_gradient(f, x, step=1e-6):
@@ -123,17 +126,46 @@ def check_descent_estimate(dct, b, cfg, at, to, lambda_r, lambda_big, problem="p
     return lhs <= rhs + 1e-10 * (1.0 + abs(lhs))
 
 
-def subproblem(gram, lin, anchor, shift, lin_d=None, **grouped):
-    """A QpSubproblem from the model's gradient ``lin`` (and ``lin_d``) at the anchor.
+@dataclass
+class Model:
+    """One step's model in standard form: z'(G + 2cI)z / 2 - q'z.
 
-    The package takes the model in standard form, z'(G + 2C)z / 2 - q'z,
-    whose linear term is q = (G + 2C) a - lin, and q_d = 2 C_d a_d - lin_d
+    ``gram`` is G, ``shift`` the scalar c and ``q`` the linear term
+    (G + 2cI) a - grad at the ``anchor`` a.  Problem 1's models add the
+    group ``offsets`` and ``eps`` floors, the dummies' ``anchor_d`` and
+    term ``q_d`` = 2c a_d - grad_d, and the ``budget``.
+    """
+
+    gram: np.ndarray
+    shift: float
+    q: np.ndarray
+    anchor: np.ndarray
+    offsets: Optional[np.ndarray] = None
+    eps: Optional[np.ndarray] = None
+    anchor_d: Optional[np.ndarray] = None
+    q_d: Optional[np.ndarray] = None
+    budget: float = 0.0
+
+    def p2_args(self):
+        """The arguments of ``solve_qp_p2``, started from the anchor's support."""
+        return self.gram, 2.0 * self.shift, self.q, self.anchor > 0.0
+
+    def p1_args(self):
+        """The arguments of ``solve_qp_p1``."""
+        return self.gram, 2.0 * self.shift, self.q, self.offsets, self.eps, self.q_d, self.budget
+
+
+def subproblem(gram, lin, anchor, shift, lin_d=None, **grouped):
+    """A :class:`Model` from the model's gradient ``lin`` (and ``lin_d``) at the anchor.
+
+    The package takes the model in standard form, z'(G + 2cI)z / 2 - q'z,
+    whose linear term is q = (G + 2cI) a - lin, and q_d = 2c a_d - lin_d
     for the dummies.
     """
     q = gram @ anchor + 2.0 * shift * anchor - lin
     if lin_d is not None:
-        grouped["q_d"] = 2.0 * grouped["shift_d"] * grouped["anchor_d"] - lin_d
-    return QpSubproblem(gram=gram, q=q, anchor=anchor, shift=shift, **grouped)
+        grouped["q_d"] = 2.0 * shift * grouped["anchor_d"] - lin_d
+    return Model(gram=gram, shift=shift, q=q, anchor=anchor, **grouped)
 
 
 def model_gradient(sub):
@@ -141,11 +173,11 @@ def model_gradient(sub):
     lin = sub.gram @ sub.anchor + 2.0 * sub.shift * sub.anchor - sub.q
     if sub.anchor_d is None:
         return lin, None
-    return lin, 2.0 * sub.shift_d * sub.anchor_d - sub.q_d
+    return lin, 2.0 * sub.shift * sub.anchor_d - sub.q_d
 
 
 def quad_value(sub, x, d=None, lin=None, lin_d=None):
-    """The quadratic model: 1/2 dx'G dx + dx'diag(shift)dx + lin'dx (+ dummy part).
+    """The quadratic model: 1/2 dx'G dx + c dx'dx + lin'dx (+ dummy part).
 
     ``lin`` and ``lin_d``, the gradient at the anchor, default to the
     subproblem's own (:func:`model_gradient`).
@@ -153,10 +185,10 @@ def quad_value(sub, x, d=None, lin=None, lin_d=None):
     if lin is None:
         lin, lin_d = model_gradient(sub)
     dx = np.asarray(x, float) - sub.anchor
-    val = 0.5 * float(dx @ sub.gram @ dx) + float(sub.shift @ dx ** 2) + float(lin @ dx)
+    val = 0.5 * float(dx @ sub.gram @ dx) + sub.shift * float(dx @ dx) + float(lin @ dx)
     if d is not None and sub.anchor_d is not None:
         dd = np.asarray(d, float) - sub.anchor_d
-        val += float(sub.shift_d @ dd ** 2) + float(lin_d @ dd)
+        val += sub.shift * float(dd @ dd) + float(lin_d @ dd)
     return val
 
 
@@ -166,12 +198,12 @@ def _grad_x(sub, x):
 
 
 def _grad_d(sub, d):
-    return 2.0 * sub.shift_d * (d - sub.anchor_d) + model_gradient(sub)[1]
+    return 2.0 * sub.shift * (d - sub.anchor_d) + model_gradient(sub)[1]
 
 
 def pg_p2(sub, max_iters=30000, tol=1e-14):
     """Long-run projected gradient on the orthant-constrained model."""
-    lip = float(np.linalg.eigvalsh(sub.gram + 2.0 * np.diag(sub.shift))[-1])
+    lip = float(np.linalg.eigvalsh(sub.gram + 2.0 * sub.shift * np.eye(sub.anchor.size))[-1])
     step = 1.0 / lip
     x = np.maximum(sub.anchor.astype(float), 0.0)
     for _ in range(max_iters):
@@ -244,8 +276,8 @@ def dykstra_p1(sub, x0, d0, sweeps=20000, tol=1e-12):
 
 def pg_p1(sub, max_iters=2500, tol=1e-12):
     """Projected gradient on the grouped model, feasibility via Dykstra."""
-    lip = max(float(np.linalg.eigvalsh(sub.gram + 2.0 * np.diag(sub.shift))[-1]),
-              float(np.max(2.0 * sub.shift_d)), 1e-12)
+    hessian = sub.gram + 2.0 * sub.shift * np.eye(sub.anchor.size)
+    lip = max(float(np.linalg.eigvalsh(hessian)[-1]), 1e-12)
     step = 1.0 / lip
     x, d = dykstra_p1(sub, sub.anchor.astype(float).copy(),
                       np.maximum(sub.anchor_d.astype(float), 0.0))
@@ -266,7 +298,7 @@ def random_p2_subproblem(rng):
     a = rng.normal(size=(n + 4, n))
     gram = a.T @ a + float(rng.uniform(0.5, 1.5)) * np.eye(n)
     return subproblem(gram=gram, lin=rng.normal(size=n), anchor=0.5 * rng.normal(size=n),
-                      shift=rng.uniform(0.05, 0.5, n))
+                      shift=float(rng.uniform(0.05, 0.5)))
 
 
 def cholesky_nnls_p2(sub):
@@ -274,7 +306,7 @@ def cholesky_nnls_p2(sub):
 
     With G + 2C = R'R and d = R a - R^-T lin, the step is NNLS(R, d).
     """
-    r = scipy.linalg.cholesky(sub.gram + 2.0 * np.diag(sub.shift))
+    r = scipy.linalg.cholesky(sub.gram + 2.0 * sub.shift * np.eye(sub.anchor.size))
     rhs = r @ sub.anchor - scipy.linalg.solve_triangular(r, model_gradient(sub)[0], trans="T")
     return scipy.optimize.nnls(r, rhs)[0]
 
@@ -297,7 +329,7 @@ def wide_p2_subproblem(rng):
     b = a @ x_true + 0.01 * rng.normal(size=m)
     anchor = np.where(rng.uniform(size=n) < 0.3, rng.uniform(0.0, 1.0, n), 0.0)
     lin = a.T @ (a @ anchor - b) + 0.05 * rng.uniform(0.0, 1.0, n)
-    return subproblem(gram=a.T @ a, lin=lin, anchor=anchor, shift=np.full(n, 1e-9))
+    return subproblem(gram=a.T @ a, lin=lin, anchor=anchor, shift=1e-9)
 
 
 def sparse_p2_subproblem(rng):
@@ -313,7 +345,7 @@ def sparse_p2_subproblem(rng):
     b = a @ x_true + 0.01 * rng.normal(size=30)
     anchor = np.maximum(x_true + 0.05 * rng.normal(size=40) * (x_true != 0), 0.0)
     lin = a.T @ (a @ anchor - b) + 0.05
-    return subproblem(gram=a.T @ a, lin=lin, anchor=anchor, shift=np.full(40, 1e-6))
+    return subproblem(gram=a.T @ a, lin=lin, anchor=anchor, shift=1e-6)
 
 
 def random_p1_subproblem(rng):
@@ -326,11 +358,10 @@ def random_p1_subproblem(rng):
     gram = a.T @ a + float(rng.uniform(0.5, 1.5)) * np.eye(n)
     return subproblem(gram=gram, lin=rng.normal(size=n),
                       anchor=0.5 * rng.normal(size=n),
-                      shift=rng.uniform(0.05, 0.5, n),
+                      shift=float(rng.uniform(0.05, 0.5)),
                       offsets=offsets, eps=rng.uniform(0.02, 0.2, m),
                       anchor_d=rng.uniform(0.0, 0.3, m),
                       lin_d=0.5 * rng.normal(size=m),
-                      shift_d=rng.uniform(0.1, 0.6, m),
                       budget=float(m - rng.uniform(0.0, 1.0)))
 
 
@@ -374,7 +405,7 @@ def one_material_p1_subproblem(rng, singleton=False):
 
     m groups of near-duplicate variants (or, with ``singleton``, the
     hsi-inter layout of six one-column groups under an inter-group weight),
-    budget m - 1 and shift = shift_d in 1e-9..1e-6.  The anchor has one
+    budget m - 1 and shift in 1e-9..1e-6.  The anchor has one
     non-empty group, whose dummy is 0, and every other dummy at its floor,
     so the floors of the empty groups and the budget are linearly
     dependent.  The linear term is the least-squares gradient plus the
@@ -413,9 +444,9 @@ def one_material_p1_subproblem(rng, singleton=False):
     if singleton:
         lin += 0.01 * _hoyer_grad(anchor)
     shift = 10.0 ** rng.uniform(-9.0, -6.0)
-    return subproblem(gram=a.T @ a, lin=lin, anchor=anchor, shift=np.full(n, shift),
+    return subproblem(gram=a.T @ a, lin=lin, anchor=anchor, shift=shift,
                       offsets=offsets, eps=eps, anchor_d=anchor_d,
-                      lin_d=lin_d, shift_d=np.full(m, shift), budget=float(m - 1))
+                      lin_d=lin_d, budget=float(m - 1))
 
 
 def slsqp_nonneg_l1(entries, b, gamma, x0=None):

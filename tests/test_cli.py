@@ -205,12 +205,16 @@ def test_main_infinite_weight_exits_2(tmp_path, capsys):
     ("doas-align", "hoyer_p1", "c_scale", -1e-9, "c_matrix_scale"),
     ("doas-background", "lstsq", "lstsq_draws", 0, "lstsq_draws"),
     ("doas-background", "lstsq", "lstsq_draws", -2, "lstsq_draws"),
+    ("doas-align", "diff_p2", "jitter", -0.25, "jitter"),
+    ("doas-background", "nnls", "magnitudes", [5], "magnitudes"),
+    ("doas-background", "nnls", "group_cols", [1], "group_cols"),
 ])
 def test_main_bad_solver_setting_exits_2(tmp_path, capsys, experiment, solver, knob, value,
                                          field):
     # each is rejected naming its field before a solve; the first five once
-    # exited 0 (no outer step, or NaN or zero magnitudes), and c_scale failed
-    # inside the first model solve
+    # exited 0 (no outer step, or NaN or zero magnitudes), c_scale failed
+    # inside the first model solve, a negative jitter fitted unjittered data
+    # and exited 0, and a list of the wrong length crashed with IndexError
     cfg = tmp_path / "knobs.json"
     cfg.write_text(json.dumps({knob: value}))
     code = main(["--experiment", experiment, "--scale", "4", "--solver", solver,

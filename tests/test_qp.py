@@ -1,54 +1,38 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
 from ssnnls import qp
 from ssnnls.errors import NonConvergenceError
-from ssnnls.qp import QpSubproblem, model_value, solve_qp_p1, solve_qp_p2
+from ssnnls.qp import model_value, solve_qp_p1, solve_qp_p2
 
 import oracles
+
+
+def _model_value(sub, x, d):
+    return model_value(sub.gram, sub.shift, sub.q, sub.q_d, sub.anchor, sub.anchor_d, x, d)
 
 
 def test_model_value_zero_at_anchor_and_matches_reference():
     rng = np.random.default_rng(0)
     sub = oracles.random_p1_subproblem(rng)
     d0 = sub.anchor_d.copy()
-    assert model_value(sub, sub.anchor, d0) == 0.0
+    assert _model_value(sub, sub.anchor, d0) == 0.0
     for _ in range(5):
         x = rng.normal(size=sub.anchor.size)
         d = rng.normal(size=sub.anchor_d.size)
-        assert model_value(sub, x, d) == pytest.approx(
+        assert _model_value(sub, x, d) == pytest.approx(
             oracles.quad_value(sub, x, d), rel=1e-12, abs=1e-12)
-
-
-def test_subproblem_validation():
-    rng = np.random.default_rng(1)
-    sub = oracles.random_p2_subproblem(rng)
-    sub.validate(grouped=False)
-    with pytest.raises(ValueError):
-        QpSubproblem(sub.gram, sub.q, sub.anchor, -np.ones_like(sub.shift)).validate(False)
-    with pytest.raises(ValueError):
-        QpSubproblem(sub.gram, sub.q[:-1], sub.anchor, sub.shift).validate(False)
-    with pytest.raises(ValueError):
-        QpSubproblem(sub.gram, sub.q, sub.anchor, sub.shift).validate(True)
-    grouped = oracles.random_p1_subproblem(rng)
-    grouped.validate(grouped=True)
-    for budget in (-0.5, np.nan, np.inf):
-        grouped.budget = budget
-        with pytest.raises(ValueError, match="budget"):
-            grouped.validate(grouped=True)
 
 
 def test_solve_qp_p2_matches_projected_gradient_oracle():
     rng = np.random.default_rng(7)
     for _ in range(15):
         sub = oracles.random_p2_subproblem(rng)
-        sol = solve_qp_p2(sub)
+        x, _ = solve_qp_p2(*sub.p2_args())
         ref = oracles.pg_p2(sub)
-        assert np.min(sol.x) >= -1e-10
-        np.testing.assert_allclose(sol.x, ref, atol=1e-5)
-        assert model_value(sub, sol.x) <= model_value(sub, ref) + 1e-8
+        assert np.min(x) >= -1e-10
+        np.testing.assert_allclose(x, ref, atol=1e-5)
+        assert oracles.quad_value(sub, x) <= oracles.quad_value(sub, ref) + 1e-8
 
 
 @pytest.mark.parametrize("draw", [0, 3])
@@ -58,28 +42,28 @@ def test_solve_qp_p2_matches_full_factor_on_wide_near_duplicate_models(draw):
     rng = np.random.default_rng(40 + draw)
     for _ in range(20):
         sub = oracles.wide_p2_subproblem(rng)
-        sol = solve_qp_p2(sub)
-        ref = model_value(sub, oracles.cholesky_nnls_p2(sub))
-        assert np.min(sol.x) >= 0.0
-        assert sol.iterations >= 1
-        assert model_value(sub, sol.x) <= ref + 1e-9 * max(1.0, abs(ref))
+        x, iters = solve_qp_p2(*sub.p2_args())
+        ref = oracles.quad_value(sub, oracles.cholesky_nnls_p2(sub))
+        assert np.min(x) >= 0.0
+        assert iters >= 1
+        assert oracles.quad_value(sub, x) <= ref + 1e-9 * max(1.0, abs(ref))
 
 
 def test_solve_qp_p1_matches_pg_dykstra_oracle():
     rng = np.random.default_rng(8)
     for _ in range(8):
         sub = oracles.random_p1_subproblem(rng)
-        sol = solve_qp_p1(sub)
+        x, d, _ = solve_qp_p1(*sub.p1_args())
         ref_x, ref_d = oracles.pg_p1(sub)
-        np.testing.assert_allclose(sol.x, ref_x, atol=1e-5)
-        np.testing.assert_allclose(sol.d, ref_d, atol=1e-5)
+        np.testing.assert_allclose(x, ref_x, atol=1e-5)
+        np.testing.assert_allclose(d, ref_d, atol=1e-5)
         # feasibility of the returned point
-        assert np.min(sol.x) >= -1e-8
-        assert np.min(sol.d) >= -1e-10
-        assert float(np.sum(sol.d / sub.eps)) <= sub.budget + 1e-8
+        assert np.min(x) >= -1e-8
+        assert np.min(d) >= -1e-10
+        assert float(np.sum(d / sub.eps)) <= sub.budget + 1e-8
         for j in range(sub.eps.size):
             a, b = int(sub.offsets[j]), int(sub.offsets[j + 1])
-            assert np.sum(sol.x[a:b]) + sol.d[j] >= sub.eps[j] - 1e-8
+            assert np.sum(x[a:b]) + d[j] >= sub.eps[j] - 1e-8
 
 
 def test_nonconvergence_raises_with_diagnostics(monkeypatch):
@@ -88,20 +72,21 @@ def test_nonconvergence_raises_with_diagnostics(monkeypatch):
     rng = np.random.default_rng(10)
     sub = oracles.random_p1_subproblem(rng)
     with pytest.raises(NonConvergenceError, match="problem-1 active set") as exc:
-        solve_qp_p1(sub)
+        solve_qp_p1(*sub.p1_args())
     assert exc.value.iterations == 0
 
 
-def _assert_exact_and_feasible(sub, sol):
-    ref = model_value(sub, *oracles.slsqp_p1(sub))
-    assert model_value(sub, sol.x, sol.d) <= ref + 1e-9 * max(1.0, abs(ref))
-    assert np.min(sol.x) >= 0.0 and np.min(sol.d) >= 0.0
+def _assert_exact_and_feasible(sub):
+    x, d, iters = solve_qp_p1(*sub.p1_args())
+    ref = _model_value(sub, *oracles.slsqp_p1(sub))
+    assert _model_value(sub, x, d) <= ref + 1e-9 * max(1.0, abs(ref))
+    assert np.min(x) >= 0.0 and np.min(d) >= 0.0
     for j in range(sub.eps.size):
         a, b = int(sub.offsets[j]), int(sub.offsets[j + 1])
-        assert np.sum(sol.x[a:b]) + sol.d[j] >= sub.eps[j] * (1.0 - 1e-12)
-    assert np.sum(sol.d / sub.eps) <= sub.budget * (1.0 + 1e-12)
+        assert np.sum(x[a:b]) + d[j] >= sub.eps[j] * (1.0 - 1e-12)
+    assert np.sum(d / sub.eps) <= sub.budget * (1.0 + 1e-12)
     m = sub.eps.size
-    assert 1 <= sol.iterations < qp.ACTIVE_SET_ITERS_PER_COLUMN * (sub.anchor.size + m)
+    assert 1 <= iters < qp.ACTIVE_SET_ITERS_PER_COLUMN * (sub.anchor.size + m)
 
 
 @pytest.mark.parametrize("draw", [0, 1, 2])
@@ -110,16 +95,14 @@ def test_solve_qp_p1_exact_on_one_material_models(draw):
     # the dummies' curvature is at most 2e-6: outside the oracle's reach
     rng = np.random.default_rng(60 + draw)
     for _ in range(20):
-        sub = oracles.one_material_p1_subproblem(rng)
-        _assert_exact_and_feasible(sub, solve_qp_p1(sub))
+        _assert_exact_and_feasible(oracles.one_material_p1_subproblem(rng))
 
 
 def test_solve_qp_p1_exact_on_one_material_inter_group_models():
     # the hsi-inter layout: six one-column groups, budget 5 of 6
     rng = np.random.default_rng(63)
     for _ in range(20):
-        sub = oracles.one_material_p1_subproblem(rng, singleton=True)
-        _assert_exact_and_feasible(sub, solve_qp_p1(sub))
+        _assert_exact_and_feasible(oracles.one_material_p1_subproblem(rng, singleton=True))
 
 
 def test_dummy_repair_meets_floors_and_budget():
@@ -132,12 +115,8 @@ def test_dummy_repair_meets_floors_and_budget():
     sums = np.array([x[0:2].sum(), x[2:4].sum()])
     d = eps - sums + np.array([0.3, 0.0])
     budget = float(np.sum(d / eps)) * (1.0 - 8.0 * ulp)
-    sub = QpSubproblem(gram=np.eye(4), q=np.zeros(4), anchor=x, shift=np.ones(4),
-                       offsets=offsets, eps=eps, anchor_d=d, q_d=np.zeros(2),
-                       shift_d=np.ones(2), budget=budget)
-    sub.validate(grouped=True)
     assert np.sum(d / eps) > budget * (1.0 + 2.0 * ulp)
-    got = qp._polish_dummies(x, d, sub)
+    got = qp._polish_dummies(x, d, offsets, eps, budget)
     assert np.min(got) >= 0.0
     assert np.all(sums + got >= eps * (1.0 - 2.0 * ulp))
     assert np.sum(got / eps) <= budget * (1.0 + 2.0 * ulp)
@@ -158,13 +137,13 @@ def _warm_start_cases(kind):
         for _ in range(10):
             sub = make(rng)
             h, diag, q = sub.gram, 2.0 * sub.shift, sub.q
-            cold, cold_iters = qp.active_set_qp(h, diag, q)
+            cold, cold_iters = qp.solve_qp_p2(h, diag, q, np.zeros(q.size, dtype=bool))
             support, zeros = cold > 0, np.flatnonzero(cold == 0)
             start = np.zeros(q.size, dtype=bool)
             if kind in ("exact", "superset"):
                 start[support] = True
             if kind == "superset":
-                grad = h[zeros] @ cold + diag[zeros] * cold[zeros] - q[zeros]
+                grad = h[zeros] @ cold + diag * cold[zeros] - q[zeros]
                 start[zeros[np.argmin(grad)]] = True
             elif kind == "disjoint":
                 start[zeros[:3]] = True
@@ -180,7 +159,7 @@ def _warm_start_cases(kind):
 @pytest.mark.parametrize("kind", ["exact", "superset", "disjoint", "empty", "dense"])
 def test_active_set_from_a_start_returns_the_cold_minimiser(kind):
     for h, diag, q, start, cold, cold_iters in _warm_start_cases(kind):
-        z, iters = qp.active_set_qp(h, diag, q, start)
+        z, iters = qp.solve_qp_p2(h, diag, q, start)
         assert np.max(np.abs(z - cold)) <= 1e-12 * np.max(np.abs(cold))
         # KKT: non-negative, stationary on the support, no descent off it
         grad = h @ z + diag * z - q
@@ -200,7 +179,8 @@ def test_solve_qp_p2_starts_from_the_anchor():
     rng = np.random.default_rng(80)
     for _ in range(10):
         sub = oracles.sparse_p2_subproblem(rng)
-        cold = solve_qp_p2(dataclasses.replace(sub, anchor=np.zeros(sub.anchor.size)))
-        warm = solve_qp_p2(dataclasses.replace(sub, anchor=cold.x))
-        assert warm.iterations == 1
-        assert np.max(np.abs(warm.x - cold.x)) <= 1e-12 * np.max(np.abs(cold.x))
+        h, diag, q, _ = sub.p2_args()
+        cold, _ = solve_qp_p2(h, diag, q, np.zeros(q.size, dtype=bool))
+        warm, iters = solve_qp_p2(h, diag, q, cold > 0.0)
+        assert iters == 1
+        assert np.max(np.abs(warm - cold)) <= 1e-12 * np.max(np.abs(cold))

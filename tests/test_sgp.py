@@ -1,5 +1,7 @@
 """Outer-loop behaviour: monotone traces, termination reasons, feasibility."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from numpy.random import default_rng
@@ -9,11 +11,11 @@ from ssnnls.core import (SUPPORT_SHARE, GroupedCoeffs, GroupedDictionary, Sparsi
 from ssnnls.errors import ConfigError, NonConvergenceError
 from ssnnls import core, sgp
 from ssnnls import qp
-from ssnnls.qp import QpSolution, model_value
+from ssnnls.qp import model_value
 from ssnnls.sgp import (TERM_ENERGY, TERM_MAX_OUTER, TERM_STEP, SgpParams, solve_problem1,
                         solve_problem2)
 
-from oracles import (check_descent_estimate, dense_objective_p1, dense_objective_p2,
+from oracles import (Model, check_descent_estimate, dense_objective_p1, dense_objective_p2,
                      fd_gradient, quad_value)
 
 
@@ -50,7 +52,7 @@ def test_problem2_trace_monotone_and_stationary(seed):
     assert report.termination in (TERM_STEP, TERM_ENERGY)
     x = report.final.x
     assert x.min() >= -1e-12
-    grad = eval_objective_p2(dct, b, report.final, cfg).grad_x
+    grad = dense_objective_p2(dct, b, cfg, x)[2]
     rng = default_rng(seed + 500)
     for _ in range(200):
         y = rng.uniform(0.0, 2.0, size=x.size)
@@ -118,9 +120,9 @@ def test_problem2_non_descending_step_ends_as_energy_tol(monkeypatch):
     dct, b, cfg = make_problem(5)
     calls = []
 
-    def fake_solve(sub, *args):
-        calls.append(args)
-        return QpSolution(sub.anchor + 10.0, None)
+    def fake_solve(gram, diag, q, start):
+        calls.append(q)
+        return np.full(q.size, 10.0), 0
 
     monkeypatch.setattr(sgp, "solve_qp_p2", fake_solve)
     report = solve_problem2(dct, b, cfg, SgpParams())
@@ -134,9 +136,9 @@ def test_problem1_model_no_better_than_the_anchor_ends_as_energy_tol(monkeypatch
     dct, b, cfg = make_problem(5)
     calls = []
 
-    def fake_solve(sub):
-        calls.append(sub)
-        return QpSolution(sub.anchor + 10.0, sub.anchor_d + 10.0)
+    def fake_solve(gram, diag, q, offsets, eps, q_d, budget):
+        calls.append(q)
+        return np.full(q.size, 10.0), np.full(q_d.size, 10.0), 0
 
     monkeypatch.setattr(sgp, "solve_qp_p1", fake_solve)
     report = solve_problem1(dct, b, cfg, SgpParams())
@@ -154,9 +156,9 @@ def test_failing_cold_first_solve_propagates(problem, monkeypatch):
     real = getattr(sgp, f"solve_qp_{problem}")
     calls = []
 
-    def counting(sub, *args):
-        calls.append(sub)
-        return real(sub, *args)
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
 
     monkeypatch.setattr(sgp, f"solve_qp_{problem}", counting)
     solve = solve_problem1 if problem == "p1" else solve_problem2
@@ -180,6 +182,21 @@ def test_problem2_singular_model_is_a_value_error():
         solve_problem2(dct, rng.normal(size=5), cfg, SgpParams(c_matrix_scale=0.0))
 
 
+def test_problem1_zero_shift_is_a_value_error_before_any_evaluation(monkeypatch):
+    # the dummies' only curvature is the shift: checked once, up front
+    dct, b, cfg = make_problem(5)
+    real, calls = sgp.eval_objective_p1, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sgp, "eval_objective_p1", counting)
+    with pytest.raises(ValueError, match="c_matrix_scale"):
+        solve_problem1(dct, b, cfg, SgpParams(c_matrix_scale=0.0))
+    assert calls == []
+
+
 @pytest.mark.parametrize("field, value", [
     ("max_outer", 0), ("max_outer", -3), ("max_outer", 2.5), ("tol_energy", -1.0),
     ("tol_energy", np.inf),
@@ -195,10 +212,10 @@ def test_problem2_trace_bookkeeping(monkeypatch):
     real = sgp.solve_qp_p2
     steps = []
 
-    def counting(sub):
-        sol = real(sub)
-        steps.append(sol.iterations)
-        return sol
+    def counting(*args):
+        z, iters = real(*args)
+        steps.append(iters)
+        return z, iters
 
     monkeypatch.setattr(sgp, "solve_qp_p2", counting)
     report = solve_problem2(dct, b, cfg, SgpParams())
@@ -218,10 +235,10 @@ def test_problem1_trace_bookkeeping(monkeypatch):
     real = sgp.solve_qp_p1
     steps = []
 
-    def counting(sub):
-        sol = real(sub)
-        steps.append(sol.iterations)
-        return sol
+    def counting(*args):
+        x, d, iters = real(*args)
+        steps.append(iters)
+        return x, d, iters
 
     monkeypatch.setattr(sgp, "solve_qp_p1", counting)
     report = solve_problem1(dct, b, cfg, SgpParams())
@@ -310,13 +327,14 @@ def test_objective_gradients_match_fd_on_random_points():
     x = rng.uniform(0.2, 1.0, size=n)
     ev = eval_objective_p2(dct, b, GroupedCoeffs(x), cfg)
     fd = fd_gradient(lambda z: eval_objective_p2(dct, b, GroupedCoeffs(z), cfg).value, x)
-    assert ev.grad_x == pytest.approx(fd, rel=1e-6, abs=1e-8)
+    assert dct.entries.T @ ev.resid + ev.penalty_grad == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
     d = rng.uniform(0.1, 0.4, size=dct.n_groups)
     ev1 = eval_objective_p1(dct, b, GroupedCoeffs(x, d), cfg)
     fdx = fd_gradient(lambda z: eval_objective_p1(dct, b, GroupedCoeffs(z, d), cfg).value, x)
     fdd = fd_gradient(lambda z: eval_objective_p1(dct, b, GroupedCoeffs(x, z), cfg).value, d)
-    assert ev1.grad_x == pytest.approx(fdx, rel=1e-6, abs=1e-8)
+    grad = dct.entries.T @ ev1.resid + ev1.penalty_grad
+    assert grad == pytest.approx(fdx, rel=1e-6, abs=1e-8)
     assert ev1.grad_d == pytest.approx(fdd, rel=1e-6, abs=1e-8)
 
 
@@ -378,19 +396,48 @@ def test_bad_init_is_a_value_error_naming_init_before_any_evaluation(monkeypatch
 
 
 def _recorded_models(monkeypatch, problem, dct, b, cfg):
-    """Run one solve; return every (subproblem, solution) its loop saw."""
-    name = f"solve_qp_{problem}"
-    real, seen = getattr(sgp, name), []
+    """Run one solve; return every model its loop handed over, with its minimiser.
 
-    def recording(sub, *args):
-        sol = real(sub, *args)
-        seen.append((sub, sol))
-        return sol
+    Problem 1's models are read from its value check, which takes the
+    model, its anchor and the minimiser; problem 2's anchor is the point
+    the loop evaluated last before the solve.
+    """
+    solves, evaluated, values = [], [], []
+    solve_name, eval_name = f"solve_qp_{problem}", f"eval_objective_{problem}"
+    real_solve, real_eval = getattr(sgp, solve_name), getattr(sgp, eval_name)
 
-    monkeypatch.setattr(sgp, name, recording)
+    def solving(*args):
+        out = real_solve(*args)
+        solves.append((args, out))
+        return out
+
+    def evaluating(*args, **kwargs):
+        evaluated.append(args[2].x.copy())
+        return real_eval(*args, **kwargs)
+
+    def valuing(*args):
+        values.append(args)
+        return model_value(*args)
+
+    monkeypatch.setattr(sgp, solve_name, solving)
+    monkeypatch.setattr(sgp, eval_name, evaluating)
+    monkeypatch.setattr(sgp, "model_value", valuing)
     solve = solve_problem1 if problem == "p1" else solve_problem2
     solve(dct, b, cfg, SgpParams(tol_energy=1e-12))
-    return seen
+    models = []
+    for k, (args, out) in enumerate(solves):
+        if problem == "p1":
+            gram, shift, q, q_d, anchor, anchor_d, x, d = values[k]
+            assert args[1] == 2.0 * shift and args[2] is q and args[5] is q_d
+            assert x is out[0] and d is out[1]
+        else:
+            gram, diag, q, start = args
+            shift, anchor, x, q_d, anchor_d, d = diag / 2.0, evaluated[k], out[0], None, None, None
+            assert np.array_equal(start, anchor > 0.0)
+        assert gram is dct.gram
+        models.append(SimpleNamespace(shift=shift, q=q, q_d=q_d, anchor=anchor,
+                                      anchor_d=anchor_d, x=x, d=d))
+    return models
 
 
 def _rel_gap(got, ref):
@@ -400,31 +447,34 @@ def _rel_gap(got, ref):
 @pytest.mark.parametrize("intra_only", [False, True])
 @pytest.mark.parametrize("problem", ["p1", "p2"])
 def test_models_are_handed_over_in_standard_form(monkeypatch, problem, intra_only):
-    # q = (G + 2C) a - grad F(a) and q_d = 2 C_d a_d - grad_d F(a), against
-    # the dense gradient; the model's value against its gradient form, with
-    # and without the inter-group weight
+    # q = (G + 2C) a - grad F(a) and q_d = 2c a_d - grad_d F(a), against
+    # the dense gradient; problem 1's model value against its gradient
+    # form, with and without the inter-group weight
     monkeypatch.setattr(core, "SUPPORT_MIN_ENTRIES", 0)
     dct, b, cfg = make_problem(3, n_rows=60, sizes=(25, 25, 25, 25))
     if intra_only:
         cfg.gamma0 = 0.0
     seen = _recorded_models(monkeypatch, problem, dct, b, cfg)
     assert len(seen) >= 3
-    for sub, sol in seen:
-        a, h_a = sub.anchor, dct.gram @ sub.anchor + 2.0 * sub.shift * sub.anchor
+    for mod in seen:
+        a, h_a = mod.anchor, dct.gram @ mod.anchor + 2.0 * mod.shift * mod.anchor
         if problem == "p1":
-            _, _, grad, grad_d = dense_objective_p1(dct, b, cfg, a, sub.anchor_d)
-            assert _rel_gap(sub.q_d, 2.0 * sub.shift_d * sub.anchor_d - grad_d) <= 1e-12
+            _, _, grad, grad_d = dense_objective_p1(dct, b, cfg, a, mod.anchor_d)
+            assert _rel_gap(mod.q_d, 2.0 * mod.shift * mod.anchor_d - grad_d) <= 1e-12
+            sub = Model(dct.gram, mod.shift, mod.q, a, anchor_d=mod.anchor_d, q_d=mod.q_d)
+            ref = quad_value(sub, mod.x, mod.d, lin=grad, lin_d=grad_d)
+            value = model_value(dct.gram, mod.shift, mod.q, mod.q_d, a, mod.anchor_d, mod.x,
+                                mod.d)
+            assert value == pytest.approx(ref, rel=1e-12)
         else:
-            grad, grad_d = dense_objective_p2(dct, b, cfg, a)[2], None
-        assert _rel_gap(sub.q, h_a - grad) <= 1e-12
-        ref = quad_value(sub, sol.x, sol.d, lin=grad, lin_d=grad_d)
-        assert model_value(sub, sol.x, sol.d) == pytest.approx(ref, rel=1e-12)
+            grad = dense_objective_p2(dct, b, cfg, a)[2]
+        assert _rel_gap(mod.q, h_a - grad) <= 1e-12
 
 
 @pytest.mark.parametrize("problem", ["p1", "p2"])
 def test_solves_multiply_the_gram_matrix_only_by_a_model_step(monkeypatch, problem):
     # G a cancels from the models' linear term and the fit's gradient is
-    # never read, so problem 2 never multiplies G and problem 1 only by
+    # never formed, so problem 2 never multiplies G and problem 1 only by
     # the step dx = x - a of its value check
     dct, b, cfg = make_problem(3, n_rows=60, sizes=(25, 25, 25, 25))
     products = []
@@ -441,5 +491,5 @@ def test_solves_multiply_the_gram_matrix_only_by_a_model_step(monkeypatch, probl
     if problem == "p2":
         assert with_gram == []
     else:
-        steps = [sol.x - sub.anchor for sub, sol in seen]
+        steps = [mod.x - mod.anchor for mod in seen]
         assert with_gram and all(any(np.array_equal(x, dx) for dx in steps) for x in with_gram)

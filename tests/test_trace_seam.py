@@ -72,12 +72,12 @@ def test_traced_problem2_counts_every_objective_evaluation(monkeypatch, params, 
     cfg = SparsityConfig(gamma=np.full(3, 0.05), gamma0=0.02, eps=np.full(3, 0.05), r=1.0)
     solve_qp, steps = qp.solve_qp_p2, []
 
-    def worse(sub):
-        sol = solve_qp(sub)
-        steps.append(sub)
+    def worse(*args):
+        z, iters = solve_qp(*args)
+        steps.append(z)
         if len(steps) == worse_step:
-            sol.x = sub.anchor + 1.0
-        return sol
+            z = z + 1.0
+        return z, iters
 
     # the tracer wraps qp's own name into sgp, so the stand-in goes there
     monkeypatch.setattr(qp, "solve_qp_p2", worse)

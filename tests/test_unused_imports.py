@@ -1,14 +1,18 @@
 """Every name a library module imports at module level is used in that module.
 
-No linter ships with the project, so this stands in for one check of it:
-an import left behind when the code that needed it goes fails here.
-``__init__.py`` is exempt, since its imports are the package's exports.
+No linter ships with the project, so this stands in for two checks of
+one: an import left behind when the code that needed it goes fails
+here, and so does an export in ``ssnnls.__all__`` that no longer
+resolves.  ``__init__.py`` is exempt from the first, since its imports
+are the package's exports.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import ssnnls
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ssnnls"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -36,3 +40,7 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def test_every_exported_name_resolves():
+    assert ssnnls.__all__ and [n for n in ssnnls.__all__ if not hasattr(ssnnls, n)] == []
