@@ -12,10 +12,9 @@ under wavelength misalignment and hyperspectral demixing.
 """
 
 from .baselines import PdParams, l1_bregman, l1_penalized, nnls, penalty_decomposition_l0
-from .core import (GroupedCoeffs, GroupedDictionary, ObjectiveEval, SparsityConfig,
-                   eval_objective_p1, eval_objective_p2, normalize_columns)
+from .core import GroupedCoeffs, GroupedDictionary, SparsityConfig, normalize_columns
 from .errors import ConfigError, DegenerateColumnError, NonConvergenceError, SsnnlsError
-from .penalties import PenaltyValue, diff_l1_l2, hoyer_ratio, huber
+from .penalties import PenaltyValue
 from .qp import AdmmParams, solve_qp_p1, solve_qp_p2
 from .sgp import SgpParams, SolveReport, solve_problem1, solve_problem2
 
@@ -23,11 +22,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdmmParams", "ConfigError", "DegenerateColumnError", "GroupedCoeffs",
-    "GroupedDictionary", "NonConvergenceError", "ObjectiveEval", "PdParams",
-    "PenaltyValue", "SgpParams",
+    "GroupedDictionary", "NonConvergenceError", "PdParams", "PenaltyValue", "SgpParams",
     "SolveReport", "SparsityConfig", "SsnnlsError",
-    "diff_l1_l2", "eval_objective_p1", "eval_objective_p2",
-    "hoyer_ratio", "huber", "l1_bregman", "l1_penalized", "nnls", "normalize_columns",
+    "l1_bregman", "l1_penalized", "nnls", "normalize_columns",
     "penalty_decomposition_l0", "solve_problem1", "solve_problem2",
     "solve_qp_p1", "solve_qp_p2",
 ]

@@ -13,12 +13,13 @@ Two objectives are evaluated here:
 
 Both cost what the support of x costs: the residual is ``A[:, S] x_S - b``
 (:func:`support_matvec`), and the penalties and their gradients sum over
-all groups at once.  The fit's gradient ``G[S]' x_S - A'b`` is never
-formed: the outer loops' model term
+all groups at once, the inter-group term being one more group that spans
+every column.  The fit's gradient ``G[S]' x_S - A'b`` is never formed:
+the outer loops' model term
 q = (G + 2C) a - grad F(a) = A'b - grad P(a) + 2Ca needs only A'b and the
-penalty's gradient.  A solver passes ``atb = A'b``, formed once per solve
-after it has checked the data and the config; without ``atb`` an
-evaluation checks both itself.
+penalty's gradient.  The evaluations take plain arrays and check nothing;
+a solve checks its data and config once, through :func:`checked_data`,
+which also forms A'b.
 """
 
 import math
@@ -30,7 +31,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConfigError, DegenerateColumnError
-from .penalties import diff_l1_l2, diff_l1_l2_groups, hoyer_ratio, hoyer_ratio_groups
+from .penalties import diff_l1_l2_groups, hoyer_ratio_groups
 
 # Ridge that makes the l1 baselines' Gram matrix G positive definite on
 # rank-deficient dictionaries: G + L1_SHIFT * trace(G)/n * I is factored,
@@ -263,59 +264,39 @@ def checked_data(dct: GroupedDictionary, b,
     return b, dct.entries.T @ b
 
 
-def _checked_x(dct: GroupedDictionary, coeffs: GroupedCoeffs) -> np.ndarray:
-    if coeffs.x.shape != (dct.n_columns,):
-        raise ValueError(f"x must have shape ({dct.n_columns},), got {coeffs.x.shape}")
-    return coeffs.x
-
-
-def eval_objective_p2(dct: GroupedDictionary, b: np.ndarray, coeffs: GroupedCoeffs,
-                      cfg: SparsityConfig, atb: Optional[np.ndarray] = None) -> ObjectiveEval:
+def eval_objective_p2(dct: GroupedDictionary, b: np.ndarray, x: np.ndarray,
+                      cfg: SparsityConfig) -> ObjectiveEval:
     """Least squares plus weighted smoothed l1 - l2 penalties (problem 2).
 
-    ``atb`` is A'b from a caller that has already checked ``b`` and
-    ``cfg`` (:func:`checked_data`), as the solvers do once per solve;
-    without it both are checked here and A'b formed.
+    Checks nothing: ``b`` and ``cfg`` are as :func:`checked_data` returns
+    and validates them, and x is a non-negative vector of
+    ``dct.n_columns`` values.
     """
-    if atb is None:
-        b, atb = checked_data(dct, b, cfg)
-    x = _checked_x(dct, coeffs)
     resid, fit = _least_squares(dct, b, x)
-
     pv = diff_l1_l2_groups(x, dct.offsets, cfg.eps, cfg.gamma)
     penalty, grad = pv.value, pv.grad
     if cfg.gamma0 > 0.0:
-        pv = diff_l1_l2(x, float(np.min(cfg.eps)))
-        penalty += cfg.gamma0 * pv.value
-        grad += cfg.gamma0 * pv.grad
-
+        pv = diff_l1_l2_groups(x, np.array([0, x.size]), cfg.eps.min(keepdims=True),
+                               np.array([cfg.gamma0]))
+        penalty += pv.value
+        grad += pv.grad
     return ObjectiveEval(fit + penalty, fit, penalty, resid, grad)
 
 
-def eval_objective_p1(dct: GroupedDictionary, b: np.ndarray, coeffs: GroupedCoeffs,
-                      cfg: SparsityConfig, atb: Optional[np.ndarray] = None) -> ObjectiveEval:
+def eval_objective_p1(dct: GroupedDictionary, b: np.ndarray, x: np.ndarray, d: np.ndarray,
+                      cfg: SparsityConfig) -> ObjectiveEval:
     """Least squares plus weighted Hoyer ratios over stacked groups (problem 1).
 
-    Requires one dummy per group; each stacked vector
-    ``(x_j, d_j)`` must be nonzero for the ratio to be defined.  ``atb``
-    is as for :func:`eval_objective_p2`.
+    Checks nothing, as :func:`eval_objective_p2`; d holds one
+    non-negative dummy per group, and each stacked vector ``(x_j, d_j)``
+    must be nonzero for its ratio to be defined.
     """
-    if atb is None:
-        b, atb = checked_data(dct, b, cfg)
-    x = _checked_x(dct, coeffs)
-    m = dct.n_groups
-    if coeffs.d is None:
-        raise ValueError("problem 1 requires dummy variables")
-    d = coeffs.d
-    if d.shape != (m,):
-        raise ValueError(f"d must have shape ({m},), got {d.shape}")
     resid, fit = _least_squares(dct, b, x)
-
     pv = hoyer_ratio_groups(x, d, dct.offsets, cfg.gamma)
     penalty, grad, grad_d = pv.value, pv.grad[:x.size], pv.grad[x.size:]
     if cfg.gamma0 > 0.0:
-        pv = hoyer_ratio(x)
-        penalty += cfg.gamma0 * pv.value
-        grad += cfg.gamma0 * pv.grad
-
+        # the inter-group ratio is one group of every column, with a zero dummy
+        pv = hoyer_ratio_groups(x, np.zeros(1), np.array([0, x.size]), np.array([cfg.gamma0]))
+        penalty += pv.value
+        grad += pv.grad[:x.size]
     return ObjectiveEval(fit + penalty, fit, penalty, resid, grad, grad_d)

@@ -171,7 +171,6 @@ class DeformationDictionary:
     """Normalised deformed-reference dictionary plus its provenance."""
 
     dictionary: GroupedDictionary
-    scales: np.ndarray
     grid: DeformationGrid
     names: Tuple[str, ...]
     wavelengths: np.ndarray
@@ -202,19 +201,18 @@ def build_deformation_dictionary(refs: Sequence[ReferenceSpectrum], grid: Deform
                         f"falls entirely outside its domain")
                 cols[:, j * per_group + grid.flat_index(k, ell)] = \
                     _sample_with_reflection(ref.wavelengths, ref.values, t)
-    normalized, scales = normalize_columns(cols)
     offsets = np.arange(len(refs) + 1, dtype=np.int64) * per_group
-    return DeformationDictionary(GroupedDictionary(normalized, offsets), scales, grid,
+    return DeformationDictionary(GroupedDictionary(normalize_columns(cols)[0], offsets), grid,
                                  tuple(r.name for r in refs), wavelengths)
 
 
 def deformed_column(ref: ReferenceSpectrum, slope: float, offset: float,
-                    wavelengths: np.ndarray, normalize: bool = True) -> np.ndarray:
+                    wavelengths: np.ndarray) -> np.ndarray:
     """Sample one reference at ``(1 + slope) * lam + offset``.
 
     Accepts arbitrary (slope, offset) pairs, not just grid points, so data
     can be synthesised from deformations that fall between dictionary
-    atoms.  Unit-normalised by default to match dictionary columns.
+    atoms.  Unit-normalised to match dictionary columns.
     """
     wavelengths = np.asarray(wavelengths, dtype=float).ravel()
     t = (1.0 + slope) * wavelengths + offset
@@ -223,13 +221,11 @@ def deformed_column(ref: ReferenceSpectrum, slope: float, offset: float,
             f"reference {ref.name!r}: deformation (slope={slope}, offset={offset}) "
             f"falls entirely outside its domain")
     col = _sample_with_reflection(ref.wavelengths, ref.values, t)
-    if normalize:
-        nrm = float(np.linalg.norm(col))
-        if nrm == 0.0:
-            raise DegenerateColumnError(
-                f"reference {ref.name!r}: deformed column is identically zero")
-        col = col / nrm
-    return col
+    nrm = float(np.linalg.norm(col))
+    if nrm == 0.0:
+        raise DegenerateColumnError(
+            f"reference {ref.name!r}: deformed column is identically zero")
+    return col / nrm
 
 
 def sample_planted_coeffs(ddict: DeformationDictionary, seed: int,
@@ -355,8 +351,7 @@ class DoasFitConfig:
     background with the roughness penalty ``alpha/2 |Q y|^2``
     (:func:`build_background_operator`) is fitted beside them: it is
     projected out in closed form (see the module docstring), so it is
-    sign-free and unpenalised in every solver, and ``sparsity.gamma0``
-    must be 0.  "hoyer_p1" and
+    sign-free and unpenalised in every solver.  "hoyer_p1" and
     "diff_p2" solve their models exactly; ``admm`` is retired and ignored
     (see :class:`ssnnls.qp.AdmmParams`).  ``l1_tau`` is
     the residual radius of "l1" (:func:`ssnnls.baselines.l1_bregman`, a
@@ -378,14 +373,9 @@ class DoasFitConfig:
 
 @dataclass
 class DoasFitResult:
-    """Fitted coefficients (normalised-column units), background, diagnostics.
-
-    ``coeffs_raw`` rescales to the units of the unnormalised deformed
-    references (divide by the stored column scales).
-    """
+    """Fitted coefficients (normalised-column units), background, diagnostics."""
 
     coeffs: GroupedCoeffs
-    coeffs_raw: GroupedCoeffs
     background: Optional[np.ndarray]
     selections: List[GroupSelection]
     residual: np.ndarray
@@ -456,9 +446,6 @@ def fit_doas(data: np.ndarray, ddict: DeformationDictionary,
     cfg.sparsity.validate(dct.n_groups)
     m = dct.n_groups
     if cfg.alpha > 0:
-        if cfg.sparsity.gamma0 != 0.0:
-            raise ConfigError("the inter-group weight gamma0 must be zero when alpha > 0 "
-                              "fits a background")
         reduction = _background_reduction(data.size, cfg.alpha)
         solved = GroupedDictionary(reduction @ dct.entries, dct.offsets)
         b = reduction @ data
@@ -494,8 +481,7 @@ def fit_doas(data: np.ndarray, ddict: DeformationDictionary,
         selections = [GroupSelection(j, ddict.names[j], float(mags[j]),
                                      float("nan"), float("nan"), 0) for j in range(m)]
         resid = data - (background if background is not None else 0.0)
-        return DoasFitResult(GroupedCoeffs(x), GroupedCoeffs(x / ddict.scales), background,
-                             selections, resid, None)
+        return DoasFitResult(GroupedCoeffs(x), background, selections, resid, None)
 
     selections = []
     for j in range(m):
@@ -510,5 +496,4 @@ def fit_doas(data: np.ndarray, ddict: DeformationDictionary,
             selections.append(GroupSelection(j, ddict.names[j], 0.0,
                                              float("nan"), float("nan"), 0))
     resid = data - fitted - (background if background is not None else 0.0)
-    return DoasFitResult(GroupedCoeffs(x_fit.copy()), GroupedCoeffs(x_fit / ddict.scales),
-                         background, selections, resid, report)
+    return DoasFitResult(GroupedCoeffs(x_fit.copy()), background, selections, resid, report)

@@ -10,14 +10,15 @@ where the Hoyer ratio's curvature is unbounded near the floors).
 Both problems minimise their model exactly at every step by an active
 set on the dictionary's cached Gram matrix, which factors only the small
 block on the current support.  Each solve checks its data, its
-configuration and its ``init`` and forms A'b once.  The model goes to
-:mod:`ssnnls.qp` in standard form, z'(G + 2C)z / 2 - q'z with C = cI
-and q = (G + 2C) a - grad F(a) = A'b - grad P(a) + 2Ca (and
+configuration and its ``init`` and forms A'b once; the objective
+evaluations it then makes take those arrays and check nothing.  The
+model goes to :mod:`ssnnls.qp` in standard form, z'(G + 2C)z / 2 - q'z
+with C = cI and q = (G + 2C) a - grad F(a) = A'b - grad P(a) + 2Ca (and
 q_d = 2c a_d - grad_d P(a) for problem 1's dummies), as the arrays G, q
-and q_d and the scalar 2c, so the fit's
-gradient G a - A'b is never formed: an objective evaluation forms only
-the residual, from the iterate's nonzero columns, and the penalty's
-gradient (:mod:`ssnnls.core`).  That leaves two dense passes over A per
+and q_d and the scalar 2c, so the fit's gradient G a - A'b is never
+formed: an objective evaluation forms only the residual, from the
+iterate's nonzero columns, and the penalty's gradient
+(:mod:`ssnnls.core`).  That leaves two dense passes over A per
 solve, A'b and the residual at the dense start; after it a step costs
 what its support costs.  A step that cannot descend ends either run as
 ``energy_tol``, and an active set's
@@ -188,14 +189,14 @@ def solve_problem2(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
     shift = params.c_matrix_scale
     report = SolveReport(final=GroupedCoeffs(x))
 
-    ev = eval_objective_p2(dct, b, GroupedCoeffs(x), cfg, atb=atb)
+    ev = eval_objective_p2(dct, b, x, cfg)
     report.objective_trace.append(ev.value)
     for _ in range(params.max_outer):
         # q = (G + 2C) x - grad F(x), in which G x cancels
         y, iters = solve_qp_p2(gram, 2.0 * shift, atb - ev.penalty_grad + 2.0 * shift * x,
                                x > 0.0)
         report.inner_iters_total += iters
-        ev_y = eval_objective_p2(dct, b, GroupedCoeffs(y), cfg, atb=atb)
+        ev_y = eval_objective_p2(dct, b, y, cfg)
         if ev_y.value > ev.value:
             report.termination = TERM_ENERGY
             break
@@ -247,7 +248,7 @@ def solve_problem1(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
     c = C0
     rejections = 0
 
-    ev = eval_objective_p1(dct, b, GroupedCoeffs(x, d), cfg, atb=atb)
+    ev = eval_objective_p1(dct, b, x, d, cfg)
     report.objective_trace.append(ev.value)
     while report.outer_iters < params.max_outer:
         shift = c * params.c_matrix_scale
@@ -260,7 +261,7 @@ def solve_problem1(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
         if model >= 0.0:
             report.termination = TERM_ENERGY
             break
-        ev_y = eval_objective_p1(dct, b, GroupedCoeffs(y, y_d), cfg, atb=atb)
+        ev_y = eval_objective_p1(dct, b, y, y_d, cfg)
         if ev_y.value - ev.value > SIGMA * model:
             c *= XI2
             rejections += 1

@@ -7,7 +7,8 @@ whole model Hessian with scipy's NNLS on it, on models too
 ill-conditioned for projected gradient; problem 1's step on degenerate,
 ill-conditioned one-material models and the penalized and constrained l1
 baselines are checked against scipy's SLSQP.  The objectives are
-evaluated with dense products and one group at a time, and the outer
+evaluated with dense products and one group at a time, each group's
+penalty in closed form (:func:`diff`, :func:`hoyer`), and the outer
 step's quadratic upper estimate is checked on them.  Nothing here
 shares code with the package beyond reading its data containers; a
 :class:`Model` lays its arrays out as the package's model solvers take
@@ -38,20 +39,31 @@ def _dense_fit(dct, b, x):
     return 0.5 * float(resid @ resid), dct.entries.T @ resid
 
 
+def diff(v, e):
+    """The smoothed l1 - l2 penalty of v with radius e and its gradient, in closed form.
+
+    It is sum(v) - |v|^2 / (2e) inside the ball |v| <= e and
+    sum(v) - |v| + e/2 outside it.
+    """
+    n2 = float(np.sqrt(np.sum(v * v)))
+    if n2 <= e:
+        return float(np.sum(v)) - n2 * n2 / (2.0 * e), 1.0 - v / e
+    return float(np.sum(v)) - n2 + e / 2.0, 1.0 - v / n2
+
+
+def hoyer(v):
+    """The Hoyer ratio sum(v) / |v| and its gradient 1 / |v| - sum(v) v / |v|^3."""
+    n2 = float(np.sqrt(np.sum(v * v)))
+    s = float(np.sum(v))
+    return s / n2, 1.0 / n2 - s * v / n2 ** 3
+
+
 def dense_objective_p2(dct, b, cfg, x):
     """Problem 2 at x: (fit, penalty, gradient), by dense products and a loop over groups.
 
-    The smoothed l1 - l2 penalty of a group v with radius e is
-    sum(v) - |v|^2 / (2e) inside the ball |v| <= e and sum(v) - |v| + e/2
-    outside it; the inter-group term takes every grouped column, with
-    radius min(eps).
+    Each group's penalty is :func:`diff` with its radius; the inter-group
+    term takes every grouped column, with radius min(eps).
     """
-    def diff(v, e):
-        n2 = float(np.sqrt(np.sum(v * v)))
-        if n2 <= e:
-            return float(np.sum(v)) - n2 * n2 / (2.0 * e), 1.0 - v / e
-        return float(np.sum(v)) - n2 + e / 2.0, 1.0 - v / n2
-
     fit, grad = _dense_fit(dct, b, x)
     penalty = 0.0
     for j in range(dct.n_groups):
@@ -69,14 +81,9 @@ def dense_objective_p2(dct, b, cfg, x):
 def dense_objective_p1(dct, b, cfg, x, d):
     """Problem 1 at (x, d): (fit, penalty, gradient in x, gradient in d), densely.
 
-    The Hoyer ratio of v is sum(v) / |v|, with gradient
-    1 / |v| - sum(v) v / |v|^3; group j's ratio is taken of (x_j, d_j).
+    Group j's penalty is the :func:`hoyer` ratio of (x_j, d_j); the
+    inter-group term is that of x.
     """
-    def hoyer(v):
-        n2 = float(np.sqrt(np.sum(v * v)))
-        s = float(np.sum(v))
-        return s / n2, 1.0 / n2 - s * v / n2 ** 3
-
     fit, grad_x = _dense_fit(dct, b, x)
     grad_d = np.zeros(dct.n_groups)
     penalty = 0.0
@@ -394,12 +401,6 @@ def slsqp_p1(sub):
     return res.x[:n], res.x[n:]
 
 
-def _hoyer_grad(v):
-    """Gradient of |v|_1 / |v|_2 at a non-negative, nonzero v."""
-    n1, n2 = float(np.sum(v)), float(np.linalg.norm(v))
-    return 1.0 / n2 - n1 * v / n2 ** 3
-
-
 def one_material_p1_subproblem(rng, singleton=False):
     """Problem-1 step at a one-material pixel: degenerate and ill-conditioned.
 
@@ -438,11 +439,11 @@ def one_material_p1_subproblem(rng, singleton=False):
     gamma = 10.0 ** rng.uniform(-4.0, -2.0)
     for j in range(m):
         sl = slice(int(offsets[j]), int(offsets[j + 1]))
-        g = _hoyer_grad(np.append(anchor[sl], anchor_d[j]))
+        g = hoyer(np.append(anchor[sl], anchor_d[j]))[1]
         lin[sl] += gamma * g[:-1]
         lin_d[j] = gamma * g[-1]
     if singleton:
-        lin += 0.01 * _hoyer_grad(anchor)
+        lin += 0.01 * hoyer(anchor)[1]
     shift = 10.0 ** rng.uniform(-9.0, -6.0)
     return subproblem(gram=a.T @ a, lin=lin, anchor=anchor, shift=shift,
                       offsets=offsets, eps=eps, anchor_d=anchor_d,

@@ -111,21 +111,21 @@ def test_criterion_1_gradients_match_finite_differences():
 
     for _ in range(20):
         x = rng.uniform(0.3, 1.2, n)
-        ev = eval_objective_p2(dct, b, GroupedCoeffs(x), cfg)
+        ev = eval_objective_p2(dct, b, x, cfg)
         grad = dct.entries.T @ ev.resid + ev.penalty_grad
         fd = oracles.fd_gradient(
-            lambda v: eval_objective_p2(dct, b, GroupedCoeffs(v), cfg).value,
+            lambda v: eval_objective_p2(dct, b, v, cfg).value,
             x, step=1e-6)
         worst = max(worst, float(np.max(np.abs(fd - grad)))
                     / max(1.0, float(np.max(np.abs(grad)))))
 
     def joint_value(z):
-        return eval_objective_p1(dct, b, GroupedCoeffs(z[:n], z[n:]), cfg).value
+        return eval_objective_p1(dct, b, z[:n], z[n:], cfg).value
 
     for _ in range(20):
         x = rng.uniform(0.3, 1.2, n)
         d = rng.uniform(0.2, 0.8, m)
-        ev = eval_objective_p1(dct, b, GroupedCoeffs(x, d), cfg)
+        ev = eval_objective_p1(dct, b, x, d, cfg)
         grad = np.concatenate([dct.entries.T @ ev.resid + ev.penalty_grad, ev.grad_d])
         fd = oracles.fd_gradient(joint_value, np.concatenate([x, d]), step=1e-6)
         worst = max(worst, float(np.max(np.abs(fd - grad)))

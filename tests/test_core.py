@@ -6,16 +6,15 @@ import time
 from ssnnls.baselines import l1_bregman, l1_penalized, penalty_decomposition_l0
 from ssnnls import core
 from ssnnls.core import (SUPPORT_SHARE, GroupedCoeffs, GroupedDictionary, SparsityConfig,
-                         eval_objective_p1, eval_objective_p2, normalize_columns,
+                         checked_data, eval_objective_p1, eval_objective_p2, normalize_columns,
                          support_matvec)
 from ssnnls.doas import (DeformationGrid, DoasFitConfig, build_deformation_dictionary,
                          fit_doas, synthesize_references, wavelength_grid)
 from ssnnls.hsi import HsiScene, demix_scene
 from ssnnls.sgp import solve_problem1, solve_problem2
 from ssnnls.errors import ConfigError, DegenerateColumnError
-from ssnnls.penalties import diff_l1_l2, hoyer_ratio
 
-from oracles import dense_objective_p1, dense_objective_p2, fd_gradient
+from oracles import dense_objective_p1, dense_objective_p2, diff, fd_gradient, hoyer
 
 
 def test_normalize_columns_known_column():
@@ -124,17 +123,16 @@ def _small_problem(seed=0):
 def test_eval_objective_p2_matches_hand_assembly():
     dct, b, cfg = _small_problem()
     x = np.abs(np.random.default_rng(1).normal(size=6)) + 0.1
-    out = eval_objective_p2(dct, b, GroupedCoeffs(x), cfg)
+    out = eval_objective_p2(dct, b, x, cfg)
     resid = dct.entries @ x - b
     fit = 0.5 * resid @ resid
-    penalty = (cfg.gamma[0] * diff_l1_l2(x[:3], 0.05).value
-               + cfg.gamma[1] * diff_l1_l2(x[3:], 0.08).value
-               + cfg.gamma0 * diff_l1_l2(x, 0.05).value)
+    penalty = (cfg.gamma[0] * diff(x[:3], 0.05)[0] + cfg.gamma[1] * diff(x[3:], 0.08)[0]
+               + cfg.gamma0 * diff(x, 0.05)[0])
     assert out.fit == pytest.approx(fit, rel=1e-13)
     assert out.penalty == pytest.approx(penalty, rel=1e-13)
     assert out.value == pytest.approx(fit + penalty, rel=1e-13)
     np.testing.assert_allclose(out.resid, resid, rtol=1e-13)
-    fd = fd_gradient(lambda z: eval_objective_p2(dct, b, GroupedCoeffs(z), cfg).value, x)
+    fd = fd_gradient(lambda z: eval_objective_p2(dct, b, z, cfg).value, x)
     grad = dct.entries.T @ out.resid + out.penalty_grad
     np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-8)
 
@@ -144,36 +142,17 @@ def test_eval_objective_p1_matches_hand_assembly():
     rng = np.random.default_rng(2)
     x = np.abs(rng.normal(size=6)) + 0.1
     d = np.abs(rng.normal(size=2)) + 0.05
-    out = eval_objective_p1(dct, b, GroupedCoeffs(x, d), cfg)
+    out = eval_objective_p1(dct, b, x, d, cfg)
     resid = dct.entries @ x - b
     fit = 0.5 * resid @ resid
-    penalty = (cfg.gamma[0] * hoyer_ratio(np.append(x[:3], d[0])).value
-               + cfg.gamma[1] * hoyer_ratio(np.append(x[3:], d[1])).value
-               + cfg.gamma0 * hoyer_ratio(x).value)
+    penalty = (cfg.gamma[0] * hoyer(np.append(x[:3], d[0]))[0]
+               + cfg.gamma[1] * hoyer(np.append(x[3:], d[1]))[0] + cfg.gamma0 * hoyer(x)[0])
     assert out.value == pytest.approx(fit + penalty, rel=1e-13)
-    fd_x = fd_gradient(
-        lambda z: eval_objective_p1(dct, b, GroupedCoeffs(z, d), cfg).value, x)
-    fd_d = fd_gradient(
-        lambda z: eval_objective_p1(dct, b, GroupedCoeffs(x, z), cfg).value, d)
+    fd_x = fd_gradient(lambda z: eval_objective_p1(dct, b, z, d, cfg).value, x)
+    fd_d = fd_gradient(lambda z: eval_objective_p1(dct, b, x, z, cfg).value, d)
     grad = dct.entries.T @ out.resid + out.penalty_grad
     np.testing.assert_allclose(grad, fd_x, rtol=1e-6, atol=1e-8)
     np.testing.assert_allclose(out.grad_d, fd_d, rtol=1e-6, atol=1e-8)
-
-
-def test_eval_objective_p1_requires_dummies():
-    dct, b, cfg = _small_problem()
-    with pytest.raises(ValueError):
-        eval_objective_p1(dct, b, GroupedCoeffs(np.full(6, 0.2)), cfg)
-    with pytest.raises(ValueError):
-        eval_objective_p1(dct, b, GroupedCoeffs(np.full(6, 0.2), np.full(3, 0.1)), cfg)
-
-
-def test_eval_objective_shape_checks():
-    dct, b, cfg = _small_problem()
-    with pytest.raises(ValueError):
-        eval_objective_p2(dct, b, GroupedCoeffs(np.full(5, 0.2)), cfg)
-    with pytest.raises(ValueError):
-        eval_objective_p2(dct, b[:-1], GroupedCoeffs(np.full(6, 0.2)), cfg)
 
 
 def _wide_problem(intra_only):
@@ -216,27 +195,29 @@ def any_size_on_support(request, monkeypatch):
 @pytest.mark.parametrize("kind", ["3-sparse", "dense", "zero block"])
 @pytest.mark.parametrize("intra_only", [False, True])
 def test_objectives_with_atb_match_dense_assembly(any_size_on_support, kind, intra_only):
+    # on the arrays checked_data returns; the loops' model term A'b - grad P
+    # is G x - grad F, with the dense gradient
     dct, b, cfg = _wide_problem(intra_only)
     x = _point(kind)
-    atb = dct.entries.T @ b
+    b, atb = checked_data(dct, b, cfg)
     fit, penalty, grad = dense_objective_p2(dct, b, cfg, x)
-    for out in (eval_objective_p2(dct, b, GroupedCoeffs(x), cfg, atb=atb),
-                eval_objective_p2(dct, b, GroupedCoeffs(x), cfg)):
-        _assert_matches(out.fit, fit)
-        _assert_matches(out.penalty, penalty)
-        _assert_matches(out.value, fit + penalty)
-        _assert_matches(dct.entries.T @ out.resid + out.penalty_grad, grad)
-        _assert_matches(out.resid, dct.entries @ x - b)
+    out = eval_objective_p2(dct, b, x, cfg)
+    _assert_matches(out.fit, fit)
+    _assert_matches(out.penalty, penalty)
+    _assert_matches(out.value, fit + penalty)
+    _assert_matches(dct.entries.T @ out.resid + out.penalty_grad, grad)
+    _assert_matches(out.resid, dct.entries @ x - b)
+    _assert_matches(atb - out.penalty_grad, dct.gram @ x - grad)
 
     d = np.array([0.03, 0.05, 0.02, 0.04])
     fit, penalty, grad_x, grad_d = dense_objective_p1(dct, b, cfg, x, d)
-    for out in (eval_objective_p1(dct, b, GroupedCoeffs(x, d), cfg, atb=atb),
-                eval_objective_p1(dct, b, GroupedCoeffs(x, d), cfg)):
-        _assert_matches(out.fit, fit)
-        _assert_matches(out.penalty, penalty)
-        _assert_matches(out.value, fit + penalty)
-        _assert_matches(dct.entries.T @ out.resid + out.penalty_grad, grad_x)
-        _assert_matches(out.grad_d, grad_d)
+    out = eval_objective_p1(dct, b, x, d, cfg)
+    _assert_matches(out.fit, fit)
+    _assert_matches(out.penalty, penalty)
+    _assert_matches(out.value, fit + penalty)
+    _assert_matches(dct.entries.T @ out.resid + out.penalty_grad, grad_x)
+    _assert_matches(out.grad_d, grad_d)
+    _assert_matches(atb - out.penalty_grad, dct.gram @ x - grad_x)
 
 
 @pytest.mark.parametrize("nonzeros", [0, 3, 40])
@@ -275,10 +256,6 @@ def _nan_call(entry):
         data[4] = np.nan
         return lambda: fit_doas(data, ddict, DoasFitConfig(sparsity=cfg))
     return {
-        "eval_objective_p1": lambda: eval_objective_p1(
-            dct, b, GroupedCoeffs(np.full(9, 0.1), np.zeros(3)), cfg),
-        "eval_objective_p2": lambda: eval_objective_p2(dct, b, GroupedCoeffs(np.full(9, 0.1)),
-                                                       cfg),
         "solve_problem1": lambda: solve_problem1(dct, b, cfg),
         "solve_problem2": lambda: solve_problem2(dct, b, cfg),
         "penalty_decomposition_l0": lambda: penalty_decomposition_l0(dct, b, cfg),
@@ -288,8 +265,8 @@ def _nan_call(entry):
 
 
 @pytest.mark.parametrize("entry", [
-    "GroupedDictionary", "eval_objective_p1", "eval_objective_p2", "solve_problem1",
-    "solve_problem2", "penalty_decomposition_l0", "l1_penalized", "l1_bregman", "fit_doas"])
+    "GroupedDictionary", "solve_problem1", "solve_problem2", "penalty_decomposition_l0",
+    "l1_penalized", "l1_bregman", "fit_doas"])
 def test_entry_points_reject_non_finite_data_fast(entry):
     call = _nan_call(entry)
     t0 = time.perf_counter()

@@ -92,7 +92,6 @@ def test_dictionary_columns_match_single_deformations(desk):
     dct = ddict.dictionary
     assert dct.n_columns == 3 * grid.size
     assert np.linalg.norm(dct.entries, axis=0) == pytest.approx(np.ones(dct.n_columns))
-    assert np.all(ddict.scales > 0)
     for j, k, ell in [(0, 0, 0), (1, 2, 3), (2, 4, 4), (0, 3, 1)]:
         col = dct.entries[:, int(dct.offsets[j]) + grid.flat_index(k, ell)]
         ref_col = deformed_column(refs[j], float(grid.slopes[k]), float(grid.offsets[ell]), wl)
@@ -220,14 +219,6 @@ def test_gram_is_formed_on_first_fit_and_kept(desk):
         assert np.array_equal(fit_doas(data, fresh, cfg).coeffs.x, x)
 
 
-def test_fit_doas_raw_units(desk):
-    _, _, _, ddict = desk
-    coeffs, _ = sample_planted_coeffs(ddict, seed=4)
-    data = synthesize_doas_data(ddict, coeffs, 0.0, 0)
-    result = fit_doas(data, ddict, DoasFitConfig(solver="nnls", sparsity=desk_sparsity()))
-    assert result.coeffs_raw.x == pytest.approx(result.coeffs.x / ddict.scales, abs=1e-15)
-
-
 def test_fit_doas_lstsq_gauge(desk):
     _, _, _, ddict = desk
     coeffs, _ = sample_planted_coeffs(ddict, seed=6)
@@ -248,14 +239,15 @@ def test_fit_doas_background_block(desk):
     coeffs, _ = sample_planted_coeffs(ddict, seed=8)
     bg = quartic_background(wl, scale=0.5)
     data = synthesize_doas_data(ddict, coeffs, 0.0, 0, background=bg)
-    cfg = DoasFitConfig(solver="nnls", sparsity=desk_sparsity(), alpha=1e-5)
-    result = fit_doas(data, ddict, cfg)
-    assert result.background is not None and result.background.shape == wl.shape
-    expected = data - ddict.dictionary.entries @ result.coeffs.x - result.background
-    assert result.residual == pytest.approx(expected, abs=1e-12)
-    bad = SparsityConfig(gamma=np.full(3, 0.05), gamma0=0.01, eps=np.full(3, 0.05), r=1.0)
-    with pytest.raises(ConfigError, match="gamma0"):
-        fit_doas(data, ddict, DoasFitConfig(solver="diff_p2", sparsity=bad, alpha=1e-5))
+    # an inter-group weight penalises the reference groups alone, background or not
+    inter = SparsityConfig(gamma=np.full(3, 0.05), gamma0=0.01, eps=np.full(3, 0.05), r=1.0)
+    for cfg in (DoasFitConfig(solver="nnls", sparsity=desk_sparsity(), alpha=1e-5),
+                DoasFitConfig(solver="diff_p2", sparsity=inter, alpha=1e-5)):
+        result = fit_doas(data, ddict, cfg)
+        assert result.background is not None and result.background.shape == wl.shape
+        assert np.all(np.isfinite(result.background))
+        expected = data - ddict.dictionary.entries @ result.coeffs.x - result.background
+        assert result.residual == pytest.approx(expected, abs=1e-12)
 
 
 def test_fit_doas_lstsq_with_background_matches_a_dense_design_per_draw(desk):

@@ -1,74 +1,76 @@
 import numpy as np
 import pytest
 
-from ssnnls.penalties import (diff_l1_l2, diff_l1_l2_groups, hoyer_ratio, hoyer_ratio_groups,
-                              huber)
+from ssnnls.penalties import diff_l1_l2_groups, hoyer_ratio_groups
 
-from oracles import fd_gradient
+from oracles import diff, fd_gradient, hoyer
 
+
+def _diff(x, eps):
+    """The smoothed l1 - l2 penalty of x as one group, as the inter-group term takes it."""
+    return diff_l1_l2_groups(x, np.array([0, x.size]), np.array([eps]), np.ones(1))
+
+
+def _hoyer(x, d=0.0):
+    """The Hoyer ratio of (x, d) as one group; with d = 0, that of x alone."""
+    return hoyer_ratio_groups(x, np.array([d]), np.array([0, x.size]), np.ones(1))
+
+
+# the smoothed l2 norm (Huber) is what diff_l1_l2_groups subtracts from sum(x)
 
 def test_huber_inside_region_is_scaled_squared_norm():
-    x = np.array([0.03, -0.01, 0.02])
+    x = np.array([0.03, 0.01, 0.02])
     eps = 0.1
-    out = huber(x, eps)
-    nrm2 = float(x @ x)
-    assert out.value == pytest.approx(nrm2 / (2 * eps), rel=1e-14)
-    np.testing.assert_allclose(out.grad, x / eps, rtol=1e-14)
+    out = _diff(x, eps)
+    assert out.value == pytest.approx(x.sum() - float(x @ x) / (2 * eps), rel=1e-14)
+    np.testing.assert_allclose(out.grad, 1.0 - x / eps, rtol=1e-14)
 
 
 def test_huber_outside_region_is_shifted_norm():
-    x = np.array([3.0, -4.0])
+    x = np.array([3.0, 4.0])
     eps = 0.5
-    out = huber(x, eps)
-    assert out.value == pytest.approx(5.0 - 0.25, rel=1e-14)
-    np.testing.assert_allclose(out.grad, x / 5.0, rtol=1e-14)
+    out = _diff(x, eps)
+    assert out.value == pytest.approx(7.0 - (5.0 - 0.25), rel=1e-14)
+    np.testing.assert_allclose(out.grad, 1.0 - x / 5.0, rtol=1e-14)
 
 
 def test_huber_continuous_across_the_boundary():
     eps = 0.2
     direction = np.array([0.6, 0.8])
-    lo = huber(direction * (eps - 1e-9), eps)
-    hi = huber(direction * (eps + 1e-9), eps)
+    lo = _diff(direction * (eps - 1e-9), eps)
+    hi = _diff(direction * (eps + 1e-9), eps)
     assert abs(lo.value - hi.value) < 1e-8
     assert np.max(np.abs(lo.grad - hi.grad)) < 1e-7
-    at = huber(direction * eps, eps)
-    assert at.value == pytest.approx(eps / 2, rel=1e-14)
-
-
-def test_huber_requires_positive_eps():
-    with pytest.raises(ValueError):
-        huber(np.array([1.0]), 0.0)
-    with pytest.raises(ValueError):
-        huber(np.array([1.0]), -0.1)
+    at = _diff(direction * eps, eps)
+    assert at.value == pytest.approx(1.4 * eps - eps / 2, rel=1e-14)
 
 
 def test_hoyer_ratio_known_values():
-    assert hoyer_ratio(np.array([0.0, 2.5, 0.0])).value == pytest.approx(1.0)
+    assert _hoyer(np.array([0.0, 2.5, 0.0])).value == pytest.approx(1.0)
     n = 7
-    assert hoyer_ratio(np.full(n, 0.3)).value == pytest.approx(np.sqrt(n))
+    assert _hoyer(np.full(n, 0.3)).value == pytest.approx(np.sqrt(n))
+    assert _hoyer(np.full(n - 1, 0.3), 0.3).value == pytest.approx(np.sqrt(n))
 
 
 def test_hoyer_ratio_gradient_formula():
     x = np.array([0.4, 1.2, 0.1, 0.7])
-    out = hoyer_ratio(x)
+    out = _hoyer(x)
     nrm = np.linalg.norm(x)
     expected = 1.0 / nrm - (np.sum(x) / nrm ** 3) * x
-    np.testing.assert_allclose(out.grad, expected, rtol=1e-13)
+    np.testing.assert_allclose(out.grad[:-1], expected, rtol=1e-13)
+    # a zero dummy's gradient is the one of an extra zero entry
+    assert out.grad[-1] == pytest.approx(1.0 / nrm, rel=1e-13)
 
 
 def test_hoyer_ratio_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        hoyer_ratio(np.array([0.5, -0.1]))
-    with pytest.raises(ValueError):
-        hoyer_ratio(np.zeros(3))
-    with pytest.raises(ValueError):
-        hoyer_ratio(np.array([]))
-    with pytest.raises(ValueError):
-        hoyer_ratio(np.ones((2, 2)))
+    with pytest.raises(ValueError, match="non-negative"):
+        _hoyer(np.array([0.5, -0.1]))
+    with pytest.raises(ValueError, match="zero vector"):
+        _hoyer(np.zeros(3))
 
 
 def test_diff_l1_l2_defined_at_origin():
-    out = diff_l1_l2(np.zeros(4), 0.1)
+    out = _diff(np.zeros(4), 0.1)
     assert out.value == 0.0
     np.testing.assert_allclose(out.grad, np.ones(4))
 
@@ -76,7 +78,7 @@ def test_diff_l1_l2_defined_at_origin():
 def test_diff_l1_l2_far_from_origin():
     x = np.array([1.0, 2.0, 2.0])
     eps = 0.05
-    out = diff_l1_l2(x, eps)
+    out = _diff(x, eps)
     assert out.value == pytest.approx(5.0 - 3.0 + eps / 2, rel=1e-13)
     np.testing.assert_allclose(out.grad, 1.0 - x / 3.0, rtol=1e-13)
 
@@ -85,9 +87,10 @@ def test_diff_l1_l2_far_from_origin():
 def test_gradients_match_finite_differences(seed):
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.2, 1.5, 6)
-    eps = 0.3
-    for fn in (lambda z: huber(z, eps), hoyer_ratio, lambda z: diff_l1_l2(z, eps)):
-        grad = fn(x).grad
+    # a radius outside |x| and one inside it; the ratio of x, then of (x[:-1], dummy)
+    for fn in (lambda z: _diff(z, 0.3), lambda z: _diff(z, 10.0), _hoyer,
+               lambda z: _hoyer(z[:-1], z[-1])):
+        grad = fn(x).grad[:x.size]
         fd = fd_gradient(lambda z: fn(z).value, x)
         assert np.max(np.abs(grad - fd)) < 1e-7 * max(1.0, np.max(np.abs(grad)))
 
@@ -98,16 +101,17 @@ def test_group_sums_match_the_per_group_penalties():
     x = np.array([0.01, 0.0, 0.02, 0.0, 1.0, 0.2, 0.0, 0.5])
     eps, weights = np.array([0.05, 0.1, 0.3]), np.array([0.3, 0.7, 0.2])
     d = np.array([0.0, 0.4, 0.1])
-    pv, ph = diff_l1_l2_groups(x, offsets, eps, weights), hoyer_ratio_groups(x, d, offsets, weights)
+    pv = diff_l1_l2_groups(x, offsets, eps, weights)
+    ph = hoyer_ratio_groups(x, d, offsets, weights)
     value, grad, h_value, h_grad_x, h_grad_d = 0.0, np.zeros(8), 0.0, np.zeros(8), np.zeros(3)
     for j in range(3):
         sl = slice(offsets[j], offsets[j + 1])
-        one = diff_l1_l2(x[sl], eps[j])
-        value += weights[j] * one.value
-        grad[sl] = weights[j] * one.grad
-        one = hoyer_ratio(np.append(x[sl], d[j]))
-        h_value += weights[j] * one.value
-        h_grad_x[sl], h_grad_d[j] = weights[j] * one.grad[:-1], weights[j] * one.grad[-1]
+        one, g = diff(x[sl], eps[j])
+        value += weights[j] * one
+        grad[sl] = weights[j] * g
+        one, g = hoyer(np.append(x[sl], d[j]))
+        h_value += weights[j] * one
+        h_grad_x[sl], h_grad_d[j] = weights[j] * g[:-1], weights[j] * g[-1]
     assert pv.value == pytest.approx(value, rel=1e-14)
     np.testing.assert_allclose(pv.grad, grad, rtol=1e-14, atol=1e-15)
     assert ph.value == pytest.approx(h_value, rel=1e-14)
@@ -118,9 +122,6 @@ def test_group_sums_match_the_per_group_penalties():
 def test_group_sums_reject_negative_constrained_entries():
     offsets = np.array([0, 2, 4])
     x = np.array([0.5, -0.1, 0.2, 0.3])
-    # a weightless group's sign is not the penalty's concern
-    assert diff_l1_l2_groups(x, offsets, np.full(2, 0.1), np.array([0.0, 1.0])).grad[:2] == \
-        pytest.approx([0.0, 0.0])
     with pytest.raises(ValueError, match="non-negative"):
         diff_l1_l2_groups(x, offsets, np.full(2, 0.1), np.array([1.0, 1.0]))
     with pytest.raises(ValueError, match="non-negative"):
@@ -129,3 +130,10 @@ def test_group_sums_reject_negative_constrained_entries():
         hoyer_ratio_groups(np.abs(x), np.array([0.1, -0.1]), offsets, np.ones(2))
     with pytest.raises(ValueError, match="zero vector"):
         hoyer_ratio_groups(np.array([0.0, 0.0, 0.2, 0.3]), np.zeros(2), offsets, np.ones(2))
+
+
+def test_diff_groups_reject_a_negative_entry_in_a_weightless_group():
+    # no solver hands over a sign-free block: a negative entry is an error whatever its weight
+    x = np.array([0.5, -0.1, 0.2, 0.3])
+    with pytest.raises(ValueError, match="non-negative"):
+        diff_l1_l2_groups(x, np.array([0, 2, 4]), np.full(2, 0.1), np.array([0.0, 1.0]))

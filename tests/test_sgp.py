@@ -325,14 +325,14 @@ def test_objective_gradients_match_fd_on_random_points():
     rng = default_rng(29)
     n = dct.n_columns
     x = rng.uniform(0.2, 1.0, size=n)
-    ev = eval_objective_p2(dct, b, GroupedCoeffs(x), cfg)
-    fd = fd_gradient(lambda z: eval_objective_p2(dct, b, GroupedCoeffs(z), cfg).value, x)
+    ev = eval_objective_p2(dct, b, x, cfg)
+    fd = fd_gradient(lambda z: eval_objective_p2(dct, b, z, cfg).value, x)
     assert dct.entries.T @ ev.resid + ev.penalty_grad == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
     d = rng.uniform(0.1, 0.4, size=dct.n_groups)
-    ev1 = eval_objective_p1(dct, b, GroupedCoeffs(x, d), cfg)
-    fdx = fd_gradient(lambda z: eval_objective_p1(dct, b, GroupedCoeffs(z, d), cfg).value, x)
-    fdd = fd_gradient(lambda z: eval_objective_p1(dct, b, GroupedCoeffs(x, z), cfg).value, d)
+    ev1 = eval_objective_p1(dct, b, x, d, cfg)
+    fdx = fd_gradient(lambda z: eval_objective_p1(dct, b, z, d, cfg).value, x)
+    fdd = fd_gradient(lambda z: eval_objective_p1(dct, b, x, z, cfg).value, d)
     grad = dct.entries.T @ ev1.resid + ev1.penalty_grad
     assert grad == pytest.approx(fdx, rel=1e-6, abs=1e-8)
     assert ev1.grad_d == pytest.approx(fdd, rel=1e-6, abs=1e-8)
@@ -353,22 +353,20 @@ def test_objective_trace_matches_dense_evaluation_of_its_iterates(monkeypatch, s
 
     def recording(*args, **kwargs):
         ev = evaluate(*args, **kwargs)
-        seen.append((args[2].copy(), ev.value))
+        seen.append((tuple(a.copy() for a in args[2:-1]), ev.value))
         return ev
 
     monkeypatch.setattr(sgp, name, recording)
     solve = solve_problem1 if problem == "p1" else solve_problem2
     report = solve(dct, b, cfg, SgpParams(tol_energy=1e-12))
-    for coeffs, value in seen:
-        if problem == "p1":
-            fit, penalty = dense_objective_p1(dct, b, cfg, coeffs.x, coeffs.d)[:2]
-        else:
-            fit, penalty = dense_objective_p2(dct, b, cfg, coeffs.x)[:2]
+    dense = dense_objective_p1 if problem == "p1" else dense_objective_p2
+    for point, value in seen:
+        fit, penalty = dense(dct, b, cfg, *point)[:2]
         assert value == pytest.approx(fit + penalty, rel=1e-12)
     assert set(report.objective_trace) <= {value for _, value in seen}
     if len(sizes) == 4:
         # the wide problems reach iterates on which the support path runs
-        assert any(np.count_nonzero(c.x) <= SUPPORT_SHARE * dct.n_columns for c, _ in seen)
+        assert any(np.count_nonzero(p[0]) <= SUPPORT_SHARE * dct.n_columns for p, _ in seen)
 
 
 BAD_INITS = {
@@ -412,7 +410,7 @@ def _recorded_models(monkeypatch, problem, dct, b, cfg):
         return out
 
     def evaluating(*args, **kwargs):
-        evaluated.append(args[2].x.copy())
+        evaluated.append(args[2].copy())
         return real_eval(*args, **kwargs)
 
     def valuing(*args):
