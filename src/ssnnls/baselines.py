@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from .core import GroupedCoeffs, GroupedDictionary, SparsityConfig, as_data_vector
+from .core import GroupedDictionary, SparsityConfig, as_data_vector
 from .errors import ConfigError, NonConvergenceError
 
 
@@ -191,7 +191,7 @@ class PdParams:
 
 def penalty_decomposition_l0(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
                              params: Optional[PdParams] = None,
-                             init: Union[str, np.ndarray] = "zero") -> GroupedCoeffs:
+                             init: Union[str, np.ndarray] = "zero") -> np.ndarray:
     """At most one active column per group, by penalty decomposition.
 
     Alternates a ridge-regularised least-squares step in x with an exact
@@ -248,7 +248,7 @@ def penalty_decomposition_l0(dct: GroupedDictionary, b: np.ndarray, cfg: Sparsit
             if moved <= PD_TOL_INNER:
                 break
         if float(np.max(np.abs(x - y))) <= params.tol_outer:
-            return GroupedCoeffs(y)
+            return y
         rho *= params.growth
         if rho > PD_RHO_CAP:
             raise NonConvergenceError(

@@ -35,7 +35,7 @@ from .doas import (DOAS_SOLVERS, DeformationGrid, DoasFitConfig,
                    build_deformation_dictionary, deformed_column, quartic_background,
                    sample_planted_coeffs, synthesize_doas_data, synthesize_references,
                    fit_doas, wavelength_grid)
-from .errors import ConfigError, NonConvergenceError
+from .errors import ConfigError, DegenerateColumnError, NonConvergenceError
 from .hsi import (HSI_SOLVERS, compute_metrics, demix_scene, synthesize_endmember_library,
                   synthesize_mixed_scene)
 from .sgp import SgpParams
@@ -157,8 +157,24 @@ def _doas_protocol(cfg: ExperimentConfig):
         else DeformationGrid.desk_grid()
     seed_refs, seed_plant, seed_noise, seed_jitter = _seeds(cfg, 4)
     refs = synthesize_references(wl, seed=seed_refs)
-    ddict = build_deformation_dictionary(refs, grid, wl)
+    try:
+        ddict = build_deformation_dictionary(refs, grid, wl)
+    except DegenerateColumnError as exc:
+        raise ConfigError(f"{w} bands span less than the deformation grid shifts ({exc}); "
+                          f"raise bands or lower --scale") from exc
     return wl, refs, ddict, seed_plant, seed_noise, seed_jitter
+
+
+def _pd_init(value):
+    """``pd_init``: a start name, passed on, or a list of numbers as a vector.
+
+    Anything else is a ConfigError naming ``pd_init``.
+    """
+    if isinstance(value, str):
+        return value
+    if isinstance(value, list) and all(isinstance(v, numbers.Real) for v in value):
+        return np.array(value, dtype=float)
+    raise ConfigError(f"pd_init must be a start name or a list of numbers, got {value!r}")
 
 
 def _selection_metrics(result, planted_info, ddict):
@@ -239,7 +255,7 @@ def run_doas_align(cfg: ExperimentConfig) -> List[RunRecord]:
     wl, refs, ddict, seed_plant, seed_noise, seed_jitter = _doas_protocol(cfg)
     noise_sd = float(cfg.knob("noise_sd", 0.005))
     means = _listed("magnitude_means", cfg.knob("magnitude_means", (1.0, 0.1, 1.5)))
-    planted, info = sample_planted_coeffs(ddict, seed_plant, magnitude_means=means)
+    x_true, info = sample_planted_coeffs(ddict, seed_plant, magnitude_means=means)
     # Sub-grid misalignment: the true offset sits jitter*step away from the
     # planted atom's, so no exact nonnegative combination of columns
     # reproduces the data even at noise 0.  The shift stays well under the
@@ -262,7 +278,7 @@ def run_doas_align(cfg: ExperimentConfig) -> List[RunRecord]:
             noise_rng = np.random.default_rng(np.random.SeedSequence(seed_noise))
             data = data + noise_rng.normal(0.0, noise_sd, data.size)
     else:
-        data = synthesize_doas_data(ddict, planted, noise_sd, seed_noise)
+        data = synthesize_doas_data(ddict, x_true, noise_sd, seed_noise)
     tau = float(cfg.knob("tau_over_sqrt_w", max(noise_sd, 1e-3))) * np.sqrt(wl.size)
     m = ddict.dictionary.n_groups
     eps = float(cfg.knob("eps", 0.05))
@@ -279,7 +295,7 @@ def run_doas_align(cfg: ExperimentConfig) -> List[RunRecord]:
                           max_outer=_whole("max_outer", cfg.knob("max_outer", 500))),
             pd=PdParams(rho0=float(cfg.knob("pd_rho0", 0.05)),
                         growth=float(cfg.knob("pd_growth", 1.2))),
-            pd_init=cfg.knob("pd_init", "nnls"),
+            pd_init=_pd_init(cfg.knob("pd_init", "nnls")),
             l1_tau=tau, seed=cfg.seed)
         return fit_cfg, {"noise_sd": noise_sd, "gamma": gamma, "eps": eps, "tau": tau,
                          "jitter": jitter, "bands": wl.size,
@@ -295,12 +311,12 @@ def run_doas_background(cfg: ExperimentConfig) -> List[RunRecord]:
     full_grid = ddict.grid.size == 441
     group_cols = cfg.knob("group_cols", [179, 240, 220] if full_grid else None)
     if group_cols is not None:
-        group_cols = _listed("group_cols", group_cols)
+        group_cols = [_whole("group_cols", c) for c in _listed("group_cols", group_cols)]
     magnitudes = _listed("magnitudes", cfg.knob("magnitudes", (0.01206, 0.00112, 0.01589)))
-    planted, info = sample_planted_coeffs(ddict, seed_plant, group_cols=group_cols,
-                                          magnitudes=magnitudes)
+    x_true, info = sample_planted_coeffs(ddict, seed_plant, group_cols=group_cols,
+                                         magnitudes=magnitudes)
     background = quartic_background(wl, scale=float(cfg.knob("bg_scale", 2.0)))
-    data = synthesize_doas_data(ddict, planted, noise_sd, seed_noise, background=background)
+    data = synthesize_doas_data(ddict, x_true, noise_sd, seed_noise, background=background)
     tau = float(cfg.knob("tau_over_sqrt_w", max(noise_sd, 1e-6))) * np.sqrt(wl.size)
     m = ddict.dictionary.n_groups
     eps = float(cfg.knob("eps", 0.001))
@@ -320,7 +336,7 @@ def run_doas_background(cfg: ExperimentConfig) -> List[RunRecord]:
             pd=PdParams(rho0=float(cfg.knob("pd_rho0", 1e-6)),
                         growth=float(cfg.knob("pd_growth", 1.1)),
                         tol_outer=float(cfg.knob("pd_tol_outer", 1e-6))),
-            pd_init=cfg.knob("pd_init", "zero"),
+            pd_init=_pd_init(cfg.knob("pd_init", "zero")),
             l1_tau=tau, lstsq_draws=_whole("lstsq_draws", cfg.knob("lstsq_draws", 200)),
             seed=cfg.seed)
         return fit_cfg, {"noise_sd": noise_sd, "gamma": gamma, "eps": eps, "alpha": alpha,

@@ -1,4 +1,4 @@
-"""Grouped dictionaries, coefficient containers, and objective evaluation.
+"""Grouped dictionaries, sparsity configurations, and objective evaluation.
 
 The data model: a dictionary matrix whose columns are partitioned into
 contiguous groups, a coefficient vector (optionally with one dummy
@@ -126,18 +126,14 @@ class GroupedDictionary:
 
 @dataclass
 class GroupedCoeffs:
-    """Coefficient vector, with one dummy per group when present."""
+    """Retired: a fit's coefficient vector, kept only as ``DoasFitResult.coeffs``.
+
+    Solves take and return plain arrays.  The holder stays while the
+    benchmark's workloads still read ``fit_doas(...).coeffs.x`` (ROADMAP
+    item 4).
+    """
 
     x: np.ndarray
-    d: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float).ravel()
-        if self.d is not None:
-            self.d = np.asarray(self.d, dtype=float).ravel()
-
-    def copy(self) -> "GroupedCoeffs":
-        return GroupedCoeffs(self.x.copy(), None if self.d is None else self.d.copy())
 
 
 @dataclass
@@ -273,13 +269,12 @@ def eval_objective_p2(dct: GroupedDictionary, b: np.ndarray, x: np.ndarray,
     ``dct.n_columns`` values.
     """
     resid, fit = _least_squares(dct, b, x)
-    pv = diff_l1_l2_groups(x, dct.offsets, cfg.eps, cfg.gamma)
-    penalty, grad = pv.value, pv.grad
+    penalty, grad = diff_l1_l2_groups(x, dct.offsets, cfg.eps, cfg.gamma)
     if cfg.gamma0 > 0.0:
-        pv = diff_l1_l2_groups(x, np.array([0, x.size]), cfg.eps.min(keepdims=True),
-                               np.array([cfg.gamma0]))
-        penalty += pv.value
-        grad += pv.grad
+        value, grad0 = diff_l1_l2_groups(x, np.array([0, x.size]), cfg.eps.min(keepdims=True),
+                                         np.array([cfg.gamma0]))
+        penalty += value
+        grad += grad0
     return ObjectiveEval(fit + penalty, fit, penalty, resid, grad)
 
 
@@ -292,11 +287,12 @@ def eval_objective_p1(dct: GroupedDictionary, b: np.ndarray, x: np.ndarray, d: n
     must be nonzero for its ratio to be defined.
     """
     resid, fit = _least_squares(dct, b, x)
-    pv = hoyer_ratio_groups(x, d, dct.offsets, cfg.gamma)
-    penalty, grad, grad_d = pv.value, pv.grad[:x.size], pv.grad[x.size:]
+    penalty, grad_xd = hoyer_ratio_groups(x, d, dct.offsets, cfg.gamma)
+    grad, grad_d = grad_xd[:x.size], grad_xd[x.size:]
     if cfg.gamma0 > 0.0:
         # the inter-group ratio is one group of every column, with a zero dummy
-        pv = hoyer_ratio_groups(x, np.zeros(1), np.array([0, x.size]), np.array([cfg.gamma0]))
-        penalty += pv.value
-        grad += pv.grad[:x.size]
+        value, grad0 = hoyer_ratio_groups(x, np.zeros(1), np.array([0, x.size]),
+                                          np.array([cfg.gamma0]))
+        penalty += value
+        grad += grad0[:x.size]
     return ObjectiveEval(fit + penalty, fit, penalty, resid, grad, grad_d)

@@ -232,7 +232,7 @@ def sample_planted_coeffs(ddict: DeformationDictionary, seed: int,
                           magnitude_means: Sequence[float] = (1.0, 0.1, 1.5),
                           group_cols: Optional[Sequence[int]] = None,
                           magnitudes: Optional[Sequence[float]] = None,
-                          ) -> Tuple[GroupedCoeffs, List[Tuple[int, int, float]]]:
+                          ) -> Tuple[np.ndarray, List[Tuple[int, int, float]]]:
     """Plant one active column per group.
 
     Columns are drawn uniformly per group unless ``group_cols`` gives the
@@ -261,14 +261,14 @@ def sample_planted_coeffs(ddict: DeformationDictionary, seed: int,
             mag = float(magnitude_means[j]) * float(rng.uniform(0.5, 1.5))
         x[int(dct.offsets[j]) + local] = mag
         planted.append((j, local, mag))
-    return GroupedCoeffs(x), planted
+    return x, planted
 
 
-def synthesize_doas_data(ddict: DeformationDictionary, planted: GroupedCoeffs,
+def synthesize_doas_data(ddict: DeformationDictionary, x: np.ndarray,
                          noise_sd: float, seed: int,
                          background: Optional[np.ndarray] = None) -> np.ndarray:
-    """Form data = dictionary @ planted + background + Gaussian noise."""
-    data = ddict.dictionary.entries @ planted.x
+    """Form data = dictionary @ x + background + Gaussian noise."""
+    data = ddict.dictionary.entries @ x
     if background is not None:
         background = np.asarray(background, dtype=float).ravel()
         if background.size != data.size:
@@ -460,13 +460,13 @@ def fit_doas(data: np.ndarray, ddict: DeformationDictionary,
     elif cfg.solver == "l1":
         x_fit = l1_bregman(solved, b, l1_tau)
     elif cfg.solver == "pd":
-        x_fit = penalty_decomposition_l0(solved, b, cfg.sparsity, cfg.pd, cfg.pd_init).x
+        x_fit = penalty_decomposition_l0(solved, b, cfg.sparsity, cfg.pd, cfg.pd_init)
     elif cfg.solver == "hoyer_p1":
         report = solve_problem1(solved, b, cfg.sparsity, cfg.sgp)
-        x_fit = report.final.x
+        x_fit = report.x
     else:  # diff_p2
         report = solve_problem2(solved, b, cfg.sparsity, cfg.sgp)
-        x_fit = report.final.x
+        x_fit = report.x
 
     fitted = support_matvec(dct.entries, x_fit)
     background = None
@@ -477,23 +477,21 @@ def fit_doas(data: np.ndarray, ddict: DeformationDictionary,
     if cfg.solver == "lstsq":
         # a gauge of the group magnitudes alone: no coefficients, no support
         mags = np.add.reduceat(x_fit, dct.offsets[:-1])
-        x = np.zeros(dct.n_columns)
         selections = [GroupSelection(j, ddict.names[j], float(mags[j]),
                                      float("nan"), float("nan"), 0) for j in range(m)]
-        resid = data - (background if background is not None else 0.0)
-        return DoasFitResult(GroupedCoeffs(x), background, selections, resid, None)
-
-    selections = []
-    for j in range(m):
-        seg = x_fit[dct.group_slice(j)]
-        nz = int(np.sum(np.abs(seg) > ZERO_TOL))
-        if nz:
-            local = int(np.argmax(np.abs(seg)))
-            slope, offset = ddict.grid.deformation(local)
-            selections.append(GroupSelection(j, ddict.names[j], float(seg[local]),
-                                             slope, offset, nz))
-        else:
-            selections.append(GroupSelection(j, ddict.names[j], 0.0,
-                                             float("nan"), float("nan"), 0))
+        x_fit, fitted = np.zeros(dct.n_columns), 0.0
+    else:
+        selections = []
+        for j in range(m):
+            seg = x_fit[dct.group_slice(j)]
+            nz = int(np.sum(np.abs(seg) > ZERO_TOL))
+            if nz:
+                local = int(np.argmax(np.abs(seg)))
+                slope, offset = ddict.grid.deformation(local)
+                selections.append(GroupSelection(j, ddict.names[j], float(seg[local]),
+                                                 slope, offset, nz))
+            else:
+                selections.append(GroupSelection(j, ddict.names[j], 0.0,
+                                                 float("nan"), float("nan"), 0))
     resid = data - fitted - (background if background is not None else 0.0)
-    return DoasFitResult(GroupedCoeffs(x_fit.copy()), background, selections, resid, report)
+    return DoasFitResult(GroupedCoeffs(x_fit), background, selections, resid, report)

@@ -58,7 +58,6 @@ class AbundanceMatrix:
     """
 
     values: np.ndarray
-    offsets: np.ndarray
     failed_pixels: List[Tuple[int, str]] = field(default_factory=list)
     outer_iters: Optional[np.ndarray] = None
 
@@ -185,12 +184,12 @@ def demix_scene(scene: HsiScene, cfg: SparsityConfig, solver: str = "diff_p2",
         if solver == "l1":
             return l1_penalized(dct, y, l1_gamma), 0
         if solver == "pd":
-            return penalty_decomposition_l0(dct, y, cfg).x, 0
+            return penalty_decomposition_l0(dct, y, cfg), 0
         if solver == "hoyer_p1":
             rep = solve_problem1(dct, y, cfg, sgp)
         else:
             rep = solve_problem2(dct, y, cfg, sgp)
-        return rep.final.x, rep.outer_iters
+        return rep.x, rep.outer_iters
 
     values = np.zeros((dct.n_columns, scene.n_pixels))
     outer = np.zeros(scene.n_pixels, dtype=np.int64)
@@ -201,7 +200,7 @@ def demix_scene(scene: HsiScene, cfg: SparsityConfig, solver: str = "diff_p2",
         except NonConvergenceError as exc:
             failed.append((p, str(exc)))
     iters_out = outer if solver in ("hoyer_p1", "diff_p2") else None
-    return AbundanceMatrix(values, dct.offsets.copy(), failed, iters_out)
+    return AbundanceMatrix(values, failed, iters_out)
 
 
 @dataclass

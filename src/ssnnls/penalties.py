@@ -10,24 +10,19 @@ sum and differentiable):
   each group v stacked with its dummy.
 
 Each takes the group offsets and weights, evaluates every group at once
-with ``np.add.reduceat`` and returns a ``PenaltyValue(value, grad)`` pair.
+with ``np.add.reduceat`` and returns a ``(value, grad)`` pair.
 Penalties are unscaled beyond those weights.  A penalty over the whole
 vector, such as the objectives' inter-group term, is the one-group call
 with offsets ``[0, n]``.
 """
 
-from typing import NamedTuple
+from typing import Tuple
 
 import numpy as np
 
 
-class PenaltyValue(NamedTuple):
-    value: float
-    grad: np.ndarray
-
-
 def diff_l1_l2_groups(x: np.ndarray, offsets: np.ndarray, eps: np.ndarray,
-                      weights: np.ndarray) -> PenaltyValue:
+                      weights: np.ndarray) -> Tuple[float, np.ndarray]:
     """``sum_j weights[j] * (sum(x_j) - huber(x_j, eps[j]))`` over the groups, with its gradient.
 
     Group j is ``x[offsets[j]:offsets[j + 1]]`` and ``offsets[-1] == x.size``.
@@ -46,11 +41,11 @@ def diff_l1_l2_groups(x: np.ndarray, offsets: np.ndarray, eps: np.ndarray,
     rad = np.maximum(np.sqrt(sq), eps)
     hub = sq / (2.0 * rad) + (rad - eps) / 2.0
     value = float(weights @ (np.add.reduceat(x, starts) - hub))
-    return PenaltyValue(value, np.repeat(weights, sizes) - np.repeat(weights / rad, sizes) * x)
+    return value, np.repeat(weights, sizes) - np.repeat(weights / rad, sizes) * x
 
 
 def hoyer_ratio_groups(x: np.ndarray, d: np.ndarray, offsets: np.ndarray,
-                       weights: np.ndarray) -> PenaltyValue:
+                       weights: np.ndarray) -> Tuple[float, np.ndarray]:
     """``sum_j weights[j] * |v_j|_1 / |v_j|_2`` for ``v_j = (x_j, d_j)``, with its gradient.
 
     Group j stacks ``x[offsets[j]:offsets[j + 1]]`` with the dummy d[j];
@@ -69,4 +64,4 @@ def hoyer_ratio_groups(x: np.ndarray, d: np.ndarray, offsets: np.ndarray,
     slope = weights * s / n2 ** 3
     in_x = np.repeat(weights / n2, sizes) - np.repeat(slope, sizes) * x
     in_d = weights / n2 - slope * d
-    return PenaltyValue(float(weights @ (s / n2)), np.concatenate([in_x, in_d]))
+    return float(weights @ (s / n2)), np.concatenate([in_x, in_d])

@@ -10,10 +10,11 @@ where the Hoyer ratio's curvature is unbounded near the floors).
 Both problems minimise their model exactly at every step by an active
 set on the dictionary's cached Gram matrix, which factors only the small
 block on the current support.  Each solve checks its data, its
-configuration and its ``init`` and forms A'b once; the objective
-evaluations it then makes take those arrays and check nothing.  The
-model goes to :mod:`ssnnls.qp` in standard form, z'(G + 2C)z / 2 - q'z
-with C = cI and q = (G + 2C) a - grad F(a) = A'b - grad P(a) + 2Ca (and
+configuration and its start (``x0``, and problem 1's ``d0``) and forms
+A'b once; the objective evaluations it then makes take those arrays and
+check nothing.  The model goes to :mod:`ssnnls.qp` in standard form,
+z'(G + 2C)z / 2 - q'z with C = cI and
+q = (G + 2C) a - grad F(a) = A'b - grad P(a) + 2Ca (and
 q_d = 2c a_d - grad_d P(a) for problem 1's dummies), as the arrays G, q
 and q_d and the scalar 2c, so the fit's gradient G a - A'b is never
 formed: an objective evaluation forms only the residual, from the
@@ -27,12 +28,12 @@ what its support costs.  A step that cannot descend ends either run as
 
 import numbers
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import (GroupedCoeffs, GroupedDictionary, SparsityConfig, checked_data,
-                   eval_objective_p1, eval_objective_p2)
+from .core import (GroupedDictionary, SparsityConfig, checked_data, eval_objective_p1,
+                   eval_objective_p2)
 from .errors import ConfigError, NonConvergenceError
 from .qp import model_cholesky, model_value, solve_qp_p1, solve_qp_p2
 
@@ -89,15 +90,17 @@ class SgpParams:
 class SolveReport:
     """Outcome of one outer solve: final point, traces, termination reason.
 
-    ``inner_iters_total`` sums the active-set iterations (passive-block
-    solves, see :func:`ssnnls.qp.solve_qp_p1` and
-    :func:`ssnnls.qp.solve_qp_p2`) of every model solve: for
-    problem 2 the solves that start a step from the anchor's support
-    too, for problem 1 those of rejected candidates, for both problems
-    those of the unaccepted last step.
+    ``x`` is the final coefficient vector and ``d`` problem 1's final
+    dummies, None for problem 2.  ``inner_iters_total`` sums the
+    active-set iterations (passive-block solves, see
+    :func:`ssnnls.qp.solve_qp_p1` and :func:`ssnnls.qp.solve_qp_p2`) of
+    every model solve: for problem 2 the solves that start a step from
+    the anchor's support too, for problem 1 those of rejected candidates,
+    for both problems those of the unaccepted last step.
     """
 
-    final: GroupedCoeffs
+    x: np.ndarray
+    d: Optional[np.ndarray] = None
     objective_trace: List[float] = field(default_factory=list)
     c_trace: List[float] = field(default_factory=list)
     step_trace: List[float] = field(default_factory=list)
@@ -106,49 +109,34 @@ class SolveReport:
     termination: str = TERM_MAX_OUTER
 
 
-def _default_x0(n: int) -> np.ndarray:
-    return np.full(n, 0.1)
+def _checked_start(name: str, value: Optional[np.ndarray], size: int,
+                   default: float) -> np.ndarray:
+    """``value`` clipped at 0, or ``default`` on every entry when None.
 
-
-def _checked_init(init: Optional[GroupedCoeffs], n: int,
-                  n_groups: Optional[int] = None) -> Optional[GroupedCoeffs]:
-    """A copy of ``init``, or None; ValueError naming ``init`` unless it fits the problem.
-
-    x must hold n finite values.  With ``n_groups`` (problem 1) a given d
-    must hold n_groups finite values; otherwise d is dropped.
+    ValueError naming ``name`` unless ``value`` holds ``size`` finite values.
     """
-    if init is None:
-        return None
-    x = init.x.astype(float)
-    if x.shape != (n,):
-        raise ValueError(f"init must have {n} coefficients, got {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("init coefficients must be finite")
-    if n_groups is None or init.d is None:
-        return GroupedCoeffs(x)
-    d = init.d.astype(float)
-    if d.shape != (n_groups,):
-        raise ValueError(f"init must have {n_groups} dummies, got {d.shape}")
-    if not np.all(np.isfinite(d)):
-        raise ValueError("init dummies must be finite")
-    return GroupedCoeffs(x, d)
+    if value is None:
+        return np.full(size, default)
+    value = np.asarray(value, dtype=float)
+    if value.shape != (size,):
+        raise ValueError(f"{name} must have {size} entries, got shape {value.shape}")
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"{name} must be finite")
+    return np.maximum(value, 0.0)
 
 
-def _feasible_p1_init(dct: GroupedDictionary, cfg: SparsityConfig,
-                      init: Optional[GroupedCoeffs]) -> GroupedCoeffs:
-    """``init`` (default x = 0.1, d = 0) made feasible for problem 1 in closed form.
+def _feasible_p1_init(dct: GroupedDictionary, cfg: SparsityConfig, x0: Optional[np.ndarray],
+                      d0: Optional[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """``x0`` (default 0.1) and ``d0`` (default 0), checked and made feasible for problem 1.
 
-    ``init`` is checked by :func:`_checked_init`.  x and d are clipped at
-    0; each group short of its floor is raised evenly onto it, so x alone
-    meets every floor, and d is scaled down onto the budget when
-    sum(d / eps) exceeds it.
+    Both are checked and clipped by :func:`_checked_start`.  Each group
+    short of its floor is raised evenly onto it, so x alone meets every
+    floor, and d is scaled down onto the budget when sum(d / eps) exceeds
+    it.
     """
     m = dct.n_groups
-    init = _checked_init(init, dct.n_columns, m)
-    x = _default_x0(dct.n_columns) if init is None else init.x
-    d = np.zeros(m) if init is None or init.d is None else init.d
-    x = np.maximum(x, 0.0)
-    d = np.maximum(d, 0.0)
+    x = _checked_start("x0", x0, dct.n_columns, 0.1)
+    d = _checked_start("d0", d0, m, 0.0)
     for j in range(m):
         sl = dct.group_slice(j)
         short = float(cfg.eps[j]) - float(np.sum(x[sl]))
@@ -157,37 +145,36 @@ def _feasible_p1_init(dct: GroupedDictionary, cfg: SparsityConfig,
     used, budget = float(np.sum(d / cfg.eps)), cfg.budget(m)
     if used > budget:
         d *= budget / used
-    return GroupedCoeffs(x, d)
+    return x, d
 
 
 def solve_problem2(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
                    params: Optional[SgpParams] = None,
-                   init: Optional[GroupedCoeffs] = None) -> SolveReport:
+                   x0: Optional[np.ndarray] = None) -> SolveReport:
     """Minimise the smoothed l1 - l2 objective over the orthant (problem 2).
 
-    The diagonal scaling stays fixed at ``c_matrix_scale``, so every step
-    solves its model exactly by an active set on the dictionary's cached
-    Gram matrix (:func:`ssnnls.qp.solve_qp_p2`), each step's active set
-    started from the anchor's support when it is sparse.  A model
-    minimiser that does not lower the objective ends the run as
-    ``energy_tol``.  A
-    :class:`NonConvergenceError` from a step's active set propagates; an
-    ``init`` of the wrong length or with a NaN or infinite entry is a
-    ``ValueError`` before any evaluation.
+    The run starts from ``x0`` clipped at 0, by default 0.1 on every
+    column.  The diagonal scaling stays fixed at ``c_matrix_scale``, so
+    every step solves its model exactly by an active set on the
+    dictionary's cached Gram matrix (:func:`ssnnls.qp.solve_qp_p2`), each
+    step's active set started from the anchor's support when it is
+    sparse.  A model minimiser that does not lower the objective ends the
+    run as ``energy_tol``.  A :class:`NonConvergenceError` from a step's
+    active set propagates; an ``x0`` of the wrong length or with a NaN or
+    infinite entry is a ``ValueError`` before any evaluation.
     """
     params = params or SgpParams()
     b, atb = checked_data(dct, b, cfg)
     n = dct.n_columns
 
-    init = _checked_init(init, n)
-    x = np.maximum(_default_x0(n) if init is None else init.x, 0.0)
+    x = _checked_start("x0", x0, n, 0.1)
 
     gram = dct.gram
     if not params.c_matrix_scale > 0:
         # with no shift the model is strongly convex only if A has full column rank
         model_cholesky(gram)
     shift = params.c_matrix_scale
-    report = SolveReport(final=GroupedCoeffs(x))
+    report = SolveReport(x)
 
     ev = eval_objective_p2(dct, b, x, cfg)
     report.objective_trace.append(ev.value)
@@ -214,24 +201,26 @@ def solve_problem2(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
         if abs(decrease) <= params.tol_energy * abs(ev.value):
             report.termination = TERM_ENERGY
             break
-    report.final = GroupedCoeffs(x)
+    report.x = x
     return report
 
 
 def solve_problem1(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
-                   params: Optional[SgpParams] = None,
-                   init: Optional[GroupedCoeffs] = None) -> SolveReport:
+                   params: Optional[SgpParams] = None, x0: Optional[np.ndarray] = None,
+                   d0: Optional[np.ndarray] = None) -> SolveReport:
     """Minimise the Hoyer-ratio objective with dummy variables (problem 1).
 
+    The run starts from ``x0`` (default 0.1 on every column) and ``d0``
+    (default 0), made feasible in closed form by :func:`_feasible_p1_init`.
     Every step solves its model exactly by a primal active set on the
     dictionary's cached Gram matrix (:func:`ssnnls.qp.solve_qp_p1`).
     Candidates must pass the sufficient-decrease test; rejections inflate
     the diagonal scaling by ``XI2`` and re-solve from the same anchor.  A
     model minimiser no better than the anchor (model value >= 0) ends the
     run as ``energy_tol``.  A :class:`NonConvergenceError` from a step's
-    active set propagates; an ``init`` whose x or d has the wrong length
-    or a NaN or infinite entry, and a zero ``c_matrix_scale`` (the
-    dummies' only curvature), are a ``ValueError`` before any evaluation.
+    active set propagates; an ``x0`` or ``d0`` of the wrong length or with
+    a NaN or infinite entry, and a zero ``c_matrix_scale`` (the dummies'
+    only curvature), are a ``ValueError`` before any evaluation.
     """
     params = params or SgpParams()
     if not params.c_matrix_scale > 0:
@@ -240,11 +229,10 @@ def solve_problem1(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
     b, atb = checked_data(dct, b, cfg)
     budget = cfg.budget(dct.n_groups)
 
-    coeffs = _feasible_p1_init(dct, cfg, init)
-    x, d = coeffs.x, coeffs.d
+    x, d = _feasible_p1_init(dct, cfg, x0, d0)
 
     gram = dct.gram
-    report = SolveReport(final=GroupedCoeffs(x, d))
+    report = SolveReport(x, d)
     c = C0
     rejections = 0
 
@@ -287,5 +275,5 @@ def solve_problem1(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
         if abs(decrease) <= params.tol_energy * abs(ev.value):
             report.termination = TERM_ENERGY
             break
-    report.final = GroupedCoeffs(x, d)
+    report.x, report.d = x, d
     return report

@@ -100,11 +100,13 @@ def dense_objective_p1(dct, b, cfg, x, d):
     return fit, penalty, grad_x, grad_d
 
 
-def check_descent_estimate(dct, b, cfg, at, to, lambda_r, lambda_big, problem="p2"):
+def check_descent_estimate(dct, b, cfg, at, to, lambda_r, lambda_big, problem="p2",
+                           at_d=None, to_d=None):
     """Check the quadratic upper estimate used to justify the outer step.
 
     With lambda_r / lambda_big lower and upper eigenvalue bounds of the
-    penalty Hessian between ``at`` and ``to``, the objective change is
+    penalty Hessian between the points ``at`` and ``to`` (problem 1's
+    with the dummies ``at_d`` and ``to_d``), the objective change is
     bounded by
 
         (lambda_big - lambda_r/2) |dz|^2 + |A dx|^2 / 2 + dz . grad F(at)
@@ -113,16 +115,16 @@ def check_descent_estimate(dct, b, cfg, at, to, lambda_r, lambda_big, problem="p
     diagonal model shift cancels from the two sides, so none is taken.
     The objectives are the dense ones above.
     """
-    dx = to.x - at.x
+    dx = to - at
     if problem == "p2":
-        fit, penalty, grad = dense_objective_p2(dct, b, cfg, at.x)
-        fy = sum(dense_objective_p2(dct, b, cfg, to.x)[:2])
+        fit, penalty, grad = dense_objective_p2(dct, b, cfg, at)
+        fy = sum(dense_objective_p2(dct, b, cfg, to)[:2])
         dz2 = float(dx @ dx)
         inner = float(grad @ dx)
     elif problem == "p1":
-        fit, penalty, grad, grad_d = dense_objective_p1(dct, b, cfg, at.x, at.d)
-        fy = sum(dense_objective_p1(dct, b, cfg, to.x, to.d)[:2])
-        dd = to.d - at.d
+        fit, penalty, grad, grad_d = dense_objective_p1(dct, b, cfg, at, at_d)
+        fy = sum(dense_objective_p1(dct, b, cfg, to, to_d)[:2])
+        dd = to_d - at_d
         dz2 = float(dx @ dx + dd @ dd)
         inner = float(grad @ dx) + float(grad_d @ dd)
     else:

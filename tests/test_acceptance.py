@@ -16,8 +16,7 @@ from ssnnls.baselines import PdParams, penalty_decomposition_l0
 from ssnnls import cli
 from ssnnls.cli import (ExperimentConfig, run_doas_align, run_doas_background,
                         run_hsi_structured)
-from ssnnls.core import (GroupedCoeffs, GroupedDictionary, SparsityConfig,
-                         eval_objective_p1, eval_objective_p2)
+from ssnnls.core import GroupedDictionary, SparsityConfig, eval_objective_p1, eval_objective_p2
 from ssnnls.doas import (build_background_operator, quartic_background, sample_planted_coeffs,
                         synthesize_doas_data)
 from ssnnls.qp import solve_qp_p1, solve_qp_p2
@@ -72,11 +71,11 @@ def _true_support_background_error(rec):
     support can reach.  Rebuilds the doas-background data of ``rec``."""
     cfg = ExperimentConfig("doas-background", seed=rec.seed, scale=rec.scale)
     wl, _refs, ddict, seed_plant, seed_noise, _ = cli._doas_protocol(cfg)
-    planted, info = sample_planted_coeffs(  # the protocol's full-grid columns
+    x_true, info = sample_planted_coeffs(  # the protocol's full-grid columns
         ddict, seed_plant, group_cols=[179, 240, 220],
         magnitudes=[row["true_magnitude"] for row in rec.metrics["groups"]])
     background = quartic_background(wl)
-    data = synthesize_doas_data(ddict, planted, rec.params["noise_sd"], seed_noise,
+    data = synthesize_doas_data(ddict, x_true, rec.params["noise_sd"], seed_noise,
                                 background=background)
     w = wl.size
     picked = ddict.dictionary.entries[:, [int(ddict.dictionary.offsets[g]) + local
@@ -187,7 +186,7 @@ def test_criterion_4_monotone_descent_and_sampled_stationarity():
         trace = np.asarray(report.objective_trace)
         worst_step = max(worst_step, float(np.max(np.diff(trace))))
         assert np.all(np.diff(trace) <= 1e-12)
-        x = report.final.x
+        x = report.x
         grad = oracles.dense_objective_p2(dct, b, cfg, x)[2]
         ys = rng.uniform(0.0, 1.5, size=(1000, x.size))
         diffs = ys - x
@@ -202,9 +201,8 @@ def test_criterion_4_monotone_descent_and_sampled_stationarity():
         trace = np.asarray(report.objective_trace)
         worst_step = max(worst_step, float(np.max(np.diff(trace))))
         assert np.all(np.diff(trace) <= 1e-12)
-        z = np.concatenate([report.final.x, report.final.d])
-        grad = np.concatenate(oracles.dense_objective_p1(dct, b, cfg, report.final.x,
-                                                         report.final.d)[2:])
+        z = np.concatenate([report.x, report.d])
+        grad = np.concatenate(oracles.dense_objective_p1(dct, b, cfg, report.x, report.d)[2:])
         xs, ds = _feasible_points_p1(rng, dct, cfg, 1000)
         diffs = np.hstack([xs, ds]) - z
         slack = diffs @ grad + 1e-4 * np.linalg.norm(diffs, axis=1)
@@ -296,9 +294,9 @@ def test_criterion_8_penalty_decomposition_structure():
             dct, b, cfg, init=inits[i % 3],
             params=PdParams(rho0=float(rng.uniform(0.01, 0.5)),
                             growth=float(rng.uniform(1.1, 2.0))))
-        assert np.all(out.x >= 0.0)
+        assert np.all(out >= 0.0)
         for j in range(m):
-            assert int(np.count_nonzero(out.x[dct.group_slice(j)])) <= 1
+            assert int(np.count_nonzero(out[dct.group_slice(j)])) <= 1
     _verdict(8, time.perf_counter() - t0, 30.0,
              "group-wise <=1-sparse nonnegative output on 100 random instances")
 

@@ -7,7 +7,7 @@ from numpy.random import default_rng
 import oracles
 from ssnnls import baselines
 from ssnnls.baselines import PdParams, l1_bregman, l1_penalized, nnls, penalty_decomposition_l0
-from ssnnls.core import L1_SHIFT, GroupedCoeffs, GroupedDictionary, SparsityConfig
+from ssnnls.core import L1_SHIFT, GroupedDictionary, SparsityConfig
 from ssnnls.errors import ConfigError, NonConvergenceError
 
 
@@ -222,7 +222,7 @@ def test_pd_params_validation():
 def test_pd_zero_data_zero_init():
     dct = GroupedDictionary(np.eye(6), np.array([0, 3, 6]))
     out = penalty_decomposition_l0(dct, np.zeros(6), group_cfg(2))
-    assert out.x == pytest.approx(np.zeros(6))
+    assert out == pytest.approx(np.zeros(6))
 
 
 def test_pd_recovers_planted_support_orthonormal():
@@ -234,8 +234,8 @@ def test_pd_recovers_planted_support_orthonormal():
         x_true[2 * j + local] = rng.uniform(0.5, 1.5)
     b = q @ x_true
     out = penalty_decomposition_l0(dct, b, group_cfg(4), init="nnls")
-    assert np.array_equal(out.x > 1e-8, x_true > 0)
-    assert out.x == pytest.approx(x_true, abs=1e-4)
+    assert np.array_equal(out > 1e-8, x_true > 0)
+    assert out == pytest.approx(x_true, abs=1e-4)
 
 
 def test_pd_tie_broken_at_lowest_index():
@@ -243,8 +243,8 @@ def test_pd_tie_broken_at_lowest_index():
     entries = np.column_stack([col, col])
     dct = GroupedDictionary(entries, np.array([0, 2]))
     out = penalty_decomposition_l0(dct, col, group_cfg(1))
-    assert out.x[0] > 0.5
-    assert out.x[1] == 0.0
+    assert out[0] > 0.5
+    assert out[1] == 0.0
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -258,9 +258,9 @@ def test_pd_output_structure_random(seed):
     init = ["zero", "lstsq", rng.normal(size=dct.n_columns)][seed % 3]
     out = penalty_decomposition_l0(dct, b, group_cfg(len(sizes)),
                                    PdParams(rho0=0.1, growth=1.5), init=init)
-    assert out.x.min() >= 0.0
+    assert out.min() >= 0.0
     for j in range(dct.n_groups):
-        assert np.count_nonzero(out.x[dct.group_slice(j)]) <= 1
+        assert np.count_nonzero(out[dct.group_slice(j)]) <= 1
 
 
 def test_pd_init_validation():

@@ -208,13 +208,17 @@ def test_main_infinite_weight_exits_2(tmp_path, capsys):
     ("doas-align", "diff_p2", "jitter", -0.25, "jitter"),
     ("doas-background", "nnls", "magnitudes", [5], "magnitudes"),
     ("doas-background", "nnls", "group_cols", [1], "group_cols"),
+    ("doas-align", "pd", "pd_init", {}, "pd_init"),
+    ("doas-align", "pd", "pd_init", 5, "pd_init"),
+    ("doas-background", "pd", "pd_init", ["0.1", None], "pd_init"),
 ])
 def test_main_bad_solver_setting_exits_2(tmp_path, capsys, experiment, solver, knob, value,
                                          field):
     # each is rejected naming its field before a solve; the first five once
     # exited 0 (no outer step, or NaN or zero magnitudes), c_scale failed
     # inside the first model solve, a negative jitter fitted unjittered data
-    # and exited 0, and a list of the wrong length crashed with IndexError
+    # and exited 0, a list of the wrong length crashed with IndexError, and a
+    # pd_init that is neither a start name nor a list of numbers ({}) with TypeError
     cfg = tmp_path / "knobs.json"
     cfg.write_text(json.dumps({knob: value}))
     code = main(["--experiment", experiment, "--scale", "4", "--solver", solver,
@@ -234,6 +238,8 @@ def test_main_bad_solver_setting_exits_2(tmp_path, capsys, experiment, solver, k
     ("hsi-structured", "nnls", {"n_groups": 2.5}),
     ("hsi-structured", "nnls", {"seed": 0.5}),
     ("hsi-structured", "nnls", {"scale": 20.5}),
+    ("doas-background", "nnls", {"group_cols": [3.7, 2, 1]}),
+    ("doas-background", "nnls", {"group_cols": ["3", 2, 1]}),
 ])
 def test_main_fractional_whole_number_exits_2(tmp_path, capsys, monkeypatch, experiment,
                                               solver, knobs):
@@ -274,6 +280,17 @@ def test_main_list_knob_given_a_number_exits_2(tmp_path, capsys, monkeypatch, ex
     assert code == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and f"{knob} must be a list" in err
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_every_experiment_at_scale_8_exits_0_or_2(capsys, experiment):
+    # a desk DOAS run with fewer bands than the grid's shifts once died with
+    # a DegenerateColumnError traceback; it is a configuration error
+    code = main(["--experiment", experiment, "--scale", "8", "--solver", "nnls"])
+    assert code in (0, 2)
+    if code == 2:
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "bands" in err and "--scale" in err
 
 
 @pytest.mark.parametrize("knobs", [

@@ -5,7 +5,7 @@ import time
 
 from ssnnls.baselines import l1_bregman, l1_penalized, penalty_decomposition_l0
 from ssnnls import core
-from ssnnls.core import (SUPPORT_SHARE, GroupedCoeffs, GroupedDictionary, SparsityConfig,
+from ssnnls.core import (SUPPORT_SHARE, GroupedDictionary, SparsityConfig,
                          checked_data, eval_objective_p1, eval_objective_p2, normalize_columns,
                          support_matvec)
 from ssnnls.doas import (DeformationGrid, DoasFitConfig, build_deformation_dictionary,
@@ -61,15 +61,6 @@ def test_config_sized_for_more_groups_is_rejected(solve):
     padded = SparsityConfig(gamma=[0.1, 0.1, 0.0], gamma0=0.0, eps=[0.05, 0.05, 1.0])
     with pytest.raises(ValueError, match=r"gamma must have shape \(2,\)"):
         solve(dct, rng.normal(size=8), padded)
-
-
-def test_grouped_coeffs_copy_is_independent():
-    c = GroupedCoeffs(np.array([1.0, 2.0]), np.array([0.1]))
-    c2 = c.copy()
-    c2.x[0] = -5.0
-    c2.d[0] = -5.0
-    assert c.x[0] == 1.0
-    assert c.d[0] == 0.1
 
 
 def test_sparsity_config_validation():

@@ -112,12 +112,12 @@ def test_sample_planted_coeffs(desk):
     coeffs, planted = sample_planted_coeffs(ddict, seed=5)
     assert len(planted) == 3
     for j, local, mag in planted:
-        assert coeffs.x[int(ddict.dictionary.offsets[j]) + local] == mag
+        assert coeffs[int(ddict.dictionary.offsets[j]) + local] == mag
         assert mag > 0
     fixed, planted2 = sample_planted_coeffs(ddict, seed=5, group_cols=[1, 2, 3],
                                             magnitudes=[1.0, 2.0, 3.0])
     assert [(p[1], p[2]) for p in planted2] == [(1, 1.0), (2, 2.0), (3, 3.0)]
-    assert np.count_nonzero(fixed.x) == 3
+    assert np.count_nonzero(fixed) == 3
     with pytest.raises(ValueError):
         sample_planted_coeffs(ddict, seed=0, group_cols=[0, 0, grid.size])
     with pytest.raises(ValueError):
@@ -128,7 +128,7 @@ def test_synthesize_doas_data(desk):
     wl, _, _, ddict = desk
     coeffs, _ = sample_planted_coeffs(ddict, seed=1)
     clean = synthesize_doas_data(ddict, coeffs, noise_sd=0.0, seed=9)
-    assert clean == pytest.approx(ddict.dictionary.entries @ coeffs.x, abs=0.0)
+    assert clean == pytest.approx(ddict.dictionary.entries @ coeffs, abs=0.0)
     bg = quartic_background(wl)
     with_bg = synthesize_doas_data(ddict, coeffs, 0.0, 9, background=bg)
     assert with_bg == pytest.approx(clean + bg, abs=0.0)

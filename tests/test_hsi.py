@@ -99,7 +99,7 @@ def test_demix_each_solver(tiny_scene, solver):
         assert out.outer_iters is None
     if solver == "pd":
         counts = np.add.reduceat((np.abs(out.values) > 1e-9).astype(int),
-                                 out.offsets[:-1], axis=0)
+                                 tiny_scene.dictionary.offsets[:-1], axis=0)
         assert counts.max() <= 1
 
 

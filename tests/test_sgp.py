@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from ssnnls.core import (SUPPORT_SHARE, GroupedCoeffs, GroupedDictionary, SparsityConfig,
+from ssnnls.core import (SUPPORT_SHARE, GroupedDictionary, SparsityConfig,
                          eval_objective_p1, eval_objective_p2, support_matvec)
 from ssnnls.errors import ConfigError, NonConvergenceError
 from ssnnls import core, sgp
@@ -33,13 +33,13 @@ def make_problem(seed, n_rows=24, sizes=(3, 3, 2), noise=0.01):
     return dct, b, cfg
 
 
-def assert_p1_feasible(dct, cfg, coeffs, tol=1e-7):
-    assert coeffs.x.min() >= -tol
-    assert coeffs.d.min() >= -tol
+def assert_p1_feasible(dct, cfg, x, d, tol=1e-7):
+    assert x.min() >= -tol
+    assert d.min() >= -tol
     for j in range(dct.n_groups):
         sl = dct.group_slice(j)
-        assert np.sum(coeffs.x[sl]) + coeffs.d[j] >= cfg.eps[j] - tol
-    assert np.sum(coeffs.d / cfg.eps) <= cfg.budget(dct.n_groups) + tol
+        assert np.sum(x[sl]) + d[j] >= cfg.eps[j] - tol
+    assert np.sum(d / cfg.eps) <= cfg.budget(dct.n_groups) + tol
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -50,7 +50,7 @@ def test_problem2_trace_monotone_and_stationary(seed):
     assert trace.size == report.outer_iters + 1
     assert np.all(np.diff(trace) <= 1e-12)
     assert report.termination in (TERM_STEP, TERM_ENERGY)
-    x = report.final.x
+    x = report.x
     assert x.min() >= -1e-12
     grad = dense_objective_p2(dct, b, cfg, x)[2]
     rng = default_rng(seed + 500)
@@ -68,8 +68,8 @@ def test_problem1_trace_monotone_and_feasible(seed):
     assert trace.size == report.outer_iters + 1
     assert np.all(np.diff(trace) <= 1e-12)
     assert report.termination in (TERM_STEP, TERM_ENERGY)
-    assert report.final.d is not None
-    assert_p1_feasible(dct, cfg, report.final)
+    assert report.d is not None
+    assert_p1_feasible(dct, cfg, report.x, report.d)
     assert all(c > 0 for c in report.c_trace)
 
 
@@ -80,7 +80,7 @@ def test_problem2_zero_weights_matches_nnls():
     cfg = SparsityConfig(gamma=np.zeros(3), gamma0=0.0, eps=np.full(3, 0.05), r=1.0)
     report = solve_problem2(dct, b, cfg, SgpParams(tol_energy=1e-14, max_outer=300))
     x_ref = nnls(dct.entries, b)[0]
-    assert report.final.x == pytest.approx(x_ref, abs=2e-6)
+    assert report.x == pytest.approx(x_ref, abs=2e-6)
 
 
 def test_problem2_termination_step(monkeypatch):
@@ -170,7 +170,7 @@ def test_failing_cold_first_solve_propagates(problem, monkeypatch):
 def test_problem2_rejects_bad_init_shape():
     dct, b, cfg = make_problem(5)
     with pytest.raises(ValueError):
-        solve_problem2(dct, b, cfg, init=GroupedCoeffs(np.ones(3)))
+        solve_problem2(dct, b, cfg, x0=np.ones(3))
 
 
 def test_problem2_singular_model_is_a_value_error():
@@ -250,9 +250,9 @@ def test_problem1_trace_bookkeeping(monkeypatch):
 
 def test_problem1_repairs_infeasible_init():
     dct, b, cfg = make_problem(9)
-    init = GroupedCoeffs(np.zeros(dct.n_columns))  # violates every floor, no dummies
-    report = solve_problem1(dct, b, cfg, SgpParams(max_outer=3, tol_energy=0.0), init=init)
-    assert_p1_feasible(dct, cfg, report.final)
+    x0 = np.zeros(dct.n_columns)  # violates every floor, no dummies
+    report = solve_problem1(dct, b, cfg, SgpParams(max_outer=3, tol_energy=0.0), x0=x0)
+    assert_p1_feasible(dct, cfg, report.x, report.d)
     assert np.isfinite(report.objective_trace).all()
 
 
@@ -261,16 +261,15 @@ def test_problem1_init_scales_an_over_budget_d_onto_the_budget():
     x0 = np.zeros(dct.n_columns)
     x0[0] = 0.2  # group 0 meets its floor alone; groups 1 and 2 are short
     d0 = np.array([2.0, 1.0, 3.0]) * cfg.eps  # sum(d / eps) = 6 against a budget of 2
-    start = sgp._feasible_p1_init(dct, cfg, GroupedCoeffs(x0, d0))
-    assert_p1_feasible(dct, cfg, start, tol=1e-12)
-    assert start.d == pytest.approx(d0 / 3.0, rel=1e-12)
-    assert start.x[:3] == pytest.approx([0.2, 0.0, 0.0])
+    x, d = sgp._feasible_p1_init(dct, cfg, x0, d0)
+    assert_p1_feasible(dct, cfg, x, d, tol=1e-12)
+    assert d == pytest.approx(d0 / 3.0, rel=1e-12)
+    assert x[:3] == pytest.approx([0.2, 0.0, 0.0])
     for j in (1, 2):
-        seg = start.x[dct.group_slice(j)]
+        seg = x[dct.group_slice(j)]
         assert seg == pytest.approx(np.full(seg.size, cfg.eps[j] / seg.size), rel=1e-12)
-    report = solve_problem1(dct, b, cfg, SgpParams(max_outer=3, tol_energy=0.0),
-                            init=GroupedCoeffs(x0, d0))
-    assert_p1_feasible(dct, cfg, report.final)
+    report = solve_problem1(dct, b, cfg, SgpParams(max_outer=3, tol_energy=0.0), x0=x0, d0=d0)
+    assert_p1_feasible(dct, cfg, report.x, report.d)
 
 
 def test_problem1_rejection_storm_raises(monkeypatch):
@@ -287,24 +286,25 @@ def test_determinism_and_shared_workspace():
     dct, b, cfg = make_problem(13)
     runs = [solve_problem2(dct, b, cfg, SgpParams()) for _ in range(2)]
     fresh = solve_problem2(GroupedDictionary(dct.entries, dct.offsets), b, cfg, SgpParams())
-    assert np.array_equal(runs[0].final.x, runs[1].final.x)
+    assert np.array_equal(runs[0].x, runs[1].x)
     assert runs[0].objective_trace == runs[1].objective_trace
-    assert fresh.final.x == pytest.approx(runs[0].final.x, abs=1e-9)
+    assert fresh.x == pytest.approx(runs[0].x, abs=1e-9)
 
 
 def test_descent_estimate_brackets_objective_change():
     dct, b, cfg = make_problem(21)
     rng = default_rng(21)
     n = dct.n_columns
-    at = GroupedCoeffs(rng.uniform(0.1, 1.0, size=n))
-    to = GroupedCoeffs(np.maximum(at.x + 0.05 * rng.normal(size=n), 0.0))
+    at = rng.uniform(0.1, 1.0, size=n)
+    to = np.maximum(at + 0.05 * rng.normal(size=n), 0.0)
     assert check_descent_estimate(dct, b, cfg, at, to, 0.0, 1e6, problem="p2")
     assert not check_descent_estimate(dct, b, cfg, at, to, 0.0, -1e6, problem="p2")
 
     m = dct.n_groups
-    at1 = GroupedCoeffs(at.x, rng.uniform(0.1, 0.5, size=m))
-    to1 = GroupedCoeffs(to.x, at1.d + 0.02 * rng.normal(size=m))
-    assert check_descent_estimate(dct, b, cfg, at1, to1, 0.0, 1e6, problem="p1")
+    at_d = rng.uniform(0.1, 0.5, size=m)
+    to_d = at_d + 0.02 * rng.normal(size=m)
+    assert check_descent_estimate(dct, b, cfg, at, to, 0.0, 1e6, problem="p1",
+                                  at_d=at_d, to_d=to_d)
     with pytest.raises(ValueError):
         check_descent_estimate(dct, b, cfg, at, to, 0.0, 1.0, problem="p3")
 
@@ -315,8 +315,8 @@ def test_descent_estimate_exact_for_quadratic_part():
     dct, b, _ = make_problem(23)
     cfg = SparsityConfig(gamma=np.zeros(3), gamma0=0.0, eps=np.full(3, 0.05), r=1.0)
     rng = default_rng(23)
-    at = GroupedCoeffs(rng.uniform(0.1, 1.0, size=dct.n_columns))
-    to = GroupedCoeffs(rng.uniform(0.1, 1.0, size=dct.n_columns))
+    at = rng.uniform(0.1, 1.0, size=dct.n_columns)
+    to = rng.uniform(0.1, 1.0, size=dct.n_columns)
     assert check_descent_estimate(dct, b, cfg, at, to, 0.0, 0.0, problem="p2")
 
 
@@ -369,27 +369,28 @@ def test_objective_trace_matches_dense_evaluation_of_its_iterates(monkeypatch, s
         assert any(np.count_nonzero(p[0]) <= SUPPORT_SHARE * dct.n_columns for p, _ in seen)
 
 
+# each case: the problem, the argument it names, and the start given to its solve
 BAD_INITS = {
-    "p2 nan x": ("p2", lambda n, m: GroupedCoeffs(np.where(np.arange(n) == 2, np.nan, 0.1))),
-    "p2 inf x": ("p2", lambda n, m: GroupedCoeffs(np.where(np.arange(n) == 2, np.inf, 0.1))),
-    "p1 nan x": ("p1", lambda n, m: GroupedCoeffs(np.where(np.arange(n) == 2, np.nan, 0.1))),
-    "p1 inf x": ("p1", lambda n, m: GroupedCoeffs(np.where(np.arange(n) == 2, -np.inf, 0.1))),
-    "p1 nan dummy": ("p1", lambda n, m: GroupedCoeffs(np.full(n, 0.1),
-                                                      np.array([0.0, np.nan, 0.0][:m]))),
-    "p1 short d": ("p1", lambda n, m: GroupedCoeffs(np.full(n, 0.1), np.zeros(m - 1))),
-    "p1 short x": ("p1", lambda n, m: GroupedCoeffs(np.full(n - 1, 0.1), np.zeros(m))),
+    "p2 nan x": ("p2", "x0", lambda n, m: dict(x0=np.where(np.arange(n) == 2, np.nan, 0.1))),
+    "p2 inf x": ("p2", "x0", lambda n, m: dict(x0=np.where(np.arange(n) == 2, np.inf, 0.1))),
+    "p1 nan x": ("p1", "x0", lambda n, m: dict(x0=np.where(np.arange(n) == 2, np.nan, 0.1))),
+    "p1 inf x": ("p1", "x0", lambda n, m: dict(x0=np.where(np.arange(n) == 2, -np.inf, 0.1))),
+    "p1 nan dummy": ("p1", "d0", lambda n, m: dict(x0=np.full(n, 0.1),
+                                                   d0=np.array([0.0, np.nan, 0.0][:m]))),
+    "p1 short d": ("p1", "d0", lambda n, m: dict(x0=np.full(n, 0.1), d0=np.zeros(m - 1))),
+    "p1 short x": ("p1", "x0", lambda n, m: dict(x0=np.full(n - 1, 0.1), d0=np.zeros(m))),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INITS))
 def test_bad_init_is_a_value_error_naming_init_before_any_evaluation(monkeypatch, case):
-    problem, make = BAD_INITS[case]
+    problem, name, make = BAD_INITS[case]
     dct, b, cfg = make_problem(5)
     calls = []
     monkeypatch.setattr(sgp, f"eval_objective_{problem}", lambda *a, **k: calls.append(a))
     solve = solve_problem1 if problem == "p1" else solve_problem2
-    with pytest.raises(ValueError, match="init"):
-        solve(dct, b, cfg, SgpParams(), init=make(dct.n_columns, dct.n_groups))
+    with pytest.raises(ValueError, match=name):
+        solve(dct, b, cfg, SgpParams(), **make(dct.n_columns, dct.n_groups))
     assert calls == []
 
 
