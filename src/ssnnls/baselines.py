@@ -166,6 +166,8 @@ PD_TOL_INNER = 1e-4
 PD_MAX_INNER = 200
 PD_MAX_OUTER = 2000
 PD_RHO_CAP = 1e16
+# the named starts of penalty_decomposition_l0, beside an explicit vector
+PD_STARTS = ("zero", "nnls", "lstsq")
 
 
 @dataclass
@@ -181,12 +183,10 @@ class PdParams:
     tol_outer: float = 1e-5
 
     def __post_init__(self):
-        if self.rho0 <= 0:
-            raise ConfigError(f"initial penalty must be positive, got {self.rho0}")
-        if self.growth <= 1:
-            raise ConfigError(f"penalty growth factor must exceed 1, got {self.growth}")
-        if self.tol_outer <= 0:
-            raise ConfigError(f"outer tolerance must be positive, got {self.tol_outer}")
+        for name, floor in (("rho0", 0), ("growth", 1), ("tol_outer", 0)):
+            if not floor < getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be finite and exceed {floor}, "
+                                  f"got {getattr(self, name)}")
 
 
 def penalty_decomposition_l0(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
@@ -201,8 +201,9 @@ def penalty_decomposition_l0(dct: GroupedDictionary, b: np.ndarray, cfg: Sparsit
     y agree to ``tol_outer``.  Returns the structured side y, which
     satisfies the group constraint exactly.
 
-    ``init`` selects the starting y: "zero", "nnls", "lstsq" (minimum-norm
-    least squares), or an explicit vector.
+    ``init`` selects the starting y: a name in ``PD_STARTS``, matched
+    exactly ("zero", "nnls", or "lstsq" for minimum-norm least squares), or
+    an explicit vector.
     """
     params = params or PdParams()
     cfg.validate(dct.n_groups)
@@ -211,15 +212,14 @@ def penalty_decomposition_l0(dct: GroupedDictionary, b: np.ndarray, cfg: Sparsit
     n = dct.n_columns
 
     if isinstance(init, str):
-        kind = init.lower()
-        if kind == "zero":
+        if init not in PD_STARTS:
+            raise ConfigError(f"unknown init {init!r}; choose from {PD_STARTS}")
+        if init == "zero":
             y = np.zeros(n)
-        elif kind == "nnls":
+        elif init == "nnls":
             y = nnls(entries, b)
-        elif kind in ("lstsq", "leastsquares"):
-            y = np.linalg.lstsq(entries, b, rcond=None)[0]
         else:
-            raise ConfigError(f"unknown init {init!r}")
+            y = np.linalg.lstsq(entries, b, rcond=None)[0]
     else:
         y = np.asarray(init, dtype=float).ravel()
         if y.shape != (n,):

@@ -9,12 +9,12 @@ Experiments (``--experiment``):
 
 ``--scale k`` shrinks the protocol sizes by roughly k for quick runs;
 ``--config`` merges a JSON file of knob overrides (CLI flags win).  Exit
-codes: 0 success, 2 bad configuration (including knob values the
-protocols reject, such as a negative noise level, and knobs the chosen
-experiment does not read), 3 when a solver fails to converge, 4 I/O
-failure.  A solver that fails to converge is recorded with the
-termination ``nonconvergence: <message>`` and the run goes on to the next
-solver, so ``records.json`` still holds every solver's record.
+codes: 0 success, 2 bad configuration (a value not of its ``KINDS``
+kind, one the protocols reject, such as a negative noise level, or a
+knob the chosen experiment does not read), 3 when a solver fails to
+converge, 4 I/O failure.  A solver that fails to converge is recorded
+with the termination ``nonconvergence: <message>`` and the run goes on
+to the next solver, so ``records.json`` still holds every solver's record.
 """
 
 import argparse
@@ -29,7 +29,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .baselines import PdParams
+from .baselines import PD_STARTS, PdParams
 from .core import ZERO_TOL, SparsityConfig
 from .doas import (DOAS_SOLVERS, DeformationGrid, DoasFitConfig,
                    build_deformation_dictionary, deformed_column, quartic_background,
@@ -61,9 +61,66 @@ KNOBS = {experiment: frozenset(knobs.split()) for experiment, knobs in {
 }.items()}
 
 
+def _whole(name: str, value) -> int:
+    """``value`` as an int; anything but a whole number is a ConfigError naming ``name``."""
+    if isinstance(value, float) and value.is_integer() or \
+            isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ConfigError(f"{name} must be a whole number, got {value!r}")
+
+
+def _finite(name: str, value) -> float:
+    """``value`` as a float; anything but a finite number is a ConfigError naming ``name``."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and np.isfinite(value):
+        return float(value)
+    raise ConfigError(f"{name} must be finite and a number, got {value!r}")
+
+
+def _string(name: str, value) -> str:
+    if isinstance(value, str):
+        return value
+    raise ConfigError(f"{name} must be a string, got {value!r}")
+
+
+def _list_of(kind):
+    """The kind of a list whose every entry is of ``kind``."""
+    def check(name: str, value) -> list:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{name} must be a list, got {value!r}")
+        return [kind(name, v) for v in value]
+    return check
+
+
+def _pd_start(name: str, value):
+    """One of ``PD_STARTS``, or a list of finite numbers."""
+    if not isinstance(value, str):
+        return _list_of(_finite)(name, value)
+    if value not in PD_STARTS:
+        raise ConfigError(f"{name} must be a list of numbers or one of {PD_STARTS}, got {value!r}")
+    return value
+
+
+# The kind of each knob, checked once when the ExperimentConfig is built;
+# every knob not listed is a finite number.
+KINDS = {
+    **dict.fromkeys(("bands", "max_outer", "lstsq_draws", "endmembers", "group_size",
+                     "n_groups"), _whole),
+    **dict.fromkeys(("counts", "group_cols"), _list_of(_whole)),
+    **dict.fromkeys(("magnitudes", "magnitude_means"), _list_of(_finite)),
+    "pd_init": _pd_start,
+}
+
+# the config file's keys that are run settings rather than knobs
+RUN_SETTINGS = ("experiment", "seed", "scale", "out", "solvers")
+
+
 @dataclass
 class ExperimentConfig:
-    """One experiment invocation: protocol, solvers, seeds, output location."""
+    """One experiment invocation: protocol, solvers, seeds, output location.
+
+    Every value is checked by its kind (``KINDS``) on construction, before
+    any data is synthesised; ``overrides`` keeps the values as given.
+    """
 
     experiment: str
     seed: int = 0
@@ -73,6 +130,11 @@ class ExperimentConfig:
     overrides: Dict = field(default_factory=dict)
 
     def __post_init__(self):
+        self.seed, self.scale = _whole("seed", self.seed), _whole("scale", self.scale)
+        if self.out is not None:
+            self.out = _string("out", self.out)
+        if self.solvers is not None:
+            self.solvers = _list_of(_string)("solvers", self.solvers)
         canon = _ALIASES.get(self.experiment.strip().lower().replace("-", "").replace("_", ""))
         if canon is None:
             raise ConfigError(f"unknown experiment {self.experiment!r}; "
@@ -86,25 +148,13 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"{canon} reads no knob {', '.join(map(repr, unknown))}; "
                               f"its knobs are {', '.join(sorted(KNOBS[canon]))}")
+        self._values = {k: KINDS.get(k, _finite)(k, v) for k, v in self.overrides.items()}
 
     def knob(self, name, default):
+        """Knob ``name``'s checked value, or ``default`` when the config file sets none."""
         if name not in KNOBS[self.experiment]:
             raise KeyError(f"{name!r} is missing from the {self.experiment} knob table")
-        return self.overrides.get(name, default)
-
-
-def _whole(name: str, value) -> int:
-    """``value`` as an int; anything but a whole number is a ConfigError naming ``name``."""
-    if isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer()):
-        return int(value)
-    raise ConfigError(f"{name} must be a whole number, got {value!r}")
-
-
-def _listed(name: str, value) -> list:
-    """``value`` as a list; anything but a list is a ConfigError naming ``name``."""
-    if isinstance(value, (list, tuple)):
-        return list(value)
-    raise ConfigError(f"{name} must be a list, got {value!r}")
+        return self._values.get(name, default)
 
 
 @dataclass
@@ -127,17 +177,8 @@ class RunRecord:
     outer_iters: Optional[int] = None
 
     def to_json(self) -> Dict:
-        def clean(obj):
-            if isinstance(obj, dict):
-                return {k: clean(v) for k, v in obj.items()}
-            if isinstance(obj, (list, tuple)):
-                return [clean(v) for v in obj]
-            if isinstance(obj, np.ndarray):
-                return obj.tolist()
-            if isinstance(obj, (np.floating, np.integer)):
-                return obj.item()
-            return obj
-        return clean(dataclasses.asdict(self))
+        """The record in plain JSON types: numpy arrays and scalars become lists and numbers."""
+        return json.loads(json.dumps(dataclasses.asdict(self), default=lambda obj: obj.tolist()))
 
 
 def _seeds(cfg: ExperimentConfig, n: int) -> List[int]:
@@ -151,7 +192,7 @@ def _seeds(cfg: ExperimentConfig, n: int) -> List[int]:
 
 
 def _doas_protocol(cfg: ExperimentConfig):
-    w = _whole("bands", cfg.knob("bands", max(64, 1024 // cfg.scale)))
+    w = cfg.knob("bands", max(64, 1024 // cfg.scale))
     wl = wavelength_grid(w)
     grid = DeformationGrid.full_grid() if cfg.scale == 1 and w >= 1024 \
         else DeformationGrid.desk_grid()
@@ -163,18 +204,6 @@ def _doas_protocol(cfg: ExperimentConfig):
         raise ConfigError(f"{w} bands span less than the deformation grid shifts ({exc}); "
                           f"raise bands or lower --scale") from exc
     return wl, refs, ddict, seed_plant, seed_noise, seed_jitter
-
-
-def _pd_init(value):
-    """``pd_init``: a start name, passed on, or a list of numbers as a vector.
-
-    Anything else is a ConfigError naming ``pd_init``.
-    """
-    if isinstance(value, str):
-        return value
-    if isinstance(value, list) and all(isinstance(v, numbers.Real) for v in value):
-        return np.array(value, dtype=float)
-    raise ConfigError(f"pd_init must be a start name or a list of numbers, got {value!r}")
 
 
 def _selection_metrics(result, planted_info, ddict):
@@ -221,9 +250,11 @@ def _doas_records(cfg: ExperimentConfig, data, ddict, info, solvers, fit_config,
 
     A solver that raises :class:`NonConvergenceError` gets a failed record.
     """
+    runs = [(solver, *fit_config(solver)) for solver in _solvers(cfg, solvers, DOAS_SOLVERS)]
+    for _, fit_cfg, _ in runs:  # every solver's settings are checked before the first fit
+        fit_cfg.sparsity.validate(ddict.dictionary.n_groups)
     records = []
-    for solver in _solvers(cfg, solvers, DOAS_SOLVERS):
-        fit_cfg, params = fit_config(solver)
+    for solver, fit_cfg, params in runs:
         t0 = time.perf_counter()
         try:
             result = fit_doas(data, ddict, fit_cfg)
@@ -253,50 +284,44 @@ def _doas_records(cfg: ExperimentConfig, data, ddict, info, solvers, fit_config,
 
 def run_doas_align(cfg: ExperimentConfig) -> List[RunRecord]:
     wl, refs, ddict, seed_plant, seed_noise, seed_jitter = _doas_protocol(cfg)
-    noise_sd = float(cfg.knob("noise_sd", 0.005))
-    means = _listed("magnitude_means", cfg.knob("magnitude_means", (1.0, 0.1, 1.5)))
-    x_true, info = sample_planted_coeffs(ddict, seed_plant, magnitude_means=means)
+    noise_sd = cfg.knob("noise_sd", 0.005)
+    _, info = sample_planted_coeffs(ddict, seed_plant,
+                                    magnitude_means=cfg.knob("magnitude_means", (1.0, 0.1, 1.5)))
     # Sub-grid misalignment: the true offset sits jitter*step away from the
     # planted atom's, so no exact nonnegative combination of columns
     # reproduces the data even at noise 0.  The shift stays well under the
     # structure period, keeping the planted atom the best correlate.
-    jitter = float(cfg.knob("jitter", 0.25))
-    if not 0.0 <= jitter < np.inf:
-        raise ConfigError(f"jitter must be finite and non-negative, got {jitter}")
-    if jitter > 0.0:
-        if noise_sd < 0:
-            raise ValueError(f"noise_sd must be non-negative, got {noise_sd}")
-        rng = np.random.default_rng(np.random.SeedSequence(seed_jitter))
-        step_q = float(ddict.grid.offsets[1] - ddict.grid.offsets[0]) \
-            if ddict.grid.offsets.size > 1 else 0.1
-        data = np.zeros(wl.size)
-        for g, local, mag in info:
-            p, q = ddict.grid.deformation(local)
-            q += jitter * step_q * float(rng.uniform(-1.0, 1.0))
-            data = data + mag * deformed_column(refs[g], p, q, wl)
-        if noise_sd > 0:
-            noise_rng = np.random.default_rng(np.random.SeedSequence(seed_noise))
-            data = data + noise_rng.normal(0.0, noise_sd, data.size)
-    else:
-        data = synthesize_doas_data(ddict, x_true, noise_sd, seed_noise)
-    tau = float(cfg.knob("tau_over_sqrt_w", max(noise_sd, 1e-3))) * np.sqrt(wl.size)
+    jitter = cfg.knob("jitter", 0.25)
+    if jitter < 0:
+        raise ConfigError(f"jitter must be non-negative, got {jitter}")
+    if noise_sd < 0:
+        raise ValueError(f"noise_sd must be non-negative, got {noise_sd}")
+    rng = np.random.default_rng(np.random.SeedSequence(seed_jitter))
+    step_q = float(ddict.grid.offsets[1] - ddict.grid.offsets[0]) \
+        if ddict.grid.offsets.size > 1 else 0.1
+    data = np.zeros(wl.size)
+    for g, local, mag in info:
+        p, q = ddict.grid.deformation(local)
+        q += jitter * step_q * float(rng.uniform(-1.0, 1.0))
+        data = data + mag * deformed_column(refs[g], p, q, wl)
+    if noise_sd > 0:
+        noise_rng = np.random.default_rng(np.random.SeedSequence(seed_noise))
+        data = data + noise_rng.normal(0.0, noise_sd, data.size)
+    tau = cfg.knob("tau_over_sqrt_w", max(noise_sd, 1e-3)) * np.sqrt(wl.size)
     m = ddict.dictionary.n_groups
-    eps = float(cfg.knob("eps", 0.05))
+    eps = cfg.knob("eps", 0.05)
 
     def fit_config(solver):
-        gamma = float(cfg.knob("gamma_p1", 0.1)) if solver == "hoyer_p1" \
-            else float(cfg.knob("gamma_p2", 0.05))
+        gamma = cfg.knob("gamma_p1", 0.1) if solver == "hoyer_p1" else cfg.knob("gamma_p2", 0.05)
         sparsity = SparsityConfig(gamma=np.full(m, gamma), gamma0=0.0,
-                                  eps=np.full(m, eps), r=float(cfg.knob("r", 1.0)))
+                                  eps=np.full(m, eps), r=cfg.knob("r", 1.0))
         fit_cfg = DoasFitConfig(
             sparsity=sparsity, solver=solver,
-            sgp=SgpParams(c_matrix_scale=float(cfg.knob("c_scale", 1e-9)),
-                          tol_energy=float(cfg.knob("tol_energy", 1e-8)),
-                          max_outer=_whole("max_outer", cfg.knob("max_outer", 500))),
-            pd=PdParams(rho0=float(cfg.knob("pd_rho0", 0.05)),
-                        growth=float(cfg.knob("pd_growth", 1.2))),
-            pd_init=_pd_init(cfg.knob("pd_init", "nnls")),
-            l1_tau=tau, seed=cfg.seed)
+            sgp=SgpParams(c_matrix_scale=cfg.knob("c_scale", 1e-9),
+                          tol_energy=cfg.knob("tol_energy", 1e-8),
+                          max_outer=cfg.knob("max_outer", 500)),
+            pd=PdParams(rho0=cfg.knob("pd_rho0", 0.05), growth=cfg.knob("pd_growth", 1.2)),
+            pd_init=cfg.knob("pd_init", "nnls"), l1_tau=tau, seed=cfg.seed)
         return fit_cfg, {"noise_sd": noise_sd, "gamma": gamma, "eps": eps, "tau": tau,
                          "jitter": jitter, "bands": wl.size,
                          "grid": [ddict.grid.slopes.size, ddict.grid.offsets.size]}
@@ -307,38 +332,32 @@ def run_doas_align(cfg: ExperimentConfig) -> List[RunRecord]:
 
 def run_doas_background(cfg: ExperimentConfig) -> List[RunRecord]:
     wl, _refs, ddict, seed_plant, seed_noise, _ = _doas_protocol(cfg)
-    noise_sd = float(cfg.knob("noise_sd", 5.58e-5))
+    noise_sd = cfg.knob("noise_sd", 5.58e-5)
     full_grid = ddict.grid.size == 441
-    group_cols = cfg.knob("group_cols", [179, 240, 220] if full_grid else None)
-    if group_cols is not None:
-        group_cols = [_whole("group_cols", c) for c in _listed("group_cols", group_cols)]
-    magnitudes = _listed("magnitudes", cfg.knob("magnitudes", (0.01206, 0.00112, 0.01589)))
-    x_true, info = sample_planted_coeffs(ddict, seed_plant, group_cols=group_cols,
-                                         magnitudes=magnitudes)
-    background = quartic_background(wl, scale=float(cfg.knob("bg_scale", 2.0)))
+    x_true, info = sample_planted_coeffs(
+        ddict, seed_plant, magnitudes=cfg.knob("magnitudes", (0.01206, 0.00112, 0.01589)),
+        group_cols=cfg.knob("group_cols", [179, 240, 220] if full_grid else None))
+    background = quartic_background(wl, scale=cfg.knob("bg_scale", 2.0))
     data = synthesize_doas_data(ddict, x_true, noise_sd, seed_noise, background=background)
-    tau = float(cfg.knob("tau_over_sqrt_w", max(noise_sd, 1e-6))) * np.sqrt(wl.size)
+    tau = cfg.knob("tau_over_sqrt_w", max(noise_sd, 1e-6)) * np.sqrt(wl.size)
     m = ddict.dictionary.n_groups
-    eps = float(cfg.knob("eps", 0.001))
-    gamma = float(cfg.knob("gamma", 0.001))
-    alpha = float(cfg.knob("alpha", 1e-5))
+    eps = cfg.knob("eps", 0.001)
+    gamma = cfg.knob("gamma", 0.001)
+    alpha = cfg.knob("alpha", 1e-5)
 
     def fit_config(solver):
-        c_scale = float(cfg.knob("c_scale_p1", 1e-4)) if solver == "hoyer_p1" \
-            else float(cfg.knob("c_scale_p2", 1e-7))
+        c_scale = cfg.knob("c_scale_p1", 1e-4) if solver == "hoyer_p1" \
+            else cfg.knob("c_scale_p2", 1e-7)
         sparsity = SparsityConfig(gamma=np.full(m, gamma), gamma0=0.0,
-                                  eps=np.full(m, eps), r=float(cfg.knob("r", 1.0)))
+                                  eps=np.full(m, eps), r=cfg.knob("r", 1.0))
         fit_cfg = DoasFitConfig(
             sparsity=sparsity, solver=solver, alpha=alpha,
-            sgp=SgpParams(c_matrix_scale=c_scale,
-                          tol_energy=float(cfg.knob("tol_energy", 5e-9)),
-                          max_outer=_whole("max_outer", cfg.knob("max_outer", 500))),
-            pd=PdParams(rho0=float(cfg.knob("pd_rho0", 1e-6)),
-                        growth=float(cfg.knob("pd_growth", 1.1)),
-                        tol_outer=float(cfg.knob("pd_tol_outer", 1e-6))),
-            pd_init=_pd_init(cfg.knob("pd_init", "zero")),
-            l1_tau=tau, lstsq_draws=_whole("lstsq_draws", cfg.knob("lstsq_draws", 200)),
-            seed=cfg.seed)
+            sgp=SgpParams(c_matrix_scale=c_scale, tol_energy=cfg.knob("tol_energy", 5e-9),
+                          max_outer=cfg.knob("max_outer", 500)),
+            pd=PdParams(rho0=cfg.knob("pd_rho0", 1e-6), growth=cfg.knob("pd_growth", 1.1),
+                        tol_outer=cfg.knob("pd_tol_outer", 1e-6)),
+            pd_init=cfg.knob("pd_init", "zero"), l1_tau=tau,
+            lstsq_draws=cfg.knob("lstsq_draws", 200), seed=cfg.seed)
         return fit_cfg, {"noise_sd": noise_sd, "gamma": gamma, "eps": eps, "alpha": alpha,
                          "tau": tau, "bands": wl.size, "c_scale": c_scale}
 
@@ -380,12 +399,10 @@ def _hsi_records(cfg: ExperimentConfig, scene, params, sparsity, sgp,
             "failed_pixels": len(result.failed_pixels),
         }
         if result.outer_iters is not None:
-            ok = np.ones(result.outer_iters.size, dtype=bool)
-            for p, _ in result.failed_pixels:
-                ok[p] = False
-            if ok.any():
-                metrics["outer_iters_min"] = int(result.outer_iters[ok].min())
-                metrics["outer_iters_max"] = int(result.outer_iters[ok].max())
+            ok = np.delete(result.outer_iters, [p for p, _ in result.failed_pixels])
+            if ok.size:
+                metrics["outer_iters_min"] = int(ok.min())
+                metrics["outer_iters_max"] = int(ok.max())
         records.append(_record(cfg, solver, rt, metrics, params))
         if cfg.out:
             os.makedirs(cfg.out, exist_ok=True)
@@ -395,55 +412,52 @@ def _hsi_records(cfg: ExperimentConfig, scene, params, sparsity, sgp,
 
 
 def _mixture_counts(cfg: ExperimentConfig, full_counts) -> List[int]:
-    counts = cfg.knob("counts", None)
-    if counts is None:
-        counts = [c // cfg.scale for c in full_counts]
-    counts = [_whole("counts", c) for c in _listed("counts", counts)]
+    counts = cfg.knob("counts", [c // cfg.scale for c in full_counts])
     if sum(counts) == 0:
         raise ConfigError(f"scale {cfg.scale} leaves no pixels; pass explicit counts")
     return counts
 
 
 def run_hsi_inter(cfg: ExperimentConfig) -> List[RunRecord]:
-    bands = _whole("bands", cfg.knob("bands", 204))
-    n_members = _whole("endmembers", cfg.knob("endmembers", 6))
+    bands = cfg.knob("bands", 204)
+    n_members = cfg.knob("endmembers", 6)
     counts = _mixture_counts(cfg, (960, 480))
     seed_lib, seed_scene = _seeds(cfg, 2)
     library, scales = synthesize_endmember_library(bands, [1] * n_members, seed_lib,
                                                    within_spread=0.0)
-    noise_sd = float(cfg.knob("noise_sd", 0.005))
+    noise_sd = cfg.knob("noise_sd", 0.005)
     scene = synthesize_mixed_scene(library, scales, counts, noise_sd, seed_scene)
-    eps = float(cfg.knob("eps", 0.01))
-    gamma0 = float(cfg.knob("gamma0", 0.01))
+    eps = cfg.knob("eps", 0.01)
+    gamma0 = cfg.knob("gamma0", 0.01)
     m = library.n_groups
     sparsity = SparsityConfig(gamma=np.zeros(m), gamma0=gamma0, eps=np.full(m, eps),
-                              r=float(cfg.knob("r", 1.0)))
-    sgp = SgpParams(c_matrix_scale=float(cfg.knob("c_scale", 1e-9)),
-                    tol_energy=float(cfg.knob("tol_energy", 1e-3)))
-    l1_gamma = float(cfg.knob("l1_gamma", 0.1))
+                              r=cfg.knob("r", 1.0))
+    sgp = SgpParams(c_matrix_scale=cfg.knob("c_scale", 1e-9),
+                    tol_energy=cfg.knob("tol_energy", 1e-3))
+    l1_gamma = cfg.knob("l1_gamma", 0.1)
     return _hsi_records(cfg, scene, {"noise_sd": noise_sd, "gamma0": gamma0, "eps": eps,
                                      "counts": counts}, sparsity, sgp, l1_gamma)
 
 
 def run_hsi_structured(cfg: ExperimentConfig) -> List[RunRecord]:
-    bands = _whole("bands", cfg.knob("bands", 204))
-    group_size = _whole("group_size", cfg.knob("group_size", max(4, 100 // cfg.scale)))
-    n_groups = _whole("n_groups", cfg.knob("n_groups", 4))
+    bands = cfg.knob("bands", 204)
+    group_size = cfg.knob("group_size", max(4, 100 // cfg.scale))
+    n_groups = cfg.knob("n_groups", 4)
     counts = _mixture_counts(cfg, (1000, 500, 50, 10))
     seed_lib, seed_scene = _seeds(cfg, 2)
     library, scales = synthesize_endmember_library(bands, [group_size] * n_groups, seed_lib)
-    noise_sd = float(cfg.knob("noise_sd", 0.005))
+    noise_sd = cfg.knob("noise_sd", 0.005)
     scene = synthesize_mixed_scene(library, scales, counts, noise_sd, seed_scene)
-    eps = float(cfg.knob("eps", 0.01))
-    gamma = float(cfg.knob("gamma", 1e-4))
-    gamma0 = float(cfg.knob("gamma0", 0.01))
+    eps = cfg.knob("eps", 0.01)
+    gamma = cfg.knob("gamma", 1e-4)
+    gamma0 = cfg.knob("gamma0", 0.01)
     sparsity = SparsityConfig(gamma=np.full(n_groups, gamma), gamma0=gamma0,
-                              eps=np.full(n_groups, eps), r=float(cfg.knob("r", 1.0)))
-    sgp = SgpParams(c_matrix_scale=float(cfg.knob("c_scale", 1e-9)),
-                    tol_energy=float(cfg.knob("tol_energy", 1e-5)))
+                              eps=np.full(n_groups, eps), r=cfg.knob("r", 1.0))
+    sgp = SgpParams(c_matrix_scale=cfg.knob("c_scale", 1e-9),
+                    tol_energy=cfg.knob("tol_energy", 1e-5))
     # weight picked so the plain l1 model lands near the structured solvers'
     # sparsity level, which is what makes its fit error comparable
-    l1_gamma = float(cfg.knob("l1_gamma", 0.1))
+    l1_gamma = cfg.knob("l1_gamma", 0.1)
     return _hsi_records(cfg, scene, {"noise_sd": noise_sd, "gamma": gamma, "gamma0": gamma0,
                                      "eps": eps, "counts": counts, "group_size": group_size},
                         sparsity, sgp, l1_gamma)
@@ -471,12 +485,6 @@ def run_experiment(cfg: ExperimentConfig) -> List[RunRecord]:
     return records
 
 
-def _format_value(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.4g}"
-    return str(v)
-
-
 def compare_solvers(records: List[RunRecord]) -> str:
     """Fixed-width table of the headline metrics, one row per record."""
     keys = []
@@ -489,7 +497,8 @@ def compare_solvers(records: List[RunRecord]) -> str:
     rows = [header]
     for rec in records:
         row = [rec.solver, f"{rec.runtime_s:.3f}"]
-        row += [_format_value(rec.metrics.get(k, "")) for k in keys]
+        row += [f"{v:.4g}" if isinstance(v, float) else str(v)
+                for v in (rec.metrics.get(k, "") for k in keys)]
         row += [str(rec.outer_iters if rec.outer_iters is not None else "-"),
                 rec.termination or "-"]
         rows.append(row)
@@ -516,34 +525,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _reject_constant(name: str):
-    raise ConfigError(f"non-finite value {name} in the config file")
-
-
 def config_from_args(args) -> ExperimentConfig:
     file_cfg: Dict = {}
     if args.config:
         try:
             with open(args.config) as fh:
-                file_cfg = json.load(fh, parse_constant=_reject_constant)
+                file_cfg = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{args.config}: invalid JSON ({exc})") from exc
         if not isinstance(file_cfg, dict):
             raise ConfigError(f"{args.config}: top level must be a JSON object")
-    known = {"experiment", "seed", "scale", "out", "solvers"}
-    overrides = {k: v for k, v in file_cfg.items() if k not in known}
-    merged = {
-        "experiment": args.experiment or file_cfg.get("experiment"),
-        "seed": _whole("seed", args.seed if args.seed is not None else file_cfg.get("seed", 0)),
-        "scale": _whole("scale",
-                        args.scale if args.scale is not None else file_cfg.get("scale", 1)),
-        "out": args.out or file_cfg.get("out"),
-        "solvers": args.solvers or file_cfg.get("solvers"),
-        "overrides": overrides,
-    }
-    if merged["solvers"] is not None and not isinstance(merged["solvers"], list):
-        raise ConfigError("solvers must be a list")
-    return ExperimentConfig(**merged)
+    return ExperimentConfig(
+        experiment=args.experiment or file_cfg.get("experiment"),
+        seed=args.seed if args.seed is not None else file_cfg.get("seed", 0),
+        scale=args.scale if args.scale is not None else file_cfg.get("scale", 1),
+        out=args.out or file_cfg.get("out"),
+        solvers=args.solvers or file_cfg.get("solvers"),
+        overrides={k: v for k, v in file_cfg.items() if k not in RUN_SETTINGS})
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -433,8 +433,8 @@ def fit_doas(data: np.ndarray, ddict: DeformationDictionary,
     data = as_data_vector(data, ddict.wavelengths.size)
     if cfg.solver not in DOAS_SOLVERS:
         raise ConfigError(f"unknown solver {cfg.solver!r}; choose from {DOAS_SOLVERS}")
-    if cfg.alpha < 0:
-        raise ConfigError(f"alpha must be non-negative, got {cfg.alpha}")
+    if not 0 <= cfg.alpha < np.inf:
+        raise ConfigError(f"alpha must be finite and non-negative, got {cfg.alpha}")
     if not isinstance(cfg.lstsq_draws, numbers.Integral) or cfg.lstsq_draws < 1:
         raise ConfigError(f"lstsq_draws must be a whole number of at least 1, "
                           f"got {cfg.lstsq_draws!r}")

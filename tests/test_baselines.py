@@ -219,6 +219,15 @@ def test_pd_params_validation():
         PdParams(tol_outer=0.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("rho0", np.nan), ("rho0", np.inf), ("growth", np.nan), ("growth", np.inf),
+    ("tol_outer", np.nan), ("tol_outer", np.inf),
+])
+def test_pd_params_reject_non_finite_values_naming_the_field(field, value):
+    with pytest.raises(ConfigError, match=field):
+        PdParams(**{field: value})
+
+
 def test_pd_zero_data_zero_init():
     dct = GroupedDictionary(np.eye(6), np.array([0, 3, 6]))
     out = penalty_decomposition_l0(dct, np.zeros(6), group_cfg(2))
@@ -267,5 +276,8 @@ def test_pd_init_validation():
     dct = GroupedDictionary(np.eye(4), np.array([0, 2, 4]))
     with pytest.raises(ConfigError):
         penalty_decomposition_l0(dct, np.zeros(4), group_cfg(2), init="warm")
+    for init in ("NNLS", "leastsquares"):  # start names are matched exactly
+        with pytest.raises(ConfigError, match="unknown init"):
+            penalty_decomposition_l0(dct, np.zeros(4), group_cfg(2), init=init)
     with pytest.raises(ValueError):
         penalty_decomposition_l0(dct, np.zeros(4), group_cfg(2), init=np.ones(3))

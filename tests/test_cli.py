@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from ssnnls import cli, qp
-from ssnnls.cli import (EXPERIMENTS, ExperimentConfig, RunRecord, _mixture_counts, _seeds,
-                        build_parser, compare_solvers, config_from_args, main,
+from ssnnls.cli import (EXPERIMENTS, KINDS, KNOBS, ExperimentConfig, RunRecord, _mixture_counts,
+                        _seeds, build_parser, compare_solvers, config_from_args, main,
                         run_doas_align, run_experiment)
+from ssnnls.doas import DOAS_SOLVERS
 from ssnnls.errors import ConfigError, NonConvergenceError
+from ssnnls.hsi import HSI_SOLVERS
 
 
 def test_experiment_aliases_and_validation():
@@ -39,6 +41,43 @@ def test_knobs_outside_the_experiment_table_are_rejected():
     # and the code cannot read a knob its table lacks
     with pytest.raises(KeyError):
         ExperimentConfig("hsi-inter").knob("max_outer", 500)
+
+
+def test_knob_returns_the_checked_value_and_overrides_echo_the_file():
+    over = {"bands": 256.0, "r": 1, "pd_init": [0, 1.5]}
+    cfg = ExperimentConfig("doas-align", overrides=over)
+    assert cfg.knob("bands", 1) == 256 and isinstance(cfg.knob("bands", 1), int)
+    assert cfg.knob("r", 0.5) == 1.0 and isinstance(cfg.knob("r", 0.5), float)
+    assert cfg.knob("pd_init", "nnls") == [0.0, 1.5]
+    assert cfg.knob("eps", 0.05) == 0.05  # unset: the default, as given
+    assert cfg.overrides == over and isinstance(cfg.overrides["bands"], float)
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_the_knob_table_and_the_reads_agree(monkeypatch, experiment):
+    # a knob the table lists but no code reads would be accepted and ignored;
+    # one read but not listed raises KeyError.  Every solver is chosen so that
+    # each solver-specific read happens, and the fits are stubbed out.
+    def no_fit(*args, **kwargs):
+        raise NonConvergenceError("stub")
+
+    monkeypatch.setattr(cli, "fit_doas", no_fit)
+    monkeypatch.setattr(cli, "demix_scene", no_fit)
+    read = set()
+    knob = ExperimentConfig.knob
+
+    def recording_knob(self, name, default):
+        read.add(name)
+        return knob(self, name, default)
+
+    monkeypatch.setattr(ExperimentConfig, "knob", recording_knob)
+    doas = experiment.startswith("doas")
+    cfg = ExperimentConfig(experiment, scale=4 if doas else 20,
+                           solvers=list(DOAS_SOLVERS if doas else HSI_SOLVERS))
+    records = cli._RUNNERS[experiment](cfg)
+    assert [r.solver for r in records] == cfg.solvers
+    assert read == KNOBS[experiment]
+    assert set(KINDS) <= set().union(*KNOBS.values())
 
 
 def test_run_record_to_json_cleans_numpy_types():
@@ -189,7 +228,7 @@ def test_main_bad_knob_value_exits_2(tmp_path, capsys, experiment, knobs):
 
 
 def test_main_infinite_weight_exits_2(tmp_path, capsys):
-    # JSON's 1e999 parses to infinity past the guard on NaN and Infinity
+    # JSON's 1e999 parses to infinity, which fails the finite-number kind
     cfg = tmp_path / "knobs.json"
     cfg.write_text('{"gamma0": 1e999}')
     code = main(["--experiment", "hsi-structured", "--scale", "20", "--solver", "diff_p2",
@@ -258,6 +297,58 @@ def test_main_fractional_whole_number_exits_2(tmp_path, capsys, monkeypatch, exp
     err = capsys.readouterr().err
     name = next(k for k in knobs if k != "noise_sd")
     assert "configuration error" in err and f"{name} must be a whole number" in err
+
+
+@pytest.mark.parametrize("experiment, knobs", [
+    ("hsi-inter", {"noise_sd": {}}),
+    ("hsi-inter", {"noise_sd": None}),
+    ("hsi-inter", {"noise_sd": "0.01"}),
+    ("hsi-inter", {"noise_sd": True}),
+    ("doas-align", {"max_outer": True}),
+    ("hsi-inter", {"seed": True}),
+    ("hsi-inter", {"out": 5}),
+    ("doas-align", {"pd_init": "warm"}),
+    ("doas-background", {"magnitudes": [0.01, "x", 0.02]}),
+])
+def test_main_value_of_the_wrong_kind_exits_2_before_any_fit(tmp_path, capsys, monkeypatch,
+                                                             experiment, knobs):
+    # each is checked by its kind when the config is built: the first two once
+    # died with a TypeError traceback, the next four ran as 0.01, 1, 1 and 1
+    # and exited 0, out 5 failed with a traceback after the fits, and
+    # pd_init "warm" was rejected only once nnls and l1 had been fitted
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(cli, "fit_doas", no_solve)
+    monkeypatch.setattr(cli, "demix_scene", no_solve)
+    cfg = tmp_path / "knobs.json"
+    cfg.write_text(json.dumps(knobs))
+    scale = "4" if experiment.startswith("doas") else "20"
+    assert main(["--experiment", experiment, "--scale", scale, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and f"{next(iter(knobs))} must be" in err
+
+
+@pytest.mark.parametrize("experiment, knobs", [
+    ("doas-align", {"gamma_p1": -1}),
+    ("doas-background", {"c_scale_p1": -1}),
+])
+def test_main_bad_solver_setting_exits_2_before_the_first_fit(tmp_path, capsys, monkeypatch,
+                                                              experiment, knobs):
+    # every chosen solver's settings are built and checked before any fit;
+    # these were once rejected only at hoyer_p1, after nnls, l1 and pd had
+    # been fitted and their CSVs written
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(cli, "fit_doas", no_solve)
+    cfg = tmp_path / "knobs.json"
+    cfg.write_text(json.dumps(knobs))
+    out = tmp_path / "run"
+    assert main(["--experiment", experiment, "--scale", "4", "--config", str(cfg),
+                 "--out", str(out)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("experiment, scale, knob", [

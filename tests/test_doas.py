@@ -363,6 +363,16 @@ def test_background_reduction_is_formed_only_with_alpha_and_once_per_band_count(
     assert np.array_equal(fits[0].background, fits[2].background)
 
 
+@pytest.mark.parametrize("alpha", [np.nan, np.inf])
+def test_fit_doas_rejects_a_non_finite_alpha_naming_it(desk, alpha):
+    # NaN once fitted silently with no background, and infinity failed
+    # inside the reduction with a message that did not name alpha
+    _, _, _, ddict = desk
+    with pytest.raises(ConfigError, match="alpha"):
+        fit_doas(np.zeros(ddict.wavelengths.size), ddict,
+                 DoasFitConfig(solver="nnls", sparsity=desk_sparsity(), alpha=alpha))
+
+
 def test_fit_doas_config_errors(desk):
     _, _, _, ddict = desk
     data = np.zeros(ddict.wavelengths.size)
