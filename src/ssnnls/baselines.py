@@ -2,25 +2,25 @@
 
 These are the comparison points for the structured solvers: plain
 non-negative least squares (scipy's active-set solver), the penalized
-l1 problem ``min 0.5 |Ax - b|^2 + gamma |x|_1  s.t.  x >= 0`` solved
-exactly as one NNLS on a Cholesky factor of the Gram matrix, the
-constrained form ``min |x|_1  s.t.  x >= 0, |Ax - b| <= tau`` as a
-root-find on gamma over such solves (van den Berg & Friedlander's
-Pareto curve), and a penalty decomposition scheme for the exact
-per-group l0 constraint.  The l1 baselines take no settings; their
-constants are ``L1_GAMMA_RTOL`` and ``L1_MAX_SOLVES`` here and the
-ridge ``ssnnls.core.L1_SHIFT`` of the factor the dictionary keeps.
+l1 problem ``min 0.5 |Ax - b|^2 + gamma |x|_1  s.t.  x >= 0`` and the
+constrained form ``min |x|_1  s.t.  x >= 0, |Ax - b| <= tau``, both
+solved exactly by one walk down the non-negative lasso path on the
+cached Gram matrix (Osborne, Presnell & Turlach, IMA J. Numer. Anal.
+2000; Efron, Hastie, Johnstone & Tibshirani, Ann. Statist. 2004), and
+a penalty decomposition scheme for the exact per-group l0 constraint.
+The l1 baselines take no settings; their only constant is the ridge
+``L1_SHIFT``.
 """
 
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-import scipy.linalg
 import scipy.optimize
 
 from .core import GroupedDictionary, SparsityConfig, as_data_vector
 from .errors import ConfigError, NonConvergenceError
+from . import qp
 
 
 def nnls(entries: np.ndarray, b: np.ndarray, maxiter: Optional[int] = None) -> np.ndarray:
@@ -38,13 +38,10 @@ def nnls(entries: np.ndarray, b: np.ndarray, maxiter: Optional[int] = None) -> n
     return x
 
 
-# The constrained form's root-find on the penalty weight stops once the
-# solutions bracketing the tau-sphere share their support (the solution
-# path is affine between them, so interpolating onto the sphere is exact),
-# once the bracketing weights agree to L1_GAMMA_RTOL, or after
-# L1_MAX_SOLVES penalized solves.
-L1_GAMMA_RTOL = 1e-12
-L1_MAX_SOLVES = 100
+# Ridge that keeps the l1 path's active blocks of the Gram matrix G
+# positive definite on rank-deficient dictionaries: L1_SHIFT times G's
+# mean eigenvalue, trace(G)/n, is added to their diagonal.
+L1_SHIFT = 1e-10
 
 
 def l1_weight(value: float, name: str, positive: bool = False) -> float:
@@ -56,48 +53,71 @@ def l1_weight(value: float, name: str, positive: bool = False) -> float:
     return value
 
 
-def _l1_solve(r: np.ndarray, atb: np.ndarray, gamma: float) -> np.ndarray:
-    """Minimiser of 0.5 x'R'Rx - (A'b - gamma)'x over x >= 0, as one NNLS."""
-    return nnls(r, scipy.linalg.solve_triangular(r, atb - gamma, trans="T"))
+def _l1_path(gram: np.ndarray, atb: np.ndarray):
+    """The non-negative lasso path, segment by segment from gamma = max(A'b) down to 0.
+
+    The minimiser of ``0.5 x'(G + ridge)x - (A'b - gamma 1)'x`` over x >= 0
+    is x_S = u - gamma v on the active set S, (G_SS + ridge)[u v] = [A'b_S 1],
+    and 0 elsewhere.  Inactive column j enters where its correlation
+    reaches gamma, at (A'b_j - (Gu)_j) / (1 - (Gv)_j); active entry i
+    leaves where it reaches 0, at u_i / v_i.  Yields ``(lo, idx, u, v)``
+    per segment, down to ``lo`` from the previous one's (first, max(A'b));
+    nothing when max(A'b) <= 0.  Raises :class:`NonConvergenceError`
+    after ``qp.ACTIVE_SET_ITERS_PER_COLUMN * n`` breakpoints.
+    """
+    n = atb.size
+    ridge = L1_SHIFT * float(np.trace(gram)) / n
+    rhs = np.column_stack([atb, np.ones(n)])
+    active = np.zeros(n, dtype=bool)
+    active[np.argmax(atb)] = True
+    gamma = float(np.max(atb))
+    if gamma <= 0:
+        return
+    cap = qp.ACTIVE_SET_ITERS_PER_COLUMN * n
+    rounding = 10.0 * n * np.finfo(float).eps
+    for _ in range(cap):
+        idx = np.flatnonzero(active)
+        sol = qp._solve_passive(gram, ridge, rhs, idx)
+        u, v = sol.T
+        gu, gv = sol.T @ gram[idx]
+        # a column whose entry rate 1 - (Gv)_j is within rounding of 0, a
+        # twin of the active ones, cannot enter
+        rate = 1.0 - gv
+        enter = ~active & (rate > rounding * (1.0 + np.abs(gv)))
+        breaks = np.divide(atb - gu, rate, out=np.full(n, -np.inf), where=enter)
+        breaks[breaks >= gamma] = -np.inf
+        # an entry that rounding already put below 0 leaves at once
+        leave = v < 0
+        breaks[idx[leave]] = np.minimum(u[leave] / v[leave], gamma)
+        j = int(np.argmax(breaks))
+        gamma = max(float(breaks[j]), 0.0)
+        yield gamma, idx, u, v
+        if gamma == 0.0:
+            return
+        active[j] = not active[j]
+    raise NonConvergenceError(f"l1 path did not reach gamma = 0 in {cap} breakpoints",
+                              iterations=cap)
 
 
 def l1_penalized(dct: GroupedDictionary, b: np.ndarray, gamma: float) -> np.ndarray:
     """Penalized form ``min 0.5 |Ax - b|^2 + gamma |x|_1  s.t.  x >= 0``.
 
     On the orthant |x|_1 = 1'x, so this is the strictly convex QP
-    ``0.5 x'Gx - (A'b - gamma 1)'x``; with G (plus the ``L1_SHIFT`` ridge)
-    = R'R, the factor ``dct.l1_factor`` kept for every right-hand side,
-    it is exactly NNLS(R, R^-T (A'b - gamma 1)).  The groups play no part.
+    ``0.5 x'Gx - (A'b - gamma 1)'x`` (G plus the ``L1_SHIFT`` ridge),
+    solved exactly by walking its solution path on the dictionary's
+    cached Gram matrix ``dct.gram`` down to ``gamma``.  The groups play
+    no part.
     """
     b = as_data_vector(b, dct.n_rows)
     gamma = l1_weight(gamma, "gamma")
-    r = dct.l1_factor
-    if r is None:
-        return np.zeros(dct.n_columns)
-    return _l1_solve(r, dct.entries.T @ b, gamma)
-
-
-def _sphere_interpolate(entries: np.ndarray, b: np.ndarray, tau: float,
-                        x_out: np.ndarray, x_in: np.ndarray) -> np.ndarray:
-    """Point on the segment [x_out, x_in] with ``|Ax - b| = tau`` exactly.
-
-    ``x_out`` sits outside the tau-ball and ``x_in`` inside, so the scalar
-    quadratic along the segment has a root in [0, 1]; degenerate brackets
-    fall back to the inside point.
-    """
-    dx = x_in - x_out
-    adx = entries @ dx
-    a = float(adx @ adx)
-    r_out = entries @ x_out - b
-    e = float(r_out @ r_out) - tau * tau
-    if a <= 0 or e <= 0:
-        return x_in
-    cc = float(r_out @ adx)
-    disc = max(cc * cc - a * e, 0.0)
-    theta = (-cc - np.sqrt(disc)) / a
-    if not 0.0 <= theta <= 1.0:
-        return x_in
-    return x_out + theta * dx
+    atb = dct.entries.T @ b
+    x = np.zeros(dct.n_columns)
+    if gamma < np.max(atb):
+        for lo, idx, u, v in _l1_path(dct.gram, atb):
+            if lo <= gamma:
+                x[idx] = np.maximum(u - gamma * v, 0.0)
+                break
+    return x
 
 
 def l1_bregman(dct: GroupedDictionary, b: np.ndarray, tau: float) -> np.ndarray:
@@ -106,56 +126,35 @@ def l1_bregman(dct: GroupedDictionary, b: np.ndarray, tau: float) -> np.ndarray:
     A minimiser of the penalized problem (:func:`l1_penalized`) whose
     residual equals tau minimises |x|_1 over the whole tau-ball, and the
     residual grows with the weight, from the NNLS residual at 0 to |b| at
-    max(A'b).  So a bracketed secant search (Illinois) on the weight, each
-    step one exact penalized solve on the dictionary's Cholesky factor
-    (``dct.l1_factor``), lands on the constrained solution: once both
-    ends of the bracket share a support the path between them is affine,
-    and the point where the segment crosses the sphere is the solution.
-    Raises :class:`NonConvergenceError` when even NNLS leaves a residual
-    above tau.
+    max(A'b).  So the walk down the penalized problem's path stops in the
+    segment where the residual reaches tau: there x = u - gamma v, and
+    |A x - b|^2 = tau^2 is a scalar quadratic in gamma, solved exactly.
+    Raises :class:`NonConvergenceError` when even NNLS, the path's end at
+    gamma = 0, leaves a residual above tau.
     """
     entries = dct.entries
     b = as_data_vector(b, dct.n_rows)
     tau = l1_weight(tau, "tau", positive=True)
-    b_norm = float(np.linalg.norm(b))
-    if b_norm <= tau:
-        return np.zeros(dct.n_columns)
-    r = dct.l1_factor
-    if r is None:
-        raise ValueError("dictionary is identically zero")
+    resid = float(np.linalg.norm(b))
+    x = np.zeros(dct.n_columns)
+    if resid <= tau:
+        return x
     atb = entries.T @ b
-
-    def excess(gamma):
-        x = _l1_solve(r, atb, gamma)
-        return x, float(np.linalg.norm(entries @ x - b)) - tau
-
-    x_in, f_in = excess(0.0)
-    if f_in > 0:
-        raise NonConvergenceError(
-            f"NNLS residual {f_in + tau:.6e} exceeds tau={tau:.6e}: no non-negative "
-            "point reaches the tau-ball", iterations=1, residuals=f_in + tau)
-    g_in, g_out = 0.0, float(np.max(atb))
-    x_out, f_out = np.zeros(entries.shape[1]), b_norm - tau
-    side = 0  # which end the last step replaced: -1 inside, +1 outside
-    for _ in range(L1_MAX_SOLVES):
-        if f_in == 0 or np.array_equal(x_in > 0, x_out > 0) \
-                or g_out - g_in <= L1_GAMMA_RTOL * g_out:
-            break
-        gamma = (g_in * f_out - g_out * f_in) / (f_out - f_in)
-        if not g_in < gamma < g_out:
-            gamma = 0.5 * (g_in + g_out)
-        x, f = excess(gamma)
-        if f <= 0:
-            g_in, x_in, f_in = gamma, x, f
-            if side == -1:
-                f_out *= 0.5
-            side = -1
-        else:
-            g_out, x_out, f_out = gamma, x, f
-            if side == 1:
-                f_in *= 0.5
-            side = 1
-    return _sphere_interpolate(entries, b, tau, x_out, x_in)
+    hi = float(np.max(atb))
+    for lo, idx, u, v in _l1_path(dct.gram, atb):
+        p, q = entries[:, idx] @ u - b, entries[:, idx] @ v
+        pp, pq, qq = float(p @ p), float(p @ q), float(q @ q)
+        resid = float(np.sqrt(max(pp - 2.0 * lo * pq + lo * lo * qq, 0.0)))
+        if resid <= tau:
+            # |p - gamma q| = tau at the larger root, which lies in [lo, hi]
+            root = (pq + np.sqrt(max(pq * pq - qq * (pp - tau * tau), 0.0))) / qq \
+                if qq > 0 else lo
+            x[idx] = np.maximum(u - min(max(root, lo), hi) * v, 0.0)
+            return x
+        hi = lo
+    raise NonConvergenceError(
+        f"NNLS residual {resid:.6e} exceeds tau={tau:.6e}: no non-negative "
+        "point reaches the tau-ball", residuals=resid)
 
 
 # Penalty decomposition constants: an inner pass alternates at most

@@ -8,7 +8,8 @@ Experiments (``--experiment``):
 * ``hsi-structured``: grouped library with intra- and inter-group sparsity.
 
 ``--scale k`` shrinks the protocol sizes by roughly k for quick runs;
-``--config`` merges a JSON file of knob overrides (CLI flags win).  Exit
+``--config`` merges a JSON file of knob overrides and run settings (CLI
+flags win, but the file's run settings are checked all the same).  Exit
 codes: 0 success, 2 bad configuration (a value not of its ``KINDS``
 kind, one the protocols reject, such as a negative noise level, or a
 knob the chosen experiment does not read), 3 when a solver fails to
@@ -135,7 +136,8 @@ class ExperimentConfig:
             self.out = _string("out", self.out)
         if self.solvers is not None:
             self.solvers = _list_of(_string)("solvers", self.solvers)
-        canon = _ALIASES.get(self.experiment.strip().lower().replace("-", "").replace("_", ""))
+        canon = _ALIASES.get(_string("experiment", self.experiment).strip().lower()
+                             .replace("-", "").replace("_", ""))
         if canon is None:
             raise ConfigError(f"unknown experiment {self.experiment!r}; "
                               f"choose from {EXPERIMENTS}")
@@ -251,8 +253,12 @@ def _doas_records(cfg: ExperimentConfig, data, ddict, info, solvers, fit_config,
     A solver that raises :class:`NonConvergenceError` gets a failed record.
     """
     runs = [(solver, *fit_config(solver)) for solver in _solvers(cfg, solvers, DOAS_SOLVERS)]
+    n = ddict.dictionary.n_columns
     for _, fit_cfg, _ in runs:  # every solver's settings are checked before the first fit
         fit_cfg.sparsity.validate(ddict.dictionary.n_groups)
+        if not isinstance(fit_cfg.pd_init, str) and len(fit_cfg.pd_init) != n:
+            raise ConfigError(f"pd_init must hold one value per column ({n}), "
+                              f"got {len(fit_cfg.pd_init)}")
     records = []
     for solver, fit_cfg, params in runs:
         t0 = time.perf_counter()
@@ -535,13 +541,15 @@ def config_from_args(args) -> ExperimentConfig:
             raise ConfigError(f"{args.config}: invalid JSON ({exc})") from exc
         if not isinstance(file_cfg, dict):
             raise ConfigError(f"{args.config}: top level must be a JSON object")
-    return ExperimentConfig(
-        experiment=args.experiment or file_cfg.get("experiment"),
-        seed=args.seed if args.seed is not None else file_cfg.get("seed", 0),
-        scale=args.scale if args.scale is not None else file_cfg.get("scale", 1),
-        out=args.out or file_cfg.get("out"),
-        solvers=args.solvers or file_cfg.get("solvers"),
-        overrides={k: v for k, v in file_cfg.items() if k not in RUN_SETTINGS})
+    settings = {k: file_cfg[k] for k in RUN_SETTINGS if k in file_cfg}
+    flags = {k: v for k, v in vars(args).items() if k in RUN_SETTINGS and v is not None}
+    cfg = ExperimentConfig(**{**settings, **flags},
+                           overrides={k: v for k, v in file_cfg.items() if k not in RUN_SETTINGS})
+    # the file's run settings are checked by kind, also those a flag replaces
+    if ExperimentConfig(**{**flags, **settings}).experiment != cfg.experiment:
+        raise ConfigError(f"{args.config}: experiment {settings['experiment']!r} is not "
+                          f"--experiment {args.experiment!r}")
+    return cfg
 
 
 def main(argv: Optional[List[str]] = None) -> int:

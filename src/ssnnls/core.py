@@ -28,15 +28,9 @@ from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConfigError, DegenerateColumnError
 from .penalties import diff_l1_l2_groups, hoyer_ratio_groups
-
-# Ridge that makes the l1 baselines' Gram matrix G positive definite on
-# rank-deficient dictionaries: G + L1_SHIFT * trace(G)/n * I is factored,
-# i.e. a ridge of L1_SHIFT times G's mean eigenvalue.
-L1_SHIFT = 1e-10
 
 # A product with A or G reads only the columns on x's support while that
 # support holds at most this share of x's entries; past it the dense
@@ -110,18 +104,6 @@ class GroupedDictionary:
         gram = self.entries.T @ self.entries
         gram.flags.writeable = False
         return gram
-
-    @cached_property
-    def l1_factor(self) -> Optional[np.ndarray]:
-        """Read-only upper Cholesky factor R, R'R = G + ridge (``L1_SHIFT``); None if G = 0."""
-        mean_eig = float(np.trace(self.gram)) / self.n_columns
-        if mean_eig <= 0:
-            return None
-        shifted = self.gram.copy()
-        shifted[np.diag_indices_from(shifted)] += L1_SHIFT * mean_eig
-        factor = scipy.linalg.cholesky(shifted, overwrite_a=True)
-        factor.flags.writeable = False
-        return factor
 
 
 @dataclass

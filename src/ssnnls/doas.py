@@ -354,9 +354,10 @@ class DoasFitConfig:
     sign-free and unpenalised in every solver.  "hoyer_p1" and
     "diff_p2" solve their models exactly; ``admm`` is retired and ignored
     (see :class:`ssnnls.qp.AdmmParams`).  ``l1_tau`` is
-    the residual radius of "l1" (:func:`ssnnls.baselines.l1_bregman`, a
-    search on the penalty weight with one exact NNLS per step and no
-    settings of its own); it must be finite and positive.
+    the residual radius of "l1" (:func:`ssnnls.baselines.l1_bregman`, an
+    exact walk down the non-negative lasso path to the weight whose
+    residual is ``l1_tau``, with no settings of its own); it must be
+    finite and positive.
     """
 
     sparsity: SparsityConfig

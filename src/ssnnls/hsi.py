@@ -4,8 +4,8 @@ A scene is a band-by-pixel matrix, each pixel a non-negative combination
 of library spectra; the library's columns cluster into groups of variants
 of the same material.  Demixing solves one structured-sparse problem per
 pixel, in one loop over pixels that share the dictionary's cached Gram
-matrix and l1 factor, and metrics compare recovered abundances against
-the planted truth, per column and collapsed per group.
+matrix, and metrics compare recovered abundances against the planted
+truth, per column and collapsed per group.
 """
 
 from dataclasses import dataclass, field
@@ -156,8 +156,9 @@ def demix_scene(scene: HsiScene, cfg: SparsityConfig, solver: str = "diff_p2",
     """Solve one problem per pixel with the chosen solver, pixel by pixel.
 
     "l1" is the penalized form at weight ``l1_gamma`` (finite, >= 0;
-    :func:`ssnnls.baselines.l1_penalized`, one exact NNLS per pixel on the
-    dictionary's kept ``l1_factor``, with no settings of its own); "pd"
+    :func:`ssnnls.baselines.l1_penalized`, one exact walk down the
+    non-negative lasso path per pixel on the dictionary's kept Gram
+    matrix, with no settings of its own); "pd"
     runs with the default :class:`PdParams` and the ``PD_TOL_INNER``,
     ``PD_MAX_INNER``, ``PD_MAX_OUTER`` and ``PD_RHO_CAP`` constants; the
     structured solvers take ``sgp`` plus the constants of

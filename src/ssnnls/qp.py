@@ -45,7 +45,7 @@ class AdmmParams:
 
     Both fields are inert; no solver reads them.  The class stays while
     the benchmark's workloads still pass it to ``demix_scene(admm=)`` and
-    ``DoasFitConfig(admm=)`` (ROADMAP item 1).
+    ``DoasFitConfig(admm=)`` (ROADMAP item 4).
     """
 
     tol: float = 1e-4
@@ -56,7 +56,7 @@ class QpWorkspace:
     """Retired: no solver uses it.
 
     Kept with :meth:`kinv` while the benchmark's tracer patches that name
-    (ROADMAP item 1).
+    (ROADMAP item 4).
     """
 
     def __init__(self, gram: np.ndarray):

@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.optimize
 from numpy.random import default_rng
 
 import oracles
-from ssnnls import baselines
+from ssnnls import baselines, qp
 from ssnnls.baselines import PdParams, l1_bregman, l1_penalized, nnls, penalty_decomposition_l0
-from ssnnls.core import L1_SHIFT, GroupedDictionary, SparsityConfig
+from ssnnls.core import GroupedDictionary, SparsityConfig
 from ssnnls.errors import ConfigError, NonConvergenceError
 
 
@@ -95,19 +96,8 @@ def test_l1_penalized_matches_slsqp(seed, gamma):
 def test_l1_penalized_edge_cases():
     zero = one_group(np.zeros((4, 3)))
     assert l1_penalized(zero, np.ones(4), 0.1) == pytest.approx(np.zeros(3))
-    assert zero.l1_factor is None
     with pytest.raises(ValueError):
         l1_penalized(one_group(np.eye(2)), np.ones(2), -0.1)
-
-
-def test_l1_factor_is_kept_beside_the_gram_matrix():
-    a = default_rng(5).normal(size=(10, 6))
-    dct = one_group(a)
-    r = dct.l1_factor
-    assert r is dct.l1_factor and not r.flags.writeable
-    assert np.allclose(np.tril(r, -1), 0.0)
-    ridge = L1_SHIFT * np.trace(dct.gram) / 6
-    assert r.T @ r == pytest.approx(dct.gram + ridge * np.eye(6), rel=1e-12, abs=1e-12)
 
 
 # ---------------------------------------------------------------- l1 bregman
@@ -155,20 +145,28 @@ def test_l1_bregman_returns_a_point_on_the_tau_sphere(seed):
     assert np.linalg.norm(a @ x - b) == pytest.approx(tau, rel=1e-9)
 
 
-def test_l1_bregman_unreachable_tau_fails_after_one_solve(monkeypatch):
-    calls = []
-    real_nnls = baselines.nnls
+def test_l1_bregman_unreachable_tau_fails_without_an_nnls_call(monkeypatch):
+    def no_nnls(*args, **kwargs):
+        raise AssertionError("the l1 path called scipy's NNLS")
 
-    def counting_nnls(*args):
-        calls.append(1)
-        return real_nnls(*args)
+    monkeypatch.setattr(scipy.optimize, "nnls", no_nnls)
+    # no column correlated with b, then a path walked down to gamma = 0
+    for b, shown in (([-1.0, -1.0], "1.414214e+00"), ([2.0, -1.0], "1.000000e+00")):
+        with pytest.raises(NonConvergenceError) as info:
+            l1_bregman(one_group(np.eye(2)), np.array(b), tau=0.5)
+        message = str(info.value)
+        assert shown in message and "5.000000e-01" in message
 
-    monkeypatch.setattr(baselines, "nnls", counting_nnls)
-    with pytest.raises(NonConvergenceError) as info:
-        l1_bregman(one_group(np.eye(2)), np.array([-1.0, -1.0]), tau=0.5)
-    assert len(calls) == 1
-    message = str(info.value)
-    assert "1.414214e+00" in message and "5.000000e-01" in message
+
+def test_l1_path_breakpoint_cap_is_non_convergence(monkeypatch):
+    rng = default_rng(4)
+    a = rng.normal(size=(10, 6))
+    b = a @ np.abs(rng.normal(size=6))
+    monkeypatch.setattr(qp, "ACTIVE_SET_ITERS_PER_COLUMN", 0)
+    with pytest.raises(NonConvergenceError, match="l1 path"):
+        l1_penalized(one_group(a), b, 0.01)
+    with pytest.raises(NonConvergenceError, match="l1 path"):
+        l1_bregman(one_group(a), b, 1e-3)
 
 
 def _coherent_dictionary(seed, rows=12, cols=30):
@@ -199,6 +197,43 @@ def test_l1_bregman_rank_deficient_matches_min_l1_oracle(seed):
     x_true = np.zeros(a.shape[1])
     x_true[rng.choice(a.shape[1], size=3, replace=False)] = rng.uniform(0.5, 2.0, size=3)
     b = a @ x_true + 0.01 * rng.normal(size=a.shape[0])
+    tau = 0.3 * float(np.linalg.norm(b))
+    x = l1_bregman(one_group(a), b, tau)
+    assert x.min() >= 0.0
+    assert np.linalg.norm(a @ x - b) == pytest.approx(tau, rel=1e-9)
+    ref = oracles.slsqp_min_l1_ball(a, b, tau)
+    assert np.sum(x) <= np.sum(ref) * 1.01 + 1e-9
+
+
+def _twin_dictionary(seed):
+    """12 x 18 dictionary of 6 columns, each repeated exactly three times."""
+    rng = default_rng(seed)
+    a = np.tile(rng.normal(size=(12, 6)), 3)
+    return a / np.linalg.norm(a, axis=0), rng
+
+
+@pytest.mark.parametrize("shift", [baselines.L1_SHIFT, 0.0])
+@pytest.mark.parametrize("seed,gamma", [(0, 0.05), (1, 0.2), (6, 0.01)])
+def test_l1_forms_on_exactly_twin_columns_match_slsqp(monkeypatch, seed, gamma, shift):
+    # with the ridge the twins share their weight; without it only one of
+    # each set of twins may enter, the others' entry rates being rounding
+    # (at seed 6 some come out positive, and letting them in makes the
+    # active block singular)
+    monkeypatch.setattr(baselines, "L1_SHIFT", shift)
+    a, rng = _twin_dictionary(seed)
+    x_true = np.zeros(a.shape[1])
+    x_true[[0, 7, 14]] = rng.uniform(0.5, 2.0, size=3)
+    b = a @ x_true + 0.01 * rng.normal(size=a.shape[0])
+
+    x = l1_penalized(one_group(a), b, gamma)
+    x_ref = oracles.slsqp_nonneg_l1(a, b, gamma)
+
+    def obj(z):
+        return 0.5 * float(np.sum((a @ z - b) ** 2)) + gamma * float(np.sum(z))
+
+    assert x.min() >= 0.0
+    assert obj(x) <= obj(x_ref) + 1e-7
+
     tau = 0.3 * float(np.linalg.norm(b))
     x = l1_bregman(one_group(a), b, tau)
     assert x.min() >= 0.0

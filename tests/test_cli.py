@@ -109,13 +109,13 @@ def test_mixture_counts_scaling_and_override():
 
 def test_config_from_args_merging(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"experiment": "hsi-inter", "seed": 7, "scale": 2,
+    path.write_text(json.dumps({"experiment": "DoasAlign", "seed": 7, "scale": 2,
                                 "solvers": ["nnls"], "noise_sd": 0.25, "eps": 0.02}))
     parser = build_parser()
     cfg = config_from_args(parser.parse_args(
         ["--experiment", "doas-align", "--config", str(path), "--seed", "11"]))
-    assert cfg.experiment == "doas-align"  # CLI wins over the file
-    assert cfg.seed == 11
+    assert cfg.experiment == "doas-align"  # the file's spelling names the same experiment
+    assert cfg.seed == 11  # CLI wins over the file
     assert cfg.scale == 2  # from the file
     assert cfg.solvers == ["nnls"]
     assert cfg.overrides == {"noise_sd": 0.25, "eps": 0.02}
@@ -135,6 +135,31 @@ def test_config_from_args_merging(tmp_path):
     with pytest.raises(ConfigError):
         config_from_args(parser.parse_args(["--experiment", "doas-align",
                                             "--config", str(scalar)]))
+
+
+@pytest.mark.parametrize("settings, name", [
+    ({"experiment": 5, "seed": "x"}, "seed"),
+    ({"experiment": 5}, "experiment"),
+    ({"seed": -1}, "seed"),
+    ({"scale": 0}, "scale"),
+    ({"out": 5}, "out"),
+    ({"solvers": "nnls"}, "solvers"),
+    ({"experiment": "doas-align"}, "experiment"),
+])
+def test_config_file_run_settings_are_checked_when_a_flag_replaces_them(
+        tmp_path, capsys, monkeypatch, settings, name):
+    # these once exited 0: the flags replaced the file's values unchecked
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(cli, "demix_scene", no_solve)
+    cfg = tmp_path / "settings.json"
+    cfg.write_text(json.dumps(settings))
+    assert main(["--experiment", "hsi-inter", "--scale", "20", "--seed", "0", "--solver",
+                 "nnls", "--out", str(tmp_path / "out"), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and name in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_compare_solvers_table_layout():
@@ -327,6 +352,19 @@ def test_main_value_of_the_wrong_kind_exits_2_before_any_fit(tmp_path, capsys, m
     assert main(["--experiment", experiment, "--scale", scale, "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and f"{next(iter(knobs))} must be" in err
+
+
+def test_pd_init_of_the_wrong_length_exits_2_before_the_first_fit(tmp_path, capsys):
+    # it was once rejected only when pd ran, after nnls had written its CSVs,
+    # by a message that did not name pd_init
+    cfg = tmp_path / "knobs.json"
+    cfg.write_text(json.dumps({"pd_init": [1, 2]}))
+    out = tmp_path / "out"
+    assert main(["--experiment", "doas-background", "--scale", "4", "--config", str(cfg),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "pd_init" in err and "(75), got 2" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("experiment, knobs", [

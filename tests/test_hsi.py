@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 
 from ssnnls import qp
 from ssnnls.core import GroupedDictionary, SparsityConfig
@@ -103,22 +104,23 @@ def test_demix_each_solver(tiny_scene, solver):
         assert counts.max() <= 1
 
 
-def test_demix_l1_factors_the_dictionary_once(tiny_scene, monkeypatch):
-    # every pixel solves on the factor the dictionary keeps beside its Gram matrix
+def test_demix_l1_solves_on_the_kept_gram_matrix_alone(tiny_scene, monkeypatch):
+    # every pixel walks the l1 path on the Gram matrix the dictionary keeps:
+    # no dense factor and no scipy NNLS
     dct = GroupedDictionary(tiny_scene.dictionary.entries, tiny_scene.dictionary.offsets)
     scene = HsiScene(dct, tiny_scene.scales, tiny_scene.pixels)
-    calls = []
-    real = scipy.linalg.cholesky
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an l1 pixel called a scipy solver")
 
-    monkeypatch.setattr(scipy.linalg, "cholesky", counting)
+    monkeypatch.setattr(scipy.linalg, "cholesky", forbidden)
+    monkeypatch.setattr(scipy.optimize, "nnls", forbidden)
+    assert "gram" not in dct.__dict__
     out = demix_scene(scene, tiny_cfg(), solver="l1", l1_gamma=0.05)
-    assert scene.n_pixels == 5 and len(calls) == 1
-    again = demix_scene(scene, tiny_cfg(), solver="l1", l1_gamma=0.05, threads=2)
-    assert len(calls) == 1
+    gram = dct.__dict__["gram"]
+    again = demix_scene(scene, tiny_cfg(), solver="l1", l1_gamma=0.05)
+    assert scene.n_pixels == 5 and not out.failed_pixels
+    assert dct.__dict__["gram"] is gram
     assert np.array_equal(out.values, again.values)
 
 
