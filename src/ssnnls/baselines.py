@@ -75,18 +75,23 @@ def _l1_path(gram: np.ndarray, atb: np.ndarray):
         return
     cap = qp.ACTIVE_SET_ITERS_PER_COLUMN * n
     rounding = 10.0 * n * np.finfo(float).eps
+    left = []
     for _ in range(cap):
         idx = np.flatnonzero(active)
         sol = qp._solve_passive(gram, ridge, rhs, idx)
         u, v = sol.T
         gu, gv = sol.T @ gram[idx]
-        # a column whose entry rate 1 - (Gv)_j is within rounding of 0, a
-        # twin of the active ones, cannot enter
+        # a twin of the active columns, its entry rate 1 - (Gv)_j within
+        # rounding of 0, cannot enter (with the ridge that rate is about
+        # L1_SHIFT trace(G)/n times its v: rounding only where twins carry
+        # most of trace(G), as one pair of norm 1e3 among 398 unit columns)
         rate = 1.0 - gv
         enter = ~active & (rate > rounding * (1.0 + np.abs(gv)))
         breaks = np.divide(atb - gu, rate, out=np.full(n, -np.inf), where=enter)
-        breaks[breaks >= gamma] = -np.inf
-        # an entry that rounding already put below 0 leaves at once
+        # a tie, or an entry rounding put past its break, is met at once;
+        # the column that just left stays out for this segment
+        np.minimum(breaks, gamma, out=breaks)
+        breaks[left] = -np.inf
         leave = v < 0
         breaks[idx[leave]] = np.minimum(u[leave] / v[leave], gamma)
         j = int(np.argmax(breaks))
@@ -94,6 +99,7 @@ def _l1_path(gram: np.ndarray, atb: np.ndarray):
         yield gamma, idx, u, v
         if gamma == 0.0:
             return
+        left = [j] if active[j] else []
         active[j] = not active[j]
     raise NonConvergenceError(f"l1 path did not reach gamma = 0 in {cap} breakpoints",
                               iterations=cap)

@@ -93,6 +93,23 @@ def test_l1_penalized_matches_slsqp(seed, gamma):
     assert x == pytest.approx(x_ref, abs=5e-4)
 
 
+@pytest.mark.parametrize("b", [[1.0, 1.0], [3.0, 1.0, 1.0]])
+def test_l1_forms_enter_tied_columns_together(b):
+    # on A = I the path is x = max(b - gamma, 0): the columns whose entries
+    # of b tie enter at one breakpoint, at the start or further down
+    b = np.array(b)
+    a = np.eye(b.size)
+    x = l1_penalized(one_group(a), b, 0.5)
+    assert x == pytest.approx(b - 0.5, abs=1e-9)
+    assert x == pytest.approx(oracles.slsqp_nonneg_l1(a, b, 0.5), abs=5e-4)
+    tau = 0.5
+    x = l1_bregman(one_group(a), b, tau)
+    assert x == pytest.approx(b - tau / np.sqrt(b.size), abs=1e-9)
+    ref = oracles.slsqp_min_l1_ball(a, b, tau)
+    assert np.linalg.norm(a @ x - b) <= tau * (1.0 + 1e-3)
+    assert np.sum(x) <= np.sum(ref) * 1.01 + 1e-9
+
+
 def test_l1_penalized_edge_cases():
     zero = one_group(np.zeros((4, 3)))
     assert l1_penalized(zero, np.ones(4), 0.1) == pytest.approx(np.zeros(3))
@@ -233,6 +250,9 @@ def test_l1_forms_on_exactly_twin_columns_match_slsqp(monkeypatch, seed, gamma, 
 
     assert x.min() >= 0.0
     assert obj(x) <= obj(x_ref) + 1e-7
+    if shift:
+        # evenly, up to the split the ridge's 1e10 condition number leaves
+        assert x.reshape(3, 6) == pytest.approx(np.tile(x[:6], (3, 1)), abs=1e-4)
 
     tau = 0.3 * float(np.linalg.norm(b))
     x = l1_bregman(one_group(a), b, tau)
