@@ -2,12 +2,13 @@
 
 These are the comparison points for the structured solvers: plain
 non-negative least squares (scipy's active-set solver), the penalized
-l1 problem ``min 0.5 |Ax - b|^2 + gamma |x|_1  s.t.  x >= 0`` and the
-constrained form ``min |x|_1  s.t.  x >= 0, |Ax - b| <= tau``, both
-solved exactly by one walk down the non-negative lasso path on the
-cached Gram matrix (Osborne, Presnell & Turlach, IMA J. Numer. Anal.
-2000; Efron, Hastie, Johnstone & Tibshirani, Ann. Statist. 2004), and
-a penalty decomposition scheme for the exact per-group l0 constraint.
+l1 problem ``min 0.5 |Ax - b|^2 + gamma |x|_1  s.t.  x >= 0``, solved
+exactly by problem 2's active set on the cached Gram matrix, the
+constrained form ``min |x|_1  s.t.  x >= 0, |Ax - b| <= tau``, solved
+exactly by one walk down the non-negative lasso path on that matrix
+(Osborne, Presnell & Turlach, IMA J. Numer. Anal. 2000; Efron, Hastie,
+Johnstone & Tibshirani, Ann. Statist. 2004), and a penalty
+decomposition scheme for the exact per-group l0 constraint.
 The l1 baselines take no settings; their only constant is the ridge
 ``L1_SHIFT``.
 """
@@ -38,7 +39,7 @@ def nnls(entries: np.ndarray, b: np.ndarray, maxiter: Optional[int] = None) -> n
     return x
 
 
-# Ridge that keeps the l1 path's active blocks of the Gram matrix G
+# Ridge that keeps the l1 baselines' active blocks of the Gram matrix G
 # positive definite on rank-deficient dictionaries: L1_SHIFT times G's
 # mean eigenvalue, trace(G)/n, is added to their diagonal.
 L1_SHIFT = 1e-10
@@ -53,30 +54,65 @@ def l1_weight(value: float, name: str, positive: bool = False) -> float:
     return value
 
 
-def _l1_path(gram: np.ndarray, atb: np.ndarray):
-    """The non-negative lasso path, segment by segment from gamma = max(A'b) down to 0.
+def l1_penalized(dct: GroupedDictionary, b: np.ndarray, gamma: float) -> np.ndarray:
+    """Penalized form ``min 0.5 |Ax - b|^2 + gamma |x|_1  s.t.  x >= 0``.
 
-    The minimiser of ``0.5 x'(G + ridge)x - (A'b - gamma 1)'x`` over x >= 0
-    is x_S = u - gamma v on the active set S, (G_SS + ridge)[u v] = [A'b_S 1],
-    and 0 elsewhere.  Inactive column j enters where its correlation
-    reaches gamma, at (A'b_j - (Gu)_j) / (1 - (Gv)_j); active entry i
-    leaves where it reaches 0, at u_i / v_i.  Yields ``(lo, idx, u, v)``
-    per segment, down to ``lo`` from the previous one's (first, max(A'b));
-    nothing when max(A'b) <= 0.  Raises :class:`NonConvergenceError`
-    after ``qp.ACTIVE_SET_ITERS_PER_COLUMN * n`` breakpoints.
+    On the orthant |x|_1 = 1'x, so this is the strictly convex QP
+    ``0.5 x'Gx - (A'b - gamma 1)'x`` over x >= 0 (G plus the ``L1_SHIFT``
+    ridge): problem 2's model, solved exactly by its active set
+    (:func:`ssnnls.qp.solve_qp_p2`) on the dictionary's cached Gram
+    matrix ``dct.gram``.  The groups play no part.
     """
+    b = as_data_vector(b, dct.n_rows)
+    gamma = l1_weight(gamma, "gamma")
+    n = dct.n_columns
+    ridge = L1_SHIFT * float(np.trace(dct.gram)) / n
+    return qp.solve_qp_p2(dct.gram, ridge, dct.entries.T @ b - gamma,
+                          np.zeros(n, dtype=bool))[0]
+
+
+def l1_bregman(dct: GroupedDictionary, b: np.ndarray, tau: float) -> np.ndarray:
+    """Constrained l1 recovery ``min |x|_1  s.t.  x >= 0, |Ax - b| <= tau``.
+
+    A minimiser of the penalized problem (:func:`l1_penalized`) whose
+    residual equals tau minimises |x|_1 over the whole tau-ball, and the
+    residual grows with the weight, from the NNLS residual at 0 to |b| at
+    max(A'b).  So this walks the penalized problem's solution path, the
+    non-negative lasso path (Osborne, Presnell & Turlach, IMA J. Numer.
+    Anal. 2000), down from gamma = max(A'b) with x = 0, on the cached
+    Gram matrix.  On the active set S the minimiser is x_S = u - gamma v,
+    (G_SS + ridge)[u v] = [A'b_S 1], and 0 elsewhere.  Inactive column j
+    enters where its correlation reaches gamma, at
+    (A'b_j - (Gu)_j) / (1 - (Gv)_j); active entry i leaves where it
+    reaches 0, at u_i / v_i.  The walk stops in the segment where the
+    residual reaches tau: |A x - b|^2 = tau^2 is a scalar quadratic in
+    gamma there, solved exactly.  Raises :class:`NonConvergenceError`
+    when even NNLS, the path's end at gamma = 0, leaves a residual above
+    tau, and after ``qp.ACTIVE_SET_ITERS_PER_COLUMN * n`` breakpoints.
+    """
+    entries, gram = dct.entries, dct.gram
+    b = as_data_vector(b, dct.n_rows)
+    tau = l1_weight(tau, "tau", positive=True)
+    resid = float(np.linalg.norm(b))
+    x = np.zeros(dct.n_columns)
+    if resid <= tau:
+        return x
+    atb = entries.T @ b
     n = atb.size
     ridge = L1_SHIFT * float(np.trace(gram)) / n
     rhs = np.column_stack([atb, np.ones(n)])
     active = np.zeros(n, dtype=bool)
     active[np.argmax(atb)] = True
-    gamma = float(np.max(atb))
-    if gamma <= 0:
-        return
+    lo = float(np.max(atb))
     cap = qp.ACTIVE_SET_ITERS_PER_COLUMN * n
     rounding = 10.0 * n * np.finfo(float).eps
-    left = []
-    for _ in range(cap):
+    left, breakpoints = [], 0
+    while lo > 0.0:
+        if breakpoints == cap:
+            raise NonConvergenceError(f"l1 path did not reach gamma = 0 in {cap} breakpoints",
+                                      iterations=cap)
+        breakpoints += 1
+        hi = lo
         idx = np.flatnonzero(active)
         sol = qp._solve_passive(gram, ridge, rhs, idx)
         u, v = sol.T
@@ -90,64 +126,12 @@ def _l1_path(gram: np.ndarray, atb: np.ndarray):
         breaks = np.divide(atb - gu, rate, out=np.full(n, -np.inf), where=enter)
         # a tie, or an entry rounding put past its break, is met at once;
         # the column that just left stays out for this segment
-        np.minimum(breaks, gamma, out=breaks)
+        np.minimum(breaks, hi, out=breaks)
         breaks[left] = -np.inf
         leave = v < 0
-        breaks[idx[leave]] = np.minimum(u[leave] / v[leave], gamma)
+        breaks[idx[leave]] = np.minimum(u[leave] / v[leave], hi)
         j = int(np.argmax(breaks))
-        gamma = max(float(breaks[j]), 0.0)
-        yield gamma, idx, u, v
-        if gamma == 0.0:
-            return
-        left = [j] if active[j] else []
-        active[j] = not active[j]
-    raise NonConvergenceError(f"l1 path did not reach gamma = 0 in {cap} breakpoints",
-                              iterations=cap)
-
-
-def l1_penalized(dct: GroupedDictionary, b: np.ndarray, gamma: float) -> np.ndarray:
-    """Penalized form ``min 0.5 |Ax - b|^2 + gamma |x|_1  s.t.  x >= 0``.
-
-    On the orthant |x|_1 = 1'x, so this is the strictly convex QP
-    ``0.5 x'Gx - (A'b - gamma 1)'x`` (G plus the ``L1_SHIFT`` ridge),
-    solved exactly by walking its solution path on the dictionary's
-    cached Gram matrix ``dct.gram`` down to ``gamma``.  The groups play
-    no part.
-    """
-    b = as_data_vector(b, dct.n_rows)
-    gamma = l1_weight(gamma, "gamma")
-    atb = dct.entries.T @ b
-    x = np.zeros(dct.n_columns)
-    if gamma < np.max(atb):
-        for lo, idx, u, v in _l1_path(dct.gram, atb):
-            if lo <= gamma:
-                x[idx] = np.maximum(u - gamma * v, 0.0)
-                break
-    return x
-
-
-def l1_bregman(dct: GroupedDictionary, b: np.ndarray, tau: float) -> np.ndarray:
-    """Constrained l1 recovery ``min |x|_1  s.t.  x >= 0, |Ax - b| <= tau``.
-
-    A minimiser of the penalized problem (:func:`l1_penalized`) whose
-    residual equals tau minimises |x|_1 over the whole tau-ball, and the
-    residual grows with the weight, from the NNLS residual at 0 to |b| at
-    max(A'b).  So the walk down the penalized problem's path stops in the
-    segment where the residual reaches tau: there x = u - gamma v, and
-    |A x - b|^2 = tau^2 is a scalar quadratic in gamma, solved exactly.
-    Raises :class:`NonConvergenceError` when even NNLS, the path's end at
-    gamma = 0, leaves a residual above tau.
-    """
-    entries = dct.entries
-    b = as_data_vector(b, dct.n_rows)
-    tau = l1_weight(tau, "tau", positive=True)
-    resid = float(np.linalg.norm(b))
-    x = np.zeros(dct.n_columns)
-    if resid <= tau:
-        return x
-    atb = entries.T @ b
-    hi = float(np.max(atb))
-    for lo, idx, u, v in _l1_path(dct.gram, atb):
+        lo = max(float(breaks[j]), 0.0)
         p, q = entries[:, idx] @ u - b, entries[:, idx] @ v
         pp, pq, qq = float(p @ p), float(p @ q), float(q @ q)
         resid = float(np.sqrt(max(pp - 2.0 * lo * pq + lo * lo * qq, 0.0)))
@@ -157,7 +141,8 @@ def l1_bregman(dct: GroupedDictionary, b: np.ndarray, tau: float) -> np.ndarray:
                 if qq > 0 else lo
             x[idx] = np.maximum(u - min(max(root, lo), hi) * v, 0.0)
             return x
-        hi = lo
+        left = [j] if active[j] else []
+        active[j] = not active[j]
     raise NonConvergenceError(
         f"NNLS residual {resid:.6e} exceeds tau={tau:.6e}: no non-negative "
         "point reaches the tau-ball", residuals=resid)

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .baselines import PD_STARTS, PdParams
+from .baselines import PD_STARTS, PdParams, l1_weight
 from .core import ZERO_TOL, SparsityConfig
 from .doas import (DOAS_SOLVERS, DeformationGrid, DoasFitConfig,
                    build_deformation_dictionary, deformed_column, quartic_background,
@@ -259,6 +259,7 @@ def _doas_records(cfg: ExperimentConfig, data, ddict, info, solvers, fit_config,
         if not isinstance(fit_cfg.pd_init, str) and len(fit_cfg.pd_init) != n:
             raise ConfigError(f"pd_init must hold one value per column ({n}), "
                               f"got {len(fit_cfg.pd_init)}")
+        l1_weight(fit_cfg.l1_tau, "tau = tau_over_sqrt_w * sqrt(bands)", positive=True)
     records = []
     for solver, fit_cfg, params in runs:
         t0 = time.perf_counter()
@@ -383,6 +384,7 @@ def _hsi_records(cfg: ExperimentConfig, scene, params, sparsity, sgp,
 
     A solver that raises :class:`NonConvergenceError` gets a failed record.
     """
+    l1_weight(l1_gamma, "l1_gamma")  # checked before the first fit
     records = []
     for solver in _solvers(cfg, ("nnls", "l1", "hoyer_p1", "diff_p2"), HSI_SOLVERS):
         t0 = time.perf_counter()

@@ -176,6 +176,26 @@ class DeformationDictionary:
     wavelengths: np.ndarray
 
 
+def _deformed_samples(ref: ReferenceSpectrum, grid: DeformationGrid,
+                      wavelengths: np.ndarray) -> np.ndarray:
+    """``ref`` sampled under every deformation of ``grid``, one row per flat index.
+
+    Row ``l*K + k`` samples the reference at
+    ``(1 + slopes[k]) * lam + offsets[l]``, odd-reflected about its
+    endpoints.  A deformation whose positions all leave the reference's
+    domain raises :class:`DegenerateColumnError`.
+    """
+    t = ((1.0 + grid.slopes)[:, None] * wavelengths
+         + grid.offsets[:, None, None]).reshape(grid.size, wavelengths.size)
+    outside = np.all((t < ref.wavelengths[0]) | (t > ref.wavelengths[-1]), axis=1)
+    if outside.any():
+        slope, offset = grid.deformation(int(np.argmax(outside)))
+        raise DegenerateColumnError(
+            f"reference {ref.name!r}: deformation (slope={slope}, offset={offset}) "
+            f"falls entirely outside its domain")
+    return _sample_with_reflection(ref.wavelengths, ref.values, t)
+
+
 def build_deformation_dictionary(refs: Sequence[ReferenceSpectrum], grid: DeformationGrid,
                                  wavelengths: np.ndarray) -> DeformationDictionary:
     """Expand each reference over the deformation grid and normalise columns.
@@ -187,20 +207,11 @@ def build_deformation_dictionary(refs: Sequence[ReferenceSpectrum], grid: Deform
     :class:`DegenerateColumnError`.
     """
     wavelengths = np.asarray(wavelengths, dtype=float).ravel()
-    n_samples = wavelengths.size
     per_group = grid.size
-    cols = np.empty((n_samples, len(refs) * per_group))
+    # C-ordered, as the column norms of normalize_columns depend on the layout
+    cols = np.empty((wavelengths.size, len(refs) * per_group))
     for j, ref in enumerate(refs):
-        lo, hi = ref.wavelengths[0], ref.wavelengths[-1]
-        for ell, q in enumerate(grid.offsets):
-            for k, p in enumerate(grid.slopes):
-                t = (1.0 + p) * wavelengths + q
-                if np.all((t < lo) | (t > hi)):
-                    raise DegenerateColumnError(
-                        f"reference {ref.name!r}: deformation (slope={p}, offset={q}) "
-                        f"falls entirely outside its domain")
-                cols[:, j * per_group + grid.flat_index(k, ell)] = \
-                    _sample_with_reflection(ref.wavelengths, ref.values, t)
+        cols[:, j * per_group:(j + 1) * per_group] = _deformed_samples(ref, grid, wavelengths).T
     offsets = np.arange(len(refs) + 1, dtype=np.int64) * per_group
     return DeformationDictionary(GroupedDictionary(normalize_columns(cols)[0], offsets), grid,
                                  tuple(r.name for r in refs), wavelengths)
@@ -215,12 +226,7 @@ def deformed_column(ref: ReferenceSpectrum, slope: float, offset: float,
     atoms.  Unit-normalised to match dictionary columns.
     """
     wavelengths = np.asarray(wavelengths, dtype=float).ravel()
-    t = (1.0 + slope) * wavelengths + offset
-    if np.all((t < ref.wavelengths[0]) | (t > ref.wavelengths[-1])):
-        raise DegenerateColumnError(
-            f"reference {ref.name!r}: deformation (slope={slope}, offset={offset}) "
-            f"falls entirely outside its domain")
-    col = _sample_with_reflection(ref.wavelengths, ref.values, t)
+    col = _deformed_samples(ref, DeformationGrid([slope], [offset]), wavelengths)[0]
     nrm = float(np.linalg.norm(col))
     if nrm == 0.0:
         raise DegenerateColumnError(

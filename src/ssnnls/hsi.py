@@ -156,9 +156,9 @@ def demix_scene(scene: HsiScene, cfg: SparsityConfig, solver: str = "diff_p2",
     """Solve one problem per pixel with the chosen solver, pixel by pixel.
 
     "l1" is the penalized form at weight ``l1_gamma`` (finite, >= 0;
-    :func:`ssnnls.baselines.l1_penalized`, one exact walk down the
-    non-negative lasso path per pixel on the dictionary's kept Gram
-    matrix, with no settings of its own); "pd"
+    :func:`ssnnls.baselines.l1_penalized`, one exact solve by problem
+    2's active set per pixel on the dictionary's kept Gram matrix, with
+    no settings of its own); "pd"
     runs with the default :class:`PdParams` and the ``PD_TOL_INNER``,
     ``PD_MAX_INNER``, ``PD_MAX_OUTER`` and ``PD_RHO_CAP`` constants; the
     structured solvers take ``sgp`` plus the constants of

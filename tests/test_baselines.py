@@ -175,15 +175,41 @@ def test_l1_bregman_unreachable_tau_fails_without_an_nnls_call(monkeypatch):
         assert shown in message and "5.000000e-01" in message
 
 
-def test_l1_path_breakpoint_cap_is_non_convergence(monkeypatch):
+def _capped_problem(monkeypatch):
     rng = default_rng(4)
     a = rng.normal(size=(10, 6))
-    b = a @ np.abs(rng.normal(size=6))
     monkeypatch.setattr(qp, "ACTIVE_SET_ITERS_PER_COLUMN", 0)
+    return one_group(a), a @ np.abs(rng.normal(size=6))
+
+
+def test_l1_penalized_iteration_cap_is_the_active_sets(monkeypatch):
+    dct, b = _capped_problem(monkeypatch)
+    with pytest.raises(NonConvergenceError, match="active set"):
+        l1_penalized(dct, b, 0.01)
+
+
+def test_l1_bregman_breakpoint_cap_is_non_convergence(monkeypatch):
+    dct, b = _capped_problem(monkeypatch)
     with pytest.raises(NonConvergenceError, match="l1 path"):
-        l1_penalized(one_group(a), b, 0.01)
-    with pytest.raises(NonConvergenceError, match="l1 path"):
-        l1_bregman(one_group(a), b, 1e-3)
+        l1_bregman(dct, b, 1e-3)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_l1_forms_agree_at_the_weight_of_the_constrained_solution(seed):
+    # the constrained form walks the path, the penalized form runs problem
+    # 2's active set: at the weight read off the path's point, both agree
+    rng = default_rng(seed)
+    a = rng.normal(size=(30, 60))
+    a /= np.linalg.norm(a, axis=0)
+    dct = one_group(a)
+    b = a @ np.where(rng.random(60) < 0.1, rng.uniform(0.5, 2.0, 60), 0.0) \
+        + 0.05 * rng.normal(size=30)
+    x = l1_bregman(dct, b, 0.3 * float(np.linalg.norm(b)))
+    ridge = baselines.L1_SHIFT * float(np.trace(dct.gram)) / a.shape[1]
+    corr = (a.T @ b - dct.gram @ x - ridge * x)[x > 0]
+    assert np.ptp(corr) <= 1e-9 * np.max(np.abs(corr))
+    x_pen = l1_penalized(dct, b, float(np.mean(corr)))
+    assert np.linalg.norm(x_pen - x) <= 1e-9 * np.linalg.norm(x)
 
 
 def _coherent_dictionary(seed, rows=12, cols=30):

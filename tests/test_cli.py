@@ -367,6 +367,24 @@ def test_pd_init_of_the_wrong_length_exits_2_before_the_first_fit(tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("experiment, scale, knob, value", [
+    ("doas-align", "4", "tau_over_sqrt_w", -1.0),
+    ("hsi-structured", "20", "l1_gamma", -0.5),
+])
+def test_main_bad_l1_weight_exits_2_before_the_first_fit(tmp_path, capsys, experiment, scale,
+                                                         knob, value):
+    # the l1 weight was once rejected only when l1 ran, after nnls had
+    # written its CSV, by a message that named the library's argument
+    cfg = tmp_path / "knobs.json"
+    cfg.write_text(json.dumps({knob: value}))
+    out = tmp_path / "out"
+    assert main(["--experiment", experiment, "--scale", scale, "--config", str(cfg),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and knob in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("experiment, knobs", [
     ("doas-align", {"gamma_p1": -1}),
     ("doas-background", {"c_scale_p1": -1}),

@@ -105,8 +105,8 @@ def test_demix_each_solver(tiny_scene, solver):
 
 
 def test_demix_l1_solves_on_the_kept_gram_matrix_alone(tiny_scene, monkeypatch):
-    # every pixel walks the l1 path on the Gram matrix the dictionary keeps:
-    # no dense factor and no scipy NNLS
+    # every pixel runs problem 2's active set on the Gram matrix the
+    # dictionary keeps: no dense factor and no scipy NNLS
     dct = GroupedDictionary(tiny_scene.dictionary.entries, tiny_scene.dictionary.offsets)
     scene = HsiScene(dct, tiny_scene.scales, tiny_scene.pixels)
 
