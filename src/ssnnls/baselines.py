@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-import scipy.optimize
 
 from .core import GroupedDictionary, SparsityConfig, as_data_vector
 from .errors import ConfigError, NonConvergenceError
@@ -30,6 +29,7 @@ def nnls(entries: np.ndarray, b: np.ndarray, maxiter: Optional[int] = None) -> n
     b = np.asarray(b, dtype=float).ravel()
     if entries.ndim != 2 or entries.shape[0] != b.size:
         raise ValueError(f"incompatible shapes {entries.shape} and ({b.size},)")
+    import scipy.optimize  # on first use: loading it slows every import of ssnnls
     try:
         x, _ = scipy.optimize.nnls(entries, b, maxiter=maxiter)
     except RuntimeError as exc:

@@ -12,10 +12,11 @@ Two objectives are evaluated here:
 * problem 2: least squares plus weighted smoothed ``l1 - l2`` differences.
 
 Both cost what the support of x costs: the residual is ``A[:, S] x_S - b``
-(:func:`support_matvec`), and the penalties and their gradients sum over
-all groups at once, the inter-group term being one more group that spans
-every column.  The fit's gradient ``G[S]' x_S - A'b`` is never formed:
-the outer loops' model term
+(:func:`support_matvec`), or ``t (A 1) - b`` from the kept column sum at
+a constant x = t 1 such as the 0.1 start, and the penalties and their
+gradients sum over all groups at once, the inter-group term being one
+more group that spans every column.  The fit's gradient
+``G[S]' x_S - A'b`` is never formed: the outer loops' model term
 q = (G + 2C) a - grad F(a) = A'b - grad P(a) + 2Ca needs only A'b and the
 penalty's gradient.  The evaluations take plain arrays and check nothing;
 a solve checks its data and config once, through :func:`checked_data`,
@@ -34,7 +35,8 @@ from .penalties import diff_l1_l2_groups, hoyer_ratio_groups
 
 # A product with A or G reads only the columns on x's support while that
 # support holds at most this share of x's entries; past it the dense
-# product is faster (the 0.1 start point).
+# product is faster.  The constant 0.1 start takes neither: its residual
+# is t (A 1) - b, from GroupedDictionary.column_sum.
 # A matrix of fewer entries than SUPPORT_MIN_ENTRIES is always multiplied
 # densely: with 3 nonzeros the gather costs more than the whole product
 # below 32k-72k entries (timed on one core; 204 x 40 hyperspectral
@@ -104,6 +106,13 @@ class GroupedDictionary:
         gram = self.entries.T @ self.entries
         gram.flags.writeable = False
         return gram
+
+    @cached_property
+    def column_sum(self) -> np.ndarray:
+        """Read-only A 1, the sum of the columns, computed on first use and kept."""
+        total = self.entries @ np.ones(self.n_columns)
+        total.flags.writeable = False
+        return total
 
 
 @dataclass
@@ -226,8 +235,10 @@ def support_matvec(mat: np.ndarray, x: np.ndarray, symmetric: bool = False) -> n
 
 
 def _least_squares(dct: GroupedDictionary, b: np.ndarray, x: np.ndarray):
-    """Residual Ax - b, on x's support, and the fit |r|^2 / 2."""
-    resid = support_matvec(dct.entries, x) - b
+    """Residual Ax - b, on x's support or as t (A 1) - b at x = t 1, and the fit |r|^2 / 2."""
+    t = x.item(0)
+    constant = t > 0.0 and x.item(-1) == t and (x == t).all()
+    resid = (t * dct.column_sum if constant else support_matvec(dct.entries, x)) - b
     return resid, 0.5 * float(resid @ resid)
 
 

@@ -38,6 +38,8 @@ import scipy.linalg.lapack
 from .core import SUPPORT_SHARE, support_matvec
 from .errors import NonConvergenceError
 
+_EPS = float(np.finfo(float).eps)
+
 
 @dataclass
 class AdmmParams:
@@ -105,7 +107,7 @@ def model_cholesky(h: np.ndarray) -> np.ndarray:
     if info:
         raise ValueError(f"model Hessian G + 2C is not positive definite (leading minor "
                          f"{info} of {h.shape[0]}); increase c_matrix_scale")
-    if low.diagonal().min() ** 2 <= h.shape[0] * np.finfo(float).eps * h.diagonal().max():
+    if low.diagonal().min() ** 2 <= h.shape[0] * _EPS * h.diagonal().max():
         raise ValueError(f"model Hessian G + 2C is numerically singular on {h.shape[0]} "
                          "columns; increase c_matrix_scale")
     return low
@@ -152,7 +154,7 @@ def solve_qp_p2(gram: np.ndarray, diag: float, q: np.ndarray,
     passive = np.zeros(n, dtype=bool)
     # negative gradient q - (G + diag I) z; at z = 0 it is q exactly
     w = q.copy()
-    tol = 10.0 * n * np.finfo(float).eps * float(np.max(np.abs(q), initial=0.0))
+    tol = 10.0 * n * _EPS * float(np.max(np.abs(q), initial=0.0))
     iters = 0
 
     def solve(idx):
@@ -264,7 +266,7 @@ def solve_qp_p1(gram: np.ndarray, diag: float, q: np.ndarray, offsets: np.ndarra
     rhs = np.append(eps, -budget)
     # a multiplier times its row's largest entry is its pull on the gradient
     row_scale = np.append(np.ones(m), 1.0 / np.min(eps, initial=np.inf))
-    tol = 10.0 * nz * np.finfo(float).eps * float(
+    tol = 10.0 * nz * _EPS * float(
         np.max(np.abs(np.concatenate([q, q_d])), initial=0.0))
 
     # start: each group's most attractive column carries r/m of its floor
@@ -315,7 +317,7 @@ def solve_qp_p1(gram: np.ndarray, diag: float, q: np.ndarray, offsets: np.ndarra
         s = np.concatenate([s0 + ys @ lam, both[:kd]])
         zf = z[idx]
         p = s - zf
-        err = _ROUNDING_ULPS * np.finfo(float).eps * (np.abs(s) + np.abs(zf) + np.concatenate(
+        err = _ROUNDING_ULPS * _EPS * (np.abs(s) + np.abs(zf) + np.concatenate(
             [np.abs(s0) + np.abs(ys) @ np.abs(lam), eps[jd]]))
 
         # ratio test over the free entries and the rows outside the working

@@ -19,8 +19,9 @@ q_d = 2c a_d - grad_d P(a) for problem 1's dummies), as the arrays G, q
 and q_d and the scalar 2c, so the fit's gradient G a - A'b is never
 formed: an objective evaluation forms only the residual, from the
 iterate's nonzero columns, and the penalty's gradient
-(:mod:`ssnnls.core`).  That leaves two dense passes over A per
-solve, A'b and the residual at the dense start; after it a step costs
+(:mod:`ssnnls.core`); at the constant 0.1 start the residual comes from
+A 1, which :class:`~ssnnls.core.GroupedDictionary` keeps beside ``gram``.
+That leaves one dense pass over A per solve, A'b; after it a step costs
 what its support costs.  A step that cannot descend ends either run as
 ``energy_tol``, and an active set's
 :class:`~ssnnls.errors.NonConvergenceError` propagates.

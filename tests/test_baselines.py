@@ -1,11 +1,17 @@
 """Comparison solvers: NNLS wrapper, l1 variants, l0 penalty decomposition."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.optimize
 from numpy.random import default_rng
 
 import oracles
+import ssnnls
 from ssnnls import baselines, qp
 from ssnnls.baselines import PdParams, l1_bregman, l1_penalized, nnls, penalty_decomposition_l0
 from ssnnls.core import GroupedDictionary, SparsityConfig
@@ -64,6 +70,15 @@ def test_nnls_beats_random_feasible_points():
 def test_nnls_shape_mismatch():
     with pytest.raises(ValueError):
         nnls(np.eye(3), np.ones(4))
+
+
+def test_pipelines_import_without_scipy_optimize():
+    # scipy.optimize is loaded by the first nnls call, not by an import
+    code = "import sys, ssnnls.hsi, ssnnls.doas; print('scipy.optimize' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(ssnnls.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 def test_nnls_iteration_cap_is_non_convergence():

@@ -222,6 +222,34 @@ def test_support_matvec_is_the_dense_product(any_size_on_support, nonzeros):
     _assert_matches(support_matvec(gram, x, symmetric=True), gram @ x, 1e-14)
 
 
+def test_column_sum_is_kept_read_only():
+    entries = np.random.default_rng(8).normal(size=(30, 40))
+    dct = GroupedDictionary(entries, np.array([0, 10, 40]))
+    total = dct.column_sum
+    assert dct.column_sum is total and not total.flags.writeable
+    _assert_matches(total, entries.sum(axis=1), 1e-14)
+
+
+@pytest.mark.parametrize("t", [0.1, 2.5])
+@pytest.mark.parametrize("intra_only", [False, True])
+def test_constant_point_objectives_match_the_dense_formula(t, intra_only):
+    # a constant x takes its residual from the kept A 1; a point equal to
+    # that constant at both ends only takes the product
+    dct, b, cfg = _wide_problem(intra_only)
+    d = np.array([0.03, 0.05, 0.02, 0.04])
+    dented = np.full(40, t)
+    dented[17] = 0.5 * t
+    for x in (np.full(40, t), dented):
+        fit, penalty = dense_objective_p2(dct, b, cfg, x)[:2]
+        out = eval_objective_p2(dct, b, x, cfg)
+        _assert_matches(out.value, fit + penalty, 1e-14)
+        _assert_matches(out.resid, dct.entries @ x - b, 1e-14)
+        fit, penalty = dense_objective_p1(dct, b, cfg, x, d)[:2]
+        out = eval_objective_p1(dct, b, x, d, cfg)
+        _assert_matches(out.value, fit + penalty, 1e-14)
+        _assert_matches(out.resid, dct.entries @ x - b, 1e-14)
+
+
 def _desk_deformation_dictionary():
     wl = wavelength_grid(256)
     return build_deformation_dictionary(synthesize_references(wl, seed=7),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from ssnnls.core import (SUPPORT_SHARE, GroupedDictionary, SparsityConfig,
+from ssnnls.core import (SUPPORT_MIN_ENTRIES, SUPPORT_SHARE, GroupedDictionary, SparsityConfig,
                          eval_objective_p1, eval_objective_p2, support_matvec)
 from ssnnls.errors import ConfigError, NonConvergenceError
 from ssnnls import core, sgp
@@ -492,3 +492,34 @@ def test_solves_multiply_the_gram_matrix_only_by_a_model_step(monkeypatch, probl
     else:
         steps = [mod.x - mod.anchor for mod in seen]
         assert with_gram and all(any(np.array_equal(x, dx) for dx in steps) for x in with_gram)
+
+
+@pytest.mark.parametrize("problem", ["p1", "p2"])
+def test_solves_from_the_default_start_make_no_dense_product_with_the_dictionary(monkeypatch,
+                                                                                 problem):
+    # the 0.1 start's residual comes from the kept A 1, so on a dictionary
+    # large enough for the support path every product with A is a sparse
+    # one, of a later iterate
+    dct, b, cfg = make_problem(3, n_rows=64, sizes=(550, 550), noise=0.0)
+    cfg.gamma[:] = 1.0
+    assert dct.entries.size >= SUPPORT_MIN_ENTRIES
+    products, evaluated = [], []
+
+    def recording(mat, x, symmetric=False):
+        products.append((mat, x.copy()))
+        return support_matvec(mat, x, symmetric)
+
+    real_eval = getattr(sgp, f"eval_objective_{problem}")
+
+    def evaluating(*args, **kwargs):
+        evaluated.append(args[2].copy())
+        return real_eval(*args, **kwargs)
+
+    monkeypatch.setattr(core, "support_matvec", recording)
+    monkeypatch.setattr(sgp, f"eval_objective_{problem}", evaluating)
+    solve = solve_problem1 if problem == "p1" else solve_problem2
+    solve(dct, b, cfg, SgpParams())
+    with_a = [x for mat, x in products if mat is dct.entries]
+    assert np.array_equal(evaluated[0], np.full(dct.n_columns, 0.1))
+    assert with_a and all(np.array_equal(x, y) for x, y in zip(with_a, evaluated[1:], strict=True))
+    assert all(np.count_nonzero(x) <= SUPPORT_SHARE * x.size for x in with_a)
