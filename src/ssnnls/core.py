@@ -20,7 +20,10 @@ more group that spans every column.  The fit's gradient
 q = (G + 2C) a - grad F(a) = A'b - grad P(a) + 2Ca needs only A'b and the
 penalty's gradient.  The evaluations take plain arrays and check nothing;
 a solve checks its data and config once, through :func:`checked_data`,
-which also forms A'b.
+which also forms A'b.  Problem 2's evaluation also takes a block, one
+vector per row, as problem 2's loop hands it every live data vector at
+once: the residual is then one product of A with the union of the
+rows' supports, and every field holds one value, or vector, per row.
 """
 
 import math
@@ -182,7 +185,9 @@ class ObjectiveEval:
 
     ``resid`` is Ax - b, ``penalty_grad`` the penalty's gradient in x and
     ``grad_d`` the objective's, all penalty, in the dummies.  The full
-    gradient in x is A' ``resid`` + ``penalty_grad``.
+    gradient in x is A' ``resid`` + ``penalty_grad``.  An evaluation of a
+    block (:func:`eval_objective_p2`) holds one value, or one row, per
+    vector in each field.
     """
 
     value: float
@@ -222,35 +227,52 @@ def normalize_columns(entries: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 def support_matvec(mat: np.ndarray, x: np.ndarray, symmetric: bool = False) -> np.ndarray:
     """``mat @ x`` from the columns of ``mat`` on which x is nonzero.
 
-    With ``symmetric`` (a Gram matrix) it gathers the same rows instead,
-    which a C-ordered matrix stores contiguously.  It is the dense product
-    when x has more than ``SUPPORT_SHARE`` of its entries nonzero or
-    ``mat`` has fewer than ``SUPPORT_MIN_ENTRIES`` entries.
+    A block x of vectors, one per row, gives one product per row, from
+    the columns on which any row is nonzero.  With ``symmetric`` (a Gram
+    matrix) it gathers the same rows instead, which a C-ordered matrix
+    stores contiguously.  It is the dense product when that support
+    holds more than ``SUPPORT_SHARE`` of a row's entries or ``mat`` has
+    fewer than ``SUPPORT_MIN_ENTRIES`` entries.
     """
     if mat.size >= SUPPORT_MIN_ENTRIES:
-        idx = np.flatnonzero(x)
-        if idx.size <= SUPPORT_SHARE * x.size:
-            return x[idx] @ mat[idx] if symmetric else mat[:, idx] @ x[idx]
-    return mat @ x
+        idx = np.flatnonzero(x if x.ndim == 1 else x.any(axis=0))
+        if idx.size <= SUPPORT_SHARE * x.shape[-1]:
+            x = x[..., idx]
+            return x @ mat[idx] if symmetric else (mat[:, idx] @ x.T).T
+    return (mat @ x.T).T
 
 
 def _least_squares(dct: GroupedDictionary, b: np.ndarray, x: np.ndarray):
-    """Residual Ax - b, on x's support or as t (A 1) - b at x = t 1, and the fit |r|^2 / 2."""
-    t = x.item(0)
+    """Residual Ax - b, on x's support or as t (A 1) - b at x = t 1, and the fit |r|^2 / 2.
+
+    A block x and b, one vector per row, give one residual and one fit per row.
+    """
+    t = x.item(0) if x.size else 0.0
     constant = t > 0.0 and x.item(-1) == t and (x == t).all()
     resid = (t * dct.column_sum if constant else support_matvec(dct.entries, x)) - b
-    return resid, 0.5 * float(resid @ resid)
+    return resid, 0.5 * np.vecdot(resid, resid)
 
 
 def checked_data(dct: GroupedDictionary, b,
                  cfg: SparsityConfig) -> Tuple[np.ndarray, np.ndarray]:
     """A solve's checks, once: validates ``cfg`` and returns ``(b, A'b)``.
 
-    ``b`` is checked and flattened by :func:`as_data_vector`.
+    A 2-d ``b`` is a block of data vectors, one per column, returned with
+    one vector per row, beside (A'B)' from one product; any other ``b``
+    is one vector, checked and flattened by :func:`as_data_vector`.
+    ValueError unless each vector holds ``n_rows`` finite values.
     """
     cfg.validate(dct.n_groups)
-    b = as_data_vector(b, dct.n_rows)
-    return b, dct.entries.T @ b
+    if np.ndim(b) != 2:
+        b = as_data_vector(b, dct.n_rows)
+        return b, dct.entries.T @ b
+    b = np.asarray(b, dtype=float)
+    if b.shape[0] != dct.n_rows:
+        raise ValueError(f"data must have {dct.n_rows} rows, got shape {b.shape}")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("data must be finite")
+    b = np.ascontiguousarray(b.T)
+    return b, b @ dct.entries
 
 
 def eval_objective_p2(dct: GroupedDictionary, b: np.ndarray, x: np.ndarray,
@@ -259,13 +281,15 @@ def eval_objective_p2(dct: GroupedDictionary, b: np.ndarray, x: np.ndarray,
 
     Checks nothing: ``b`` and ``cfg`` are as :func:`checked_data` returns
     and validates them, and x is a non-negative vector of
-    ``dct.n_columns`` values.
+    ``dct.n_columns`` values.  A block, x and b holding one vector per
+    row, is evaluated in one call: every field then holds one value, or
+    one vector, per row.
     """
     resid, fit = _least_squares(dct, b, x)
     penalty, grad = diff_l1_l2_groups(x, dct.offsets, cfg.eps, cfg.gamma)
     if cfg.gamma0 > 0.0:
-        value, grad0 = diff_l1_l2_groups(x, np.array([0, x.size]), cfg.eps.min(keepdims=True),
-                                         np.array([cfg.gamma0]))
+        value, grad0 = diff_l1_l2_groups(x, np.array([0, x.shape[-1]]),
+                                         cfg.eps.min(keepdims=True), np.array([cfg.gamma0]))
         penalty += value
         grad += grad0
     return ObjectiveEval(fit + penalty, fit, penalty, resid, grad)

@@ -3,9 +3,12 @@
 A scene is a band-by-pixel matrix, each pixel a non-negative combination
 of library spectra; the library's columns cluster into groups of variants
 of the same material.  Demixing solves one structured-sparse problem per
-pixel, in one loop over pixels that share the dictionary's cached Gram
-matrix, and metrics compare recovered abundances against the planted
-truth, per column and collapsed per group.
+pixel against the dictionary's cached Gram matrix: problem 2 solves a
+call's pixels as one block (:func:`ssnnls.sgp.solve_problem2`), with one
+A'B product and one objective evaluation per step for every live pixel,
+and the other solvers run one loop over the pixels.  Metrics compare
+recovered abundances against the planted truth, per column and
+collapsed per group.
 """
 
 from dataclasses import dataclass, field
@@ -54,7 +57,8 @@ class AbundanceMatrix:
     """Recovered abundances (n_columns, n_pixels) plus per-pixel failures.
 
     ``outer_iters`` holds the outer-iteration count per pixel for the two
-    structured solvers and is None for the baselines.
+    structured solvers, a failed pixel's the steps it made before it
+    failed (none for problem 1's), and is None for the baselines.
     """
 
     values: np.ndarray
@@ -153,7 +157,7 @@ def demix_scene(scene: HsiScene, cfg: SparsityConfig, solver: str = "diff_p2",
                 sgp: Optional[SgpParams] = None, admm: Optional[AdmmParams] = None,
                 l1_gamma: Optional[float] = None,
                 threads: Optional[int] = None) -> AbundanceMatrix:
-    """Solve one problem per pixel with the chosen solver, pixel by pixel.
+    """Solve one problem per pixel with the chosen solver.
 
     "l1" is the penalized form at weight ``l1_gamma`` (finite, >= 0;
     :func:`ssnnls.baselines.l1_penalized`, one exact solve by problem
@@ -165,9 +169,13 @@ def demix_scene(scene: HsiScene, cfg: SparsityConfig, solver: str = "diff_p2",
     :mod:`ssnnls.sgp` (``C0``, ``SIGMA``, ``XI1``, ``XI2``, ``RHO``,
     ``MAX_REJECTIONS``, ``TOL_STEP``) and ``qp.ACTIVE_SET_ITERS_PER_COLUMN``.
     ``admm`` is retired and ignored (see :class:`ssnnls.qp.AdmmParams`),
-    and so is ``threads``: pixels run in one serial loop.
+    and so is ``threads``.  "diff_p2" solves the scene's pixels as one
+    block of :func:`ssnnls.sgp.solve_problem2`: the data and the config
+    are checked and A'B formed once, and each step evaluates every live
+    pixel in one call, while each pixel keeps its own stop and step
+    count.  The other solvers run one serial loop over the pixels.
     Pixels whose solver raises a non-convergence error get a zero column
-    and an entry in ``failed_pixels``.
+    and an entry in ``failed_pixels``, and the others go on.
     """
     if solver not in HSI_SOLVERS:
         raise ConfigError(f"unknown solver {solver!r}; choose from {HSI_SOLVERS}")
@@ -179,6 +187,11 @@ def demix_scene(scene: HsiScene, cfg: SparsityConfig, solver: str = "diff_p2",
             raise ConfigError("the l1 solver needs l1_gamma")
         l1_gamma = l1_weight(l1_gamma, "l1_gamma")
 
+    if solver == "diff_p2":
+        rep = solve_problem2(dct, scene.pixels, cfg, sgp)
+        outer = np.array([col.outer_iters for col in rep.columns], dtype=np.int64)
+        return AbundanceMatrix(rep.x, rep.failed, outer)
+
     def solve_pixel(y: np.ndarray) -> Tuple[np.ndarray, int]:
         if solver == "nnls":
             return nnls(dct.entries, y), 0
@@ -186,10 +199,7 @@ def demix_scene(scene: HsiScene, cfg: SparsityConfig, solver: str = "diff_p2",
             return l1_penalized(dct, y, l1_gamma), 0
         if solver == "pd":
             return penalty_decomposition_l0(dct, y, cfg), 0
-        if solver == "hoyer_p1":
-            rep = solve_problem1(dct, y, cfg, sgp)
-        else:
-            rep = solve_problem2(dct, y, cfg, sgp)
+        rep = solve_problem1(dct, y, cfg, sgp)
         return rep.x, rep.outer_iters
 
     values = np.zeros((dct.n_columns, scene.n_pixels))
@@ -200,7 +210,7 @@ def demix_scene(scene: HsiScene, cfg: SparsityConfig, solver: str = "diff_p2",
             values[:, p], outer[p] = solve_pixel(scene.pixels[:, p])
         except NonConvergenceError as exc:
             failed.append((p, str(exc)))
-    iters_out = outer if solver in ("hoyer_p1", "diff_p2") else None
+    iters_out = outer if solver == "hoyer_p1" else None
     return AbundanceMatrix(values, failed, iters_out)
 
 

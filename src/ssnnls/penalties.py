@@ -11,6 +11,8 @@ sum and differentiable):
 
 Each takes the group offsets and weights, evaluates every group at once
 with ``np.add.reduceat`` and returns a ``(value, grad)`` pair.
+``diff_l1_l2_groups`` also takes a block of vectors, one per row, and
+then returns one value per row.
 Penalties are unscaled beyond those weights.  A penalty over the whole
 vector, such as the objectives' inter-group term, is the one-group call
 with offsets ``[0, n]``.
@@ -25,7 +27,9 @@ def diff_l1_l2_groups(x: np.ndarray, offsets: np.ndarray, eps: np.ndarray,
                       weights: np.ndarray) -> Tuple[float, np.ndarray]:
     """``sum_j weights[j] * (sum(x_j) - huber(x_j, eps[j]))`` over the groups, with its gradient.
 
-    Group j is ``x[offsets[j]:offsets[j + 1]]`` and ``offsets[-1] == x.size``.
+    Group j is ``x[..., offsets[j]:offsets[j + 1]]`` and
+    ``offsets[-1] == x.shape[-1]``: a vector gives a float, a block of
+    vectors, one per row, a value per row and a gradient per row.
     huber(v, e) is ``|v|^2 / (2e)`` inside the ball ``|v| <= e`` and
     ``|v| - e/2`` outside it, so each term is smooth everywhere, the
     origin included (value 0, gradient of ones).  Raises ``ValueError`` on
@@ -33,15 +37,15 @@ def diff_l1_l2_groups(x: np.ndarray, offsets: np.ndarray, eps: np.ndarray,
     """
     starts = offsets[:-1]
     sizes = offsets[1:] - starts
-    if x.min() < 0.0:
+    if x.min(initial=0.0) < 0.0:
         raise ValueError("penalty input must be non-negative")
-    sq = np.add.reduceat(x * x, starts)
+    sq = np.add.reduceat(x * x, starts, axis=-1)
     # huber(v, eps) = |v|^2 / (2 rad) + (rad - eps) / 2 with gradient v / rad,
     # rad = max(|v|, eps): inside the ball and outside it at once
     rad = np.maximum(np.sqrt(sq), eps)
     hub = sq / (2.0 * rad) + (rad - eps) / 2.0
-    value = float(weights @ (np.add.reduceat(x, starts) - hub))
-    return value, np.repeat(weights, sizes) - np.repeat(weights / rad, sizes) * x
+    value = (np.add.reduceat(x, starts, axis=-1) - hub) @ weights
+    return value, np.repeat(weights, sizes) - np.repeat(weights / rad, sizes, axis=-1) * x
 
 
 def hoyer_ratio_groups(x: np.ndarray, d: np.ndarray, offsets: np.ndarray,

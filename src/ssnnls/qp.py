@@ -103,7 +103,12 @@ def model_cholesky(h: np.ndarray) -> np.ndarray:
     squared is at most ``n * eps`` times the largest diagonal entry (the
     rank tolerance of LAPACK's pivoted Cholesky).
     """
-    low, info = scipy.linalg.lapack.dpotrf(h, lower=1)
+    return _checked_factor(h, *scipy.linalg.lapack.dpotrf(h, lower=1))
+
+
+def _checked_factor(h: np.ndarray, low: np.ndarray, info: int) -> np.ndarray:
+    """``low``, a LAPACK lower Cholesky factor of ``h`` with its ``info``, once it passes
+    :func:`model_cholesky`'s two checks."""
     if info:
         raise ValueError(f"model Hessian G + 2C is not positive definite (leading minor "
                          f"{info} of {h.shape[0]}); increase c_matrix_scale")
@@ -115,10 +120,15 @@ def model_cholesky(h: np.ndarray) -> np.ndarray:
 
 def _solve_passive(gram: np.ndarray, diag: float, q: np.ndarray,
                    idx: np.ndarray) -> np.ndarray:
-    """Solve (G + diag I)[idx, idx] s = q[idx] by a Cholesky factor of that block."""
+    """Solve (G + diag I)[idx, idx] s = q[idx] by a Cholesky factor of that block.
+
+    One LAPACK ``dposv`` call factors and solves; the factor then passes
+    :func:`model_cholesky`'s checks before s is returned.
+    """
     block = gram[idx[:, None], idx]
     block.flat[::idx.size + 1] += diag
-    s, _ = scipy.linalg.lapack.dpotrs(model_cholesky(block), q[idx], lower=1)
+    low, s, info = scipy.linalg.lapack.dposv(block, q[idx], lower=1)
+    _checked_factor(block, low, info)
     return s
 
 

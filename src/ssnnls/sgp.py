@@ -25,6 +25,15 @@ That leaves one dense pass over A per solve, A'b; after it a step costs
 what its support costs.  A step that cannot descend ends either run as
 ``energy_tol``, and an active set's
 :class:`~ssnnls.errors.NonConvergenceError` propagates.
+
+Problem 2's loop runs on a block of data vectors, one per row: a
+single solve is the block of one, and a scene's pixels are one block
+(:func:`solve_problem2` with a 2-d ``b``).  The block forms A'B in one
+product, and each step forms every live vector's model term in one
+array operation and evaluates every live candidate in one call; the
+acceptance test and stop rule stay per vector, on Python scalars.  In a
+block, a vector whose active set raises leaves as failed and the others
+go on.
 """
 
 import numbers
@@ -41,6 +50,7 @@ from .qp import model_cholesky, model_value, solve_qp_p1, solve_qp_p2
 TERM_STEP = "step_tol"
 TERM_ENERGY = "energy_tol"
 TERM_MAX_OUTER = "max_outer"
+TERM_FAILED = "nonconvergence"
 
 
 # Algorithm constants of the outer loops, read at call time.  Problem 1
@@ -98,6 +108,17 @@ class SolveReport:
     every model solve: for problem 2 the solves that start a step from
     the anchor's support too, for problem 1 those of rejected candidates,
     for both problems those of the unaccepted last step.
+
+    A block solve of problem 2 (:func:`solve_problem2` on a 2-d ``b``)
+    reports the block: ``x`` holds one solution per column, ``outer_iters``
+    and ``inner_iters_total`` are the sums over its columns, and
+    ``columns`` holds each column's own report (its ``x`` a view of that
+    column); the block's own traces stay empty and its ``termination`` is
+    empty too.  ``failed`` lists the (column, message) of each column
+    whose active set raised :class:`NonConvergenceError`; that column of
+    ``x`` is zero and its report ends as ``nonconvergence`` after the
+    steps it made.  A single solve leaves ``columns`` None and ``failed``
+    empty.
     """
 
     x: np.ndarray
@@ -108,6 +129,8 @@ class SolveReport:
     outer_iters: int = 0
     inner_iters_total: int = 0
     termination: str = TERM_MAX_OUTER
+    columns: Optional[List["SolveReport"]] = None
+    failed: List[Tuple[int, str]] = field(default_factory=list)
 
 
 def _checked_start(name: str, value: Optional[np.ndarray], size: int,
@@ -163,47 +186,91 @@ def solve_problem2(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
     run as ``energy_tol``.  A :class:`NonConvergenceError` from a step's
     active set propagates; an ``x0`` of the wrong length or with a NaN or
     infinite entry is a ``ValueError`` before any evaluation.
+
+    A 2-d ``b`` of shape (rows, P) is a block of P data vectors solved in
+    lockstep, each from ``x0``: the data and the config are checked and
+    A'B formed once, and each step builds every live column's model term
+    in one array operation, runs each column's active set, and evaluates
+    every live column's candidate in one call.  Each column keeps its own
+    acceptance test, stop rule and step count, and leaves the live set
+    when it stops; a column whose active set raises
+    :class:`NonConvergenceError` leaves it as failed and the others go
+    on.  The block's report is described at :class:`SolveReport`.
     """
     params = params or SgpParams()
+    block = np.ndim(b) == 2
     b, atb = checked_data(dct, b, cfg)
-    n = dct.n_columns
-
-    x = _checked_start("x0", x0, n, 0.1)
+    if not block:  # one vector per row: a single solve is the block of one
+        b, atb = b[None], atb[None]
+    x = np.empty_like(atb)
+    x[:] = _checked_start("x0", x0, dct.n_columns, 0.1)
 
     gram = dct.gram
     if not params.c_matrix_scale > 0:
         # with no shift the model is strongly convex only if A has full column rank
         model_cholesky(gram)
-    shift = params.c_matrix_scale
-    report = SolveReport(x)
-
+    diag = 2.0 * params.c_matrix_scale
     ev = eval_objective_p2(dct, b, x, cfg)
-    report.objective_trace.append(ev.value)
+    values = ev.value.tolist()
+    out = np.zeros_like(x)  # a failed column stays zero
+    reports = [SolveReport(row, objective_trace=[value]) for row, value in zip(out, values)]
+    failed: List[Tuple[int, str]] = []
+    live = list(range(len(reports)))  # the column each row of the live arrays solves
     for _ in range(params.max_outer):
+        if not live:
+            break
         # q = (G + 2C) x - grad F(x), in which G x cancels
-        y, iters = solve_qp_p2(gram, 2.0 * shift, atb - ev.penalty_grad + 2.0 * shift * x,
-                               x > 0.0)
-        report.inner_iters_total += iters
+        q = atb - ev.penalty_grad + diag * x
+        y = np.empty_like(x)
+        for i, p in enumerate(live):
+            try:
+                y[i], iters = solve_qp_p2(gram, diag, q[i], x[i] > 0.0)
+            except NonConvergenceError as exc:
+                if not block:
+                    raise
+                failed.append((p, str(exc)))
+                reports[p].termination = TERM_FAILED
+                y[i], iters = x[i], 0
+            reports[p].inner_iters_total += iters
         ev_y = eval_objective_p2(dct, b, y, cfg)
-        if ev_y.value > ev.value:
-            report.termination = TERM_ENERGY
-            break
-        step = float(np.max(np.abs(y - x))) if n else 0.0
-        x = y
-        report.objective_trace.append(ev_y.value)
-        report.c_trace.append(params.c_matrix_scale)
-        report.step_trace.append(step)
-        report.outer_iters += 1
-        decrease = ev.value - ev_y.value
-        ev = ev_y
-        if step <= TOL_STEP:
-            report.termination = TERM_STEP
-            break
-        if abs(decrease) <= params.tol_energy * abs(ev.value):
-            report.termination = TERM_ENERGY
-            break
-    report.x = x
-    return report
+        steps = np.abs(y - x).max(axis=1, initial=0.0).tolist()
+        keep = []
+        for i, (p, value, new) in enumerate(zip(live, values, ev_y.value.tolist())):
+            rep = reports[p]
+            if rep.termination == TERM_FAILED:  # its active set raised this step
+                continue
+            if new > value:
+                rep.termination = TERM_ENERGY
+                out[p] = x[i]
+                continue
+            step = steps[i]
+            rep.objective_trace.append(new)
+            rep.c_trace.append(params.c_matrix_scale)
+            rep.step_trace.append(step)
+            rep.outer_iters += 1
+            values[i] = new
+            if step <= TOL_STEP:
+                rep.termination = TERM_STEP
+            elif abs(value - new) <= params.tol_energy * abs(new):
+                rep.termination = TERM_ENERGY
+            else:
+                keep.append(i)
+                continue
+            out[p] = y[i]
+        x, ev = y, ev_y
+        if len(keep) < len(live):
+            live = [live[i] for i in keep]
+            if live:
+                b, atb, x = b[keep], atb[keep], x[keep]
+                ev.penalty_grad = ev.penalty_grad[keep]
+                values = [values[i] for i in keep]
+    for i, p in enumerate(live):
+        out[p] = x[i]
+    if not block:
+        return reports[0]
+    return SolveReport(out.T, outer_iters=sum(r.outer_iters for r in reports),
+                       inner_iters_total=sum(r.inner_iters_total for r in reports),
+                       termination="", columns=reports, failed=failed)
 
 
 def solve_problem1(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,

@@ -2,6 +2,9 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -518,3 +521,22 @@ def test_one_solver_failing_keeps_the_others_records(tmp_path, capsys, monkeypat
         if solver != failing:
             assert stored[solver]["metrics"] and \
                 not (stored[solver]["termination"] or "").startswith("nonconvergence")
+
+
+def test_scipy_optimize_is_loaded_before_the_first_timed_fit():
+    # the nnls baseline imports scipy.optimize on its first call; a run
+    # loads it before it starts timing, so no runtime_s carries the import
+    code = ("import sys\n"
+            "from ssnnls import cli\n"
+            "seen = []\n"
+            "real = cli.demix_scene\n"
+            "def demix(*args, **kwargs):\n"
+            "    seen.append('scipy.optimize' in sys.modules)\n"
+            "    return real(*args, **kwargs)\n"
+            "cli.demix_scene = demix\n"
+            "cli.main(['--experiment', 'hsi-structured', '--scale', '20', '--solver', 'nnls'])\n"
+            "print(seen)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip().splitlines()[-1] == "[True]"

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 import scipy.optimize
 
-from ssnnls import qp
+from ssnnls import qp, sgp
 from ssnnls.core import GroupedDictionary, SparsityConfig
 from ssnnls.errors import ConfigError, NonConvergenceError
 from ssnnls.hsi import (HSI_SOLVERS, HsiScene, compute_metrics, demix_scene,
@@ -150,6 +150,40 @@ def test_problem2_nnls_cap_fails_the_pixel(tiny_scene, monkeypatch):
     out = demix_scene(tiny_scene, tiny_cfg(), solver="diff_p2", sgp=SGP_FAST)
     assert [p for p, _ in out.failed_pixels] == list(range(5))
     assert np.all(out.values == 0.0)
+
+
+@pytest.mark.parametrize("solver", ["diff_p2", "hoyer_p1", "nnls"])
+def test_demix_a_scene_without_pixels(tiny_scene, solver):
+    scene = HsiScene(tiny_scene.dictionary, tiny_scene.scales, np.zeros((40, 0)))
+    out = demix_scene(scene, tiny_cfg(), solver=solver, sgp=SGP_FAST)
+    assert out.values.shape == (8, 0) and out.failed_pixels == []
+    assert out.outer_iters is None if solver == "nnls" else out.outer_iters.shape == (0,)
+
+
+def test_demix_p2_fails_one_pixel_alone(tiny_scene, monkeypatch):
+    # the pixels run as one block; the active set of pixel 2's second step
+    # raises, and only that pixel fails: a zero column, an entry in
+    # failed_pixels, and every other pixel as its own solve leaves it
+    dct, cfg = tiny_scene.dictionary, tiny_cfg()
+    singles = [solve_problem2(dct, tiny_scene.pixels[:, p], cfg, SGP_FAST)
+               for p in range(tiny_scene.n_pixels)]
+    assert min(one.outer_iters for one in singles) >= 2  # all five take a second step
+    real, calls = sgp.solve_qp_p2, []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == tiny_scene.n_pixels + 3:
+            raise NonConvergenceError("nnls: stand-in failure", iterations=0)
+        return real(*args)
+
+    monkeypatch.setattr(sgp, "solve_qp_p2", failing)
+    out = demix_scene(tiny_scene, cfg, solver="diff_p2", sgp=SGP_FAST)
+    assert out.failed_pixels == [(2, "nnls: stand-in failure")]
+    assert np.all(out.values[:, 2] == 0.0) and out.outer_iters[2] == 1
+    for p, one in enumerate(singles):
+        if p != 2:
+            assert np.max(np.abs(out.values[:, p] - one.x)) <= 1e-12 * np.max(np.abs(one.x))
+            assert out.outer_iters[p] == one.outer_iters
 
 
 # ---------------------------------------------------------------- metrics

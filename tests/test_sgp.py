@@ -98,6 +98,63 @@ def test_problem2_termination_max_outer():
     assert report.outer_iters == 2
 
 
+def _block_problem(wide):
+    """A dictionary and a (rows, 6) block of its data, the last column far outside its range.
+
+    The last column's objective is so large that its first step's
+    decrease already meets the relative energy test.
+    """
+    if wide:
+        dct, _, cfg = make_problem(3, n_rows=120, sizes=(25, 25, 25, 25))
+    else:
+        dct, _, cfg = make_problem(0)
+    rng = default_rng(41)
+    truth = np.where(rng.uniform(size=(dct.n_columns, 6)) < 0.15,
+                     rng.uniform(0.5, 1.5, size=(dct.n_columns, 6)), 0.0)
+    block = dct.entries @ truth + 0.1 * rng.normal(size=(dct.n_rows, 6))
+    q, _ = np.linalg.qr(dct.entries, mode="complete")
+    block[:, -1] += 1e4 * q[:, -1]
+    return dct, block, cfg
+
+
+@pytest.mark.parametrize("wide", [False, True])
+def test_problem2_block_equals_its_single_solves(monkeypatch, wide):
+    # each column keeps its own steps and stop; the wide dictionary's block
+    # residual comes from the union of the columns' supports
+    monkeypatch.setattr(core, "SUPPORT_MIN_ENTRIES", 0)
+    dct, block, cfg = _block_problem(wide)
+    params = SgpParams(tol_energy=1e-4)
+    rep = solve_problem2(dct, block, cfg, params)
+    singles = [solve_problem2(dct, block[:, p], cfg, params) for p in range(block.shape[1])]
+    # every stop is decided far above rounding, where the block's products
+    # (A'B and the residual) may part from a single solve's
+    for one in singles:
+        trace = np.asarray(one.objective_trace)
+        assert abs(trace[-2] - trace[-1]) >= 1e-12 * abs(trace[-1])
+    assert rep.x.shape == (dct.n_columns, block.shape[1]) and rep.failed == []
+    assert [col.outer_iters for col in rep.columns] == [one.outer_iters for one in singles]
+    assert [col.termination for col in rep.columns] == [one.termination for one in singles]
+    assert [col.inner_iters_total for col in rep.columns] == \
+        [one.inner_iters_total for one in singles]
+    assert rep.outer_iters == sum(one.outer_iters for one in singles)
+    assert rep.inner_iters_total == sum(one.inner_iters_total for one in singles)
+    for p, one in enumerate(singles):
+        assert np.max(np.abs(rep.x[:, p] - one.x)) <= 1e-12 * np.max(np.abs(one.x))
+        assert np.array_equal(rep.columns[p].x, rep.x[:, p])
+        assert rep.columns[p].objective_trace == pytest.approx(one.objective_trace, rel=1e-12)
+    assert singles[-1].outer_iters == 1 and singles[-1].termination == TERM_ENERGY
+    assert min(one.outer_iters for one in singles[:-1]) >= 2
+
+
+def test_problem2_block_rejects_data_of_the_wrong_rows_or_not_finite():
+    dct, block, cfg = _block_problem(False)
+    with pytest.raises(ValueError, match="rows"):
+        solve_problem2(dct, block[:-1], cfg)
+    block[3, 2] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        solve_problem2(dct, block, cfg)
+
+
 @pytest.mark.parametrize("problem, tol", [("p1", 1e-10), ("p2", 1e-6)])
 def test_energy_stop_is_relative_to_the_objective(problem, tol):
     # with the data scaled by 1e3 the objective is ~1e3, so the stop comes
@@ -345,6 +402,7 @@ def test_objective_trace_matches_dense_evaluation_of_its_iterates(monkeypatch, s
                                                                  problem):
     # the loops evaluate on the iterate's support with A'b formed once;
     # every value they see, and so every traced one, is the dense objective
+    # (problem 2 evaluates a block, one row per data vector: here one row)
     monkeypatch.setattr(core, "SUPPORT_MIN_ENTRIES", 0)
     dct, b, cfg = make_problem(seed, n_rows=60, sizes=sizes)
     name = f"eval_objective_{problem}"
@@ -353,7 +411,8 @@ def test_objective_trace_matches_dense_evaluation_of_its_iterates(monkeypatch, s
 
     def recording(*args, **kwargs):
         ev = evaluate(*args, **kwargs)
-        seen.append((tuple(a.copy() for a in args[2:-1]), ev.value))
+        seen.append((tuple(np.atleast_2d(a)[0].copy() for a in args[2:-1]),
+                     float(np.ravel(ev.value)[0])))
         return ev
 
     monkeypatch.setattr(sgp, name, recording)
@@ -399,7 +458,7 @@ def _recorded_models(monkeypatch, problem, dct, b, cfg):
 
     Problem 1's models are read from its value check, which takes the
     model, its anchor and the minimiser; problem 2's anchor is the point
-    the loop evaluated last before the solve.
+    the loop evaluated last before the solve, the one row of its block.
     """
     solves, evaluated, values = [], [], []
     solve_name, eval_name = f"solve_qp_{problem}", f"eval_objective_{problem}"
@@ -411,7 +470,7 @@ def _recorded_models(monkeypatch, problem, dct, b, cfg):
         return out
 
     def evaluating(*args, **kwargs):
-        evaluated.append(args[2].copy())
+        evaluated.append(np.atleast_2d(args[2])[0].copy())
         return real_eval(*args, **kwargs)
 
     def valuing(*args):
@@ -512,14 +571,15 @@ def test_solves_from_the_default_start_make_no_dense_product_with_the_dictionary
     real_eval = getattr(sgp, f"eval_objective_{problem}")
 
     def evaluating(*args, **kwargs):
-        evaluated.append(args[2].copy())
+        # problem 2 evaluates a block, one row per data vector: here one row
+        evaluated.append(np.atleast_2d(args[2])[0].copy())
         return real_eval(*args, **kwargs)
 
     monkeypatch.setattr(core, "support_matvec", recording)
     monkeypatch.setattr(sgp, f"eval_objective_{problem}", evaluating)
     solve = solve_problem1 if problem == "p1" else solve_problem2
     solve(dct, b, cfg, SgpParams())
-    with_a = [x for mat, x in products if mat is dct.entries]
+    with_a = [np.atleast_2d(x)[0] for mat, x in products if mat is dct.entries]
     assert np.array_equal(evaluated[0], np.full(dct.n_columns, 0.1))
     assert with_a and all(np.array_equal(x, y) for x, y in zip(with_a, evaluated[1:], strict=True))
     assert all(np.count_nonzero(x) <= SUPPORT_SHARE * x.size for x in with_a)

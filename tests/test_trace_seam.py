@@ -92,6 +92,31 @@ def test_traced_problem2_counts_every_objective_evaluation(monkeypatch, params, 
     assert tracer.totals()["core.eval_objective"][0] == report.outer_iters + 1 + unaccepted
 
 
+def test_traced_p2_scene_counts_steps_and_evaluates_once_per_block_step():
+    # the pixels run as one block: the tracer adds the block's summed steps,
+    # and each block step evaluates every live pixel in one call
+    rng = np.random.default_rng(3)
+    dct = GroupedDictionary(rng.normal(size=(24, 8)), np.array([0, 3, 6, 8]))
+    truth = np.where(rng.uniform(size=(8, 6)) < 0.3, rng.uniform(0.5, 1.5, size=(8, 6)), 0.0)
+    scene = HsiScene(dct, np.ones(8), dct.entries @ truth + 0.05 * rng.normal(size=(24, 6)))
+    cfg = SparsityConfig(gamma=np.full(3, 0.05), gamma0=0.02, eps=np.full(3, 0.05), r=1.0)
+    params = SgpParams(tol_energy=1e-6)
+    tracing = _tracing()
+    evaluations = []
+    for p in range(scene.n_pixels):
+        tracer = tracing.Tracer()
+        with tracing.traced(tracer):
+            solve_problem2(dct, scene.pixels[:, p], cfg, params)
+        evaluations.append(tracer.totals()["core.eval_objective"][0])
+    tracer = tracing.Tracer()
+    with tracing.traced(tracer):
+        out = demix_scene(scene, cfg, solver="diff_p2", sgp=params)
+    assert out.failed_pixels == [] and out.outer_iters.sum() > scene.n_pixels
+    assert tracer.counts["sgp.outer_steps"] == out.outer_iters.sum()
+    spans = tracer.totals()["core.eval_objective"][0]
+    assert spans == max(evaluations) < sum(evaluations)
+
+
 def test_every_traced_name_is_the_function_its_caller_uses():
     tracing = _tracing()
     patches = tracing._patches(tracing.Tracer())
