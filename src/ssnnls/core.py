@@ -15,7 +15,8 @@ Both cost what the support of x costs: the residual is ``A[:, S] x_S - b``
 (:func:`support_matvec`), or ``t (A 1) - b`` from the kept column sum at
 a constant x = t 1 such as the 0.1 start, and the penalties and their
 gradients sum over all groups at once, the inter-group term being one
-more group that spans every column.  The fit's gradient
+more group that spans every column (for problem 2, formed from the
+groups' own sums).  The fit's gradient
 ``G[S]' x_S - A'b`` is never formed: the outer loops' model term
 q = (G + 2C) a - grad F(a) = A'b - grad P(a) + 2Ca needs only A'b and the
 penalty's gradient.  The evaluations take plain arrays and check nothing;
@@ -60,14 +61,16 @@ class GroupedDictionary:
 
     ``offsets`` has length ``n_groups + 1`` with ``offsets[0] == 0`` and
     ``offsets[-1] == n_columns``; group j owns columns
-    ``offsets[j]:offsets[j+1]``.
+    ``offsets[j]:offsets[j+1]``.  ``entries`` is kept column-major, so
+    the few columns on a sparse support are read contiguously; an array
+    already laid out so is kept without a copy.
     """
 
     entries: np.ndarray
     offsets: np.ndarray
 
     def __post_init__(self):
-        entries = np.ascontiguousarray(np.asarray(self.entries, dtype=float))
+        entries = np.asfortranarray(self.entries, dtype=float)
         offsets = np.asarray(self.offsets, dtype=np.int64)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "offsets", offsets)
@@ -286,12 +289,8 @@ def eval_objective_p2(dct: GroupedDictionary, b: np.ndarray, x: np.ndarray,
     one vector, per row.
     """
     resid, fit = _least_squares(dct, b, x)
-    penalty, grad = diff_l1_l2_groups(x, dct.offsets, cfg.eps, cfg.gamma)
-    if cfg.gamma0 > 0.0:
-        value, grad0 = diff_l1_l2_groups(x, np.array([0, x.shape[-1]]),
-                                         cfg.eps.min(keepdims=True), np.array([cfg.gamma0]))
-        penalty += value
-        grad += grad0
+    penalty, grad = diff_l1_l2_groups(x, dct.offsets, cfg.eps, cfg.gamma, cfg.gamma0,
+                                      cfg.eps.min())
     return ObjectiveEval(fit + penalty, fit, penalty, resid, grad)
 
 

@@ -23,8 +23,10 @@ backgrounds that Q annihilates cost nothing and drop out.  Every solver
 fits R A to R data, and the background is
 B = (I + alpha Q'Q)^-1 r = r - R'R r with r = data - A x.  The SVD
 depends only on the band count w; it is taken once per w, and only when
-alpha > 0.  Q itself is factored, not Q'Q, whose condition number is the
-square of Q's (2.9e4 at 256 bands, 4.6e5 at 1024).
+alpha > 0, as is SciPy's sine transform, which builds Q: so a fit with
+alpha = 0 by diff_p2 never loads SciPy.  Q itself is factored, not Q'Q,
+whose condition number is the square of Q's (2.9e4 at 256 bands, 4.6e5
+at 1024).
 """
 
 import functools
@@ -33,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-import scipy.fft
 
 from .baselines import PdParams, l1_bregman, l1_weight, nnls, penalty_decomposition_l0
 from .core import (ZERO_TOL, GroupedCoeffs, GroupedDictionary, SparsityConfig,
@@ -208,8 +209,9 @@ def build_deformation_dictionary(refs: Sequence[ReferenceSpectrum], grid: Deform
     """
     wavelengths = np.asarray(wavelengths, dtype=float).ravel()
     per_group = grid.size
-    # C-ordered, as the column norms of normalize_columns depend on the layout
-    cols = np.empty((wavelengths.size, len(refs) * per_group))
+    # column-major, as GroupedDictionary keeps it; the column norms of
+    # normalize_columns depend on the layout at rounding level
+    cols = np.empty((wavelengths.size, len(refs) * per_group), order="F")
     for j, ref in enumerate(refs):
         cols[:, j * per_group:(j + 1) * per_group] = _deformed_samples(ref, grid, wavelengths).T
     offsets = np.arange(len(refs) + 1, dtype=np.int64) * per_group
@@ -313,6 +315,8 @@ class BackgroundOperator:
         line subtraction cancels before any transform coefficients are
         rounded.
         """
+        import scipy.fft  # on first use: a fit with alpha = 0 runs without SciPy
+
         b = np.asarray(background, dtype=float).ravel()
         w = self.matrix.shape[1]
         if b.size != w:
@@ -323,6 +327,8 @@ class BackgroundOperator:
 
 
 def build_background_operator(n_samples: int) -> BackgroundOperator:
+    import scipy.fft  # on first use: a fit with alpha = 0 runs without SciPy
+
     if n_samples < 4:
         raise ValueError(f"need at least 4 samples, got {n_samples}")
     w = n_samples
@@ -454,7 +460,8 @@ def fit_doas(data: np.ndarray, ddict: DeformationDictionary,
     m = dct.n_groups
     if cfg.alpha > 0:
         reduction = _background_reduction(data.size, cfg.alpha)
-        solved = GroupedDictionary(reduction @ dct.entries, dct.offsets)
+        # (A'R')' is R A laid out column-major, as GroupedDictionary keeps it
+        solved = GroupedDictionary((dct.entries.T @ reduction.T).T, dct.offsets)
         b = reduction @ data
     else:
         solved, b = dct, data

@@ -100,7 +100,7 @@ def synthesize_endmember_library(n_bands: int, group_sizes: Sequence[int], seed:
             add = _smooth_noise(rng, n_bands, max(4, n_bands // 10))
             var = base * (1.0 + within_spread * bump) + 0.02 * within_spread * add
             cols.append(np.maximum(var, 1e-3))
-    raw = np.stack(cols, axis=1)
+    raw = np.stack(cols).T  # column-major, as GroupedDictionary keeps it
     normalized, scales = normalize_columns(raw)
     offsets = np.concatenate([[0], np.cumsum(group_sizes)]).astype(np.int64)
     return GroupedDictionary(normalized, offsets), scales
@@ -167,7 +167,8 @@ def demix_scene(scene: HsiScene, cfg: SparsityConfig, solver: str = "diff_p2",
     ``PD_MAX_INNER``, ``PD_MAX_OUTER`` and ``PD_RHO_CAP`` constants; the
     structured solvers take ``sgp`` plus the constants of
     :mod:`ssnnls.sgp` (``C0``, ``SIGMA``, ``XI1``, ``XI2``, ``RHO``,
-    ``MAX_REJECTIONS``, ``TOL_STEP``) and ``qp.ACTIVE_SET_ITERS_PER_COLUMN``.
+    ``MAX_REJECTIONS``, ``TOL_STEP``, ``NO_DESCENT_ULPS``) and
+    ``qp.ACTIVE_SET_ITERS_PER_COLUMN``.
     ``admm`` is retired and ignored (see :class:`ssnnls.qp.AdmmParams`),
     and so is ``threads``.  "diff_p2" solves the scene's pixels as one
     block of :func:`ssnnls.sgp.solve_problem2`: the data and the config

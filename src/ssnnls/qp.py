@@ -16,24 +16,29 @@ and the scalar 2c: since grad F(a) is G a - A'b plus the penalty's
 gradient, q = A'b - grad P(a) + 2Ca, and neither loop nor model ever
 multiplies G by the anchor.  Both problems
 solve the model exactly by an active set run on G itself, so each
-iteration factors only the small block of G + 2C on the current support
+iteration works only on the small block of G + 2C on the current support
 and the cost follows the support, not the dictionary.  Problem 2
 constrains x to the orthant and runs Lawson & Hanson's active set (Bro
 & de Jong's FNNLS), started from the anchor's support when that support
-is sparse (Bro & de Jong 1997; Van Benthem & Keenan 2004).  Problem 1
+is sparse (Bro & de Jong 1997; Van Benthem & Keenan 2004).  It adds one
+column per iteration, so it carries the inverse of the block's Cholesky
+factor and grows it by one row per added column (Golub & Van Loan,
+section 6.5.4), with numpy alone.  Problem 1
 also carries one dummy per group, with the group floors and one budget
 on the dummies; a primal active set solves the free dummies and the
-multipliers of the working floors and budget in one small dense system.
+multipliers of the working floors and budget in one small dense system,
+after factoring its free block through LAPACK, which loads SciPy on its
+first call (as does the l1 path of :mod:`ssnnls.baselines`).
 Problem 1's value check reads G dx from the rows of G on dx's support
 (:func:`ssnnls.core.support_matvec`), and the active sets read the rows
 of G on their free set, so a step never multiplies the whole of a large G.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-import scipy.linalg.lapack
 
 from .core import SUPPORT_SHARE, support_matvec
 from .errors import NonConvergenceError
@@ -103,19 +108,42 @@ def model_cholesky(h: np.ndarray) -> np.ndarray:
     squared is at most ``n * eps`` times the largest diagonal entry (the
     rank tolerance of LAPACK's pivoted Cholesky).
     """
-    return _checked_factor(h, *scipy.linalg.lapack.dpotrf(h, lower=1))
-
-
-def _checked_factor(h: np.ndarray, low: np.ndarray, info: int) -> np.ndarray:
-    """``low``, a LAPACK lower Cholesky factor of ``h`` with its ``info``, once it passes
-    :func:`model_cholesky`'s two checks."""
-    if info:
-        raise ValueError(f"model Hessian G + 2C is not positive definite (leading minor "
-                         f"{info} of {h.shape[0]}); increase c_matrix_scale")
-    if low.diagonal().min() ** 2 <= h.shape[0] * _EPS * h.diagonal().max():
-        raise ValueError(f"model Hessian G + 2C is numerically singular on {h.shape[0]} "
-                         "columns; increase c_matrix_scale")
+    try:
+        low = np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
+        raise _not_positive_definite(_failed_minor(h), h.shape[0]) from None
+    _check_pivots(float(low.diagonal().min()) ** 2, h.shape[0], float(h.diagonal().max()))
     return low
+
+
+def _not_positive_definite(minor: int, n: int) -> ValueError:
+    return ValueError(f"model Hessian G + 2C is not positive definite (leading minor "
+                      f"{minor} of {n}); increase c_matrix_scale")
+
+
+def _check_pivots(smallest: float, n: int, largest_diag: float) -> None:
+    """:func:`model_cholesky`'s rank check: ``smallest``, the least pivot squared of
+    a factor of n columns, must exceed ``n * eps`` times the block's largest diagonal entry."""
+    if smallest <= n * _EPS * largest_diag:
+        raise ValueError(f"model Hessian G + 2C is numerically singular on {n} "
+                         "columns; increase c_matrix_scale")
+
+
+def _failed_minor(h: np.ndarray) -> int:
+    """The order of the first leading block of ``h`` that numpy's Cholesky rejects.
+
+    numpy does not report the failed pivot, so this bisects on the
+    leading blocks; it is called only after the whole of ``h`` failed.
+    """
+    good, bad = 0, h.shape[0]
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            np.linalg.cholesky(h[:mid, :mid])
+            good = mid
+        except np.linalg.LinAlgError:
+            bad = mid
+    return bad
 
 
 def _solve_passive(gram: np.ndarray, diag: float, q: np.ndarray,
@@ -123,13 +151,108 @@ def _solve_passive(gram: np.ndarray, diag: float, q: np.ndarray,
     """Solve (G + diag I)[idx, idx] s = q[idx] by a Cholesky factor of that block.
 
     One LAPACK ``dposv`` call factors and solves; the factor then passes
-    :func:`model_cholesky`'s checks before s is returned.
+    :func:`model_cholesky`'s checks before s is returned.  Problem 1's
+    active set and the l1 path use it; SciPy is loaded on the first call.
     """
+    import scipy.linalg.lapack  # on first use: problem 2 and the pipelines run without SciPy
+
     block = gram[idx[:, None], idx]
     block.flat[::idx.size + 1] += diag
     low, s, info = scipy.linalg.lapack.dposv(block, q[idx], lower=1)
-    _checked_factor(block, low, info)
+    if info:
+        raise _not_positive_definite(info, idx.size)
+    _check_pivots(float(low.diagonal().min()) ** 2, idx.size, float(block.diagonal().max()))
     return s
+
+
+class _PassiveFactor:
+    """Problem 2's passive set P in insertion order, with W = L^-1 for its block.
+
+    L is the lower Cholesky factor of (G + diag I)[P, P], so the model's
+    minimiser on P is s = W'(W q_P): two small products, from the kept
+    vector W q_P.  Adding column j appends one row to W (Golub & Van
+    Loan, *Matrix Computations*, section 6.5.4): with l = W G[P, j] and
+    p^2 = G_jj + diag - l'l, the row is [-(l'W) / p, 1 / p], and the new
+    entry of W q_P is that row times q_[P, j].  Rows are never changed
+    afterwards, so the leading rows of W are the factor of the leading
+    columns of P: :meth:`truncate` drops the last columns, and
+    :meth:`keep` drops any, appending again the ones after the first
+    dropped.  Each append applies :func:`model_cholesky`'s checks to the
+    factor so far.  The buffers start at ``capacity`` columns and double
+    when full, so their size follows the support, not G.
+    """
+
+    def __init__(self, gram: np.ndarray, diag: float, q: np.ndarray, capacity: int):
+        self.gram, self.diag, self.q = gram, diag, q
+        self.size = 0
+        self.cols = np.empty(capacity, dtype=np.intp)
+        self.inv = np.zeros((capacity, capacity))  # W; above its diagonal stays 0
+        self.q_cols = np.empty(capacity)
+        self.inv_q = np.empty(capacity)
+        # entry k: the least pivot squared and the largest diagonal entry of
+        # the first k rows (none at k = 0)
+        self.least_pivot = [math.inf]
+        self.largest_diag = [0.0]
+
+    @property
+    def passive(self) -> np.ndarray:
+        """The indices of P, in insertion order (a view, valid until P changes)."""
+        return self.cols[:self.size]
+
+    def add(self, j: int) -> None:
+        """Append column j to P; ``ValueError`` once the block is not numerically definite."""
+        k = self.size
+        if k == self.cols.size:
+            self._grow()
+        inv = self.inv[:k, :k]
+        low = inv.dot(self.gram[j].take(self.cols[:k]))
+        h_jj = self.gram.item(j, j) + self.diag
+        pivot2 = h_jj - low.dot(low)
+        if pivot2 <= 0.0:
+            raise _not_positive_definite(k + 1, k + 1)
+        least = min(self.least_pivot[k], pivot2)
+        largest = max(self.largest_diag[k], h_jj)
+        _check_pivots(least, k + 1, largest)
+        pivot = math.sqrt(pivot2)
+        row = self.inv[k, :k]
+        low.dot(inv, out=row)
+        row /= -pivot
+        self.inv[k, k] = 1.0 / pivot
+        q_j = self.q.item(j)
+        self.inv_q[k] = row.dot(self.q_cols[:k]) + q_j / pivot
+        self.cols[k] = j
+        self.q_cols[k] = q_j
+        self.least_pivot.append(least)
+        self.largest_diag.append(largest)
+        self.size = k + 1
+
+    def truncate(self, size: int) -> None:
+        """Keep the first ``size`` columns of P."""
+        self.size = size
+        del self.least_pivot[size + 1:], self.largest_diag[size + 1:]
+
+    def keep(self, mask: np.ndarray) -> None:
+        """Keep the columns of P where ``mask`` holds, in their order; one must not."""
+        first = int(np.argmin(mask))
+        again = self.cols[first + 1:self.size][mask[first + 1:]]
+        self.truncate(first)
+        for j in again.tolist():
+            self.add(j)
+
+    def solve(self) -> np.ndarray:
+        """s = W'(W q_P), the minimiser of the model on P, in P's order."""
+        k = self.size
+        return self.inv_q[:k].dot(self.inv[:k, :k])
+
+    def _grow(self) -> None:
+        # entries past the size are never read, so np.resize's repeats are harmless
+        k = self.size
+        inv = np.zeros((2 * k, 2 * k))
+        inv[:k, :k] = self.inv
+        self.inv = inv
+        self.cols = np.resize(self.cols, 2 * k)
+        self.q_cols = np.resize(self.q_cols, 2 * k)
+        self.inv_q = np.resize(self.inv_q, 2 * k)
 
 
 def solve_qp_p2(gram: np.ndarray, diag: float, q: np.ndarray,
@@ -139,12 +262,14 @@ def solve_qp_p2(gram: np.ndarray, diag: float, q: np.ndarray,
     ``diag`` is 2c, twice the model shift.  The model is minimised by
     Lawson & Hanson's active set in the Gram-form variant of Bro & de Jong
     (1997): each iteration adds the index with the largest negative
-    gradient to the passive set P, solves
-    the unconstrained model on P from a Cholesky factor of the |P| x |P|
-    block, and steps back to the feasible set while that solution has a
-    non-positive entry.  Only rows of G in P are read (G is symmetric, so
-    they are its columns, and stored contiguously), so the cost follows
-    the support, not the size of G.
+    gradient to the passive set P, solves the unconstrained model on P,
+    and steps back to the feasible set while that solution has a
+    non-positive entry.  The solve on P comes from the inverse of P's
+    Cholesky factor, grown by one row per added column and cut back when
+    columns leave (:class:`_PassiveFactor`), so an iteration costs a few
+    products of size |P|.  Only rows of G in P are read (G is symmetric,
+    so they are its columns, and stored contiguously), so the cost
+    follows the support, not the size of G.  It needs numpy alone.
 
     ``start``, a boolean mask, is a guess at the minimiser's support (the
     anchor's).  When it holds at most ``SUPPORT_SHARE`` of the entries,
@@ -161,63 +286,66 @@ def solve_qp_p2(gram: np.ndarray, diag: float, q: np.ndarray,
     n = q.size
     cap = ACTIVE_SET_ITERS_PER_COLUMN * n
     z = np.zeros(n)
-    passive = np.zeros(n, dtype=bool)
-    # negative gradient q - (G + diag I) z; at z = 0 it is q exactly
+    # negative gradient q - (G + diag I) z, -inf on P; at z = 0 it is q exactly
     w = q.copy()
     tol = 10.0 * n * _EPS * float(np.max(np.abs(q), initial=0.0))
     iters = 0
+    begin = np.flatnonzero(start)
+    if begin.size > SUPPORT_SHARE * n:
+        begin = begin[:0]
+    factor = _PassiveFactor(gram, diag, q, min(n, max(8, 2 * begin.size)))
 
-    def solve(idx):
+    def solve():
         nonlocal iters
         iters += 1
         if iters > cap:
             raise NonConvergenceError(
                 f"nnls: active set did not converge in {cap} iterations",
                 iterations=cap)
-        return _solve_passive(gram, diag, q, idx)
+        return factor.solve()
 
-    if np.count_nonzero(start) <= SUPPORT_SHARE * n:
-        passive[start] = True
-        while passive.any():
-            idx = np.flatnonzero(passive)
-            s = solve(idx)
-            if (s > 0).all():
-                z[idx] = s
-                w = q - s @ gram[idx] - diag * z
-                break
-            passive[idx[s <= 0]] = False
-    while n:
-        cand = np.where(passive, -np.inf, w)
-        j = int(np.argmax(cand))
-        if cand[j] <= tol:
+    def settle(s):
+        # z = s on P; the negative gradient off P
+        nonlocal w
+        idx = factor.passive
+        z[idx] = s
+        w = q - s.dot(gram.take(idx, axis=0))
+        w[idx] = -np.inf
+
+    for j in begin.tolist():
+        factor.add(j)
+    while factor.size:
+        s = solve()
+        if s.min() > 0.0:
+            settle(s)
             break
-        passive[j] = True
-        added = True
-        while True:
-            idx = np.flatnonzero(passive)
-            s = solve(idx)
-            if added and s[np.searchsorted(idx, j)] <= 0:
-                # rounding left the new index unable to move off zero:
-                # skip it until z changes (Lawson & Hanson's step 6)
-                passive[j] = False
-                w[j] = 0.0
-                break
-            added = False
-            if (s > 0).all():
-                z[idx] = s
-                break
+        factor.keep(s > 0.0)
+    while n:
+        j = int(w.argmax())
+        if w[j] <= tol:
+            break
+        factor.add(j)
+        w[j] = -np.inf
+        s = solve()
+        if s[-1] <= 0.0:
+            # rounding left the new index unable to move off zero:
+            # skip it until z changes (Lawson & Hanson's step 6)
+            factor.truncate(factor.size - 1)
+            w[j] = 0.0
+            continue
+        while s.min(initial=np.inf) <= 0.0:
+            idx = factor.passive
             zp = z[idx]
-            neg = np.flatnonzero(s <= 0)
+            neg = np.flatnonzero(s <= 0.0)
             ratios = zp[neg] / (zp[neg] - s[neg])
             first = int(np.argmin(ratios))
             zp += ratios[first] * (s - zp)
             zp[neg[first]] = 0.0
             zp = np.maximum(zp, 0.0)
             z[idx] = zp
-            passive[idx[zp == 0.0]] = False
-        if not added:
-            idx = np.flatnonzero(passive)
-            w = q - z[idx] @ gram[idx] - diag * z
+            factor.keep(zp > 0.0)
+            s = solve()
+        settle(s)
     return z, iters
 
 

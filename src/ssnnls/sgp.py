@@ -22,8 +22,11 @@ iterate's nonzero columns, and the penalty's gradient
 (:mod:`ssnnls.core`); at the constant 0.1 start the residual comes from
 A 1, which :class:`~ssnnls.core.GroupedDictionary` keeps beside ``gram``.
 That leaves one dense pass over A per solve, A'b; after it a step costs
-what its support costs.  A step that cannot descend ends either run as
-``energy_tol``, and an active set's
+what its support costs.  Problem 2's active set needs numpy alone;
+problem 1's solves its free blocks through LAPACK and loads SciPy on
+its first call.  A step that cannot descend ends either run as
+``energy_tol`` (for problem 2, one whose decrease is within
+``NO_DESCENT_ULPS`` rounding units of F), and an active set's
 :class:`~ssnnls.errors.NonConvergenceError` propagates.
 
 Problem 2's loop runs on a block of data vectors, one per row: a
@@ -68,6 +71,13 @@ XI2 = 10.0
 RHO = 1e-12
 MAX_REJECTIONS = 60
 TOL_STEP = 0.0
+# Problem 2 takes a candidate that lowers F by at most this many rounding
+# units of F for no descent.  Such a change is rounding: a block's products
+# round otherwise than a single solve's, so accepting it would make a
+# vector's step count depend on the block it is solved in.
+NO_DESCENT_ULPS = 16.0
+
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -182,8 +192,10 @@ def solve_problem2(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
     every step solves its model exactly by an active set on the
     dictionary's cached Gram matrix (:func:`ssnnls.qp.solve_qp_p2`), each
     step's active set started from the anchor's support when it is
-    sparse.  A model minimiser that does not lower the objective ends the
-    run as ``energy_tol``.  A :class:`NonConvergenceError` from a step's
+    sparse.  A model minimiser that does not lower the objective by more
+    than ``NO_DESCENT_ULPS`` rounding units of it ends the run as
+    ``energy_tol`` at the anchor, so in a block each vector takes the
+    steps it takes alone.  A :class:`NonConvergenceError` from a step's
     active set propagates; an ``x0`` of the wrong length or with a NaN or
     infinite entry is a ``ValueError`` before any evaluation.
 
@@ -239,7 +251,7 @@ def solve_problem2(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
             rep = reports[p]
             if rep.termination == TERM_FAILED:  # its active set raised this step
                 continue
-            if new > value:
+            if new > value - NO_DESCENT_ULPS * _EPS * abs(value):
                 rep.termination = TERM_ENERGY
                 out[p] = x[i]
                 continue

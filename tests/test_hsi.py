@@ -160,6 +160,20 @@ def test_demix_a_scene_without_pixels(tiny_scene, solver):
     assert out.outer_iters is None if solver == "nnls" else out.outer_iters.shape == (0,)
 
 
+def test_p2_pixel_steps_do_not_depend_on_the_block():
+    # the hsi-structured scene at scale 10: a block's products round otherwise
+    # than a single solve's, and a last step whose change is rounding must
+    # stop each pixel alike in both
+    library, scales = synthesize_endmember_library(204, (10,) * 4, seed=3757552657)
+    scene = synthesize_mixed_scene(library, scales, (100, 50, 5, 1), noise_sd=0.005,
+                                   seed=673228719)
+    cfg = SparsityConfig(gamma=np.full(4, 1e-4), gamma0=0.01, eps=np.full(4, 0.01), r=1.0)
+    block = solve_problem2(library, scene.pixels, cfg, SGP_FAST)
+    for p, col in enumerate(block.columns):
+        one = solve_problem2(library, scene.pixels[:, p], cfg, SGP_FAST)
+        assert (col.outer_iters, col.termination) == (one.outer_iters, one.termination), p
+
+
 def test_demix_p2_fails_one_pixel_alone(tiny_scene, monkeypatch):
     # the pixels run as one block; the active set of pixel 2's second step
     # raises, and only that pixel fails: a zero column, an entry in

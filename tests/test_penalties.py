@@ -119,6 +119,23 @@ def test_group_sums_match_the_per_group_penalties():
                                atol=1e-13)
 
 
+@pytest.mark.parametrize("scale", [0.01, 1.0])
+def test_whole_vector_term_from_the_group_sums_equals_the_one_group_call(scale):
+    # inside (scale 0.01) and outside (1.0) the whole vector's ball, for a
+    # vector and for a block of vectors, one per row
+    rng = np.random.default_rng(5)
+    offsets = np.array([0, 3, 4, 8])
+    eps, weights = np.array([0.05, 0.1, 0.3]), np.array([0.3, 0.7, 0.2])
+    block = scale * np.where(rng.uniform(size=(4, 8)) < 0.5, rng.uniform(size=(4, 8)), 0.0)
+    whole = np.array([0, 8])
+    for x in (block[0], block):
+        value, grad = diff_l1_l2_groups(x, offsets, eps, weights, 0.4, 0.05)
+        groups, g_groups = diff_l1_l2_groups(x, offsets, eps, weights)
+        one, g_one = diff_l1_l2_groups(x, whole, np.array([0.05]), np.array([0.4]))
+        np.testing.assert_allclose(value, groups + one, rtol=1e-14)
+        np.testing.assert_allclose(grad, g_groups + g_one, rtol=1e-14, atol=1e-15)
+
+
 def test_group_sums_reject_negative_constrained_entries():
     offsets = np.array([0, 2, 4])
     x = np.array([0.5, -0.1, 0.2, 0.3])

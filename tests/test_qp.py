@@ -184,3 +184,128 @@ def test_solve_qp_p2_starts_from_the_anchor():
         warm, iters = solve_qp_p2(h, diag, q, cold > 0.0)
         assert iters == 1
         assert np.max(np.abs(warm - cold)) <= 1e-12 * np.max(np.abs(cold))
+
+
+def _assert_factor_from_scratch(factor, s):
+    """The factor's W and its solve ``s`` against a factor of the same columns from scratch.
+
+    The reference is W = L^-1 from numpy's Cholesky factor L of the block
+    (G + diag I)[P, P].  Two stable factorisations of one block differ by
+    up to its condition number times the rounding unit, so that sets the
+    tolerance.
+    """
+    cols = factor.passive.tolist()
+    k = len(cols)
+    block = factor.gram[np.ix_(cols, cols)] + factor.diag * np.eye(k)
+    ref = np.linalg.inv(np.linalg.cholesky(block))
+    tol = 1e3 * np.finfo(float).eps * np.linalg.cond(block)
+    np.testing.assert_allclose(factor.inv[:k, :k], ref, rtol=0.0,
+                               atol=tol * np.max(np.abs(ref)))
+    want = ref.T @ (ref @ factor.q[cols])
+    np.testing.assert_allclose(s, want, rtol=0.0, atol=tol * np.max(np.abs(want)))
+
+
+def test_grown_factor_equals_a_factor_from_scratch():
+    # adds past the starting capacity, pops of the last column and drops
+    # from the middle, each followed by the factor of the same columns from scratch
+    rng = np.random.default_rng(90)
+    a = rng.normal(size=(40, 20))
+    h, diag, q = a.T @ a, 1e-6, rng.normal(size=20)
+    factor = qp._PassiveFactor(h, diag, q, 2)
+    for j in (4, 11, 0, 7, 19):
+        factor.add(j)
+        _assert_factor_from_scratch(factor, factor.solve())
+    factor.truncate(4)
+    _assert_factor_from_scratch(factor, factor.solve())
+    for j in (3, 15, 8):
+        factor.add(j)
+    factor.keep(np.array([True, False, True, True, False, True, True]))
+    assert factor.passive.tolist() == [4, 0, 7, 15, 8]
+    _assert_factor_from_scratch(factor, factor.solve())
+    factor.keep(np.array([False, True, True, True, True]))
+    factor.add(12)
+    _assert_factor_from_scratch(factor, factor.solve())
+
+
+def test_a_dropped_column_takes_its_pivot_out_of_the_rank_check():
+    # column 1's pivot squared, 2.5 eps, passes the check on two columns and
+    # fails it on three: once popped or dropped, it must not fail a third column
+    h = np.diag([1.0, 2.5 * np.finfo(float).eps, 1.0, 1.0])
+    for drop in ("pop", "keep"):
+        factor = qp._PassiveFactor(h, 0.0, np.ones(4), 4)
+        factor.add(0)
+        factor.add(1)
+        with pytest.raises(ValueError, match="numerically singular on 3 columns"):
+            factor.add(2)
+        if drop == "pop":
+            factor.truncate(1)
+        else:
+            factor.keep(np.array([True, False]))
+        factor.add(2)
+        factor.add(3)
+        assert factor.passive.tolist() == [0, 2, 3]
+
+
+def test_active_set_factor_equals_a_factor_from_scratch_at_every_solve(monkeypatch):
+    # warm starts, step-backs and skipped columns on sparse and near-duplicate models
+    seen = {"solve": 0, "keep": 0}
+
+    class Checked(qp._PassiveFactor):
+        def solve(self):
+            seen["solve"] += 1
+            s = super().solve()
+            _assert_factor_from_scratch(self, s)
+            return s
+
+        def keep(self, mask):
+            seen["keep"] += 1
+            super().keep(mask)
+
+    monkeypatch.setattr(qp, "_PassiveFactor", Checked)
+    for kind in ("superset", "disjoint", "empty"):
+        for h, diag, q, start, cold, _ in _warm_start_cases(kind):
+            z, _ = qp.solve_qp_p2(h, diag, q, start)
+            assert np.max(np.abs(z - cold)) <= 1e-12 * np.max(np.abs(cold))
+    assert seen["keep"] >= 10 and seen["solve"] > seen["keep"]
+
+
+def _padded_model(a, rng, start_cols):
+    """Problem 2's model of dictionary ``a``, padded with unit columns that stay at zero.
+
+    The padding keeps a start of ``start_cols`` within ``SUPPORT_SHARE``.
+    """
+    n = a.shape[1]
+    h = np.zeros((4 * n, 4 * n))
+    h[:n, :n] = a.T @ a
+    h[np.arange(n, 4 * n), np.arange(n, 4 * n)] = 1.0
+    q = np.concatenate([a.T @ rng.normal(size=a.shape[0]), -np.ones(3 * n)])
+    start = np.zeros(4 * n, dtype=bool)
+    start[start_cols] = True
+    return h, q, start
+
+
+@pytest.mark.parametrize("case, start_cols, message", [
+    ("twin", [2, 6], "numerically singular on 2 columns"),
+    ("twin first", [0, 5], "numerically singular on 2 columns"),
+    ("sum", [0, 1, 6], r"not positive definite \(leading minor 3 of 3\)"),
+    ("zero", [6], r"not positive definite \(leading minor 1 of 1\)"),
+])
+def test_dependent_columns_at_zero_shift_raise_value_errors(case, start_cols, message):
+    # a start on linearly dependent columns at diag = 0: the messages of a
+    # LAPACK factor of the whole block, which the grown factor keeps
+    rng = np.random.default_rng(0)
+    a = rng.normal(size=(20, 6))
+    extra = {"twin": a[:, 2], "sum": a[:, 0] + a[:, 1], "zero": np.zeros(20)}
+    a = np.column_stack([a[:, 4], a]) if case == "twin first" else \
+        np.column_stack([a, extra[case]])
+    h, q, start = _padded_model(a, rng, start_cols)
+    with pytest.raises(ValueError, match=message + ".*increase c_matrix_scale"):
+        solve_qp_p2(h, 0.0, q, start)
+
+
+def test_model_cholesky_names_the_failed_leading_minor():
+    a = np.random.default_rng(0).normal(size=(5, 8))
+    with pytest.raises(ValueError, match=r"not positive definite \(leading minor 6 of 8\)"):
+        qp.model_cholesky(a.T @ a)
+    h = a.T @ a + 1e-3 * np.eye(8)
+    np.testing.assert_allclose(qp.model_cholesky(h), np.linalg.cholesky(h), rtol=0, atol=0)

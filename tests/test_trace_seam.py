@@ -3,11 +3,10 @@
 The tracer counts factorisations by replacing ``scipy.linalg.cho_factor``
 and wraps the other layers by the names their callers look up; a refactor
 that binds one of them elsewhere would leave a traced run counting zero.
-Problem 2 never calls ``cho_factor``: its active set factors passive
-blocks with LAPACK ``dpotrf`` through ``qp.model_cholesky``.
-The l1 baselines factor their active blocks through the same passive-block
-solve, so their solves show as ``baselines.l1_penalized`` spans and never
-as problem-2 factorisations.
+Problem 2 never calls ``cho_factor``: its active set grows the inverse
+Cholesky factor of its passive block with numpy (``qp._PassiveFactor``).
+``l1_penalized`` is one call of that active set, so its solves show as
+``baselines.l1_penalized`` spans and never as problem-2 factorisations.
 """
 
 import importlib.util
