@@ -1,16 +1,15 @@
 """Reference methods: NNLS, constrained/penalized l1, and l0 penalty decomposition.
 
 These are the comparison points for the structured solvers: plain
-non-negative least squares (scipy's active-set solver), the penalized
-l1 problem ``min 0.5 |Ax - b|^2 + gamma |x|_1  s.t.  x >= 0``, solved
-exactly by problem 2's active set on the cached Gram matrix, the
-constrained form ``min |x|_1  s.t.  x >= 0, |Ax - b| <= tau``, solved
-exactly by one walk down the non-negative lasso path on that matrix
-(Osborne, Presnell & Turlach, IMA J. Numer. Anal. 2000; Efron, Hastie,
-Johnstone & Tibshirani, Ann. Statist. 2004), and a penalty
-decomposition scheme for the exact per-group l0 constraint.
-The l1 baselines take no settings; their only constant is the ridge
-``L1_SHIFT``.
+non-negative least squares and the penalized l1 problem
+``min 0.5 |Ax - b|^2 + gamma |x|_1  s.t.  x >= 0``, both solved exactly
+by problem 2's active set on the cached Gram matrix, the constrained
+form ``min |x|_1  s.t.  x >= 0, |Ax - b| <= tau``, solved exactly by one
+walk down the non-negative lasso path on that matrix (Osborne, Presnell
+& Turlach, IMA J. Numer. Anal. 2000; Efron, Hastie, Johnstone &
+Tibshirani, Ann. Statist. 2004), and a penalty decomposition scheme for
+the exact per-group l0 constraint.  The l1 baselines take no settings;
+their only constant is the ridge ``L1_SHIFT``.
 """
 
 from dataclasses import dataclass
@@ -23,20 +22,17 @@ from .errors import ConfigError, NonConvergenceError
 from . import qp
 
 
-def nnls(entries: np.ndarray, b: np.ndarray, maxiter: Optional[int] = None) -> np.ndarray:
-    """Non-negative least squares ``min |Ax - b|  s.t.  x >= 0``."""
-    entries = np.asarray(entries, dtype=float)
-    b = np.asarray(b, dtype=float).ravel()
-    if entries.ndim != 2 or entries.shape[0] != b.size:
-        raise ValueError(f"incompatible shapes {entries.shape} and ({b.size},)")
-    import scipy.optimize  # on first use: loading it slows every import of ssnnls
-    try:
-        x, _ = scipy.optimize.nnls(entries, b, maxiter=maxiter)
-    except RuntimeError as exc:
-        if "Maximum number of iterations" not in str(exc):
-            raise
-        raise NonConvergenceError(f"nnls: {exc}", iterations=maxiter) from exc
-    return x
+def nnls(dct: GroupedDictionary, b: np.ndarray) -> np.ndarray:
+    """Non-negative least squares ``min |Ax - b|  s.t.  x >= 0``.
+
+    That is ``0.5 x'Gx - (A'b)'x`` over x >= 0, problem 2's model with no
+    shift, solved exactly by its active set (:func:`ssnnls.qp.solve_qp_p2`)
+    on the dictionary's cached Gram matrix ``dct.gram``; a rank-deficient
+    dictionary is solved too.  The groups play no part.
+    """
+    b = as_data_vector(b, dct.n_rows)
+    return qp.solve_qp_p2(dct.gram, 0.0, dct.entries.T @ b,
+                          np.zeros(dct.n_columns, dtype=bool))[0]
 
 
 # Ridge that keeps the l1 baselines' active blocks of the Gram matrix G
@@ -100,7 +96,9 @@ def l1_bregman(dct: GroupedDictionary, b: np.ndarray, tau: float) -> np.ndarray:
     atb = entries.T @ b
     n = atb.size
     ridge = L1_SHIFT * float(np.trace(gram)) / n
-    rhs = np.column_stack([atb, np.ones(n)])
+    # the active set S in the order its columns entered, with [u v] its solve
+    factor = qp._PassiveFactor(gram, ridge, np.column_stack([atb, np.ones(n)]), min(n, 8))
+    factor.add(int(np.argmax(atb)))
     active = np.zeros(n, dtype=bool)
     active[np.argmax(atb)] = True
     lo = float(np.max(atb))
@@ -113,8 +111,8 @@ def l1_bregman(dct: GroupedDictionary, b: np.ndarray, tau: float) -> np.ndarray:
                                       iterations=cap)
         breakpoints += 1
         hi = lo
-        idx = np.flatnonzero(active)
-        sol = qp._solve_passive(gram, ridge, rhs, idx)
+        idx = factor.passive
+        sol = factor.solve()
         u, v = sol.T
         gu, gv = sol.T @ gram[idx]
         # a twin of the active columns, its entry rate 1 - (Gv)_j within
@@ -142,6 +140,10 @@ def l1_bregman(dct: GroupedDictionary, b: np.ndarray, tau: float) -> np.ndarray:
             x[idx] = np.maximum(u - min(max(root, lo), hi) * v, 0.0)
             return x
         left = [j] if active[j] else []
+        if active[j]:
+            factor.keep(idx != j)
+        else:
+            factor.add(j)
         active[j] = not active[j]
     raise NonConvergenceError(
         f"NNLS residual {resid:.6e} exceeds tau={tau:.6e}: no non-negative "
@@ -207,7 +209,7 @@ def penalty_decomposition_l0(dct: GroupedDictionary, b: np.ndarray, cfg: Sparsit
         if init == "zero":
             y = np.zeros(n)
         elif init == "nnls":
-            y = nnls(entries, b)
+            y = nnls(dct, b)
         else:
             y = np.linalg.lstsq(entries, b, rcond=None)[0]
     else:

@@ -485,9 +485,6 @@ _RUNNERS = {
 
 def run_experiment(cfg: ExperimentConfig) -> List[RunRecord]:
     """Run one experiment for every configured solver; returns the records."""
-    # the nnls baseline loads scipy.optimize on its first call; loaded here,
-    # the import stays out of the first timed solver's runtime_s
-    import scipy.optimize  # noqa: F401
     records = _RUNNERS[cfg.experiment](cfg)
     if cfg.out:
         os.makedirs(cfg.out, exist_ok=True)

@@ -16,15 +16,13 @@ Both cost what the support of x costs: the residual is ``A[:, S] x_S - b``
 a constant x = t 1 such as the 0.1 start, and the penalties and their
 gradients sum over all groups at once, the inter-group term being one
 more group that spans every column (for problem 2, formed from the
-groups' own sums).  The fit's gradient
-``G[S]' x_S - A'b`` is never formed: the outer loops' model term
-q = (G + 2C) a - grad F(a) = A'b - grad P(a) + 2Ca needs only A'b and the
-penalty's gradient.  The evaluations take plain arrays and check nothing;
-a solve checks its data and config once, through :func:`checked_data`,
-which also forms A'b.  Problem 2's evaluation also takes a block, one
-vector per row, as problem 2's loop hands it every live data vector at
-once: the residual is then one product of A with the union of the
-rows' supports, and every field holds one value, or vector, per row.
+groups' own sums).  The fit's gradient is never formed (see
+:mod:`ssnnls.sgp`).  The evaluations take plain arrays and check
+nothing; a solve checks its data and config once, through
+:func:`checked_data`, which also forms A'b.  Problem 2's evaluation also
+takes a block, one vector per row: the residual is then one product of
+A with the union of the rows' supports, and every field holds one value,
+or vector, per row.
 """
 
 import math

@@ -23,10 +23,9 @@ backgrounds that Q annihilates cost nothing and drop out.  Every solver
 fits R A to R data, and the background is
 B = (I + alpha Q'Q)^-1 r = r - R'R r with r = data - A x.  The SVD
 depends only on the band count w; it is taken once per w, and only when
-alpha > 0, as is SciPy's sine transform, which builds Q: so a fit with
-alpha = 0 by diff_p2 never loads SciPy.  Q itself is factored, not Q'Q,
-whose condition number is the square of Q's (2.9e4 at 256 bands, 4.6e5
-at 1024).
+alpha > 0.  Q's sine transform is formed from its definition.  Q itself is
+factored, not Q'Q, whose condition number is the square of Q's (2.9e4 at
+256 bands, 4.6e5 at 1024).
 """
 
 import functools
@@ -315,20 +314,27 @@ class BackgroundOperator:
         line subtraction cancels before any transform coefficients are
         rounded.
         """
-        import scipy.fft  # on first use: a fit with alpha = 0 runs without SciPy
-
         b = np.asarray(background, dtype=float).ravel()
         w = self.matrix.shape[1]
         if b.size != w:
             raise ValueError(f"background must have {w} samples, got {b.size}")
         i = np.arange(1, w - 1, dtype=float)
         interior = (b[1:-1] - b[0]) - (b[-1] - b[0]) * i / (w - 1)
-        return self.weights * scipy.fft.dst(interior, type=1, norm="ortho")
+        return self.weights * (_sine_matrix(w - 2) @ interior)
+
+
+def _sine_matrix(m: int) -> np.ndarray:
+    """The orthonormal sine transform (DST-I) on m samples, as a symmetric matrix.
+
+    Entry (k, n) is sqrt(2 / (m + 1)) sin(pi k n / (m + 1)) for k, n in
+    1..m, with k n reduced modulo 2 (m + 1) in integers first, so every
+    entry is rounded once from an angle below 2 pi.
+    """
+    k = np.arange(1, m + 1)
+    return np.sqrt(2.0 / (m + 1)) * np.sin(np.pi / (m + 1) * (np.outer(k, k) % (2 * (m + 1))))
 
 
 def build_background_operator(n_samples: int) -> BackgroundOperator:
-    import scipy.fft  # on first use: a fit with alpha = 0 runs without SciPy
-
     if n_samples < 4:
         raise ValueError(f"need at least 4 samples, got {n_samples}")
     w = n_samples
@@ -338,7 +344,7 @@ def build_background_operator(n_samples: int) -> BackgroundOperator:
     line_sub[np.arange(m), np.arange(1, w - 1)] = 1.0
     line_sub[:, 0] = -(w - 1 - i) / (w - 1)
     line_sub[:, w - 1] = -i / (w - 1)
-    sine = scipy.fft.dst(np.eye(m), type=1, norm="ortho", axis=0)
+    sine = _sine_matrix(m)
     weights = np.arange(1, m + 1, dtype=float) ** 2
     return BackgroundOperator((weights[:, None] * sine) @ line_sub, weights)
 
@@ -470,7 +476,7 @@ def fit_doas(data: np.ndarray, ddict: DeformationDictionary,
     if cfg.solver == "lstsq":
         x_fit = _lstsq_oracle(solved, b, cfg)
     elif cfg.solver == "nnls":
-        x_fit = nnls(solved.entries, b)
+        x_fit = nnls(solved, b)
     elif cfg.solver == "l1":
         x_fit = l1_bregman(solved, b, l1_tau)
     elif cfg.solver == "pd":

@@ -195,7 +195,7 @@ def demix_scene(scene: HsiScene, cfg: SparsityConfig, solver: str = "diff_p2",
 
     def solve_pixel(y: np.ndarray) -> Tuple[np.ndarray, int]:
         if solver == "nnls":
-            return nnls(dct.entries, y), 0
+            return nnls(dct, y), 0
         if solver == "l1":
             return l1_penalized(dct, y, l1_gamma), 0
         if solver == "pd":

@@ -14,29 +14,23 @@ sets solve,
 and the outer loops hand it over in that form, as the arrays G and q
 and the scalar 2c: since grad F(a) is G a - A'b plus the penalty's
 gradient, q = A'b - grad P(a) + 2Ca, and neither loop nor model ever
-multiplies G by the anchor.  Both problems
-solve the model exactly by an active set run on G itself, so each
-iteration works only on the small block of G + 2C on the current support
-and the cost follows the support, not the dictionary.  Problem 2
-constrains x to the orthant and runs Lawson & Hanson's active set (Bro
-& de Jong's FNNLS), started from the anchor's support when that support
-is sparse (Bro & de Jong 1997; Van Benthem & Keenan 2004).  It adds one
-column per iteration, so it carries the inverse of the block's Cholesky
-factor and grows it by one row per added column (Golub & Van Loan,
-section 6.5.4), with numpy alone.  Problem 1
-also carries one dummy per group, with the group floors and one budget
-on the dummies; a primal active set solves the free dummies and the
-multipliers of the working floors and budget in one small dense system,
-after factoring its free block through LAPACK, which loads SciPy on its
-first call (as does the l1 path of :mod:`ssnnls.baselines`).
-Problem 1's value check reads G dx from the rows of G on dx's support
-(:func:`ssnnls.core.support_matvec`), and the active sets read the rows
-of G on their free set, so a step never multiplies the whole of a large G.
+multiplies G by the anchor.  Both problems solve the model exactly by an
+active set on G itself, which reads only the rows of G on its free set,
+so the cost follows the support, not the dictionary.  Problem 2
+constrains x to the orthant and runs Lawson & Hanson's active set in Bro
+& de Jong's Gram form (1997), started from the anchor's support when it
+is sparse (Van Benthem & Keenan 2004); the NNLS baseline is the same
+active set with no shift.  Problem 1 also carries one dummy per group,
+with the group floors and one budget on the dummies, and runs a primal
+active set.  Every active set, and the l1 path of
+:mod:`ssnnls.baselines`, keeps its free block in one factor,
+:class:`_PassiveFactor`, which appends a column in a few products and
+deletes one by a rank-one update, with numpy alone.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -116,17 +110,22 @@ def model_cholesky(h: np.ndarray) -> np.ndarray:
     return low
 
 
-def _not_positive_definite(minor: int, n: int) -> ValueError:
-    return ValueError(f"model Hessian G + 2C is not positive definite (leading minor "
-                      f"{minor} of {n}); increase c_matrix_scale")
+class _DependentColumn(ValueError):
+    """The pivot of the column being added to a :class:`_PassiveFactor` fails the checks."""
 
 
-def _check_pivots(smallest: float, n: int, largest_diag: float) -> None:
+def _not_positive_definite(minor: int, n: int, error: type = ValueError) -> ValueError:
+    return error(f"model Hessian G + 2C is not positive definite (leading minor "
+                 f"{minor} of {n}); increase c_matrix_scale")
+
+
+def _check_pivots(smallest: float, n: int, largest_diag: float,
+                  error: type = ValueError) -> None:
     """:func:`model_cholesky`'s rank check: ``smallest``, the least pivot squared of
     a factor of n columns, must exceed ``n * eps`` times the block's largest diagonal entry."""
     if smallest <= n * _EPS * largest_diag:
-        raise ValueError(f"model Hessian G + 2C is numerically singular on {n} "
-                         "columns; increase c_matrix_scale")
+        raise error(f"model Hessian G + 2C is numerically singular on {n} "
+                    "columns; increase c_matrix_scale")
 
 
 def _failed_minor(h: np.ndarray) -> int:
@@ -146,51 +145,67 @@ def _failed_minor(h: np.ndarray) -> int:
     return bad
 
 
-def _solve_passive(gram: np.ndarray, diag: float, q: np.ndarray,
-                   idx: np.ndarray) -> np.ndarray:
-    """Solve (G + diag I)[idx, idx] s = q[idx] by a Cholesky factor of that block.
+# keep() appends the survivors after the first dropped column again while
+# they are at most this many per dropped column, and deletes the dropped
+# columns otherwise.  Timed on one core with 3 to 60 columns in P, an append
+# took about 6 us and a delete 20-25 us plus a pass over the later rows: one
+# drop broke even at 5 to 7 later survivors, two at about 10.
+_APPENDS_PER_DELETE = 6
 
-    One LAPACK ``dposv`` call factors and solves; the factor then passes
-    :func:`model_cholesky`'s checks before s is returned.  Problem 1's
-    active set and the l1 path use it; SciPy is loaded on the first call.
-    """
-    import scipy.linalg.lapack  # on first use: problem 2 and the pipelines run without SciPy
-
-    block = gram[idx[:, None], idx]
-    block.flat[::idx.size + 1] += diag
-    low, s, info = scipy.linalg.lapack.dposv(block, q[idx], lower=1)
-    if info:
-        raise _not_positive_definite(info, idx.size)
-    _check_pivots(float(low.diagonal().min()) ** 2, idx.size, float(block.diagonal().max()))
-    return s
+# A refining factor takes at most this many refinement steps per solve.
+# It solves a block of at most _DIRECT_SIZE columns directly (LU): timed
+# on one core with six right-hand sides, that took 5-12 us up to 24
+# columns, less than a solve refined once (12-16 us), and 18 us at 32
+# against 16.  It also solves the model directly on a block whose largest
+# diagonal entry exceeds _DIRECT_CONDITION times its least pivot squared,
+# a lower bound on its condition number: past it refinement from W does
+# not always converge, and problem 1 cycled to its cap on 64-row models
+# that direct solves of its blocks meet.
+_REFINE_STEPS = 10
+_DIRECT_SIZE = 24
+_DIRECT_CONDITION = 1e10
 
 
 class _PassiveFactor:
-    """Problem 2's passive set P in insertion order, with W = L^-1 for its block.
+    """An active set's passive set P, in insertion order, with W = L^-1 for its block.
 
     L is the lower Cholesky factor of (G + diag I)[P, P], so the model's
-    minimiser on P is s = W'(W q_P): two small products, from the kept
-    vector W q_P.  Adding column j appends one row to W (Golub & Van
-    Loan, *Matrix Computations*, section 6.5.4): with l = W G[P, j] and
-    p^2 = G_jj + diag - l'l, the row is [-(l'W) / p, 1 / p], and the new
-    entry of W q_P is that row times q_[P, j].  Rows are never changed
-    afterwards, so the leading rows of W are the factor of the leading
-    columns of P: :meth:`truncate` drops the last columns, and
-    :meth:`keep` drops any, appending again the ones after the first
-    dropped.  Each append applies :func:`model_cholesky`'s checks to the
-    factor so far.  The buffers start at ``capacity`` columns and double
-    when full, so their size follows the support, not G.
+    minimiser on P is s = W'(W q_P), from the kept W q_P; ``q`` is a
+    vector, or a matrix of right-hand sides, one per column.  Adding
+    column j appends one row to W (Golub & Van Loan, section 6.5.4): with
+    l = W G[P, j] and p^2 = G_jj + diag - l'l it is [-(l'W) / p, 1 / p].
+    An append leaves the rows above, so :meth:`truncate` drops the last
+    columns.  Deleting the column at position r (Gill, Golub, Murray &
+    Saunders, Math. Comp. 1974) leaves the rows above it too; with
+    v = -W[c, r] / W[r, r] for the later rows c, those become
+    M^-1 (W[c, not r] + v W[r, not r]), where M M' = I + v v', and so do
+    their rows of W q_P.  :meth:`keep` drops any columns, by appending the
+    later survivors again, or by deletes when more than
+    ``_APPENDS_PER_DELETE`` survivors per dropped column follow the first
+    dropped one.  Each append applies :func:`model_cholesky`'s checks to
+    the factor so far, raising :class:`_DependentColumn` when the new
+    column's own pivot fails them; after deletes the pivots come from W's
+    diagonal.  W's rounding grows with the block's condition number and
+    with deletes, so a factor made with ``refine`` keeps the block and
+    refines from its residual both its solves and an append's row, whose
+    -(l'W) is the solve y with G[P, j] (then p^2 = G_jj + diag - G[j, P] y);
+    it solves a small block directly, and the model on a block past
+    ``_DIRECT_CONDITION``.  The buffers start at ``capacity`` columns and
+    double when full.
     """
 
-    def __init__(self, gram: np.ndarray, diag: float, q: np.ndarray, capacity: int):
+    def __init__(self, gram: np.ndarray, diag: float, q: np.ndarray, capacity: int,
+                 refine: bool = False):
         self.gram, self.diag, self.q = gram, diag, q
         self.size = 0
         self.cols = np.empty(capacity, dtype=np.intp)
         self.inv = np.zeros((capacity, capacity))  # W; above its diagonal stays 0
-        self.q_cols = np.empty(capacity)
-        self.inv_q = np.empty(capacity)
+        # (G + diag I)[P, P], for a refining solve's residual
+        self.block = np.empty((capacity, capacity)) if refine else None
+        shape = (capacity,) + q.shape[1:]
+        self.q_cols, self.inv_q = np.empty(shape), np.empty(shape)
         # entry k: the least pivot squared and the largest diagonal entry of
-        # the first k rows (none at k = 0)
+        # the first k columns (none at k = 0)
         self.least_pivot = [math.inf]
         self.largest_diag = [0.0]
 
@@ -205,26 +220,35 @@ class _PassiveFactor:
         if k == self.cols.size:
             self._grow()
         inv = self.inv[:k, :k]
-        low = inv.dot(self.gram[j].take(self.cols[:k]))
+        g_j = self.gram[j].take(self.cols[:k])
         h_jj = self.gram.item(j, j) + self.diag
-        pivot2 = h_jj - low.dot(low)
-        if pivot2 <= 0.0:
-            raise _not_positive_definite(k + 1, k + 1)
-        least = min(self.least_pivot[k], pivot2)
+        row = self.inv[k, :k]
+        if self.block is None:
+            low = inv.dot(g_j)
+            low.dot(inv, out=row)
+            pivot2 = h_jj - low.dot(low)
+        else:
+            row[:] = self._refined(g_j)
+            pivot2 = h_jj - g_j.dot(row)
         largest = max(self.largest_diag[k], h_jj)
+        if pivot2 <= 0.0:
+            raise _not_positive_definite(k + 1, k + 1, _DependentColumn)
+        _check_pivots(pivot2, k + 1, largest, _DependentColumn)
+        least = min(self.least_pivot[k], pivot2)
         _check_pivots(least, k + 1, largest)
         pivot = math.sqrt(pivot2)
-        row = self.inv[k, :k]
-        low.dot(inv, out=row)
         row /= -pivot
         self.inv[k, k] = 1.0 / pivot
-        q_j = self.q.item(j)
+        q_j = self.q[j]
         self.inv_q[k] = row.dot(self.q_cols[:k]) + q_j / pivot
         self.cols[k] = j
         self.q_cols[k] = q_j
         self.least_pivot.append(least)
         self.largest_diag.append(largest)
         self.size = k + 1
+        if self.block is not None:
+            self.block[k, :k] = self.block[:k, k] = g_j
+            self.block[k, k] = h_jj
 
     def truncate(self, size: int) -> None:
         """Keep the first ``size`` columns of P."""
@@ -235,24 +259,99 @@ class _PassiveFactor:
         """Keep the columns of P where ``mask`` holds, in their order; one must not."""
         first = int(np.argmin(mask))
         again = self.cols[first + 1:self.size][mask[first + 1:]]
-        self.truncate(first)
-        for j in again.tolist():
-            self.add(j)
+        if again.size <= _APPENDS_PER_DELETE * (self.size - first - again.size):
+            self.truncate(first)
+            for j in again.tolist():
+                self.add(j)
+            return
+        for r in np.flatnonzero(~mask)[::-1].tolist():
+            self._delete(r)
+        k = self.size
+        pivots = np.append(self.least_pivot[first], self.inv.diagonal()[first:k] ** -2.0)
+        diags = np.append(self.largest_diag[first],
+                          self.gram.diagonal().take(self.cols[first:k]) + self.diag)
+        self.least_pivot[first + 1:] = np.minimum.accumulate(pivots)[1:].tolist()
+        self.largest_diag[first + 1:] = np.maximum.accumulate(diags)[1:].tolist()
 
     def solve(self) -> np.ndarray:
         """s = W'(W q_P), the minimiser of the model on P, in P's order."""
         k = self.size
-        return self.inv_q[:k].dot(self.inv[:k, :k])
+        if self.block is None:
+            return self.inv_q[:k].T.dot(self.inv[:k, :k]).T
+        if self.largest_diag[k] > _DIRECT_CONDITION * self.least_pivot[k]:
+            return np.linalg.solve(self.block[:k, :k], self.q_cols[:k])
+        return self._refined(self.q_cols[:k], self.inv_q[:k])
+
+    def _refined(self, rhs: np.ndarray, inv_rhs: Optional[np.ndarray] = None) -> np.ndarray:
+        # the block's solve with rhs: directly, or W'(W rhs) from the given
+        # W rhs, then refined from its residual (Skeel, Math. Comp. 1980)
+        # until a step is within rounding of it or no longer halves
+        k = self.size
+        if k <= _DIRECT_SIZE:
+            return np.linalg.solve(self.block[:k, :k], rhs)
+        # products on contiguous copies: on views into the larger buffers numpy's
+        # are several times slower
+        inv = np.ascontiguousarray(self.inv[:k, :k])
+        block = np.ascontiguousarray(self.block[:k, :k])
+        s = inv.T.dot(inv.dot(rhs) if inv_rhs is None else inv_rhs)
+        last = math.inf
+        for _ in range(_REFINE_STEPS):
+            step = inv.T.dot(inv.dot(rhs - block.dot(s)))
+            s += step
+            size = float(np.abs(step).max(initial=0.0))
+            if size <= _EPS * float(np.abs(s).max(initial=0.0)) or size > 0.5 * last:
+                break
+            last = size
+        return s
+
+    def _delete(self, r: int) -> None:
+        # the column at position r leaves; keep() renews the rank-check lists
+        k = self.size
+        m = k - 1 - r
+        if not m:
+            self.size = r
+            return
+        w, inv_q = self.inv, self.inv_q
+        # the later rows of [W, W q_P] and row r, the rows c and r of the text above
+        x = np.empty((m, k + inv_q[r:r + 1].size))
+        x[:, :k] = w[r + 1:k, :k]
+        x[:, k:] = inv_q[r + 1:k].reshape(m, -1)
+        head = np.append(w[r, :k], inv_q[r])
+        v = x[:, r] / -head[r]
+        # with t_i = 1 + sum_(j <= i) v_j^2 and t_(i-1) that sum shifted by
+        # one (never t_i - v_i^2, which cancels), row i of M^-1 (X + v head')
+        # is sqrt(t_(i-1) / t_i) X_i - v_i / sqrt(t_i t_(i-1)) (sum_(j<i) v_j X_j - head)
+        t = np.cumsum(v * v)
+        t += 1.0
+        t_prev = np.concatenate(([1.0], t[:-1]))
+        y = np.empty_like(x)
+        y[0] = -head
+        np.multiply(v[:-1, None], x[:-1], out=y[1:])
+        np.add.accumulate(y, axis=0, out=y)
+        x *= np.sqrt(t_prev / t)[:, None]
+        y *= (v / np.sqrt(t * t_prev))[:, None]
+        x -= y
+        w[r:k - 1, :r] = x[:, :r]
+        w[r:k - 1, r:k - 1] = x[:, r + 1:k]
+        inv_q[r:k - 1] = x[:, k:].reshape(inv_q[r:k - 1].shape)
+        for buf in (self.cols, self.q_cols):
+            buf[r:k - 1] = buf[r + 1:k]
+        if self.block is not None:
+            self.block[r:k - 1, :k] = self.block[r + 1:k, :k]
+            self.block[:k - 1, r:k - 1] = self.block[:k - 1, r + 1:k]
+        self.size = k - 1
 
     def _grow(self) -> None:
         # entries past the size are never read, so np.resize's repeats are harmless
         k = self.size
-        inv = np.zeros((2 * k, 2 * k))
-        inv[:k, :k] = self.inv
-        self.inv = inv
+        for name in ("inv", "block"):
+            if getattr(self, name) is not None:
+                square = np.zeros((2 * k, 2 * k))
+                square[:k, :k] = getattr(self, name)
+                setattr(self, name, square)
         self.cols = np.resize(self.cols, 2 * k)
-        self.q_cols = np.resize(self.q_cols, 2 * k)
-        self.inv_q = np.resize(self.inv_q, 2 * k)
+        self.q_cols = np.resize(self.q_cols, (2 * k,) + self.q.shape[1:])
+        self.inv_q = np.resize(self.inv_q, (2 * k,) + self.q.shape[1:])
 
 
 def solve_qp_p2(gram: np.ndarray, diag: float, q: np.ndarray,
@@ -264,12 +363,13 @@ def solve_qp_p2(gram: np.ndarray, diag: float, q: np.ndarray,
     (1997): each iteration adds the index with the largest negative
     gradient to the passive set P, solves the unconstrained model on P,
     and steps back to the feasible set while that solution has a
-    non-positive entry.  The solve on P comes from the inverse of P's
-    Cholesky factor, grown by one row per added column and cut back when
-    columns leave (:class:`_PassiveFactor`), so an iteration costs a few
-    products of size |P|.  Only rows of G in P are read (G is symmetric,
-    so they are its columns, and stored contiguously), so the cost
-    follows the support, not the size of G.  It needs numpy alone.
+    non-positive entry.  The solve on P comes from P's factor
+    (:class:`_PassiveFactor`), so an iteration costs a few products of
+    size |P| and one with G's rows on P.  At ``diag`` 0 (NNLS), a
+    candidate whose own pivot fails the factor's rank check depends on P
+    and does not enter until z changes (Lawson & Hanson's rule), so a
+    rank-deficient G is solved too; at a positive shift that is a
+    ``ValueError``, as is a failure of an earlier column's pivot.
 
     ``start``, a boolean mask, is a guess at the minimiser's support (the
     anchor's).  When it holds at most ``SUPPORT_SHARE`` of the entries,
@@ -280,15 +380,15 @@ def solve_qp_p2(gram: np.ndarray, diag: float, q: np.ndarray,
     2004).  A denser guess starts from z = 0.  Returns the minimiser and
     the number of passive-block solves, the start's included; raises
     :class:`NonConvergenceError` after ``ACTIVE_SET_ITERS_PER_COLUMN * n``
-    of them and ``ValueError`` from a passive block that is not positive
-    definite.
+    of them and ``ValueError`` from a start on columns whose block is not
+    positive definite.
     """
     n = q.size
     cap = ACTIVE_SET_ITERS_PER_COLUMN * n
     z = np.zeros(n)
     # negative gradient q - (G + diag I) z, -inf on P; at z = 0 it is q exactly
     w = q.copy()
-    tol = 10.0 * n * _EPS * float(np.max(np.abs(q), initial=0.0))
+    tol = 10.0 * n * _EPS * float(np.abs(q).max()) if n else 0.0
     iters = 0
     begin = np.flatnonzero(start)
     if begin.size > SUPPORT_SHARE * n:
@@ -305,7 +405,7 @@ def solve_qp_p2(gram: np.ndarray, diag: float, q: np.ndarray,
         return factor.solve()
 
     def settle(s):
-        # z = s on P; the negative gradient off P
+        # z = s on P, 0 off it; the negative gradient off P
         nonlocal w
         idx = factor.passive
         z[idx] = s
@@ -324,7 +424,15 @@ def solve_qp_p2(gram: np.ndarray, diag: float, q: np.ndarray,
         j = int(w.argmax())
         if w[j] <= tol:
             break
-        factor.add(j)
+        try:
+            factor.add(j)
+        except _DependentColumn:
+            if diag:
+                raise  # every column is independent at a positive shift
+            # column j depends on P to rounding: it does not enter until z
+            # changes (Lawson & Hanson's rank check)
+            w[j] = 0.0
+            continue
         w[j] = -np.inf
         s = solve()
         if s[-1] <= 0.0:
@@ -336,7 +444,7 @@ def solve_qp_p2(gram: np.ndarray, diag: float, q: np.ndarray,
         while s.min(initial=np.inf) <= 0.0:
             idx = factor.passive
             zp = z[idx]
-            neg = np.flatnonzero(s <= 0.0)
+            neg = (s <= 0.0).nonzero()[0]
             ratios = zp[neg] / (zp[neg] - s[neg])
             first = int(np.argmin(ratios))
             zp += ratios[first] * (s - zp)
@@ -383,11 +491,11 @@ def solve_qp_p1(gram: np.ndarray, diag: float, q: np.ndarray, offsets: np.ndarra
     and must be positive.  A primal active set (Nocedal & Wright, section
     16.5) from a sparse feasible point: each iteration solves the model
     on the free variables with the working floors and budget (at most
-    m + 1 rows) as equalities, from a Cholesky factor of the free x block
-    and one small dense system in the free dummies and the rows'
-    multipliers, then steps to the first constraint it meets or, at the
-    working set's minimiser, releases the constraint with the most
-    negative multiplier.  The dummies are repaired at fixed x on exit, so
+    m + 1 rows) as equalities, from the refining factor of the free x
+    block (in the order its entries were freed) and one small dense system
+    in the free dummies and the rows' multipliers, then steps to the first
+    constraint it meets or, at the working set's minimiser, releases the
+    constraint with the most negative multiplier.  The dummies are repaired at fixed x on exit, so
     the floors and the budget hold to rounding.  Returns (x, d, the
     number of passive-block solves); raises :class:`NonConvergenceError`
     after ``ACTIVE_SET_ITERS_PER_COLUMN`` times (n + m) of them and
@@ -416,6 +524,12 @@ def solve_qp_p1(gram: np.ndarray, diag: float, q: np.ndarray, offsets: np.ndarra
     free = z > 0.0
     working = np.ones(m + 1, dtype=bool)
     working[m] = budget <= m
+    # the free x block, in the order its entries were freed; its right-hand
+    # sides are q and the x part of every row, the working ones read off
+    factor = _PassiveFactor(gram, diag, np.column_stack([q, rows[:, :c].T]), min(c, 8),
+                            refine=True)
+    for j in free[:c].nonzero()[0].tolist():
+        factor.add(j)
     iters = 0
     while True:
         iters += 1
@@ -433,20 +547,19 @@ def solve_qp_p1(gram: np.ndarray, diag: float, q: np.ndarray, offsets: np.ndarra
             working[m] = False
 
         # the model on the free variables with the working rows as equalities:
-        # x from a factor of its block, then the free dummies and the
+        # x from the factor of its block, then the free dummies and the
         # multipliers together from a small system that never divides by
         # the dummies' curvature
-        idx = np.flatnonzero(free)
-        wk = np.flatnonzero(working)
-        ix, jd = idx[idx < c], idx[idx >= c] - c
-        ax, ad = rows[wk][:, ix], rows[wk][:, c + jd]
-        sol = np.zeros((ix.size, wk.size + 1))
-        if ix.size:
-            sol = _solve_passive(gram, diag, np.column_stack([q, rows[wk, :c].T]), ix)
-        s0, ys = sol[:, 0], sol[:, 1:]
+        ix, jd = factor.passive, free[c:].nonzero()[0]
+        idx = np.concatenate([ix, c + jd])
+        wk = working.nonzero()[0]
+        rows_wk = rows[wk]
+        ax, ad = rows_wk[:, ix], rows_wk[:, c + jd]
+        sol = factor.solve()
+        s0, ys = sol[:, 0], sol[:, 1 + wk]
         kd = jd.size
         small = np.zeros((kd + wk.size, kd + wk.size))
-        small[:kd, :kd] = diag * np.eye(kd)
+        np.fill_diagonal(small[:kd, :kd], diag)
         small[:kd, kd:] = -ad.T
         small[kd:, :kd] = ad
         small[kd:, kd:] = ax @ ys
@@ -460,11 +573,12 @@ def solve_qp_p1(gram: np.ndarray, diag: float, q: np.ndarray, offsets: np.ndarra
 
         # ratio test over the free entries and the rows outside the working
         # set, blind to changes within rounding
-        out = np.flatnonzero(~working)
-        a_of = rows[out][:, idx]
+        out = (~working).nonzero()[0]
+        rows_out = rows[out]
+        a_of = rows_out[:, idx]
         ap = a_of @ p
         err_row = np.abs(a_of) @ err
-        slack = np.maximum(rows[out] @ z - rhs[out], 0.0)
+        slack = np.maximum(rows_out @ z - rhs[out], 0.0)
         ratios = np.full(idx.size + out.size, np.inf)
         hit = p < -err
         ratios[:idx.size][hit] = zf[hit] / -p[hit]
@@ -484,11 +598,14 @@ def solve_qp_p1(gram: np.ndarray, diag: float, q: np.ndarray, offsets: np.ndarra
         down = (p < 0.0) & (z[idx] <= err)
         z[idx[down]] = 0.0
         free[idx[down]] = False
+        bound = ~free[ix]
+        if bound.any():
+            factor.keep(~bound)
         if alpha < 1.0 or down.any():
             continue
 
         # z minimises the model on the working set: price its constraints
-        g = np.concatenate([z[ix] @ gram[ix] - q, diag * z[c:] - q_d]) - rows[wk].T @ lam
+        g = np.concatenate([z[ix] @ gram[ix] - q, diag * z[c:] - q_d]) - rows_wk.T @ lam
         price = np.full(nz + m + 1, np.inf)
         price[:nz][~free] = g[~free]
         price[nz + wk] = lam * row_scale[wk]
@@ -497,6 +614,8 @@ def solve_qp_p1(gram: np.ndarray, diag: float, q: np.ndarray, offsets: np.ndarra
             return z[:c], _polish_dummies(z[:c], z[c:], offsets, eps, budget), iters
         if j < nz:
             free[j] = True
+            if j < c:
+                factor.add(j)
         else:
             working[j - nz] = False
 

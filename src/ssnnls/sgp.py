@@ -8,25 +8,17 @@ through a sufficient-decrease test that adapts the scaling (problem 1,
 where the Hoyer ratio's curvature is unbounded near the floors).
 
 Both problems minimise their model exactly at every step by an active
-set on the dictionary's cached Gram matrix, which factors only the small
-block on the current support.  Each solve checks its data, its
-configuration and its start (``x0``, and problem 1's ``d0``) and forms
-A'b once; the objective evaluations it then makes take those arrays and
-check nothing.  The model goes to :mod:`ssnnls.qp` in standard form,
-z'(G + 2C)z / 2 - q'z with C = cI and
-q = (G + 2C) a - grad F(a) = A'b - grad P(a) + 2Ca (and
-q_d = 2c a_d - grad_d P(a) for problem 1's dummies), as the arrays G, q
-and q_d and the scalar 2c, so the fit's gradient G a - A'b is never
-formed: an objective evaluation forms only the residual, from the
-iterate's nonzero columns, and the penalty's gradient
-(:mod:`ssnnls.core`); at the constant 0.1 start the residual comes from
-A 1, which :class:`~ssnnls.core.GroupedDictionary` keeps beside ``gram``.
-That leaves one dense pass over A per solve, A'b; after it a step costs
-what its support costs.  Problem 2's active set needs numpy alone;
-problem 1's solves its free blocks through LAPACK and loads SciPy on
-its first call.  A step that cannot descend ends either run as
-``energy_tol`` (for problem 2, one whose decrease is within
-``NO_DESCENT_ULPS`` rounding units of F), and an active set's
+set on the dictionary's cached Gram matrix, handed over in the standard
+form of :mod:`ssnnls.qp` (for problem 1's dummies,
+q_d = 2c a_d - grad_d P(a)), so the fit's gradient G a - A'b is never
+formed.  Each solve checks its data, its configuration and its start
+(``x0``, and problem 1's ``d0``) and forms A'b once, its one dense pass
+over A; the objective evaluations it then makes check nothing and form
+only the residual, from the iterate's nonzero columns (at the 0.1 start,
+from the kept A 1), and the penalty's gradient (:mod:`ssnnls.core`), so
+a step costs what its support costs.  A step that cannot descend ends
+either run as ``energy_tol`` (for problem 2, one whose decrease is
+within ``NO_DESCENT_ULPS`` rounding units of F), and an active set's
 :class:`~ssnnls.errors.NonConvergenceError` propagates.
 
 Problem 2's loop runs on a block of data vectors, one per row: a

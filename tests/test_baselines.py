@@ -1,17 +1,11 @@
 """Comparison solvers: NNLS wrapper, l1 variants, l0 penalty decomposition."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 import scipy.optimize
 from numpy.random import default_rng
 
 import oracles
-import ssnnls
 from ssnnls import baselines, qp
 from ssnnls.baselines import PdParams, l1_bregman, l1_penalized, nnls, penalty_decomposition_l0
 from ssnnls.core import GroupedDictionary, SparsityConfig
@@ -32,14 +26,15 @@ def group_cfg(n_groups):
 
 
 def test_nnls_identity_example():
-    assert nnls(np.eye(2), np.array([1.0, -1.0])) == pytest.approx([1.0, 0.0], abs=1e-12)
+    x = nnls(one_group(np.eye(2)), np.array([1.0, -1.0]))
+    assert x == pytest.approx([1.0, 0.0], abs=1e-12)
 
 
 def test_nnls_recovers_consistent_system():
     rng = default_rng(0)
     a = rng.normal(size=(12, 5))
     x_true = np.abs(rng.normal(size=5))
-    assert nnls(a, a @ x_true) == pytest.approx(x_true, abs=1e-8)
+    assert nnls(one_group(a), a @ x_true) == pytest.approx(x_true, abs=1e-8)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -47,7 +42,7 @@ def test_nnls_kkt_residuals(seed):
     rng = default_rng(seed)
     a = rng.normal(size=(15, 7))
     b = rng.normal(size=15)
-    x = nnls(a, b)
+    x = nnls(one_group(a), b)
     grad = a.T @ (a @ x - b)
     active = x > 0
     assert np.all(np.abs(grad[active]) <= 1e-8)
@@ -60,33 +55,70 @@ def test_nnls_beats_random_feasible_points():
     for _ in range(100):
         a = rng.normal(size=(20, 8))
         b = rng.normal(size=20)
-        x = nnls(a, b)
+        x = nnls(one_group(a), b)
         best = 0.5 * float(np.sum((a @ x - b) ** 2))
         pts = np.abs(rng.normal(size=(1000, 8)))
         objs = 0.5 * np.sum((pts @ a.T - b) ** 2, axis=1)
         assert best <= objs.min() + 1e-12
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_nnls_solves_rank_deficient_dictionaries(seed):
+    # a twin, a 1e-9 near-twin and a sum of two columns: a column that
+    # depends on the passive set to rounding must not enter, as in Lawson
+    # & Hanson's NNLS (scipy's solves these; a check that raised did not)
+    rng = default_rng(seed)
+    a = rng.normal(size=(20, 6))
+    a = np.column_stack([a, a[:, 0], a[:, 1] + 1e-9 * rng.normal(size=20), a[:, 2] + a[:, 3]])
+    b = a @ np.abs(rng.normal(size=9)) + 0.01 * rng.normal(size=20)
+    x = nnls(one_group(a), b)
+    ref = scipy.optimize.nnls(a, b)[0]
+
+    def obj(z):
+        return 0.5 * float(np.sum((a @ z - b) ** 2))
+
+    assert x.min() >= 0.0
+    assert obj(x) <= obj(ref) + 1e-12 * float(b @ b)
+    grad = a.T @ (a @ x - b)
+    scale = 1e-10 * float(np.max(np.abs(a.T @ b)))
+    assert np.max(np.abs(grad[x > 0])) <= scale and grad.min() >= -scale
+
+
+def test_nnls_blames_no_later_column_for_an_earlier_pivot():
+    # columns e0 and e0 + 1e-3 e1 enter first; a column 1e5 larger, which
+    # only then has a positive gradient, makes the pair's pivot fail the rank
+    # check relative to its diagonal.  That is not the large column's fault:
+    # it must not be skipped, leaving a z whose gradient is negative on it
+    e = np.eye(4)
+    big = 1e5 * (e[:, 2] + e[:, 1]) / np.sqrt(2.0)
+    a = np.column_stack([e[:, 0], e[:, 0] + 1e-3 * e[:, 1], big])
+    b = e[:, 0] + 1e-6 * e[:, 1] + 1e-7 * e[:, 2]
+    try:
+        x = nnls(one_group(a), b)
+    except ValueError as exc:
+        assert "numerically singular on 3 columns" in str(exc)
+        return
+    grad = a.T @ (a @ x - b)
+    assert grad.min() >= -1e-10 * float(np.max(np.abs(a.T @ b)))
+
+
 def test_nnls_shape_mismatch():
     with pytest.raises(ValueError):
-        nnls(np.eye(3), np.ones(4))
+        nnls(one_group(np.eye(3)), np.ones(4))
 
 
-def test_pipelines_import_without_scipy_optimize():
-    # scipy.optimize is loaded by the first nnls call, not by an import
-    code = "import sys, ssnnls.hsi, ssnnls.doas; print('scipy.optimize' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=str(Path(ssnnls.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True, timeout=60)
-    assert out.stdout.strip() == "False"
-
-
-def test_nnls_iteration_cap_is_non_convergence():
+def test_nnls_iteration_cap_is_non_convergence(monkeypatch):
+    # the cap is the active set's, ACTIVE_SET_ITERS_PER_COLUMN passive
+    # solves per column: this problem takes 12 on its 20 columns, so half
+    # a solve per column stops it at the 10th
     rng = default_rng(0)
     a = rng.normal(size=(30, 20))
     b = rng.normal(size=30)
-    with pytest.raises(NonConvergenceError):
-        nnls(a, b, maxiter=1)
+    assert qp.solve_qp_p2(a.T @ a, 0.0, a.T @ b, np.zeros(20, dtype=bool))[1] == 12
+    monkeypatch.setattr(qp, "ACTIVE_SET_ITERS_PER_COLUMN", 0.5)
+    with pytest.raises(NonConvergenceError, match="nnls: active set did not converge") as exc:
+        nnls(one_group(a), b)
+    assert exc.value.iterations == 10
 
 
 # ---------------------------------------------------------------- l1 penalized
@@ -179,9 +211,9 @@ def test_l1_bregman_returns_a_point_on_the_tau_sphere(seed):
 
 def test_l1_bregman_unreachable_tau_fails_without_an_nnls_call(monkeypatch):
     def no_nnls(*args, **kwargs):
-        raise AssertionError("the l1 path called scipy's NNLS")
+        raise AssertionError("the l1 path called the NNLS baseline")
 
-    monkeypatch.setattr(scipy.optimize, "nnls", no_nnls)
+    monkeypatch.setattr(baselines, "nnls", no_nnls)
     # no column correlated with b, then a path walked down to gamma = 0
     for b, shown in (([-1.0, -1.0], "1.414214e+00"), ([2.0, -1.0], "1.000000e+00")):
         with pytest.raises(NonConvergenceError) as info:

@@ -227,23 +227,98 @@ def test_grown_factor_equals_a_factor_from_scratch():
     _assert_factor_from_scratch(factor, factor.solve())
 
 
-def test_a_dropped_column_takes_its_pivot_out_of_the_rank_check():
+def test_a_dropped_column_takes_its_pivot_out_of_the_rank_check(monkeypatch):
     # column 1's pivot squared, 2.5 eps, passes the check on two columns and
-    # fails it on three: once popped or dropped, it must not fail a third column
+    # fails it on three: once popped, or dropped by keep() through appends
+    # again or a delete, it must not fail a third column
     h = np.diag([1.0, 2.5 * np.finfo(float).eps, 1.0, 1.0])
-    for drop in ("pop", "keep"):
+    for drop, appends_per_delete in (("pop", 0), ("keep", 1), ("keep", 0)):
+        monkeypatch.setattr(qp, "_APPENDS_PER_DELETE", appends_per_delete)
         factor = qp._PassiveFactor(h, 0.0, np.ones(4), 4)
-        factor.add(0)
         factor.add(1)
+        factor.add(0)
         with pytest.raises(ValueError, match="numerically singular on 3 columns"):
             factor.add(2)
         if drop == "pop":
-            factor.truncate(1)
+            factor.truncate(0)
+            factor.add(0)
         else:
-            factor.keep(np.array([True, False]))
+            factor.keep(np.array([False, True]))
         factor.add(2)
         factor.add(3)
         assert factor.passive.tolist() == [0, 2, 3]
+
+
+def test_random_adds_and_drops_equal_a_factor_from_scratch():
+    # seeded sequences of appends and drops, of one column or several, at
+    # about 5 and about 60 columns, so keep() re-appends and deletes, and
+    # with a refining factor, which keeps the block too
+    for seed, size, refine in ((0, 5, False), (1, 60, False), (2, 60, True)):
+        rng = np.random.default_rng(100 + seed)
+        n = 2 * size + 10
+        a = rng.normal(size=(3 * n, n))
+        h, q = a.T @ a, rng.normal(size=(n, 3))
+        factor = qp._PassiveFactor(h, 1e-6, q, 4, refine=refine)
+        for j in rng.permutation(n)[:size].tolist():
+            factor.add(j)
+        s = factor.solve()
+        _assert_factor_from_scratch(factor, s)
+        for _ in range(40):
+            k = factor.size
+            if k > size // 2 and rng.random() < 0.5:
+                mask = rng.random(k) > min(2.0 / k, 0.5)
+                gone = int(rng.integers(k))
+                mask[gone], mask[(gone + 1) % k] = False, True
+                factor.keep(mask)
+            else:
+                out = np.setdiff1d(np.arange(n), factor.passive)
+                factor.add(int(rng.choice(out)))
+            s = factor.solve()
+            _assert_factor_from_scratch(factor, s)
+
+
+def test_a_drop_far_from_the_end_makes_no_append():
+    # past _APPENDS_PER_DELETE survivors per dropped column after the first
+    # dropped one, keep() deletes; up to it, it appends them again
+    rng = np.random.default_rng(95)
+    a = rng.normal(size=(60, 30))
+    added = []
+
+    class Counted(qp._PassiveFactor):
+        def add(self, j):
+            added.append(j)
+            super().add(j)
+
+    factor = Counted(a.T @ a, 0.0, a.T @ rng.normal(size=60), 4)
+    for j in range(20):
+        factor.add(j)
+    added.clear()
+    mask = np.ones(20, dtype=bool)
+    mask[[3, 11]] = False
+    factor.keep(mask)
+    assert added == [] and factor.passive.tolist() == [j for j in range(20) if mask[j]]
+    _assert_factor_from_scratch(factor, factor.solve())
+    last = factor.size - 1 - qp._APPENDS_PER_DELETE
+    factor.keep(np.arange(factor.size) != last)
+    assert added == factor.passive[last:].tolist()
+    _assert_factor_from_scratch(factor, factor.solve())
+
+
+def test_a_dependent_candidate_at_a_positive_shift_names_the_shift():
+    # a 1e-9 near-twin enters at no shift only as a column that depends on
+    # P (skipped, Lawson & Hanson's rule); at a shift too small to make it
+    # independent to rounding, the error names c_matrix_scale, as a failed
+    # factor of the block does
+    rng = np.random.default_rng(2)
+    a = rng.normal(size=(12, 4))
+    a /= np.linalg.norm(a, axis=0)
+    a = np.column_stack([a, a[:, 0] + 1e-9 * rng.normal(size=12)])
+    b = a @ np.abs(rng.normal(size=5)) + 0.01 * rng.normal(size=12)
+    h, q = a.T @ a, a.T @ b
+    z, _ = solve_qp_p2(h, 0.0, q, np.zeros(5, dtype=bool))
+    assert np.count_nonzero(z) == 4
+    with pytest.raises(ValueError, match="singular on 5 columns; increase c_matrix_scale"):
+        solve_qp_p2(h, 1e-30, q, np.zeros(5, dtype=bool))
 
 
 def test_active_set_factor_equals_a_factor_from_scratch_at_every_solve(monkeypatch):

@@ -73,6 +73,21 @@ def test_problem1_trace_monotone_and_feasible(seed):
     assert all(c > 0 for c in report.c_trace)
 
 
+@pytest.mark.parametrize("rows, size, seed, appends_per_delete",
+                         [(32, 200, 2, 0), (32, 200, 0, qp._APPENDS_PER_DELETE), (64, 550, 3, 0)])
+def test_problem1_converges_on_rank_deficient_blocks_with_deletes(monkeypatch, rows, size, seed,
+                                                                   appends_per_delete):
+    # past `rows` free columns the blocks are definite only by the shift,
+    # and keep() drops by deletes (every drop at 0), so W drifts from the
+    # block's factor; the active set must still converge
+    monkeypatch.setattr(qp, "_APPENDS_PER_DELETE", appends_per_delete)
+    dct, b, cfg = make_problem(seed, n_rows=rows, sizes=(size, size), noise=0.0)
+    cfg.gamma[:] = 1.0
+    report = solve_problem1(dct, b, cfg, SgpParams())
+    assert report.termination in (TERM_STEP, TERM_ENERGY)
+    assert_p1_feasible(dct, cfg, report.x, report.d)
+
+
 def test_problem2_zero_weights_matches_nnls():
     from scipy.optimize import nnls
 

@@ -1,12 +1,12 @@
 """The names the benchmark's tracer patches (perfbench/tracing.py) stay live.
 
-The tracer counts factorisations by replacing ``scipy.linalg.cho_factor``
-and wraps the other layers by the names their callers look up; a refactor
-that binds one of them elsewhere would leave a traced run counting zero.
-Problem 2 never calls ``cho_factor``: its active set grows the inverse
-Cholesky factor of its passive block with numpy (``qp._PassiveFactor``).
-``l1_penalized`` is one call of that active set, so its solves show as
-``baselines.l1_penalized`` spans and never as problem-2 factorisations.
+The tracer wraps the layers by the names their callers look up; a
+refactor that binds one of them elsewhere would leave a traced run
+counting zero.  Its factorisation count reads 0 by construction: it
+replaces ``scipy.linalg.cho_factor``, which nothing calls, since every
+active set keeps the inverse Cholesky factor of its passive block with
+numpy (``qp._PassiveFactor``).  ``l1_penalized`` is one call of problem
+2's active set, so its solves show as ``baselines.l1_penalized`` spans.
 """
 
 import importlib.util
