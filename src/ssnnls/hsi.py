@@ -167,7 +167,7 @@ def demix_scene(scene: HsiScene, cfg: SparsityConfig, solver: str = "diff_p2",
     ``PD_MAX_INNER``, ``PD_MAX_OUTER`` and ``PD_RHO_CAP`` constants; the
     structured solvers take ``sgp`` plus the constants of
     :mod:`ssnnls.sgp` (``C0``, ``SIGMA``, ``XI1``, ``XI2``, ``RHO``,
-    ``MAX_REJECTIONS``, ``TOL_STEP``, ``NO_DESCENT_ULPS``) and
+    ``MAX_REJECTIONS``, ``NO_DESCENT_ULPS``) and
     ``qp.ACTIVE_SET_ITERS_PER_COLUMN``.
     ``admm`` is retired and ignored (see :class:`ssnnls.qp.AdmmParams`),
     and so is ``threads``.  "diff_p2" solves the scene's pixels as one

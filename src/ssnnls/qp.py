@@ -20,10 +20,12 @@ so the cost follows the support, not the dictionary.  Problem 2
 constrains x to the orthant and runs Lawson & Hanson's active set in Bro
 & de Jong's Gram form (1997), started from the anchor's support when it
 is sparse (Van Benthem & Keenan 2004); the NNLS baseline is the same
-active set with no shift.  Problem 1 also carries one dummy per group,
-with the group floors and one budget on the dummies, and runs a primal
-active set.  Every active set, and the l1 path of
-:mod:`ssnnls.baselines`, keeps its free block in one factor,
+active set with no shift.  With no shift, a column that depends on the
+passive set to rounding stays out of it (Lawson & Hanson's rule), so
+problem 2 and NNLS alike solve any dictionary.  Problem 1 also carries
+one dummy per group, with the group floors and one budget on the
+dummies, and runs a primal active set.  Every active set, and the l1
+path of :mod:`ssnnls.baselines`, keeps its free block in one factor,
 :class:`_PassiveFactor`, which appends a column in a few products and
 deletes one by a rank-one update, with numpy alone.
 """
@@ -94,55 +96,8 @@ def model_value(gram: np.ndarray, shift: float, q: np.ndarray, q_d: np.ndarray,
 ACTIVE_SET_ITERS_PER_COLUMN = 3
 
 
-def model_cholesky(h: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a block of the model Hessian G + 2C.
-
-    Raises ``ValueError`` naming ``c_matrix_scale`` when the block is not
-    numerically positive definite: the factorisation fails, or a pivot
-    squared is at most ``n * eps`` times the largest diagonal entry (the
-    rank tolerance of LAPACK's pivoted Cholesky).
-    """
-    try:
-        low = np.linalg.cholesky(h)
-    except np.linalg.LinAlgError:
-        raise _not_positive_definite(_failed_minor(h), h.shape[0]) from None
-    _check_pivots(float(low.diagonal().min()) ** 2, h.shape[0], float(h.diagonal().max()))
-    return low
-
-
 class _DependentColumn(ValueError):
-    """The pivot of the column being added to a :class:`_PassiveFactor` fails the checks."""
-
-
-def _not_positive_definite(minor: int, n: int, error: type = ValueError) -> ValueError:
-    return error(f"model Hessian G + 2C is not positive definite (leading minor "
-                 f"{minor} of {n}); increase c_matrix_scale")
-
-
-def _check_pivots(smallest: float, n: int, largest_diag: float,
-                  error: type = ValueError) -> None:
-    """:func:`model_cholesky`'s rank check: ``smallest``, the least pivot squared of
-    a factor of n columns, must exceed ``n * eps`` times the block's largest diagonal entry."""
-    if smallest <= n * _EPS * largest_diag:
-        raise error(f"model Hessian G + 2C is numerically singular on {n} "
-                    "columns; increase c_matrix_scale")
-
-
-def _failed_minor(h: np.ndarray) -> int:
-    """The order of the first leading block of ``h`` that numpy's Cholesky rejects.
-
-    numpy does not report the failed pivot, so this bisects on the
-    leading blocks; it is called only after the whole of ``h`` failed.
-    """
-    good, bad = 0, h.shape[0]
-    while bad - good > 1:
-        mid = (good + bad) // 2
-        try:
-            np.linalg.cholesky(h[:mid, :mid])
-            good = mid
-        except np.linalg.LinAlgError:
-            bad = mid
-    return bad
+    """The pivot of the column being added to a :class:`_PassiveFactor` fails its rank check."""
 
 
 # keep() appends the survivors after the first dropped column again while
@@ -182,16 +137,18 @@ class _PassiveFactor:
     their rows of W q_P.  :meth:`keep` drops any columns, by appending the
     later survivors again, or by deletes when more than
     ``_APPENDS_PER_DELETE`` survivors per dropped column follow the first
-    dropped one.  Each append applies :func:`model_cholesky`'s checks to
-    the factor so far, raising :class:`_DependentColumn` when the new
-    column's own pivot fails them; after deletes the pivots come from W's
-    diagonal.  W's rounding grows with the block's condition number and
-    with deletes, so a factor made with ``refine`` keeps the block and
-    refines from its residual both its solves and an append's row, whose
-    -(l'W) is the solve y with G[P, j] (then p^2 = G_jj + diag - G[j, P] y);
-    it solves a small block directly, and the model on a block past
-    ``_DIRECT_CONDITION``.  The buffers start at ``capacity`` columns and
-    double when full.
+    dropped one.  Each append checks the factor's rank: on n columns, a
+    pivot squared must be positive and exceed ``n * eps`` times the
+    block's largest diagonal entry (the rank tolerance of LAPACK's
+    pivoted Cholesky), else a ``ValueError`` names ``c_matrix_scale``,
+    a :class:`_DependentColumn` when the new column's own pivot fails;
+    after deletes the pivots come from W's diagonal.  W's rounding grows
+    with the block's condition number and with deletes, so a factor made
+    with ``refine`` keeps the block and refines from its residual both
+    its solves and an append's row, whose -(l'W) is the solve y with
+    G[P, j] (then p^2 = G_jj + diag - G[j, P] y); it solves a small block
+    directly, and the model on a block past ``_DIRECT_CONDITION``.  The
+    buffers start at ``capacity`` columns and double when full.
     """
 
     def __init__(self, gram: np.ndarray, diag: float, q: np.ndarray, capacity: int,
@@ -232,10 +189,15 @@ class _PassiveFactor:
             pivot2 = h_jj - g_j.dot(row)
         largest = max(self.largest_diag[k], h_jj)
         if pivot2 <= 0.0:
-            raise _not_positive_definite(k + 1, k + 1, _DependentColumn)
-        _check_pivots(pivot2, k + 1, largest, _DependentColumn)
+            raise _DependentColumn(f"model Hessian G + 2C is not positive definite (leading "
+                                   f"minor {k + 1} of {k + 1}); increase c_matrix_scale")
         least = min(self.least_pivot[k], pivot2)
-        _check_pivots(least, k + 1, largest)
+        limit = (k + 1) * _EPS * largest
+        if least <= limit:
+            # the new column is to blame only when its own pivot fails
+            raise (_DependentColumn if pivot2 <= limit else ValueError)(
+                f"model Hessian G + 2C is numerically singular on {k + 1} columns; "
+                "increase c_matrix_scale")
         pivot = math.sqrt(pivot2)
         row /= -pivot
         self.inv[k, k] = 1.0 / pivot
@@ -365,11 +327,12 @@ def solve_qp_p2(gram: np.ndarray, diag: float, q: np.ndarray,
     and steps back to the feasible set while that solution has a
     non-positive entry.  The solve on P comes from P's factor
     (:class:`_PassiveFactor`), so an iteration costs a few products of
-    size |P| and one with G's rows on P.  At ``diag`` 0 (NNLS), a
-    candidate whose own pivot fails the factor's rank check depends on P
-    and does not enter until z changes (Lawson & Hanson's rule), so a
-    rank-deficient G is solved too; at a positive shift that is a
-    ``ValueError``, as is a failure of an earlier column's pivot.
+    size |P| and one with G's rows on P.  At ``diag`` 0 (NNLS), a column
+    whose own pivot fails the factor's rank check depends on P and does
+    not enter, in the start below or until z changes in the loop (Lawson
+    & Hanson's rule), so a rank-deficient G is solved too; at a positive
+    shift that is a ``ValueError``, as is a failure of an earlier
+    column's pivot.
 
     ``start``, a boolean mask, is a guess at the minimiser's support (the
     anchor's).  When it holds at most ``SUPPORT_SHARE`` of the entries,
@@ -380,8 +343,7 @@ def solve_qp_p2(gram: np.ndarray, diag: float, q: np.ndarray,
     2004).  A denser guess starts from z = 0.  Returns the minimiser and
     the number of passive-block solves, the start's included; raises
     :class:`NonConvergenceError` after ``ACTIVE_SET_ITERS_PER_COLUMN * n``
-    of them and ``ValueError`` from a start on columns whose block is not
-    positive definite.
+    of them.
     """
     n = q.size
     cap = ACTIVE_SET_ITERS_PER_COLUMN * n
@@ -412,8 +374,19 @@ def solve_qp_p2(gram: np.ndarray, diag: float, q: np.ndarray,
         w = q - s.dot(gram.take(idx, axis=0))
         w[idx] = -np.inf
 
+    def enters(j):
+        # column j joins P unless, with no shift, it depends on P to rounding
+        # (Lawson & Hanson's rank check)
+        try:
+            factor.add(j)
+        except _DependentColumn:
+            if diag:
+                raise  # every column is independent at a positive shift
+            return False
+        return True
+
     for j in begin.tolist():
-        factor.add(j)
+        enters(j)
     while factor.size:
         s = solve()
         if s.min() > 0.0:
@@ -424,14 +397,8 @@ def solve_qp_p2(gram: np.ndarray, diag: float, q: np.ndarray,
         j = int(w.argmax())
         if w[j] <= tol:
             break
-        try:
-            factor.add(j)
-        except _DependentColumn:
-            if diag:
-                raise  # every column is independent at a positive shift
-            # column j depends on P to rounding: it does not enter until z
-            # changes (Lawson & Hanson's rank check)
-            w[j] = 0.0
+        if not enters(j):
+            w[j] = 0.0  # until z changes
             continue
         w[j] = -np.inf
         s = solve()

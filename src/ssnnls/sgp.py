@@ -40,9 +40,8 @@ import numpy as np
 from .core import (GroupedDictionary, SparsityConfig, checked_data, eval_objective_p1,
                    eval_objective_p2)
 from .errors import ConfigError, NonConvergenceError
-from .qp import model_cholesky, model_value, solve_qp_p1, solve_qp_p2
+from .qp import model_value, solve_qp_p1, solve_qp_p2
 
-TERM_STEP = "step_tol"
 TERM_ENERGY = "energy_tol"
 TERM_MAX_OUTER = "max_outer"
 TERM_FAILED = "nonconvergence"
@@ -54,15 +53,13 @@ TERM_FAILED = "nonconvergence"
 # F(y) - F(x) <= SIGMA * model(y) is rejected and c_n grows by XI2 (more
 # than MAX_REJECTIONS in a row raise NonConvergenceError); after an
 # acceptance c_n shrinks by XI1 while the scaled diagonal stays above the
-# eigenvalue floor RHO.  Both loops stop when the sup-norm step falls to
-# TOL_STEP.
+# eigenvalue floor RHO.
 C0 = 1.0
 SIGMA = 0.1
 XI1 = 2.0
 XI2 = 10.0
 RHO = 1e-12
 MAX_REJECTIONS = 60
-TOL_STEP = 0.0
 # Problem 2 takes a candidate that lowers F by at most this many rounding
 # units of F for no descent.  Such a change is rounding: a block's products
 # round otherwise than a single solve's, so accepting it would make a
@@ -77,12 +74,11 @@ class SgpParams:
     """Outer-loop settings.
 
     ``c_matrix_scale`` is c in the model shift C = cI; problem 2 keeps C
-    fixed and allows c = 0 when A has full column rank, problem 1 needs
-    c > 0 and multiplies it by the dynamic factor described at ``C0``,
-    ``SIGMA``, ``XI1``, ``XI2``, ``RHO`` and ``MAX_REJECTIONS``.  The loop
-    stops when the sup-norm step falls to ``TOL_STEP``, when the objective
-    changes by at most ``tol_energy`` relative to its new value
-    (``|F_old - F_new| <= tol_energy |F_new|``), or at ``max_outer``.
+    fixed and allows c = 0 on any dictionary, problem 1 needs c > 0 and
+    multiplies it by the dynamic factor described at ``C0``, ``SIGMA``,
+    ``XI1``, ``XI2``, ``RHO`` and ``MAX_REJECTIONS``.  The loop stops when
+    the objective changes by at most ``tol_energy`` relative to its new
+    value (``|F_old - F_new| <= tol_energy |F_new|``), or at ``max_outer``.
     """
 
     c_matrix_scale: float = 1e-9
@@ -210,9 +206,6 @@ def solve_problem2(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
     x[:] = _checked_start("x0", x0, dct.n_columns, 0.1)
 
     gram = dct.gram
-    if not params.c_matrix_scale > 0:
-        # with no shift the model is strongly convex only if A has full column rank
-        model_cholesky(gram)
     diag = 2.0 * params.c_matrix_scale
     ev = eval_objective_p2(dct, b, x, cfg)
     values = ev.value.tolist()
@@ -253,14 +246,11 @@ def solve_problem2(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
             rep.step_trace.append(step)
             rep.outer_iters += 1
             values[i] = new
-            if step <= TOL_STEP:
-                rep.termination = TERM_STEP
-            elif abs(value - new) <= params.tol_energy * abs(new):
+            if abs(value - new) <= params.tol_energy * abs(new):
                 rep.termination = TERM_ENERGY
+                out[p] = y[i]
             else:
                 keep.append(i)
-                continue
-            out[p] = y[i]
         x, ev = y, ev_y
         if len(keep) < len(live):
             live = [live[i] for i in keep]
@@ -341,9 +331,6 @@ def solve_problem1(dct: GroupedDictionary, b: np.ndarray, cfg: SparsityConfig,
         ev = ev_y
         if (c / XI1) * params.c_matrix_scale >= RHO:
             c /= XI1
-        if step <= TOL_STEP:
-            report.termination = TERM_STEP
-            break
         if abs(decrease) <= params.tol_energy * abs(ev.value):
             report.termination = TERM_ENERGY
             break

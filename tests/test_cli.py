@@ -230,6 +230,21 @@ def test_main_success_doas_align(tmp_path, capsys):
     assert {"support_hits", "nnz", "residual_norm"} <= set(stored[0]["metrics"])
 
 
+def test_main_doas_align_diff_p2_runs_at_no_shift(tmp_path):
+    # at c_scale 0 the full-scale deformation dictionary (1323 columns on
+    # 1024 bands) makes the model singular; the active set leaves its
+    # dependent columns out, as NNLS does, and finds the three atoms
+    cfg = tmp_path / "shift.json"
+    cfg.write_text(json.dumps({"c_scale": 0}))
+    out = str(tmp_path / "out")
+    assert main(["--experiment", "doas-align", "--scale", "1", "--seed", "0",
+                 "--solver", "diff_p2", "--config", str(cfg), "--out", out]) == 0
+    with open(os.path.join(out, "records.json")) as fh:
+        stored = json.load(fh)
+    assert stored[0]["overrides"] == {"c_scale": 0}
+    assert stored[0]["metrics"]["support_hits"] == 3
+
+
 def test_main_config_error(capsys):
     assert main(["--experiment", "warp-drive"]) == 2
     assert "configuration error" in capsys.readouterr().err

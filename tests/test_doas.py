@@ -6,7 +6,7 @@ import scipy.fft
 
 from ssnnls import doas
 from ssnnls.core import GroupedDictionary, SparsityConfig
-from ssnnls.doas import (DOAS_SOLVERS, BackgroundOperator, DeformationGrid, DoasFitConfig,
+from ssnnls.doas import (DOAS_SOLVERS, DeformationGrid, DoasFitConfig,
                          ReferenceSpectrum, _sample_with_reflection, build_background_operator,
                          build_deformation_dictionary, deformed_column, fit_doas,
                          quartic_background, sample_planted_coeffs, synthesize_doas_data,

@@ -359,6 +359,14 @@ def _padded_model(a, rng, start_cols):
     return h, q, start
 
 
+def _assert_kkt(h, diag, q, z):
+    """z >= 0 minimises z'(h + diag I)z / 2 - q'z over the orthant, to 1e-12 max|q|."""
+    grad = h @ z + diag * z - q
+    tol = 1e-12 * np.max(np.abs(q))
+    assert z.min() >= 0.0 and grad.min() >= -tol
+    assert np.max(np.abs(grad[z > 0.0])) <= tol
+
+
 @pytest.mark.parametrize("case, start_cols, message", [
     ("twin", [2, 6], "numerically singular on 2 columns"),
     ("twin first", [0, 5], "numerically singular on 2 columns"),
@@ -366,21 +374,25 @@ def _padded_model(a, rng, start_cols):
     ("zero", [6], r"not positive definite \(leading minor 1 of 1\)"),
 ])
 def test_dependent_columns_at_zero_shift_raise_value_errors(case, start_cols, message):
-    # a start on linearly dependent columns at diag = 0: the messages of a
-    # LAPACK factor of the whole block, which the grown factor keeps
+    # a start on linearly dependent columns at diag = 0: the factor raises
+    # on the dependent one, which the active set then leaves out of P
+    # (Lawson & Hanson's rule), reaching a KKT point.  At a shift too small
+    # to make it independent to rounding, the error names c_matrix_scale;
+    # a zero column is independent at any positive shift, its block being
+    # the shift
     rng = np.random.default_rng(0)
     a = rng.normal(size=(20, 6))
     extra = {"twin": a[:, 2], "sum": a[:, 0] + a[:, 1], "zero": np.zeros(20)}
     a = np.column_stack([a[:, 4], a]) if case == "twin first" else \
         np.column_stack([a, extra[case]])
     h, q, start = _padded_model(a, rng, start_cols)
+    factor = qp._PassiveFactor(h, 0.0, q, 4)
     with pytest.raises(ValueError, match=message + ".*increase c_matrix_scale"):
-        solve_qp_p2(h, 0.0, q, start)
-
-
-def test_model_cholesky_names_the_failed_leading_minor():
-    a = np.random.default_rng(0).normal(size=(5, 8))
-    with pytest.raises(ValueError, match=r"not positive definite \(leading minor 6 of 8\)"):
-        qp.model_cholesky(a.T @ a)
-    h = a.T @ a + 1e-3 * np.eye(8)
-    np.testing.assert_allclose(qp.model_cholesky(h), np.linalg.cholesky(h), rtol=0, atol=0)
+        for j in start_cols:
+            factor.add(j)
+    _assert_kkt(h, 0.0, q, solve_qp_p2(h, 0.0, q, start)[0])
+    if case == "zero":
+        _assert_kkt(h, 1e-30, q, solve_qp_p2(h, 1e-30, q, start)[0])
+    else:
+        with pytest.raises(ValueError, match=message + ".*increase c_matrix_scale"):
+            solve_qp_p2(h, 1e-30, q, start)

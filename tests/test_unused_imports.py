@@ -1,11 +1,11 @@
-"""Every name a library module imports at module level is used in that module.
+"""Every name a library or test module imports at module level is used in that module.
 
 No linter ships with the project, so this stands in for three checks of
 one: an import left behind when the code that needed it goes fails
-here, and so do a private module-level function or class that its own
-module no longer references and an export in ``ssnnls.__all__`` that no
-longer resolves.  ``__init__.py`` is exempt from the first, since its
-imports are the package's exports.
+here, in the package and in the tests, and so do a private module-level
+function or class that its own library module no longer references and
+an export in ``ssnnls.__all__`` that no longer resolves.  ``__init__.py``
+is exempt from the first, since its imports are the package's exports.
 """
 
 import ast
@@ -17,6 +17,7 @@ import ssnnls
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ssnnls"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def _unused_imports(source: str):
@@ -46,10 +47,11 @@ def _unreferenced_private_defs(source: str):
 def test_the_check_finds_an_unused_import():
     source = "import os\nimport scipy.linalg\nfrom typing import List as L, Dict\nx: L = scipy\n"
     assert _unused_imports(source) == [(1, "os"), (3, "Dict")]
-    assert len(MODULES) > 5  # the glob found the package
+    assert len(MODULES) > 5 and len(TESTS) > 5  # the globs found the package and the tests
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS,
+                         ids=lambda p: p.name if p.parent == PACKAGE else f"tests/{p.name}")
 def test_module_uses_every_import(path):
     assert _unused_imports(path.read_text()) == []
 
